@@ -19,7 +19,7 @@ from .errors import (
     SynthesisFailed,
     VerificationFailed,
 )
-from .numeric import Mode, QC, numeric_mode, set_default_mode, default_mode
+from .numeric import Mode, QC
 from .spaces import (
     IndexSet,
     NormTag,

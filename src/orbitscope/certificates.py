@@ -43,7 +43,7 @@ from .limit_sets import (
     search_j_witness,
     synthesize_shift_j_witness,
 )
-from .numeric import Mode, make_scalar, numeric_mode, real_value, to_float
+from .numeric import Mode, jsonable, make_scalar, real_value, to_float
 from .operators import (
     Band,
     Block,
@@ -129,18 +129,6 @@ def _rng(seed: int, tag: str) -> random.Random:
     return random.Random(f"{seed}:{tag}")
 
 
-def _param_str(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, tuple):
-        return [_param_str(v) for v in value]
-    return value
-
-
-def _params_jsonable(params: dict) -> dict:
-    return {k: _param_str(v) for k, v in params.items()}
-
-
 def _random_sparse(rng: random.Random, index_set: IndexSet, lo: int, hi: int,
                    bound: float, mode: Mode, max_entries: int = 6) -> SeqVector:
     """Seeded vector: small support in [lo, hi], entries up to |bound|."""
@@ -182,113 +170,106 @@ def cert_prop32(sample_count: int | None = None, support_bound: int | None = Non
         p["d"] = d
     _merge_overrides(p, overrides)
     start = time.perf_counter()
-    with numeric_mode(mode):
-        T = prop32_operator()
-        e0 = SeqVector.basis(IndexSet.INTEGERS, 0)
-        subs = []
-        witnesses = []
-        residuals = []
+    T = prop32_operator()
+    e0 = SeqVector.basis(IndexSet.INTEGERS, 0, mode=mode)
+    subs = []
+    witnesses = []
+    residuals = []
 
-        # (a) the base point's orbit is sup-norm flat: ||T^n e_0|| = 1 exactly
-        horizon = p["orbit_check_horizon"]
-        flat = True
-        v = e0
-        one = Fraction(1) if mode is Mode.EXACT else 1.0
-        for n in range(1, horizon + 1):
-            v = apply(T, v)
-            if norm(v, NormTag.PINF) != one:
-                flat = False
-                break
-        for n in (1, horizon // 3, horizon):
-            if norm(apply_power(T, n, e0), NormTag.PINF) != one:
-                flat = False
-        subs.append(SubCheck(
-            "orbit-sup-norm-flat", PASS if flat else FAIL,
-            note="exact equality over the full horizon",
-            details={"horizon": horizon}))
+    # (a) the base point's orbit is sup-norm flat: ||T^n e_0|| = 1 exactly
+    horizon = p["orbit_check_horizon"]
+    flat = True
+    v = e0
+    one = Fraction(1) if mode is Mode.EXACT else 1.0
+    for n in range(1, horizon + 1):
+        v = apply(T, v)
+        if norm(v, NormTag.PINF) != one:
+            flat = False
+            break
+    for n in (1, horizon // 3, horizon):
+        if norm(apply_power(T, n, e0), NormTag.PINF) != one:
+            flat = False
+    subs.append(SubCheck(
+        "orbit-sup-norm-flat", PASS if flat else FAIL,
+        note="exact equality over the full horizon",
+        details={"horizon": horizon}))
 
-        # (b) J-certificates at the coarse bound for seeded targets
-        schedule = EpsSchedule.reciprocal(p["schedule_length"])
-        rng = _rng(seed, "prop32-targets")
-        sb, nb = p["support_bound"], p["norm_bound"]
-        failures = []
-        for idx in range(p["sample_count"]):
-            y = _random_sparse(rng, IndexSet.INTEGERS, -sb, sb, nb, mode)
-            try:
-                w = synthesize_shift_j_witness(T, e0, y, p["d"], schedule,
-                                               norm_tag=NormTag.PINF)
-                w.verify(T)  # separate re-verification pass
-                residuals.extend(to_float(t.dist) for t in w.triples)
-                if idx < 25:
-                    witnesses.append(w.to_jsonable())
-                else:
-                    witnesses.append(_witness_digest(w))
-            except SynthesisFailed as exc:
-                failures.append({"index": idx, "best_delta": exc.best_delta_norm,
-                                 "best_residual": exc.best_residual})
-        note = "sampled surrogate for a statement over the whole space"
-        if p["sample_count"] == 0:
-            subs.append(SubCheck("synthesis-at-bound", PASS,
-                                 note=note + "; vacuous: empty sample",
-                                 details={"sampled": 0}))
-        else:
-            subs.append(SubCheck(
-                "synthesis-at-bound", PASS if not failures else FAIL, note=note,
-                details={"sampled": p["sample_count"],
-                         "succeeded": p["sample_count"] - len(failures),
-                         "failures": failures}))
-
-        # (c) forcing the quarter-tolerance search must fail or self-contradict
-        rng_forced = _rng(seed, "prop32-forced")
-        forced_results = []
-        bad_family = None
-        for idx in range(p["forced_sample_count"]):
-            y = _random_sparse(rng_forced, IndexSet.INTEGERS, -sb, sb, nb, mode)
-            try:
-                w = search_j_witness(T, e0, y, p["forced_tolerance"], schedule,
-                                     p["forced_budget"], norm_tag=NormTag.PINF)
-                family = [(t.perturbed, t.time) for t in w.triples]
-                try:
-                    report = remark32_contradiction_check(T, y, family)
-                    forced_results.append({"index": idx, "outcome": "contradicted",
-                                           "report": report.to_jsonable()})
-                except InputNotAWitnessFamily:
-                    bad_family = {"index": idx,
-                                  "outcome": "verified-non-contradictory family"}
-            except SearchFailed as exc:
-                forced_results.append({"index": idx, "outcome": "search-failed",
-                                       "reason": exc.reason,
-                                       "budget_used": exc.budget_used,
-                                       "best_residual": exc.best_residual})
-        # the checker's rejection path, exercised on a hand-built non-family
-        w0 = SeqVector.zero(IndexSet.INTEGERS)
-        bogus = [(e0, n) for n in range(1, 4)]
+    # (b) J-certificates at the coarse bound for seeded targets
+    schedule = EpsSchedule.reciprocal(p["schedule_length"])
+    rng = _rng(seed, "prop32-targets")
+    sb, nb = p["support_bound"], p["norm_bound"]
+    failures = []
+    for idx in range(p["sample_count"]):
+        y = _random_sparse(rng, IndexSet.INTEGERS, -sb, sb, nb, mode)
         try:
-            remark32_contradiction_check(T, w0, bogus)
-            checker_rejects = False
-        except InputNotAWitnessFamily:
-            checker_rejects = True
-        status = PASS if bad_family is None and checker_rejects else FAIL
+            w = synthesize_shift_j_witness(T, e0, y, p["d"], schedule,
+                                           norm_tag=NormTag.PINF)
+            w.verify(T)  # separate re-verification pass
+            residuals.extend(to_float(t.dist) for t in w.triples)
+            if idx < 25:
+                witnesses.append(w.to_jsonable())
+            else:
+                witnesses.append(_witness_digest(w))
+        except SynthesisFailed as exc:
+            failures.append({"index": idx, "best_delta": exc.best_delta_norm,
+                             "best_residual": exc.best_residual})
+    note = "sampled surrogate for a statement over the whole space"
+    if p["sample_count"] == 0:
+        subs.append(SubCheck("synthesis-at-bound", PASS,
+                             note=note + "; vacuous: empty sample",
+                             details={"sampled": 0}))
+    else:
         subs.append(SubCheck(
-            "quarter-tolerance-obstruction", status,
-            note="finite surrogate: failure within budget, never non-membership",
-            details={"targets": p["forced_sample_count"],
-                     "results": forced_results,
-                     "checker_rejects_bogus_family": checker_rejects,
-                     "bad_family": bad_family}))
+            "synthesis-at-bound", PASS if not failures else FAIL, note=note,
+            details={"sampled": p["sample_count"],
+                     "succeeded": p["sample_count"] - len(failures),
+                     "failures": failures}))
 
-        summary = {"max_residual": max(residuals, default=None),
-                   "min_residual": min(residuals, default=None)}
-    report = CertificateReport(
-        name="prop32",
-        statement=("two-sided shift with weights 2 (n>=1) / 1 (n<=0): "
+    # (c) forcing the quarter-tolerance search must fail or self-contradict
+    rng_forced = _rng(seed, "prop32-forced")
+    forced_results = []
+    bad_family = None
+    for idx in range(p["forced_sample_count"]):
+        y = _random_sparse(rng_forced, IndexSet.INTEGERS, -sb, sb, nb, mode)
+        try:
+            w = search_j_witness(T, e0, y, p["forced_tolerance"], schedule,
+                                 p["forced_budget"], norm_tag=NormTag.PINF)
+            family = [(t.perturbed, t.time) for t in w.triples]
+            try:
+                report = remark32_contradiction_check(T, y, family)
+                forced_results.append({"index": idx, "outcome": "contradicted",
+                                       "report": report.to_jsonable()})
+            except InputNotAWitnessFamily:
+                bad_family = {"index": idx,
+                              "outcome": "verified-non-contradictory family"}
+        except SearchFailed as exc:
+            forced_results.append({"index": idx, "outcome": "search-failed",
+                                   "reason": exc.reason,
+                                   "budget_used": exc.budget_used,
+                                   "best_residual": exc.best_residual})
+    # the checker's rejection path, exercised on a hand-built non-family
+    w0 = SeqVector.zero(IndexSet.INTEGERS, mode)
+    bogus = [(e0, n) for n in range(1, 4)]
+    try:
+        remark32_contradiction_check(T, w0, bogus)
+        checker_rejects = False
+    except InputNotAWitnessFamily:
+        checker_rejects = True
+    status = PASS if bad_family is None and checker_rejects else FAIL
+    subs.append(SubCheck(
+        "quarter-tolerance-obstruction", status,
+        note="finite surrogate: failure within budget, never non-membership",
+        details={"targets": p["forced_sample_count"],
+                 "results": forced_results,
+                 "checker_rejects_bogus_family": checker_rejects,
+                 "bad_family": bad_family}))
+
+    summary = {"max_residual": max(residuals, default=None),
+               "min_residual": min(residuals, default=None)}
+    return _finish(start, "prop32", T, p, subs, witnesses, summary, seed, mode,
+                   "two-sided shift with weights 2 (n>=1) / 1 (n<=0): "
                    "sup-norm-flat orbit, J-certificates everywhere at bound 2, "
-                   "and no certificate family at tolerance 1/4"),
-        operator=T.to_jsonable(), parameters=_params_jsonable(p), sub_checks=subs,
-        witnesses=witnesses, residual_summary=summary, seed=seed,
-        numeric_mode=mode.value)
-    report.runtime_s = time.perf_counter() - start
-    return report
+                   "and no certificate family at tolerance 1/4")
 
 
 # -- prop36(i): contraction pins the limit set to the d-ball -----------------------
@@ -306,73 +287,72 @@ def cert_prop36_contraction(weight=None, d=None, target_count: int | None = None
         p["target_count"] = target_count
     _merge_overrides(p, overrides)
     start = time.perf_counter()
-    with numeric_mode(mode):
-        w_abs = abs(Fraction(p["weight"]))
-        T = ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS,
-                          Constant(p["weight"]), label="contraction-shift")
-        subs = []
-        witnesses = []
-        if not w_abs < 1:
-            subs.append(SubCheck("radius-hypothesis", INDECISIVE,
-                                 note="|weight| >= 1: contraction hypothesis fails",
-                                 details={"weight": str(p["weight"])}))
-            return _finish(start, "prop36-contraction", T, p, subs, witnesses, {},
-                           seed, mode,
-                           "contracting shift: witnessed targets fill the open "
-                           "d-ball and stay inside its closure")
-        trace = spectral_radius_estimate(T, p["gelfand_n"], p["gelfand_window"])
-        gel_ok = abs(trace.estimate - float(w_abs)) <= p["gelfand_rel_tol"] * float(w_abs)
-        subs.append(SubCheck("gelfand-trace", PASS if gel_ok else FAIL,
-                             note="sup of n-step geometric means over the window",
-                             details={"estimate": trace.estimate,
-                                      "expected": float(w_abs),
-                                      "rel_tol": p["gelfand_rel_tol"]}))
+    w_abs = abs(Fraction(p["weight"]))
+    T = ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS,
+                      Constant(p["weight"]), label="contraction-shift")
+    subs = []
+    witnesses = []
+    if not w_abs < 1:
+        subs.append(SubCheck("radius-hypothesis", INDECISIVE,
+                             note="|weight| >= 1: contraction hypothesis fails",
+                             details={"weight": str(p["weight"])}))
+        return _finish(start, "prop36-contraction", T, p, subs, witnesses, {},
+                       seed, mode,
+                       "contracting shift: witnessed targets fill the open "
+                       "d-ball and stay inside its closure")
+    trace = spectral_radius_estimate(T, p["gelfand_n"], p["gelfand_window"])
+    gel_ok = abs(trace.estimate - float(w_abs)) <= p["gelfand_rel_tol"] * float(w_abs)
+    subs.append(SubCheck("gelfand-trace", PASS if gel_ok else FAIL,
+                         note="sup of n-step geometric means over the window",
+                         details={"estimate": trace.estimate,
+                                  "expected": float(w_abs),
+                                  "rel_tol": p["gelfand_rel_tol"]}))
 
-        d_val = p["d"]
-        x = SeqVector.basis(IndexSet.NATURALS, 1)
-        schedule = EpsSchedule.reciprocal(p["schedule_length"])
-        rng = _rng(seed, "prop36i-inside")
-        inside_failures = 0
-        witnessed_norms = []
-        for _ in range(p["target_count"]):
-            y = _ball_target(rng, mode, float(d_val) * float(p["inside_margin"]) * 0.995)
-            try:
-                w = search_j_witness(T, x, y, d_val, schedule, 10_000,
-                                     norm_tag=NormTag.P2)
-                w.verify(T)
-                witnessed_norms.append(to_float(norm(y, NormTag.P2)))
-                witnesses.append(_witness_digest(w))
-            except SearchFailed:
-                inside_failures += 1
-        subs.append(SubCheck(
-            "open-ball-witnessed", PASS if inside_failures == 0 else FAIL,
-            note="finite surrogate of the open-ball inclusion",
-            details={"targets": p["target_count"], "failures": inside_failures}))
+    d_val = p["d"]
+    x = SeqVector.basis(IndexSet.NATURALS, 1, mode=mode)
+    schedule = EpsSchedule.reciprocal(p["schedule_length"])
+    rng = _rng(seed, "prop36i-inside")
+    inside_failures = 0
+    witnessed_norms = []
+    for _ in range(p["target_count"]):
+        y = _ball_target(rng, mode, float(d_val) * float(p["inside_margin"]) * 0.995)
+        try:
+            w = search_j_witness(T, x, y, d_val, schedule, 10_000,
+                                 norm_tag=NormTag.P2)
+            w.verify(T)
+            witnessed_norms.append(to_float(norm(y, NormTag.P2)))
+            witnesses.append(_witness_digest(w))
+        except SearchFailed:
+            inside_failures += 1
+    subs.append(SubCheck(
+        "open-ball-witnessed", PASS if inside_failures == 0 else FAIL,
+        note="finite surrogate of the open-ball inclusion",
+        details={"targets": p["target_count"], "failures": inside_failures}))
 
-        rng_out = _rng(seed, "prop36i-outside")
-        found_outside = []
-        reasons = []
-        for _ in range(p["outside_count"]):
-            y = _ball_target(rng_out, mode, 1.9 * float(d_val),
-                             min_norm=float(d_val) * float(p["outside_margin"]) * 1.005)
-            try:
-                w = search_j_witness(T, x, y, d_val, schedule, p["outside_budget"],
-                                     norm_tag=NormTag.P2)
-                found_outside.append(to_float(norm(y, NormTag.P2)))
-            except SearchFailed as exc:
-                reasons.append(exc.reason)
-        subs.append(SubCheck(
-            "closure-bound-respected", PASS if not found_outside else FAIL,
-            note="no witness within budget outside the closed ball; not a proof",
-            details={"targets": p["outside_count"], "witnessed": found_outside,
-                     "failure_reasons": sorted(set(reasons))}))
-        bound_ok = all(n <= float(d_val) * 1.01 for n in witnessed_norms)
-        subs.append(SubCheck(
-            "witnessed-targets-bounded", PASS if bound_ok else FAIL,
-            note="every witnessed target lies within d(1+tol)",
-            details={"max_witnessed_norm": max(witnessed_norms, default=None)}))
-        summary = {"witnessed": len(witnessed_norms),
-                   "gelfand_estimate": trace.estimate}
+    rng_out = _rng(seed, "prop36i-outside")
+    found_outside = []
+    reasons = []
+    for _ in range(p["outside_count"]):
+        y = _ball_target(rng_out, mode, 1.9 * float(d_val),
+                         min_norm=float(d_val) * float(p["outside_margin"]) * 1.005)
+        try:
+            w = search_j_witness(T, x, y, d_val, schedule, p["outside_budget"],
+                                 norm_tag=NormTag.P2)
+            found_outside.append(to_float(norm(y, NormTag.P2)))
+        except SearchFailed as exc:
+            reasons.append(exc.reason)
+    subs.append(SubCheck(
+        "closure-bound-respected", PASS if not found_outside else FAIL,
+        note="no witness within budget outside the closed ball; not a proof",
+        details={"targets": p["outside_count"], "witnessed": found_outside,
+                 "failure_reasons": sorted(set(reasons))}))
+    bound_ok = all(n <= float(d_val) * 1.01 for n in witnessed_norms)
+    subs.append(SubCheck(
+        "witnessed-targets-bounded", PASS if bound_ok else FAIL,
+        note="every witnessed target lies within d(1+tol)",
+        details={"max_witnessed_norm": max(witnessed_norms, default=None)}))
+    summary = {"witnessed": len(witnessed_norms),
+               "gelfand_estimate": trace.estimate}
     return _finish(start, "prop36-contraction", T, p, subs, witnesses, summary,
                    seed, mode,
                    "contracting shift: witnessed targets fill the open d-ball "
@@ -408,98 +388,97 @@ def cert_prop36_expansion(weight=None, d=None, seed: int = 0,
         p["d"] = d
     _merge_overrides(p, overrides)
     start = time.perf_counter()
-    with numeric_mode(mode):
-        T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
-                          Constant(p["weight"]), label="expansion-shift")
-        subs = []
-        witnesses = []
-        w_abs = abs(Fraction(p["weight"]))
-        if not w_abs > 1:
-            subs.append(SubCheck("radius-hypothesis", INDECISIVE,
-                                 note="|weight| <= 1: expansion hypothesis fails",
-                                 details={"weight": str(p["weight"])}))
-            return _finish(start, "prop36-expansion", T, p, subs, witnesses, {},
-                           seed, mode,
-                           "expanding invertible shift: mix certificates from 0, "
-                           "no certificates from non-zero bases")
-        d_val = p["d"]
-        zero = SeqVector.zero(IndexSet.INTEGERS)
-        rng = _rng(seed, "prop36ii-zero")
-        zero_failures = []
-        exact_hits = 0
-        for idx in range(p["target_count"]):
-            y = _random_sparse(rng, IndexSet.INTEGERS, -10, 10, 10.0, mode)
-            # start where every coordinate back-solves in full, so the
-            # residual is exactly zero rather than parked under the bound
-            y_sup = to_float(norm(y, NormTag.PINF))
-            lw = math.log(float(w_abs))
-            n0 = 1
-            for i in range(p["mix_length"]):
-                need = math.log(y_sup * (i + 1) / 0.9) / lw - i
-                n0 = max(n0, math.ceil(need) + 1)
-            try:
-                w = jmix_witness(T, zero, y, d_val, p["mix_length"], n0,
-                                 p["mix_budget"], norm_tag=NormTag.PINF)
-                w.verify(T)
-                if all(to_float(t.dist) == 0.0 for t in w.triples):
-                    exact_hits += 1
-                if idx < 25:
-                    witnesses.append(w.to_jsonable())
-                else:
-                    witnesses.append(_witness_digest(w))
-            except SearchFailed as exc:
-                zero_failures.append({"index": idx, "reason": exc.reason})
-        zero_ok = not zero_failures and exact_hits == p["target_count"]
-        subs.append(SubCheck(
-            "mix-from-zero-exact", PASS if zero_ok else FAIL,
-            note="back-solved perturbations give residual exactly 0",
-            details={"targets": p["target_count"], "exact_hits": exact_hits,
-                     "failures": zero_failures}))
+    T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
+                      Constant(p["weight"]), label="expansion-shift")
+    subs = []
+    witnesses = []
+    w_abs = abs(Fraction(p["weight"]))
+    if not w_abs > 1:
+        subs.append(SubCheck("radius-hypothesis", INDECISIVE,
+                             note="|weight| <= 1: expansion hypothesis fails",
+                             details={"weight": str(p["weight"])}))
+        return _finish(start, "prop36-expansion", T, p, subs, witnesses, {},
+                       seed, mode,
+                       "expanding invertible shift: mix certificates from 0, "
+                       "no certificates from non-zero bases")
+    d_val = p["d"]
+    zero = SeqVector.zero(IndexSet.INTEGERS, mode)
+    rng = _rng(seed, "prop36ii-zero")
+    zero_failures = []
+    exact_hits = 0
+    for idx in range(p["target_count"]):
+        y = _random_sparse(rng, IndexSet.INTEGERS, -10, 10, 10.0, mode)
+        # start where every coordinate back-solves in full, so the
+        # residual is exactly zero rather than parked under the bound
+        y_sup = to_float(norm(y, NormTag.PINF))
+        lw = math.log(float(w_abs))
+        n0 = 1
+        for i in range(p["mix_length"]):
+            need = math.log(y_sup * (i + 1) / 0.9) / lw - i
+            n0 = max(n0, math.ceil(need) + 1)
+        try:
+            w = jmix_witness(T, zero, y, d_val, p["mix_length"], n0,
+                             p["mix_budget"], norm_tag=NormTag.PINF)
+            w.verify(T)
+            if all(to_float(t.dist) == 0.0 for t in w.triples):
+                exact_hits += 1
+            if idx < 25:
+                witnesses.append(w.to_jsonable())
+            else:
+                witnesses.append(_witness_digest(w))
+        except SearchFailed as exc:
+            zero_failures.append({"index": idx, "reason": exc.reason})
+    zero_ok = not zero_failures and exact_hits == p["target_count"]
+    subs.append(SubCheck(
+        "mix-from-zero-exact", PASS if zero_ok else FAIL,
+        note="back-solved perturbations give residual exactly 0",
+        details={"targets": p["target_count"], "exact_hits": exact_hits,
+                 "failures": zero_failures}))
 
-        x = SeqVector.basis(IndexSet.INTEGERS, 1)
-        rng2 = _rng(seed, "prop36ii-nonzero")
-        targets = [_random_sparse(rng2, IndexSet.INTEGERS, -10, 10, 10.0, mode)
-                   for _ in range(3)]
-        ladder_results = []
-        witness_found = False
-        largest_ok = True
-        schedule = EpsSchedule.reciprocal(p["mix_length"])
-        for budget in p["budget_ladder"]:
-            per_budget = []
-            for y in targets:
-                try:
-                    search_j_witness(T, x, y, d_val, schedule, budget,
-                                     norm_tag=NormTag.PINF,
-                                     stagnation_window=p["stagnation_window"])
-                    witness_found = True
-                    per_budget.append({"outcome": "witness-found"})
-                except SearchFailed as exc:
-                    per_budget.append({"outcome": "failed", "reason": exc.reason,
-                                       "collapse_norm": exc.collapse_norm,
-                                       "budget_used": exc.budget_used})
-            ladder_results.append({"budget": budget, "results": per_budget})
-        last = ladder_results[-1]["results"]
-        collapse_seen = [r.get("collapse_norm") for r in last
-                         if r.get("collapse_norm") is not None]
-        structural = all(r.get("reason") not in (None, "budget") for r in last)
-        collapse_ok = bool(collapse_seen) and \
-            min(collapse_seen) < p["collapse_threshold"]
-        if witness_found:
-            status = FAIL
-        elif not structural:
-            status = INDECISIVE
-        elif not collapse_ok:
-            status = FAIL
-        else:
-            status = PASS
-        subs.append(SubCheck(
-            "no-certificate-from-nonzero", status,
-            note=("failures labelled by mechanism; the back-solved point "
-                  "collapses toward 0, incompatible with a non-zero base"),
-            details={"ladder": ladder_results,
-                     "min_collapse_norm": min(collapse_seen, default=None)}))
-        summary = {"exact_hits": exact_hits,
-                   "min_collapse_norm": min(collapse_seen, default=None)}
+    x = SeqVector.basis(IndexSet.INTEGERS, 1, mode=mode)
+    rng2 = _rng(seed, "prop36ii-nonzero")
+    targets = [_random_sparse(rng2, IndexSet.INTEGERS, -10, 10, 10.0, mode)
+               for _ in range(3)]
+    ladder_results = []
+    witness_found = False
+    largest_ok = True
+    schedule = EpsSchedule.reciprocal(p["mix_length"])
+    for budget in p["budget_ladder"]:
+        per_budget = []
+        for y in targets:
+            try:
+                search_j_witness(T, x, y, d_val, schedule, budget,
+                                 norm_tag=NormTag.PINF,
+                                 stagnation_window=p["stagnation_window"])
+                witness_found = True
+                per_budget.append({"outcome": "witness-found"})
+            except SearchFailed as exc:
+                per_budget.append({"outcome": "failed", "reason": exc.reason,
+                                   "collapse_norm": exc.collapse_norm,
+                                   "budget_used": exc.budget_used})
+        ladder_results.append({"budget": budget, "results": per_budget})
+    last = ladder_results[-1]["results"]
+    collapse_seen = [r.get("collapse_norm") for r in last
+                     if r.get("collapse_norm") is not None]
+    structural = all(r.get("reason") not in (None, "budget") for r in last)
+    collapse_ok = bool(collapse_seen) and \
+        min(collapse_seen) < p["collapse_threshold"]
+    if witness_found:
+        status = FAIL
+    elif not structural:
+        status = INDECISIVE
+    elif not collapse_ok:
+        status = FAIL
+    else:
+        status = PASS
+    subs.append(SubCheck(
+        "no-certificate-from-nonzero", status,
+        note=("failures labelled by mechanism; the back-solved point "
+              "collapses toward 0, incompatible with a non-zero base"),
+        details={"ladder": ladder_results,
+                 "min_collapse_norm": min(collapse_seen, default=None)}))
+    summary = {"exact_hits": exact_hits,
+               "min_collapse_norm": min(collapse_seen, default=None)}
     return _finish(start, "prop36-expansion", T, p, subs, witnesses, summary,
                    seed, mode,
                    "expanding invertible shift: mix certificates from 0, no "
@@ -526,103 +505,102 @@ def cert_riesz_blocks(sample_count: int | None = None, d=None, seed: int = 0,
         p["d"] = d
     _merge_overrides(p, overrides)
     start = time.perf_counter()
-    with numeric_mode(mode):
-        T = _riesz_operator(p)
-        subs = []
-        witnesses = []
+    T = _riesz_operator(p)
+    subs = []
+    witnesses = []
+    try:
+        split = riesz_blocks(T)
+    except IndecisiveSpectrum as exc:
+        subs.append(SubCheck("block-classification", INDECISIVE,
+                             note=str(exc), details={}))
+        return _finish(start, "riesz-blocks", T, p, subs, witnesses, {},
+                       seed, mode,
+                       "block direct sum splits into contracting and "
+                       "expanding bands; witnesses decompose by band")
+    T1, T2 = split.contracting, split.expanding
+    subs.append(SubCheck("block-classification", PASS,
+                         note="per-block radius bounded away from 1",
+                         details={"estimates": [[n, e] for n, e in split.estimates]}))
+
+    d_val = p["d"]
+    x = SeqVector.basis(IndexSet.INTEGERS, 0, mode=mode)
+    x1, x2 = split.splitter.split(x)
+    schedule = EpsSchedule.reciprocal(p["schedule_length"])
+    rng = _rng(seed, "riesz-targets")
+    blo, bhi = p["band_b_window"]
+    a_cap = float(d_val) * float(p["band_a_scale"])
+    decomposed = 0
+    decompose_failures = []
+    a_norms = []
+    for idx in range(p["sample_count"]):
+        y_a = _random_sparse(rng, IndexSet.INTEGERS, 0, 6, a_cap * 0.9, mode,
+                             max_entries=3)
+        y_b = _random_sparse(rng, IndexSet.INTEGERS, blo, bhi, 10.0, mode,
+                             max_entries=4)
+        y = y_a + y_b
         try:
-            split = riesz_blocks(T)
-        except IndecisiveSpectrum as exc:
-            subs.append(SubCheck("block-classification", INDECISIVE,
-                                 note=str(exc), details={}))
-            return _finish(start, "riesz-blocks", T, p, subs, witnesses, {},
-                           seed, mode,
-                           "block direct sum splits into contracting and "
-                           "expanding bands; witnesses decompose by band")
-        T1, T2 = split.contracting, split.expanding
-        subs.append(SubCheck("block-classification", PASS,
-                             note="per-block radius bounded away from 1",
-                             details={"estimates": [[n, e] for n, e in split.estimates]}))
+            dw = d_witness(T, x, y, d_val, p["orbit_horizon"], schedule,
+                           p["search_budget"], norm_tag=NormTag.PINF)
+            dw.verify(T)
+            if _decomposes_by_band(T1, T2, split.splitter, dw, x, y, d_val,
+                                   schedule):
+                decomposed += 1
+                a_norms.append(to_float(norm(y_a, NormTag.PINF)))
+            else:
+                decompose_failures.append({"index": idx, "kind": dw.kind})
+            if idx < 10:
+                witnesses.append(dw.to_jsonable())
+        except (SearchFailed, SynthesisFailed) as exc:
+            decompose_failures.append({"index": idx, "error": str(exc)})
+    subs.append(SubCheck(
+        "witness-band-decomposition",
+        PASS if decomposed == p["sample_count"] else FAIL,
+        note="each certificate splits into valid per-band certificates",
+        details={"targets": p["sample_count"], "decomposed": decomposed,
+                 "failures": decompose_failures[:10]}))
 
-        d_val = p["d"]
-        x = SeqVector.basis(IndexSet.INTEGERS, 0)
-        x1, x2 = split.splitter.split(x)
-        schedule = EpsSchedule.reciprocal(p["schedule_length"])
-        rng = _rng(seed, "riesz-targets")
-        blo, bhi = p["band_b_window"]
-        a_cap = float(d_val) * float(p["band_a_scale"])
-        decomposed = 0
-        decompose_failures = []
-        a_norms = []
-        for idx in range(p["sample_count"]):
-            y_a = _random_sparse(rng, IndexSet.INTEGERS, 0, 6, a_cap * 0.9, mode,
-                                 max_entries=3)
-            y_b = _random_sparse(rng, IndexSet.INTEGERS, blo, bhi, 10.0, mode,
-                                 max_entries=4)
-            y = y_a + y_b
-            try:
-                dw = d_witness(T, x, y, d_val, p["orbit_horizon"], schedule,
-                               p["search_budget"], norm_tag=NormTag.PINF)
-                dw.verify(T)
-                if _decomposes_by_band(T1, T2, split.splitter, dw, x, y, d_val,
-                                       schedule):
-                    decomposed += 1
-                    a_norms.append(to_float(norm(y_a, NormTag.PINF)))
-                else:
-                    decompose_failures.append({"index": idx, "kind": dw.kind})
-                if idx < 10:
-                    witnesses.append(dw.to_jsonable())
-            except (SearchFailed, SynthesisFailed) as exc:
-                decompose_failures.append({"index": idx, "error": str(exc)})
-        subs.append(SubCheck(
-            "witness-band-decomposition",
-            PASS if decomposed == p["sample_count"] else FAIL,
-            note="each certificate splits into valid per-band certificates",
-            details={"targets": p["sample_count"], "decomposed": decomposed,
-                     "failures": decompose_failures[:10]}))
+    sup_orbit = 0.0
+    v = x1
+    for n in range(64):
+        sup_orbit = max(sup_orbit, to_float(norm(v, NormTag.PINF)))
+        v = apply(T1, v) if not v.is_zero else v
+    bound = sup_orbit + float(d_val)
+    bound_ok = all(a <= bound for a in a_norms)
+    subs.append(SubCheck(
+        "contracting-band-bounded", PASS if bound_ok else FAIL,
+        note="witnessed contracting components sit under sup ||T1^n x1|| + d",
+        details={"bound": bound, "max_component": max(a_norms, default=None)}))
 
-        sup_orbit = 0.0
-        v = x1
-        for n in range(64):
-            sup_orbit = max(sup_orbit, to_float(norm(v, NormTag.PINF)))
-            v = apply(T1, v) if not v.is_zero else v
-        bound = sup_orbit + float(d_val)
-        bound_ok = all(a <= bound for a in a_norms)
-        subs.append(SubCheck(
-            "contracting-band-bounded", PASS if bound_ok else FAIL,
-            note="witnessed contracting components sit under sup ||T1^n x1|| + d",
-            details={"bound": bound, "max_component": max(a_norms, default=None)}))
-
-        c_b = SeqVector.from_entries(IndexSet.INTEGERS,
-                                     {-50: 1, -45: Fraction(1, 2)}, mode)
-        u_a = SeqVector.basis(IndexSet.INTEGERS, 3,
-                              real_value(Fraction(p["band_a_scale"]) * Fraction(d_val),
-                                         mode))
-        ratios = []
-        ladder_ok = True
-        for j in p["lambda_ladder_exponents"]:
-            lam = Fraction(2) ** j
-            v_j = c_b.scale(real_value(lam, mode)) + u_a
-            try:
-                dw = d_witness(T, x, v_j, d_val, p["orbit_horizon"], schedule,
-                               p["search_budget"], norm_tag=NormTag.PINF)
-                dw.verify(T)
-            except (SearchFailed, SynthesisFailed):
-                ladder_ok = False
-                break
-            va, _ = split.splitter.split(v_j)
-            ratios.append(to_float(norm(va, NormTag.PINF))
-                          / to_float(norm(v_j, NormTag.PINF)))
-        factors = [ratios[i] / ratios[i + 1] for i in range(len(ratios) - 1)] \
-            if len(ratios) > 1 else []
-        monotone = all(f >= p["ratio_factor"] for f in factors)
-        subs.append(SubCheck(
-            "lambda-ladder-ratio", PASS if ladder_ok and monotone else FAIL,
-            note=("witnessable directions lose their contracting component "
-                  "as the scale grows"),
-            details={"ratios": ratios, "min_factor": min(factors, default=None)}))
-        summary = {"decomposed": decomposed, "ladder_min_factor":
-                   min(factors, default=None)}
+    c_b = SeqVector.from_entries(IndexSet.INTEGERS,
+                                 {-50: 1, -45: Fraction(1, 2)}, mode)
+    u_a = SeqVector.basis(IndexSet.INTEGERS, 3,
+                          real_value(Fraction(p["band_a_scale"]) * Fraction(d_val),
+                                     mode), mode)
+    ratios = []
+    ladder_ok = True
+    for j in p["lambda_ladder_exponents"]:
+        lam = Fraction(2) ** j
+        v_j = c_b.scale(real_value(lam, mode)) + u_a
+        try:
+            dw = d_witness(T, x, v_j, d_val, p["orbit_horizon"], schedule,
+                           p["search_budget"], norm_tag=NormTag.PINF)
+            dw.verify(T)
+        except (SearchFailed, SynthesisFailed):
+            ladder_ok = False
+            break
+        va, _ = split.splitter.split(v_j)
+        ratios.append(to_float(norm(va, NormTag.PINF))
+                      / to_float(norm(v_j, NormTag.PINF)))
+    factors = [ratios[i] / ratios[i + 1] for i in range(len(ratios) - 1)] \
+        if len(ratios) > 1 else []
+    monotone = all(f >= p["ratio_factor"] for f in factors)
+    subs.append(SubCheck(
+        "lambda-ladder-ratio", PASS if ladder_ok and monotone else FAIL,
+        note=("witnessable directions lose their contracting component "
+              "as the scale grows"),
+        details={"ratios": ratios, "min_factor": min(factors, default=None)}))
+    summary = {"decomposed": decomposed, "ladder_min_factor":
+               min(factors, default=None)}
     return _finish(start, "riesz-blocks", T, p, subs, witnesses, summary, seed,
                    mode, "block direct sum splits into contracting and expanding "
                    "bands; witnesses decompose by band")
@@ -658,53 +636,52 @@ def cert_prop15(target_eps=None, seed: int = 0, mode: Mode = Mode.EXACT,
         p["target_eps"] = Fraction(target_eps)
     _merge_overrides(p, overrides)
     start = time.perf_counter()
-    with numeric_mode(mode):
-        T = ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS,
-                          Constant(2), label="doubling-shift")
-        subs = []
-        witnesses = []
-        zero = SeqVector.zero(IndexSet.NATURALS)
-        y = SeqVector.basis(IndexSet.NATURALS, 0)
-        d_val = p["d"]
-        family = []
-        next_start = 1
-        contiguous = True
-        for k in p["scale_exponents"]:
-            t_k = Fraction(2) ** k
-            target_k = y.scale(real_value(t_k, mode))
-            w = jmix_witness(T, zero, target_k, d_val, p["mix_length"], next_start,
-                             p["mix_budget"], norm_tag=NormTag.PINF)
-            if family and w.times[0] != next_start:
-                contiguous = False
-            next_start = w.times[-1] + 1
-            family.append((t_k, w))
-            witnesses.append(_witness_digest(w))
-        subs.append(SubCheck("family-constructed", PASS,
-                             note="mix certificates at every scale, contiguous blocks",
-                             details={"scales": [str(t) for t, _ in family],
-                                      "contiguous": contiguous}))
-        try:
-            result = rescale_j_witness_family(T, family, p["target_eps"])
-            out = result.witness
-            d_over_tm = Fraction(d_val) / (Fraction(2) ** result.scale_index)
-            dist_ok = all(
-                (t.dist < d_over_tm if isinstance(t.dist, Fraction)
-                 else to_float(t.dist) < float(d_over_tm)) for t in out.triples)
-            radii_ok = all(to_float(norm(t.perturbed - out.base, out.norm_tag))
-                           < float(p["target_eps"]) for t in out.triples)
-            out.verify(T)
-            subs.append(SubCheck(
-                "rescaled-certificate", PASS if dist_ok and radii_ok else FAIL,
-                note="distances below d/t_m, radii below the target tolerance",
-                details={"scale_index": result.scale_index,
-                         "d_over_tm": str(d_over_tm),
-                         "target_eps": str(p["target_eps"]),
-                         "mix": out.mix_flag,
-                         "triples": len(out.triples)}))
-            witnesses.append(out.to_jsonable())
-        except OrbitscopeError as exc:
-            subs.append(SubCheck("rescaled-certificate", FAIL, note=str(exc)))
-        summary = {"family_size": len(family)}
+    T = ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS,
+                      Constant(2), label="doubling-shift")
+    subs = []
+    witnesses = []
+    zero = SeqVector.zero(IndexSet.NATURALS, mode)
+    y = SeqVector.basis(IndexSet.NATURALS, 0, mode=mode)
+    d_val = p["d"]
+    family = []
+    next_start = 1
+    contiguous = True
+    for k in p["scale_exponents"]:
+        t_k = Fraction(2) ** k
+        target_k = y.scale(real_value(t_k, mode))
+        w = jmix_witness(T, zero, target_k, d_val, p["mix_length"], next_start,
+                         p["mix_budget"], norm_tag=NormTag.PINF)
+        if family and w.times[0] != next_start:
+            contiguous = False
+        next_start = w.times[-1] + 1
+        family.append((t_k, w))
+        witnesses.append(_witness_digest(w))
+    subs.append(SubCheck("family-constructed", PASS,
+                         note="mix certificates at every scale, contiguous blocks",
+                         details={"scales": [str(t) for t, _ in family],
+                                  "contiguous": contiguous}))
+    try:
+        result = rescale_j_witness_family(T, family, p["target_eps"])
+        out = result.witness
+        d_over_tm = Fraction(d_val) / (Fraction(2) ** result.scale_index)
+        dist_ok = all(
+            (t.dist < d_over_tm if isinstance(t.dist, Fraction)
+             else to_float(t.dist) < float(d_over_tm)) for t in out.triples)
+        radii_ok = all(to_float(norm(t.perturbed - out.base, out.norm_tag))
+                       < float(p["target_eps"]) for t in out.triples)
+        out.verify(T)
+        subs.append(SubCheck(
+            "rescaled-certificate", PASS if dist_ok and radii_ok else FAIL,
+            note="distances below d/t_m, radii below the target tolerance",
+            details={"scale_index": result.scale_index,
+                     "d_over_tm": str(d_over_tm),
+                     "target_eps": str(p["target_eps"]),
+                     "mix": out.mix_flag,
+                     "triples": len(out.triples)}))
+        witnesses.append(out.to_jsonable())
+    except OrbitscopeError as exc:
+        subs.append(SubCheck("rescaled-certificate", FAIL, note=str(exc)))
+    summary = {"family_size": len(family)}
     return _finish(start, "prop15", T, p, subs, witnesses, summary, seed, mode,
                    "witnesses for scaled pairs at a fixed coarse bound re-index "
                    "into a certificate at any smaller tolerance")
@@ -730,63 +707,62 @@ def cert_prop21(seed: int = 0, mode: Mode = Mode.EXACT, **overrides) -> Certific
     p = dict(defaults.PROP21)
     _merge_overrides(p, overrides)
     start = time.perf_counter()
-    with numeric_mode(mode):
-        T, x, y_star = _prop21_instance(p, mode)
-        subs = []
-        witnesses = []
-        d_val = p["d"]
-        rng = _rng(seed, "prop21-targets")
-        found = []
-        for _ in range(p["sample_count"]):
-            noise = _random_sparse(rng, IndexSet.NATURALS, 0, 7,
-                                   float(d_val) * p["noise_scale"] * 0.9, mode,
-                                   max_entries=3)
-            z = y_star + noise
-            w = coarse_orbit_contains(T, x, d_val, z, p["count_ladder"][0],
-                                      NormTag.PINF)
-            if w is None:
-                found.append(None)
-            else:
-                found.append(w)
-                witnesses.append(w.to_jsonable())
-        all_found = all(w is not None for w in found)
-        subs.append(SubCheck(
-            "sampled-targets-witnessed", PASS if all_found else FAIL,
-            note="perturbed copies of the planted target are coarsely reached",
-            details={"sampled": p["sample_count"],
-                     "first_times": [w.time for w in found if w is not None]}))
+    T, x, y_star = _prop21_instance(p, mode)
+    subs = []
+    witnesses = []
+    d_val = p["d"]
+    rng = _rng(seed, "prop21-targets")
+    found = []
+    for _ in range(p["sample_count"]):
+        noise = _random_sparse(rng, IndexSet.NATURALS, 0, 7,
+                               float(d_val) * p["noise_scale"] * 0.9, mode,
+                               max_entries=3)
+        z = y_star + noise
+        w = coarse_orbit_contains(T, x, d_val, z, p["count_ladder"][0],
+                                  NormTag.PINF)
+        if w is None:
+            found.append(None)
+        else:
+            found.append(w)
+            witnesses.append(w.to_jsonable())
+    all_found = all(w is not None for w in found)
+    subs.append(SubCheck(
+        "sampled-targets-witnessed", PASS if all_found else FAIL,
+        note="perturbed copies of the planted target are coarsely reached",
+        details={"sampled": p["sample_count"],
+                 "first_times": [w.time for w in found if w is not None]}))
 
-        rescale_ok = True
-        rescale_details = []
-        for w in found:
-            if w is None:
-                continue
-            for num, den in p["m_ladder_num_den"]:
-                M = Fraction(d_val) * Fraction(num, den)
-                try:
-                    rw = rescale_coarse_witness(T, w, M)
-                    rw.verify(T)
-                except VerificationFailed as exc:
-                    rescale_ok = False
-                    rescale_details.append(str(exc))
-        subs.append(SubCheck(
-            "witness-rescaling", PASS if rescale_ok else FAIL,
-            note="witnesses transport across every bound in the ladder by linearity",
-            details={"ladder": [str(Fraction(d_val) * Fraction(n, dd))
-                                for n, dd in p["m_ladder_num_den"]],
-                     "failures": rescale_details}))
+    rescale_ok = True
+    rescale_details = []
+    for w in found:
+        if w is None:
+            continue
+        for num, den in p["m_ladder_num_den"]:
+            M = Fraction(d_val) * Fraction(num, den)
+            try:
+                rw = rescale_coarse_witness(T, w, M)
+                rw.verify(T)
+            except VerificationFailed as exc:
+                rescale_ok = False
+                rescale_details.append(str(exc))
+    subs.append(SubCheck(
+        "witness-rescaling", PASS if rescale_ok else FAIL,
+        note="witnesses transport across every bound in the ladder by linearity",
+        details={"ladder": [str(Fraction(d_val) * Fraction(n, dd))
+                            for n, dd in p["m_ladder_num_den"]],
+                 "failures": rescale_details}))
 
-        counts = [orbit_points_in_ball(T, x, y_star, 3 * Fraction(d_val), K,
-                                       NormTag.PINF)
-                  for K in p["count_ladder"]]
-        increasing = all(b > a for a, b in zip(counts, counts[1:]))
-        status = PASS if increasing else NOT_APPLICABLE
-        subs.append(SubCheck(
-            "distinct-returns-grow", status,
-            note=("monotone finite surrogate of infinitely many returns; "
-                  "NOT_APPLICABLE marks a plateau, not a refutation"),
-            details={"ladder": list(p["count_ladder"]), "counts": counts}))
-        summary = {"counts": counts}
+    counts = [orbit_points_in_ball(T, x, y_star, 3 * Fraction(d_val), K,
+                                   NormTag.PINF)
+              for K in p["count_ladder"]]
+    increasing = all(b > a for a, b in zip(counts, counts[1:]))
+    status = PASS if increasing else NOT_APPLICABLE
+    subs.append(SubCheck(
+        "distinct-returns-grow", status,
+        note=("monotone finite surrogate of infinitely many returns; "
+              "NOT_APPLICABLE marks a plateau, not a refutation"),
+        details={"ladder": list(p["count_ladder"]), "counts": counts}))
+    summary = {"counts": counts}
     return _finish(start, "prop21", T, p, subs, witnesses, summary, seed, mode,
                    "coarse witnesses rescale to every bound, and distinct orbit "
                    "returns near a witnessed target keep growing")
@@ -803,71 +779,70 @@ def cert_prop22(seed: int = 0, mode: Mode = Mode.EXACT, **overrides) -> Certific
     witnesses = []
     lam = Fraction(p["lambda"])
     for run_mode in (Mode.EXACT, Mode.FLOAT64):
-        with numeric_mode(run_mode):
-            tag = run_mode.value
-            # instance (a): contracting diagonal with an exactly recurrent base
-            D = ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS,
-                              Constant(Fraction(1, 2)), label="halving-diagonal")
-            x = SeqVector.basis(IndexSet.INTEGERS, 0)
-            y = SeqVector.basis(
-                IndexSet.INTEGERS, 0,
-                real_value(Fraction(2) ** p["diagonal_target_log2"], run_mode))
-            cws = []
-            for n in range(1, p["steps"] + 1):
-                t_n = -p["diagonal_target_log2"] - n
-                target = y.scale(real_value(Fraction(1) / lam ** n, run_mode))
-                cws.append(make_coarse_witness(D, x, p["d"], target, t_n,
-                                               NormTag.PINF))
-            try:
-                amp = prop22_amplify(D, x, y, p["d"], lam, cws,
-                                     norm_tag=NormTag.PINF,
-                                     recurrence=([1], Fraction(1, 10 ** 6)))
-                exact_zero = all(to_float(pt.distance) == 0.0 for pt in amp.points)
-                subs.append(SubCheck(
-                    f"diagonal-recurrent-{tag}", PASS if exact_zero else FAIL,
-                    note="exactly recurrent base: amplified hits are exact",
-                    details={"points": len(amp.points)}))
-                if run_mode is Mode.EXACT:
-                    witnesses.append(amp.to_jsonable())
-            except (OrbitscopeError, VerificationFailed) as exc:
-                subs.append(SubCheck(f"diagonal-recurrent-{tag}", FAIL,
-                                     note=str(exc)))
-            # instance (b): drifting two-sided shift with non-trivial gaps
-            T = prop32_operator()
-            xb = SeqVector.basis(IndexSet.INTEGERS, 0)
-            yb = SeqVector.basis(
-                IndexSet.INTEGERS, p["drift_target_index"],
-                real_value(Fraction(2) ** p["drift_target_scale_log2"], run_mode))
-            cwb = []
-            for n in range(1, p["steps"] + 1):
-                target = yb.scale(real_value(Fraction(1) / lam ** n, run_mode))
-                cwb.append(make_coarse_witness(T, xb, p["d"], target,
-                                               p["drift_time"], NormTag.PINF))
-            try:
-                amp_b = prop22_amplify(T, xb, yb, p["d"], lam, cwb,
-                                       norm_tag=NormTag.PINF)
-                bounds_ok = all(
-                    to_float(pt.distance) <= float(lam) ** pt.n * float(p["d"])
-                    for pt in amp_b.points)
-                nontrivial = all(to_float(pt.distance) > 0 for pt in amp_b.points)
-                subs.append(SubCheck(
-                    f"drift-amplification-{tag}",
-                    PASS if bounds_ok and nontrivial else FAIL,
-                    note="distances scale geometrically under the bound lam^n d",
-                    details={"distances": [to_float(pt.distance)
-                                           for pt in amp_b.points]}))
-                if run_mode is Mode.EXACT:
-                    witnesses.append(amp_b.to_jsonable())
-            except (OrbitscopeError, VerificationFailed) as exc:
-                subs.append(SubCheck(f"drift-amplification-{tag}", FAIL,
-                                     note=str(exc)))
+        tag = run_mode.value
+        # instance (a): contracting diagonal with an exactly recurrent base
+        D = ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS,
+                          Constant(Fraction(1, 2)), label="halving-diagonal")
+        x = SeqVector.basis(IndexSet.INTEGERS, 0, mode=run_mode)
+        y = SeqVector.basis(
+            IndexSet.INTEGERS, 0,
+            real_value(Fraction(2) ** p["diagonal_target_log2"], run_mode), run_mode)
+        cws = []
+        for n in range(1, p["steps"] + 1):
+            t_n = -p["diagonal_target_log2"] - n
+            target = y.scale(real_value(Fraction(1) / lam ** n, run_mode))
+            cws.append(make_coarse_witness(D, x, p["d"], target, t_n,
+                                           NormTag.PINF))
+        try:
+            amp = prop22_amplify(D, x, y, p["d"], lam, cws,
+                                 norm_tag=NormTag.PINF,
+                                 recurrence=([1], Fraction(1, 10 ** 6)))
+            exact_zero = all(to_float(pt.distance) == 0.0 for pt in amp.points)
+            subs.append(SubCheck(
+                f"diagonal-recurrent-{tag}", PASS if exact_zero else FAIL,
+                note="exactly recurrent base: amplified hits are exact",
+                details={"points": len(amp.points)}))
+            if run_mode is Mode.EXACT:
+                witnesses.append(amp.to_jsonable())
+        except (OrbitscopeError, VerificationFailed) as exc:
+            subs.append(SubCheck(f"diagonal-recurrent-{tag}", FAIL,
+                                 note=str(exc)))
+        # instance (b): drifting two-sided shift with non-trivial gaps
+        T = prop32_operator()
+        xb = SeqVector.basis(IndexSet.INTEGERS, 0, mode=run_mode)
+        yb = SeqVector.basis(
+            IndexSet.INTEGERS, p["drift_target_index"],
+            real_value(Fraction(2) ** p["drift_target_scale_log2"], run_mode), run_mode)
+        cwb = []
+        for n in range(1, p["steps"] + 1):
+            target = yb.scale(real_value(Fraction(1) / lam ** n, run_mode))
+            cwb.append(make_coarse_witness(T, xb, p["d"], target,
+                                           p["drift_time"], NormTag.PINF))
+        try:
+            amp_b = prop22_amplify(T, xb, yb, p["d"], lam, cwb,
+                                   norm_tag=NormTag.PINF)
+            bounds_ok = all(
+                to_float(pt.distance) <= float(lam) ** pt.n * float(p["d"])
+                for pt in amp_b.points)
+            nontrivial = all(to_float(pt.distance) > 0 for pt in amp_b.points)
+            subs.append(SubCheck(
+                f"drift-amplification-{tag}",
+                PASS if bounds_ok and nontrivial else FAIL,
+                note="distances scale geometrically under the bound lam^n d",
+                details={"distances": [to_float(pt.distance)
+                                       for pt in amp_b.points]}))
+            if run_mode is Mode.EXACT:
+                witnesses.append(amp_b.to_jsonable())
+        except (OrbitscopeError, VerificationFailed) as exc:
+            subs.append(SubCheck(f"drift-amplification-{tag}", FAIL,
+                                 note=str(exc)))
     summary = {"lambda": str(lam), "steps": p["steps"]}
     T_report = prop32_operator()
     report = CertificateReport(
         name="prop22",
         statement=("coarse hits of geometrically scaled targets amplify into "
                    "points approaching the target at rate lam^n"),
-        operator=T_report.to_jsonable(), parameters=_params_jsonable(p),
+        operator=T_report.to_jsonable(), parameters=jsonable(p),
         sub_checks=subs, witnesses=witnesses, residual_summary=summary,
         seed=seed, numeric_mode="both")
     report.runtime_s = time.perf_counter() - start
@@ -888,7 +863,7 @@ def _finish(start, name, T, p, subs, witnesses, summary, seed, mode,
             statement) -> CertificateReport:
     report = CertificateReport(
         name=name, statement=statement, operator=T.to_jsonable(),
-        parameters=_params_jsonable(p), sub_checks=subs, witnesses=witnesses,
+        parameters=jsonable(p), sub_checks=subs, witnesses=witnesses,
         residual_summary=summary, seed=seed, numeric_mode=mode.value)
     report.runtime_s = time.perf_counter() - start
     return report

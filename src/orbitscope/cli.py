@@ -31,7 +31,7 @@ from .errors import (
 )
 from .limit_sets import EpsSchedule, d_witness, jmix_witness, search_j_witness, \
     synthesize_shift_j_witness
-from .numeric import Mode, numeric_mode
+from .numeric import Mode
 from .operators import ShiftOperator, shift_from_jsonable
 from .orbits import coarse_orbit_contains, orbit
 from .spaces import IndexSet, NormTag, SeqVector, norm
@@ -73,8 +73,13 @@ def load_config(path: str | None) -> dict:
         config.update(raw)
     if config["numeric_mode"] not in ("exact", "float"):
         raise ConfigError("numeric_mode must be 'exact' or 'float'")
-    if not isinstance(config["seed"], int):
-        raise ConfigError("seed must be an integer")
+    for key in ("seed", "horizon", "budget", "schedule_length"):
+        if not isinstance(config[key], int):
+            raise ConfigError(f"{key} must be an integer")
+    certs = config["certificates"]
+    if not isinstance(certs, dict) or \
+            not all(isinstance(v, dict) for v in certs.values()):
+        raise ConfigError("certificates must map names to parameter objects")
     return config
 
 
@@ -132,10 +137,9 @@ def cmd_orbit(args) -> int:
     config = load_config(args.config)
     _apply_flag_overrides(config, args)
     mode = _mode_of(config)
-    with numeric_mode(mode):
-        T = _operator_of(config)
-        x = _load_vector(args.x, mode)
-        trace = orbit(T, x, args.horizon, _norm_of(config))
+    T = _operator_of(config)
+    x = _load_vector(args.x, mode)
+    trace = orbit(T, x, args.horizon, _norm_of(config))
     csv_text = trace.to_csv()
     if args.out:
         Path(args.out).write_text(csv_text)
@@ -150,50 +154,49 @@ def cmd_witness(args) -> int:
     mode = _mode_of(config)
     norm_tag = _norm_of(config)
     d = _parse_bound(args.d)
-    with numeric_mode(mode):
-        T = _operator_of(config)
-        x = _load_vector(args.x, mode)
-        y = _load_vector(args.y, mode)
-        schedule = EpsSchedule.reciprocal(config["schedule_length"])
-        try:
-            if args.kind == "coarse":
-                w = coarse_orbit_contains(T, x, d, y, config["horizon"], norm_tag)
-                if w is None:
-                    _emit({"found": False, "kind": "coarse",
-                           "horizon": config["horizon"],
-                           "note": "no witness up to the horizon; not a proof"},
-                          args.out)
-                    return EXIT_NOT_FOUND
-                _emit({"found": True, "witness": w.to_jsonable()}, args.out)
-                return EXIT_OK
-            if args.kind == "j":
-                if T.is_backward_shift:
-                    w = synthesize_shift_j_witness(T, x, y, d, schedule,
-                                                   norm_tag=norm_tag)
-                else:
-                    w = search_j_witness(T, x, y, d, schedule, config["budget"],
-                                         norm_tag=norm_tag)
-            elif args.kind == "jmix":
-                w = jmix_witness(T, x, y, d, len(schedule), 1, config["budget"],
-                                 norm_tag=norm_tag, schedule=schedule)
-            elif args.kind == "d":
-                w = d_witness(T, x, y, d, config["horizon"], schedule,
-                              config["budget"], norm_tag=norm_tag)
+    T = _operator_of(config)
+    x = _load_vector(args.x, mode)
+    y = _load_vector(args.y, mode)
+    schedule = EpsSchedule.reciprocal(config["schedule_length"])
+    try:
+        if args.kind == "coarse":
+            w = coarse_orbit_contains(T, x, d, y, config["horizon"], norm_tag)
+            if w is None:
+                _emit({"found": False, "kind": "coarse",
+                       "horizon": config["horizon"],
+                       "note": "no witness up to the horizon; not a proof"},
+                      args.out)
+                return EXIT_NOT_FOUND
+            _emit({"found": True, "witness": w.to_jsonable()}, args.out)
+            return EXIT_OK
+        if args.kind == "j":
+            if T.is_backward_shift:
+                w = synthesize_shift_j_witness(T, x, y, d, schedule,
+                                               norm_tag=norm_tag)
             else:
-                raise ConfigError(f"unknown witness kind {args.kind!r}")
-        except SynthesisFailed as exc:
-            _emit({"found": False, "kind": args.kind,
-                   "reason": "synthesis-failed",
-                   "best_delta_norm": exc.best_delta_norm,
-                   "best_residual": exc.best_residual}, args.out)
-            return EXIT_NOT_FOUND
-        except SearchFailed as exc:
-            _emit({"found": False, "kind": args.kind, "seed": config["seed"],
-                   "diagnostics": exc.diagnostics()}, args.out)
-            return EXIT_NOT_FOUND
-        _emit({"found": True, "seed": config["seed"],
-               "witness": w.to_jsonable()}, args.out)
-        return EXIT_OK
+                w = search_j_witness(T, x, y, d, schedule, config["budget"],
+                                     norm_tag=norm_tag)
+        elif args.kind == "jmix":
+            w = jmix_witness(T, x, y, d, len(schedule), 1, config["budget"],
+                             norm_tag=norm_tag, schedule=schedule)
+        elif args.kind == "d":
+            w = d_witness(T, x, y, d, config["horizon"], schedule,
+                          config["budget"], norm_tag=norm_tag)
+        else:
+            raise ConfigError(f"unknown witness kind {args.kind!r}")
+    except SynthesisFailed as exc:
+        _emit({"found": False, "kind": args.kind,
+               "reason": "synthesis-failed",
+               "best_delta_norm": exc.best_delta_norm,
+               "best_residual": exc.best_residual}, args.out)
+        return EXIT_NOT_FOUND
+    except SearchFailed as exc:
+        _emit({"found": False, "kind": args.kind, "seed": config["seed"],
+               "diagnostics": exc.diagnostics()}, args.out)
+        return EXIT_NOT_FOUND
+    _emit({"found": True, "seed": config["seed"],
+           "witness": w.to_jsonable()}, args.out)
+    return EXIT_OK
 
 
 def cmd_certify(args) -> int:
@@ -262,62 +265,61 @@ def _explore_piecewise(family: dict, trials: int, config: dict,
     pos_lo, pos_hi = family.get("positive_range", [1.2, 3.0])
     non_lo, non_hi = family.get("nonpositive_range", [0.5, 1.5])
     instances = []
-    with numeric_mode(mode):
-        for trial in range(trials):
-            w_pos = Fraction(str(round(rng.uniform(pos_lo, pos_hi), 3)))
-            w_non = Fraction(str(round(rng.uniform(non_lo, non_hi), 3)))
-            T = ShiftOperator(_Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
-                              PiecewiseTwoSided(w_pos, w_non),
-                              label=f"explore-{trial}")
-            x = SeqVector.basis(IndexSet.INTEGERS, 0)
-            d = Fraction(2)
-            schedule = EpsSchedule.reciprocal(3)
-            center = SeqVector.basis(IndexSet.INTEGERS, -2, 2)
-            cone = OpenCone(center, 1, NormTag.PINF)
-            cone_targets = cone_sample(cone, 8, seed=rng.randrange(2 ** 30))
-            global_targets = []
-            g_rng = random.Random(rng.randrange(2 ** 30))
-            for _ in range(8):
-                idxs = g_rng.sample(range(-6, 7), 3)
-                global_targets.append(SeqVector.from_entries(
-                    IndexSet.INTEGERS,
-                    {i: Fraction(str(round(g_rng.uniform(-4, 4), 3))) for i in idxs},
-                    mode))
-            outcomes = {"cone": [], "global": [], "d": [], "j": []}
-            for y in cone_targets:
-                w = coarse_orbit_contains(T, x, d, y, 200, NormTag.PINF)
-                outcomes["cone"].append(w.time if w else None)
-            for y in global_targets:
-                w = coarse_orbit_contains(T, x, d, y, 200, NormTag.PINF)
-                outcomes["global"].append(w.time if w else None)
-                try:
-                    dw = d_witness(T, x, y, d, 50, schedule, 4000,
-                                   norm_tag=NormTag.PINF)
-                    outcomes["d"].append(dw.kind)
-                except (SearchFailed, SynthesisFailed):
-                    outcomes["d"].append(None)
-                try:
-                    search_j_witness(T, x, y, d, schedule, 4000,
-                                     norm_tag=NormTag.PINF,
-                                     stagnation_window=100)
-                    outcomes["j"].append(True)
-                except SearchFailed:
-                    outcomes["j"].append(False)
-            cone_cov = sum(t is not None for t in outcomes["cone"]) / 8
-            global_cov = sum(t is not None for t in outcomes["global"]) / 8
-            d_rate = sum(o is not None for o in outcomes["d"]) / 8
-            j_rate = sum(bool(o) for o in outcomes["j"]) / 8
-            instances.append({
-                "trial": trial,
-                "weights": {"positive": str(w_pos), "nonpositive": str(w_non)},
-                "outcomes": outcomes,
-                "cone_coverage": cone_cov,
-                "global_coverage": global_cov,
-                "d_rate": d_rate,
-                "j_rate": j_rate,
-                "q1_score": cone_cov - global_cov,
-                "q2_score": d_rate - j_rate,
-            })
+    for trial in range(trials):
+        w_pos = Fraction(str(round(rng.uniform(pos_lo, pos_hi), 3)))
+        w_non = Fraction(str(round(rng.uniform(non_lo, non_hi), 3)))
+        T = ShiftOperator(_Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
+                          PiecewiseTwoSided(w_pos, w_non),
+                          label=f"explore-{trial}")
+        x = SeqVector.basis(IndexSet.INTEGERS, 0, mode=mode)
+        d = Fraction(2)
+        schedule = EpsSchedule.reciprocal(3)
+        center = SeqVector.basis(IndexSet.INTEGERS, -2, 2, mode)
+        cone = OpenCone(center, 1, NormTag.PINF)
+        cone_targets = cone_sample(cone, 8, seed=rng.randrange(2 ** 30))
+        global_targets = []
+        g_rng = random.Random(rng.randrange(2 ** 30))
+        for _ in range(8):
+            idxs = g_rng.sample(range(-6, 7), 3)
+            global_targets.append(SeqVector.from_entries(
+                IndexSet.INTEGERS,
+                {i: Fraction(str(round(g_rng.uniform(-4, 4), 3))) for i in idxs},
+                mode))
+        outcomes = {"cone": [], "global": [], "d": [], "j": []}
+        for y in cone_targets:
+            w = coarse_orbit_contains(T, x, d, y, 200, NormTag.PINF)
+            outcomes["cone"].append(w.time if w else None)
+        for y in global_targets:
+            w = coarse_orbit_contains(T, x, d, y, 200, NormTag.PINF)
+            outcomes["global"].append(w.time if w else None)
+            try:
+                dw = d_witness(T, x, y, d, 50, schedule, 4000,
+                               norm_tag=NormTag.PINF)
+                outcomes["d"].append(dw.kind)
+            except (SearchFailed, SynthesisFailed):
+                outcomes["d"].append(None)
+            try:
+                search_j_witness(T, x, y, d, schedule, 4000,
+                                 norm_tag=NormTag.PINF,
+                                 stagnation_window=100)
+                outcomes["j"].append(True)
+            except SearchFailed:
+                outcomes["j"].append(False)
+        cone_cov = sum(t is not None for t in outcomes["cone"]) / 8
+        global_cov = sum(t is not None for t in outcomes["global"]) / 8
+        d_rate = sum(o is not None for o in outcomes["d"]) / 8
+        j_rate = sum(bool(o) for o in outcomes["j"]) / 8
+        instances.append({
+            "trial": trial,
+            "weights": {"positive": str(w_pos), "nonpositive": str(w_non)},
+            "outcomes": outcomes,
+            "cone_coverage": cone_cov,
+            "global_coverage": global_cov,
+            "d_rate": d_rate,
+            "j_rate": j_rate,
+            "q1_score": cone_cov - global_cov,
+            "q2_score": d_rate - j_rate,
+        })
     instances.sort(key=lambda r: (-max(r["q1_score"], r["q2_score"]), r["trial"]))
     return {
         "driver": "piecewise-two-sided-shift scan",
@@ -333,7 +335,7 @@ def _apply_flag_overrides(config: dict, args) -> None:
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
     if getattr(args, "mode", None) is not None:
-        config["numeric_mode"] = {"exact": "exact", "float": "float"}[args.mode]
+        config["numeric_mode"] = args.mode
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,8 +28,8 @@ from .errors import (
     SynthesisFailed,
     VerificationFailed,
 )
-from .numeric import Mode, QC, abs2, is_zero_scalar, log2_abs, make_scalar, \
-    real_value, to_float
+from .numeric import Mode, QC, abs2, is_zero_scalar, jsonable, log2_abs, \
+    make_scalar, real_value, to_float
 from .operators import ShiftOperator, apply_power, path_source, weight_product
 from .orbits import CoarseWitness, coarse_orbit_contains
 from .spaces import IndexSet, NormTag, SeqVector, norm, norm_lt
@@ -73,10 +73,6 @@ class EpsSchedule:
         return [str(v) for v in self.values]
 
 
-def _num(value):
-    return str(value) if isinstance(value, Fraction) else value
-
-
 @dataclass(frozen=True)
 class JWitnessTriple:
     perturbed: SeqVector
@@ -85,7 +81,7 @@ class JWitnessTriple:
 
     def to_jsonable(self):
         return {"perturbed": self.perturbed.to_jsonable(), "time": self.time,
-                "dist": _num(self.dist)}
+                "dist": jsonable(self.dist)}
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,7 @@ class JWitness:
         return {
             "base": self.base.to_jsonable(),
             "target": self.target.to_jsonable(),
-            "bound": _num(self.bound),
+            "bound": jsonable(self.bound),
             "norm": self.norm_tag.value,
             "schedule": self.schedule.to_jsonable(),
             "triples": [t.to_jsonable() for t in self.triples],
@@ -179,7 +175,7 @@ class DWitness:
 
 def scale_j_witness(T: ShiftOperator, w: JWitness, factor) -> JWitness:
     """Linearity: a witness for y in J(x,T,d) scales to f*y in J(f*x,T,f*d)."""
-    f = Fraction(factor) if not isinstance(factor, (Fraction, int)) else Fraction(factor)
+    f = Fraction(factor)
     if f <= 0:
         raise OrbitscopeError("scaling factor must be positive")
     mode = w.base.mode if not w.base.is_zero else w.target.mode
@@ -227,23 +223,22 @@ def prop31_rescale(T: ShiftOperator, w: JWitness, N) -> JWitness:
 # -- shift synthesis ----------------------------------------------------------------
 
 
-def _correction_data(T: ShiftOperator, k: int, coords, y: SeqVector,
-                     image0: SeqVector, mode: Mode):
-    """Per-coordinate mismatch, source index, and weight for time k."""
+def _correction_rows(T: ShiftOperator, k: int, coords, y: SeqVector,
+                     image0: SeqVector):
+    """(j, mismatch, source, weight product) at time k for each coordinate
+    where the image misses y; source and product are None when no path
+    reaches j."""
     rows = []
     for j in sorted(coords):
         mismatch = y.entry(j) - image0.entry(j)
         if is_zero_scalar(mismatch):
             continue
         s = path_source(T, j, k)
-        if s is None:
+        wp = weight_product(T, j, k) if s is not None else None
+        if wp is None or wp.is_zero:
             rows.append((j, mismatch, None, None))
-            continue
-        wp = weight_product(T, j, k)
-        if wp.is_zero:
-            rows.append((j, mismatch, None, None))
-            continue
-        rows.append((j, mismatch, s, wp))
+        else:
+            rows.append((j, mismatch, s, wp))
     return rows
 
 
@@ -272,7 +267,7 @@ def synthesize_shift_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector,
     k_prev = k_min - 1
     best_delta = math.inf
     best_residual = math.inf
-    supp_y = set(y.support)
+    supp_y = y.support
     contracting = T.sup_abs_weight() < 1.0
     for i, eps in enumerate(schedule):
         found = None
@@ -293,26 +288,11 @@ def synthesize_shift_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector,
             res_ok = norm_lt(residual, norm_tag, d_val)
             best_residual = min(best_residual, res_f)
             # cheap magnitude screen: a single needed correction larger
-            # than the radius already sinks every p-norm
-            worst = -math.inf
-            ok = True
-            row_data = []
-            for j in supp_y:
-                s = path_source(T, j, k)
-                if s is None:
-                    ok = False
-                    break
-                wp = weight_product(T, j, k)
-                if wp.is_zero:
-                    ok = False
-                    break
-                mismatch = y.entry(j) - image0.entry(j)
-                if is_zero_scalar(mismatch):
-                    continue
-                worst = max(worst, log2_abs(mismatch) - wp.log2_magnitude)
-                row_data.append((s, mismatch, wp))
-            if not ok:
-                continue
+            # than the radius already sinks every p-norm; on N and Z every
+            # target coordinate has a source, so every row has a product
+            rows = _correction_rows(T, k, supp_y, y, image0)
+            worst = max((log2_abs(m) - wp.log2_magnitude for _, m, _, wp in rows),
+                        default=-math.inf)
             if worst > eps_log2:
                 best_delta = min(best_delta, 2.0 ** worst)
                 if contracting:
@@ -334,7 +314,7 @@ def synthesize_shift_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector,
                     last_improve = k
                 continue
             delta_entries = {s: _div_by_product(m, wp, mode)
-                             for s, m, wp in row_data}
+                             for _, m, s, wp in rows}
             delta = SeqVector(x.index_set, delta_entries, mode)
             best_delta = min(best_delta, to_float(norm(delta, norm_tag)))
             if norm_lt(delta, norm_tag, eps):
@@ -386,6 +366,35 @@ class _Attempt:
     collapse_norm: float | None
 
 
+class _SearchLog:
+    """Budget and attempt bookkeeping of one search call; builds its
+    SearchFailed."""
+
+    def __init__(self, budget: int):
+        self.budget = Budget(budget)
+        self.attempts = 0
+        self.k_last = 0
+        self.collapse_min: float | None = None
+
+    def attempt(self, T, x, y, d_val, eps, k, norm_tag, mode) -> _Attempt | None:
+        att = _greedy_attempt(T, x, y, d_val, eps, k, norm_tag, self.budget, mode)
+        if att is not None:
+            self.attempts += 1
+            self.k_last = k
+            if att.collapse_norm is not None:
+                self.collapse_min = att.collapse_norm if self.collapse_min is None \
+                    else min(self.collapse_min, att.collapse_norm)
+        return att
+
+    def failure(self, message: str, reason: str, triple_index: int,
+                best_res: float, best_delta: float) -> SearchFailed:
+        return SearchFailed(
+            message, reason=reason, triple_index=triple_index,
+            best_residual=best_res, best_delta_norm=best_delta,
+            collapse_norm=self.collapse_min, attempts=self.attempts,
+            budget_used=self.budget.used, k_last=self.k_last)
+
+
 # safety factor keeping greedy corrections strictly inside the radius
 _THETA = 0.9
 
@@ -411,7 +420,7 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
     except NumericOverflow:
         return _Attempt(False, None, None, math.inf, math.inf, None)
     coords = set(y.support) | set(image0.support)
-    rows = _correction_data(T, k, coords, y, image0, mode)
+    rows = _correction_rows(T, k, coords, y, image0)
     eps_f = to_float(eps)
     d_f = to_float(d_val)
     # full back-solve: the would-be perturbed point if the radius were free;
@@ -526,40 +535,24 @@ def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
     d_val = real_value(d, mode)
     if to_float(d_val) <= 0:
         raise OrbitscopeError("d must be positive")
-    bud = Budget(budget)
+    log = _SearchLog(budget)
     x_norm = to_float(norm(x, norm_tag))
     y_norm = to_float(norm(y, norm_tag))
     d_f = to_float(d_val)
     triples = []
     k_prev = k_min - 1
-    collapse_min: float | None = None
-    attempts = 0
-    k_last = 0
 
     def fail(reason: str, i: int, best_res: float, best_delta: float):
-        raise SearchFailed(
-            f"triple {i + 1}: {reason}", reason=reason, triple_index=i,
-            best_residual=best_res, best_delta_norm=best_delta,
-            collapse_norm=collapse_min, attempts=attempts,
-            budget_used=bud.used, k_last=k_last)
+        return log.failure(f"triple {i + 1}: {reason}", reason, i, best_res, best_delta)
 
-    def deepen_collapse(i: int, k_from: int, best_res: float, best_delta: float,
-                        reason: str):
+    def deepen_collapse(k: int):
         # keep tracing the back-solved point so the emptiness mechanism
         # (x_n collapsing to 0 while x != 0) is visible in the report
-        nonlocal collapse_min, attempts, k_last
-        k = k_from
-        while k <= k_cap and (collapse_min is None or collapse_min > collapse_target):
-            att = _greedy_attempt(T, x, y, d_val, Fraction(1, 1), k, norm_tag, bud, mode)
-            if att is None:
+        while k <= k_cap and (log.collapse_min is None
+                              or log.collapse_min > collapse_target):
+            if log.attempt(T, x, y, d_val, Fraction(1, 1), k, norm_tag, mode) is None:
                 break
-            attempts += 1
-            k_last = k
-            if att.collapse_norm is not None:
-                collapse_min = att.collapse_norm if collapse_min is None \
-                    else min(collapse_min, att.collapse_norm)
             k += 1
-        fail(reason, i, best_res, best_delta)
 
     for i, eps in enumerate(schedule):
         eps_f = to_float(eps)
@@ -572,17 +565,12 @@ def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
         while k <= k_cap:
             stop = _structural_stop(T, x_norm, y_norm, d_f, eps_f, k)
             if stop == "collapse-bound":
-                deepen_collapse(i, k, best_res, best_delta, stop)
-            elif stop is not None:
-                fail(stop, i, best_res, best_delta)
-            att = _greedy_attempt(T, x, y, d_val, eps, k, norm_tag, bud, mode)
+                deepen_collapse(k)
+            if stop is not None:
+                raise fail(stop, i, best_res, best_delta)
+            att = log.attempt(T, x, y, d_val, eps, k, norm_tag, mode)
             if att is None:
-                fail("budget", i, best_res, best_delta)
-            attempts += 1
-            k_last = k
-            if att.collapse_norm is not None:
-                collapse_min = att.collapse_norm if collapse_min is None \
-                    else min(collapse_min, att.collapse_norm)
+                raise fail("budget", i, best_res, best_delta)
             if att.ok:
                 found = JWitnessTriple(att.perturbed, k, att.dist)
                 break
@@ -593,10 +581,10 @@ def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
                 best_gap = gap
                 last_improve = k
             if k - last_improve > stagnation_window:
-                fail("stagnation", i, best_res, best_delta)
+                raise fail("stagnation", i, best_res, best_delta)
             k += 1
         if found is None:
-            fail("k-cap", i, best_res, best_delta)
+            raise fail("k-cap", i, best_res, best_delta)
         triples.append(found)
         k_prev = found.time
     out = JWitness(x, y, d_val, norm_tag, schedule, tuple(triples),
@@ -621,42 +609,28 @@ def jmix_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d, m: int,
     d_val = real_value(d, mode)
     if to_float(d_val) <= 0:
         raise OrbitscopeError("d must be positive")
-    bud = Budget(budget)
+    log = _SearchLog(budget)
     x_norm = to_float(norm(x, norm_tag))
     y_norm = to_float(norm(y, norm_tag))
     d_f = to_float(d_val)
     eps_min_f = to_float(schedule.values[-1])
-    collapse_min: float | None = None
-    attempts = 0
     best_res = math.inf
     best_delta = math.inf
-    N_last = 0
     last_partial = -1
     last_improve = N_start - 1
     N = N_start
     while N <= N_cap:
         stop = _structural_stop(T, x_norm, y_norm, d_f, eps_min_f, N)
         if stop is not None:
-            raise SearchFailed(
-                f"mix block at N={N}: {stop}", reason=stop, triple_index=0,
-                best_residual=best_res, best_delta_norm=best_delta,
-                collapse_norm=collapse_min, attempts=attempts,
-                budget_used=bud.used, k_last=N_last)
+            raise log.failure(f"mix block at N={N}: {stop}", stop, 0,
+                              best_res, best_delta)
         triples = []
         progress = 0
         for i, eps in enumerate(schedule):
-            att = _greedy_attempt(T, x, y, d_val, eps, N + i, norm_tag, bud, mode)
+            att = log.attempt(T, x, y, d_val, eps, N + i, norm_tag, mode)
             if att is None:
-                raise SearchFailed(
-                    "mix search budget exhausted", reason="budget", triple_index=i,
-                    best_residual=best_res, best_delta_norm=best_delta,
-                    collapse_norm=collapse_min, attempts=attempts,
-                    budget_used=bud.used, k_last=N_last)
-            attempts += 1
-            N_last = N + i
-            if att.collapse_norm is not None:
-                collapse_min = att.collapse_norm if collapse_min is None \
-                    else min(collapse_min, att.collapse_norm)
+                raise log.failure("mix search budget exhausted", "budget", i,
+                                  best_res, best_delta)
             if not att.ok:
                 best_res = min(best_res, att.residual)
                 best_delta = min(best_delta, att.delta_norm)
@@ -672,17 +646,10 @@ def jmix_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d, m: int,
             last_partial = progress
             last_improve = N
         if N - last_improve > stagnation_window:
-            raise SearchFailed(
-                "mix search stagnated", reason="stagnation", triple_index=progress,
-                best_residual=best_res, best_delta_norm=best_delta,
-                collapse_norm=collapse_min, attempts=attempts,
-                budget_used=bud.used, k_last=N_last)
+            raise log.failure("mix search stagnated", "stagnation", progress,
+                              best_res, best_delta)
         N += 1
-    raise SearchFailed(
-        "mix start cap reached", reason="k-cap", triple_index=0,
-        best_residual=best_res, best_delta_norm=best_delta,
-        collapse_norm=collapse_min, attempts=attempts, budget_used=bud.used,
-        k_last=N_last)
+    raise log.failure("mix start cap reached", "k-cap", 0, best_res, best_delta)
 
 
 def d_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d, K: int,
@@ -806,7 +773,7 @@ class AmplifiedPoint:
 
     def to_jsonable(self):
         return {"n": self.n, "time": self.time, "point": self.point.to_jsonable(),
-                "distance": _num(self.distance), "bound": _num(self.bound)}
+                "distance": jsonable(self.distance), "bound": jsonable(self.bound)}
 
 
 @dataclass(frozen=True)
@@ -817,10 +784,10 @@ class Prop22Amplification:
     recurrence_tol: object | None
 
     def to_jsonable(self):
-        return {"lambda": _num(self.lam),
+        return {"lambda": jsonable(self.lam),
                 "points": [p.to_jsonable() for p in self.points],
                 "recurrence_times": list(self.recurrence_times),
-                "recurrence_tol": _num(self.recurrence_tol)}
+                "recurrence_tol": jsonable(self.recurrence_tol)}
 
 
 def prop22_amplify(T: ShiftOperator, x: SeqVector, y: SeqVector, d, lam,

@@ -8,15 +8,14 @@ Two per-run modes:
              are evaluated as ``a < b - TOL_EQ`` so boundary noise never
              produces a false positive.
 
-The mode is a per-run switch: constructors consult the module default,
-and all values remember which mode built them.
+There is no global switch: every value carries its mode, and every
+function that builds a scalar is told the mode to build it in.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,29 +30,6 @@ OVERFLOW_LOG2 = 900.0
 class Mode(Enum):
     EXACT = "exact"
     FLOAT64 = "float"
-
-
-_default_mode = Mode.EXACT
-
-
-def default_mode() -> Mode:
-    return _default_mode
-
-
-def set_default_mode(mode: Mode) -> None:
-    global _default_mode
-    _default_mode = mode
-
-
-@contextmanager
-def numeric_mode(mode: Mode):
-    global _default_mode
-    previous = _default_mode
-    _default_mode = mode
-    try:
-        yield
-    finally:
-        _default_mode = previous
 
 
 @dataclass(frozen=True)
@@ -131,9 +107,8 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
-def make_scalar(value, mode: Mode | None = None):
+def make_scalar(value, mode: Mode):
     """Coerce ints/floats/Fractions/strings/pairs/complex to a mode scalar."""
-    mode = mode or _default_mode
     if isinstance(value, QC):
         return value if mode is Mode.EXACT else value.to_complex()
     if isinstance(value, complex):
@@ -154,10 +129,6 @@ def scalar_zero(mode: Mode):
     return QC(Fraction(0)) if mode is Mode.EXACT else complex(0.0, 0.0)
 
 
-def scalar_one(mode: Mode):
-    return QC(Fraction(1)) if mode is Mode.EXACT else complex(1.0, 0.0)
-
-
 def is_zero_scalar(s) -> bool:
     if isinstance(s, QC):
         return s.is_zero
@@ -171,29 +142,23 @@ def abs2(s):
     return s.real * s.real + s.imag * s.imag
 
 
-def conj(s):
-    if isinstance(s, QC):
-        return s.conjugate()
-    return s.conjugate()
+def jsonable(value):
+    """JSON form of numbers: rationals as strings, a complex rational as its
+    real part or a [re, im] pair, tuples as lists and dicts by value;
+    anything else passes through."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, QC):
+        return str(value.re) if value.im == 0 else [str(value.re), str(value.im)]
+    if isinstance(value, tuple):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    return value
 
 
-def scalar_to_jsonable(s):
-    if isinstance(s, QC):
-        if s.im == 0:
-            return str(s.re)
-        return [str(s.re), str(s.im)]
-    if s.imag == 0.0:
-        return s.real
-    return [s.real, s.imag]
-
-
-def scalar_from_jsonable(obj, mode: Mode | None = None):
-    return make_scalar(obj, mode)
-
-
-def real_value(value, mode: Mode | None = None):
+def real_value(value, mode: Mode):
     """Coerce a real quantity (bound, radius, weight) to the mode's carrier."""
-    mode = mode or _default_mode
     f = _as_fraction(value) if not isinstance(value, Fraction) else value
     return f if mode is Mode.EXACT else float(f)
 
@@ -209,13 +174,6 @@ def to_float(value) -> float:
             return to_float(value.re)
         return 2.0 ** log2_abs(value)
     return float(value)
-
-
-def strict_lt(a, b, mode: Mode) -> bool:
-    """Policy form of the strict inequality ``a < b`` on real quantities."""
-    if mode is Mode.EXACT:
-        return a < b
-    return to_float(a) < to_float(b) - TOL_EQ
 
 
 def strict_gt(a, b, mode: Mode) -> bool:

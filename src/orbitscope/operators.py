@@ -28,6 +28,7 @@ from .numeric import (
     QC,
     Mode,
     OVERFLOW_LOG2,
+    jsonable,
     log2_abs,
     make_scalar,
     phase_of,
@@ -74,12 +75,6 @@ def _coerce_weight(value) -> QC:
     return w
 
 
-def _weight_jsonable(w: QC):
-    if w.im == 0:
-        return str(w.re)
-    return [str(w.re), str(w.im)]
-
-
 @dataclass(frozen=True)
 class Constant(WeightRule):
     value: QC
@@ -109,7 +104,7 @@ class Constant(WeightRule):
     inf_abs = sup_abs
 
     def to_jsonable(self):
-        return {"kind": "constant", "value": _weight_jsonable(self.value)}
+        return {"kind": "constant", "value": jsonable(self.value)}
 
 
 @dataclass(frozen=True)
@@ -155,8 +150,8 @@ class PiecewiseTwoSided(WeightRule):
 
     def to_jsonable(self):
         return {"kind": "piecewise_two_sided",
-                "positive": _weight_jsonable(self.positive),
-                "nonpositive": _weight_jsonable(self.nonpositive)}
+                "positive": jsonable(self.positive),
+                "nonpositive": jsonable(self.nonpositive)}
 
 
 @dataclass(frozen=True)
@@ -213,7 +208,7 @@ class Periodic(WeightRule):
         return min(math.sqrt(float(v.abs2())) for v in self.values)
 
     def to_jsonable(self):
-        return {"kind": "periodic", "values": [_weight_jsonable(v) for v in self.values]}
+        return {"kind": "periodic", "values": [jsonable(v) for v in self.values]}
 
 
 @dataclass(frozen=True)
@@ -285,8 +280,8 @@ class Table(WeightRule):
 
     def to_jsonable(self):
         return {"kind": "table",
-                "entries": {str(i): _weight_jsonable(v) for i, v in self.entries},
-                "default": _weight_jsonable(self.default)}
+                "entries": {str(i): jsonable(v) for i, v in self.entries},
+                "default": jsonable(self.default)}
 
 
 def weight_rule_from_jsonable(obj: dict) -> WeightRule:
@@ -337,12 +332,6 @@ class WeightProduct:
             raise NumericOverflow(
                 f"weight product magnitude 2^{self.log2_magnitude:.1f} exceeds policy")
         return self.phase * (2.0 ** self.log2_magnitude)
-
-
-def _product(rule: WeightRule, lo: int, hi: int, exact: bool) -> WeightProduct:
-    lg, ph = rule.product_log2(lo, hi)
-    value = rule.product_exact(lo, hi) if exact else None
-    return WeightProduct(lg, ph, value)
 
 
 # -- operators -----------------------------------------------------------------
@@ -491,21 +480,18 @@ def _step(kind: str, band: Band, s: int, n: int):
     return s
 
 
-def _path_weight_interval(kind: str, s: int, t: int, n: int) -> tuple[int, int]:
-    if kind == "backward":
-        return t + 1, s
-    if kind == "forward":
-        return s, t - 1 if n > 0 else s - 1
-    return s, s  # diagonal placeholder; handled separately
+def _path_product(kind: str, weights: WeightRule, s: int, t: int, n: int,
+                  exact: bool) -> WeightProduct:
+    """Product of the weights along the n-step path from s to t (n >= 1);
+    the exact value is computed only when asked for."""
+    if kind == "diagonal":
+        lg, ph = weights.product_log2(s, s)
+        value = weights.product_exact(s, s) ** n if exact else None
+        return WeightProduct(lg * n, unit_power(ph, n), value)
+    lo, hi = (t + 1, s) if kind == "backward" else (s, t - 1)
+    lg, ph = weights.product_log2(lo, hi)
+    return WeightProduct(lg, ph, weights.product_exact(lo, hi) if exact else None)
 
-
-def path_target(T: ShiftOperator, s: int, n: int) -> int | None:
-    """Index where the mass at source s lands after n steps, if it survives."""
-    comp = T.component_for(s)
-    if comp is None:
-        raise IndexSetMismatch(f"index {s} lies in no band of the operator")
-    kind, _, band = comp
-    return _step(kind, band, s, n)
 
 def path_source(T: ShiftOperator, j: int, n: int) -> int | None:
     """Source index whose mass lands at j after n steps, if any."""
@@ -536,19 +522,11 @@ def weight_product(T: ShiftOperator, target_index: int, n: int) -> WeightProduct
         raise OrbitscopeError("power must be non-negative")
     if n == 0:
         return WeightProduct.one()
-    comp = T.component_for(target_index)
-    if comp is None:
-        return WeightProduct.zero()
-    kind, weights, band = comp
     s = path_source(T, target_index, n)
     if s is None:
         return WeightProduct.zero()
-    if kind == "diagonal":
-        lg, ph = weights.product_log2(s, s)
-        value = weights.product_exact(s, s) ** n
-        return WeightProduct(lg * n, unit_power(ph, n), value)
-    lo, hi = _path_weight_interval(kind, s, target_index, n)
-    return _product(weights, lo, hi, exact=True)
+    kind, weights, _ = T.component_for(target_index)
+    return _path_product(kind, weights, s, target_index, n, exact=True)
 
 
 def apply(T: ShiftOperator, v: SeqVector) -> SeqVector:
@@ -595,13 +573,7 @@ def apply_power(T: ShiftOperator, n: int, v: SeqVector) -> SeqVector:
         t = _step(kind, band, s, n)
         if t is None:
             continue
-        if kind == "diagonal":
-            lg, ph = weights.product_log2(s, s)
-            wp = WeightProduct(lg * n, unit_power(ph, n),
-                               weights.product_exact(s, s) ** n if exact else None)
-        else:
-            lo, hi = _path_weight_interval(kind, s, t, n)
-            wp = _product(weights, lo, hi, exact)
+        wp = _path_product(kind, weights, s, t, n, exact)
         if not exact and wp.log2_magnitude + log2_abs(val) > OVERFLOW_LOG2:
             raise NumericOverflow(
                 f"T^{n} entry at {t} has magnitude past 2^{OVERFLOW_LOG2:.0f}")
@@ -803,11 +775,13 @@ def shift_from_jsonable(obj: dict) -> ShiftOperator:
         raise ConfigError(f"bad operator config: {exc}") from exc
     label = obj.get("label", "")
     if shape is Shape.BLOCK_DIRECT_SUM:
-        blocks = []
-        for b in obj.get("blocks", []):
-            band = Band(b["band"][0], b["band"][1])
-            blocks.append(Block(band, b["kind"], weight_rule_from_jsonable(b["weights"])))
-        return ShiftOperator(shape, index_set, blocks=tuple(blocks), label=label)
+        try:
+            blocks = tuple(Block(Band(b["band"][0], b["band"][1]), b["kind"],
+                                 weight_rule_from_jsonable(b["weights"]))
+                           for b in obj.get("blocks", []))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad operator config: {exc}") from exc
+        return ShiftOperator(shape, index_set, blocks=blocks, label=label)
     if "weights" not in obj:
         raise ConfigError("operator config needs weights")
     return ShiftOperator(shape, index_set, weight_rule_from_jsonable(obj["weights"]),

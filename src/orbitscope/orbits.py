@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import OrbitscopeError, VerificationFailed
-from .numeric import Fraction, real_value, to_float
+from .numeric import jsonable, real_value, to_float
 from .operators import ShiftOperator, apply, apply_power
 from .spaces import NormTag, OpenCone, SeqVector, cone_sample, norm, norm_lt
 
@@ -85,19 +85,13 @@ class CoarseWitness:
     def to_jsonable(self):
         return {
             "time": self.time,
-            "achieved_distance": _num(self.achieved_distance),
+            "achieved_distance": jsonable(self.achieved_distance),
             "target": self.target.to_jsonable(),
             "base": self.base.to_jsonable(),
-            "bound": _num(self.bound),
+            "bound": jsonable(self.bound),
             "norm": self.norm_tag.value,
             "operator": self.op_label,
         }
-
-
-def _num(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
 
 
 def make_coarse_witness(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
@@ -145,7 +139,7 @@ class CoarseDensityReport:
             "hit_ratio": self.hit_ratio,
             "sample_count": self.sample_count,
             "horizon": self.horizon,
-            "bound": _num(self.bound),
+            "bound": jsonable(self.bound),
             "seed": self.seed,
             "max_first_time": self.max_first_time,
             "witnesses": [w.to_jsonable() for w in self.witnesses],

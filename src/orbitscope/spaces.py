@@ -20,13 +20,13 @@ from .numeric import (
     QC,
     Mode,
     abs2,
-    conj,
-    default_mode,
     exact_sqrt,
     is_zero_scalar,
+    jsonable,
     make_scalar,
     mode_of_scalar,
     real_value,
+    scalar_zero,
     strict_gt,
     sum_sqrt_cmp,
     to_float,
@@ -53,7 +53,8 @@ class SeqVector:
 
     Entries are a sparse map index -> non-zero scalar.  All arithmetic
     preserves the canonical form (zeros are dropped) and refuses to mix
-    index sets or numeric modes.
+    index sets or numeric modes.  A vector built without entries or a
+    declared mode is exact.
     """
 
     __slots__ = ("index_set", "_entries", "_mode")
@@ -76,7 +77,7 @@ class SeqVector:
                 raise ModeMismatch("mixed exact and float entries")
             clean[i] = v
         if inferred is None:
-            inferred = mode or default_mode()
+            inferred = mode or Mode.EXACT
         elif mode is not None and mode is not inferred:
             raise ModeMismatch("declared mode disagrees with entry scalars")
         self._entries = clean
@@ -85,17 +86,16 @@ class SeqVector:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def from_entries(cls, index_set: IndexSet, raw: dict, mode: Mode | None = None) -> "SeqVector":
-        mode = mode or default_mode()
+    def from_entries(cls, index_set: IndexSet, raw: dict, mode: Mode = Mode.EXACT) -> "SeqVector":
         return cls(index_set, {i: make_scalar(v, mode) for i, v in raw.items()}, mode)
 
     @classmethod
-    def basis(cls, index_set: IndexSet, i: int, coeff=1, mode: Mode | None = None) -> "SeqVector":
+    def basis(cls, index_set: IndexSet, i: int, coeff=1, mode: Mode = Mode.EXACT) -> "SeqVector":
         return cls.from_entries(index_set, {i: coeff}, mode)
 
     @classmethod
-    def zero(cls, index_set: IndexSet, mode: Mode | None = None) -> "SeqVector":
-        return cls(index_set, {}, mode or default_mode())
+    def zero(cls, index_set: IndexSet, mode: Mode = Mode.EXACT) -> "SeqVector":
+        return cls(index_set, {}, mode)
 
     # -- basic queries ---------------------------------------------------
 
@@ -104,8 +104,6 @@ class SeqVector:
         return self._mode
 
     def entry(self, i: int):
-        from .numeric import scalar_zero
-
         return self._entries.get(i, scalar_zero(self._mode))
 
     def items(self):
@@ -178,11 +176,6 @@ class SeqVector:
         return SeqVector(self.index_set,
                          {i: v * s for i, v in self._entries.items()}, self._mode)
 
-    def restrict(self, indices) -> "SeqVector":
-        keep = set(indices)
-        return SeqVector(self.index_set,
-                         {i: v for i, v in self._entries.items() if i in keep}, self._mode)
-
     def drop(self, indices) -> "SeqVector":
         skip = set(indices)
         return SeqVector(self.index_set,
@@ -200,7 +193,7 @@ class SeqVector:
         return {"index_set": self.index_set.value, "entries": entries}
 
     @classmethod
-    def from_jsonable(cls, obj, mode: Mode | None = None) -> "SeqVector":
+    def from_jsonable(cls, obj, mode: Mode = Mode.EXACT) -> "SeqVector":
         try:
             index_set = IndexSet(obj["index_set"])
             raw = {}
@@ -289,7 +282,7 @@ def inner_real(x: SeqVector, c: SeqVector):
         cv = c._entries.get(i)
         if cv is None:
             continue
-        term = xv * conj(cv)
+        term = xv * cv.conjugate()
         total = term if total is None else total + term
     if total is None:
         return Fraction(0) if x.mode is Mode.EXACT else 0.0
@@ -330,8 +323,7 @@ class OpenCone:
     def to_jsonable(self):
         return {
             "center": self.center.to_jsonable(),
-            "radius": str(self._radius_value) if isinstance(self._radius_value, Fraction)
-            else self._radius_value,
+            "radius": jsonable(self._radius_value),
             "norm": self.norm.value,
         }
 

@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from orbitscope import (
     Constant,
     IndexSet,
@@ -11,14 +9,6 @@ from orbitscope import (
     ShiftOperator,
     apply,
 )
-from orbitscope.numeric import Mode, set_default_mode
-
-
-@pytest.fixture(autouse=True)
-def exact_mode_default():
-    set_default_mode(Mode.EXACT)
-    yield
-    set_default_mode(Mode.EXACT)
 
 
 def nfold_apply(T, n, v):

@@ -41,7 +41,7 @@ from orbitscope.certificates import (
 )
 from orbitscope.cli import main as cli_main
 from orbitscope.errors import SearchFailed, SynthesisFailed
-from orbitscope.numeric import Mode, numeric_mode, to_float
+from orbitscope.numeric import Mode, to_float
 
 from conftest import nfold_apply, random_shift, random_vector, vector_for
 
@@ -64,19 +64,18 @@ def test_criterion_1_prop32_reproduction():
           and elapsed <= 60)
     # third, fully independent re-check on a subsample: n-fold single
     # steps instead of closed-form powers
-    with numeric_mode(Mode.EXACT):
-        T = prop32_operator()
-        e0 = SeqVector.basis(IndexSet.INTEGERS, 0)
-        rng = _rng(0, "prop32-targets")
-        schedule = EpsSchedule.reciprocal(5)
-        for _ in range(10):
-            y = _random_sparse(rng, IndexSet.INTEGERS, -20, 20, 10, Mode.EXACT)
-            w = synthesize_shift_j_witness(T, e0, y, 2, schedule)
-            for eps, t in zip(w.schedule, w.triples):
-                image = nfold_apply(T, t.time, t.perturbed)
-                diff = image - y
-                assert norm(diff, NormTag.PINF) < 2  # strict, exact mode
-                assert norm(t.perturbed - e0, NormTag.PINF) < eps
+    T = prop32_operator()
+    e0 = SeqVector.basis(IndexSet.INTEGERS, 0, mode=Mode.EXACT)
+    rng = _rng(0, "prop32-targets")
+    schedule = EpsSchedule.reciprocal(5)
+    for _ in range(10):
+        y = _random_sparse(rng, IndexSet.INTEGERS, -20, 20, 10, Mode.EXACT)
+        w = synthesize_shift_j_witness(T, e0, y, 2, schedule)
+        for eps, t in zip(w.schedule, w.triples):
+            image = nfold_apply(T, t.time, t.perturbed)
+            diff = image - y
+            assert norm(diff, NormTag.PINF) < 2  # strict, exact mode
+            assert norm(t.perturbed - e0, NormTag.PINF) < eps
     report(1, ok, f"prop32: 100/100 witnesses at d=2, flat orbit to 1e4, "
                   f"{elapsed:.1f}s <= 60s")
 
@@ -99,22 +98,21 @@ def test_criterion_2_remark32_obstruction():
 
 def test_criterion_3_prop15_rescaling():
     start = time.perf_counter()
-    with numeric_mode(Mode.EXACT):
-        T = ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS, Constant(2))
-        zero = SeqVector.zero(IndexSet.NATURALS)
-        y = SeqVector.basis(IndexSet.NATURALS, 0)
-        family = []
-        next_start = 1
-        for k in range(1, 13):
-            t_k = Fraction(2) ** k
-            w = jmix_witness(T, zero, y.scale(t_k), 1, 3, next_start, 50_000)
-            next_start = w.times[-1] + 1
-            family.append((t_k, w))
-        result = rescale_j_witness_family(T, family, Fraction(1, 1000))
-        d_over_tm = Fraction(1) / Fraction(2) ** result.scale_index
-        distances_ok = all(isinstance(t.dist, Fraction) and t.dist < d_over_tm
-                           for t in result.witness.triples)
-        result.witness.verify(T)
+    T = ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS, Constant(2))
+    zero = SeqVector.zero(IndexSet.NATURALS, mode=Mode.EXACT)
+    y = SeqVector.basis(IndexSet.NATURALS, 0, mode=Mode.EXACT)
+    family = []
+    next_start = 1
+    for k in range(1, 13):
+        t_k = Fraction(2) ** k
+        w = jmix_witness(T, zero, y.scale(t_k), 1, 3, next_start, 50_000)
+        next_start = w.times[-1] + 1
+        family.append((t_k, w))
+    result = rescale_j_witness_family(T, family, Fraction(1, 1000))
+    d_over_tm = Fraction(1) / Fraction(2) ** result.scale_index
+    distances_ok = all(isinstance(t.dist, Fraction) and t.dist < d_over_tm
+                       for t in result.witness.triples)
+    result.witness.verify(T)
     elapsed = time.perf_counter() - start
     ok = d_over_tm < Fraction(1, 1000) and distances_ok and elapsed <= 10
     report(3, ok, f"prop15: family t_k=2^k (k<=12) reaches 1e-3, distances "
@@ -125,32 +123,31 @@ def test_criterion_4_prop22_amplification():
     lam = Fraction(1, 2)
     exact_ok = float_ok = True
     for mode in (Mode.EXACT, Mode.FLOAT64):
-        with numeric_mode(mode):
-            T = prop32_operator()
-            x = SeqVector.basis(IndexSet.INTEGERS, 0)
-            y = SeqVector.basis(IndexSet.INTEGERS, -20,
-                                Fraction(1, 2 ** 15) if mode is Mode.EXACT
-                                else 2.0 ** -15)
-            cws = [make_coarse_witness(
-                T, x, 1, y.scale(Fraction(2) ** n if mode is Mode.EXACT
-                                 else 2.0 ** n), 20, NormTag.PINF)
-                for n in range(1, 11)]
-            amp = prop22_amplify(T, x, y, 1, lam, cws)
-            for pt in amp.points:
-                bound = Fraction(1, 2) ** pt.n
-                if mode is Mode.EXACT:
-                    # exact: distance equals lam^n times the original gap
-                    expected = (Fraction(1) - Fraction(2) ** (pt.n - 15)) * bound
-                    if not (isinstance(pt.distance, Fraction)
-                            and pt.distance == expected
-                            and pt.distance <= bound):
-                        exact_ok = False
-                else:
-                    d_f = to_float(pt.distance)
-                    expected = (1.0 - 2.0 ** (pt.n - 15)) * float(bound)
-                    if not (d_f <= float(bound)
-                            and abs(d_f - expected) <= 1e-9 * max(expected, 1e-30)):
-                        float_ok = False
+        T = prop32_operator()
+        x = SeqVector.basis(IndexSet.INTEGERS, 0, mode=mode)
+        y = SeqVector.basis(IndexSet.INTEGERS, -20,
+                            Fraction(1, 2 ** 15) if mode is Mode.EXACT
+                            else 2.0 ** -15, mode=mode)
+        cws = [make_coarse_witness(
+            T, x, 1, y.scale(Fraction(2) ** n if mode is Mode.EXACT
+                             else 2.0 ** n), 20, NormTag.PINF)
+            for n in range(1, 11)]
+        amp = prop22_amplify(T, x, y, 1, lam, cws)
+        for pt in amp.points:
+            bound = Fraction(1, 2) ** pt.n
+            if mode is Mode.EXACT:
+                # exact: distance equals lam^n times the original gap
+                expected = (Fraction(1) - Fraction(2) ** (pt.n - 15)) * bound
+                if not (isinstance(pt.distance, Fraction)
+                        and pt.distance == expected
+                        and pt.distance <= bound):
+                    exact_ok = False
+            else:
+                d_f = to_float(pt.distance)
+                expected = (1.0 - 2.0 ** (pt.n - 15)) * float(bound)
+                if not (d_f <= float(bound)
+                        and abs(d_f - expected) <= 1e-9 * max(expected, 1e-30)):
+                    float_ok = False
     report(4, exact_ok and float_ok,
            "prop22: amplified distances <= 2^-n d for n=1..10, exact in "
            "exact mode, 1e-9 relative in float mode")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from orbitscope.certificates import (
     write_bundle,
 )
 from orbitscope.errors import ConfigError
+from orbitscope.numeric import Mode
 
 
 SMALL_PROP32 = dict(sample_count=8, orbit_check_horizon=200,
@@ -168,3 +170,28 @@ class TestSuite:
         reports2 = [cert_prop15(seed=0), cert_prop22(seed=0)]
         out2 = write_bundle(reports2, tmp_path / "bundle2")
         assert bundle_digest(out2) == d1
+
+
+# Small sample sizes of a `certify all` run; every certificate and layer runs.
+PINNED_SIZES = {
+    "prop32": {"sample_count": 2, "forced_sample_count": 1, "orbit_check_horizon": 200},
+    "riesz-blocks": {"sample_count": 10},
+    "prop36-expansion": {"target_count": 2, "stagnation_window": 100},
+    "prop36-contraction": {"target_count": 10, "outside_count": 3},
+    "prop21": {"sample_count": 2, "visit_times": [30, 300, 1000],
+               "count_ladder": [100, 300, 1000]},
+}
+
+# sha256 of bundle_digest; a change that alters report content on purpose
+# updates these and says why
+PINNED_DIGESTS = {
+    Mode.EXACT: "92a281b4f13a67c6d90b2545f37765a82f589a73806fb3b4871233ed8b26d0d2",
+    Mode.FLOAT64: "8098814f65d9f06170ee5ba1bffa6713901e96b21a7f7ce7af7892a5fa2c81eb",
+}
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT64], ids=lambda m: m.value)
+def test_pinned_bundle_digest(mode, tmp_path):
+    reports = run_all(seed=0, mode=mode, overrides=PINNED_SIZES)
+    digest = bundle_digest(write_bundle(reports, tmp_path / "bundle"))
+    assert hashlib.sha256(digest.encode()).hexdigest() == PINNED_DIGESTS[mode]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from orbitscope.certificates import bundle_digest
 from orbitscope.cli import main
 
@@ -128,11 +130,23 @@ class TestCertify:
         assert code == 2
         assert "unknown certificate" in err
 
-    def test_unknown_config_key(self, capsys, tmp_path):
+    WITNESS = ("witness", "--kind", "coarse", "--x", E0, "--y", E0, "--d", "1")
+
+    @pytest.mark.parametrize("config, command", [
+        ({"seeed": 1}, ("certify", "prop15")),
+        ({"operator": {"shape": "block_direct_sum", "index_set": "Z",
+                       "blocks": [{"kind": "backward"}]}}, WITNESS),
+        ({"horizon": "ten"}, WITNESS),
+        ({"certificates": ["prop15"]}, ("certify", "prop15")),
+    ], ids=["unknown-key", "block-without-band", "horizon-not-int",
+            "certificates-not-object"])
+    def test_unknown_config_key(self, capsys, tmp_path, config, command):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"seeed": 1}))
-        code, _, err = run(capsys, "--config", str(path), "certify", "prop15")
+        path.write_text(json.dumps(config))
+        code, _, err = run(capsys, "--config", str(path), *command,
+                           "--out", str(tmp_path / "out"))
         assert code == 2
+        assert "config error:" in err
 
     def test_deterministic_bundles(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -35,13 +35,13 @@ from orbitscope.errors import (
     SynthesisFailed,
     VerificationFailed,
 )
-from orbitscope.numeric import Mode, numeric_mode, to_float
+from orbitscope.numeric import Mode, to_float
 
 from conftest import random_vector
 
 
-def ei(i, c=1):
-    return SeqVector.basis(IndexSet.INTEGERS, i, c)
+def ei(i, c=1, mode=Mode.EXACT):
+    return SeqVector.basis(IndexSet.INTEGERS, i, c, mode)
 
 
 def en(i, c=1):
@@ -378,14 +378,13 @@ class TestProp22:
             prop22_amplify(T, ei(0), ei(0), 1, 1, [])
 
     def test_float_mode_relative_check(self):
-        with numeric_mode(Mode.FLOAT64):
-            T = prop32_operator()
-            x = ei(0)
-            y = ei(-20, 2.0 ** -15)
-            cws = [make_coarse_witness(T, x, 1, y.scale(2.0 ** n), 20,
-                                       NormTag.PINF) for n in range(1, 11)]
-            amp = prop22_amplify(T, x, y, 1, Fraction(1, 2), cws)
-            assert all(to_float(pt.distance) <= 0.5 ** pt.n for pt in amp.points)
+        T = prop32_operator()
+        x = ei(0, mode=Mode.FLOAT64)
+        y = ei(-20, 2.0 ** -15, mode=Mode.FLOAT64)
+        cws = [make_coarse_witness(T, x, 1, y.scale(2.0 ** n), 20,
+                                   NormTag.PINF) for n in range(1, 11)]
+        amp = prop22_amplify(T, x, y, 1, Fraction(1, 2), cws)
+        assert all(to_float(pt.distance) <= 0.5 ** pt.n for pt in amp.points)
 
 
 class TestRemark32:

@@ -30,7 +30,7 @@ from orbitscope.errors import (
     IndexSetMismatch,
     NumericOverflow,
 )
-from orbitscope.numeric import Mode, numeric_mode
+from orbitscope.numeric import Mode
 
 from conftest import nfold_apply, random_shift, vector_for
 
@@ -114,25 +114,25 @@ class TestApplyPower:
             assert apply_power(T, m + n, v) == apply_power(T, m, apply_power(T, n, v))
 
     def test_semigroup_float_relative(self):
-        with numeric_mode(Mode.FLOAT64):
-            rng = random.Random(3)
-            T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
-                              Constant(Fraction(3, 2)))
-            v = SeqVector.from_entries(IndexSet.INTEGERS, {0: 1.0, 4: -2.5})
-            for _ in range(20):
-                m, n = rng.randint(0, 50), rng.randint(0, 50)
-                a = apply_power(T, m + n, v)
-                b = apply_power(T, m, apply_power(T, n, v))
-                for i in set(a.support) | set(b.support):
-                    x, y = a.entry(i), b.entry(i)
-                    assert abs(x - y) <= 1e-9 * max(abs(x), abs(y), 1.0)
+        rng = random.Random(3)
+        T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
+                          Constant(Fraction(3, 2)))
+        v = SeqVector.from_entries(IndexSet.INTEGERS, {0: 1.0, 4: -2.5},
+                                   mode=Mode.FLOAT64)
+        for _ in range(20):
+            m, n = rng.randint(0, 50), rng.randint(0, 50)
+            a = apply_power(T, m + n, v)
+            b = apply_power(T, m, apply_power(T, n, v))
+            for i in set(a.support) | set(b.support):
+                x, y = a.entry(i), b.entry(i)
+                assert abs(x - y) <= 1e-9 * max(abs(x), abs(y), 1.0)
 
     def test_float_overflow_policy(self):
-        with numeric_mode(Mode.FLOAT64):
-            T = prop32_operator()
-            with pytest.raises(NumericOverflow):
-                apply_power(T, 1000, SeqVector.basis(IndexSet.INTEGERS, 1000))
-            # exact mode has no overflow
+        T = prop32_operator()
+        with pytest.raises(NumericOverflow):
+            apply_power(T, 1000, SeqVector.basis(IndexSet.INTEGERS, 1000,
+                                                 mode=Mode.FLOAT64))
+        # exact mode has no overflow
         big = apply_power(prop32_operator(), 1000, ei(1000))
         assert big == ei(0, Fraction(2) ** 1000)
 

@@ -16,7 +16,7 @@ from orbitscope import (
     norm_lt,
 )
 from orbitscope.errors import IndexSetMismatch, OrbitscopeError
-from orbitscope.numeric import Mode, numeric_mode, to_float
+from orbitscope.numeric import Mode, to_float
 
 
 def e(i, c=1, index_set=IndexSet.NATURALS):
@@ -179,10 +179,10 @@ class TestVector:
         assert back == v
 
     def test_json_roundtrip_float(self):
-        with numeric_mode(Mode.FLOAT64):
-            v = SeqVector.from_entries(IndexSet.NATURALS, {0: 0.5, 3: -2.25})
-            back = SeqVector.from_jsonable(v.to_jsonable())
-            assert back == v
+        v = SeqVector.from_entries(IndexSet.NATURALS, {0: 0.5, 3: -2.25},
+                                   mode=Mode.FLOAT64)
+        back = SeqVector.from_jsonable(v.to_jsonable(), mode=Mode.FLOAT64)
+        assert back == v
 
     def test_entries_sorted_by_index(self):
         v = SeqVector.from_entries(IndexSet.INTEGERS, {5: 1, -3: 2, 0: 4})
@@ -191,8 +191,7 @@ class TestVector:
 
 class TestFloatPolicy:
     def test_strict_inequality_shaved_by_tolerance(self):
-        with numeric_mode(Mode.FLOAT64):
-            v = SeqVector.basis(IndexSet.NATURALS, 0, 1.0)
-            assert norm_lt(v, NormTag.PINF, 1.0 + 1e-6)
-            assert not norm_lt(v, NormTag.PINF, 1.0)
-            assert not norm_lt(v, NormTag.PINF, 1.0 + 1e-10)
+        v = SeqVector.basis(IndexSet.NATURALS, 0, 1.0, mode=Mode.FLOAT64)
+        assert norm_lt(v, NormTag.PINF, 1.0 + 1e-6)
+        assert not norm_lt(v, NormTag.PINF, 1.0)
+        assert not norm_lt(v, NormTag.PINF, 1.0 + 1e-10)
