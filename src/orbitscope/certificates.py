@@ -852,10 +852,29 @@ def cert_prop22(seed: int = 0, mode: Mode = Mode.EXACT, **overrides) -> Certific
 # -- suite plumbing ------------------------------------------------------------------
 
 
+def _fits(value, default) -> bool:
+    """Whether a config value can stand where the default does: a number
+    or a rational string for a number, a list of fitting items for a tuple."""
+    if isinstance(default, (int, float, Fraction)):
+        if isinstance(value, str):
+            try:
+                Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                return False
+            return True
+        return isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and \
+            all(_fits(v, default[0]) for v in value)
+    return True
+
+
 def _merge_overrides(params: dict, overrides: dict) -> None:
     for key, value in overrides.items():
         if key not in params:
             raise ConfigError(f"unknown parameter {key!r}")
+        if not _fits(value, params[key]):
+            raise ConfigError(f"parameter {key!r} cannot take {value!r}")
         params[key] = value
 
 

@@ -76,6 +76,8 @@ def load_config(path: str | None) -> dict:
     for key in ("seed", "horizon", "budget", "schedule_length"):
         if not isinstance(config[key], int):
             raise ConfigError(f"{key} must be an integer")
+    if not isinstance(config["out_dir"], str):
+        raise ConfigError("out_dir must be a string")
     certs = config["certificates"]
     if not isinstance(certs, dict) or \
             not all(isinstance(v, dict) for v in certs.values()):

@@ -32,27 +32,46 @@ class Mode(Enum):
     FLOAT64 = "float"
 
 
-@dataclass(frozen=True)
+# the imaginary part of every real result, shared: Fractions are immutable
+_ZERO = Fraction(0)
+
+
+@dataclass(frozen=True, slots=True)
 class QC:
-    """Complex number with exact rational components."""
+    """Complex number with exact rational components.
+
+    When both operands are real (zero imaginary parts) the arithmetic
+    does the real operation only; the result is the same value the
+    general complex formula gives, with ``im`` the shared zero.
+    """
 
     re: Fraction
-    im: Fraction = Fraction(0)
+    im: Fraction = _ZERO
 
     def __add__(self, other: "QC") -> "QC":
+        if not self.im and not other.im:
+            return QC(self.re + other.re, _ZERO)
         return QC(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "QC") -> "QC":
+        if not self.im and not other.im:
+            return QC(self.re - other.re, _ZERO)
         return QC(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "QC":
         return QC(-self.re, -self.im)
 
     def __mul__(self, other: "QC") -> "QC":
+        if not self.im and not other.im:
+            return QC(self.re * other.re, _ZERO)
         return QC(self.re * other.re - self.im * other.im,
                   self.re * other.im + self.im * other.re)
 
     def __truediv__(self, other: "QC") -> "QC":
+        if not self.im and not other.im:
+            if not other.re:
+                raise ZeroDivisionError("division by zero QC")
+            return QC(self.re / other.re, _ZERO)
         den = other.re * other.re + other.im * other.im
         if den == 0:
             raise ZeroDivisionError("division by zero QC")
@@ -78,6 +97,8 @@ class QC:
         return QC(self.re, -self.im)
 
     def abs2(self) -> Fraction:
+        if not self.im:
+            return self.re * self.re
         return self.re * self.re + self.im * self.im
 
     @property

@@ -13,7 +13,7 @@ instead of silently overflowing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -41,7 +41,12 @@ from .spaces import IndexSet, SeqVector
 
 
 class WeightRule:
-    """Total map index -> non-zero weight with closed-form range products."""
+    """Total map index -> non-zero weight with closed-form range products.
+
+    Each rule stores the log2 magnitude and the phase of its weights at
+    construction, in fields that take no part in equality, hashing or
+    repr, so the float products read them instead of recomputing them.
+    """
 
     kind = "abstract"
 
@@ -62,10 +67,19 @@ class WeightRule:
         raise NotImplementedError
 
     def log2_abs_at(self, j: int) -> float:
-        return log2_abs(self.weight_at(j))
+        raise NotImplementedError
 
     def to_jsonable(self) -> dict:
         raise NotImplementedError
+
+    def _store(self, **derived) -> None:
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+
+def _derived():
+    """A field computed in __post_init__: not an argument, not compared."""
+    return field(init=False, compare=False, repr=False)
 
 
 def _coerce_weight(value) -> QC:
@@ -78,14 +92,20 @@ def _coerce_weight(value) -> QC:
 @dataclass(frozen=True)
 class Constant(WeightRule):
     value: QC
+    _log2: float = _derived()
+    _phase: complex = _derived()
 
     kind = "constant"
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _coerce_weight(self.value))
+        value = _coerce_weight(self.value)
+        self._store(value=value, _log2=log2_abs(value), _phase=phase_of(value))
 
     def weight_at(self, j: int) -> QC:
         return self.value
+
+    def log2_abs_at(self, j: int) -> float:
+        return self._log2
 
     def product_exact(self, lo: int, hi: int) -> QC:
         if hi < lo:
@@ -96,7 +116,7 @@ class Constant(WeightRule):
         if hi < lo:
             return 0.0, complex(1.0, 0.0)
         n = hi - lo + 1
-        return n * log2_abs(self.value), unit_power(phase_of(self.value), n)
+        return n * self._log2, unit_power(self._phase, n)
 
     def sup_abs(self) -> float:
         return math.sqrt(float(self.value.abs2()))
@@ -113,15 +133,22 @@ class PiecewiseTwoSided(WeightRule):
 
     positive: QC
     nonpositive: QC
+    _log2: tuple = _derived()  # (positive, nonpositive)
+    _phase: tuple = _derived()
 
     kind = "piecewise_two_sided"
 
     def __post_init__(self):
-        object.__setattr__(self, "positive", _coerce_weight(self.positive))
-        object.__setattr__(self, "nonpositive", _coerce_weight(self.nonpositive))
+        pos, nonpos = _coerce_weight(self.positive), _coerce_weight(self.nonpositive)
+        self._store(positive=pos, nonpositive=nonpos,
+                    _log2=(log2_abs(pos), log2_abs(nonpos)),
+                    _phase=(phase_of(pos), phase_of(nonpos)))
 
     def weight_at(self, j: int) -> QC:
         return self.positive if j >= 1 else self.nonpositive
+
+    def log2_abs_at(self, j: int) -> float:
+        return self._log2[0] if j >= 1 else self._log2[1]
 
     def _counts(self, lo: int, hi: int) -> tuple[int, int]:
         if hi < lo:
@@ -136,8 +163,8 @@ class PiecewiseTwoSided(WeightRule):
 
     def product_log2(self, lo: int, hi: int):
         a, b = self._counts(lo, hi)
-        lg = a * log2_abs(self.positive) + b * log2_abs(self.nonpositive)
-        ph = unit_power(phase_of(self.positive), a) * unit_power(phase_of(self.nonpositive), b)
+        lg = a * self._log2[0] + b * self._log2[1]
+        ph = unit_power(self._phase[0], a) * unit_power(self._phase[1], b)
         return lg, ph
 
     def sup_abs(self) -> float:
@@ -157,6 +184,12 @@ class PiecewiseTwoSided(WeightRule):
 @dataclass(frozen=True)
 class Periodic(WeightRule):
     values: tuple
+    _log2: tuple = _derived()
+    _phase: tuple = _derived()
+    # one full cycle: exact product, log2 sum and phase product
+    _full: QC = _derived()
+    _full_log2: float = _derived()
+    _full_phase: complex = _derived()
 
     kind = "periodic"
 
@@ -164,21 +197,28 @@ class Periodic(WeightRule):
         vals = tuple(_coerce_weight(v) for v in self.values)
         if not vals:
             raise ConfigError("periodic rule needs at least one weight")
-        object.__setattr__(self, "values", vals)
+        log2s = tuple(log2_abs(v) for v in vals)
+        phases = tuple(phase_of(v) for v in vals)
+        full = QC(Fraction(1))
+        full_phase = complex(1.0, 0.0)
+        for v, ph in zip(vals, phases):
+            full = full * v
+            full_phase *= ph
+        self._store(values=vals, _log2=log2s, _phase=phases,
+                    _full=full, _full_log2=sum(log2s), _full_phase=full_phase)
 
     def weight_at(self, j: int) -> QC:
         return self.values[j % len(self.values)]
+
+    def log2_abs_at(self, j: int) -> float:
+        return self._log2[j % len(self.values)]
 
     def product_exact(self, lo: int, hi: int) -> QC:
         if hi < lo:
             return QC(Fraction(1))
         p = len(self.values)
-        count = hi - lo + 1
-        cycles, rem = divmod(count, p)
-        full = QC(Fraction(1))
-        for v in self.values:
-            full = full * v
-        out = full ** cycles
+        cycles = (hi - lo + 1) // p
+        out = self._full ** cycles
         for j in range(lo + cycles * p, hi + 1):
             out = out * self.weight_at(j)
         return out
@@ -187,18 +227,12 @@ class Periodic(WeightRule):
         if hi < lo:
             return 0.0, complex(1.0, 0.0)
         p = len(self.values)
-        count = hi - lo + 1
-        cycles = count // p
-        lg_full = sum(log2_abs(v) for v in self.values)
-        ph = complex(1.0, 0.0)
-        for v in self.values:
-            ph *= phase_of(v)
-        lg = cycles * lg_full
-        phase = unit_power(ph, cycles)
+        cycles = (hi - lo + 1) // p
+        lg = cycles * self._full_log2
+        phase = unit_power(self._full_phase, cycles)
         for j in range(lo + cycles * p, hi + 1):
-            w = self.weight_at(j)
-            lg += log2_abs(w)
-            phase *= phase_of(w)
+            lg += self._log2[j % p]
+            phase *= self._phase[j % p]
         return lg, phase
 
     def sup_abs(self) -> float:
@@ -217,6 +251,10 @@ class Table(WeightRule):
 
     entries: tuple
     default: QC
+    _log2: tuple = _derived()  # per entry, in entry order
+    _phase: tuple = _derived()
+    _default_log2: float = _derived()
+    _default_phase: complex = _derived()
 
     kind = "table"
 
@@ -226,18 +264,23 @@ class Table(WeightRule):
         else:
             items = self.entries
         clean = tuple(sorted((int(i), _coerce_weight(v)) for i, v in items))
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "default", _coerce_weight(self.default))
+        default = _coerce_weight(self.default)
+        self._store(entries=clean, default=default,
+                    _log2=tuple(log2_abs(v) for _, v in clean),
+                    _phase=tuple(phase_of(v) for _, v in clean),
+                    _default_log2=log2_abs(default), _default_phase=phase_of(default))
 
-    def _lookup(self, j: int) -> QC | None:
+    def weight_at(self, j: int) -> QC:
         for i, v in self.entries:
             if i == j:
                 return v
-        return None
+        return self.default
 
-    def weight_at(self, j: int) -> QC:
-        v = self._lookup(j)
-        return v if v is not None else self.default
+    def log2_abs_at(self, j: int) -> float:
+        for (i, _), lg in zip(self.entries, self._log2):
+            if i == j:
+                return lg
+        return self._default_log2
 
     def product_exact(self, lo: int, hi: int) -> QC:
         if hi < lo:
@@ -258,14 +301,14 @@ class Table(WeightRule):
         lg = 0.0
         ph = complex(1.0, 0.0)
         overrides = 0
-        for i, v in self.entries:
+        for (i, _), lg_i, ph_i in zip(self.entries, self._log2, self._phase):
             if lo <= i <= hi:
-                lg += log2_abs(v)
-                ph *= phase_of(v)
+                lg += lg_i
+                ph *= ph_i
                 overrides += 1
         rest = count - overrides
-        lg += rest * log2_abs(self.default)
-        ph *= unit_power(phase_of(self.default), rest)
+        lg += rest * self._default_log2
+        ph *= unit_power(self._default_phase, rest)
         return lg, ph
 
     def sup_abs(self) -> float:
@@ -360,6 +403,11 @@ class Band:
     lo: int | None
     hi: int | None
 
+    def __post_init__(self):
+        for bound in (self.lo, self.hi):
+            if bound is not None and type(bound) is not int:
+                raise ConfigError(f"band bounds must be integers or null, not {bound!r}")
+
     def contains(self, i: int) -> bool:
         if self.lo is not None and i < self.lo:
             return False
@@ -398,6 +446,7 @@ class ShiftOperator:
     weights: WeightRule | None = None
     blocks: tuple[Block, ...] = ()
     label: str = ""
+    _components: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.shape is Shape.UNILATERAL_BACKWARD and self.index_set is not IndexSet.NATURALS:
@@ -419,17 +468,17 @@ class ShiftOperator:
                         raise ConfigError("naturals blocks need bands within N")
         elif self.weights is None:
             raise ConfigError("simple shapes need a weight rule")
+        if self.shape is Shape.BLOCK_DIRECT_SUM:
+            comps = tuple((b.kind, b.weights, b.band) for b in self.blocks)
+        else:
+            band = Band(0, None) if self.index_set is IndexSet.NATURALS else Band(None, None)
+            comps = ((_SIMPLE_KINDS[self.shape], self.weights, band),)
+        object.__setattr__(self, "_components", comps)
 
     # Components unify the action logic: every operator is a disjoint union
     # of (kind, weights, band) pieces with annihilation at band edges.
     def components(self) -> tuple[tuple[str, WeightRule, Band], ...]:
-        if self.shape is Shape.BLOCK_DIRECT_SUM:
-            return tuple((b.kind, b.weights, b.band) for b in self.blocks)
-        if self.index_set is IndexSet.NATURALS:
-            band = Band(0, None)
-        else:
-            band = Band(None, None)
-        return ((_SIMPLE_KINDS[self.shape], self.weights, band),)
+        return self._components
 
     def component_for(self, i: int):
         for comp in self.components():

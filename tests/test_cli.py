@@ -138,13 +138,34 @@ class TestCertify:
                        "blocks": [{"kind": "backward"}]}}, WITNESS),
         ({"horizon": "ten"}, WITNESS),
         ({"certificates": ["prop15"]}, ("certify", "prop15")),
+        ({"out_dir": 5}, ("certify", "prop15")),
+        ({"certificates": {"prop15": {"mix_length": "x"}}}, ("certify", "prop15")),
+        ({"certificates": {"prop21": {"visit_times": 30}}}, ("certify", "prop21")),
+        ({"certificates": {"prop21": {"count_ladder": [100, "y"]}}},
+         ("certify", "prop21")),
     ], ids=["unknown-key", "block-without-band", "horizon-not-int",
-            "certificates-not-object"])
+            "certificates-not-object", "out-dir-not-string", "parameter-not-number",
+            "parameter-not-list", "parameter-item-not-number"])
     def test_unknown_config_key(self, capsys, tmp_path, config, command):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
-        code, _, err = run(capsys, "--config", str(path), *command,
-                           "--out", str(tmp_path / "out"))
+        # out_dir is read only when --out is absent
+        out = () if "out_dir" in config else ("--out", str(tmp_path / "out"))
+        code, _, err = run(capsys, "--config", str(path), *command, *out)
+        assert code == 2
+        assert "config error:" in err
+
+    @pytest.mark.parametrize("command", [
+        ("orbit", "--x", E0, "--horizon", "3"),
+        ("witness", "--kind", "coarse", "--x", E0, "--y", E0, "--d", "1"),
+    ], ids=["orbit", "witness-coarse"])
+    def test_non_integer_band_bound(self, capsys, tmp_path, command):
+        path = tmp_path / "band.json"
+        path.write_text(json.dumps({"operator": {
+            "shape": "block_direct_sum", "index_set": "Z",
+            "blocks": [{"band": ["a", 3], "kind": "backward",
+                        "weights": {"kind": "constant", "value": "2"}}]}}))
+        code, _, err = run(capsys, "--config", str(path), *command)
         assert code == 2
         assert "config error:" in err
 

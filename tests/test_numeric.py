@@ -1,0 +1,150 @@
+"""QC arithmetic against the general complex formulas on plain Fraction pairs.
+
+Real operands take a shorter path inside QC; every result must be the
+value the general formula gives, and a real result must keep a Fraction
+zero as its imaginary part.
+"""
+
+import math
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from orbitscope import IndexSet, SeqVector
+from orbitscope.numeric import QC, jsonable, log2_abs
+
+RATIONALS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+KINDS = [("real", "real"), ("real", "complex"), ("complex", "real"),
+         ("complex", "complex")]
+
+
+def draw_pair(data, kind, nonzero=False):
+    """A (re, im) pair of Fractions of the given kind."""
+    re = data.draw(RATIONALS.filter(bool) if nonzero and kind == "real" else RATIONALS)
+    im = Fraction(0) if kind == "real" else data.draw(RATIONALS.filter(bool))
+    return re, im
+
+
+def qc_of(data, pair):
+    re, im = pair
+    if not im and data.draw(st.booleans()):
+        return QC(re)  # the default imaginary part
+    return QC(re, im)
+
+
+# -- the reference: general complex formulas on (re, im) pairs ----------------
+
+
+def ref_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def ref_sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def ref_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def ref_div(a, b):
+    den = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) / den, (a[1] * b[0] - a[0] * b[1]) / den
+
+
+def ref_abs2(a):
+    return a[0] * a[0] + a[1] * a[1]
+
+
+def ref_pow(a, n):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        out = ref_mul(out, a)
+    return out if n >= 0 else ref_div((Fraction(1), Fraction(0)), out)
+
+
+def assert_matches(result, pair, real):
+    assert isinstance(result, QC)
+    assert (result.re, result.im) == pair
+    assert type(result.re) is Fraction and type(result.im) is Fraction
+    if real:
+        assert result.im == 0
+        assert jsonable(result) == str(pair[0])
+
+
+OPS = {"+": (QC.__add__, ref_add), "-": (QC.__sub__, ref_sub),
+       "*": (QC.__mul__, ref_mul), "/": (QC.__truediv__, ref_div)}
+
+
+@pytest.mark.parametrize("kinds", KINDS, ids=["-".join(k) for k in KINDS])
+@pytest.mark.parametrize("op", sorted(OPS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_binary_op_matches_general_formula(op, kinds, data):
+    a = draw_pair(data, kinds[0])
+    b = draw_pair(data, kinds[1], nonzero=op == "/")
+    method, ref = OPS[op]
+    out = method(qc_of(data, a), qc_of(data, b))
+    assert_matches(out, ref(a, b), real=kinds == ("real", "real"))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_abs2_matches_general_formula(kind, data):
+    a = draw_pair(data, kind)
+    out = qc_of(data, a).abs2()
+    assert type(out) is Fraction
+    assert out == ref_abs2(a)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=-5, max_value=7))
+def test_pow_matches_repeated_product(kind, data, n):
+    a = draw_pair(data, kind, nonzero=n < 0)
+    assert_matches(qc_of(data, a) ** n, ref_pow(a, n), real=kind == "real")
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_log2_abs_is_the_abs2_formula_bit_for_bit(kind, data):
+    a = draw_pair(data, kind, nonzero=True)
+    a2 = ref_abs2(a)
+    expected = 0.5 * (math.log2(a2.numerator) - math.log2(a2.denominator))
+    assert log2_abs(qc_of(data, a)).hex() == expected.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_real_products_keep_vector_keys(data):
+    """A vector of real fast-path products has the key and JSON that
+    general-formula entries give."""
+    pairs = [(draw_pair(data, "real"), draw_pair(data, "real")) for _ in range(3)]
+    fast = SeqVector.from_entries(IndexSet.INTEGERS, {
+        i: qc_of(data, a) * qc_of(data, b) for i, (a, b) in enumerate(pairs)})
+    general = SeqVector.from_entries(IndexSet.INTEGERS, {
+        i: QC(*ref_mul(a, b)) for i, (a, b) in enumerate(pairs)})
+    assert fast.key() == general.key()
+    assert hash(fast.key()) == hash(general.key())
+    assert fast.to_jsonable() == general.to_jsonable()
+
+
+@pytest.mark.parametrize("numerator", [QC(Fraction(3)), QC(Fraction(0)),
+                                       QC(Fraction(1), Fraction(2))])
+@pytest.mark.parametrize("zero", [QC(Fraction(0)), QC(Fraction(0), Fraction(0))])
+def test_division_by_zero_raises(numerator, zero):
+    with pytest.raises(ZeroDivisionError):
+        numerator / zero
+
+
+def test_qc_is_frozen_with_slots():
+    q = QC(Fraction(1, 3))
+    assert not hasattr(q, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        q.re = Fraction(2)
+    assert q == QC(Fraction(1, 3), Fraction(0))
+    assert hash(q) == hash(QC(Fraction(1, 3), Fraction(0)))

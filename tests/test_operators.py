@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from orbitscope.errors import (
     IndexSetMismatch,
     NumericOverflow,
 )
-from orbitscope.numeric import Mode
+from orbitscope.numeric import Mode, log2_abs, phase_of
 
 from conftest import nfold_apply, random_shift, vector_for
 
@@ -245,6 +246,99 @@ class TestBlocks:
             ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS,
                           blocks=(Block(Band(0, None), "backward", Constant(2)),
                                   Block(Band(-5, 5), "backward", Constant(3))))
+
+
+# every rule kind, with negative and complex weights
+RULES = {
+    "constant": lambda: Constant("-3/2"),
+    "constant-complex": lambda: Constant((1, 2)),
+    "piecewise": lambda: PiecewiseTwoSided("-2", (3, "-1/4")),
+    "periodic": lambda: Periodic((3, "-1/2", (1, 2))),
+    "table": lambda: Table({-2: "-5", 3: (1, -1), 4: "2/7"}, "-7/3"),
+}
+
+
+def stored(rule):
+    """(weight, stored log2, stored phase) for each weight a rule holds."""
+    if isinstance(rule, Constant):
+        return [(rule.value, rule._log2, rule._phase)]
+    if isinstance(rule, PiecewiseTwoSided):
+        return list(zip((rule.positive, rule.nonpositive), rule._log2, rule._phase))
+    if isinstance(rule, Periodic):
+        return list(zip(rule.values, rule._log2, rule._phase))
+    return list(zip([v for _, v in rule.entries], rule._log2, rule._phase)) + \
+        [(rule.default, rule._default_log2, rule._default_phase)]
+
+
+def bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+class TestStoredWeights:
+    def test_stored_log2_and_phase_bit_for_bit(self, name):
+        rule = RULES[name]()
+        for w, lg, ph in stored(rule):
+            assert lg.hex() == log2_abs(w).hex()
+            assert bits(ph) == bits(phase_of(w))
+        for j in range(-8, 9):
+            assert rule.log2_abs_at(j).hex() == log2_abs(rule.weight_at(j)).hex()
+
+    def test_product_log2_matches_term_by_term(self, name):
+        rule = RULES[name]()
+        for lo, hi in [(0, -1), (1, 1), (-7, 20), (-3, 4), (2, 9), (-40, -30)]:
+            lg, ph = rule.product_log2(lo, hi)
+            ref_lg, ref_ph = 0.0, complex(1.0, 0.0)
+            for j in range(lo, hi + 1):
+                ref_lg += log2_abs(rule.weight_at(j))
+                ref_ph *= phase_of(rule.weight_at(j))
+            assert math.isclose(lg, ref_lg, rel_tol=1e-12, abs_tol=1e-12)
+            assert abs(ph - ref_ph) < 1e-9
+            assert math.isclose(lg, log2_abs(rule.product_exact(lo, hi)),
+                                rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_equality_hash_repr_and_json(self, name):
+        a, b = RULES[name](), RULES[name]()
+        assert a == b and hash(a) == hash(b)
+        assert "_log2" not in repr(a) and "_phase" not in repr(a)
+        T1 = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, a)
+        T2 = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, b)
+        assert T1 == T2 and hash(T1) == hash(T2)
+        assert "_components" not in repr(T1)
+        assert T1.to_jsonable() == T2.to_jsonable()
+        assert shift_from_jsonable(T1.to_jsonable()) == T1
+
+    def test_components_built_once(self, name):
+        T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS,
+                          blocks=(Block(Band(0, None), "backward", RULES[name]()),
+                                  Block(Band(None, -1), "forward", Constant(2))))
+        assert T.components() is T.components()
+        assert T.components() == (("backward", RULES[name](), Band(0, None)),
+                                  ("forward", Constant(2), Band(None, -1)))
+
+
+def test_stored_fields_leave_repr_and_json_unchanged():
+    assert repr(Constant("-3/2")) == \
+        "Constant(value=QC(re=Fraction(-3, 2), im=Fraction(0, 1)))"
+    assert repr(PiecewiseTwoSided(2, 1)) == (
+        "PiecewiseTwoSided(positive=QC(re=Fraction(2, 1), im=Fraction(0, 1)), "
+        "nonpositive=QC(re=Fraction(1, 1), im=Fraction(0, 1)))")
+    assert RULES["periodic"]().to_jsonable() == \
+        {"kind": "periodic", "values": ["3", "-1/2", ["1", "2"]]}
+    assert RULES["table"]().to_jsonable() == {
+        "kind": "table", "entries": {"-2": "-5", "3": ["1", "-1"], "4": "2/7"},
+        "default": "-7/3"}
+    assert repr(prop32_operator()).startswith(
+        "ShiftOperator(shape=<Shape.BILATERAL_BACKWARD: 'bilateral_backward'>")
+    assert repr(prop32_operator()).endswith(", blocks=(), label='paper-prop32')")
+
+
+@pytest.mark.parametrize("lo, hi", [("a", 3), (0.5, None), (True, None),
+                                    (None, "3"), (0, Fraction(4))])
+def test_band_rejects_non_integer_bounds(lo, hi):
+    with pytest.raises(ConfigError):
+        Band(lo, hi)
 
 
 class TestConfig:
