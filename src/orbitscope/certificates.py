@@ -7,6 +7,9 @@ first-class verdict: exhausted budgets and uncertifiable spectral
 hypotheses are never reported as FAIL, since absence of a witness
 within a budget refutes nothing.
 
+Every suite takes (seed, mode, **params); each parameter is checked
+against its kind in defaults.py before the suite runs.
+
 Verdicts are deterministic functions of (parameters, seed); wall-clock
 timing lives in a separate "timing" block so report bundles can be
 compared byte-for-byte modulo it.
@@ -80,7 +83,7 @@ class SubCheck:
 
     def to_jsonable(self):
         return {"name": self.name, "status": self.status, "note": self.note,
-                "details": self.details}
+                "details": jsonable(self.details)}
 
 
 @dataclass
@@ -106,8 +109,8 @@ class CertificateReport:
             return INDECISIVE
         return PASS
 
-    def to_jsonable(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_jsonable(self) -> dict:
+        return {
             "name": self.name,
             "statement": self.statement,
             "verdict": self.verdict,
@@ -119,10 +122,8 @@ class CertificateReport:
             "seed": self.seed,
             "numeric_mode": self.numeric_mode,
             "defaults_version": self.defaults_version,
+            "timing": {"runtime_s": self.runtime_s},
         }
-        if include_timing:
-            out["timing"] = {"runtime_s": self.runtime_s}
-        return out
 
 
 def _rng(seed: int, tag: str) -> random.Random:
@@ -156,19 +157,8 @@ def _witness_digest(w: JWitness) -> dict:
 # -- prop32: the coarsely J-class, not J-class two-sided shift ---------------------
 
 
-def cert_prop32(sample_count: int | None = None, support_bound: int | None = None,
-                norm_bound: float | None = None, d=None, seed: int = 0,
-                mode: Mode = Mode.EXACT, **overrides) -> CertificateReport:
-    p = dict(defaults.PROP32)
-    if sample_count is not None:
-        p["sample_count"] = sample_count
-    if support_bound is not None:
-        p["support_bound"] = support_bound
-    if norm_bound is not None:
-        p["norm_bound"] = norm_bound
-    if d is not None:
-        p["d"] = d
-    _merge_overrides(p, overrides)
+def cert_prop32(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> CertificateReport:
+    p = _params(defaults.PROP32, params)
     start = time.perf_counter()
     T = prop32_operator()
     e0 = SeqVector.basis(IndexSet.INTEGERS, 0, mode=mode)
@@ -206,10 +196,7 @@ def cert_prop32(sample_count: int | None = None, support_bound: int | None = Non
                                            norm_tag=NormTag.PINF)
             w.verify(T)  # separate re-verification pass
             residuals.extend(to_float(t.dist) for t in w.triples)
-            if idx < 25:
-                witnesses.append(w.to_jsonable())
-            else:
-                witnesses.append(_witness_digest(w))
+            witnesses.append(w.to_jsonable() if idx < 25 else _witness_digest(w))
         except SynthesisFailed as exc:
             failures.append({"index": idx, "best_delta": exc.best_delta_norm,
                              "best_residual": exc.best_residual})
@@ -266,26 +253,15 @@ def cert_prop32(sample_count: int | None = None, support_bound: int | None = Non
 
     summary = {"max_residual": max(residuals, default=None),
                "min_residual": min(residuals, default=None)}
-    return _finish(start, "prop32", T, p, subs, witnesses, summary, seed, mode,
-                   "two-sided shift with weights 2 (n>=1) / 1 (n<=0): "
-                   "sup-norm-flat orbit, J-certificates everywhere at bound 2, "
-                   "and no certificate family at tolerance 1/4")
+    return _finish(start, "prop32", T, p, subs, witnesses, summary, seed, mode.value)
 
 
 # -- prop36(i): contraction pins the limit set to the d-ball -----------------------
 
 
-def cert_prop36_contraction(weight=None, d=None, target_count: int | None = None,
-                            seed: int = 0, mode: Mode = Mode.EXACT,
-                            **overrides) -> CertificateReport:
-    p = dict(defaults.PROP36_CONTRACTION)
-    if weight is not None:
-        p["weight"] = Fraction(weight)
-    if d is not None:
-        p["d"] = d
-    if target_count is not None:
-        p["target_count"] = target_count
-    _merge_overrides(p, overrides)
+def cert_prop36_contraction(seed: int = 0, mode: Mode = Mode.EXACT,
+                            **params) -> CertificateReport:
+    p = _params(defaults.PROP36_CONTRACTION, params)
     start = time.perf_counter()
     w_abs = abs(Fraction(p["weight"]))
     T = ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS,
@@ -297,9 +273,7 @@ def cert_prop36_contraction(weight=None, d=None, target_count: int | None = None
                              note="|weight| >= 1: contraction hypothesis fails",
                              details={"weight": str(p["weight"])}))
         return _finish(start, "prop36-contraction", T, p, subs, witnesses, {},
-                       seed, mode,
-                       "contracting shift: witnessed targets fill the open "
-                       "d-ball and stay inside its closure")
+                       seed, mode.value)
     trace = spectral_radius_estimate(T, p["gelfand_n"], p["gelfand_window"])
     gel_ok = abs(trace.estimate - float(w_abs)) <= p["gelfand_rel_tol"] * float(w_abs)
     subs.append(SubCheck("gelfand-trace", PASS if gel_ok else FAIL,
@@ -354,16 +328,17 @@ def cert_prop36_contraction(weight=None, d=None, target_count: int | None = None
     summary = {"witnessed": len(witnessed_norms),
                "gelfand_estimate": trace.estimate}
     return _finish(start, "prop36-contraction", T, p, subs, witnesses, summary,
-                   seed, mode,
-                   "contracting shift: witnessed targets fill the open d-ball "
-                   "and stay inside its closure")
+                   seed, mode.value)
+
+
+_BALL_SPAN = 5  # most entries of a _ball_target vector
 
 
 def _ball_target(rng: random.Random, mode: Mode, max_norm: float,
-                 min_norm: float = 0.0, span: int = 5) -> SeqVector:
+                 min_norm: float = 0.0) -> SeqVector:
     while True:
-        count = rng.randint(1, span)
-        idxs = rng.sample(range(0, span + 2), count)
+        count = rng.randint(1, _BALL_SPAN)
+        idxs = rng.sample(range(0, _BALL_SPAN + 2), count)
         vals = [rng.gauss(0.0, 1.0) for _ in idxs]
         n2 = math.sqrt(sum(v * v for v in vals))
         if n2 == 0.0:
@@ -379,14 +354,9 @@ def _ball_target(rng: random.Random, mode: Mode, max_norm: float,
 # -- prop36(ii): expansion empties the limit sets off the origin --------------------
 
 
-def cert_prop36_expansion(weight=None, d=None, seed: int = 0,
-                          mode: Mode = Mode.EXACT, **overrides) -> CertificateReport:
-    p = dict(defaults.PROP36_EXPANSION)
-    if weight is not None:
-        p["weight"] = weight
-    if d is not None:
-        p["d"] = d
-    _merge_overrides(p, overrides)
+def cert_prop36_expansion(seed: int = 0, mode: Mode = Mode.EXACT,
+                          **params) -> CertificateReport:
+    p = _params(defaults.PROP36_EXPANSION, params)
     start = time.perf_counter()
     T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
                       Constant(p["weight"]), label="expansion-shift")
@@ -398,9 +368,7 @@ def cert_prop36_expansion(weight=None, d=None, seed: int = 0,
                              note="|weight| <= 1: expansion hypothesis fails",
                              details={"weight": str(p["weight"])}))
         return _finish(start, "prop36-expansion", T, p, subs, witnesses, {},
-                       seed, mode,
-                       "expanding invertible shift: mix certificates from 0, "
-                       "no certificates from non-zero bases")
+                       seed, mode.value)
     d_val = p["d"]
     zero = SeqVector.zero(IndexSet.INTEGERS, mode)
     rng = _rng(seed, "prop36ii-zero")
@@ -422,10 +390,7 @@ def cert_prop36_expansion(weight=None, d=None, seed: int = 0,
             w.verify(T)
             if all(to_float(t.dist) == 0.0 for t in w.triples):
                 exact_hits += 1
-            if idx < 25:
-                witnesses.append(w.to_jsonable())
-            else:
-                witnesses.append(_witness_digest(w))
+            witnesses.append(w.to_jsonable() if idx < 25 else _witness_digest(w))
         except SearchFailed as exc:
             zero_failures.append({"index": idx, "reason": exc.reason})
     zero_ok = not zero_failures and exact_hits == p["target_count"]
@@ -480,9 +445,7 @@ def cert_prop36_expansion(weight=None, d=None, seed: int = 0,
     summary = {"exact_hits": exact_hits,
                "min_collapse_norm": min(collapse_seen, default=None)}
     return _finish(start, "prop36-expansion", T, p, subs, witnesses, summary,
-                   seed, mode,
-                   "expanding invertible shift: mix certificates from 0, no "
-                   "certificates from non-zero bases")
+                   seed, mode.value)
 
 
 # -- Riesz-style two-band decomposition ---------------------------------------------
@@ -496,14 +459,9 @@ def _riesz_operator(p) -> ShiftOperator:
         label="two-band-shift")
 
 
-def cert_riesz_blocks(sample_count: int | None = None, d=None, seed: int = 0,
-                      mode: Mode = Mode.EXACT, **overrides) -> CertificateReport:
-    p = dict(defaults.RIESZ)
-    if sample_count is not None:
-        p["sample_count"] = sample_count
-    if d is not None:
-        p["d"] = d
-    _merge_overrides(p, overrides)
+def cert_riesz_blocks(seed: int = 0, mode: Mode = Mode.EXACT,
+                      **params) -> CertificateReport:
+    p = _params(defaults.RIESZ, params)
     start = time.perf_counter()
     T = _riesz_operator(p)
     subs = []
@@ -514,9 +472,7 @@ def cert_riesz_blocks(sample_count: int | None = None, d=None, seed: int = 0,
         subs.append(SubCheck("block-classification", INDECISIVE,
                              note=str(exc), details={}))
         return _finish(start, "riesz-blocks", T, p, subs, witnesses, {},
-                       seed, mode,
-                       "block direct sum splits into contracting and "
-                       "expanding bands; witnesses decompose by band")
+                       seed, mode.value)
     T1, T2 = split.contracting, split.expanding
     subs.append(SubCheck("block-classification", PASS,
                          note="per-block radius bounded away from 1",
@@ -602,8 +558,7 @@ def cert_riesz_blocks(sample_count: int | None = None, d=None, seed: int = 0,
     summary = {"decomposed": decomposed, "ladder_min_factor":
                min(factors, default=None)}
     return _finish(start, "riesz-blocks", T, p, subs, witnesses, summary, seed,
-                   mode, "block direct sum splits into contracting and expanding "
-                   "bands; witnesses decompose by band")
+                   mode.value)
 
 
 def _decomposes_by_band(T1, T2, splitter, dw, x, y, d_val, schedule) -> bool:
@@ -629,12 +584,8 @@ def _decomposes_by_band(T1, T2, splitter, dw, x, y, d_val, schedule) -> bool:
 # -- prop15: scale families collapse to plain limit-set membership ------------------
 
 
-def cert_prop15(target_eps=None, seed: int = 0, mode: Mode = Mode.EXACT,
-                **overrides) -> CertificateReport:
-    p = dict(defaults.PROP15)
-    if target_eps is not None:
-        p["target_eps"] = Fraction(target_eps)
-    _merge_overrides(p, overrides)
+def cert_prop15(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> CertificateReport:
+    p = _params(defaults.PROP15, params)
     start = time.perf_counter()
     T = ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS,
                       Constant(2), label="doubling-shift")
@@ -682,9 +633,7 @@ def cert_prop15(target_eps=None, seed: int = 0, mode: Mode = Mode.EXACT,
     except OrbitscopeError as exc:
         subs.append(SubCheck("rescaled-certificate", FAIL, note=str(exc)))
     summary = {"family_size": len(family)}
-    return _finish(start, "prop15", T, p, subs, witnesses, summary, seed, mode,
-                   "witnesses for scaled pairs at a fixed coarse bound re-index "
-                   "into a certificate at any smaller tolerance")
+    return _finish(start, "prop15", T, p, subs, witnesses, summary, seed, mode.value)
 
 
 # -- prop21: rescaling coarse witnesses and counting returns ------------------------
@@ -703,9 +652,8 @@ def _prop21_instance(p, mode):
     return T, x, y_star
 
 
-def cert_prop21(seed: int = 0, mode: Mode = Mode.EXACT, **overrides) -> CertificateReport:
-    p = dict(defaults.PROP21)
-    _merge_overrides(p, overrides)
+def cert_prop21(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> CertificateReport:
+    p = _params(defaults.PROP21, params)
     start = time.perf_counter()
     T, x, y_star = _prop21_instance(p, mode)
     subs = []
@@ -763,37 +711,34 @@ def cert_prop21(seed: int = 0, mode: Mode = Mode.EXACT, **overrides) -> Certific
               "NOT_APPLICABLE marks a plateau, not a refutation"),
         details={"ladder": list(p["count_ladder"]), "counts": counts}))
     summary = {"counts": counts}
-    return _finish(start, "prop21", T, p, subs, witnesses, summary, seed, mode,
-                   "coarse witnesses rescale to every bound, and distinct orbit "
-                   "returns near a witnessed target keep growing")
+    return _finish(start, "prop21", T, p, subs, witnesses, summary, seed, mode.value)
 
 
 # -- prop22: geometric amplification of coarse hits ---------------------------------
 
 
-def cert_prop22(seed: int = 0, mode: Mode = Mode.EXACT, **overrides) -> CertificateReport:
-    p = dict(defaults.PROP22)
-    _merge_overrides(p, overrides)
+def cert_prop22(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> CertificateReport:
+    p = _params(defaults.PROP22, params)
     start = time.perf_counter()
     subs = []
     witnesses = []
     lam = Fraction(p["lambda"])
-    for run_mode in (Mode.EXACT, Mode.FLOAT64):
+    # instance (a): contracting diagonal with an exactly recurrent base
+    D = ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS,
+                      Constant(Fraction(1, 2)), label="halving-diagonal")
+    # instance (b): drifting two-sided shift with non-trivial gaps
+    T = prop32_operator()
+    for run_mode in (Mode.EXACT, Mode.FLOAT64):  # both, whatever `mode` is
         tag = run_mode.value
-        # instance (a): contracting diagonal with an exactly recurrent base
-        D = ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS,
-                          Constant(Fraction(1, 2)), label="halving-diagonal")
         x = SeqVector.basis(IndexSet.INTEGERS, 0, mode=run_mode)
         y = SeqVector.basis(
             IndexSet.INTEGERS, 0,
             real_value(Fraction(2) ** p["diagonal_target_log2"], run_mode), run_mode)
-        cws = []
-        for n in range(1, p["steps"] + 1):
-            t_n = -p["diagonal_target_log2"] - n
-            target = y.scale(real_value(Fraction(1) / lam ** n, run_mode))
-            cws.append(make_coarse_witness(D, x, p["d"], target, t_n,
-                                           NormTag.PINF))
         try:
+            cws = [make_coarse_witness(
+                       D, x, p["d"], y.scale(real_value(1 / lam ** n, run_mode)),
+                       -p["diagonal_target_log2"] - n, NormTag.PINF)
+                   for n in range(1, p["steps"] + 1)]
             amp = prop22_amplify(D, x, y, p["d"], lam, cws,
                                  norm_tag=NormTag.PINF,
                                  recurrence=([1], Fraction(1, 10 ** 6)))
@@ -804,22 +749,18 @@ def cert_prop22(seed: int = 0, mode: Mode = Mode.EXACT, **overrides) -> Certific
                 details={"points": len(amp.points)}))
             if run_mode is Mode.EXACT:
                 witnesses.append(amp.to_jsonable())
-        except (OrbitscopeError, VerificationFailed) as exc:
+        except OrbitscopeError as exc:
             subs.append(SubCheck(f"diagonal-recurrent-{tag}", FAIL,
                                  note=str(exc)))
-        # instance (b): drifting two-sided shift with non-trivial gaps
-        T = prop32_operator()
-        xb = SeqVector.basis(IndexSet.INTEGERS, 0, mode=run_mode)
         yb = SeqVector.basis(
             IndexSet.INTEGERS, p["drift_target_index"],
             real_value(Fraction(2) ** p["drift_target_scale_log2"], run_mode), run_mode)
-        cwb = []
-        for n in range(1, p["steps"] + 1):
-            target = yb.scale(real_value(Fraction(1) / lam ** n, run_mode))
-            cwb.append(make_coarse_witness(T, xb, p["d"], target,
-                                           p["drift_time"], NormTag.PINF))
         try:
-            amp_b = prop22_amplify(T, xb, yb, p["d"], lam, cwb,
+            cwb = [make_coarse_witness(
+                       T, x, p["d"], yb.scale(real_value(1 / lam ** n, run_mode)),
+                       p["drift_time"], NormTag.PINF)
+                   for n in range(1, p["steps"] + 1)]
+            amp_b = prop22_amplify(T, x, yb, p["d"], lam, cwb,
                                    norm_tag=NormTag.PINF)
             bounds_ok = all(
                 to_float(pt.distance) <= float(lam) ** pt.n * float(p["d"])
@@ -833,59 +774,52 @@ def cert_prop22(seed: int = 0, mode: Mode = Mode.EXACT, **overrides) -> Certific
                                        for pt in amp_b.points]}))
             if run_mode is Mode.EXACT:
                 witnesses.append(amp_b.to_jsonable())
-        except (OrbitscopeError, VerificationFailed) as exc:
+        except OrbitscopeError as exc:
             subs.append(SubCheck(f"drift-amplification-{tag}", FAIL,
                                  note=str(exc)))
     summary = {"lambda": str(lam), "steps": p["steps"]}
-    T_report = prop32_operator()
-    report = CertificateReport(
-        name="prop22",
-        statement=("coarse hits of geometrically scaled targets amplify into "
-                   "points approaching the target at rate lam^n"),
-        operator=T_report.to_jsonable(), parameters=jsonable(p),
-        sub_checks=subs, witnesses=witnesses, residual_summary=summary,
-        seed=seed, numeric_mode="both")
-    report.runtime_s = time.perf_counter() - start
-    return report
+    return _finish(start, "prop22", T, p, subs, witnesses, summary, seed, "both")
 
 
 # -- suite plumbing ------------------------------------------------------------------
 
 
-def _fits(value, default) -> bool:
-    """Whether a config value can stand where the default does: a number
-    or a rational string for a number, a list of fitting items for a tuple."""
-    if isinstance(default, (int, float, Fraction)):
-        if isinstance(value, str):
-            try:
-                Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                return False
-            return True
-        return isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and \
-            all(_fits(v, default[0]) for v in value)
-    return True
-
-
-def _merge_overrides(params: dict, overrides: dict) -> None:
-    for key, value in overrides.items():
-        if key not in params:
+def _params(base: dict, given: dict) -> dict:
+    """A suite's defaults with each given value checked against its kind."""
+    p = dict(base)
+    for key, value in given.items():
+        if key not in base:
             raise ConfigError(f"unknown parameter {key!r}")
-        if not _fits(value, params[key]):
-            raise ConfigError(f"parameter {key!r} cannot take {value!r}")
-        params[key] = value
+        p[key] = defaults.parse(key, value)
+    return p
 
 
-def _finish(start, name, T, p, subs, witnesses, summary, seed, mode,
-            statement) -> CertificateReport:
-    report = CertificateReport(
-        name=name, statement=statement, operator=T.to_jsonable(),
+_STATEMENTS = {
+    "prop32": "two-sided shift with weights 2 (n>=1) / 1 (n<=0): sup-norm-flat "
+              "orbit, J-certificates everywhere at bound 2, and no certificate "
+              "family at tolerance 1/4",
+    "prop36-contraction": "contracting shift: witnessed targets fill the open "
+                          "d-ball and stay inside its closure",
+    "prop36-expansion": "expanding invertible shift: mix certificates from 0, "
+                        "no certificates from non-zero bases",
+    "riesz-blocks": "block direct sum splits into contracting and expanding "
+                    "bands; witnesses decompose by band",
+    "prop15": "witnesses for scaled pairs at a fixed coarse bound re-index into "
+              "a certificate at any smaller tolerance",
+    "prop21": "coarse witnesses rescale to every bound, and distinct orbit "
+              "returns near a witnessed target keep growing",
+    "prop22": "coarse hits of geometrically scaled targets amplify into points "
+              "approaching the target at rate lam^n",
+}
+
+
+def _finish(start, name, T, p, subs, witnesses, summary, seed,
+            numeric_mode: str) -> CertificateReport:
+    return CertificateReport(
+        name=name, statement=_STATEMENTS[name], operator=T.to_jsonable(),
         parameters=jsonable(p), sub_checks=subs, witnesses=witnesses,
-        residual_summary=summary, seed=seed, numeric_mode=mode.value)
-    report.runtime_s = time.perf_counter() - start
-    return report
+        residual_summary=summary, seed=seed, numeric_mode=numeric_mode,
+        runtime_s=time.perf_counter() - start)
 
 
 CERTIFICATES = {
@@ -901,17 +835,15 @@ CERTIFICATES = {
 
 def run_all(names=None, seed: int = 0, mode: Mode = Mode.EXACT,
             overrides: dict | None = None) -> list[CertificateReport]:
-    """Run selected certificates (all by default) with shared seed and mode."""
+    """Run selected certificates (all by default) with shared seed and mode;
+    overrides maps certificate names to parameter values."""
     selected = list(CERTIFICATES) if names is None else list(names)
-    for name in selected:
+    overrides = overrides or {}
+    for name in [*selected, *overrides]:
         if name not in CERTIFICATES:
             raise ConfigError(f"unknown certificate {name!r}")
-    overrides = overrides or {}
-    reports = []
-    for name in selected:
-        kwargs = dict(overrides.get(name, {}))
-        reports.append(CERTIFICATES[name](seed=seed, mode=mode, **kwargs))
-    return reports
+    return [CERTIFICATES[name](seed=seed, mode=mode, **overrides.get(name, {}))
+            for name in selected]
 
 
 def aggregate_exit_status(reports) -> int:

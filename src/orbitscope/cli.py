@@ -17,12 +17,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .certificates import (
-    CERTIFICATES,
-    aggregate_exit_status,
-    run_all,
-    write_bundle,
-)
+from .certificates import aggregate_exit_status, run_all, write_bundle
+from .defaults import is_integer, is_number
 from .errors import (
     ConfigError,
     OrbitscopeError,
@@ -34,16 +30,13 @@ from .limit_sets import EpsSchedule, d_witness, jmix_witness, search_j_witness, 
 from .numeric import Mode
 from .operators import ShiftOperator, shift_from_jsonable
 from .orbits import coarse_orbit_contains, orbit
-from .spaces import IndexSet, NormTag, SeqVector, norm
+from .spaces import IndexSet, NormTag, SeqVector
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NOT_FOUND = 3
 EXIT_INDECISIVE = 4
 EXIT_FAILED = 5
-
-_CONFIG_KEYS = {"numeric_mode", "seed", "operator", "norm", "horizon",
-                "budget", "schedule_length", "out_dir", "certificates"}
 
 _DEFAULT_CONFIG = {
     "numeric_mode": "exact",
@@ -67,14 +60,14 @@ def load_config(path: str | None) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(raw) - set(_DEFAULT_CONFIG)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         config.update(raw)
     if config["numeric_mode"] not in ("exact", "float"):
         raise ConfigError("numeric_mode must be 'exact' or 'float'")
     for key in ("seed", "horizon", "budget", "schedule_length"):
-        if not isinstance(config[key], int):
+        if not is_integer(config[key]):
             raise ConfigError(f"{key} must be an integer")
     if not isinstance(config["out_dir"], str):
         raise ConfigError("out_dir must be a string")
@@ -205,17 +198,9 @@ def cmd_certify(args) -> int:
     config = load_config(args.config)
     _apply_flag_overrides(config, args)
     mode = _mode_of(config)
-    names = None
-    if args.names and args.names != ["all"]:
-        names = args.names
-        for name in names:
-            if name not in CERTIFICATES:
-                raise ConfigError(f"unknown certificate {name!r}")
-    overrides = config.get("certificates", {})
-    for name in overrides:
-        if name not in CERTIFICATES:
-            raise ConfigError(f"unknown certificate in config: {name!r}")
-    reports = run_all(names, seed=config["seed"], mode=mode, overrides=overrides)
+    names = None if args.names == ["all"] else args.names
+    reports = run_all(names, seed=config["seed"], mode=mode,
+                      overrides=config["certificates"])
     out_dir = args.out or config["out_dir"]
     write_bundle(reports, out_dir)
     for r in reports:
@@ -237,9 +222,15 @@ def cmd_explore(args) -> int:
             raise ConfigError(f"malformed family spec: {exc}") from exc
     else:
         family = {"kind": "piecewise_two_sided"}
+    if not isinstance(family, dict):
+        raise ConfigError("family spec must be a JSON object")
     unknown = set(family) - _EXPLORE_KEYS
     if unknown:
         raise ConfigError(f"unknown family keys: {sorted(unknown)}")
+    for key in ("positive_range", "nonpositive_range"):
+        if key in family and not (isinstance(family[key], list) and len(family[key]) == 2
+                                  and all(map(is_number, family[key]))):
+            raise ConfigError(f"{key} must be a pair of numbers")
     if family.get("kind") != "piecewise_two_sided":
         raise ConfigError(
             f"family kind {family.get('kind')!r} is out of scope; "

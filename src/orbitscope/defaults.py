@@ -1,10 +1,14 @@
-"""Versioned default ladders and sample sizes for the certificate suite.
+"""Versioned default ladders and sample sizes for the certificate suite,
+and the one kind each parameter name takes in every suite.
 
 Reports embed DEFAULTS_VERSION so runs stay comparable; change the
 version whenever a ladder changes.
 """
 
+import math
 from fractions import Fraction
+
+from .errors import ConfigError
 
 DEFAULTS_VERSION = "1"
 
@@ -85,3 +89,55 @@ PROP22 = {
     "drift_time": 20,
     "diagonal_target_log2": -12,
 }
+
+
+def is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return is_integer(value) or isinstance(value, Fraction) \
+        or isinstance(value, float) and math.isfinite(value)
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2 \
+        and all(map(is_integer, value))
+
+
+def _is_list_of(item):
+    return lambda value: isinstance(value, (list, tuple)) and len(value) > 0 \
+        and all(map(item, value))
+
+
+# kind -> (test of a value, names of the parameters of that kind)
+KINDS = {
+    "an integer": (is_integer, """sample_count support_bound orbit_check_horizon
+        forced_sample_count forced_budget schedule_length target_count outside_count
+        outside_budget gelfand_n mix_length mix_budget stagnation_window search_budget
+        orbit_horizon steps drift_target_scale_log2 drift_target_index drift_time
+        diagonal_target_log2""".split()),
+    "a rational": (is_number, """norm_bound d forced_tolerance weight inside_margin
+        outside_margin gelfand_rel_tol collapse_threshold contract_weight expand_weight
+        band_a_scale ratio_factor target_eps noise_scale lambda""".split()),
+    "a non-empty list of integers": (_is_list_of(is_integer), """budget_ladder
+        lambda_ladder_exponents scale_exponents visit_times count_ladder""".split()),
+    "a pair of integers": (_is_pair, ["gelfand_window", "band_b_window"]),
+    "a non-empty list of integer pairs": (_is_list_of(_is_pair), ["m_ladder_num_den"]),
+}
+_KIND_OF = {name: kind for kind, (_, names) in KINDS.items() for name in names}
+
+
+def parse(name: str, value):
+    """A parameter value checked against its name's kind.  A rational
+    string such as "1/2" becomes a Fraction; every other value is kept
+    as given."""
+    kind = _KIND_OF[name]
+    if kind == "a rational" and isinstance(value, str):
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    if not KINDS[kind][0](value):
+        raise ConfigError(f"parameter {name!r} must be {kind}, not {value!r}")
+    return value

@@ -242,18 +242,22 @@ def _correction_rows(T: ShiftOperator, k: int, coords, y: SeqVector,
     return rows
 
 
+_K_CAP = 10_000  # largest time tried, and largest mix-block start
+_SYNTH_STAGNATION, _MIX_STAGNATION = 1_000, 200  # times without progress
+_COLLAPSE_TARGET = 1e-7  # the collapse diagnostic traces down to this norm
+
+
 def synthesize_shift_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector,
-                               d, schedule: EpsSchedule, k_min: int = 1, *,
-                               norm_tag: NormTag = NormTag.PINF,
-                               k_cap: int = 10_000,
-                               stagnation_window: int = 1_000) -> JWitness:
+                               d, schedule: EpsSchedule, *,
+                               norm_tag: NormTag = NormTag.PINF) -> JWitness:
     """Constructive witness for a backward shift.
 
     At each time k the perturbation is supported at indices j + k so the
     image equals the target exactly on the target's support; the carried
     image of the base outside the corrected coordinates is the residual.
     Succeeds when the weight products grow enough to shrink the needed
-    perturbation below each schedule radius.
+    perturbation below each schedule radius, at times k from 1 to 10000;
+    it gives up after 1000 times without progress.
     """
     if not T.is_backward_shift:
         raise OrbitscopeError("synthesis applies to backward shifts")
@@ -264,7 +268,7 @@ def synthesize_shift_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector,
     if to_float(d_val) <= 0:
         raise OrbitscopeError("d must be positive")
     triples = []
-    k_prev = k_min - 1
+    k_prev = 0
     best_delta = math.inf
     best_residual = math.inf
     supp_y = y.support
@@ -274,11 +278,11 @@ def synthesize_shift_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector,
         eps_log2 = math.log2(to_float(eps))
         best_gap = math.inf
         last_improve = k_prev
-        for k in range(k_prev + 1, k_cap + 1):
-            if k - last_improve > stagnation_window:
+        for k in range(k_prev + 1, _K_CAP + 1):
+            if k - last_improve > _SYNTH_STAGNATION:
                 raise SynthesisFailed(
-                    f"no progress over {stagnation_window} consecutive times",
-                    k_cap=k_cap, best_delta_norm=best_delta,
+                    f"no progress over {_SYNTH_STAGNATION} consecutive times",
+                    k_cap=_K_CAP, best_delta_norm=best_delta,
                     best_residual=best_residual, triple_index=i)
             image0 = apply_power(T, k, x)
             # the carried image off the target support is the residual;
@@ -300,7 +304,7 @@ def synthesize_shift_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector,
                     raise SynthesisFailed(
                         f"needed perturbation grows with k (contracting weights); "
                         f"proven at k={k}",
-                        k_cap=k_cap, best_delta_norm=best_delta,
+                        k_cap=_K_CAP, best_delta_norm=best_delta,
                         best_residual=best_residual, triple_index=i)
                 gap = max(0.0, res_f - to_float(d_val)) + 2.0 ** worst
                 if gap < best_gap - 1e-12:
@@ -326,8 +330,8 @@ def synthesize_shift_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector,
             last_improve = k  # exact radius check failed after the screen
         if found is None:
             raise SynthesisFailed(
-                f"no time k <= {k_cap} meets radius {eps} at bound {d_val}",
-                k_cap=k_cap, best_delta_norm=best_delta,
+                f"no time k <= {_K_CAP} meets radius {eps} at bound {d_val}",
+                k_cap=_K_CAP, best_delta_norm=best_delta,
                 best_residual=best_residual, triple_index=i)
         triples.append(found)
         k_prev = found.time
@@ -521,9 +525,9 @@ def _structural_stop(T: ShiftOperator, x_norm: float, y_norm: float, d_f: float,
 def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
                      schedule: EpsSchedule, budget: int, *,
                      norm_tag: NormTag = NormTag.PINF, k_min: int = 1,
-                     k_cap: int = 10_000, stagnation_window: int = 400,
-                     collapse_target: float = 1e-7) -> JWitness:
-    """Per-time back-solve search with structural pruning.
+                     stagnation_window: int = 400) -> JWitness:
+    """Per-time back-solve search with structural pruning, at times from
+    k_min to 10000.
 
     Raises SearchFailed with labelled diagnostics; failure always means
     "not found within this budget and strategy", never non-membership.
@@ -548,8 +552,8 @@ def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
     def deepen_collapse(k: int):
         # keep tracing the back-solved point so the emptiness mechanism
         # (x_n collapsing to 0 while x != 0) is visible in the report
-        while k <= k_cap and (log.collapse_min is None
-                              or log.collapse_min > collapse_target):
+        while k <= _K_CAP and (log.collapse_min is None
+                              or log.collapse_min > _COLLAPSE_TARGET):
             if log.attempt(T, x, y, d_val, Fraction(1, 1), k, norm_tag, mode) is None:
                 break
             k += 1
@@ -562,7 +566,7 @@ def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
         best_gap = math.inf
         last_improve = k_prev
         k = k_prev + 1
-        while k <= k_cap:
+        while k <= _K_CAP:
             stop = _structural_stop(T, x_norm, y_norm, d_f, eps_f, k)
             if stop == "collapse-bound":
                 deepen_collapse(k)
@@ -595,9 +599,10 @@ def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
 
 def jmix_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d, m: int,
                  N_start: int, budget: int, *, norm_tag: NormTag = NormTag.PINF,
-                 schedule: EpsSchedule | None = None, N_cap: int = 10_000,
-                 stagnation_window: int = 200) -> JWitness:
-    """Witness with consecutive times N..N+m-1 (the mixing variant)."""
+                 schedule: EpsSchedule | None = None) -> JWitness:
+    """Witness with consecutive times N..N+m-1 (the mixing variant), for
+    starts N from N_start to 10000; it gives up after 200 starts without
+    progress."""
     if m < 1:
         raise OrbitscopeError("m must be >= 1")
     if N_start < 1:
@@ -619,7 +624,7 @@ def jmix_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d, m: int,
     last_partial = -1
     last_improve = N_start - 1
     N = N_start
-    while N <= N_cap:
+    while N <= _K_CAP:
         stop = _structural_stop(T, x_norm, y_norm, d_f, eps_min_f, N)
         if stop is not None:
             raise log.failure(f"mix block at N={N}: {stop}", stop, 0,
@@ -645,7 +650,7 @@ def jmix_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d, m: int,
         if progress > last_partial:
             last_partial = progress
             last_improve = N
-        if N - last_improve > stagnation_window:
+        if N - last_improve > _MIX_STAGNATION:
             raise log.failure("mix search stagnated", "stagnation", progress,
                               best_res, best_delta)
         N += 1

@@ -746,22 +746,26 @@ class RieszSplit:
     estimates: tuple[tuple[str, float], ...]
 
 
-def _block_window(band: Band, half_width: int = 256) -> tuple[int, int]:
+_HALF_WIDTH = 256  # estimation window on an unbounded side of a band
+_RIESZ_MARGIN, _RIESZ_STEPS = 0.05, 64
+
+
+def _block_window(band: Band) -> tuple[int, int]:
     if band.lo is not None and band.hi is not None:
         return band.lo, band.hi
     if band.lo is not None:
-        return band.lo, band.lo + half_width
+        return band.lo, band.lo + _HALF_WIDTH
     if band.hi is not None:
-        return band.hi - half_width, band.hi
-    return -half_width, half_width
+        return band.hi - _HALF_WIDTH, band.hi
+    return -_HALF_WIDTH, _HALF_WIDTH
 
 
-def riesz_blocks(T: ShiftOperator, *, margin: float = 0.05,
-                 n_max: int = 64) -> RieszSplit:
-    """Partition a block direct sum by per-block spectral radius (<1 vs >1).
+def riesz_blocks(T: ShiftOperator) -> RieszSplit:
+    """Partition a block direct sum by per-block spectral radius (<1 vs >1),
+    each estimated over 64 steps.
 
-    Raises IndecisiveSpectrum when any block's estimate lands within
-    ``margin`` of 1: the split hypothesis cannot be certified numerically.
+    Raises IndecisiveSpectrum when any block's estimate lands within 0.05
+    of 1: the split hypothesis cannot be certified numerically.
     """
     if T.shape is not Shape.BLOCK_DIRECT_SUM:
         raise OrbitscopeError("riesz_blocks applies to block direct sums only")
@@ -770,15 +774,16 @@ def riesz_blocks(T: ShiftOperator, *, margin: float = 0.05,
     estimates = []
     for block in T.blocks:
         sub = ShiftOperator(Shape.BLOCK_DIRECT_SUM, T.index_set, blocks=(block,))
-        est = spectral_radius_estimate(sub, n_max, _block_window(block.band)).estimate
+        est = spectral_radius_estimate(sub, _RIESZ_STEPS,
+                                       _block_window(block.band)).estimate
         estimates.append((f"band[{block.band.lo},{block.band.hi}]", est))
-        if est < 1.0 - margin:
+        if est < 1.0 - _RIESZ_MARGIN:
             contracting.append(block)
-        elif est > 1.0 + margin:
+        elif est > 1.0 + _RIESZ_MARGIN:
             expanding.append(block)
         else:
             raise IndecisiveSpectrum(
-                f"block radius estimate {est:.4f} within {margin} of 1")
+                f"block radius estimate {est:.4f} within {_RIESZ_MARGIN} of 1")
     t1 = ShiftOperator(Shape.BLOCK_DIRECT_SUM, T.index_set, blocks=tuple(contracting),
                        label=T.label + ":contracting" if T.label else "contracting")
     t2 = ShiftOperator(Shape.BLOCK_DIRECT_SUM, T.index_set, blocks=tuple(expanding),

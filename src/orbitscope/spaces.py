@@ -341,7 +341,10 @@ def _contains_p2_closed_form(C: OpenCone, x: SeqVector) -> bool:
     return strict_gt(ip * ip, x2 * (c2 - r * r), mode)
 
 
-def _contains_by_minimization(C: OpenCone, x: SeqVector, levels: int = 48) -> bool:
+_MINIMIZATION_LEVELS = 48  # refinement rounds of the float scale search
+
+
+def _contains_by_minimization(C: OpenCone, x: SeqVector) -> bool:
     # minimize g(lam) = ||x - lam c|| - lam r over lam > 0; member iff min < 0.
     # Float evaluations guide the search; the verdict is an exact strict
     # check of ||x - lam c|| < lam r at the best dyadic candidates.
@@ -358,7 +361,7 @@ def _contains_by_minimization(C: OpenCone, x: SeqVector, levels: int = 48) -> bo
     def g(lam: float) -> float:
         return to_float(norm(x - c.scale(lam), p)) - lam * r_f
 
-    for _ in range(levels):
+    for _ in range(_MINIMIZATION_LEVELS):
         step = (hi - lo) / 8.0
         if step <= 0:
             break
@@ -397,15 +400,16 @@ def cone_contains(C: OpenCone, x: SeqVector, method: str = "auto") -> bool:
     return _contains_by_minimization(C, x)
 
 
-def cone_sample(C: OpenCone, count: int, seed: int, *,
-                scale_range=(0.125, 8.0), support_pad: int = 2,
-                interior_margin: float = 0.9) -> list[SeqVector]:
+_SAMPLE_SCALES, _SAMPLE_PAD, _SAMPLE_INTERIOR = (0.125, 8.0), 2, 0.9
+
+
+def cone_sample(C: OpenCone, count: int, seed: int) -> list[SeqVector]:
     """Deterministic sample of cone members: lam * (c + u), ||u|| < r.
 
-    lam is log-uniform over scale_range and u is a seeded direction in
-    the open radius-r ball, restricted to the center's support window
-    padded by support_pad, then shrunk by interior_margin so every
-    sample passes the exact membership test with room to spare.
+    lam is log-uniform over [1/8, 8] and u is a seeded direction in the
+    open radius-r ball, restricted to the center's support window padded
+    by 2, then shrunk by 0.9 so every sample passes the exact membership
+    test with room to spare.
     """
     if count < 0:
         raise OrbitscopeError("count must be >= 0")
@@ -413,15 +417,15 @@ def cone_sample(C: OpenCone, count: int, seed: int, *,
     c = C.center
     mode = C.mode
     p = C.norm
-    lo = c.support_min - support_pad
-    hi = c.support_max + support_pad
+    lo = c.support_min - _SAMPLE_PAD
+    hi = c.support_max + _SAMPLE_PAD
     if c.index_set is IndexSet.NATURALS:
         lo = max(lo, 0)
     window = list(range(lo, hi + 1))
     r_f = to_float(C.radius_value())
     out = []
     for _ in range(count):
-        lam = math.exp(rng.uniform(math.log(scale_range[0]), math.log(scale_range[1])))
+        lam = math.exp(rng.uniform(*map(math.log, _SAMPLE_SCALES)))
         g = [rng.gauss(0.0, 1.0) for _ in window]
         if p is NormTag.P2:
             gn = math.sqrt(sum(t * t for t in g))
@@ -429,7 +433,7 @@ def cone_sample(C: OpenCone, count: int, seed: int, *,
             gn = sum(abs(t) for t in g)
         else:
             gn = max(abs(t) for t in g)
-        radius = r_f * interior_margin * rng.random() ** (1.0 / len(window))
+        radius = r_f * _SAMPLE_INTERIOR * rng.random() ** (1.0 / len(window))
         if gn == 0.0:
             g = [1.0] + [0.0] * (len(window) - 1)
             gn = 1.0

@@ -1,11 +1,14 @@
 import hashlib
+import inspect
 import json
 from fractions import Fraction
 
 import pytest
 
+from orbitscope import defaults
 from orbitscope.certificates import (
     CERTIFICATES,
+    _params,
     aggregate_exit_status,
     bundle_digest,
     cert_prop15,
@@ -132,6 +135,52 @@ class TestProp22:
         names = [s.name for s in r.sub_checks]
         assert "diagonal-recurrent-exact" in names
         assert "drift-amplification-float" in names
+
+    def test_witness_construction_failure_is_a_failed_sub_check(self):
+        # at d = 1/2 the drifting instance's claimed coarse hits miss the
+        # bound; each amplification sub-check reports it instead of raising
+        r = cert_prop22(seed=0, d="1/2")
+        assert r.verdict == "FAIL"
+        failed = [s for s in r.sub_checks if s.status == "FAIL"]
+        assert {s.name for s in failed} >= {"drift-amplification-exact",
+                                            "drift-amplification-float"}
+        assert all("does not satisfy the bound" in s.note for s in failed)
+
+
+class TestParameters:
+    SUITES = [defaults.PROP32, defaults.PROP36_CONTRACTION,
+              defaults.PROP36_EXPANSION, defaults.RIESZ, defaults.PROP15,
+              defaults.PROP21, defaults.PROP22]
+
+    def test_every_parameter_has_one_kind(self):
+        names = [n for _, kind_names in defaults.KINDS.values() for n in kind_names]
+        assert len(names) == len(set(names))
+        assert set(names) == {n for suite in self.SUITES for n in suite}
+
+    def test_defaults_fit_their_kinds(self):
+        for suite in self.SUITES:
+            assert _params(suite, suite) == suite
+
+    def test_one_signature(self):
+        for fn in CERTIFICATES.values():
+            params = list(inspect.signature(fn).parameters.values())
+            assert [(q.name, q.default) for q in params[:2]] == \
+                [("seed", 0), ("mode", Mode.EXACT)]
+            assert [(q.name, q.kind) for q in params[2:]] == \
+                [("params", inspect.Parameter.VAR_KEYWORD)]
+
+    def test_rational_string_parsed_once(self):
+        p = _params(defaults.PROP21, {"d": "1/2", "noise_scale": 0.25})
+        assert p["d"] == Fraction(1, 2) and isinstance(p["d"], Fraction)
+        assert p["noise_scale"] == 0.25 and isinstance(p["noise_scale"], float)
+
+    @pytest.mark.parametrize("key, value", [
+        ("d", "1/0"), ("d", float("inf")), ("m_ladder_num_den", [[1, 2, 3]]),
+        ("visit_times", []),
+    ])
+    def test_kind_mismatch_rejected(self, key, value):
+        with pytest.raises(ConfigError):
+            _params(defaults.PROP21, {key: value})
 
 
 class TestSuite:

@@ -143,9 +143,21 @@ class TestCertify:
         ({"certificates": {"prop21": {"visit_times": 30}}}, ("certify", "prop21")),
         ({"certificates": {"prop21": {"count_ladder": [100, "y"]}}},
          ("certify", "prop21")),
+        ({"horizon": True}, WITNESS),
+        ({"certificates": {"prop32": {"sample_count": "x"}}}, ("certify", "prop32")),
+        ({"certificates": {"prop32": {"sample_count": 2.5}}}, ("certify", "prop32")),
+        ({"certificates": {"prop32": {"d": True}}}, ("certify", "prop32")),
+        ({"certificates": {"prop36-contraction": {"weight": "abc"}}},
+         ("certify", "prop36-contraction")),
+        ({"certificates": {"prop36-contraction": {"gelfand_window": [1]}}},
+         ("certify", "prop36-contraction")),
+        ({"certificates": {"prop15": {"target_eps": [1]}}}, ("certify", "prop15")),
+        ({"certificates": {"prop15": {"mix_length": "3"}}}, ("certify", "prop15")),
     ], ids=["unknown-key", "block-without-band", "horizon-not-int",
             "certificates-not-object", "out-dir-not-string", "parameter-not-number",
-            "parameter-not-list", "parameter-item-not-number"])
+            "parameter-not-list", "parameter-item-not-number", "horizon-bool",
+            "count-string", "count-float", "rational-bool", "rational-bad-string",
+            "pair-too-short", "rational-list", "count-numeric-string"])
     def test_unknown_config_key(self, capsys, tmp_path, config, command):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
@@ -168,6 +180,21 @@ class TestCertify:
         code, _, err = run(capsys, "--config", str(path), *command)
         assert code == 2
         assert "config error:" in err
+
+    @pytest.mark.parametrize("name, params", [
+        ("prop36-contraction", {"d": "1/2"}),
+        ("prop21", {"d": "1/2"}),
+        ("prop36-contraction", {"gelfand_rel_tol": "1/100"}),
+    ], ids=["prop36-contraction-d", "prop21-d", "prop36-contraction-rel-tol"])
+    def test_rational_string_parameter(self, capsys, tmp_path, name, params):
+        cfg = self.write_config(
+            tmp_path, {"certificates": {name: dict(FAST_CERTS[name], **params)}})
+        code, _, err = run(capsys, "--config", str(cfg), "certify", name,
+                           "--out", str(tmp_path / "b"))
+        assert code == 0, err
+        report = json.loads((tmp_path / "b" / f"{name}.json").read_text())
+        for key, value in params.items():
+            assert report["parameters"][key] == value
 
     def test_deterministic_bundles(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -201,6 +228,18 @@ class TestExplore:
             cone_cov = sum(t is not None for t in inst["outcomes"]["cone"]) / 8
             assert inst["cone_coverage"] == cone_cov
             assert inst["q2_score"] == inst["d_rate"] - inst["j_rate"]
+
+    @pytest.mark.parametrize("family", [
+        {"kind": "piecewise_two_sided", "positive_range": "ab"},
+        {"kind": "piecewise_two_sided", "nonpositive_range": [0.5]},
+        {"kind": "piecewise_two_sided", "positive_range": [1, "3"]},
+        5,
+    ], ids=["range-string", "range-short", "range-item-string", "not-object"])
+    def test_malformed_family(self, capsys, family):
+        code, _, err = run(capsys, "explore", "--trials", "1",
+                           "--family", json.dumps(family))
+        assert code == 2
+        assert "config error:" in err
 
     def test_out_of_scope_family_kind(self, capsys):
         code, _, err = run(capsys, "explore", "--trials", "1",
