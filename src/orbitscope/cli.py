@@ -208,7 +208,7 @@ def cmd_certify(args) -> int:
     return aggregate_exit_status(reports)
 
 
-_EXPLORE_KEYS = {"kind", "positive_range", "nonpositive_range", "count"}
+_EXPLORE_KEYS = {"kind", "positive_range", "nonpositive_range"}
 
 
 def cmd_explore(args) -> int:

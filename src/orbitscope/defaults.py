@@ -117,13 +117,17 @@ KINDS = {
         outside_budget gelfand_n mix_length mix_budget stagnation_window search_budget
         orbit_horizon steps drift_target_scale_log2 drift_target_index drift_time
         diagonal_target_log2""".split()),
-    "a rational": (is_number, """norm_bound d forced_tolerance weight inside_margin
-        outside_margin gelfand_rel_tol collapse_threshold contract_weight expand_weight
-        band_a_scale ratio_factor target_eps noise_scale lambda""".split()),
+    "a rational": (is_number, """norm_bound weight gelfand_rel_tol collapse_threshold
+        contract_weight expand_weight band_a_scale ratio_factor noise_scale
+        lambda""".split()),
+    "a positive rational": (lambda v: is_number(v) and v > 0, """d forced_tolerance
+        target_eps inside_margin outside_margin""".split()),
     "a non-empty list of integers": (_is_list_of(is_integer), """budget_ladder
         lambda_ladder_exponents scale_exponents visit_times count_ladder""".split()),
-    "a pair of integers": (_is_pair, ["gelfand_window", "band_b_window"]),
-    "a non-empty list of integer pairs": (_is_list_of(_is_pair), ["m_ladder_num_den"]),
+    "a pair of integers lo <= hi": (lambda v: _is_pair(v) and v[0] <= v[1],
+                                    ["gelfand_window", "band_b_window"]),
+    "a non-empty list of integer pairs with non-zero second entries": (
+        _is_list_of(lambda v: _is_pair(v) and v[1] != 0), ["m_ladder_num_den"]),
 }
 _KIND_OF = {name: kind for kind, (_, names) in KINDS.items() for name in names}
 
@@ -133,7 +137,7 @@ def parse(name: str, value):
     string such as "1/2" becomes a Fraction; every other value is kept
     as given."""
     kind = _KIND_OF[name]
-    if kind == "a rational" and isinstance(value, str):
+    if kind in ("a rational", "a positive rational") and isinstance(value, str):
         try:
             value = Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -234,7 +234,7 @@ def _correction_rows(T: ShiftOperator, k: int, coords, y: SeqVector,
         if is_zero_scalar(mismatch):
             continue
         s = path_source(T, j, k)
-        wp = weight_product(T, j, k) if s is not None else None
+        wp = weight_product(T, j, k, image0.mode) if s is not None else None
         if wp is None or wp.is_zero:
             rows.append((j, mismatch, None, None))
         else:
@@ -431,15 +431,20 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
     # skipped when shrinking weight products would make it astronomically
     # large (then it is never the collapse minimum anyway)
     collapse_norm = None
+    full = {}
     if rows and all(r[2] is not None for r in rows) \
             and all(r[3].log2_magnitude > -64 for r in rows):
-        full = {}
         for _, mismatch, s, wp in rows:
             full[s] = _div_by_product(mismatch, wp, mode)
         z = x + SeqVector(x.index_set, full, mode)
         collapse_norm = to_float(norm(z, norm_tag))
     elif not rows:
         collapse_norm = to_float(norm(x, norm_tag))
+
+    def quotient(mismatch, s, wp):
+        # the back-solve above already divided every row, when it ran
+        return full[s] if full else _div_by_product(mismatch, wp, mode)
+
     delta_entries = {}
     uncorrected = []
     if norm_tag is NormTag.PINF:
@@ -452,12 +457,12 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
                 continue
             cost = m_f / (2.0 ** wp.log2_magnitude)
             if cost < eps_f * _THETA:
-                delta_entries[s] = _div_by_product(mismatch, wp, mode)
+                delta_entries[s] = quotient(mismatch, s, wp)
             elif m_f > d_f * _THETA:
                 mu = 1.0 - (d_f * _THETA) / m_f
                 if cost * mu < eps_f * _THETA:
                     scale = make_scalar(Fraction(mu).limit_denominator(1 << 40), mode)
-                    delta_entries[s] = _div_by_product(mismatch, wp, mode) * scale
+                    delta_entries[s] = quotient(mismatch, s, wp) * scale
                     uncorrected.append(d_f * _THETA)
                 else:
                     uncorrected.append(m_f)
@@ -478,7 +483,7 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
         for cost, m_f, _, mismatch, s, wp in fixable:
             add = cost * cost if norm_tag is NormTag.P2 else cost
             if spent + add <= budget_total:
-                delta_entries[s] = _div_by_product(mismatch, wp, mode)
+                delta_entries[s] = quotient(mismatch, s, wp)
                 spent += add
             else:
                 uncorrected.append(m_f)
@@ -494,15 +499,16 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
         return _Attempt(False, None, None, delta_norm, residual_est, collapse_norm)
     if not budget.try_spend(1):
         return None
+    perturbed = x + delta
     try:
-        image = apply_power(T, k, x + delta)
+        image = apply_power(T, k, perturbed)
     except NumericOverflow:
         return _Attempt(False, None, None, delta_norm, math.inf, collapse_norm)
     diff = image - y
-    residual = to_float(norm(diff, norm_tag))
+    dist = norm(diff, norm_tag)
+    residual = to_float(dist)
     if norm_lt(diff, norm_tag, d_val):
-        return _Attempt(True, x + delta, norm(diff, norm_tag), delta_norm,
-                        residual, collapse_norm)
+        return _Attempt(True, perturbed, dist, delta_norm, residual, collapse_norm)
     return _Attempt(False, None, None, delta_norm, residual, collapse_norm)
 
 

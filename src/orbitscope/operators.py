@@ -529,17 +529,25 @@ def _step(kind: str, band: Band, s: int, n: int):
     return s
 
 
-def _path_product(kind: str, weights: WeightRule, s: int, t: int, n: int,
-                  exact: bool) -> WeightProduct:
-    """Product of the weights along the n-step path from s to t (n >= 1);
-    the exact value is computed only when asked for."""
+def _path_span(kind: str, s: int, t: int) -> tuple[int, int]:
+    """Indices lo..hi of the weights along a shift path from s to t."""
+    return (t + 1, s) if kind == "backward" else (s, t - 1)
+
+
+def _path_exact(kind: str, weights: WeightRule, s: int, t: int, n: int) -> QC:
+    """Exact product of the weights along the n-step path from s to t (n >= 1)."""
+    if kind == "diagonal":
+        return weights.product_exact(s, s) ** n
+    return weights.product_exact(*_path_span(kind, s, t))
+
+
+def _path_log2(kind: str, weights: WeightRule, s: int, t: int,
+               n: int) -> tuple[float, complex]:
+    """log2 magnitude and unit phase of the same product."""
     if kind == "diagonal":
         lg, ph = weights.product_log2(s, s)
-        value = weights.product_exact(s, s) ** n if exact else None
-        return WeightProduct(lg * n, unit_power(ph, n), value)
-    lo, hi = (t + 1, s) if kind == "backward" else (s, t - 1)
-    lg, ph = weights.product_log2(lo, hi)
-    return WeightProduct(lg, ph, weights.product_exact(lo, hi) if exact else None)
+        return lg * n, unit_power(ph, n)
+    return weights.product_log2(*_path_span(kind, s, t))
 
 
 def path_source(T: ShiftOperator, j: int, n: int) -> int | None:
@@ -561,11 +569,13 @@ def path_source(T: ShiftOperator, j: int, n: int) -> int | None:
     return s
 
 
-def weight_product(T: ShiftOperator, target_index: int, n: int) -> WeightProduct:
+def weight_product(T: ShiftOperator, target_index: int, n: int,
+                   mode: Mode = Mode.EXACT) -> WeightProduct:
     """Product of the n weights along the path landing at target_index.
 
     Returns the exact zero product when no source reaches the target
-    (e.g. a unilateral path would have to exit N).
+    (e.g. a unilateral path would have to exit N).  A FLOAT64 path
+    product carries its log2 magnitude and phase but no exact value.
     """
     if n < 0:
         raise OrbitscopeError("power must be non-negative")
@@ -575,7 +585,9 @@ def weight_product(T: ShiftOperator, target_index: int, n: int) -> WeightProduct
     if s is None:
         return WeightProduct.zero()
     kind, weights, _ = T.component_for(target_index)
-    return _path_product(kind, weights, s, target_index, n, exact=True)
+    lg, ph = _path_log2(kind, weights, s, target_index, n)
+    exact = _path_exact(kind, weights, s, target_index, n) if mode is Mode.EXACT else None
+    return WeightProduct(lg, ph, exact)
 
 
 def apply(T: ShiftOperator, v: SeqVector) -> SeqVector:
@@ -622,11 +634,14 @@ def apply_power(T: ShiftOperator, n: int, v: SeqVector) -> SeqVector:
         t = _step(kind, band, s, n)
         if t is None:
             continue
-        wp = _path_product(kind, weights, s, t, n, exact)
-        if not exact and wp.log2_magnitude + log2_abs(val) > OVERFLOW_LOG2:
-            raise NumericOverflow(
-                f"T^{n} entry at {t} has magnitude past 2^{OVERFLOW_LOG2:.0f}")
-        coeff = wp.as_scalar(v.mode)
+        if exact:
+            coeff = _path_exact(kind, weights, s, t, n)
+        else:
+            lg, ph = _path_log2(kind, weights, s, t, n)
+            if lg + log2_abs(val) > OVERFLOW_LOG2:
+                raise NumericOverflow(
+                    f"T^{n} entry at {t} has magnitude past 2^{OVERFLOW_LOG2:.0f}")
+            coeff = WeightProduct(lg, ph, None).as_scalar(v.mode)
         out = coeff * val
         if t in entries:
             entries[t] = entries[t] + out

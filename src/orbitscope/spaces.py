@@ -155,18 +155,21 @@ class SeqVector:
         if self._entries and other._entries and self._mode is not other._mode:
             raise ModeMismatch("cannot combine exact and float vectors")
 
-    def __add__(self, other: "SeqVector") -> "SeqVector":
+    def _combine(self, other: "SeqVector", subtract: bool) -> "SeqVector":
         self._check(other)
         entries = dict(self._entries)
         for i, v in other._entries.items():
             if i in entries:
-                entries[i] = entries[i] + v
+                entries[i] = entries[i] - v if subtract else entries[i] + v
             else:
-                entries[i] = v
+                entries[i] = -v if subtract else v
         return SeqVector(self.index_set, entries, self._mode)
 
+    def __add__(self, other: "SeqVector") -> "SeqVector":
+        return self._combine(other, subtract=False)
+
     def __sub__(self, other: "SeqVector") -> "SeqVector":
-        return self + (-other)
+        return self._combine(other, subtract=True)
 
     def __neg__(self) -> "SeqVector":
         return SeqVector(self.index_set, {i: -v for i, v in self._entries.items()}, self._mode)
@@ -208,6 +211,22 @@ class SeqVector:
 # -- norms ------------------------------------------------------------------
 
 
+def _real_norm(v: SeqVector, p: NormTag) -> Fraction | None:
+    """max |v_i| (PINF) or sum |v_i| (P1) of an exact vector whose entries
+    are all real, read off the real parts with no squares or square roots;
+    None under P2 or when an entry has a non-zero imaginary part."""
+    if p is NormTag.P2:
+        return None
+    parts = []
+    for val in v._entries.values():
+        if val.im:
+            return None
+        parts.append(abs(val.re))
+    if not parts:
+        return Fraction(0)
+    return max(parts) if p is NormTag.PINF else sum(parts, Fraction(0))
+
+
 def norm(v: SeqVector, p: NormTag):
     """p-norm of the finite support.
 
@@ -217,6 +236,9 @@ def norm(v: SeqVector, p: NormTag):
     norm_gt, which are exact in exact mode regardless.
     """
     if v.mode is Mode.EXACT:
+        r = _real_norm(v, p)
+        if r is not None:
+            return r
         terms = [abs2(val) for _, val in v.items()]
         if not terms:
             return Fraction(0)
@@ -247,6 +269,9 @@ def _norm_cmp_exact(v: SeqVector, p: NormTag, bound: Fraction) -> int:
     """Exact three-way comparison of ||v||_p against a rational bound >= 0."""
     if bound < 0:
         return 1 if not v.is_zero else (0 if bound == 0 else 1)
+    r = _real_norm(v, p)
+    if r is not None:
+        return -1 if r < bound else (0 if r == bound else 1)
     terms = [abs2(val) for _, val in v.items()]
     if not terms:
         return -1 if bound > 0 else 0

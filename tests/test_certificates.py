@@ -182,6 +182,26 @@ class TestParameters:
         with pytest.raises(ConfigError):
             _params(defaults.PROP21, {key: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("d", 0), ("d", -1), ("d", "-1/2"), ("d", 0.0), ("forced_tolerance", 0),
+        ("target_eps", "0"), ("inside_margin", -1), ("outside_margin", 0),
+        ("band_b_window", [-40, -80]), ("gelfand_window", (5, 4)),
+        ("m_ladder_num_den", [[1, 0]]), ("m_ladder_num_den", [[1, 10], [3, 0]]),
+    ])
+    def test_value_out_of_range_rejected(self, name, value):
+        # checked before a suite runs: d <= 0 made prop36-contraction loop
+        # forever, a reversed window or a zero denominator raised mid-run
+        with pytest.raises(ConfigError):
+            defaults.parse(name, value)
+
+    @pytest.mark.parametrize("name, value, parsed", [
+        ("d", "1/2", Fraction(1, 2)), ("d", 1e-9, 1e-9),
+        ("band_b_window", [-40, -40], [-40, -40]),
+        ("m_ladder_num_den", [[0, 1], [-1, -3]], [[0, 1], [-1, -3]]),
+    ])
+    def test_edge_values_accepted(self, name, value, parsed):
+        assert defaults.parse(name, value) == parsed
+
 
 class TestSuite:
     def test_registry_names(self):

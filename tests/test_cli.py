@@ -153,11 +153,24 @@ class TestCertify:
          ("certify", "prop36-contraction")),
         ({"certificates": {"prop15": {"target_eps": [1]}}}, ("certify", "prop15")),
         ({"certificates": {"prop15": {"mix_length": "3"}}}, ("certify", "prop15")),
+        ({"certificates": {"prop36-contraction": {"d": 0, "target_count": 2,
+                                                  "outside_count": 1}}},
+         ("certify", "prop36-contraction")),
+        ({"certificates": {"prop36-contraction": {"d": -1, "target_count": 2,
+                                                  "outside_count": 1}}},
+         ("certify", "prop36-contraction")),
+        ({"certificates": {"prop15": {"target_eps": "-1/2"}}}, ("certify", "prop15")),
+        ({"certificates": {"riesz-blocks": {"band_b_window": [-40, -80]}}},
+         ("certify", "riesz-blocks")),
+        ({"certificates": {"prop21": {"m_ladder_num_den": [[1, 0]]}}},
+         ("certify", "prop21")),
     ], ids=["unknown-key", "block-without-band", "horizon-not-int",
             "certificates-not-object", "out-dir-not-string", "parameter-not-number",
             "parameter-not-list", "parameter-item-not-number", "horizon-bool",
             "count-string", "count-float", "rational-bool", "rational-bad-string",
-            "pair-too-short", "rational-list", "count-numeric-string"])
+            "pair-too-short", "rational-list", "count-numeric-string", "d-zero",
+            "d-negative", "positive-rational-negative-string", "window-reversed",
+            "ratio-zero-denominator"])
     def test_unknown_config_key(self, capsys, tmp_path, config, command):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
@@ -234,7 +247,9 @@ class TestExplore:
         {"kind": "piecewise_two_sided", "nonpositive_range": [0.5]},
         {"kind": "piecewise_two_sided", "positive_range": [1, "3"]},
         5,
-    ], ids=["range-string", "range-short", "range-item-string", "not-object"])
+        {"kind": "piecewise_two_sided", "count": 5},
+    ], ids=["range-string", "range-short", "range-item-string", "not-object",
+            "unread-count"])
     def test_malformed_family(self, capsys, family):
         code, _, err = run(capsys, "explore", "--trials", "1",
                            "--family", json.dumps(family))

@@ -309,6 +309,27 @@ class TestStoredWeights:
         assert T1.to_jsonable() == T2.to_jsonable()
         assert shift_from_jsonable(T1.to_jsonable()) == T1
 
+    def test_float_weight_product_matches_exact_log2_and_phase(self, name):
+        rule = RULES[name]()
+        operators = [
+            ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, rule),
+            ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS, rule),
+            ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS,
+                          blocks=(Block(Band(0, None), "backward", rule),
+                                  Block(Band(None, -1), "forward", rule))),
+        ]
+        for T in operators:
+            for j in range(-6, 7):
+                for n in (0, 1, 2, 5, 13):
+                    exact = weight_product(T, j, n)
+                    fl = weight_product(T, j, n, mode=Mode.FLOAT64)
+                    assert fl.log2_magnitude.hex() == exact.log2_magnitude.hex()
+                    assert bits(fl.phase) == bits(exact.phase)
+                    assert fl.is_zero == exact.is_zero
+                    if n and not exact.is_zero:
+                        assert exact.exact_value is not None
+                        assert fl.exact_value is None
+
     def test_components_built_once(self, name):
         T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS,
                           blocks=(Block(Band(0, None), "backward", RULES[name]()),

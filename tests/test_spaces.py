@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,8 +16,8 @@ from orbitscope import (
     norm_gt,
     norm_lt,
 )
-from orbitscope.errors import IndexSetMismatch, OrbitscopeError
-from orbitscope.numeric import Mode, to_float
+from orbitscope.errors import IndexSetMismatch, ModeMismatch, OrbitscopeError
+from orbitscope.numeric import Mode, abs2, exact_sqrt, sum_sqrt_cmp, to_float
 
 
 def e(i, c=1, index_set=IndexSet.NATURALS):
@@ -195,3 +196,110 @@ class TestFloatPolicy:
         assert norm_lt(v, NormTag.PINF, 1.0 + 1e-6)
         assert not norm_lt(v, NormTag.PINF, 1.0)
         assert not norm_lt(v, NormTag.PINF, 1.0 + 1e-10)
+
+
+# -- the real p1/pinf path against the squares path ------------------------------
+
+SMALL = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+
+
+def reference_norm(v, p):
+    """The squares path: |v_i|^2, then exact square roots where rational."""
+    terms = [abs2(val) for _, val in v.items()]
+    if not terms:
+        return Fraction(0)
+    if p is NormTag.P2:
+        s = sum(terms)
+        r = exact_sqrt(s)
+        return r if r is not None else math.sqrt(to_float(s))
+    if p is NormTag.PINF:
+        r = exact_sqrt(max(terms))
+        return r if r is not None else math.sqrt(to_float(max(terms)))
+    parts = [exact_sqrt(t) for t in terms]
+    if all(x is not None for x in parts):
+        return sum(parts, Fraction(0))
+    return sum(math.sqrt(to_float(t)) for t in terms)
+
+
+def reference_cmp(v, p, bound):
+    terms = [abs2(val) for _, val in v.items()]
+    if not terms:
+        return -1 if bound > 0 else 0
+    if p is NormTag.P1:
+        return sum_sqrt_cmp(terms, bound)
+    lhs = sum(terms) if p is NormTag.P2 else max(terms)
+    b2 = bound * bound
+    return -1 if lhs < b2 else (0 if lhs == b2 else 1)
+
+
+@st.composite
+def exact_vectors(draw):
+    """Exact vectors with real, complex or mixed entries, possibly empty."""
+    complex_ok = draw(st.booleans())
+    raw = {}
+    for i in draw(st.sets(st.integers(-4, 4), max_size=5)):
+        im = draw(SMALL) if complex_ok and draw(st.booleans()) else 0
+        raw[i] = (draw(SMALL), im)
+    return SeqVector.from_entries(IndexSet.INTEGERS, raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_vectors(), st.sampled_from(list(NormTag)),
+       st.fractions(min_value=0, max_value=200, max_denominator=50))
+def test_norm_and_comparisons_match_the_squares_path(v, p, bound):
+    ref = reference_norm(v, p)
+    got = norm(v, p)
+    assert type(got) is type(ref) and got == ref
+    bounds = [bound] + ([ref] if isinstance(ref, Fraction) else [])
+    for b in bounds:
+        c = reference_cmp(v, p, b)
+        assert norm_lt(v, p, b) is (c < 0)
+        assert norm_gt(v, p, b) is (c > 0)
+    if isinstance(ref, Fraction):
+        # a bound equal to the norm is neither strictly above nor below it
+        assert not norm_lt(v, p, ref) and not norm_gt(v, p, ref)
+
+
+@pytest.mark.parametrize("p", list(NormTag))
+def test_empty_vector_norm_and_comparisons(p):
+    z = SeqVector.zero(IndexSet.NATURALS)
+    assert norm(z, p) == 0 and isinstance(norm(z, p), Fraction)
+    assert norm_lt(z, p, Fraction(1, 10**9)) and not norm_lt(z, p, 0)
+    assert not norm_gt(z, p, 0) and norm_gt(z, p, -1)
+
+
+# -- subtraction against addition of the negation ----------------------------------
+
+
+def _outcome(fn):
+    """Value, mode and index set of a result, bit for bit, or the error raised."""
+    try:
+        r = fn()
+    except Exception as exc:  # the error itself is what is compared
+        return ("raised", type(exc), str(exc))
+    return ("value", repr(r.key()), r.mode, r.index_set)
+
+
+@st.composite
+def any_vectors(draw):
+    """Exact or float vectors over N or Z, with declared mode, possibly empty."""
+    index_set = draw(st.sampled_from(list(IndexSet)))
+    mode = draw(st.sampled_from(list(Mode)))
+    lo = 0 if index_set is IndexSet.NATURALS else -3
+    raw = {i: (draw(SMALL), draw(st.sampled_from([0, 0, Fraction(1, 3), -2])))
+           for i in draw(st.sets(st.integers(lo, 3), max_size=4))}
+    return SeqVector.from_entries(index_set, raw, mode)
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_vectors(), any_vectors())
+def test_sub_equals_add_of_negation(a, b):
+    assert _outcome(lambda: a - b) == _outcome(lambda: a + (-b))
+
+
+def test_empty_exact_minus_float_is_a_mode_mismatch():
+    a = SeqVector.zero(IndexSet.NATURALS)
+    b = SeqVector.basis(IndexSet.NATURALS, 0, 1.5, mode=Mode.FLOAT64)
+    with pytest.raises(ModeMismatch):
+        a - b
+    assert _outcome(lambda: a - b) == _outcome(lambda: a + (-b))
