@@ -16,7 +16,6 @@ from .errors import (
     NumericOverflow,
     OrbitscopeError,
     SearchFailed,
-    SynthesisFailed,
     VerificationFailed,
 )
 from .numeric import Mode, QC
@@ -78,7 +77,6 @@ from .limit_sets import (
     rescale_j_witness_family,
     scale_j_witness,
     search_j_witness,
-    synthesize_shift_j_witness,
     with_bound,
 )
 

@@ -32,7 +32,6 @@ from .errors import (
     InputNotAWitnessFamily,
     OrbitscopeError,
     SearchFailed,
-    SynthesisFailed,
     VerificationFailed,
 )
 from .limit_sets import (
@@ -44,7 +43,6 @@ from .limit_sets import (
     remark32_contradiction_check,
     rescale_j_witness_family,
     search_j_witness,
-    synthesize_shift_j_witness,
 )
 from .numeric import Mode, jsonable, make_scalar, real_value, to_float
 from .operators import (
@@ -157,6 +155,9 @@ def _witness_digest(w: JWitness) -> dict:
 # -- prop32: the coarsely J-class, not J-class two-sided shift ---------------------
 
 
+_AT_BOUND_BUDGET = 100_000  # power applications for each search at the bound
+
+
 def cert_prop32(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> CertificateReport:
     p = _params(defaults.PROP32, params)
     start = time.perf_counter()
@@ -192,14 +193,13 @@ def cert_prop32(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> Certificate
     for idx in range(p["sample_count"]):
         y = _random_sparse(rng, IndexSet.INTEGERS, -sb, sb, nb, mode)
         try:
-            w = synthesize_shift_j_witness(T, e0, y, p["d"], schedule,
-                                           norm_tag=NormTag.PINF)
+            w = search_j_witness(T, e0, y, p["d"], schedule, _AT_BOUND_BUDGET,
+                                 norm_tag=NormTag.PINF)
             w.verify(T)  # separate re-verification pass
             residuals.extend(to_float(t.dist) for t in w.triples)
             witnesses.append(w.to_jsonable() if idx < 25 else _witness_digest(w))
-        except SynthesisFailed as exc:
-            failures.append({"index": idx, "best_delta": exc.best_delta_norm,
-                             "best_residual": exc.best_residual})
+        except SearchFailed as exc:
+            failures.append({"index": idx, **exc.diagnostics()})
     note = "sampled surrogate for a statement over the whole space"
     if p["sample_count"] == 0:
         subs.append(SubCheck("synthesis-at-bound", PASS,
@@ -336,6 +336,9 @@ _BALL_SPAN = 5  # most entries of a _ball_target vector
 
 def _ball_target(rng: random.Random, mode: Mode, max_norm: float,
                  min_norm: float = 0.0) -> SeqVector:
+    """Seeded target with euclidean norm in (min_norm, max_norm)."""
+    if not min_norm < max_norm:
+        raise ConfigError(f"empty target norm window ({min_norm:.6g}, {max_norm:.6g})")
     while True:
         count = rng.randint(1, _BALL_SPAN)
         idxs = rng.sample(range(0, _BALL_SPAN + 2), count)
@@ -506,7 +509,7 @@ def cert_riesz_blocks(seed: int = 0, mode: Mode = Mode.EXACT,
                 decompose_failures.append({"index": idx, "kind": dw.kind})
             if idx < 10:
                 witnesses.append(dw.to_jsonable())
-        except (SearchFailed, SynthesisFailed) as exc:
+        except SearchFailed as exc:
             decompose_failures.append({"index": idx, "error": str(exc)})
     subs.append(SubCheck(
         "witness-band-decomposition",
@@ -541,7 +544,7 @@ def cert_riesz_blocks(seed: int = 0, mode: Mode = Mode.EXACT,
             dw = d_witness(T, x, v_j, d_val, p["orbit_horizon"], schedule,
                            p["search_budget"], norm_tag=NormTag.PINF)
             dw.verify(T)
-        except (SearchFailed, SynthesisFailed):
+        except SearchFailed:
             ladder_ok = False
             break
         va, _ = split.splitter.split(v_j)

@@ -23,10 +23,8 @@ from .errors import (
     ConfigError,
     OrbitscopeError,
     SearchFailed,
-    SynthesisFailed,
 )
-from .limit_sets import EpsSchedule, d_witness, jmix_witness, search_j_witness, \
-    synthesize_shift_j_witness
+from .limit_sets import EpsSchedule, d_witness, jmix_witness, search_j_witness
 from .numeric import Mode
 from .operators import ShiftOperator, shift_from_jsonable
 from .orbits import coarse_orbit_contains, orbit
@@ -165,12 +163,8 @@ def cmd_witness(args) -> int:
             _emit({"found": True, "witness": w.to_jsonable()}, args.out)
             return EXIT_OK
         if args.kind == "j":
-            if T.is_backward_shift:
-                w = synthesize_shift_j_witness(T, x, y, d, schedule,
-                                               norm_tag=norm_tag)
-            else:
-                w = search_j_witness(T, x, y, d, schedule, config["budget"],
-                                     norm_tag=norm_tag)
+            w = search_j_witness(T, x, y, d, schedule, config["budget"],
+                                 norm_tag=norm_tag)
         elif args.kind == "jmix":
             w = jmix_witness(T, x, y, d, len(schedule), 1, config["budget"],
                              norm_tag=norm_tag, schedule=schedule)
@@ -179,12 +173,6 @@ def cmd_witness(args) -> int:
                           config["budget"], norm_tag=norm_tag)
         else:
             raise ConfigError(f"unknown witness kind {args.kind!r}")
-    except SynthesisFailed as exc:
-        _emit({"found": False, "kind": args.kind,
-               "reason": "synthesis-failed",
-               "best_delta_norm": exc.best_delta_norm,
-               "best_residual": exc.best_residual}, args.out)
-        return EXIT_NOT_FOUND
     except SearchFailed as exc:
         _emit({"found": False, "kind": args.kind, "seed": config["seed"],
                "diagnostics": exc.diagnostics()}, args.out)
@@ -289,7 +277,7 @@ def _explore_piecewise(family: dict, trials: int, config: dict,
                 dw = d_witness(T, x, y, d, 50, schedule, 4000,
                                norm_tag=NormTag.PINF)
                 outcomes["d"].append(dw.kind)
-            except (SearchFailed, SynthesisFailed):
+            except SearchFailed:
                 outcomes["d"].append(None)
             try:
                 search_j_witness(T, x, y, d, schedule, 4000,

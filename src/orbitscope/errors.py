@@ -29,17 +29,6 @@ class VerificationFailed(OrbitscopeError):
     """A witness failed its independent re-check; signals an arithmetic bug."""
 
 
-class SynthesisFailed(OrbitscopeError):
-    """Shift witness synthesis hit its time cap without meeting the bounds."""
-
-    def __init__(self, message, *, k_cap, best_delta_norm, best_residual, triple_index):
-        super().__init__(message)
-        self.k_cap = k_cap
-        self.best_delta_norm = best_delta_norm
-        self.best_residual = best_residual
-        self.triple_index = triple_index
-
-
 class SearchFailed(OrbitscopeError):
     """Witness search gave up; never a proof of non-membership.
 

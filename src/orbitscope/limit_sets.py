@@ -6,12 +6,14 @@ and image distances below the coarse bound.  Membership is only ever
 reported as "certified to depth m at schedule eps", never as membership
 in the infinite-time set itself.
 
-Synthesis follows the explicit shift constructions:
-corrections are placed at indices j + k so the image matches the target
-exactly on its support, with the carried image of the base counted as
-residual.  The general search back-solves coordinate by coordinate and
-is budgeted in power applications; its failures are labelled reasons,
-never proofs of non-membership.
+One search serves every operator.  Each power T^k is monomial: source
+s feeds target j with weight product W, so the search back-solves
+coordinate by coordinate.  In the sup norm a time k admits a witness
+exactly when every mismatch m = y_j - W x_s has |m| < d + |W| eps (|m| < d
+on a row with no source), decided exactly for real exact entries; p1
+and p2 share a greedy budget between the rows.  The search is budgeted
+in power applications; its failures are labelled reasons, never proofs
+of non-membership.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ from .errors import (
     NumericOverflow,
     OrbitscopeError,
     SearchFailed,
-    SynthesisFailed,
     VerificationFailed,
 )
 from .numeric import Mode, QC, abs2, is_zero_scalar, jsonable, log2_abs, \
-    make_scalar, real_value, to_float
+    make_scalar, real_value, strict_gt, to_float
 from .operators import ShiftOperator, apply_power, path_source, weight_product
 from .orbits import CoarseWitness, coarse_orbit_contains
 from .spaces import IndexSet, NormTag, SeqVector, norm, norm_lt
@@ -220,7 +221,7 @@ def prop31_rescale(T: ShiftOperator, w: JWitness, N) -> JWitness:
     return scale_j_witness(T, w, Fraction(1) / n)
 
 
-# -- shift synthesis ----------------------------------------------------------------
+# -- budgeted search ----------------------------------------------------------------
 
 
 def _correction_rows(T: ShiftOperator, k: int, coords, y: SeqVector,
@@ -243,105 +244,8 @@ def _correction_rows(T: ShiftOperator, k: int, coords, y: SeqVector,
 
 
 _K_CAP = 10_000  # largest time tried, and largest mix-block start
-_SYNTH_STAGNATION, _MIX_STAGNATION = 1_000, 200  # times without progress
+_MIX_STAGNATION = 200  # mix-block starts without progress
 _COLLAPSE_TARGET = 1e-7  # the collapse diagnostic traces down to this norm
-
-
-def synthesize_shift_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector,
-                               d, schedule: EpsSchedule, *,
-                               norm_tag: NormTag = NormTag.PINF) -> JWitness:
-    """Constructive witness for a backward shift.
-
-    At each time k the perturbation is supported at indices j + k so the
-    image equals the target exactly on the target's support; the carried
-    image of the base outside the corrected coordinates is the residual.
-    Succeeds when the weight products grow enough to shrink the needed
-    perturbation below each schedule radius, at times k from 1 to 10000;
-    it gives up after 1000 times without progress.
-    """
-    if not T.is_backward_shift:
-        raise OrbitscopeError("synthesis applies to backward shifts")
-    if x.index_set is not T.index_set or y.index_set is not T.index_set:
-        raise OrbitscopeError("index set mismatch")
-    mode = x.mode if not x.is_zero else y.mode
-    d_val = real_value(d, mode)
-    if to_float(d_val) <= 0:
-        raise OrbitscopeError("d must be positive")
-    triples = []
-    k_prev = 0
-    best_delta = math.inf
-    best_residual = math.inf
-    supp_y = y.support
-    contracting = T.sup_abs_weight() < 1.0
-    for i, eps in enumerate(schedule):
-        found = None
-        eps_log2 = math.log2(to_float(eps))
-        best_gap = math.inf
-        last_improve = k_prev
-        for k in range(k_prev + 1, _K_CAP + 1):
-            if k - last_improve > _SYNTH_STAGNATION:
-                raise SynthesisFailed(
-                    f"no progress over {_SYNTH_STAGNATION} consecutive times",
-                    k_cap=_K_CAP, best_delta_norm=best_delta,
-                    best_residual=best_residual, triple_index=i)
-            image0 = apply_power(T, k, x)
-            # the carried image off the target support is the residual;
-            # check it before paying for exact corrections
-            residual = image0.drop(supp_y)
-            res_f = to_float(norm(residual, norm_tag))
-            res_ok = norm_lt(residual, norm_tag, d_val)
-            best_residual = min(best_residual, res_f)
-            # cheap magnitude screen: a single needed correction larger
-            # than the radius already sinks every p-norm; on N and Z every
-            # target coordinate has a source, so every row has a product
-            rows = _correction_rows(T, k, supp_y, y, image0)
-            worst = max((log2_abs(m) - wp.log2_magnitude for _, m, _, wp in rows),
-                        default=-math.inf)
-            if worst > eps_log2:
-                best_delta = min(best_delta, 2.0 ** worst)
-                if contracting:
-                    # shrinking weight products only raise the needed radius
-                    raise SynthesisFailed(
-                        f"needed perturbation grows with k (contracting weights); "
-                        f"proven at k={k}",
-                        k_cap=_K_CAP, best_delta_norm=best_delta,
-                        best_residual=best_residual, triple_index=i)
-                gap = max(0.0, res_f - to_float(d_val)) + 2.0 ** worst
-                if gap < best_gap - 1e-12:
-                    best_gap = gap
-                    last_improve = k
-                continue
-            if not res_ok:
-                gap = res_f - to_float(d_val) + max(0.0, 2.0 ** worst - to_float(eps))
-                if gap < best_gap - 1e-12:
-                    best_gap = gap
-                    last_improve = k
-                continue
-            delta_entries = {s: _div_by_product(m, wp, mode)
-                             for _, m, s, wp in rows}
-            delta = SeqVector(x.index_set, delta_entries, mode)
-            best_delta = min(best_delta, to_float(norm(delta, norm_tag)))
-            if norm_lt(delta, norm_tag, eps):
-                perturbed = x + delta
-                image = apply_power(T, k, perturbed)
-                dist = norm(image - y, norm_tag)
-                found = JWitnessTriple(perturbed, k, dist)
-                break
-            last_improve = k  # exact radius check failed after the screen
-        if found is None:
-            raise SynthesisFailed(
-                f"no time k <= {_K_CAP} meets radius {eps} at bound {d_val}",
-                k_cap=_K_CAP, best_delta_norm=best_delta,
-                best_residual=best_residual, triple_index=i)
-        triples.append(found)
-        k_prev = found.time
-    out = JWitness(x, y, d_val, norm_tag, schedule, tuple(triples),
-                   mix_flag=False, op_label=T.label)
-    out.verify(T)
-    return out
-
-
-# -- budgeted general search -----------------------------------------------------
 
 
 class Budget:
@@ -399,7 +303,7 @@ class _SearchLog:
             budget_used=self.budget.used, k_last=self.k_last)
 
 
-# safety factor keeping greedy corrections strictly inside the radius
+# safety factor keeping p1/p2 greedy corrections strictly inside the radius
 _THETA = 0.9
 
 
@@ -410,13 +314,25 @@ def _div_by_product(mismatch, wp, mode: Mode):
     lg = wp.log2_magnitude
     if log2_abs(mismatch) - lg < -1040:
         return complex(0.0, 0.0)  # below float resolution; no-op correction
+    if lg < -1000:
+        return complex(math.inf, 0.0)  # past float range; no radius holds it
     return mismatch / wp.phase * (2.0 ** (-lg))
+
+
+def _magnitude(v):
+    """|v|: an exact Fraction for a real exact scalar, a float otherwise."""
+    if isinstance(v, QC):
+        return abs(v.re) if not v.im else math.sqrt(to_float(v.abs2()))
+    return abs(v)
 
 
 def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
                     k: int, norm_tag: NormTag, budget: Budget,
                     mode: Mode) -> _Attempt | None:
-    """One back-solve attempt at time k; None when the budget ran out."""
+    """One back-solve attempt at time k; None when the budget ran out.
+
+    In the sup norm the attempt is decided row by row, exactly for real
+    exact entries and as a screen otherwise; the final checks decide."""
     if not budget.try_spend(1):
         return None
     try:
@@ -425,8 +341,6 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
         return _Attempt(False, None, None, math.inf, math.inf, None)
     coords = set(y.support) | set(image0.support)
     rows = _correction_rows(T, k, coords, y, image0)
-    eps_f = to_float(eps)
-    d_f = to_float(d_val)
     # full back-solve: the would-be perturbed point if the radius were free;
     # skipped when shrinking weight products would make it astronomically
     # large (then it is never the collapse minimum anyway)
@@ -447,27 +361,33 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
 
     delta_entries = {}
     uncorrected = []
+    feasible = True
     if norm_tag is NormTag.PINF:
-        # coordinates are independent in the sup norm; allow partial
-        # corrections that park the residual just under the bound
+        # rows are independent in the sup norm: with u = m/W, some
+        # delta_s = t*u meets |delta_s| < eps and |m - W delta_s| < d
+        # exactly when |m| < d + |W| eps.  Take u when it fits, else
+        # nothing when |m| < d, else t at the midpoint of
+        # (1 - d/|m|, eps/|u|); a row with no source needs |m| < d
         for _, mismatch, s, wp in rows:
-            m_f = math.sqrt(to_float(abs2(mismatch)))
-            if s is None:
-                uncorrected.append(m_f)
+            m_abs = _magnitude(mismatch)
+            if s is not None:
+                u = quotient(mismatch, s, wp)
+                u_abs = _magnitude(u)
+                if strict_gt(eps, u_abs, mode):
+                    delta_entries[s] = u
+                    continue
+            if strict_gt(d_val, m_abs, mode):
+                uncorrected.append(to_float(m_abs))
                 continue
-            cost = m_f / (2.0 ** wp.log2_magnitude)
-            if cost < eps_f * _THETA:
-                delta_entries[s] = quotient(mismatch, s, wp)
-            elif m_f > d_f * _THETA:
-                mu = 1.0 - (d_f * _THETA) / m_f
-                if cost * mu < eps_f * _THETA:
-                    scale = make_scalar(Fraction(mu).limit_denominator(1 << 40), mode)
-                    delta_entries[s] = quotient(mismatch, s, wp) * scale
-                    uncorrected.append(d_f * _THETA)
-                else:
-                    uncorrected.append(m_f)
-            else:
-                uncorrected.append(m_f)
+            if s is not None:
+                lo, hi = 1 - d_val / m_abs, eps / u_abs
+                if lo < hi:
+                    t = (lo + hi) / 2
+                    delta_entries[s] = u * make_scalar(t, mode)
+                    uncorrected.append(to_float((1 - t) * m_abs))
+                    continue
+            feasible = False
+            uncorrected.append(to_float(m_abs))
     else:
         # joint budget: cheapest full corrections first
         fixable = []
@@ -478,6 +398,7 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
                 continue
             fixable.append((m_f / (2.0 ** wp.log2_magnitude), m_f, j, m, s, wp))
         fixable.sort(key=lambda r: (r[0], r[2]))
+        eps_f = to_float(eps)
         budget_total = (eps_f * _THETA) ** 2 if norm_tag is NormTag.P2 else eps_f * _THETA
         spent = 0.0
         for cost, m_f, _, mismatch, s, wp in fixable:
@@ -495,7 +416,7 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
         residual_est = math.sqrt(sum(t * t for t in uncorrected))
     else:
         residual_est = sum(uncorrected)
-    if not norm_lt(delta, norm_tag, eps):
+    if not feasible or not norm_lt(delta, norm_tag, eps):
         return _Attempt(False, None, None, delta_norm, residual_est, collapse_norm)
     if not budget.try_spend(1):
         return None
@@ -670,12 +591,6 @@ def d_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d, K: int,
     w = coarse_orbit_contains(T, x, d, y, K, norm_tag)
     if w is not None:
         return DWitness("orbit", coarse=w)
-    if T.is_backward_shift:
-        try:
-            jw = synthesize_shift_j_witness(T, x, y, d, schedule, norm_tag=norm_tag)
-            return DWitness("limit", jwitness=jw)
-        except SynthesisFailed:
-            pass
     jw = search_j_witness(T, x, y, d, schedule, budget, norm_tag=norm_tag)
     return DWitness("limit", jwitness=jw)
 

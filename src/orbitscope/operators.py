@@ -493,10 +493,6 @@ class ShiftOperator:
         return min(w.inf_abs() for _, w, _ in self.components())
 
     @property
-    def is_backward_shift(self) -> bool:
-        return self.shape in (Shape.UNILATERAL_BACKWARD, Shape.BILATERAL_BACKWARD)
-
-    @property
     def annihilates(self) -> bool:
         """True when some path can exit the domain (backward at a floor)."""
         for kind, _, band in self.components():

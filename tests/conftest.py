@@ -54,3 +54,32 @@ def vector_for(rng, T, lo=-8, hi=8):
     if T.index_set is IndexSet.NATURALS:
         return random_vector(rng, IndexSet.NATURALS, 0, hi)
     return random_vector(rng, IndexSet.INTEGERS, lo, hi)
+
+
+def sup_projection_feasible(T, x, y, d, eps, k):
+    """Independent oracle for one sup-norm time k over real exact vectors:
+    is there a z with ||z - x|| < eps and ||T^k z - y|| < d?
+
+    Every power of these shifts is monomial, so each target j has at most
+    one source s (j + k for backward shifts, j for diagonal ones), found
+    here by n-fold application of the basis vector e_s.  The best z_s in
+    the closed eps-interval around x_s is the projection of y_j / W onto
+    it; the open ball reaches the same infimum, so the time is feasible
+    exactly when every projected residual is below d.
+    """
+    image = nfold_apply(T, k, x)
+    for j in sorted(set(y.support) | set(image.support)):
+        y_j = y.entry(j).re
+        residual = abs(y_j)
+        for s in (j + k, j):
+            if not T.index_set.contains(s):
+                continue
+            w = nfold_apply(T, k, SeqVector.basis(T.index_set, s)).entry(j).re
+            if w:
+                x_s = x.entry(s).re
+                z_s = min(max(y_j / w, x_s - eps), x_s + eps)
+                residual = abs(w * z_s - y_j)
+                break
+        if not residual < d:
+            return False
+    return True

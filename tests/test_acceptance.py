@@ -28,7 +28,6 @@ from orbitscope import (
     prop32_operator,
     rescale_j_witness_family,
     search_j_witness,
-    synthesize_shift_j_witness,
 )
 from orbitscope.certificates import (
     _random_sparse,
@@ -40,10 +39,11 @@ from orbitscope.certificates import (
     cert_riesz_blocks,
 )
 from orbitscope.cli import main as cli_main
-from orbitscope.errors import SearchFailed, SynthesisFailed
+from orbitscope.errors import SearchFailed
 from orbitscope.numeric import Mode, to_float
 
-from conftest import nfold_apply, random_shift, random_vector, vector_for
+from conftest import nfold_apply, random_shift, random_vector, sup_projection_feasible, \
+    vector_for
 
 
 def report(num, ok, text):
@@ -70,7 +70,7 @@ def test_criterion_1_prop32_reproduction():
     schedule = EpsSchedule.reciprocal(5)
     for _ in range(10):
         y = _random_sparse(rng, IndexSet.INTEGERS, -20, 20, 10, Mode.EXACT)
-        w = synthesize_shift_j_witness(T, e0, y, 2, schedule)
+        w = search_j_witness(T, e0, y, 2, schedule, 100_000)
         for eps, t in zip(w.schedule, w.triples):
             image = nfold_apply(T, t.time, t.perturbed)
             diff = image - y
@@ -203,6 +203,9 @@ def test_criterion_7_riesz_blocks():
                   f"ratio factor min {min(factors):.3f} >= 1.9")
 
 
+_ORACLE_K_CAP = 60  # the expanding cases here need no time past 14
+
+
 def test_criterion_8_oracle_equivalences():
     rng = random.Random(808)
     power_ok = 0
@@ -226,18 +229,23 @@ def test_criterion_8_oracle_equivalences():
         if not expanding:
             y = y.drop([0]) + SeqVector.basis(IndexSet.NATURALS, 0, 5)
         schedule = EpsSchedule.reciprocal(3)
+        # the oracle takes the earliest feasible time for each radius
+        oracle_times = []
+        k = 0
+        for eps in schedule:
+            k = next((t for t in range(k + 1, _ORACLE_K_CAP + 1)
+                      if sup_projection_feasible(T, x, y, Fraction(1, 2), eps, t)),
+                     None)
+            if k is None:
+                break
+            oracle_times.append(k)
         try:
-            synthesize_shift_j_witness(T, x, y, Fraction(1, 2), schedule)
-            s_ok = True
-        except SynthesisFailed:
-            s_ok = False
-        try:
-            search_j_witness(T, x, y, Fraction(1, 2), schedule, 50_000,
-                             stagnation_window=150)
-            q_ok = True
+            w = search_j_witness(T, x, y, Fraction(1, 2), schedule, 50_000,
+                                 stagnation_window=150)
+            search_times = list(w.times)
         except SearchFailed:
-            q_ok = False
-        if s_ok == q_ok:
+            search_times = None
+        if search_times == (oracle_times if len(oracle_times) == 3 else None):
             agree += 1
 
     cone_ok = 0

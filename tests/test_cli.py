@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +82,21 @@ class TestWitness:
                            "--kind", "jmix", "--x", zero, "--y", y, "--d", "1")
         assert code == 0
         assert json.loads(out)["witness"]["mix"] is True
+
+    def test_j_not_found_under_halving_shift(self, capsys, tmp_path):
+        # a halving shift pulls every image of the unit ball around 0 to 0,
+        # so e_0 stays out of reach and the search reports its diagnostics
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "operator": {"shape": "unilateral_backward", "index_set": "N",
+                         "weights": {"kind": "constant", "value": "1/2"}}}))
+        zero = '{"index_set": "N", "entries": []}'
+        code, out, _ = run(capsys, "--config", str(config), "witness", "--kind",
+                           "j", "--x", zero, "--y", E0_N, "--d", "1/4")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["found"] is False
+        assert payload["diagnostics"]["reason"] == "decay-bound"
 
 
 FAST_CERTS = {
@@ -208,6 +227,25 @@ class TestCertify:
         report = json.loads((tmp_path / "b" / f"{name}.json").read_text())
         for key, value in params.items():
             assert report["parameters"][key] == value
+
+    def test_empty_target_window_rejected(self, tmp_path):
+        # prop36-contraction samples outside targets with norms in
+        # (1.005 d outside_margin, 1.9 d), empty at outside_margin 2; run in
+        # a child process so a sampler that never returns fails the test
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"certificates": {"prop36-contraction": {
+            "outside_margin": 2, "target_count": 2, "outside_count": 1}}}))
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from orbitscope.cli import main; sys.exit(main())",
+             "--config", str(cfg), "certify", "prop36-contraction",
+             "--out", str(tmp_path / "b")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "config error:" in proc.stderr
 
     def test_deterministic_bundles(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path)
