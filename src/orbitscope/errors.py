@@ -30,16 +30,21 @@ class VerificationFailed(OrbitscopeError):
 
 
 class SearchFailed(OrbitscopeError):
-    """Witness search gave up; never a proof of non-membership.
+    """Witness search gave up.
 
     ``reason`` is one of ``budget``, ``k-cap``, ``stagnation``,
-    ``decay-bound``, ``collapse-bound``.  ``collapse_norm`` records the
-    smallest norm of a fully back-solved perturbed point seen while
-    scanning, when one was computable.
+    ``decay-bound``, ``collapse-bound`` or ``tail-bound``.  Only
+    ``tail-bound`` is a proof of non-membership: ``proof`` then holds its
+    ``k0``, ``eps``, ``coordinate`` and ``inequality``, and is None for
+    every other reason, each of which means "not found within this budget
+    and strategy".  ``collapse_norm`` records the smallest norm of a fully
+    back-solved perturbed point seen while scanning, when one was
+    computable.
     """
 
     def __init__(self, message, *, reason, triple_index, best_residual,
-                 best_delta_norm, collapse_norm, attempts, budget_used, k_last):
+                 best_delta_norm, collapse_norm, attempts, budget_used, k_last,
+                 proof=None):
         super().__init__(message)
         self.reason = reason
         self.triple_index = triple_index
@@ -49,6 +54,7 @@ class SearchFailed(OrbitscopeError):
         self.attempts = attempts
         self.budget_used = budget_used
         self.k_last = k_last
+        self.proof = proof
 
     @property
     def exhausted(self):
@@ -64,6 +70,7 @@ class SearchFailed(OrbitscopeError):
             "attempts": self.attempts,
             "budget_used": self.budget_used,
             "k_last": self.k_last,
+            "proof": self.proof,
         }
 
 

@@ -12,8 +12,10 @@ coordinate by coordinate.  In the sup norm a time k admits a witness
 exactly when every mismatch m = y_j - W x_s has |m| < d + |W| eps (|m| < d
 on a row with no source), decided exactly for real exact entries; p1
 and p2 share a greedy budget between the rows.  The search is budgeted
-in power applications; its failures are labelled reasons, never proofs
-of non-membership.
+in power applications; its failures are labelled reasons.  One of them,
+tail-bound, is an exact proof that y is not in J(x, T, d); every other
+reason means "not found within this budget and strategy", never
+non-membership.
 """
 
 from __future__ import annotations
@@ -295,12 +297,13 @@ class _SearchLog:
         return att
 
     def failure(self, message: str, reason: str, triple_index: int,
-                best_res: float, best_delta: float) -> SearchFailed:
+                best_res: float, best_delta: float,
+                proof: dict | None = None) -> SearchFailed:
         return SearchFailed(
             message, reason=reason, triple_index=triple_index,
             best_residual=best_res, best_delta_norm=best_delta,
             collapse_norm=self.collapse_min, attempts=self.attempts,
-            budget_used=self.budget.used, k_last=self.k_last)
+            budget_used=self.budget.used, k_last=self.k_last, proof=proof)
 
 
 # safety factor keeping p1/p2 greedy corrections strictly inside the radius
@@ -389,22 +392,24 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
             feasible = False
             uncorrected.append(to_float(m_abs))
     else:
-        # joint budget: cheapest full corrections first
+        # joint budget: cheapest full corrections first; a row's cost is
+        # |m/W|, infinite past float range
         fixable = []
         for j, m, s, wp in rows:
             m_f = math.sqrt(to_float(abs2(m)))
             if s is None:
                 uncorrected.append(m_f)
                 continue
-            fixable.append((m_f / (2.0 ** wp.log2_magnitude), m_f, j, m, s, wp))
+            u = quotient(m, s, wp)
+            fixable.append((to_float(_magnitude(u)), m_f, j, u, s))
         fixable.sort(key=lambda r: (r[0], r[2]))
         eps_f = to_float(eps)
         budget_total = (eps_f * _THETA) ** 2 if norm_tag is NormTag.P2 else eps_f * _THETA
         spent = 0.0
-        for cost, m_f, _, mismatch, s, wp in fixable:
+        for cost, m_f, _, u, s in fixable:
             add = cost * cost if norm_tag is NormTag.P2 else cost
             if spent + add <= budget_total:
-                delta_entries[s] = quotient(mismatch, s, wp)
+                delta_entries[s] = u
                 spent += add
             else:
                 uncorrected.append(m_f)
@@ -433,20 +438,88 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
     return _Attempt(False, None, None, delta_norm, residual, collapse_norm)
 
 
-def _structural_stop(T: ShiftOperator, x_norm: float, y_norm: float, d_f: float,
-                     eps_f: float, k: int) -> str | None:
-    """Sound reasons why no time >= k can possibly work."""
-    sup = T.sup_abs_weight()
-    if sup < 1.0:
-        reach = (sup ** k) * (x_norm + eps_f)
-        if y_norm - reach > d_f * (1.0 + 1e-3) + 1e-9:
-            return "decay-bound"
-    inf_w = T.inf_abs_weight()
-    if inf_w > 1.0 and not T.annihilates and x_norm > 0:
-        back = (y_norm + d_f) / (inf_w ** k)
-        if x_norm - back > eps_f * (1.0 + 1e-3) + 1e-9:
-            return "collapse-bound"
-    return None
+def _exact_abs2(v) -> Fraction:
+    """|v|^2 as a Fraction; float parts convert losslessly."""
+    if isinstance(v, QC):
+        return v.abs2()
+    re, im = Fraction(v.real), Fraction(v.imag)
+    return re * re + im * im
+
+
+class _StructuralStops:
+    """Sound reasons why no time >= k can possibly work, for one search.
+
+    decay-bound and collapse-bound compare float norms with a margin.
+    tail-bound is a proof, decided in Fractions: take a source s of x on a
+    floorless path whose weights all have modulus >= 1, at a time k whose
+    target t = s -/+ k has left supp y for good.  If |W| (|x_s| - eps) >= d
+    with W the path product and eps the schedule's smallest radius, then
+    every z with |z_s - x_s| < eps has |W z_s| > |W| (|x_s| - eps) >= d at
+    row t, where y_t = 0 and no other source lands.  |W| never shrinks as k
+    grows, so eps fails at every time from k on, in every norm here (the p1
+    and p2 balls lie inside the sup balls), and y is not in J(x, T, d).
+    """
+
+    def __init__(self, T: ShiftOperator, x: SeqVector, y: SeqVector, d_val,
+                 eps_last: Fraction, norm_tag: NormTag):
+        self.T = T
+        self.x_norm = to_float(norm(x, norm_tag))
+        self.y_norm = to_float(norm(y, norm_tag))
+        self.d_f = to_float(d_val)
+        self.sup = T.sup_abs_weight()
+        self.inf = T.inf_abs_weight()
+        self.collapsing = self.inf > 1.0 and not T.annihilates and self.x_norm > 0
+        self.eps = eps_last
+        self.d = Fraction(d_val)
+        self.y_span = (y.support_min, y.support_max)
+        # (s, step, |x_s|^2) for each source that may carry a tail proof;
+        # one with |x_s| <= eps never does
+        self.tails = []
+        for s, v in x.items():
+            comp = T.component_for(s)
+            if comp is None:
+                continue
+            kind, weights, band = comp
+            if not ((kind == "backward" and band.lo is None)
+                    or (kind == "forward" and band.hi is None)):
+                continue
+            values = weights.weight_values()
+            if values is None or any(w.abs2() < 1 for w in values):
+                continue
+            a = _exact_abs2(v)
+            if a > eps_last * eps_last:
+                self.tails.append((s, -1 if kind == "backward" else 1, a))
+
+    def at(self, eps_f: float, k: int) -> tuple[str, dict | None] | None:
+        """(reason, proof) for the first stop that holds at time k, else None;
+        the proof is None except for tail-bound."""
+        if self.sup < 1.0:
+            reach = (self.sup ** k) * (self.x_norm + eps_f)
+            if self.y_norm - reach > self.d_f * (1.0 + 1e-3) + 1e-9:
+                return "decay-bound", None
+        if self.collapsing:
+            back = (self.y_norm + self.d_f) / (self.inf ** k)
+            if self.x_norm - back > eps_f * (1.0 + 1e-3) + 1e-9:
+                return "collapse-bound", None
+        proof = self._tail_proof(k)
+        return ("tail-bound", proof) if proof is not None else None
+
+    def _tail_proof(self, k: int) -> dict | None:
+        y_min, y_max = self.y_span
+        eps2, d2 = self.eps * self.eps, self.d * self.d
+        for s, step, a in self.tails:
+            t = s + step * k
+            if y_min is not None and (t >= y_min if step < 0 else t <= y_max):
+                continue
+            b = weight_product(self.T, t, k).exact_value.abs2()
+            # sqrt(a) >= eps + d/sqrt(b), squared twice: with
+            # p = a b - eps^2 b - d^2, p >= 0 and p^2 >= 4 eps^2 d^2 b
+            p = a * b - eps2 * b - d2
+            if p >= 0 and p * p >= 4 * eps2 * d2 * b:
+                return {"k0": k, "eps": str(self.eps), "coordinate": t,
+                        "inequality": f"|W|*(|x_{s}| - eps) >= d with "
+                                      f"|W|^2 = {b}, |x_{s}|^2 = {a}, d = {self.d}"}
+        return None
 
 
 def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
@@ -456,25 +529,26 @@ def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
     """Per-time back-solve search with structural pruning, at times from
     k_min to 10000.
 
-    Raises SearchFailed with labelled diagnostics; failure always means
-    "not found within this budget and strategy", never non-membership.
-    The collapse diagnostic records the smallest fully back-solved
-    perturbed-point norm seen, the mechanism behind emptiness of J-sets
-    for expanding operators.
+    Raises SearchFailed with labelled diagnostics; failure means "not
+    found within this budget and strategy", never non-membership, except
+    for tail-bound, which carries its proof.  The collapse diagnostic
+    records the smallest fully back-solved perturbed-point norm seen, the
+    mechanism behind emptiness of J-sets for expanding operators.
     """
     mode = x.mode if not x.is_zero else y.mode
     d_val = real_value(d, mode)
     if to_float(d_val) <= 0:
         raise OrbitscopeError("d must be positive")
     log = _SearchLog(budget)
-    x_norm = to_float(norm(x, norm_tag))
-    y_norm = to_float(norm(y, norm_tag))
-    d_f = to_float(d_val)
+    stops = _StructuralStops(T, x, y, d_val, schedule.values[-1], norm_tag)
+    d_f = stops.d_f
     triples = []
     k_prev = k_min - 1
 
-    def fail(reason: str, i: int, best_res: float, best_delta: float):
-        return log.failure(f"triple {i + 1}: {reason}", reason, i, best_res, best_delta)
+    def fail(reason: str, i: int, best_res: float, best_delta: float,
+             proof: dict | None = None):
+        return log.failure(f"triple {i + 1}: {reason}", reason, i, best_res,
+                           best_delta, proof)
 
     def deepen_collapse(k: int):
         # keep tracing the back-solved point so the emptiness mechanism
@@ -494,11 +568,12 @@ def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
         last_improve = k_prev
         k = k_prev + 1
         while k <= _K_CAP:
-            stop = _structural_stop(T, x_norm, y_norm, d_f, eps_f, k)
-            if stop == "collapse-bound":
-                deepen_collapse(k)
+            stop = stops.at(eps_f, k)
             if stop is not None:
-                raise fail(stop, i, best_res, best_delta)
+                if stops.collapsing:
+                    deepen_collapse(k)
+                reason, proof = stop
+                raise fail(reason, i, best_res, best_delta, proof)
             att = log.attempt(T, x, y, d_val, eps, k, norm_tag, mode)
             if att is None:
                 raise fail("budget", i, best_res, best_delta)
@@ -542,9 +617,7 @@ def jmix_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d, m: int,
     if to_float(d_val) <= 0:
         raise OrbitscopeError("d must be positive")
     log = _SearchLog(budget)
-    x_norm = to_float(norm(x, norm_tag))
-    y_norm = to_float(norm(y, norm_tag))
-    d_f = to_float(d_val)
+    stops = _StructuralStops(T, x, y, d_val, schedule.values[-1], norm_tag)
     eps_min_f = to_float(schedule.values[-1])
     best_res = math.inf
     best_delta = math.inf
@@ -552,10 +625,11 @@ def jmix_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d, m: int,
     last_improve = N_start - 1
     N = N_start
     while N <= _K_CAP:
-        stop = _structural_stop(T, x_norm, y_norm, d_f, eps_min_f, N)
+        stop = stops.at(eps_min_f, N)
         if stop is not None:
-            raise log.failure(f"mix block at N={N}: {stop}", stop, 0,
-                              best_res, best_delta)
+            reason, proof = stop
+            raise log.failure(f"mix block at N={N}: {reason}", reason, 0,
+                              best_res, best_delta, proof)
         triples = []
         progress = 0
         for i, eps in enumerate(schedule):

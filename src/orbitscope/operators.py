@@ -69,6 +69,10 @@ class WeightRule:
     def log2_abs_at(self, j: int) -> float:
         raise NotImplementedError
 
+    def weight_values(self) -> tuple[QC, ...] | None:
+        """Every weight the rule takes, exact; None when it cannot list them."""
+        return None
+
     def to_jsonable(self) -> dict:
         raise NotImplementedError
 
@@ -123,6 +127,9 @@ class Constant(WeightRule):
 
     inf_abs = sup_abs
 
+    def weight_values(self):
+        return (self.value,)
+
     def to_jsonable(self):
         return {"kind": "constant", "value": jsonable(self.value)}
 
@@ -174,6 +181,9 @@ class PiecewiseTwoSided(WeightRule):
     def inf_abs(self) -> float:
         return min(math.sqrt(float(self.positive.abs2())),
                    math.sqrt(float(self.nonpositive.abs2())))
+
+    def weight_values(self):
+        return (self.positive, self.nonpositive)
 
     def to_jsonable(self):
         return {"kind": "piecewise_two_sided",
@@ -240,6 +250,9 @@ class Periodic(WeightRule):
 
     def inf_abs(self) -> float:
         return min(math.sqrt(float(v.abs2())) for v in self.values)
+
+    def weight_values(self):
+        return self.values
 
     def to_jsonable(self):
         return {"kind": "periodic", "values": [jsonable(v) for v in self.values]}
@@ -320,6 +333,9 @@ class Table(WeightRule):
         vals = [math.sqrt(float(v.abs2())) for _, v in self.entries]
         vals.append(math.sqrt(float(self.default.abs2())))
         return min(vals)
+
+    def weight_values(self):
+        return tuple(v for _, v in self.entries) + (self.default,)
 
     def to_jsonable(self):
         return {"kind": "table",

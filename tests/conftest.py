@@ -61,8 +61,8 @@ def sup_projection_feasible(T, x, y, d, eps, k):
     is there a z with ||z - x|| < eps and ||T^k z - y|| < d?
 
     Every power of these shifts is monomial, so each target j has at most
-    one source s (j + k for backward shifts, j for diagonal ones), found
-    here by n-fold application of the basis vector e_s.  The best z_s in
+    one source s (j + k for backward shifts, j - k for forward ones, j for
+    diagonal ones), found here by n-fold application of the basis vector e_s.  The best z_s in
     the closed eps-interval around x_s is the projection of y_j / W onto
     it; the open ball reaches the same infimum, so the time is feasible
     exactly when every projected residual is below d.
@@ -71,7 +71,7 @@ def sup_projection_feasible(T, x, y, d, eps, k):
     for j in sorted(set(y.support) | set(image.support)):
         y_j = y.entry(j).re
         residual = abs(y_j)
-        for s in (j + k, j):
+        for s in (j + k, j - k, j):
             if not T.index_set.contains(s):
                 continue
             w = nfold_apply(T, k, SeqVector.basis(T.index_set, s)).entry(j).re

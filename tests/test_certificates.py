@@ -5,10 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from orbitscope import defaults
+from orbitscope import (
+    Constant,
+    EpsSchedule,
+    IndexSet,
+    SeqVector,
+    Shape,
+    ShiftOperator,
+    certificates,
+    defaults,
+    search_j_witness,
+)
 from orbitscope.certificates import (
     CERTIFICATES,
     _params,
+    _random_sparse,
+    _rng,
     aggregate_exit_status,
     bundle_digest,
     cert_prop15,
@@ -21,7 +33,7 @@ from orbitscope.certificates import (
     run_all,
     write_bundle,
 )
-from orbitscope.errors import ConfigError
+from orbitscope.errors import ConfigError, SearchFailed
 from orbitscope.numeric import Mode
 
 
@@ -36,6 +48,13 @@ class TestProp32:
         names = [s.name for s in r.sub_checks]
         assert names == ["orbit-sup-norm-flat", "synthesis-at-bound",
                          "quarter-tolerance-obstruction"]
+        # every forced search ends in the exact tail proof
+        forced = r.sub_checks[2]
+        assert [res["reason"] for res in forced.details["results"]] == \
+            ["tail-bound"] * 3
+        assert all(res["proof"]["eps"] == "1/5"
+                   for res in forced.details["results"])
+        assert forced.note.startswith("3 of 3 targets proved")
 
     def test_fail_when_bound_below_carried_image(self):
         # the carried base image contributes exactly 1 to every residual,
@@ -78,6 +97,41 @@ class TestProp36:
         sub = {s.name: s.status for s in r.sub_checks}
         assert sub["no-certificate-from-nonzero"] == "INDECISIVE"
         assert r.verdict == "INDECISIVE"
+
+    def test_expansion_ladder_reuses_settled_failures(self, monkeypatch):
+        # a failure that used less than its budget repeats at every larger
+        # rung, so each of the three targets is searched once
+        budgets = []
+
+        def counting(*args, **kwargs):
+            budgets.append(args[5])
+            return search_j_witness(*args, **kwargs)
+
+        monkeypatch.setattr(certificates, "search_j_witness", counting)
+        r = cert_prop36_expansion(seed=0)
+        assert budgets == [1_000] * 3
+        p = defaults.PROP36_EXPANSION
+        T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
+                          Constant(p["weight"]))
+        x = SeqVector.basis(IndexSet.INTEGERS, 1)
+        rng = _rng(0, "prop36ii-nonzero")
+        targets = [_random_sparse(rng, IndexSet.INTEGERS, -10, 10, 10.0, Mode.EXACT)
+                   for _ in range(3)]
+        expected = []
+        for budget in p["budget_ladder"]:
+            results = []
+            for y in targets:
+                with pytest.raises(SearchFailed) as info:
+                    search_j_witness(T, x, y, p["d"],
+                                     EpsSchedule.reciprocal(p["mix_length"]),
+                                     budget,
+                                     stagnation_window=p["stagnation_window"])
+                results.append({"outcome": "failed", "reason": info.value.reason,
+                                "collapse_norm": info.value.collapse_norm,
+                                "budget_used": info.value.budget_used})
+            expected.append({"budget": budget, "results": results})
+        sub = {s.name: s for s in r.sub_checks}
+        assert sub["no-certificate-from-nonzero"].details["ladder"] == expected
 
     def test_expansion_hypothesis_gate(self):
         r = cert_prop36_expansion(weight=Fraction(1, 2), seed=0)
@@ -254,8 +308,8 @@ PINNED_SIZES = {
 # sha256 of bundle_digest; a change that alters report content on purpose
 # updates these and says why
 PINNED_DIGESTS = {
-    Mode.EXACT: "73d763b999b9fb70fe5511abf9a5dd5de0c0b668d0410f3d9251c3536655d4e7",
-    Mode.FLOAT64: "cfca4c9948aa651b774fe018048671205f12ff835d6eccc76b37a88d683e46e3",
+    Mode.EXACT: "5f365d2e0fdf55f4b2328d2991a4364d2ca72707a9244e2534607653af386e5e",
+    Mode.FLOAT64: "054fd1849959e9598e859f5fe96cc8c73d9ba8b359b02f493f7238029cde1cfc",
 }
 
 

@@ -11,6 +11,7 @@ from orbitscope import (
     JWitness,
     JWitnessTriple,
     NormTag,
+    PiecewiseTwoSided,
     SeqVector,
     Shape,
     ShiftOperator,
@@ -35,8 +36,8 @@ from orbitscope.errors import (
     SearchFailed,
     VerificationFailed,
 )
-from orbitscope.limit_sets import Budget, _greedy_attempt
-from orbitscope.numeric import Mode, to_float
+from orbitscope.limit_sets import Budget, _StructuralStops, _greedy_attempt
+from orbitscope.numeric import QC, Mode, to_float
 
 from conftest import random_shift, random_vector, sup_projection_feasible, vector_for
 
@@ -170,13 +171,28 @@ class TestSearch:
         assert w.times == (1100, 1101)
         assert all(t.perturbed == x for t in w.triples)
 
+    @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT64])
+    @pytest.mark.parametrize("norm_tag", list(NormTag))
+    def test_row_cost_past_float_range(self, mode, norm_tag):
+        # the same search in every norm: the p1/p2 joint budget prices the
+        # row at |m/W| = 2^1099, past float range, and leaves it alone
+        x = SeqVector.basis(IndexSet.NATURALS, 0, mode=mode)
+        y = SeqVector.basis(IndexSet.NATURALS, 0, Fraction(1, 2), mode=mode)
+        w = search_j_witness(halving(), x, y, 1, EpsSchedule.reciprocal(2), 10,
+                             k_min=1100, norm_tag=norm_tag)
+        assert w.times == (1100, 1101)
+        assert all(t.perturbed == x for t in w.triples)
+
     def test_budget_exhaustion_reported(self):
-        T = prop32_operator()
+        # the weight 1/2 on the non-positive side rules out every structural stop
+        T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
+                          PiecewiseTwoSided(2, Fraction(1, 2)))
         with pytest.raises(SearchFailed) as info:
             search_j_witness(T, ei(0), ei(0, 5), Fraction(1, 4),
                              EpsSchedule.reciprocal(5), budget=1)
         assert info.value.reason == "budget"
         assert info.value.exhausted
+        assert info.value.proof is None
 
 
 def sup_attempt(T, x, y, d, eps, k):
@@ -225,6 +241,98 @@ class TestSupAttempt:
         d, eps = Fraction(10, 9), Fraction(16, 9)
         assert sup_projection_feasible(T, x, y, d, eps, 1)
         assert sup_attempt(T, x, y, d, eps, 1)
+
+
+def tail_proof(T, x, y, d, eps, k):
+    return _StructuralStops(T, x, y, d, eps, NormTag.PINF)._tail_proof(k)
+
+
+weights_at_least_one = st.fractions(min_value=1, max_value=3, max_denominator=4) | \
+    st.fractions(min_value=-3, max_value=-1, max_denominator=4)
+
+
+class TestTailBound:
+    """tail-bound: |W| (|x_s| - eps) >= d on a row that has left supp y
+    along weights of modulus >= 1 rules out every later time."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), forward=st.booleans(),
+           piecewise=st.booleans(), a=weights_at_least_one,
+           b=weights_at_least_one, d=radii, eps=radii)
+    def test_no_time_from_k0_on_is_feasible(self, seed, forward, piecewise,
+                                           a, b, d, eps):
+        rng = random.Random(seed)
+        T = ShiftOperator(Shape.BILATERAL_FORWARD if forward
+                          else Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
+                          PiecewiseTwoSided(a, b) if piecewise else Constant(a))
+        x = random_vector(rng, IndexSet.INTEGERS, -6, 6)
+        y = random_vector(rng, IndexSet.INTEGERS, -6, 6)
+        k0 = next((k for k in range(1, 30)
+                   if tail_proof(T, x, y, d, eps, k) is not None), None)
+        if k0 is None:
+            return
+        for k in range(k0, k0 + 31):
+            assert not sup_projection_feasible(T, x, y, d, eps, k)
+
+    def test_prop32_quarter_tolerance_proof(self):
+        # the bound holds as soon as the row -k leaves supp y: |W| = 1 there
+        proof = tail_proof(prop32_operator(), ei(0), ei(-3, 2), Fraction(1, 4),
+                           Fraction(1, 5), 4)
+        assert proof == {"k0": 4, "eps": "1/5", "coordinate": -4,
+                         "inequality": "|W|*(|x_0| - eps) >= d with |W|^2 = 1, "
+                                       "|x_0|^2 = 1, d = 1/4"}
+        assert tail_proof(prop32_operator(), ei(0), ei(-3, 2), Fraction(1, 4),
+                          Fraction(1, 5), 3) is None
+
+    @pytest.mark.parametrize("search", ["j", "jmix"])
+    def test_search_ends_with_the_proof(self, search):
+        T = prop32_operator()
+        with pytest.raises(SearchFailed) as info:
+            if search == "j":
+                search_j_witness(T, ei(0), ei(0, 5), Fraction(1, 4),
+                                 EpsSchedule.reciprocal(5), budget=1)
+            else:
+                jmix_witness(T, ei(0), ei(0, 5), Fraction(1, 4), 5, 1, 1)
+        assert info.value.reason == "tail-bound"
+        assert not info.value.exhausted
+        assert info.value.budget_used == 0
+        assert info.value.proof == {
+            "k0": 1, "eps": "1/5", "coordinate": -1,
+            "inequality": "|W|*(|x_0| - eps) >= d with |W|^2 = 1, "
+                          "|x_0|^2 = 1, d = 1/4"}
+        assert info.value.diagnostics()["proof"] == info.value.proof
+
+    def test_no_proof_when_a_weight_is_below_one(self):
+        # on the non-positive side the path product 2^-k shrinks, so the
+        # bound that holds at k = 1 is no proof: T^k e_0 -> 0 reaches y later
+        T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
+                          PiecewiseTwoSided(2, Fraction(1, 2)))
+        d, eps = Fraction(1, 4), Fraction(1, 5)
+        assert Fraction(1, 2) * (1 - eps) >= d  # |W| (|x_0| - eps) at k = 1
+        assert all(tail_proof(T, ei(0), ei(0), d, eps, k) is None
+                   for k in range(1, 40))
+        assert not sup_projection_feasible(T, ei(0), ei(0), d, eps, 1)
+        assert any(sup_projection_feasible(T, ei(0), ei(0), d, eps, k)
+                   for k in range(2, 10))
+        w = search_j_witness(T, ei(0), ei(0), d, EpsSchedule.reciprocal(5), 10_000)
+        w.verify(T)
+
+    def test_complex_entries_compare_through_abs2(self):
+        # |x_0| = 1/2 and a unit-modulus complex weight: the bound holds
+        # with equality, 1 * (1/2 - 1/4) = 1/4, and fails for a larger d
+        T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
+                          Constant(QC(Fraction(3, 5), Fraction(4, 5))))
+        x = ei(0, QC(Fraction(3, 10), Fraction(2, 5)))
+        zero = SeqVector.zero(IndexSet.INTEGERS)
+        eps = Fraction(1, 4)
+        assert tail_proof(T, x, zero, Fraction(1, 4), eps, 1) is not None
+        assert tail_proof(T, x, zero, Fraction(251, 1000), eps, 1) is None
+        # weight 1 + i: |W| = 2^(k/2) is irrational at odd k, and
+        # |W| (1 - 1/2) >= 1 first holds at k = 2
+        T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
+                          Constant(QC(Fraction(1), Fraction(1))))
+        assert tail_proof(T, ei(0), zero, 1, Fraction(1, 2), 1) is None
+        assert tail_proof(T, ei(0), zero, 1, Fraction(1, 2), 2)["k0"] == 2
 
 
 class TestJMix:
