@@ -58,12 +58,12 @@ from .operators import (
     spectral_radius_estimate,
 )
 from .orbits import (
+    ball_counts,
     coarse_orbit_contains,
     make_coarse_witness,
-    orbit_points_in_ball,
     rescale_coarse_witness,
 )
-from .spaces import IndexSet, NormTag, SeqVector, norm, norm_lt
+from .spaces import IndexSet, NormTag, SeqVector, dist, dist_lt, norm
 
 
 PASS = "PASS"
@@ -583,16 +583,16 @@ def _decomposes_by_band(T1, T2, splitter, dw, x, y, d_val, schedule) -> bool:
     if dw.kind == "orbit":
         n = dw.coarse.time
         for (Tc, xc, yc) in ((T1, x1, y1), (T2, x2, y2)):
-            if not norm_lt(apply_power(Tc, n, xc) - yc, dw.coarse.norm_tag, d_val):
+            if not dist_lt(apply_power(Tc, n, xc), yc, dw.coarse.norm_tag, d_val):
                 return False
         return True
     w = dw.jwitness
     for eps, triple in zip(w.schedule, w.triples):
         p1, p2 = splitter.split(triple.perturbed)
         for (Tc, xc, yc, pc) in ((T1, x1, y1, p1), (T2, x2, y2, p2)):
-            if not norm_lt(pc - xc, w.norm_tag, eps):
+            if not dist_lt(pc, xc, w.norm_tag, eps):
                 return False
-            if not norm_lt(apply_power(Tc, triple.time, pc) - yc, w.norm_tag, d_val):
+            if not dist_lt(apply_power(Tc, triple.time, pc), yc, w.norm_tag, d_val):
                 return False
     return True
 
@@ -634,7 +634,7 @@ def cert_prop15(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> Certificate
         dist_ok = all(
             (t.dist < d_over_tm if isinstance(t.dist, Fraction)
              else to_float(t.dist) < float(d_over_tm)) for t in out.triples)
-        radii_ok = all(to_float(norm(t.perturbed - out.base, out.norm_tag))
+        radii_ok = all(to_float(dist(t.perturbed, out.base, out.norm_tag))
                        < float(p["target_eps"]) for t in out.triples)
         out.verify(T)
         subs.append(SubCheck(
@@ -716,9 +716,8 @@ def cert_prop21(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> Certificate
                             for n, dd in p["m_ladder_num_den"]],
                  "failures": rescale_details}))
 
-    counts = [orbit_points_in_ball(T, x, y_star, 3 * Fraction(d_val), K,
-                                   NormTag.PINF)
-              for K in p["count_ladder"]]
+    counts = ball_counts(T, x, y_star, 3 * Fraction(d_val), p["count_ladder"],
+                         NormTag.PINF)
     increasing = all(b > a for a, b in zip(counts, counts[1:]))
     status = PASS if increasing else NOT_APPLICABLE
     subs.append(SubCheck(

@@ -32,10 +32,10 @@ from .errors import (
     VerificationFailed,
 )
 from .numeric import Mode, QC, abs2, is_zero_scalar, jsonable, log2_abs, \
-    make_scalar, real_value, strict_gt, to_float
+    make_scalar, real_value, scalar_zero, strict_gt, to_float
 from .operators import ShiftOperator, apply_power, path_source, weight_product
 from .orbits import CoarseWitness, coarse_orbit_contains
-from .spaces import IndexSet, NormTag, SeqVector, norm, norm_lt
+from .spaces import IndexSet, NormTag, SeqVector, dist, dist_and_lt, dist_lt, norm, norm_lt
 
 
 @dataclass(frozen=True)
@@ -121,15 +121,15 @@ class JWitness:
     def verify(self, T: ShiftOperator) -> None:
         """Independent re-check of every strict inequality in the certificate."""
         for eps, triple in zip(self.schedule, self.triples):
-            if not norm_lt(triple.perturbed - self.base, self.norm_tag, eps):
+            if not dist_lt(triple.perturbed, self.base, self.norm_tag, eps):
                 raise VerificationFailed(
                     f"perturbation at time {triple.time} not within {eps}")
             image = apply_power(T, triple.time, triple.perturbed)
-            diff = image - self.target
-            if not norm_lt(diff, self.norm_tag, self.bound):
+            r, ok = dist_and_lt(image, self.target, self.norm_tag, self.bound)
+            if not ok:
                 raise VerificationFailed(
                     f"image at time {triple.time} not within bound {self.bound}")
-            recomputed = to_float(norm(diff, self.norm_tag))
+            recomputed = to_float(r)
             stored = to_float(triple.dist)
             if abs(recomputed - stored) > 1e-6 * max(1.0, abs(stored)):
                 raise VerificationFailed(
@@ -232,8 +232,9 @@ def _correction_rows(T: ShiftOperator, k: int, coords, y: SeqVector,
     where the image misses y; source and product are None when no path
     reaches j."""
     rows = []
+    zero = scalar_zero(image0.mode)
     for j in sorted(coords):
-        mismatch = y.entry(j) - image0.entry(j)
+        mismatch = y._entries.get(j, zero) - image0._entries.get(j, zero)
         if is_zero_scalar(mismatch):
             continue
         s = path_source(T, j, k)
@@ -353,8 +354,8 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
             and all(r[3].log2_magnitude > -64 for r in rows):
         for _, mismatch, s, wp in rows:
             full[s] = _div_by_product(mismatch, wp, mode)
-        z = x + SeqVector(x.index_set, full, mode)
-        collapse_norm = to_float(norm(z, norm_tag))
+        minus_full = SeqVector(x.index_set, {s: -u for s, u in full.items()}, mode)
+        collapse_norm = to_float(dist(x, minus_full, norm_tag))  # ||x + full||
     elif not rows:
         collapse_norm = to_float(norm(x, norm_tag))
 
@@ -414,14 +415,15 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
             else:
                 uncorrected.append(m_f)
     delta = SeqVector(x.index_set, delta_entries, mode)
-    delta_norm = to_float(norm(delta, norm_tag))
+    delta_r, delta_ok = dist_and_lt(delta, SeqVector.zero(x.index_set, mode), norm_tag, eps)
+    delta_norm = to_float(delta_r)
     if norm_tag is NormTag.PINF:
         residual_est = max(uncorrected, default=0.0)
     elif norm_tag is NormTag.P2:
         residual_est = math.sqrt(sum(t * t for t in uncorrected))
     else:
         residual_est = sum(uncorrected)
-    if not feasible or not norm_lt(delta, norm_tag, eps):
+    if not feasible or not delta_ok:
         return _Attempt(False, None, None, delta_norm, residual_est, collapse_norm)
     if not budget.try_spend(1):
         return None
@@ -430,12 +432,9 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
         image = apply_power(T, k, perturbed)
     except NumericOverflow:
         return _Attempt(False, None, None, delta_norm, math.inf, collapse_norm)
-    diff = image - y
-    dist = norm(diff, norm_tag)
-    residual = to_float(dist)
-    if norm_lt(diff, norm_tag, d_val):
-        return _Attempt(True, perturbed, dist, delta_norm, residual, collapse_norm)
-    return _Attempt(False, None, None, delta_norm, residual, collapse_norm)
+    r, ok = dist_and_lt(image, y, norm_tag, d_val)
+    return _Attempt(ok, perturbed if ok else None, r if ok else None, delta_norm,
+                    to_float(r), collapse_norm)
 
 
 def _exact_abs2(v) -> Fraction:
@@ -846,7 +845,7 @@ def prop22_amplify(T: ShiftOperator, x: SeqVector, y: SeqVector, d, lam,
         lam_s = real_value(lam_frac, mode)
         lx = x.scale(lam_s)
         for t in times:
-            if not norm_lt(apply_power(T, t, x) - lx, norm_tag, rec_tol):
+            if not dist_lt(apply_power(T, t, x), lx, norm_tag, rec_tol):
                 raise VerificationFailed(
                     f"recurrence time {t}: T^t x is not within tol of lambda x")
         rec_times = tuple(times)

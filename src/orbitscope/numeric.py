@@ -110,6 +110,7 @@ class QC:
 
 
 # A Scalar is QC in EXACT mode, python complex in FLOAT64 mode.
+_ZERO_SCALARS = {Mode.EXACT: QC(_ZERO), Mode.FLOAT64: complex(0.0, 0.0)}  # shared zeros
 
 
 def mode_of_scalar(s) -> Mode:
@@ -147,7 +148,7 @@ def make_scalar(value, mode: Mode):
 
 
 def scalar_zero(mode: Mode):
-    return QC(Fraction(0)) if mode is Mode.EXACT else complex(0.0, 0.0)
+    return _ZERO_SCALARS[mode]
 
 
 def is_zero_scalar(s) -> bool:

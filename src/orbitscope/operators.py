@@ -13,6 +13,7 @@ instead of silently overflowing.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -714,27 +715,19 @@ def spectral_radius_estimate(T: ShiftOperator, n_max: int,
     for n in range(1, n_max + 1):
         best = None
         for kind, band, lo, hi, a, prefix in comp_data:
+            # one max of the window's n-step log2 sums (one weight on a diagonal),
+            # divided once: x / n rounds monotonically, so it is the largest quotient
             if kind == "diagonal":
-                vals = [prefix[s - a + 1] - prefix[s - a] for s in range(lo, hi + 1)]
-                cand = max(vals) if vals else None
+                top, low, count, steps = lo - a + 1, lo - a, hi - lo + 1, 1
             elif kind == "backward":
-                s_lo = lo
-                if band.lo is not None:
-                    s_lo = max(s_lo, band.lo + n)
-                cand = None
-                for s in range(s_lo, hi + 1):
-                    if not T.index_set.contains(s - n):
-                        continue
-                    lg = (prefix[s - a + 1] - prefix[s - n - a + 1]) / n
-                    cand = lg if cand is None else max(cand, lg)
+                # over N every band starts at >= 0, so the end s - n stays in N
+                first = lo if band.lo is None else max(lo, band.lo + n)
+                top, low, count, steps = first - a + 1, first - n - a + 1, hi - first + 1, n
             else:  # forward
-                s_hi = hi
-                if band.hi is not None:
-                    s_hi = min(s_hi, band.hi - n)
-                cand = None
-                for s in range(lo, s_hi + 1):
-                    lg = (prefix[s + n - a] - prefix[s - a]) / n
-                    cand = lg if cand is None else max(cand, lg)
+                last = hi if band.hi is None else min(hi, band.hi - n)
+                top, low, count, steps = lo + n - a, lo - a, last - lo + 1, n
+            cand = max(map(operator.sub, prefix[top:top + count],
+                           prefix[low:low + count])) / steps if count > 0 else None
             if cand is not None:
                 best = cand if best is None else max(best, cand)
         quotients.append(2.0 ** best if best is not None else 0.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import OrbitscopeError, VerificationFailed
 from .numeric import jsonable, real_value, to_float
 from .operators import ShiftOperator, apply, apply_power
-from .spaces import NormTag, OpenCone, SeqVector, cone_sample, norm, norm_lt
+from .spaces import NormTag, OpenCone, SeqVector, cone_sample, dist_and_lt, dist_lt, norm
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class CoarseWitness:
 
     def verify(self, T: ShiftOperator) -> None:
         image = apply_power(T, self.time, self.base)
-        if not norm_lt(image - self.target, self.norm_tag, self.bound):
+        if not dist_lt(image, self.target, self.norm_tag, self.bound):
             raise VerificationFailed(
                 f"coarse witness at n={self.time} fails ||T^n x - y|| < d")
 
@@ -97,11 +97,10 @@ class CoarseWitness:
 def make_coarse_witness(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
                         n: int, norm_tag: NormTag) -> CoarseWitness:
     bound = real_value(d, x.mode if not x.is_zero else y.mode)
-    image = apply_power(T, n, x)
-    diff = image - y
-    if not norm_lt(diff, norm_tag, bound):
+    r, ok = dist_and_lt(apply_power(T, n, x), y, norm_tag, bound)
+    if not ok:
         raise VerificationFailed(f"claimed witness at n={n} does not satisfy the bound")
-    return CoarseWitness(n, norm(diff, norm_tag), y, x, bound, norm_tag, T.label)
+    return CoarseWitness(n, r, y, x, bound, norm_tag, T.label)
 
 
 def coarse_orbit_contains(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
@@ -111,7 +110,7 @@ def coarse_orbit_contains(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
         raise OrbitscopeError("d must be positive")
     v = x
     for n in range(K + 1):
-        if norm_lt(v - y, norm_tag, d):
+        if dist_lt(v, y, norm_tag, d):
             return make_coarse_witness(T, x, d, y, n, norm_tag)
         if n < K:
             v = apply(T, v)
@@ -195,22 +194,28 @@ def rescale_coarse_witness(T: ShiftOperator, w: CoarseWitness, M) -> CoarseWitne
     factor = m_val / w.bound
     new_base = w.base.scale(factor)
     new_target = w.target.scale(factor)
-    image = apply_power(T, w.time, new_base)
-    diff = image - new_target
-    if not norm_lt(diff, w.norm_tag, m_val):
+    r, ok = dist_and_lt(apply_power(T, w.time, new_base), new_target, w.norm_tag, m_val)
+    if not ok:
         raise VerificationFailed("rescaled coarse witness failed re-verification")
-    return CoarseWitness(w.time, norm(diff, w.norm_tag), new_target, new_base,
-                         m_val, w.norm_tag, w.op_label)
+    return CoarseWitness(w.time, r, new_target, new_base, m_val, w.norm_tag, w.op_label)
 
 
 def orbit_points_in_ball(T: ShiftOperator, x: SeqVector, y: SeqVector,
                          radius, K: int, norm_tag: NormTag) -> int:
     """Number of distinct orbit points T^n x, n <= K, inside B(y, radius)."""
-    seen = set()
+    return ball_counts(T, x, y, radius, [K], norm_tag)[0]
+
+
+def ball_counts(T: ShiftOperator, x: SeqVector, y: SeqVector, radius,
+                horizons, norm_tag: NormTag) -> list[int]:
+    """orbit_points_in_ball at each horizon K in horizons (0 for K < 0),
+    from one orbit pass of max(horizons) steps."""
+    seen, counts = set(), []  # counts[n]: distinct points in the ball up to n
     v = x
-    for n in range(K + 1):
-        if norm_lt(v - y, norm_tag, radius):
-            seen.add(v.key())
-        if n < K:
+    for n in range(max(horizons, default=-1) + 1):
+        if n:
             v = apply(T, v)
-    return len(seen)
+        if dist_lt(v, y, norm_tag, radius):
+            seen.add(v.key())
+        counts.append(len(seen))
+    return [counts[K] if K >= 0 else 0 for K in horizons]

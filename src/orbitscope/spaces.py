@@ -211,20 +211,35 @@ class SeqVector:
 # -- norms ------------------------------------------------------------------
 
 
-def _real_norm(v: SeqVector, p: NormTag) -> Fraction | None:
-    """max |v_i| (PINF) or sum |v_i| (P1) of an exact vector whose entries
-    are all real, read off the real parts with no squares or square roots;
-    None under P2 or when an entry has a non-zero imaginary part."""
-    if p is NormTag.P2:
+def _real_dist(a: SeqVector, b: SeqVector, p: NormTag, bound=None) -> Fraction | None:
+    """max (PINF) or sum (P1) of |a_j - b_j| in integers num/den; None under
+    P2, for a non-real difference, or where a - b is not exact or raises on
+    mixed index sets or modes (a - b then decides).  With a bound it stops
+    once the partial value, hence the full one, reaches it."""
+    if p is NormTag.P2 or a.index_set is not b.index_set or a._mode is not Mode.EXACT \
+            or (b._entries and b._mode is not Mode.EXACT):
         return None
-    parts = []
-    for val in v._entries.values():
-        if val.im:
+    sup, num, den = p is NormTag.PINF, 0, 1
+    # a missing bound is 1/0, infinity: num * 0 >= 1 * den never holds
+    bn, bd = (1, 0) if bound is None else real_value(bound, Mode.EXACT).as_integer_ratio()
+    zero = scalar_zero(Mode.EXACT)
+    ea, eb = a._entries, b._entries
+    for j in ea.keys() | eb.keys():
+        u, v = ea.get(j, zero), eb.get(j, zero)
+        if u.im is not v.im and u.im != v.im:
             return None
-        parts.append(abs(val.re))
-    if not parts:
-        return Fraction(0)
-    return max(parts) if p is NormTag.PINF else sum(parts, Fraction(0))
+        ur, vr = u.re, v.re
+        n = abs(ur.numerator * vr.denominator - vr.numerator * ur.denominator)
+        d = ur.denominator * vr.denominator
+        if not sup:
+            num, den = num * d + n * den, den * d
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+        elif n * den > num * d:
+            num, den = n, d
+        if num * bd >= bn * den:
+            break
+    return Fraction(num, den)
 
 
 def norm(v: SeqVector, p: NormTag):
@@ -236,7 +251,7 @@ def norm(v: SeqVector, p: NormTag):
     norm_gt, which are exact in exact mode regardless.
     """
     if v.mode is Mode.EXACT:
-        r = _real_norm(v, p)
+        r = _real_dist(v, SeqVector.zero(v.index_set), p)
         if r is not None:
             return r
         terms = [abs2(val) for _, val in v.items()]
@@ -269,7 +284,7 @@ def _norm_cmp_exact(v: SeqVector, p: NormTag, bound: Fraction) -> int:
     """Exact three-way comparison of ||v||_p against a rational bound >= 0."""
     if bound < 0:
         return 1 if not v.is_zero else (0 if bound == 0 else 1)
-    r = _real_norm(v, p)
+    r = _real_dist(v, SeqVector.zero(v.index_set), p)
     if r is not None:
         return -1 if r < bound else (0 if r == bound else 1)
     terms = [abs2(val) for _, val in v.items()]
@@ -297,6 +312,27 @@ def norm_gt(v: SeqVector, p: NormTag, bound) -> bool:
     if v.mode is Mode.EXACT:
         return _norm_cmp_exact(v, p, real_value(bound, Mode.EXACT)) > 0
     return to_float(norm(v, p)) > to_float(bound) + TOL_EQ
+
+
+def dist(a: SeqVector, b: SeqVector, p: NormTag):
+    """norm(a - b, p); exact real P1/PINF build no difference vector."""
+    r = _real_dist(a, b, p)
+    return norm(a - b, p) if r is None else r
+
+
+def dist_lt(a: SeqVector, b: SeqVector, p: NormTag, bound) -> bool:
+    """norm_lt(a - b, p, bound); exact real P1/PINF stop once it is decided."""
+    r = _real_dist(a, b, p, bound)
+    return norm_lt(a - b, p, bound) if r is None else r < real_value(bound, Mode.EXACT)
+
+
+def dist_and_lt(a: SeqVector, b: SeqVector, p: NormTag, bound) -> tuple[object, bool]:
+    """(dist(a, b, p), dist_lt(a, b, p, bound)) from one walk or one a - b."""
+    r = _real_dist(a, b, p)
+    if r is not None:
+        return r, r < real_value(bound, Mode.EXACT)
+    diff = a - b
+    return norm(diff, p), norm_lt(diff, p, bound)
 
 
 def inner_real(x: SeqVector, c: SeqVector):

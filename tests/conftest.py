@@ -8,6 +8,7 @@ from orbitscope import (
     Shape,
     ShiftOperator,
     apply,
+    norm_lt,
 )
 
 
@@ -83,3 +84,16 @@ def sup_projection_feasible(T, x, y, d, eps, k):
         if not residual < d:
             return False
     return True
+
+
+def points_in_ball_scan(T, x, y, radius, K, p):
+    """Reference: a scan of its own from n = 0 for the one horizon K,
+    testing each orbit point through the difference vector."""
+    seen = set()
+    v = x
+    for n in range(K + 1):
+        if norm_lt(v - y, p, radius):
+            seen.add(v.key())
+        if n < K:
+            v = apply(T, v)
+    return len(seen)

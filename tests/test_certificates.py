@@ -9,6 +9,7 @@ from orbitscope import (
     Constant,
     EpsSchedule,
     IndexSet,
+    NormTag,
     SeqVector,
     Shape,
     ShiftOperator,
@@ -19,6 +20,7 @@ from orbitscope import (
 from orbitscope.certificates import (
     CERTIFICATES,
     _params,
+    _prop21_instance,
     _random_sparse,
     _rng,
     aggregate_exit_status,
@@ -35,6 +37,8 @@ from orbitscope.certificates import (
 )
 from orbitscope.errors import ConfigError, SearchFailed
 from orbitscope.numeric import Mode
+
+from conftest import points_in_ball_scan
 
 
 SMALL_PROP32 = dict(sample_count=8, orbit_check_horizon=200,
@@ -180,6 +184,27 @@ class TestProp21:
         sub = {s.name: s.status for s in r.sub_checks}
         assert sub["distinct-returns-grow"] == "NOT_APPLICABLE"
         assert r.verdict == "PASS"
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("ladder, counts, status, verdict", [
+        ((300, 100, 100, 0, -4), [2, 1, 1, 0, 0], "NOT_APPLICABLE", "PASS"),
+        ((1000, 30, 1000, 300), [2, 1, 2, 2], "NOT_APPLICABLE", "PASS"),
+        ((0,), [0], "PASS", "FAIL"),
+        ((-1, 400), [0, 2], "PASS", "FAIL"),
+    ])
+    def test_any_integer_ladder(self, mode, ladder, counts, status, verdict):
+        # unsorted, repeated, zero and negative horizons, each counted as
+        # its own scan from n = 0 would count it
+        r = cert_prop21(seed=3, mode=mode, sample_count=2, visit_times=(30, 300),
+                        count_ladder=ladder)
+        sub = {s.name: s for s in r.sub_checks}
+        assert sub["distinct-returns-grow"].details["counts"] == counts
+        assert sub["distinct-returns-grow"].status == status
+        assert r.verdict == verdict
+        T, x, y_star = _prop21_instance(_params(defaults.PROP21, {
+            "visit_times": (30, 300)}), mode)
+        assert counts == [points_in_ball_scan(T, x, y_star, 3 * defaults.PROP21["d"],
+                                              K, NormTag.PINF) for K in ladder]
 
 
 class TestProp22:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitscope import IndexSet, SeqVector
-from orbitscope.numeric import QC, jsonable, log2_abs
+from orbitscope.numeric import QC, Mode, is_zero_scalar, jsonable, log2_abs, scalar_zero
 
 RATIONALS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
 KINDS = [("real", "real"), ("real", "complex"), ("complex", "real"),
@@ -148,3 +148,13 @@ def test_qc_is_frozen_with_slots():
         q.re = Fraction(2)
     assert q == QC(Fraction(1, 3), Fraction(0))
     assert hash(q) == hash(QC(Fraction(1, 3), Fraction(0)))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_scalar_zero_is_one_shared_immutable_zero(mode):
+    z = scalar_zero(mode)
+    assert z is scalar_zero(mode) and is_zero_scalar(z)
+    assert SeqVector.zero(IndexSet.INTEGERS, mode).entry(3) is z
+    if mode is Mode.EXACT:
+        with pytest.raises(FrozenInstanceError):
+            z.re = Fraction(1)

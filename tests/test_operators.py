@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitscope import (
     Band,
@@ -204,6 +205,100 @@ class TestSpectral:
                     prod *= weights[j]
                 best = max(best, prod ** (1.0 / n))
             assert abs(trace.quotients[n - 1] - best) < 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_per_start_loop(self, seed):
+        # same float arithmetic in another order: the quotients must be equal
+        rng = random.Random(seed)
+        T = _random_spectral_operator(rng)
+        lo = rng.randint(-30, 30)
+        window = (lo, lo + rng.randint(0, 40))
+        n_max = rng.randint(1, 24)
+        assert spectral_radius_estimate(T, n_max, window).quotients \
+            == _per_start_quotients(T, n_max, window)
+
+
+def _random_weight_rule(rng):
+    def w():
+        return Fraction(rng.choice([1, 2, 3, 5, 7, 11]), rng.choice([1, 2, 3, 5, 7]))
+    kind = rng.choice(["constant", "piecewise", "periodic", "table"])
+    if kind == "constant":
+        return Constant(w())
+    if kind == "piecewise":
+        return PiecewiseTwoSided(w(), w())
+    if kind == "periodic":
+        return Periodic(tuple(w() for _ in range(rng.randint(1, 4))))
+    return Table({rng.randint(-20, 20): w() for _ in range(rng.randint(1, 5))}, w())
+
+
+def _random_spectral_operator(rng):
+    shape = rng.choice(["unilateral", "backward", "forward", "diagonal", "blocks-Z",
+                        "blocks-N"])
+    rule = _random_weight_rule(rng)
+    if shape == "unilateral":
+        return ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS, rule)
+    if shape == "backward":
+        return ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, rule)
+    if shape == "forward":
+        return ShiftOperator(Shape.BILATERAL_FORWARD, IndexSet.INTEGERS, rule)
+    if shape == "diagonal":
+        return ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS, rule)
+    kinds = ["backward", "forward", "diagonal"]
+    if shape == "blocks-N":
+        cut = rng.randint(0, 15)
+        bands = [Band(0, cut), Band(cut + 1, None)]
+        index_set = IndexSet.NATURALS
+    else:
+        a = rng.randint(-15, 5)
+        b = a + rng.randint(0, 15)
+        bands = [Band(None, a), Band(a + 1, b), Band(b + 1, None)]
+        index_set = IndexSet.INTEGERS
+    blocks = tuple(Block(band, rng.choice(kinds), _random_weight_rule(rng))
+                   for band in bands)
+    return ShiftOperator(Shape.BLOCK_DIRECT_SUM, index_set, blocks=blocks)
+
+
+def _per_start_quotients(T, n_max, window):
+    """Reference: the n-th Gelfand quotient as a running max over every
+    path start, each log2 sum divided by n."""
+    win_lo, win_hi = window
+    comps = []
+    for kind, weights, band in T.components():
+        lo = win_lo if band.lo is None else max(win_lo, band.lo)
+        hi = win_hi if band.hi is None else min(win_hi, band.hi)
+        if hi < lo:
+            continue
+        a, b = {"backward": (lo - n_max, hi), "forward": (lo, hi + n_max - 1),
+                "diagonal": (lo, hi)}[kind]
+        prefix = [0.0]
+        for j in range(a, b + 1):
+            prefix.append(prefix[-1] + weights.log2_abs_at(j))
+        comps.append((kind, band, lo, hi, a, prefix))
+    quotients = []
+    for n in range(1, n_max + 1):
+        best = None
+        for kind, band, lo, hi, a, prefix in comps:
+            cand = None
+            if kind == "diagonal":
+                vals = [prefix[s - a + 1] - prefix[s - a] for s in range(lo, hi + 1)]
+                cand = max(vals) if vals else None
+            elif kind == "backward":
+                s_lo = lo if band.lo is None else max(lo, band.lo + n)
+                for s in range(s_lo, hi + 1):
+                    if not T.index_set.contains(s - n):
+                        continue
+                    lg = (prefix[s - a + 1] - prefix[s - n - a + 1]) / n
+                    cand = lg if cand is None else max(cand, lg)
+            else:
+                s_hi = hi if band.hi is None else min(hi, band.hi - n)
+                for s in range(lo, s_hi + 1):
+                    lg = (prefix[s + n - a] - prefix[s - a]) / n
+                    cand = lg if cand is None else max(cand, lg)
+            if cand is not None:
+                best = cand if best is None else max(best, cand)
+        quotients.append(2.0 ** best if best is not None else 0.0)
+    return tuple(quotients)
 
 
 class TestBlocks:

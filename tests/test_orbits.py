@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,9 @@ from orbitscope import (
     rescale_coarse_witness,
 )
 from orbitscope.errors import OrbitscopeError, VerificationFailed
+from orbitscope.orbits import ball_counts
 
-from conftest import nfold_apply
+from conftest import nfold_apply, points_in_ball_scan, random_shift, vector_for
 
 
 def ei(i, c=1):
@@ -200,3 +202,23 @@ class TestPointCounting:
                                        Fraction(3, 10), K, NormTag.PINF)
                   for K in (20, 200, 2000)]
         assert counts == [1, 1, 1]
+
+    @pytest.mark.parametrize("horizons", [[40, 10, 25], [10, 10, 3, 3], [0],
+                                          [0, 7, -1], [-3], [-2, -1, 12, 0, 12]])
+    def test_one_pass_matches_a_scan_per_horizon(self, horizons):
+        rng = random.Random(len(horizons) * 100 + horizons[0])
+        cases = [(ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS, Constant(-1)),
+                  ei(0) + ei(2, 3), SeqVector.zero(IndexSet.INTEGERS), 10, NormTag.P2)]
+        for _ in range(12):
+            T = random_shift(rng)
+            x = vector_for(rng, T)
+            y = apply_power(T, rng.randint(0, 8), x) + vector_for(rng, T).scale(
+                Fraction(1, 10))
+            cases.append((T, x, y, Fraction(rng.randint(1, 40), 10),
+                          rng.choice(list(NormTag))))
+        for T, x, y, radius, p in cases:
+            expected = [points_in_ball_scan(T, x, y, radius, K, p) for K in horizons]
+            assert ball_counts(T, x, y, radius, horizons, p) == expected
+            assert [orbit_points_in_ball(T, x, y, radius, K, p)
+                    for K in horizons] == expected
+

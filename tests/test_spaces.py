@@ -17,7 +17,8 @@ from orbitscope import (
     norm_lt,
 )
 from orbitscope.errors import IndexSetMismatch, ModeMismatch, OrbitscopeError
-from orbitscope.numeric import Mode, abs2, exact_sqrt, sum_sqrt_cmp, to_float
+from orbitscope.numeric import Mode, abs2, exact_sqrt, make_scalar, sum_sqrt_cmp, to_float
+from orbitscope.spaces import dist, dist_and_lt, dist_lt
 
 
 def e(i, c=1, index_set=IndexSet.NATURALS):
@@ -303,3 +304,73 @@ def test_empty_exact_minus_float_is_a_mode_mismatch():
     with pytest.raises(ModeMismatch):
         a - b
     assert _outcome(lambda: a - b) == _outcome(lambda: a + (-b))
+
+
+@st.composite
+def vector_pairs(draw):
+    """(a, b) drawn independently, or b drawn from a's entries with some
+    kept, some changed and some dropped, so differences cancel."""
+    a = draw(any_vectors())
+    if draw(st.booleans()):
+        return a, draw(any_vectors())
+    entries = {}
+    for i, v in a._entries.items():
+        choice = draw(st.sampled_from(["keep", "keep", "change", "drop"]))
+        if choice == "keep":
+            entries[i] = v
+        elif choice == "change":
+            im = v.im if a.mode is Mode.EXACT else v.imag
+            entries[i] = make_scalar((draw(SMALL), im), a.mode)
+    return a, SeqVector(a.index_set, entries, a.mode)
+
+
+def _value_or_error(fn):
+    try:
+        return ("value", fn())
+    except Exception as exc:  # the error itself is what is compared
+        return ("raised", type(exc), str(exc))
+
+
+@settings(max_examples=600, deadline=None)
+@given(vector_pairs(), st.sampled_from(list(NormTag)),
+       st.sampled_from(["negative", "zero", "positive", "the norm"]),
+       st.fractions(min_value=Fraction(1, 30), max_value=50, max_denominator=30))
+def test_distance_kernel_matches_the_difference_vector(pair, p, kind, size):
+    a, b = pair
+    expected = _value_or_error(lambda: norm(a - b, p))
+    assert _value_or_error(lambda: dist(a, b, p)) == expected
+    if expected[0] == "value" and kind == "the norm":
+        bound = expected[1]
+    else:
+        bound = {"negative": -size, "zero": Fraction(0)}.get(kind, size)
+    lt = _value_or_error(lambda: norm_lt(a - b, p, bound))
+    assert _value_or_error(lambda: dist_lt(a, b, p, bound)) == lt
+    both = _value_or_error(lambda: dist_and_lt(a, b, p, bound))
+    assert both == (expected if expected[0] == "raised"
+                    else ("value", (expected[1], lt[1])))
+    if expected[0] == "value" and (a - b).mode is Mode.EXACT:
+        # norm shares the kernel; the squares path does not
+        ref = reference_norm(a - b, p)
+        assert type(expected[1]) is type(ref) and expected[1] == ref
+        assert lt[1] is (bound > 0 and reference_cmp(a - b, p, Fraction(bound)) < 0)
+
+
+@pytest.mark.parametrize("a_mode, b_mode", [(Mode.EXACT, Mode.FLOAT64),
+                                            (Mode.FLOAT64, Mode.EXACT)])
+def test_distance_kernel_raises_what_the_difference_raises(a_mode, b_mode):
+    cases = [
+        (SeqVector.basis(IndexSet.NATURALS, 0, 1, mode=a_mode),
+         SeqVector.basis(IndexSet.INTEGERS, 0, 1, mode=a_mode)),
+        (SeqVector.basis(IndexSet.NATURALS, 0, 1, mode=a_mode),
+         SeqVector.basis(IndexSet.NATURALS, 1, 2, mode=b_mode)),
+        (SeqVector.zero(IndexSet.INTEGERS, a_mode),
+         SeqVector.basis(IndexSet.INTEGERS, 1, 2, mode=b_mode)),
+    ]
+    for a, b in cases:
+        with pytest.raises(OrbitscopeError) as diff_error:
+            a - b
+        for fn in (lambda: dist(a, b, NormTag.PINF),
+                   lambda: dist_lt(a, b, NormTag.P1, 1),
+                   lambda: dist_and_lt(a, b, NormTag.P2, 1)):
+            with pytest.raises(type(diff_error.value), match=str(diff_error.value)):
+                fn()
