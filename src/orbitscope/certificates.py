@@ -230,11 +230,9 @@ def cert_prop32(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> Certificate
                 bad_family = {"index": idx,
                               "outcome": "verified-non-contradictory family"}
         except SearchFailed as exc:
-            forced_results.append({"index": idx, "outcome": "search-failed",
-                                   "reason": exc.reason,
-                                   "budget_used": exc.budget_used,
-                                   "best_residual": exc.best_residual,
-                                   "proof": exc.proof})
+            forced_results.append({"index": idx, "outcome": "search-failed", **{
+                k: v for k, v in exc.diagnostics().items()
+                if k in ("reason", "budget_used", "best_residual", "proof")}})
     # the checker's rejection path, exercised on a hand-built non-family
     w0 = SeqVector.zero(IndexSet.INTEGERS, mode)
     bogus = [(e0, n) for n in range(1, 4)]
@@ -878,7 +876,8 @@ def write_bundle(reports, out_dir) -> Path:
              "exit_status": aggregate_exit_status(reports)}
     for r in reports:
         path = out / f"{r.name}.json"
-        path.write_text(json.dumps(r.to_jsonable(), indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(r.to_jsonable(), indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
         index["verdicts"][r.name] = r.verdict
     (out / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
     return out

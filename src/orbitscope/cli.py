@@ -119,7 +119,7 @@ def _parse_bound(text: str) -> Fraction:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
     else:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class OrbitscopeError(Exception):
     """Base class for all package errors."""
@@ -61,12 +63,15 @@ class SearchFailed(OrbitscopeError):
         return self.reason == "budget"
 
     def diagnostics(self):
+        """The fields as JSON values; a non-finite float (no value reached) is None."""
+        def finite(v):
+            return None if isinstance(v, float) and not math.isfinite(v) else v
         return {
             "reason": self.reason,
             "triple_index": self.triple_index,
-            "best_residual": self.best_residual,
-            "best_delta_norm": self.best_delta_norm,
-            "collapse_norm": self.collapse_norm,
+            "best_residual": finite(self.best_residual),
+            "best_delta_norm": finite(self.best_delta_norm),
+            "collapse_norm": finite(self.collapse_norm),
             "attempts": self.attempts,
             "budget_used": self.budget_used,
             "k_last": self.k_last,

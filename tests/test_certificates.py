@@ -39,6 +39,7 @@ from orbitscope.errors import ConfigError, SearchFailed
 from orbitscope.numeric import Mode
 
 from conftest import points_in_ball_scan
+from test_cli import reject_constant
 
 
 SMALL_PROP32 = dict(sample_count=8, orbit_check_horizon=200,
@@ -336,6 +337,19 @@ PINNED_DIGESTS = {
     Mode.EXACT: "5f365d2e0fdf55f4b2328d2991a4364d2ca72707a9244e2534607653af386e5e",
     Mode.FLOAT64: "054fd1849959e9598e859f5fe96cc8c73d9ba8b359b02f493f7238029cde1cfc",
 }
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT64], ids=lambda m: m.value)
+def test_bundle_is_standard_json(mode, tmp_path):
+    # at seed 0 the third forced search is proved before any attempt, so it
+    # reached no residual: null in the report, never the token Infinity
+    sizes = {**PINNED_SIZES, "prop32": {**PINNED_SIZES["prop32"], "forced_sample_count": 3}}
+    out = write_bundle(run_all(seed=0, mode=mode, overrides=sizes), tmp_path / "bundle")
+    reports = {path.name: json.loads(path.read_text(), parse_constant=reject_constant)
+               for path in sorted(out.glob("*.json"))}
+    assert len(reports) == len(CERTIFICATES) + 1
+    results = reports["prop32.json"]["sub_checks"][2]["details"]["results"]
+    assert None in [r.get("best_residual", 0) for r in results]
 
 
 @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT64], ids=lambda m: m.value)

@@ -14,6 +14,10 @@ E0 = '{"index_set": "Z", "entries": [[0, "1", "0"]]}'
 E0_N = '{"index_set": "N", "entries": [[0, "1", "0"]]}'
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -82,6 +86,18 @@ class TestWitness:
                            "--kind", "jmix", "--x", zero, "--y", y, "--d", "1")
         assert code == 0
         assert json.loads(out)["witness"]["mix"] is True
+
+    def test_failure_payload_is_standard_json(self, capsys):
+        # the tail proof fires at k = 1, before any attempt reached a
+        # residual: that is null, never the non-standard token Infinity
+        y = '{"index_set": "Z", "entries": [[0, "5", "0"]]}'
+        code, out, _ = run(capsys, "witness", "--kind", "j", "--x", E0,
+                           "--y", y, "--d", "1/4")
+        assert code == 3
+        diagnostics = json.loads(out, parse_constant=reject_constant)["diagnostics"]
+        assert diagnostics["reason"] == "tail-bound"
+        assert diagnostics["best_residual"] is None
+        assert diagnostics["best_delta_norm"] is None
 
     def test_j_not_found_under_halving_shift(self, capsys, tmp_path):
         # a halving shift pulls every image of the unit ball around 0 to 0,
