@@ -171,14 +171,13 @@ def cert_prop32(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> Certificate
     horizon = p["orbit_check_horizon"]
     flat = True
     v = e0
-    one = Fraction(1) if mode is Mode.EXACT else 1.0
     for n in range(1, horizon + 1):
         v = apply(T, v)
-        if norm(v, NormTag.PINF) != one:
+        if norm(v, NormTag.PINF) != 1:
             flat = False
             break
     for n in (1, horizon // 3, horizon):
-        if norm(apply_power(T, n, e0), NormTag.PINF) != one:
+        if norm(apply_power(T, n, e0), NormTag.PINF) != 1:
             flat = False
     subs.append(SubCheck(
         "orbit-sup-norm-flat", PASS if flat else FAIL,

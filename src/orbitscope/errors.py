@@ -58,10 +58,6 @@ class SearchFailed(OrbitscopeError):
         self.k_last = k_last
         self.proof = proof
 
-    @property
-    def exhausted(self):
-        return self.reason == "budget"
-
     def diagnostics(self):
         """The fields as JSON values; a non-finite float (no value reached) is None."""
         def finite(v):

@@ -45,8 +45,7 @@ class EpsSchedule:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) if not isinstance(v, Fraction) else v
-                     for v in self.values)
+        vals = tuple(Fraction(v) for v in self.values)
         if not vals:
             raise OrbitscopeError("schedule must be non-empty")
         for v in vals:
@@ -186,12 +185,10 @@ def scale_j_witness(T: ShiftOperator, w: JWitness, factor) -> JWitness:
     out = JWitness(
         base=w.base.scale(fs),
         target=w.target.scale(fs),
-        bound=w.bound * fs if isinstance(w.bound, Fraction) else to_float(w.bound) * to_float(fs),
+        bound=w.bound * fs,
         norm_tag=w.norm_tag,
         schedule=w.schedule.scale_by(f),
-        triples=tuple(JWitnessTriple(t.perturbed.scale(fs), t.time,
-                                     t.dist * fs if isinstance(t.dist, Fraction)
-                                     else to_float(t.dist) * to_float(fs))
+        triples=tuple(JWitnessTriple(t.perturbed.scale(fs), t.time, t.dist * fs)
                       for t in w.triples),
         mix_flag=w.mix_flag,
         op_label=w.op_label,
@@ -482,8 +479,7 @@ class _StructuralStops:
             if not ((kind == "backward" and band.lo is None)
                     or (kind == "forward" and band.hi is None)):
                 continue
-            values = weights.weight_values()
-            if values is None or any(w.abs2() < 1 for w in values):
+            if any(w.abs2() < 1 for w in weights.weight_values()):
                 continue
             a = _exact_abs2(v)
             if a > eps_last * eps_last:
@@ -695,7 +691,7 @@ def rescale_j_witness_family(T: ShiftOperator,
     """
     if not family:
         raise OrbitscopeError("empty family")
-    scales = [Fraction(t) if not isinstance(t, Fraction) else t for t, _ in family]
+    scales = [Fraction(t) for t, _ in family]
     for a, b in zip(scales, scales[1:]):
         if not b > a:
             raise OrbitscopeError("scales t_k must be strictly increasing")
@@ -704,9 +700,8 @@ def rescale_j_witness_family(T: ShiftOperator,
     witnesses = [w for _, w in family]
     mode = witnesses[0].target.mode
     d_val = witnesses[0].bound
-    d_frac = d_val if isinstance(d_val, Fraction) else Fraction(d_val)
-    eps_frac = Fraction(target_eps) if not isinstance(target_eps, Fraction) \
-        else target_eps
+    d_frac = Fraction(d_val)
+    eps_frac = Fraction(target_eps)
     base = witnesses[0].base.scale(real_value(Fraction(1) / scales[0], mode))
     target = witnesses[0].target.scale(real_value(Fraction(1) / scales[0], mode))
     for t, w in family:
@@ -801,7 +796,7 @@ def prop22_amplify(T: ShiftOperator, x: SeqVector, y: SeqVector, d, lam,
     are re-verified numerically.
     """
     mode = x.mode if not x.is_zero else y.mode
-    lam_frac = Fraction(lam) if not isinstance(lam, Fraction) else lam
+    lam_frac = Fraction(lam)
     if not (0 < abs(lam_frac) < 1):
         raise OrbitscopeError("need 0 < |lambda| < 1")
     d_val = real_value(d, mode)
@@ -820,8 +815,7 @@ def prop22_amplify(T: ShiftOperator, x: SeqVector, y: SeqVector, d, lam,
         scaled_base = x.scale(real_value(lam_n, mode))
         point = apply_power(T, w.time, scaled_base)
         diff = point - y
-        bound_n = real_value(abs(lam_n), mode) * d_val if mode is Mode.EXACT \
-            else to_float(abs(lam_n)) * to_float(d_val)
+        bound_n = real_value(abs(lam_n), mode) * d_val
         if not norm_lt(diff, norm_tag, bound_n):
             raise VerificationFailed(
                 f"amplified point {n} missed the lam^n d bound")

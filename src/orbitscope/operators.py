@@ -42,49 +42,67 @@ from .spaces import IndexSet, SeqVector
 
 
 class WeightRule:
-    """Total map index -> non-zero weight with closed-form range products.
+    """Total map index -> non-zero weight, stated by its structure.
 
-    Each rule stores the log2 magnitude and the phase of its weights at
-    construction, in fields that take no part in equality, hashing or
-    repr, so the float products read them instead of recomputing them.
+    A rule passes the weights it takes once to ``_store``, which also
+    stores their log2 magnitudes and phases in attributes that take no
+    part in equality, hashing or repr.  ``_index_at(j)`` names the weight
+    index j uses and ``_counts(lo, hi)`` how often each weight occurs over
+    [lo, hi]; every value, product and bound below is read off those two.
     """
 
     kind = "abstract"
 
-    def weight_at(self, j: int) -> QC:
+    def _index_at(self, j: int) -> int:
         raise NotImplementedError
 
-    def product_exact(self, lo: int, hi: int) -> QC:
-        """Product of weights over the index interval [lo, hi]."""
+    def _counts(self, lo: int, hi: int):
         raise NotImplementedError
-
-    def product_log2(self, lo: int, hi: int) -> tuple[float, complex]:
-        raise NotImplementedError
-
-    def sup_abs(self) -> float:
-        raise NotImplementedError
-
-    def inf_abs(self) -> float:
-        raise NotImplementedError
-
-    def log2_abs_at(self, j: int) -> float:
-        raise NotImplementedError
-
-    def weight_values(self) -> tuple[QC, ...] | None:
-        """Every weight the rule takes, exact; None when it cannot list them."""
-        return None
 
     def to_jsonable(self) -> dict:
         raise NotImplementedError
 
-    def _store(self, **derived) -> None:
-        for name, value in derived.items():
+    def _store(self, weights: tuple, **fields) -> None:
+        fields.update(_weights=weights, _log2=tuple(log2_abs(w) for w in weights),
+                      _phase=tuple(phase_of(w) for w in weights))
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
 
+    def weight_at(self, j: int) -> QC:
+        return self._weights[self._index_at(j)]
 
-def _derived():
-    """A field computed in __post_init__: not an argument, not compared."""
-    return field(init=False, compare=False, repr=False)
+    def log2_abs_at(self, j: int) -> float:
+        return self._log2[self._index_at(j)]
+
+    def weight_values(self) -> tuple[QC, ...]:
+        """Every weight the rule takes, exact."""
+        return self._weights
+
+    def product_exact(self, lo: int, hi: int) -> QC:
+        """Product of weights over the index interval [lo, hi]."""
+        out = None
+        for w, c in zip(self._weights, self._counts(lo, hi)):
+            if c:
+                out = w ** c if out is None else out * w ** c
+        return _ONE if out is None else out
+
+    def product_log2(self, lo: int, hi: int) -> tuple[float, complex]:
+        """log2 magnitude and unit phase of the same product."""
+        lg, phase = 0.0, _UNIT
+        for c, lg_w, ph_w in zip(self._counts(lo, hi), self._log2, self._phase):
+            if c:
+                lg += c * lg_w
+                phase *= unit_power(ph_w, c)
+        return lg, phase
+
+    def sup_abs(self) -> float:
+        return max(math.sqrt(float(w.abs2())) for w in self._weights)
+
+    def inf_abs(self) -> float:
+        return min(math.sqrt(float(w.abs2())) for w in self._weights)
+
+
+_ONE, _UNIT = QC(Fraction(1)), complex(1.0, 0.0)
 
 
 def _coerce_weight(value) -> QC:
@@ -97,39 +115,18 @@ def _coerce_weight(value) -> QC:
 @dataclass(frozen=True)
 class Constant(WeightRule):
     value: QC
-    _log2: float = _derived()
-    _phase: complex = _derived()
 
     kind = "constant"
 
     def __post_init__(self):
         value = _coerce_weight(self.value)
-        self._store(value=value, _log2=log2_abs(value), _phase=phase_of(value))
+        self._store((value,), value=value)
 
-    def weight_at(self, j: int) -> QC:
-        return self.value
+    def _index_at(self, j: int) -> int:
+        return 0
 
-    def log2_abs_at(self, j: int) -> float:
-        return self._log2
-
-    def product_exact(self, lo: int, hi: int) -> QC:
-        if hi < lo:
-            return QC(Fraction(1))
-        return self.value ** (hi - lo + 1)
-
-    def product_log2(self, lo: int, hi: int):
-        if hi < lo:
-            return 0.0, complex(1.0, 0.0)
-        n = hi - lo + 1
-        return n * self._log2, unit_power(self._phase, n)
-
-    def sup_abs(self) -> float:
-        return math.sqrt(float(self.value.abs2()))
-
-    inf_abs = sup_abs
-
-    def weight_values(self):
-        return (self.value,)
+    def _counts(self, lo: int, hi: int):
+        return (max(0, hi - lo + 1),)
 
     def to_jsonable(self):
         return {"kind": "constant", "value": jsonable(self.value)}
@@ -141,50 +138,21 @@ class PiecewiseTwoSided(WeightRule):
 
     positive: QC
     nonpositive: QC
-    _log2: tuple = _derived()  # (positive, nonpositive)
-    _phase: tuple = _derived()
 
     kind = "piecewise_two_sided"
 
     def __post_init__(self):
         pos, nonpos = _coerce_weight(self.positive), _coerce_weight(self.nonpositive)
-        self._store(positive=pos, nonpositive=nonpos,
-                    _log2=(log2_abs(pos), log2_abs(nonpos)),
-                    _phase=(phase_of(pos), phase_of(nonpos)))
+        self._store((pos, nonpos), positive=pos, nonpositive=nonpos)
 
-    def weight_at(self, j: int) -> QC:
-        return self.positive if j >= 1 else self.nonpositive
+    def _index_at(self, j: int) -> int:
+        return 0 if j >= 1 else 1
 
-    def log2_abs_at(self, j: int) -> float:
-        return self._log2[0] if j >= 1 else self._log2[1]
-
-    def _counts(self, lo: int, hi: int) -> tuple[int, int]:
+    def _counts(self, lo: int, hi: int):
         if hi < lo:
             return 0, 0
-        total = hi - lo + 1
-        pos = max(0, hi - max(lo, 1) + 1) if hi >= 1 else 0
-        return pos, total - pos
-
-    def product_exact(self, lo: int, hi: int) -> QC:
-        a, b = self._counts(lo, hi)
-        return (self.positive ** a) * (self.nonpositive ** b)
-
-    def product_log2(self, lo: int, hi: int):
-        a, b = self._counts(lo, hi)
-        lg = a * self._log2[0] + b * self._log2[1]
-        ph = unit_power(self._phase[0], a) * unit_power(self._phase[1], b)
-        return lg, ph
-
-    def sup_abs(self) -> float:
-        return max(math.sqrt(float(self.positive.abs2())),
-                   math.sqrt(float(self.nonpositive.abs2())))
-
-    def inf_abs(self) -> float:
-        return min(math.sqrt(float(self.positive.abs2())),
-                   math.sqrt(float(self.nonpositive.abs2())))
-
-    def weight_values(self):
-        return (self.positive, self.nonpositive)
+        pos = max(0, hi - max(lo, 1) + 1)
+        return pos, hi - lo + 1 - pos
 
     def to_jsonable(self):
         return {"kind": "piecewise_two_sided",
@@ -195,12 +163,6 @@ class PiecewiseTwoSided(WeightRule):
 @dataclass(frozen=True)
 class Periodic(WeightRule):
     values: tuple
-    _log2: tuple = _derived()
-    _phase: tuple = _derived()
-    # one full cycle: exact product, log2 sum and phase product
-    _full: QC = _derived()
-    _full_log2: float = _derived()
-    _full_phase: complex = _derived()
 
     kind = "periodic"
 
@@ -208,52 +170,18 @@ class Periodic(WeightRule):
         vals = tuple(_coerce_weight(v) for v in self.values)
         if not vals:
             raise ConfigError("periodic rule needs at least one weight")
-        log2s = tuple(log2_abs(v) for v in vals)
-        phases = tuple(phase_of(v) for v in vals)
-        full = QC(Fraction(1))
-        full_phase = complex(1.0, 0.0)
-        for v, ph in zip(vals, phases):
-            full = full * v
-            full_phase *= ph
-        self._store(values=vals, _log2=log2s, _phase=phases,
-                    _full=full, _full_log2=sum(log2s), _full_phase=full_phase)
+        self._store(vals, values=vals)
 
-    def weight_at(self, j: int) -> QC:
-        return self.values[j % len(self.values)]
+    def _index_at(self, j: int) -> int:
+        return j % len(self.values)
 
-    def log2_abs_at(self, j: int) -> float:
-        return self._log2[j % len(self.values)]
-
-    def product_exact(self, lo: int, hi: int) -> QC:
-        if hi < lo:
-            return QC(Fraction(1))
+    def _counts(self, lo: int, hi: int):
         p = len(self.values)
-        cycles = (hi - lo + 1) // p
-        out = self._full ** cycles
-        for j in range(lo + cycles * p, hi + 1):
-            out = out * self.weight_at(j)
-        return out
-
-    def product_log2(self, lo: int, hi: int):
-        if hi < lo:
-            return 0.0, complex(1.0, 0.0)
-        p = len(self.values)
-        cycles = (hi - lo + 1) // p
-        lg = cycles * self._full_log2
-        phase = unit_power(self._full_phase, cycles)
-        for j in range(lo + cycles * p, hi + 1):
-            lg += self._log2[j % p]
-            phase *= self._phase[j % p]
-        return lg, phase
-
-    def sup_abs(self) -> float:
-        return max(math.sqrt(float(v.abs2())) for v in self.values)
-
-    def inf_abs(self) -> float:
-        return min(math.sqrt(float(v.abs2())) for v in self.values)
-
-    def weight_values(self):
-        return self.values
+        cycles, rest = divmod(max(0, hi - lo + 1), p)
+        counts = [cycles] * p
+        for j in range(lo, lo + rest):
+            counts[j % p] += 1
+        return counts
 
     def to_jsonable(self):
         return {"kind": "periodic", "values": [jsonable(v) for v in self.values]}
@@ -265,10 +193,6 @@ class Table(WeightRule):
 
     entries: tuple
     default: QC
-    _log2: tuple = _derived()  # per entry, in entry order
-    _phase: tuple = _derived()
-    _default_log2: float = _derived()
-    _default_phase: complex = _derived()
 
     kind = "table"
 
@@ -279,64 +203,17 @@ class Table(WeightRule):
             items = self.entries
         clean = tuple(sorted((int(i), _coerce_weight(v)) for i, v in items))
         default = _coerce_weight(self.default)
-        self._store(entries=clean, default=default,
-                    _log2=tuple(log2_abs(v) for _, v in clean),
-                    _phase=tuple(phase_of(v) for _, v in clean),
-                    _default_log2=log2_abs(default), _default_phase=phase_of(default))
+        self._store(tuple(v for _, v in clean) + (default,), entries=clean, default=default)
 
-    def weight_at(self, j: int) -> QC:
-        for i, v in self.entries:
+    def _index_at(self, j: int) -> int:
+        for k, (i, _) in enumerate(self.entries):
             if i == j:
-                return v
-        return self.default
+                return k
+        return len(self.entries)
 
-    def log2_abs_at(self, j: int) -> float:
-        for (i, _), lg in zip(self.entries, self._log2):
-            if i == j:
-                return lg
-        return self._default_log2
-
-    def product_exact(self, lo: int, hi: int) -> QC:
-        if hi < lo:
-            return QC(Fraction(1))
-        count = hi - lo + 1
-        out = QC(Fraction(1))
-        overrides = 0
-        for i, v in self.entries:
-            if lo <= i <= hi:
-                out = out * v
-                overrides += 1
-        return out * (self.default ** (count - overrides))
-
-    def product_log2(self, lo: int, hi: int):
-        if hi < lo:
-            return 0.0, complex(1.0, 0.0)
-        count = hi - lo + 1
-        lg = 0.0
-        ph = complex(1.0, 0.0)
-        overrides = 0
-        for (i, _), lg_i, ph_i in zip(self.entries, self._log2, self._phase):
-            if lo <= i <= hi:
-                lg += lg_i
-                ph *= ph_i
-                overrides += 1
-        rest = count - overrides
-        lg += rest * self._default_log2
-        ph *= unit_power(self._default_phase, rest)
-        return lg, ph
-
-    def sup_abs(self) -> float:
-        vals = [math.sqrt(float(v.abs2())) for _, v in self.entries]
-        vals.append(math.sqrt(float(self.default.abs2())))
-        return max(vals)
-
-    def inf_abs(self) -> float:
-        vals = [math.sqrt(float(v.abs2())) for _, v in self.entries]
-        vals.append(math.sqrt(float(self.default.abs2())))
-        return min(vals)
-
-    def weight_values(self):
-        return tuple(v for _, v in self.entries) + (self.default,)
+    def _counts(self, lo: int, hi: int):
+        hits = [1 if lo <= i <= hi else 0 for i, _ in self.entries]
+        return hits + [max(0, hi - lo + 1) - sum(hits)]
 
     def to_jsonable(self):
         return {"kind": "table",
@@ -375,11 +252,11 @@ class WeightProduct:
 
     @classmethod
     def zero(cls) -> "WeightProduct":
-        return cls(float("-inf"), complex(1.0, 0.0), QC(Fraction(0)), True)
+        return cls(float("-inf"), _UNIT, QC(Fraction(0)), True)
 
     @classmethod
     def one(cls) -> "WeightProduct":
-        return cls(0.0, complex(1.0, 0.0), QC(Fraction(1)))
+        return cls(0.0, _UNIT, _ONE)
 
     def as_scalar(self, mode: Mode):
         if self.is_zero:

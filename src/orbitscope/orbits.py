@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import OrbitscopeError, VerificationFailed
-from .numeric import jsonable, real_value, to_float
+from .numeric import TOL_EQ, Mode, jsonable, real_value, to_float
 from .operators import ShiftOperator, apply, apply_power
 from .spaces import NormTag, OpenCone, SeqVector, cone_sample, dist_and_lt, dist_lt, norm
 
@@ -28,9 +28,6 @@ class OrbitTrace:
     points: tuple[SeqVector, ...]
     norms: tuple
     norm_tag: NormTag
-
-    def point(self, n: int) -> SeqVector:
-        return self.points[n]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -47,7 +44,12 @@ class OrbitTrace:
 def orbit(T: ShiftOperator, x: SeqVector, K: int,
           norm_tag: NormTag = NormTag.P2, *, spot_checks: int = 3,
           seed: int = 0) -> OrbitTrace:
-    """Exact orbit trace; spot-checks iterated steps against direct powers."""
+    """Exact orbit trace; spot-checks iterated steps against direct powers.
+
+    In float mode the two are different float computations of one point,
+    so a spot check asks |a_i - b_i| <= TOL_EQ |b_i| at every index of
+    either support; in exact mode it asks equality.
+    """
     if K < 0:
         raise OrbitscopeError("horizon must be >= 0")
     points = [x]
@@ -58,10 +60,17 @@ def orbit(T: ShiftOperator, x: SeqVector, K: int,
     rng = random.Random(seed)
     for _ in range(min(spot_checks, K)):
         n = rng.randint(0, K)
-        if points[n] != apply_power(T, n, x):
+        if not _agree(points[n], apply_power(T, n, x)):
             raise VerificationFailed(f"orbit point at n={n} disagrees with T^n x")
     norms = tuple(norm(p, norm_tag) for p in points)
     return OrbitTrace(x, K, tuple(points), norms, norm_tag)
+
+
+def _agree(a: SeqVector, b: SeqVector) -> bool:
+    if a.mode is Mode.EXACT:
+        return a == b
+    return all(abs(a.entry(i) - b.entry(i)) <= TOL_EQ * abs(b.entry(i))
+               for i in set(a.support) | set(b.support))
 
 
 @dataclass(frozen=True)

@@ -179,11 +179,6 @@ class SeqVector:
         return SeqVector(self.index_set,
                          {i: v * s for i, v in self._entries.items()}, self._mode)
 
-    def drop(self, indices) -> "SeqVector":
-        skip = set(indices)
-        return SeqVector(self.index_set,
-                         {i: v for i, v in self._entries.items() if i not in skip}, self._mode)
-
     # -- serialization -----------------------------------------------------
 
     def to_jsonable(self):

@@ -227,7 +227,7 @@ def test_criterion_8_oracle_equivalences():
         x = SeqVector.zero(IndexSet.NATURALS)
         y = random_vector(rng2, IndexSet.NATURALS, 0, 6, bound=8)
         if not expanding:
-            y = y.drop([0]) + SeqVector.basis(IndexSet.NATURALS, 0, 5)
+            y = SeqVector.from_entries(IndexSet.NATURALS, {**dict(y.items()), 0: 5})
         schedule = EpsSchedule.reciprocal(3)
         # the oracle takes the earliest feasible time for each radius
         oracle_times = []

@@ -43,6 +43,19 @@ class TestOrbit:
         assert code == 2
         assert "vector" in err or "config" in err
 
+    @pytest.mark.parametrize("weight", [3, "1/3", "7/5"])
+    def test_float_orbit_passes_its_spot_check(self, capsys, tmp_path, weight):
+        # iterated float steps and the closed-form power differ in the last
+        # bits by n = 54; the spot check holds them to 1e-9 relative
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"numeric_mode": "float", "operator": {
+            "shape": "bilateral_backward", "index_set": "Z",
+            "weights": {"kind": "constant", "value": weight}}}))
+        code, out, err = run(capsys, "--config", str(config), "orbit", "--x", E0,
+                             "--horizon", "60")
+        assert code == 0, err
+        assert len(out.strip().splitlines()) == 62
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
         code, _, _ = run(capsys, "orbit", "--x", E0, "--horizon", "3",

@@ -148,7 +148,7 @@ class TestSearch:
                 y = random_vector(rng, IndexSet.NATURALS, 0, 6, bound=8)
             if not expanding:
                 # pin the coordinate at 0 so the target is genuinely remote
-                y = y.drop([0]) + (ei(0, 5) if bilateral else en(0, 5))
+                y = SeqVector.from_entries(y.index_set, {**dict(y.items()), 0: 5})
             d = Fraction(1, 2)
             schedule = EpsSchedule.reciprocal(3)
             try:
@@ -191,7 +191,6 @@ class TestSearch:
             search_j_witness(T, ei(0), ei(0, 5), Fraction(1, 4),
                              EpsSchedule.reciprocal(5), budget=1)
         assert info.value.reason == "budget"
-        assert info.value.exhausted
         assert info.value.proof is None
 
 
@@ -294,7 +293,6 @@ class TestTailBound:
             else:
                 jmix_witness(T, ei(0), ei(0, 5), Fraction(1, 4), 5, 1, 1)
         assert info.value.reason == "tail-bound"
-        assert not info.value.exhausted
         assert info.value.budget_used == 0
         assert info.value.proof == {
             "k0": 1, "eps": "1/5", "coordinate": -1,

@@ -32,7 +32,7 @@ from orbitscope.errors import (
     IndexSetMismatch,
     NumericOverflow,
 )
-from orbitscope.numeric import Mode, log2_abs, phase_of
+from orbitscope.numeric import QC, Mode, log2_abs, phase_of
 
 from conftest import nfold_apply, random_shift, vector_for
 
@@ -355,14 +355,7 @@ RULES = {
 
 def stored(rule):
     """(weight, stored log2, stored phase) for each weight a rule holds."""
-    if isinstance(rule, Constant):
-        return [(rule.value, rule._log2, rule._phase)]
-    if isinstance(rule, PiecewiseTwoSided):
-        return list(zip((rule.positive, rule.nonpositive), rule._log2, rule._phase))
-    if isinstance(rule, Periodic):
-        return list(zip(rule.values, rule._log2, rule._phase))
-    return list(zip([v for _, v in rule.entries], rule._log2, rule._phase)) + \
-        [(rule.default, rule._default_log2, rule._default_phase)]
+    return list(zip(rule.weight_values(), rule._log2, rule._phase))
 
 
 def bits(z):
@@ -382,16 +375,23 @@ class TestStoredWeights:
 
     def test_product_log2_matches_term_by_term(self, name):
         rule = RULES[name]()
-        for lo, hi in [(0, -1), (1, 1), (-7, 20), (-3, 4), (2, 9), (-40, -30)]:
+        # (-5, -3) spans one full period of "periodic"; "table" overrides
+        # sit at -2, 3 and 4, so (-2, 3), (3, 9), (-6, 4) and (4, 4) start
+        # or end on one
+        for lo, hi in [(0, -1), (1, 1), (-7, 20), (-3, 4), (2, 9), (-40, -30),
+                       (-5, -3), (7, 12), (-2, 3), (3, 9), (-6, 4), (4, 4)]:
             lg, ph = rule.product_log2(lo, hi)
-            ref_lg, ref_ph = 0.0, complex(1.0, 0.0)
+            ref_lg, ref_ph, ref_exact = 0.0, complex(1.0, 0.0), QC(Fraction(1))
             for j in range(lo, hi + 1):
                 ref_lg += log2_abs(rule.weight_at(j))
                 ref_ph *= phase_of(rule.weight_at(j))
+                ref_exact = ref_exact * rule.weight_at(j)
             assert math.isclose(lg, ref_lg, rel_tol=1e-12, abs_tol=1e-12)
             assert abs(ph - ref_ph) < 1e-9
+            assert rule.product_exact(lo, hi) == ref_exact
             assert math.isclose(lg, log2_abs(rule.product_exact(lo, hi)),
                                 rel_tol=1e-12, abs_tol=1e-12)
+            assert sum(rule._counts(lo, hi)) == max(0, hi - lo + 1)
 
     def test_equality_hash_repr_and_json(self, name):
         a, b = RULES[name](), RULES[name]()

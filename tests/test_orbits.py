@@ -22,7 +22,9 @@ from orbitscope import (
     prop32_operator,
     rescale_coarse_witness,
 )
+from orbitscope import orbits
 from orbitscope.errors import OrbitscopeError, VerificationFailed
+from orbitscope.numeric import Mode
 from orbitscope.orbits import ball_counts
 
 from conftest import nfold_apply, points_in_ball_scan, random_shift, vector_for
@@ -58,6 +60,17 @@ class TestOrbit:
         assert list(trace.points) == expected
         for n in range(5):
             assert trace.points[n] == nfold_apply(doubling(), n, en(3))
+
+    @pytest.mark.parametrize("mode, factor", [
+        (Mode.FLOAT64, 1 + 1e-6),
+        (Mode.EXACT, 1 + Fraction(1, 10 ** 30)),
+    ], ids=["float-off-by-1e-6", "exact-off-by-1e-30"])
+    def test_spot_check_rejects_a_wrong_step(self, monkeypatch, mode, factor):
+        step = orbits.apply
+        monkeypatch.setattr(orbits, "apply", lambda T, v: step(T, v).scale(factor))
+        T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, Constant(3))
+        with pytest.raises(VerificationFailed):
+            orbit(T, SeqVector.basis(IndexSet.INTEGERS, 0, mode=mode), 8, spot_checks=8)
 
     def test_csv_shape(self):
         text = orbit(prop32_operator(), ei(0), 3, NormTag.PINF).to_csv()
