@@ -118,12 +118,19 @@ def _parse_bound(text: str) -> Fraction:
     return value
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+def _write(text: str, out: str | None) -> None:
+    """text to the file out, or to stdout without one."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 def cmd_orbit(args) -> int:
@@ -132,12 +139,7 @@ def cmd_orbit(args) -> int:
     mode = _mode_of(config)
     T = _operator_of(config)
     x = _load_vector(args.x, mode)
-    trace = orbit(T, x, args.horizon, _norm_of(config))
-    csv_text = trace.to_csv()
-    if args.out:
-        Path(args.out).write_text(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write(orbit(T, x, args.horizon, _norm_of(config)).to_csv(), args.out)
     return EXIT_OK
 
 
@@ -190,7 +192,10 @@ def cmd_certify(args) -> int:
     reports = run_all(names, seed=config["seed"], mode=mode,
                       overrides=config["certificates"])
     out_dir = args.out or config["out_dir"]
-    write_bundle(reports, out_dir)
+    try:
+        write_bundle(reports, out_dir)
+    except OSError as exc:
+        raise ConfigError(f"cannot write bundle {out_dir}: {exc}") from exc
     for r in reports:
         sys.stderr.write(f"{r.name}: {r.verdict} ({r.runtime_s:.2f}s)\n")
     return aggregate_exit_status(reports)

@@ -35,7 +35,7 @@ from .numeric import Mode, QC, abs2, is_zero_scalar, jsonable, log2_abs, \
     make_scalar, real_value, scalar_zero, strict_gt, to_float
 from .operators import ShiftOperator, apply_power, path_source, weight_product
 from .orbits import CoarseWitness, coarse_orbit_contains
-from .spaces import IndexSet, NormTag, SeqVector, dist, dist_and_lt, dist_lt, norm, norm_lt
+from .spaces import IndexSet, NormTag, SeqVector, dist, dist_and_lt, dist_lt, norm
 
 
 @dataclass(frozen=True)
@@ -436,8 +436,6 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
 
 def _exact_abs2(v) -> Fraction:
     """|v|^2 as a Fraction; float parts convert losslessly."""
-    if isinstance(v, QC):
-        return v.abs2()
     re, im = Fraction(v.real), Fraction(v.imag)
     return re * re + im * im
 
@@ -814,23 +812,21 @@ def prop22_amplify(T: ShiftOperator, x: SeqVector, y: SeqVector, d, lam,
                 f"witness {n} target is not (1/lambda^{n}) y")
         scaled_base = x.scale(real_value(lam_n, mode))
         point = apply_power(T, w.time, scaled_base)
-        diff = point - y
         bound_n = real_value(abs(lam_n), mode) * d_val
-        if not norm_lt(diff, norm_tag, bound_n):
+        dist_n, ok = dist_and_lt(point, y, norm_tag, bound_n)
+        if not ok:
             raise VerificationFailed(
                 f"amplified point {n} missed the lam^n d bound")
-        # linearity check: diff must be exactly lam^n times the original gap
+        # linearity check: the gap must be exactly lam^n times the original gap
+        diff = point - y
         orig_diff = apply_power(T, w.time, x) - w.target
         expected = orig_diff.scale(real_value(lam_n, mode))
         if mode is Mode.EXACT:
             if diff != expected:
                 raise VerificationFailed("amplified gap is not lam^n * original")
-        else:
-            gap = diff - expected
-            scale = max(to_float(norm(diff, norm_tag)), 1.0)
-            if to_float(norm(gap, norm_tag)) > 1e-9 * scale:
-                raise VerificationFailed("amplified gap drifted past 1e-9 relative")
-        out.append(AmplifiedPoint(n, w.time, point, norm(diff, norm_tag), bound_n))
+        elif to_float(dist(diff, expected, norm_tag)) > 1e-9 * max(to_float(dist_n), 1.0):
+            raise VerificationFailed("amplified gap drifted past 1e-9 relative")
+        out.append(AmplifiedPoint(n, w.time, point, dist_n, bound_n))
     rec_times: tuple[int, ...] = ()
     rec_tol = None
     if recurrence is not None:
@@ -888,19 +884,11 @@ def derive_remark32_bounds(w: SeqVector, family: list[tuple[SeqVector, int]],
     _, k1 = family[n1]
     coord = -k1
     val = w.entry(coord)
-    val_f = complex(to_float(_re(val)), to_float(_im(val)))
+    val_f = complex(to_float(val.real), to_float(val.imag))
     near_one = abs(val_f - 1) < 0.5
     near_zero = abs(val_f) < 0.5
     return ContradictionReport(n0, n1, k0, k1, coord,
                                [val_f.real, val_f.imag], near_one, near_zero)
-
-
-def _re(s):
-    return s.re if isinstance(s, QC) else s.real
-
-
-def _im(s):
-    return s.im if isinstance(s, QC) else s.imag
 
 
 def remark32_contradiction_check(T: ShiftOperator, candidate_w: SeqVector,
@@ -927,12 +915,13 @@ def remark32_contradiction_check(T: ShiftOperator, candidate_w: SeqVector,
     tol_val = real_value(tol, mode)
     failures = []
     for idx, (y_n, k_n) in enumerate(family):
-        if not norm_lt(y_n - e0, NormTag.PINF, tol_val):
-            failures.append((idx, "perturbation", to_float(norm(y_n - e0, NormTag.PINF))))
+        r, ok = dist_and_lt(y_n, e0, NormTag.PINF, tol_val)
+        if not ok:
+            failures.append((idx, "perturbation", to_float(r)))
             continue
-        image = apply_power(T, k_n, y_n)
-        if not norm_lt(image - candidate_w, NormTag.PINF, tol_val):
-            failures.append((idx, "image", to_float(norm(image - candidate_w, NormTag.PINF))))
+        r, ok = dist_and_lt(apply_power(T, k_n, y_n), candidate_w, NormTag.PINF, tol_val)
+        if not ok:
+            failures.append((idx, "image", to_float(r)))
     # the claim quantifies over a tail: locate the first index from which
     # every member verifies, and exhibit the pair at its head
     failed_idx = {f[0] for f in failures}

@@ -93,6 +93,14 @@ class QC:
             e >>= 1
         return result
 
+    @property
+    def real(self) -> Fraction:
+        return self.re
+
+    @property
+    def imag(self) -> Fraction:
+        return self.im
+
     def conjugate(self) -> "QC":
         return QC(self.re, -self.im)
 

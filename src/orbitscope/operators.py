@@ -221,19 +221,29 @@ class Table(WeightRule):
                 "default": jsonable(self.default)}
 
 
+def _json_weight(value):
+    """A weight as JSON gives it: true and false are not weights."""
+    if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+        raise ValueError(f"weight {value!r} is not a number")
+    return value
+
+
 def weight_rule_from_jsonable(obj: dict) -> WeightRule:
     try:
         kind = obj["kind"]
         if kind == "constant":
-            return Constant(obj["value"])
+            return Constant(_json_weight(obj["value"]))
         if kind == "piecewise_two_sided":
-            return PiecewiseTwoSided(obj["positive"], obj["nonpositive"])
+            return PiecewiseTwoSided(_json_weight(obj["positive"]),
+                                     _json_weight(obj["nonpositive"]))
         if kind == "periodic":
-            return Periodic(tuple(obj["values"]))
+            return Periodic(tuple(map(_json_weight, obj["values"])))
         if kind == "table":
-            return Table(tuple((int(k), v) for k, v in obj["entries"].items()),
-                         obj["default"])
-    except (KeyError, TypeError, ValueError) as exc:
+            if not isinstance(obj["entries"], dict):
+                raise TypeError("table entries must map indices to weights")
+            return Table(tuple((int(k), _json_weight(v)) for k, v in obj["entries"].items()),
+                         _json_weight(obj["default"]))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad weight rule: {exc}") from exc
     raise ConfigError(f"unknown weight rule kind {kind!r}")
 
@@ -257,18 +267,6 @@ class WeightProduct:
     @classmethod
     def one(cls) -> "WeightProduct":
         return cls(0.0, _UNIT, _ONE)
-
-    def as_scalar(self, mode: Mode):
-        if self.is_zero:
-            return QC(Fraction(0)) if mode is Mode.EXACT else complex(0.0, 0.0)
-        if mode is Mode.EXACT:
-            if self.exact_value is None:
-                raise OrbitscopeError("exact product not available")
-            return self.exact_value
-        if self.log2_magnitude > OVERFLOW_LOG2:
-            raise NumericOverflow(
-                f"weight product magnitude 2^{self.log2_magnitude:.1f} exceeds policy")
-        return self.phase * (2.0 ** self.log2_magnitude)
 
 
 # -- operators -----------------------------------------------------------------
@@ -531,7 +529,9 @@ def apply_power(T: ShiftOperator, n: int, v: SeqVector) -> SeqVector:
             if lg + log2_abs(val) > OVERFLOW_LOG2:
                 raise NumericOverflow(
                     f"T^{n} entry at {t} has magnitude past 2^{OVERFLOW_LOG2:.0f}")
-            coeff = WeightProduct(lg, ph, None).as_scalar(v.mode)
+            if lg > OVERFLOW_LOG2:
+                raise NumericOverflow(f"weight product magnitude 2^{lg:.1f} exceeds policy")
+            coeff = ph * 2.0 ** lg
         out = coeff * val
         if t in entries:
             entries[t] = entries[t] + out

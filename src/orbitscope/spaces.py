@@ -130,13 +130,8 @@ class SeqVector:
 
     def key(self):
         """Canonical hashable form, used for distinct-point counting."""
-        out = []
-        for i, v in self.items():
-            if isinstance(v, QC):
-                out.append((i, v.re, v.im))
-            else:
-                out.append((i, v.real, v.imag))
-        return (self.index_set.value, tuple(out))
+        return (self.index_set.value,
+                tuple((i, v.real, v.imag) for i, v in self.items()))
 
     def __eq__(self, other):
         return (isinstance(other, SeqVector)
@@ -195,139 +190,136 @@ class SeqVector:
         try:
             index_set = IndexSet(obj["index_set"])
             raw = {}
-            for item in obj["entries"]:
-                i, re, im = item
-                raw[int(i)] = (re, im)
-        except (KeyError, TypeError, ValueError) as exc:
+            for i, re, im in obj["entries"]:
+                if type(i) is not int:  # true and 0.5 are not indices
+                    raise ValueError(f"index {i!r} is not an integer")
+                if i in raw:
+                    raise ValueError(f"index {i} is given twice")
+                if isinstance(re, bool) or isinstance(im, bool):
+                    raise ValueError(f"entry at {i} is not a number")
+                raw[i] = make_scalar((re, im), mode)
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise OrbitscopeError(f"malformed vector JSON: {exc}") from exc
-        return cls.from_entries(index_set, raw, mode)
+        return cls(index_set, raw, mode)
 
 
 # -- norms ------------------------------------------------------------------
 
 
-def _real_dist(a: SeqVector, b: SeqVector, p: NormTag, bound=None) -> Fraction | None:
-    """max (PINF) or sum (P1) of |a_j - b_j| in integers num/den; None under
-    P2, for a non-real difference, or where a - b is not exact or raises on
-    mixed index sets or modes (a - b then decides).  With a bound it stops
-    once the partial value, hence the full one, reaches it."""
-    if p is NormTag.P2 or a.index_set is not b.index_set or a._mode is not Mode.EXACT \
-            or (b._entries and b._mode is not Mode.EXACT):
-        return None
-    sup, num, den = p is NormTag.PINF, 0, 1
-    # a missing bound is 1/0, infinity: num * 0 >= 1 * den never holds
-    bn, bd = (1, 0) if bound is None else real_value(bound, Mode.EXACT).as_integer_ratio()
-    zero = scalar_zero(Mode.EXACT)
-    ea, eb = a._entries, b._entries
-    for j in ea.keys() | eb.keys():
-        u, v = ea.get(j, zero), eb.get(j, zero)
-        if u.im is not v.im and u.im != v.im:
-            return None
-        ur, vr = u.re, v.re
-        n = abs(ur.numerator * vr.denominator - vr.numerator * ur.denominator)
-        d = ur.denominator * vr.denominator
-        if not sup:
-            num, den = num * d + n * den, den * d
-            g = math.gcd(num, den)
-            num, den = num // g, den // g
-        elif n * den > num * d:
-            num, den = n, d
-        if num * bd >= bn * den:
-            break
-    return Fraction(num, den)
+def _real_dist(a: SeqVector, b: SeqVector, p: NormTag, bound=None) -> Fraction | list:
+    """The one walk behind every distance ||a - b||_p; raises what a - b does.
+
+    Exact real entries under P1/PINF give the value itself, max (PINF) or
+    sum (P1) of |a_j - b_j| in integers num/den; with a bound it stops once
+    the partial value, hence the full one, reaches it, which answers a
+    strict < test only.  Every other case gives |a_j - b_j|^2 for each j in
+    the union of both supports, in index order."""
+    a._check(b)
+    ea, eb, mode = a._entries, b._entries, a._mode
+    if eb and b._mode is not mode:  # a - b would re-declare b's entries in a's mode
+        raise ModeMismatch("declared mode disagrees with entry scalars")
+    if mode is Mode.EXACT and p is not NormTag.P2:
+        sup, num, den, zero = p is NormTag.PINF, 0, 1, scalar_zero(mode)
+        # a missing bound is 1/0, infinity: num * 0 >= 1 * den never holds
+        bn, bd = (1, 0) if bound is None else real_value(bound, mode).as_integer_ratio()
+        for j in ea.keys() | eb.keys():
+            u, v = ea.get(j, zero), eb.get(j, zero)
+            if u.im is not v.im and u.im != v.im:
+                break
+            ur, vr = u.re, v.re
+            n = abs(ur.numerator * vr.denominator - vr.numerator * ur.denominator)
+            d = ur.denominator * vr.denominator
+            if not sup:
+                num, den = num * d + n * den, den * d
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
+            elif n * den > num * d:
+                num, den = n, d
+            if num * bd >= bn * den:
+                return Fraction(num, den)
+        else:
+            return Fraction(num, den)
+    squares = []
+    for j in sorted(ea.keys() | eb.keys()):
+        u, v = ea.get(j), eb.get(j)
+        squares.append(abs2(v if u is None else u if v is None else u - v))
+    return squares
 
 
-def norm(v: SeqVector, p: NormTag):
-    """p-norm of the finite support.
-
-    Exact mode returns a Fraction whenever the value is rational (always
-    for real vectors under P1/PINF, perfect squares under P2) and a float
-    approximation otherwise; comparisons should go through norm_lt /
-    norm_gt, which are exact in exact mode regardless.
-    """
-    if v.mode is Mode.EXACT:
-        r = _real_dist(v, SeqVector.zero(v.index_set), p)
-        if r is not None:
-            return r
-        terms = [abs2(val) for _, val in v.items()]
-        if not terms:
-            return Fraction(0)
-        if p is NormTag.P2:
-            s = sum(terms)
-            r = exact_sqrt(s)
-            return r if r is not None else math.sqrt(to_float(s))
-        if p is NormTag.PINF:
-            best = max(terms)
-            r = exact_sqrt(best)
-            return r if r is not None else math.sqrt(to_float(best))
-        parts = [exact_sqrt(t) for t in terms]
-        if all(x is not None for x in parts):
+def _walk_value(r, p: NormTag, mode: Mode):
+    """The distance a walk gave: exact where it is rational, a float otherwise."""
+    if not isinstance(r, list):
+        return r
+    if mode is Mode.FLOAT64:
+        if p is NormTag.P1:
+            return sum(map(math.sqrt, r), 0.0)
+        return math.sqrt(sum(r, 0.0) if p is NormTag.P2 else max(r, default=0.0))
+    if p is NormTag.P1:
+        parts = [exact_sqrt(t) for t in r]
+        if None not in parts:
             return sum(parts, Fraction(0))
-        return sum(math.sqrt(to_float(t)) for t in terms)
-    # float64
-    terms = [abs2(val) for _, val in v.items()]
-    if not terms:
-        return 0.0
-    if p is NormTag.P2:
-        return math.sqrt(sum(terms))
-    if p is NormTag.PINF:
-        return math.sqrt(max(terms))
-    return sum(math.sqrt(t) for t in terms)
+        return sum(math.sqrt(to_float(t)) for t in r)
+    s = sum(r, Fraction(0)) if p is NormTag.P2 else max(r, default=Fraction(0))
+    root = exact_sqrt(s)
+    return root if root is not None else math.sqrt(to_float(s))
 
 
-def _norm_cmp_exact(v: SeqVector, p: NormTag, bound: Fraction) -> int:
-    """Exact three-way comparison of ||v||_p against a rational bound >= 0."""
-    if bound < 0:
-        return 1 if not v.is_zero else (0 if bound == 0 else 1)
-    r = _real_dist(v, SeqVector.zero(v.index_set), p)
-    if r is not None:
-        return -1 if r < bound else (0 if r == bound else 1)
-    terms = [abs2(val) for _, val in v.items()]
-    if not terms:
-        return -1 if bound > 0 else 0
-    b2 = bound * bound
-    if p is NormTag.P2:
-        s = sum(terms)
-        return -1 if s < b2 else (0 if s == b2 else 1)
-    if p is NormTag.PINF:
-        worst = max(terms)
-        return -1 if worst < b2 else (0 if worst == b2 else 1)
-    return sum_sqrt_cmp(terms, bound)
-
-
-def norm_lt(v: SeqVector, p: NormTag, bound) -> bool:
-    """Strict ||v||_p < bound under the active strictness policy."""
-    if v.mode is Mode.EXACT:
-        return _norm_cmp_exact(v, p, real_value(bound, Mode.EXACT)) < 0
-    return to_float(norm(v, p)) < to_float(bound) - TOL_EQ
-
-
-def norm_gt(v: SeqVector, p: NormTag, bound) -> bool:
-    """Strict ||v||_p > bound under the active strictness policy."""
-    if v.mode is Mode.EXACT:
-        return _norm_cmp_exact(v, p, real_value(bound, Mode.EXACT)) > 0
-    return to_float(norm(v, p)) > to_float(bound) + TOL_EQ
+def _walk_cmp(r, p: NormTag, mode: Mode, bound) -> int:
+    """Three-way comparison of a walk's distance with bound: exact in exact
+    mode; in float mode a gap of at most TOL_EQ either way counts as equal."""
+    if mode is Mode.FLOAT64:
+        v, b = _walk_value(r, p, mode), to_float(bound)
+        return (v > b + TOL_EQ) - (v < b - TOL_EQ)
+    b = real_value(bound, mode)
+    if not isinstance(r, list):
+        return (r > b) - (r < b)
+    if b < 0:
+        return 1
+    if p is NormTag.P1:
+        return sum_sqrt_cmp(r, b)
+    s = sum(r, Fraction(0)) if p is NormTag.P2 else max(r, default=Fraction(0))
+    return (s > b * b) - (s < b * b)
 
 
 def dist(a: SeqVector, b: SeqVector, p: NormTag):
-    """norm(a - b, p); exact real P1/PINF build no difference vector."""
-    r = _real_dist(a, b, p)
-    return norm(a - b, p) if r is None else r
+    """||a - b||_p, with no difference vector built.
+
+    Exact mode returns a Fraction whenever the value is rational (always
+    for real vectors under P1/PINF, perfect squares under P2) and a float
+    approximation otherwise; comparisons should go through dist_lt or
+    norm_lt / norm_gt, which are exact in exact mode regardless.
+    """
+    return _walk_value(_real_dist(a, b, p), p, a._mode)
 
 
 def dist_lt(a: SeqVector, b: SeqVector, p: NormTag, bound) -> bool:
-    """norm_lt(a - b, p, bound); exact real P1/PINF stop once it is decided."""
-    r = _real_dist(a, b, p, bound)
-    return norm_lt(a - b, p, bound) if r is None else r < real_value(bound, Mode.EXACT)
+    """Strict ||a - b||_p < bound under the mode's strictness policy."""
+    return _walk_cmp(_real_dist(a, b, p, bound), p, a._mode, bound) < 0
 
 
 def dist_and_lt(a: SeqVector, b: SeqVector, p: NormTag, bound) -> tuple[object, bool]:
-    """(dist(a, b, p), dist_lt(a, b, p, bound)) from one walk or one a - b."""
+    """(dist(a, b, p), dist_lt(a, b, p, bound)) from one walk."""
     r = _real_dist(a, b, p)
-    if r is not None:
-        return r, r < real_value(bound, Mode.EXACT)
-    diff = a - b
-    return norm(diff, p), norm_lt(diff, p, bound)
+    return _walk_value(r, p, a._mode), _walk_cmp(r, p, a._mode, bound) < 0
+
+
+# the origin every norm is measured from, shared: it is never modified
+_ORIGIN = {s: SeqVector.zero(s) for s in IndexSet}
+
+
+def norm(v: SeqVector, p: NormTag):
+    """p-norm of the finite support, as dist(v, 0, p)."""
+    return dist(v, _ORIGIN[v.index_set], p)
+
+
+def norm_lt(v: SeqVector, p: NormTag, bound) -> bool:
+    """Strict ||v||_p < bound under the mode's strictness policy."""
+    return dist_lt(v, _ORIGIN[v.index_set], p, bound)
+
+
+def norm_gt(v: SeqVector, p: NormTag, bound) -> bool:
+    """Strict ||v||_p > bound under the mode's strictness policy."""
+    return _walk_cmp(_real_dist(v, _ORIGIN[v.index_set], p), p, v._mode, bound) > 0
 
 
 def inner_real(x: SeqVector, c: SeqVector):
@@ -340,9 +332,7 @@ def inner_real(x: SeqVector, c: SeqVector):
             continue
         term = xv * cv.conjugate()
         total = term if total is None else total + term
-    if total is None:
-        return Fraction(0) if x.mode is Mode.EXACT else 0.0
-    return total.re if isinstance(total, QC) else total.real
+    return real_value(0, x.mode) if total is None else total.real
 
 
 # -- cones -------------------------------------------------------------------
@@ -388,7 +378,7 @@ def _contains_p2_closed_form(C: OpenCone, x: SeqVector) -> bool:
     # x in cone(B(c,r))  iff  <x,c> > 0 and <x,c>^2 > ||x||^2 (||c||^2 - r^2)
     mode = x.mode
     ip = inner_real(x, C.center)
-    zero = Fraction(0) if mode is Mode.EXACT else 0.0
+    zero = real_value(0, mode)
     if not strict_gt(ip, zero, mode):
         return False
     r = C.radius_value()
@@ -415,7 +405,7 @@ def _contains_by_minimization(C: OpenCone, x: SeqVector) -> bool:
     lo = 0.0
 
     def g(lam: float) -> float:
-        return to_float(norm(x - c.scale(lam), p)) - lam * r_f
+        return to_float(dist(x, c.scale(lam), p)) - lam * r_f
 
     for _ in range(_MINIMIZATION_LEVELS):
         step = (hi - lo) / 8.0
@@ -434,7 +424,7 @@ def _contains_by_minimization(C: OpenCone, x: SeqVector) -> bool:
         if lam <= 0:
             continue
         lam_s = real_value(lam, mode)
-        if norm_lt(x - c.scale(lam_s), p, lam_s * C.radius_value()):
+        if dist_lt(x, c.scale(lam_s), p, lam_s * C.radius_value()):
             return True
     return False
 

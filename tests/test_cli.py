@@ -38,8 +38,17 @@ class TestOrbit:
         assert code == 0
         assert len(out.strip().splitlines()) == 2
 
-    def test_malformed_vector_json(self, capsys):
-        code, _, err = run(capsys, "orbit", "--x", '{"index_set": "Z"', "--horizon", "1")
+    @pytest.mark.parametrize("mode, vector", [
+        ("exact", '{"index_set": "Z"'),
+        ("exact", '{"index_set": "Z", "entries": [[0, "abc", "0"]]}'),
+        ("float", '{"index_set": "Z", "entries": [[0, "1e400", "0"]]}'),
+        ("exact", '{"index_set": "Z", "entries": [[0.5, "1", "0"]]}'),
+        ("exact", '{"index_set": "Z", "entries": [[true, "1", "0"]]}'),
+        ("exact", '{"index_set": "Z", "entries": [[0, "1", "0"], [0, "2", "0"]]}'),
+    ], ids=["truncated", "entry-not-a-number", "float-entry-overflows", "index-fraction",
+            "index-bool", "index-twice"])
+    def test_malformed_vector_json(self, capsys, mode, vector):
+        code, _, err = run(capsys, "--mode", mode, "orbit", "--x", vector, "--horizon", "1")
         assert code == 2
         assert "vector" in err or "config" in err
 
@@ -212,13 +221,20 @@ class TestCertify:
          ("certify", "riesz-blocks")),
         ({"certificates": {"prop21": {"m_ladder_num_den": [[1, 0]]}}},
          ("certify", "prop21")),
+        ({"operator": {"shape": "bilateral_backward", "index_set": "Z", "weights": {
+            "kind": "table", "entries": [1, 2], "default": 1}}}, WITNESS),
+        ({"operator": {"shape": "bilateral_backward", "index_set": "Z", "weights": {
+            "kind": "constant", "value": True}}}, WITNESS),
+        ({"operator": {"shape": "bilateral_backward", "index_set": "Z", "weights": {
+            "kind": "constant", "value": "1/0"}}}, WITNESS),
     ], ids=["unknown-key", "block-without-band", "horizon-not-int",
             "certificates-not-object", "out-dir-not-string", "parameter-not-number",
             "parameter-not-list", "parameter-item-not-number", "horizon-bool",
             "count-string", "count-float", "rational-bool", "rational-bad-string",
             "pair-too-short", "rational-list", "count-numeric-string", "d-zero",
             "d-negative", "positive-rational-negative-string", "window-reversed",
-            "ratio-zero-denominator"])
+            "ratio-zero-denominator", "table-entries-list", "weight-bool",
+            "weight-zero-denominator"])
     def test_unknown_config_key(self, capsys, tmp_path, config, command):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
@@ -328,3 +344,18 @@ class TestExplore:
                            "--family", '{"kind": "full-matrix"}')
         assert code == 2
         assert "out of scope" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("orbit", "--x", E0, "--horizon", "1"),
+    TestCertify.WITNESS,
+    ("explore", "--trials", "0"),
+    ("certify", "prop15"),
+], ids=["orbit", "witness", "explore", "certify"])
+def test_unwritable_out_is_a_config_error(capsys, tmp_path, command):
+    # a file in a missing directory; certify's bundle directory is a file
+    (tmp_path / "file").write_text("")
+    out = tmp_path / ("file" if command[0] == "certify" else "missing/out")
+    code, _, err = run(capsys, *command, "--out", str(out))
+    assert code == 2
+    assert "cannot write" in err

@@ -68,6 +68,7 @@ def ref_pow(a, n):
 def assert_matches(result, pair, real):
     assert isinstance(result, QC)
     assert (result.re, result.im) == pair
+    assert (result.real, result.imag) == pair  # read like a complex
     assert type(result.re) is Fraction and type(result.im) is Fraction
     if real:
         assert result.im == 0

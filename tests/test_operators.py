@@ -134,6 +134,11 @@ class TestApplyPower:
         with pytest.raises(NumericOverflow):
             apply_power(T, 1000, SeqVector.basis(IndexSet.INTEGERS, 1000,
                                                  mode=Mode.FLOAT64))
+        # the entry is small enough that only the product itself is too large
+        with pytest.raises(NumericOverflow, match=r"weight product magnitude 2\^950\.0 "
+                                                  "exceeds policy"):
+            apply_power(T, 950, SeqVector.basis(IndexSet.INTEGERS, 950, 2.0 ** -100,
+                                                mode=Mode.FLOAT64))
         # exact mode has no overflow
         big = apply_power(prop32_operator(), 1000, ei(1000))
         assert big == ei(0, Fraction(2) ** 1000)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitscope import (
     IndexSet,
@@ -374,3 +374,36 @@ def test_distance_kernel_raises_what_the_difference_raises(a_mode, b_mode):
                    lambda: dist_and_lt(a, b, NormTag.P2, 1)):
             with pytest.raises(type(diff_error.value), match=str(diff_error.value)):
                 fn()
+
+
+def _float_pair(pair):
+    a, b = pair
+    return a.mode is b.mode is Mode.FLOAT64 and a.index_set is b.index_set
+
+
+@settings(max_examples=400, deadline=None)
+@given(vector_pairs().filter(_float_pair), st.sampled_from(list(NormTag)),
+       st.floats(min_value=0, max_value=300),
+       st.sampled_from([None, 0.0, 5e-10, -5e-10, 2e-9, -2e-9]))
+@example((SeqVector.from_entries(IndexSet.INTEGERS, {-1: Fraction(122, 49), 0: Fraction(1048, 39),
+                                                     2: Fraction(-673, 20)}, Mode.FLOAT64),
+          SeqVector.zero(IndexSet.INTEGERS, Mode.FLOAT64)), NormTag.P2, 1.0, None)
+def test_float_distances_match_a_reference_built_entry_by_entry(pair, p, drawn, offset):
+    # the reference shares no code with the distance walk: it reads each
+    # entry, subtracts and squares the modulus here, in index order; the
+    # example's sum of squares rounds differently in any other order
+    a, b = pair
+    squares = []
+    for j in sorted(set(a.support) | set(b.support)):
+        z = a.entry(j) - b.entry(j)
+        squares.append(z.real * z.real + z.imag * z.imag)
+    ref = {NormTag.P2: math.sqrt(sum(squares, 0.0)),
+           NormTag.PINF: math.sqrt(max(squares, default=0.0)),
+           NormTag.P1: sum((math.sqrt(t) for t in squares), 0.0)}[p]
+    got = dist(a, b, p)
+    assert type(got) is float and got == ref
+    bound = drawn if offset is None else ref + offset
+    lt, gt = ref < bound - 1e-9, ref > bound + 1e-9
+    assert dist_lt(a, b, p, bound) is lt
+    assert dist_and_lt(a, b, p, bound) == (ref, lt)
+    assert norm_lt(a - b, p, bound) is lt and norm_gt(a - b, p, bound) is gt
