@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .errors import ConfigError
 
-DEFAULTS_VERSION = "1"
+DEFAULTS_VERSION = "2"
 
 PROP32 = {
     "sample_count": 100,
@@ -44,8 +44,7 @@ PROP36_EXPANSION = {
     "target_count": 100,
     "mix_length": 5,
     "mix_budget": 100_000,
-    "budget_ladder": (1_000, 10_000, 100_000),
-    "collapse_threshold": 1e-6,
+    "nonzero_budget": 100_000,
     "stagnation_window": 300,
 }
 
@@ -114,16 +113,15 @@ def _is_list_of(item):
 KINDS = {
     "an integer": (is_integer, """sample_count support_bound orbit_check_horizon
         forced_sample_count forced_budget schedule_length target_count outside_count
-        outside_budget gelfand_n mix_length mix_budget stagnation_window search_budget
-        orbit_horizon steps drift_target_scale_log2 drift_target_index drift_time
-        diagonal_target_log2""".split()),
-    "a rational": (is_number, """norm_bound weight gelfand_rel_tol collapse_threshold
-        contract_weight expand_weight band_a_scale ratio_factor noise_scale
-        lambda""".split()),
+        outside_budget gelfand_n mix_length mix_budget nonzero_budget stagnation_window
+        search_budget orbit_horizon steps drift_target_scale_log2 drift_target_index
+        drift_time diagonal_target_log2""".split()),
+    "a rational": (is_number, """norm_bound weight gelfand_rel_tol contract_weight
+        expand_weight band_a_scale ratio_factor noise_scale lambda""".split()),
     "a positive rational": (lambda v: is_number(v) and v > 0, """d forced_tolerance
         target_eps inside_margin outside_margin""".split()),
-    "a non-empty list of integers": (_is_list_of(is_integer), """budget_ladder
-        lambda_ladder_exponents scale_exponents visit_times count_ladder""".split()),
+    "a non-empty list of integers": (_is_list_of(is_integer), """lambda_ladder_exponents
+        scale_exponents visit_times count_ladder""".split()),
     "a pair of integers lo <= hi": (lambda v: _is_pair(v) and v[0] <= v[1],
                                     ["gelfand_window", "band_b_window"]),
     "a non-empty list of integer pairs with non-zero second entries": (

@@ -35,24 +35,21 @@ class SearchFailed(OrbitscopeError):
     """Witness search gave up.
 
     ``reason`` is one of ``budget``, ``k-cap``, ``stagnation``,
-    ``decay-bound``, ``collapse-bound`` or ``tail-bound``.  Only
-    ``tail-bound`` is a proof of non-membership: ``proof`` then holds its
-    ``k0``, ``eps``, ``coordinate`` and ``inequality``, and is None for
-    every other reason, each of which means "not found within this budget
-    and strategy".  ``collapse_norm`` records the smallest norm of a fully
-    back-solved perturbed point seen while scanning, when one was
-    computable.
+    ``decay-bound``, ``collapse-bound`` or ``tail-bound``.  The last three
+    are exact proofs that the target is not in the limit set: ``proof``
+    then holds their ``k0``, ``eps`` and ``inequality`` (and, for
+    ``tail-bound``, the ``coordinate``).  It is None for every other
+    reason, each of which means "not found within this budget and
+    strategy".
     """
 
     def __init__(self, message, *, reason, triple_index, best_residual,
-                 best_delta_norm, collapse_norm, attempts, budget_used, k_last,
-                 proof=None):
+                 best_delta_norm, attempts, budget_used, k_last, proof=None):
         super().__init__(message)
         self.reason = reason
         self.triple_index = triple_index
         self.best_residual = best_residual
         self.best_delta_norm = best_delta_norm
-        self.collapse_norm = collapse_norm
         self.attempts = attempts
         self.budget_used = budget_used
         self.k_last = k_last
@@ -67,7 +64,6 @@ class SearchFailed(OrbitscopeError):
             "triple_index": self.triple_index,
             "best_residual": finite(self.best_residual),
             "best_delta_norm": finite(self.best_delta_norm),
-            "collapse_norm": finite(self.collapse_norm),
             "attempts": self.attempts,
             "budget_used": self.budget_used,
             "k_last": self.k_last,

@@ -12,10 +12,10 @@ coordinate by coordinate.  In the sup norm a time k admits a witness
 exactly when every mismatch m = y_j - W x_s has |m| < d + |W| eps (|m| < d
 on a row with no source), decided exactly for real exact entries; p1
 and p2 share a greedy budget between the rows.  The search is budgeted
-in power applications; its failures are labelled reasons.  One of them,
-tail-bound, is an exact proof that y is not in J(x, T, d); every other
-reason means "not found within this budget and strategy", never
-non-membership.
+in power applications; its failures are labelled reasons.  Three of them,
+decay-bound, collapse-bound and tail-bound, are exact proofs that y is not
+in J(x, T, d); every other reason means "not found within this budget and
+strategy", never non-membership.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from .errors import (
     SearchFailed,
     VerificationFailed,
 )
-from .numeric import Mode, QC, abs2, is_zero_scalar, jsonable, log2_abs, \
-    make_scalar, real_value, scalar_zero, strict_gt, to_float
+from .numeric import Mode, QC, abs2, exact_sqrt, is_zero_scalar, jsonable, \
+    log2_abs, make_scalar, real_value, scalar_zero, sqrt_bounds, strict_gt, to_float
 from .operators import ShiftOperator, apply_power, path_source, weight_product
 from .orbits import CoarseWitness, coarse_orbit_contains
-from .spaces import IndexSet, NormTag, SeqVector, dist, dist_and_lt, dist_lt, norm
+from .spaces import IndexSet, NormTag, SeqVector, dist, dist_and_lt, dist_lt
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,6 @@ def _correction_rows(T: ShiftOperator, k: int, coords, y: SeqVector,
 
 _K_CAP = 10_000  # largest time tried, and largest mix-block start
 _MIX_STAGNATION = 200  # mix-block starts without progress
-_COLLAPSE_TARGET = 1e-7  # the collapse diagnostic traces down to this norm
 
 
 class Budget:
@@ -271,7 +270,6 @@ class _Attempt:
     dist: object | None
     delta_norm: float
     residual: float
-    collapse_norm: float | None
 
 
 class _SearchLog:
@@ -282,16 +280,12 @@ class _SearchLog:
         self.budget = Budget(budget)
         self.attempts = 0
         self.k_last = 0
-        self.collapse_min: float | None = None
 
     def attempt(self, T, x, y, d_val, eps, k, norm_tag, mode) -> _Attempt | None:
         att = _greedy_attempt(T, x, y, d_val, eps, k, norm_tag, self.budget, mode)
         if att is not None:
             self.attempts += 1
             self.k_last = k
-            if att.collapse_norm is not None:
-                self.collapse_min = att.collapse_norm if self.collapse_min is None \
-                    else min(self.collapse_min, att.collapse_norm)
         return att
 
     def failure(self, message: str, reason: str, triple_index: int,
@@ -300,7 +294,7 @@ class _SearchLog:
         return SearchFailed(
             message, reason=reason, triple_index=triple_index,
             best_residual=best_res, best_delta_norm=best_delta,
-            collapse_norm=self.collapse_min, attempts=self.attempts,
+            attempts=self.attempts,
             budget_used=self.budget.used, k_last=self.k_last, proof=proof)
 
 
@@ -339,27 +333,9 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
     try:
         image0 = apply_power(T, k, x)
     except NumericOverflow:
-        return _Attempt(False, None, None, math.inf, math.inf, None)
+        return _Attempt(False, None, None, math.inf, math.inf)
     coords = set(y.support) | set(image0.support)
     rows = _correction_rows(T, k, coords, y, image0)
-    # full back-solve: the would-be perturbed point if the radius were free;
-    # skipped when shrinking weight products would make it astronomically
-    # large (then it is never the collapse minimum anyway)
-    collapse_norm = None
-    full = {}
-    if rows and all(r[2] is not None for r in rows) \
-            and all(r[3].log2_magnitude > -64 for r in rows):
-        for _, mismatch, s, wp in rows:
-            full[s] = _div_by_product(mismatch, wp, mode)
-        minus_full = SeqVector(x.index_set, {s: -u for s, u in full.items()}, mode)
-        collapse_norm = to_float(dist(x, minus_full, norm_tag))  # ||x + full||
-    elif not rows:
-        collapse_norm = to_float(norm(x, norm_tag))
-
-    def quotient(mismatch, s, wp):
-        # the back-solve above already divided every row, when it ran
-        return full[s] if full else _div_by_product(mismatch, wp, mode)
-
     delta_entries = {}
     uncorrected = []
     feasible = True
@@ -372,7 +348,7 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
         for _, mismatch, s, wp in rows:
             m_abs = _magnitude(mismatch)
             if s is not None:
-                u = quotient(mismatch, s, wp)
+                u = _div_by_product(mismatch, wp, mode)
                 u_abs = _magnitude(u)
                 if strict_gt(eps, u_abs, mode):
                     delta_entries[s] = u
@@ -398,7 +374,7 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
             if s is None:
                 uncorrected.append(m_f)
                 continue
-            u = quotient(m, s, wp)
+            u = _div_by_product(m, wp, mode)
             fixable.append((to_float(_magnitude(u)), m_f, j, u, s))
         fixable.sort(key=lambda r: (r[0], r[2]))
         eps_f = to_float(eps)
@@ -421,17 +397,17 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
     else:
         residual_est = sum(uncorrected)
     if not feasible or not delta_ok:
-        return _Attempt(False, None, None, delta_norm, residual_est, collapse_norm)
+        return _Attempt(False, None, None, delta_norm, residual_est)
     if not budget.try_spend(1):
         return None
     perturbed = x + delta
     try:
         image = apply_power(T, k, perturbed)
     except NumericOverflow:
-        return _Attempt(False, None, None, delta_norm, math.inf, collapse_norm)
+        return _Attempt(False, None, None, delta_norm, math.inf)
     r, ok = dist_and_lt(image, y, norm_tag, d_val)
     return _Attempt(ok, perturbed if ok else None, r if ok else None, delta_norm,
-                    to_float(r), collapse_norm)
+                    to_float(r))
 
 
 def _exact_abs2(v) -> Fraction:
@@ -440,32 +416,94 @@ def _exact_abs2(v) -> Fraction:
     return re * re + im * im
 
 
-class _StructuralStops:
-    """Sound reasons why no time >= k can possibly work, for one search.
+def _root_bounds(q: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational lo <= sqrt(q) <= hi, both exact when sqrt(q) is rational."""
+    r = exact_sqrt(q)
+    return (r, r) if r is not None else sqrt_bounds(q, 64)
 
-    decay-bound and collapse-bound compare float norms with a margin.
-    tail-bound is a proof, decided in Fractions: take a source s of x on a
-    floorless path whose weights all have modulus >= 1, at a time k whose
-    target t = s -/+ k has left supp y for good.  If |W| (|x_s| - eps) >= d
-    with W the path product and eps the schedule's smallest radius, then
-    every z with |z_s - x_s| < eps has |W z_s| > |W| (|x_s| - eps) >= d at
-    row t, where y_t = 0 and no other source lands.  |W| never shrinks as k
-    grows, so eps fails at every time from k on, in every norm here (the p1
-    and p2 balls lie inside the sup balls), and y is not in J(x, T, d).
+
+def _norm_bounds(v: SeqVector, norm_tag: NormTag) -> tuple[Fraction, Fraction]:
+    """Rational lo <= ||v|| <= hi, from the exact |v_j|^2 of each entry."""
+    squares = [_exact_abs2(u) for _, u in v.items()]
+    if norm_tag is NormTag.P1:
+        bounds = [_root_bounds(a) for a in squares]
+        return (sum((lo for lo, _ in bounds), Fraction(0)),
+                sum((hi for _, hi in bounds), Fraction(0)))
+    return _root_bounds(sum(squares, Fraction(0)) if norm_tag is NormTag.P2
+                        else max(squares, default=Fraction(0)))
+
+
+def _first_power_at_most(b: Fraction, r: Fraction) -> int | None:
+    """Smallest k >= 1 with b^k <= r, for 0 < b < 1 and r > 0; None past
+    _K_CAP.  A float estimate picks k and exact powers settle it."""
+    if b <= r:
+        return 1
+    est = (math.log(r.numerator) - math.log(r.denominator)) / \
+        (math.log(b.numerator) - math.log(b.denominator))
+    if est > _K_CAP + 1:
+        return None
+    k = max(1, math.ceil(est))
+    while k > 1 and b ** (k - 1) <= r:
+        k -= 1
+    while b ** k > r:
+        k += 1
+    return k if k <= _K_CAP else None
+
+
+class _StructuralStops:
+    """Exact proofs that y is not in J(x, T, d), for one search.
+
+    Each is decided in Fractions with eps the schedule's smallest radius:
+    a certificate needs that radius at a time after every earlier triple,
+    so a time that fails for it stops the search.  Every power of T sends
+    each coordinate to its own row, times a product of weights, so with
+    S^2 and I^2 the largest and smallest |w|^2 over T's weights,
+    ||T^k z|| <= S^k ||z|| in every norm here, and ||T^k z|| >= I^k ||z||
+    when T annihilates nothing.  For every z with ||z - x|| < eps:
+
+    * decay-bound: if S < 1 and S^k (||x|| + eps) <= ||y|| - d, then
+      ||T^k z - y|| >= ||y|| - ||T^k z|| > d.
+    * collapse-bound: if I > 1, T annihilates nothing and
+      I^k (||x|| - eps) >= ||y|| + d, then ||T^k z - y|| > d.
+
+    S^k falls and I^k grows with k, so each holds from its first time k0
+    on; k0 is found once, comparing S^2k or I^2k with the squared ratio of
+    rational bounds on the norms, which the proof records.
+
+    * tail-bound: take a source s of x on a floorless path whose weights
+      all have modulus >= 1, at a time k whose target t = s -/+ k has left
+      supp y for good.  If |W| (|x_s| - eps) >= d with W the path product,
+      then every z as above has |W z_s| > |W| (|x_s| - eps) >= d at row t,
+      where y_t = 0 and no other source lands.  |W| never shrinks as k
+      grows, so eps fails at every time from k on, in every norm here (the
+      p1 and p2 balls lie inside the sup balls).
     """
 
     def __init__(self, T: ShiftOperator, x: SeqVector, y: SeqVector, d_val,
                  eps_last: Fraction, norm_tag: NormTag):
         self.T = T
-        self.x_norm = to_float(norm(x, norm_tag))
-        self.y_norm = to_float(norm(y, norm_tag))
-        self.d_f = to_float(d_val)
-        self.sup = T.sup_abs_weight()
-        self.inf = T.inf_abs_weight()
-        self.collapsing = self.inf > 1.0 and not T.annihilates and self.x_norm > 0
-        self.eps = eps_last
-        self.d = Fraction(d_val)
+        self.eps = eps = eps_last
+        self.d = d = Fraction(d_val)
         self.y_span = (y.support_min, y.support_max)
+        weights = [w.abs2() for _, rule, _ in T.components()
+                   for w in rule.weight_values()]
+        s2, i2 = max(weights), min(weights)
+        # (reason, k0, proof) for each stop that holds from some k0 on
+        self.proved = []
+        if s2 < 1:
+            x_hi, y_lo = _norm_bounds(x, norm_tag)[1], _norm_bounds(y, norm_tag)[0]
+            if y_lo > d:
+                self._record("decay-bound", _first_power_at_most(
+                    s2, ((y_lo - d) / (x_hi + eps)) ** 2),
+                    f"S^k*(||x|| + eps) <= ||y|| - d with S^2 = {s2}, "
+                    f"||x|| <= {x_hi}, ||y|| >= {y_lo}, d = {d}")
+        if i2 > 1 and not T.annihilates:
+            x_lo, y_hi = _norm_bounds(x, norm_tag)[0], _norm_bounds(y, norm_tag)[1]
+            if x_lo > eps:
+                self._record("collapse-bound", _first_power_at_most(
+                    1 / i2, ((x_lo - eps) / (y_hi + d)) ** 2),
+                    f"I^k*(||x|| - eps) >= ||y|| + d with I^2 = {i2}, "
+                    f"||x|| >= {x_lo}, ||y|| <= {y_hi}, d = {d}")
         # (s, step, |x_s|^2) for each source that may carry a tail proof;
         # one with |x_s| <= eps never does
         self.tails = []
@@ -473,27 +511,26 @@ class _StructuralStops:
             comp = T.component_for(s)
             if comp is None:
                 continue
-            kind, weights, band = comp
+            kind, rule, band = comp
             if not ((kind == "backward" and band.lo is None)
                     or (kind == "forward" and band.hi is None)):
                 continue
-            if any(w.abs2() < 1 for w in weights.weight_values()):
+            if any(w.abs2() < 1 for w in rule.weight_values()):
                 continue
             a = _exact_abs2(v)
-            if a > eps_last * eps_last:
+            if a > eps * eps:
                 self.tails.append((s, -1 if kind == "backward" else 1, a))
 
-    def at(self, eps_f: float, k: int) -> tuple[str, dict | None] | None:
-        """(reason, proof) for the first stop that holds at time k, else None;
-        the proof is None except for tail-bound."""
-        if self.sup < 1.0:
-            reach = (self.sup ** k) * (self.x_norm + eps_f)
-            if self.y_norm - reach > self.d_f * (1.0 + 1e-3) + 1e-9:
-                return "decay-bound", None
-        if self.collapsing:
-            back = (self.y_norm + self.d_f) / (self.inf ** k)
-            if self.x_norm - back > eps_f * (1.0 + 1e-3) + 1e-9:
-                return "collapse-bound", None
+    def _record(self, reason: str, k0: int | None, inequality: str) -> None:
+        if k0 is not None:
+            self.proved.append((reason, k0, {"k0": k0, "eps": str(self.eps),
+                                             "inequality": inequality}))
+
+    def at(self, k: int) -> tuple[str, dict] | None:
+        """(reason, proof) for the first stop that holds at time k, else None."""
+        for reason, k0, proof in self.proved:
+            if k >= k0:
+                return reason, proof
         proof = self._tail_proof(k)
         return ("tail-bound", proof) if proof is not None else None
 
@@ -522,11 +559,10 @@ def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
     """Per-time back-solve search with structural pruning, at times from
     k_min to 10000.
 
-    Raises SearchFailed with labelled diagnostics; failure means "not
-    found within this budget and strategy", never non-membership, except
-    for tail-bound, which carries its proof.  The collapse diagnostic
-    records the smallest fully back-solved perturbed-point norm seen, the
-    mechanism behind emptiness of J-sets for expanding operators.
+    Raises SearchFailed with labelled diagnostics.  A structural stop,
+    decay-bound, collapse-bound or tail-bound, carries its proof that y is
+    not in J(x, T, d); every other failure means "not found within this
+    budget and strategy", never non-membership.
     """
     mode = x.mode if not x.is_zero else y.mode
     d_val = real_value(d, mode)
@@ -534,7 +570,7 @@ def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
         raise OrbitscopeError("d must be positive")
     log = _SearchLog(budget)
     stops = _StructuralStops(T, x, y, d_val, schedule.values[-1], norm_tag)
-    d_f = stops.d_f
+    d_f = to_float(d_val)
     triples = []
     k_prev = k_min - 1
 
@@ -542,15 +578,6 @@ def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
              proof: dict | None = None):
         return log.failure(f"triple {i + 1}: {reason}", reason, i, best_res,
                            best_delta, proof)
-
-    def deepen_collapse(k: int):
-        # keep tracing the back-solved point so the emptiness mechanism
-        # (x_n collapsing to 0 while x != 0) is visible in the report
-        while k <= _K_CAP and (log.collapse_min is None
-                              or log.collapse_min > _COLLAPSE_TARGET):
-            if log.attempt(T, x, y, d_val, Fraction(1, 1), k, norm_tag, mode) is None:
-                break
-            k += 1
 
     for i, eps in enumerate(schedule):
         eps_f = to_float(eps)
@@ -561,10 +588,8 @@ def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
         last_improve = k_prev
         k = k_prev + 1
         while k <= _K_CAP:
-            stop = stops.at(eps_f, k)
+            stop = stops.at(k)
             if stop is not None:
-                if stops.collapsing:
-                    deepen_collapse(k)
                 reason, proof = stop
                 raise fail(reason, i, best_res, best_delta, proof)
             att = log.attempt(T, x, y, d_val, eps, k, norm_tag, mode)
@@ -611,14 +636,13 @@ def jmix_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d, m: int,
         raise OrbitscopeError("d must be positive")
     log = _SearchLog(budget)
     stops = _StructuralStops(T, x, y, d_val, schedule.values[-1], norm_tag)
-    eps_min_f = to_float(schedule.values[-1])
     best_res = math.inf
     best_delta = math.inf
     last_partial = -1
     last_improve = N_start - 1
     N = N_start
     while N <= _K_CAP:
-        stop = stops.at(eps_min_f, N)
+        stop = stops.at(N)
         if stop is not None:
             reason, proof = stop
             raise log.failure(f"mix block at N={N}: {reason}", reason, 0,

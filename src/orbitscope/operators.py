@@ -95,12 +95,6 @@ class WeightRule:
                 phase *= unit_power(ph_w, c)
         return lg, phase
 
-    def sup_abs(self) -> float:
-        return max(math.sqrt(float(w.abs2())) for w in self._weights)
-
-    def inf_abs(self) -> float:
-        return min(math.sqrt(float(w.abs2())) for w in self._weights)
-
 
 _ONE, _UNIT = QC(Fraction(1)), complex(1.0, 0.0)
 
@@ -377,12 +371,6 @@ class ShiftOperator:
             if comp[2].contains(i):
                 return comp
         return None
-
-    def sup_abs_weight(self) -> float:
-        return max(w.sup_abs() for _, w, _ in self.components())
-
-    def inf_abs_weight(self) -> float:
-        return min(w.inf_abs() for _, w, _ in self.components())
 
     @property
     def annihilates(self) -> bool:

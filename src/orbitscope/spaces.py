@@ -197,7 +197,10 @@ class SeqVector:
                     raise ValueError(f"index {i} is given twice")
                 if isinstance(re, bool) or isinstance(im, bool):
                     raise ValueError(f"entry at {i} is not a number")
-                raw[i] = make_scalar((re, im), mode)
+                exact = make_scalar((re, im), Mode.EXACT)
+                raw[i] = make_scalar(exact, mode)
+                if (exact.re and not raw[i].real) or (exact.im and not raw[i].imag):
+                    raise ValueError(f"entry at {i} underflows a double")
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise OrbitscopeError(f"malformed vector JSON: {exc}") from exc
         return cls(index_set, raw, mode)

@@ -42,11 +42,12 @@ class TestOrbit:
         ("exact", '{"index_set": "Z"'),
         ("exact", '{"index_set": "Z", "entries": [[0, "abc", "0"]]}'),
         ("float", '{"index_set": "Z", "entries": [[0, "1e400", "0"]]}'),
+        ("float", '{"index_set": "Z", "entries": [[0, "1e-400", "0"]]}'),
         ("exact", '{"index_set": "Z", "entries": [[0.5, "1", "0"]]}'),
         ("exact", '{"index_set": "Z", "entries": [[true, "1", "0"]]}'),
         ("exact", '{"index_set": "Z", "entries": [[0, "1", "0"], [0, "2", "0"]]}'),
-    ], ids=["truncated", "entry-not-a-number", "float-entry-overflows", "index-fraction",
-            "index-bool", "index-twice"])
+    ], ids=["truncated", "entry-not-a-number", "float-entry-overflows",
+            "float-entry-underflows", "index-fraction", "index-bool", "index-twice"])
     def test_malformed_vector_json(self, capsys, mode, vector):
         code, _, err = run(capsys, "--mode", mode, "orbit", "--x", vector, "--horizon", "1")
         assert code == 2
@@ -123,18 +124,25 @@ class TestWitness:
 
     def test_j_not_found_under_halving_shift(self, capsys, tmp_path):
         # a halving shift pulls every image of the unit ball around 0 to 0,
-        # so e_0 stays out of reach and the search reports its diagnostics
+        # so e_0 stays out of reach, proved from the first time on in
+        # both modes
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
             "operator": {"shape": "unilateral_backward", "index_set": "N",
                          "weights": {"kind": "constant", "value": "1/2"}}}))
         zero = '{"index_set": "N", "entries": []}'
-        code, out, _ = run(capsys, "--config", str(config), "witness", "--kind",
-                           "j", "--x", zero, "--y", E0_N, "--d", "1/4")
-        assert code == 3
-        payload = json.loads(out)
-        assert payload["found"] is False
-        assert payload["diagnostics"]["reason"] == "decay-bound"
+        for mode in ("exact", "float"):
+            code, out, _ = run(capsys, "--config", str(config), "--mode", mode,
+                               "witness", "--kind", "j", "--x", zero, "--y", E0_N,
+                               "--d", "1/4")
+            assert code == 3
+            payload = json.loads(out)
+            assert payload["found"] is False
+            assert payload["diagnostics"]["reason"] == "decay-bound"
+            assert payload["diagnostics"]["proof"] == {
+                "k0": 1, "eps": "1/5",
+                "inequality": "S^k*(||x|| + eps) <= ||y|| - d with S^2 = 1/4, "
+                              "||x|| <= 0, ||y|| >= 1, d = 1/4"}
 
 
 FAST_CERTS = {

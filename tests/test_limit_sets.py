@@ -37,7 +37,7 @@ from orbitscope.errors import (
     VerificationFailed,
 )
 from orbitscope.limit_sets import Budget, _StructuralStops, _greedy_attempt
-from orbitscope.numeric import QC, Mode, to_float
+from orbitscope.numeric import QC, Mode, real_value, to_float
 
 from conftest import random_shift, random_vector, sup_projection_feasible, vector_for
 
@@ -119,12 +119,22 @@ class TestSearch:
 
     def test_contracting_diagonal_far_target_fails(self):
         # images of the whole radius-1 ball around e_0 shrink to 0, so a
-        # target of norm 3 is out of reach at every time
+        # target of norm 3 is out of reach at every time, proved from k = 1
+        # on by (1/2) (1 + 1/3) <= 3 - 1/10, in every norm and mode
         T = ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS, Constant(Fraction(1, 2)))
-        with pytest.raises(SearchFailed) as info:
-            search_j_witness(T, ei(0), ei(0, 3), Fraction(1, 10),
-                             EpsSchedule.reciprocal(3), 10_000)
-        assert info.value.reason == "decay-bound"
+        d = Fraction(1, 10)
+        for mode in Mode:
+            for norm_tag in NormTag:
+                with pytest.raises(SearchFailed) as info:
+                    search_j_witness(T, ei(0, mode=mode), ei(0, 3, mode), d,
+                                     EpsSchedule.reciprocal(3), 10_000,
+                                     norm_tag=norm_tag)
+                assert info.value.reason == "decay-bound"
+                assert info.value.proof == {
+                    "k0": 1, "eps": "1/3",
+                    "inequality": "S^k*(||x|| + eps) <= ||y|| - d with S^2 = 1/4, "
+                                  "||x|| <= 1, ||y|| >= 3, "
+                                  f"d = {Fraction(real_value(d, mode))}"}
 
     def test_decisive_regimes_on_random_backward_shifts(self):
         # decisive regimes: growing products from a zero base always admit
@@ -331,6 +341,115 @@ class TestTailBound:
                           Constant(QC(Fraction(1), Fraction(1))))
         assert tail_proof(T, ei(0), zero, 1, Fraction(1, 2), 1) is None
         assert tail_proof(T, ei(0), zero, 1, Fraction(1, 2), 2)["k0"] == 2
+
+
+contractions = st.fractions(min_value=Fraction(1, 4), max_value=Fraction(7, 8),
+                            max_denominator=8)
+
+
+def decay_or_collapse(T, x, y, d, eps, norm_tag):
+    """The (reason, k0, proof) of each decay or collapse stop that holds."""
+    return _StructuralStops(T, x, y, d, eps, norm_tag).proved
+
+
+def stop_operator(shape, expanding, a, b, piecewise, rotate=False):
+    """A shift whose weights are a and b (or their inverses), all of modulus
+    below 1 or all above; rotate turns them by the unit phase (3 + 4i)/5."""
+    a, b = (1 / a, 1 / b) if expanding else (a, b)
+    if rotate:
+        a, b = QC(a * Fraction(3, 5), a * Fraction(4, 5)), QC(b * Fraction(3, 5),
+                                                             b * Fraction(4, 5))
+    rule = PiecewiseTwoSided(a, b) if piecewise else Constant(a)
+    if shape == "unilateral":
+        return ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS, rule)
+    return ShiftOperator({"backward": Shape.BILATERAL_BACKWARD,
+                          "forward": Shape.BILATERAL_FORWARD,
+                          "diagonal": Shape.DIAGONAL}[shape], IndexSet.INTEGERS, rule)
+
+
+def recorded_bounds(proof):
+    """name -> (relation, value) for each bound after "with" in the inequality."""
+    out = {}
+    for item in proof["inequality"].split(" with ")[1].split(", "):
+        name, relation, value = item.split(" ")
+        out[name] = (relation, Fraction(value))
+    return out
+
+
+class TestDecayCollapse:
+    """decay-bound: S^k (||x|| + eps) <= ||y|| - d with S < 1; collapse-bound:
+    I^k (||x|| - eps) >= ||y|| + d with I > 1 and nothing annihilated.  Each
+    rules out every time from its k0 on."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), expanding=st.booleans(),
+           shape=st.sampled_from(["backward", "forward", "diagonal", "unilateral"]),
+           piecewise=st.booleans(), a=contractions, b=contractions, d=radii,
+           eps=radii)
+    def test_pinf_no_time_from_k0_on_is_feasible(self, seed, expanding, shape,
+                                                piecewise, a, b, d, eps):
+        rng = random.Random(seed)
+        T = stop_operator(shape, expanding, a * rng.choice([1, -1]),
+                          b * rng.choice([1, -1]), piecewise)
+        x = vector_for(rng, T, -4, 4)
+        y = vector_for(rng, T, -4, 4)
+        for reason, k0, _ in decay_or_collapse(T, x, y, d, eps, NormTag.PINF):
+            assert reason == ("collapse-bound" if expanding else "decay-bound")
+            assert not (expanding and T.annihilates)
+            if k0 > 20:
+                continue
+            for k in range(k0, k0 + 41):
+                assert not sup_projection_feasible(T, x, y, d, eps, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), expanding=st.booleans(),
+           shape=st.sampled_from(["backward", "forward", "diagonal", "unilateral"]),
+           piecewise=st.booleans(), rotate=st.booleans(), a=contractions,
+           b=contractions, d=radii, eps=radii,
+           norm_tag=st.sampled_from([NormTag.P1, NormTag.P2]))
+    def test_p1_p2_recorded_inequality_holds(self, seed, expanding, shape, piecewise,
+                                             rotate, a, b, d, eps, norm_tag):
+        rng = random.Random(seed)
+        T = stop_operator(shape, expanding, a, b, piecewise, rotate)
+        x = vector_for(rng, T, -4, 4)
+        y = vector_for(rng, T, -4, 4)
+        # the weights' |w|^2 and each vector's ||.||_1, or ||.||_2 squared
+        w2 = [abs(a) ** 2, abs(b) ** 2] if piecewise else [abs(a) ** 2]
+        if expanding:
+            w2 = [1 / v for v in w2]
+        p2 = norm_tag is NormTag.P2
+        x_n = sum(v.re ** 2 if p2 else abs(v.re) for _, v in x.items())
+        y_n = sum(v.re ** 2 if p2 else abs(v.re) for _, v in y.items())
+
+        def at_most(lo, n):  # lo <= ||v|| with n = ||v||_1 or ||v||_2^2
+            return lo <= 0 or (lo * lo <= n if p2 else lo <= n)
+
+        def at_least(hi, n):  # hi >= ||v||
+            return hi >= 0 and (hi * hi >= n if p2 else hi >= n)
+
+        for reason, k0, proof in decay_or_collapse(T, x, y, d, eps, norm_tag):
+            assert proof["k0"] == k0 and proof["eps"] == str(eps)
+            bounds = recorded_bounds(proof)
+            assert bounds["d"] == ("=", d)
+            if reason == "decay-bound":
+                assert not expanding
+                s2, x_hi, y_lo = bounds["S^2"][1], bounds["||x||"], bounds["||y||"]
+                assert s2 == max(w2) < 1
+                assert x_hi[0] == "<=" and at_least(x_hi[1], x_n)
+                assert y_lo[0] == ">=" and at_most(y_lo[1], y_n)
+                gap, reach = y_lo[1] - d, x_hi[1] + eps
+                assert gap >= 0 and gap ** 2 >= s2 ** k0 * reach ** 2
+                assert k0 == 1 or gap ** 2 < s2 ** (k0 - 1) * reach ** 2
+            else:
+                assert reason == "collapse-bound" and expanding
+                assert not T.annihilates
+                i2, x_lo, y_hi = bounds["I^2"][1], bounds["||x||"], bounds["||y||"]
+                assert i2 == min(w2) > 1
+                assert x_lo[0] == ">=" and at_most(x_lo[1], x_n)
+                assert y_hi[0] == "<=" and at_least(y_hi[1], y_n)
+                core, need = x_lo[1] - eps, y_hi[1] + d
+                assert core > 0 and i2 ** k0 * core ** 2 >= need ** 2
+                assert k0 == 1 or i2 ** (k0 - 1) * core ** 2 < need ** 2
 
 
 class TestJMix:
