@@ -3,7 +3,8 @@
 Exact orbits and coarse orbits of weighted shift operators on finitely
 supported sequence vectors, ball-generated open cones with exact
 membership tests, finite certificates for coarse extended limit sets,
-and runnable certificate suites with independent re-verification.
+and runnable certificate suites.  Each witness is checked once, by the
+function that builds it.
 """
 
 from .errors import (

@@ -28,7 +28,7 @@ class IndecisiveSpectrum(OrbitscopeError):
 
 
 class VerificationFailed(OrbitscopeError):
-    """A witness failed its independent re-check; signals an arithmetic bug."""
+    """A witness failed its check; signals an arithmetic bug."""
 
 
 class SearchFailed(OrbitscopeError):

@@ -16,6 +16,10 @@ in power applications; its failures are labelled reasons.  Three of them,
 decay-bound, collapse-bound and tail-bound, are exact proofs that y is not
 in J(x, T, d); every other reason means "not found within this budget and
 strategy", never non-membership.
+
+Each function that returns a witness checks it once; consumers never
+check it again.  prop31_rescale, rescale_j_witness_family and
+prop22_amplify also check the witnesses they are given.
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ class JWitness:
         return tuple(t.time for t in self.triples)
 
     def verify(self, T: ShiftOperator) -> None:
-        """Independent re-check of every strict inequality in the certificate."""
+        """Check every strict inequality; each producer calls it once."""
         for eps, triple in zip(self.schedule, self.triples):
             if not dist_lt(triple.perturbed, self.base, self.norm_tag, eps):
                 raise VerificationFailed(
@@ -728,7 +732,7 @@ def rescale_j_witness_family(T: ShiftOperator,
     target = witnesses[0].target.scale(real_value(Fraction(1) / scales[0], mode))
     for t, w in family:
         w.verify(T)
-        if to_float(w.bound) != to_float(d_val):
+        if w.bound != d_val:
             raise OrbitscopeError("family members must share the bound d")
     m_index = None
     for idx, t in enumerate(scales):
@@ -827,7 +831,7 @@ def prop22_amplify(T: ShiftOperator, x: SeqVector, y: SeqVector, d, lam,
         w.verify(T)
         if w.base != x:
             raise OrbitscopeError(f"witness {n} has a different base point")
-        if to_float(w.bound) != to_float(d_val):
+        if w.bound != d_val:
             raise OrbitscopeError(f"witness {n} carries a different bound")
         lam_n = lam_frac ** n
         expected_target = y.scale(real_value(Fraction(1) / lam_n, mode))

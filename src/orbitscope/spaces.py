@@ -433,7 +433,10 @@ def _contains_by_minimization(C: OpenCone, x: SeqVector) -> bool:
 
 
 def cone_contains(C: OpenCone, x: SeqVector, method: str = "auto") -> bool:
-    """Exact membership of x in the ball-generated open cone C."""
+    """Membership of x in the ball-generated open cone C, exact for the
+    euclidean closed form.  The p1/pinf search checks True exactly, but its
+    False is one-sided: a member within ~1e-12 (relative) of the boundary
+    may be reported as outside."""
     if x.index_set is not C.center.index_set:
         raise IndexSetMismatch("cone and vector index sets differ")
     if x._entries and x.mode is not C.mode:

@@ -23,7 +23,9 @@ from orbitscope.certificates import (
     write_bundle,
 )
 from orbitscope.errors import ConfigError
+from orbitscope.limit_sets import DWitness, JWitness
 from orbitscope.numeric import Mode
+from orbitscope.orbits import CoarseWitness
 
 from conftest import points_in_ball_scan
 from test_cli import reject_constant
@@ -72,6 +74,17 @@ class TestProp36:
     def test_contraction_pass(self):
         r = cert_prop36_contraction(seed=2, target_count=25, outside_count=8)
         assert r.verdict == "PASS"
+
+    def test_contraction_budget_stop_is_indecisive(self):
+        # one outside target stops on its budget rather than a proof, so
+        # the closure sub-check cannot pass, as in prop36-expansion
+        r = cert_prop36_contraction(seed=0, target_count=5, outside_count=3,
+                                    outside_budget=1)
+        closure = {s.name: s for s in r.sub_checks}["closure-bound-respected"]
+        assert closure.details["proved"] == 2
+        assert closure.details["failure_reasons"] == ["budget", "decay-bound"]
+        assert closure.status == "INDECISIVE"
+        assert r.verdict == "INDECISIVE"
 
     def test_contraction_hypothesis_gate(self):
         r = cert_prop36_contraction(weight=2, seed=0)
@@ -326,3 +339,17 @@ def test_pinned_bundle_digest(mode, tmp_path):
     reports = run_all(seed=0, mode=mode, overrides=PINNED_SIZES)
     digest = bundle_digest(write_bundle(reports, tmp_path / "bundle"))
     assert hashlib.sha256(digest.encode()).hexdigest() == PINNED_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT64], ids=lambda m: m.value)
+def test_certificates_never_reverify(mode, monkeypatch):
+    # each witness is checked once, by the function that builds it
+    callers = []
+    for cls in (JWitness, DWitness, CoarseWitness):
+        def verify(self, T, _check=cls.verify):
+            callers.append(inspect.currentframe().f_back.f_globals["__name__"])
+            return _check(self, T)
+        monkeypatch.setattr(cls, "verify", verify)
+    run_all(seed=0, mode=mode, overrides=PINNED_SIZES)
+    assert callers
+    assert "orbitscope.certificates" not in callers

@@ -36,7 +36,8 @@ from orbitscope.errors import (
     SearchFailed,
     VerificationFailed,
 )
-from orbitscope.limit_sets import Budget, _StructuralStops, _greedy_attempt
+from orbitscope import limit_sets
+from orbitscope.limit_sets import Budget, _Attempt, _StructuralStops, _greedy_attempt
 from orbitscope.numeric import QC, Mode, real_value, to_float
 
 from conftest import random_shift, random_vector, sup_projection_feasible, vector_for
@@ -657,6 +658,32 @@ class TestProp22:
         assert all(to_float(pt.distance) <= 0.5 ** pt.n for pt in amp.points)
 
 
+def _family_with_bounds(d0, d1):
+    T = doubling()
+    zero = SeqVector.zero(IndexSet.NATURALS)
+    w1 = jmix_witness(T, zero, en(0, 2), 1, 3, 1, 50_000)
+    w2 = jmix_witness(T, zero, en(0, 4), 1, 3, w1.times[-1] + 1, 50_000)
+    return lambda: rescale_j_witness_family(
+        T, [(2, with_bound(T, w1, d0)), (4, with_bound(T, w2, d1))], 1)
+
+
+def _amplification_with_bounds(d0, d1):
+    T = prop32_operator()
+    y = ei(-20, Fraction(1, 2 ** 15))
+    cws = [make_coarse_witness(T, ei(0), d, y.scale(Fraction(2) ** n), 20,
+                               NormTag.PINF) for n, d in ((1, d0), (2, d1))]
+    return lambda: prop22_amplify(T, ei(0), y, d0, Fraction(1, 2), cws)
+
+
+@pytest.mark.parametrize("build", [_family_with_bounds, _amplification_with_bounds],
+                         ids=["family", "prop22"])
+def test_same_bound_is_exact(build):
+    # 1 + 2^-60 rounds to the double 1.0; in exact mode it is another bound
+    build(1, 1)()
+    with pytest.raises(OrbitscopeError, match="bound"):
+        build(1, 1 + Fraction(1, 2 ** 60))()
+
+
 class TestRemark32:
     def test_empty_family_rejected(self):
         with pytest.raises(InputNotAWitnessFamily):
@@ -720,6 +747,20 @@ class TestWitnessIntegrity:
             mix_flag=w.mix_flag)
         with pytest.raises(VerificationFailed):
             tampered.verify(T)
+
+    @pytest.mark.parametrize("search", ["search", "jmix"])
+    def test_producer_check_is_live(self, monkeypatch, search):
+        # an attempt that claims success with a perturbation outside eps
+        # must not leave the function that builds the witness
+        def claim(T, x, y, d_val, eps, k, norm_tag, budget, mode):
+            return _Attempt(True, x + SeqVector.basis(x.index_set, 7, 2), 0, 0.0, 0.0)
+        monkeypatch.setattr(limit_sets, "_greedy_attempt", claim)
+        T = doubling()
+        with pytest.raises(VerificationFailed, match="perturbation"):
+            if search == "search":
+                search_j_witness(T, en(1), en(0), 1, EpsSchedule.reciprocal(3), 100)
+            else:
+                jmix_witness(T, SeqVector.zero(IndexSet.NATURALS), en(0), 1, 3, 1, 100)
 
     def test_times_must_increase(self):
         T = prop32_operator()
