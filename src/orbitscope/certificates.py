@@ -7,8 +7,9 @@ INDECISIVE is a first-class verdict: exhausted budgets and uncertifiable
 spectral hypotheses are never reported as FAIL, since absence of a
 witness within a budget refutes nothing.
 
-Every suite takes (seed, mode, **params); each parameter is checked
-against its kind in defaults.py before the suite runs.
+Each suite is one body registered by _suite: the certificate takes
+(seed, mode, **params), checks each parameter against its kind in
+defaults.py before the body runs, times the body and builds the report.
 
 Verdicts are deterministic functions of (parameters, seed); wall-clock
 timing lives in a separate "timing" block so report bundles can be
@@ -44,7 +45,7 @@ from .limit_sets import (
     rescale_j_witness_family,
     search_j_witness,
 )
-from .numeric import Mode, jsonable, make_scalar, real_value, to_float
+from .numeric import FieldsJSON, Mode, jsonable, make_scalar, real_value, to_float
 from .operators import (
     Band,
     Block,
@@ -73,15 +74,11 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
 @dataclass(frozen=True)
-class SubCheck:
+class SubCheck(FieldsJSON):
     name: str
     status: str
     note: str = ""
     details: dict = field(default_factory=dict)
-
-    def to_jsonable(self):
-        return {"name": self.name, "status": self.status, "note": self.note,
-                "details": jsonable(self.details)}
 
 
 @dataclass
@@ -152,15 +149,55 @@ def _witness_digest(w: JWitness) -> dict:
     }
 
 
+# -- suite plumbing ------------------------------------------------------------------
+
+
+def _params(base: dict, given: dict) -> dict:
+    """A suite's defaults with each given value checked against its kind."""
+    p = dict(base)
+    for key, value in given.items():
+        if key not in base:
+            raise ConfigError(f"unknown parameter {key!r}")
+        p[key] = defaults.parse(key, value)
+    return p
+
+
+CERTIFICATES = {}  # name -> cert(seed=0, mode=Mode.EXACT, **params), in run order
+
+
+def _suite(name: str, base: dict, statement: str, numeric_mode: str | None = None):
+    """Register body(p, seed, mode) -> (T, sub_checks, witnesses, summary) as
+    the certificate `name`: its parameters are checked against `base`, its
+    body is timed, and its report says `numeric_mode` (default: the mode)."""
+    def register(body):
+        def cert(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> CertificateReport:
+            p = _params(base, params)
+            start = time.perf_counter()
+            T, subs, witnesses, summary = body(p, seed, mode)
+            return CertificateReport(
+                name=name, statement=statement, operator=T.to_jsonable(),
+                parameters=jsonable(p), sub_checks=subs, witnesses=witnesses,
+                residual_summary=summary, seed=seed,
+                numeric_mode=numeric_mode or mode.value,
+                runtime_s=time.perf_counter() - start)
+        cert.__name__ = cert.__qualname__ = body.__name__
+        cert.__doc__ = statement
+        CERTIFICATES[name] = cert
+        return cert
+    return register
+
+
 # -- prop32: the coarsely J-class, not J-class two-sided shift ---------------------
 
 
 _AT_BOUND_BUDGET = 100_000  # power applications for each search at the bound
 
 
-def cert_prop32(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> CertificateReport:
-    p = _params(defaults.PROP32, params)
-    start = time.perf_counter()
+@_suite("prop32", defaults.PROP32,
+        "two-sided shift with weights 2 (n>=1) / 1 (n<=0): sup-norm-flat orbit, "
+        "J-certificates everywhere at bound 2, and no certificate family at "
+        "tolerance 1/4")
+def cert_prop32(p, seed, mode):
     T = prop32_operator()
     e0 = SeqVector.basis(IndexSet.INTEGERS, 0, mode=mode)
     subs = []
@@ -253,16 +290,16 @@ def cert_prop32(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> Certificate
 
     summary = {"max_residual": max(residuals, default=None),
                "min_residual": min(residuals, default=None)}
-    return _finish(start, "prop32", T, p, subs, witnesses, summary, seed, mode.value)
+    return T, subs, witnesses, summary
 
 
 # -- prop36(i): contraction pins the limit set to the d-ball -----------------------
 
 
-def cert_prop36_contraction(seed: int = 0, mode: Mode = Mode.EXACT,
-                            **params) -> CertificateReport:
-    p = _params(defaults.PROP36_CONTRACTION, params)
-    start = time.perf_counter()
+@_suite("prop36-contraction", defaults.PROP36_CONTRACTION,
+        "contracting shift: witnessed targets fill the open d-ball and stay "
+        "inside its closure")
+def cert_prop36_contraction(p, seed, mode):
     w_abs = abs(Fraction(p["weight"]))
     T = ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS,
                       Constant(p["weight"]), label="contraction-shift")
@@ -272,8 +309,7 @@ def cert_prop36_contraction(seed: int = 0, mode: Mode = Mode.EXACT,
         subs.append(SubCheck("radius-hypothesis", INDECISIVE,
                              note="|weight| >= 1: contraction hypothesis fails",
                              details={"weight": str(p["weight"])}))
-        return _finish(start, "prop36-contraction", T, p, subs, witnesses, {},
-                       seed, mode.value)
+        return T, subs, witnesses, {}
     trace = spectral_radius_estimate(T, p["gelfand_n"], p["gelfand_window"])
     gel_ok = abs(trace.estimate - float(w_abs)) <= p["gelfand_rel_tol"] * float(w_abs)
     subs.append(SubCheck("gelfand-trace", PASS if gel_ok else FAIL,
@@ -332,8 +368,7 @@ def cert_prop36_contraction(seed: int = 0, mode: Mode = Mode.EXACT,
         details={"max_witnessed_norm": max(witnessed_norms, default=None)}))
     summary = {"witnessed": len(witnessed_norms),
                "gelfand_estimate": trace.estimate}
-    return _finish(start, "prop36-contraction", T, p, subs, witnesses, summary,
-                   seed, mode.value)
+    return T, subs, witnesses, summary
 
 
 def _proof_status(witnessed: bool, proved: int, targets: int) -> str:
@@ -368,10 +403,10 @@ def _ball_target(rng: random.Random, mode: Mode, max_norm: float,
 # -- prop36(ii): expansion empties the limit sets off the origin --------------------
 
 
-def cert_prop36_expansion(seed: int = 0, mode: Mode = Mode.EXACT,
-                          **params) -> CertificateReport:
-    p = _params(defaults.PROP36_EXPANSION, params)
-    start = time.perf_counter()
+@_suite("prop36-expansion", defaults.PROP36_EXPANSION,
+        "expanding invertible shift: mix certificates from 0, no certificates "
+        "from non-zero bases")
+def cert_prop36_expansion(p, seed, mode):
     T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
                       Constant(p["weight"]), label="expansion-shift")
     subs = []
@@ -381,8 +416,7 @@ def cert_prop36_expansion(seed: int = 0, mode: Mode = Mode.EXACT,
         subs.append(SubCheck("radius-hypothesis", INDECISIVE,
                              note="|weight| <= 1: expansion hypothesis fails",
                              details={"weight": str(p["weight"])}))
-        return _finish(start, "prop36-expansion", T, p, subs, witnesses, {},
-                       seed, mode.value)
+        return T, subs, witnesses, {}
     d_val = p["d"]
     zero = SeqVector.zero(IndexSet.INTEGERS, mode)
     rng = _rng(seed, "prop36ii-zero")
@@ -438,8 +472,7 @@ def cert_prop36_expansion(seed: int = 0, mode: Mode = Mode.EXACT,
               "never non-membership"),
         details={"targets": len(targets), "proved": proved, "results": results}))
     summary = {"exact_hits": exact_hits, "proved_nonzero": proved}
-    return _finish(start, "prop36-expansion", T, p, subs, witnesses, summary,
-                   seed, mode.value)
+    return T, subs, witnesses, summary
 
 
 # -- Riesz-style two-band decomposition ---------------------------------------------
@@ -453,10 +486,10 @@ def _riesz_operator(p) -> ShiftOperator:
         label="two-band-shift")
 
 
-def cert_riesz_blocks(seed: int = 0, mode: Mode = Mode.EXACT,
-                      **params) -> CertificateReport:
-    p = _params(defaults.RIESZ, params)
-    start = time.perf_counter()
+@_suite("riesz-blocks", defaults.RIESZ,
+        "block direct sum splits into contracting and expanding bands; "
+        "witnesses decompose by band")
+def cert_riesz_blocks(p, seed, mode):
     T = _riesz_operator(p)
     subs = []
     witnesses = []
@@ -465,8 +498,7 @@ def cert_riesz_blocks(seed: int = 0, mode: Mode = Mode.EXACT,
     except IndecisiveSpectrum as exc:
         subs.append(SubCheck("block-classification", INDECISIVE,
                              note=str(exc), details={}))
-        return _finish(start, "riesz-blocks", T, p, subs, witnesses, {},
-                       seed, mode.value)
+        return T, subs, witnesses, {}
     T1, T2 = split.contracting, split.expanding
     subs.append(SubCheck("block-classification", PASS,
                          note="per-block radius bounded away from 1",
@@ -549,8 +581,7 @@ def cert_riesz_blocks(seed: int = 0, mode: Mode = Mode.EXACT,
         details={"ratios": ratios, "min_factor": min(factors, default=None)}))
     summary = {"decomposed": decomposed, "ladder_min_factor":
                min(factors, default=None)}
-    return _finish(start, "riesz-blocks", T, p, subs, witnesses, summary, seed,
-                   mode.value)
+    return T, subs, witnesses, summary
 
 
 def _decomposes_by_band(T1, T2, splitter, dw, x, y, d_val, schedule) -> bool:
@@ -576,9 +607,10 @@ def _decomposes_by_band(T1, T2, splitter, dw, x, y, d_val, schedule) -> bool:
 # -- prop15: scale families collapse to plain limit-set membership ------------------
 
 
-def cert_prop15(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> CertificateReport:
-    p = _params(defaults.PROP15, params)
-    start = time.perf_counter()
+@_suite("prop15", defaults.PROP15,
+        "witnesses for scaled pairs at a fixed coarse bound re-index into a "
+        "certificate at any smaller tolerance")
+def cert_prop15(p, seed, mode):
     T = ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS,
                       Constant(2), label="doubling-shift")
     subs = []
@@ -624,7 +656,7 @@ def cert_prop15(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> Certificate
     except OrbitscopeError as exc:
         subs.append(SubCheck("rescaled-certificate", FAIL, note=str(exc)))
     summary = {"family_size": len(family)}
-    return _finish(start, "prop15", T, p, subs, witnesses, summary, seed, mode.value)
+    return T, subs, witnesses, summary
 
 
 # -- prop21: rescaling coarse witnesses and counting returns ------------------------
@@ -643,9 +675,10 @@ def _prop21_instance(p, mode):
     return T, x, y_star
 
 
-def cert_prop21(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> CertificateReport:
-    p = _params(defaults.PROP21, params)
-    start = time.perf_counter()
+@_suite("prop21", defaults.PROP21,
+        "coarse witnesses rescale to every bound, and distinct orbit returns "
+        "near a witnessed target keep growing")
+def cert_prop21(p, seed, mode):
     T, x, y_star = _prop21_instance(p, mode)
     subs = []
     witnesses = []
@@ -700,15 +733,16 @@ def cert_prop21(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> Certificate
               "NOT_APPLICABLE marks a plateau, not a refutation"),
         details={"ladder": list(p["count_ladder"]), "counts": counts}))
     summary = {"counts": counts}
-    return _finish(start, "prop21", T, p, subs, witnesses, summary, seed, mode.value)
+    return T, subs, witnesses, summary
 
 
 # -- prop22: geometric amplification of coarse hits ---------------------------------
 
 
-def cert_prop22(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> CertificateReport:
-    p = _params(defaults.PROP22, params)
-    start = time.perf_counter()
+@_suite("prop22", defaults.PROP22,
+        "coarse hits of geometrically scaled targets amplify into points "
+        "approaching the target at rate lam^n", numeric_mode="both")
+def cert_prop22(p, seed, mode):
     subs = []
     witnesses = []
     lam = Fraction(p["lambda"])
@@ -767,59 +801,7 @@ def cert_prop22(seed: int = 0, mode: Mode = Mode.EXACT, **params) -> Certificate
             subs.append(SubCheck(f"drift-amplification-{tag}", FAIL,
                                  note=str(exc)))
     summary = {"lambda": str(lam), "steps": p["steps"]}
-    return _finish(start, "prop22", T, p, subs, witnesses, summary, seed, "both")
-
-
-# -- suite plumbing ------------------------------------------------------------------
-
-
-def _params(base: dict, given: dict) -> dict:
-    """A suite's defaults with each given value checked against its kind."""
-    p = dict(base)
-    for key, value in given.items():
-        if key not in base:
-            raise ConfigError(f"unknown parameter {key!r}")
-        p[key] = defaults.parse(key, value)
-    return p
-
-
-_STATEMENTS = {
-    "prop32": "two-sided shift with weights 2 (n>=1) / 1 (n<=0): sup-norm-flat "
-              "orbit, J-certificates everywhere at bound 2, and no certificate "
-              "family at tolerance 1/4",
-    "prop36-contraction": "contracting shift: witnessed targets fill the open "
-                          "d-ball and stay inside its closure",
-    "prop36-expansion": "expanding invertible shift: mix certificates from 0, "
-                        "no certificates from non-zero bases",
-    "riesz-blocks": "block direct sum splits into contracting and expanding "
-                    "bands; witnesses decompose by band",
-    "prop15": "witnesses for scaled pairs at a fixed coarse bound re-index into "
-              "a certificate at any smaller tolerance",
-    "prop21": "coarse witnesses rescale to every bound, and distinct orbit "
-              "returns near a witnessed target keep growing",
-    "prop22": "coarse hits of geometrically scaled targets amplify into points "
-              "approaching the target at rate lam^n",
-}
-
-
-def _finish(start, name, T, p, subs, witnesses, summary, seed,
-            numeric_mode: str) -> CertificateReport:
-    return CertificateReport(
-        name=name, statement=_STATEMENTS[name], operator=T.to_jsonable(),
-        parameters=jsonable(p), sub_checks=subs, witnesses=witnesses,
-        residual_summary=summary, seed=seed, numeric_mode=numeric_mode,
-        runtime_s=time.perf_counter() - start)
-
-
-CERTIFICATES = {
-    "prop32": cert_prop32,
-    "prop36-contraction": cert_prop36_contraction,
-    "prop36-expansion": cert_prop36_expansion,
-    "riesz-blocks": cert_riesz_blocks,
-    "prop15": cert_prop15,
-    "prop21": cert_prop21,
-    "prop22": cert_prop22,
-}
+    return T, subs, witnesses, summary
 
 
 def run_all(names=None, seed: int = 0, mode: Mode = Mode.EXACT,

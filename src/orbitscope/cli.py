@@ -76,10 +76,6 @@ def load_config(path: str | None) -> dict:
     return config
 
 
-def _mode_of(config) -> Mode:
-    return Mode.EXACT if config["numeric_mode"] == "exact" else Mode.FLOAT64
-
-
 def _norm_of(config) -> NormTag:
     try:
         return NormTag(config["norm"])
@@ -133,20 +129,14 @@ def _emit(payload: dict, out: str | None) -> None:
     _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
-def cmd_orbit(args) -> int:
-    config = load_config(args.config)
-    _apply_flag_overrides(config, args)
-    mode = _mode_of(config)
+def cmd_orbit(args, config: dict, mode: Mode) -> int:
     T = _operator_of(config)
     x = _load_vector(args.x, mode)
     _write(orbit(T, x, args.horizon, _norm_of(config)).to_csv(), args.out)
     return EXIT_OK
 
 
-def cmd_witness(args) -> int:
-    config = load_config(args.config)
-    _apply_flag_overrides(config, args)
-    mode = _mode_of(config)
+def cmd_witness(args, config: dict, mode: Mode) -> int:
     norm_tag = _norm_of(config)
     d = _parse_bound(args.d)
     T = _operator_of(config)
@@ -184,10 +174,7 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def cmd_certify(args) -> int:
-    config = load_config(args.config)
-    _apply_flag_overrides(config, args)
-    mode = _mode_of(config)
+def cmd_certify(args, config: dict, mode: Mode) -> int:
     names = None if args.names == ["all"] else args.names
     reports = run_all(names, seed=config["seed"], mode=mode,
                       overrides=config["certificates"])
@@ -204,10 +191,7 @@ def cmd_certify(args) -> int:
 _EXPLORE_KEYS = {"kind", "positive_range", "nonpositive_range"}
 
 
-def cmd_explore(args) -> int:
-    config = load_config(args.config)
-    _apply_flag_overrides(config, args)
-    mode = _mode_of(config)
+def cmd_explore(args, config: dict, mode: Mode) -> int:
     if args.family:
         try:
             family = json.loads(args.family)
@@ -317,13 +301,6 @@ def _explore_piecewise(family: dict, trials: int, config: dict,
     }
 
 
-def _apply_flag_overrides(config: dict, args) -> None:
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
-    if getattr(args, "mode", None) is not None:
-        config["numeric_mode"] = args.mode
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitscope",
@@ -370,7 +347,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # every command runs on the config file with the flags applied
+        config = load_config(args.config)
+        if args.seed is not None:
+            config["seed"] = args.seed
+        if args.mode is not None:
+            config["numeric_mode"] = args.mode
+        return args.func(args, config, Mode(config["numeric_mode"]))
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

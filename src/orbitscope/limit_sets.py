@@ -35,8 +35,9 @@ from .errors import (
     SearchFailed,
     VerificationFailed,
 )
-from .numeric import Mode, QC, abs2, exact_sqrt, is_zero_scalar, jsonable, \
-    log2_abs, make_scalar, real_value, scalar_zero, sqrt_bounds, strict_gt, to_float
+from .numeric import FieldsJSON, Mode, QC, abs2, exact_sqrt, is_zero_scalar, \
+    jsonable, log2_abs, make_scalar, real_value, scalar_zero, sqrt_bounds, \
+    strict_gt, to_float
 from .operators import ShiftOperator, apply_power, path_source, weight_product
 from .orbits import CoarseWitness, coarse_orbit_contains
 from .spaces import IndexSet, NormTag, SeqVector, dist, dist_and_lt, dist_lt
@@ -80,14 +81,10 @@ class EpsSchedule:
 
 
 @dataclass(frozen=True)
-class JWitnessTriple:
+class JWitnessTriple(FieldsJSON):
     perturbed: SeqVector
     time: int
     dist: object
-
-    def to_jsonable(self):
-        return {"perturbed": self.perturbed.to_jsonable(), "time": self.time,
-                "dist": jsonable(self.dist)}
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ class JWitness:
 
 
 @dataclass(frozen=True)
-class DWitness:
+class DWitness(FieldsJSON):
     """Either branch of D(x,T,d) = O(x,T,d) union J(x,T,d)."""
 
     kind: str  # "orbit" | "limit"
@@ -169,11 +166,6 @@ class DWitness:
             self.coarse.verify(T)
         else:
             self.jwitness.verify(T)
-
-    def to_jsonable(self):
-        return {"kind": self.kind,
-                "coarse": self.coarse.to_jsonable() if self.coarse else None,
-                "jwitness": self.jwitness.to_jsonable() if self.jwitness else None}
 
 
 # -- scaling transforms -----------------------------------------------------------
@@ -277,27 +269,43 @@ class _Attempt:
 
 
 class _SearchLog:
-    """Budget and attempt bookkeeping of one search call; builds its
+    """One search call's set-up and bookkeeping: its mode, bound and
+    structural stops, its budget and attempts, and the best residual and
+    delta norm over failed attempts since the last reset_best; builds its
     SearchFailed."""
 
-    def __init__(self, budget: int):
+    def __init__(self, T: ShiftOperator, x: SeqVector, y: SeqVector, d,
+                 eps_last: Fraction, budget: int, norm_tag: NormTag):
+        self.T, self.x, self.y, self.norm_tag = T, x, y, norm_tag
+        self.mode = x.mode if not x.is_zero else y.mode
+        self.d_val = real_value(d, self.mode)
+        if to_float(self.d_val) <= 0:
+            raise OrbitscopeError("d must be positive")
         self.budget = Budget(budget)
+        self.stops = _StructuralStops(T, x, y, self.d_val, eps_last, norm_tag)
         self.attempts = 0
         self.k_last = 0
+        self.reset_best()
 
-    def attempt(self, T, x, y, d_val, eps, k, norm_tag, mode) -> _Attempt | None:
-        att = _greedy_attempt(T, x, y, d_val, eps, k, norm_tag, self.budget, mode)
+    def reset_best(self) -> None:
+        self.best_res = self.best_delta = math.inf
+
+    def attempt(self, eps, k: int) -> _Attempt | None:
+        att = _greedy_attempt(self.T, self.x, self.y, self.d_val, eps, k,
+                              self.norm_tag, self.budget, self.mode)
         if att is not None:
             self.attempts += 1
             self.k_last = k
+            if not att.ok:
+                self.best_res = min(self.best_res, att.residual)
+                self.best_delta = min(self.best_delta, att.delta_norm)
         return att
 
     def failure(self, message: str, reason: str, triple_index: int,
-                best_res: float, best_delta: float,
                 proof: dict | None = None) -> SearchFailed:
         return SearchFailed(
             message, reason=reason, triple_index=triple_index,
-            best_residual=best_res, best_delta_norm=best_delta,
+            best_residual=self.best_res, best_delta_norm=self.best_delta,
             attempts=self.attempts,
             budget_used=self.budget.used, k_last=self.k_last, proof=proof)
 
@@ -568,54 +576,44 @@ def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
     not in J(x, T, d); every other failure means "not found within this
     budget and strategy", never non-membership.
     """
-    mode = x.mode if not x.is_zero else y.mode
-    d_val = real_value(d, mode)
-    if to_float(d_val) <= 0:
-        raise OrbitscopeError("d must be positive")
-    log = _SearchLog(budget)
-    stops = _StructuralStops(T, x, y, d_val, schedule.values[-1], norm_tag)
-    d_f = to_float(d_val)
+    log = _SearchLog(T, x, y, d, schedule.values[-1], budget, norm_tag)
+    d_f = to_float(log.d_val)
     triples = []
     k_prev = k_min - 1
 
-    def fail(reason: str, i: int, best_res: float, best_delta: float,
-             proof: dict | None = None):
-        return log.failure(f"triple {i + 1}: {reason}", reason, i, best_res,
-                           best_delta, proof)
+    def fail(reason: str, i: int, proof: dict | None = None):
+        return log.failure(f"triple {i + 1}: {reason}", reason, i, proof)
 
     for i, eps in enumerate(schedule):
         eps_f = to_float(eps)
         found = None
-        best_res = math.inf
-        best_delta = math.inf
+        log.reset_best()
         best_gap = math.inf
         last_improve = k_prev
         k = k_prev + 1
         while k <= _K_CAP:
-            stop = stops.at(k)
+            stop = log.stops.at(k)
             if stop is not None:
                 reason, proof = stop
-                raise fail(reason, i, best_res, best_delta, proof)
-            att = log.attempt(T, x, y, d_val, eps, k, norm_tag, mode)
+                raise fail(reason, i, proof)
+            att = log.attempt(eps, k)
             if att is None:
-                raise fail("budget", i, best_res, best_delta)
+                raise fail("budget", i)
             if att.ok:
                 found = JWitnessTriple(att.perturbed, k, att.dist)
                 break
-            best_res = min(best_res, att.residual)
-            best_delta = min(best_delta, att.delta_norm)
             gap = max(0.0, att.residual - d_f) + max(0.0, att.delta_norm - eps_f)
             if gap < best_gap - 1e-12:
                 best_gap = gap
                 last_improve = k
             if k - last_improve > stagnation_window:
-                raise fail("stagnation", i, best_res, best_delta)
+                raise fail("stagnation", i)
             k += 1
         if found is None:
-            raise fail("k-cap", i, best_res, best_delta)
+            raise fail("k-cap", i)
         triples.append(found)
         k_prev = found.time
-    out = JWitness(x, y, d_val, norm_tag, schedule, tuple(triples),
+    out = JWitness(x, y, log.d_val, norm_tag, schedule, tuple(triples),
                    mix_flag=False, op_label=T.label)
     out.verify(T)
     return out
@@ -634,38 +632,27 @@ def jmix_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d, m: int,
     schedule = schedule or EpsSchedule.reciprocal(m)
     if len(schedule) != m:
         raise OrbitscopeError("schedule length must equal m")
-    mode = x.mode if not x.is_zero else y.mode
-    d_val = real_value(d, mode)
-    if to_float(d_val) <= 0:
-        raise OrbitscopeError("d must be positive")
-    log = _SearchLog(budget)
-    stops = _StructuralStops(T, x, y, d_val, schedule.values[-1], norm_tag)
-    best_res = math.inf
-    best_delta = math.inf
+    log = _SearchLog(T, x, y, d, schedule.values[-1], budget, norm_tag)
     last_partial = -1
     last_improve = N_start - 1
     N = N_start
     while N <= _K_CAP:
-        stop = stops.at(N)
+        stop = log.stops.at(N)
         if stop is not None:
             reason, proof = stop
-            raise log.failure(f"mix block at N={N}: {reason}", reason, 0,
-                              best_res, best_delta, proof)
+            raise log.failure(f"mix block at N={N}: {reason}", reason, 0, proof)
         triples = []
         progress = 0
         for i, eps in enumerate(schedule):
-            att = log.attempt(T, x, y, d_val, eps, N + i, norm_tag, mode)
+            att = log.attempt(eps, N + i)
             if att is None:
-                raise log.failure("mix search budget exhausted", "budget", i,
-                                  best_res, best_delta)
+                raise log.failure("mix search budget exhausted", "budget", i)
             if not att.ok:
-                best_res = min(best_res, att.residual)
-                best_delta = min(best_delta, att.delta_norm)
                 break
             progress += 1
             triples.append(JWitnessTriple(att.perturbed, N + i, att.dist))
         if len(triples) == m:
-            out = JWitness(x, y, d_val, norm_tag, schedule, tuple(triples),
+            out = JWitness(x, y, log.d_val, norm_tag, schedule, tuple(triples),
                            mix_flag=True, op_label=T.label)
             out.verify(T)
             return out
@@ -673,10 +660,9 @@ def jmix_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d, m: int,
             last_partial = progress
             last_improve = N
         if N - last_improve > _MIX_STAGNATION:
-            raise log.failure("mix search stagnated", "stagnation", progress,
-                              best_res, best_delta)
+            raise log.failure("mix search stagnated", "stagnation", progress)
         N += 1
-    raise log.failure("mix start cap reached", "k-cap", 0, best_res, best_delta)
+    raise log.failure("mix start cap reached", "k-cap", 0)
 
 
 def d_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d, K: int,
@@ -694,15 +680,10 @@ def d_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d, K: int,
 
 
 @dataclass(frozen=True)
-class FamilyRescaleResult:
+class FamilyRescaleResult(FieldsJSON):
     witness: JWitness
     scale_index: int  # 1-based index m with d/t_m below target_eps
     scales_used: tuple[Fraction, ...]
-
-    def to_jsonable(self):
-        return {"witness": self.witness.to_jsonable(),
-                "scale_index": self.scale_index,
-                "scales_used": [str(t) for t in self.scales_used]}
 
 
 def rescale_j_witness_family(T: ShiftOperator,
@@ -784,16 +765,12 @@ def rescale_j_witness_family(T: ShiftOperator,
 
 
 @dataclass(frozen=True)
-class AmplifiedPoint:
+class AmplifiedPoint(FieldsJSON):
     n: int
     time: int
     point: SeqVector
     distance: object
     bound: object
-
-    def to_jsonable(self):
-        return {"n": self.n, "time": self.time, "point": self.point.to_jsonable(),
-                "distance": jsonable(self.distance), "bound": jsonable(self.bound)}
 
 
 @dataclass(frozen=True)
@@ -875,7 +852,7 @@ def prop22_amplify(T: ShiftOperator, x: SeqVector, y: SeqVector, d, lam,
 
 
 @dataclass(frozen=True)
-class ContradictionReport:
+class ContradictionReport(FieldsJSON):
     """Two incompatible bounds on one coordinate of the claimed limit."""
 
     n0_index: int
@@ -886,18 +863,6 @@ class ContradictionReport:
     w_value: object
     bound_near_one_holds: bool
     bound_near_zero_holds: bool
-
-    def to_jsonable(self):
-        return {
-            "n0_index": self.n0_index,
-            "n1_index": self.n1_index,
-            "time_n0": self.time_n0,
-            "time_n1": self.time_n1,
-            "coordinate": self.coordinate,
-            "w_value": self.w_value,
-            "bound_near_one_holds": self.bound_near_one_holds,
-            "bound_near_zero_holds": self.bound_near_zero_holds,
-        }
 
 
 def derive_remark32_bounds(w: SeqVector, family: list[tuple[SeqVector, int]],

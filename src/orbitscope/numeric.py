@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
@@ -174,8 +174,8 @@ def abs2(s):
 
 def jsonable(value):
     """JSON form of numbers: rationals as strings, a complex rational as its
-    real part or a [re, im] pair, tuples as lists and dicts by value;
-    anything else passes through."""
+    real part or a [re, im] pair, tuples as lists, dicts by value and an
+    object by its to_jsonable(); anything else, lists too, passes through."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, QC):
@@ -184,7 +184,16 @@ def jsonable(value):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
+    if hasattr(value, "to_jsonable"):
+        return value.to_jsonable()
     return value
+
+
+class FieldsJSON:
+    """Dataclass mixin: the JSON form is every field by name, through jsonable."""
+
+    def to_jsonable(self) -> dict:
+        return {f.name: jsonable(getattr(self, f.name)) for f in fields(self)}
 
 
 def real_value(value, mode: Mode):

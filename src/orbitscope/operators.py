@@ -27,6 +27,7 @@ from .errors import (
 )
 from .numeric import (
     QC,
+    FieldsJSON,
     Mode,
     OVERFLOW_LOG2,
     jsonable,
@@ -532,7 +533,7 @@ def apply_power(T: ShiftOperator, n: int, v: SeqVector) -> SeqVector:
 
 
 @dataclass(frozen=True)
-class SpectralTrace:
+class SpectralTrace(FieldsJSON):
     """Gelfand quotients ||T^n||^{1/n} over a window, plus the point estimate.
 
     For shifts and diagonals the n-th quotient is the exact supremum of
@@ -543,10 +544,6 @@ class SpectralTrace:
     estimate: float
     n_max: int
     window: tuple[int, int]
-
-    def to_jsonable(self):
-        return {"quotients": list(self.quotients), "estimate": self.estimate,
-                "n_max": self.n_max, "window": list(self.window)}
 
 
 def spectral_radius_estimate(T: ShiftOperator, n_max: int,

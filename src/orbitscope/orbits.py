@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import OrbitscopeError, VerificationFailed
-from .numeric import TOL_EQ, Mode, jsonable, real_value, to_float
+from .numeric import TOL_EQ, FieldsJSON, Mode, jsonable, real_value, to_float
 from .operators import ShiftOperator, apply, apply_power
 from .spaces import NormTag, OpenCone, SeqVector, cone_sample, dist_and_lt, dist_lt, norm
 
@@ -127,7 +127,7 @@ def coarse_orbit_contains(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
 
 
 @dataclass(frozen=True)
-class CoarseDensityReport:
+class CoarseDensityReport(FieldsJSON):
     """Sampled version of C ⊂ O(x,T,d): PASS means no failed sample."""
 
     verdict: str
@@ -140,20 +140,6 @@ class CoarseDensityReport:
     witnesses: tuple[CoarseWitness, ...]
     failures: tuple[SeqVector, ...]
     warning: str = ""
-
-    def to_jsonable(self):
-        return {
-            "verdict": self.verdict,
-            "hit_ratio": self.hit_ratio,
-            "sample_count": self.sample_count,
-            "horizon": self.horizon,
-            "bound": jsonable(self.bound),
-            "seed": self.seed,
-            "max_first_time": self.max_first_time,
-            "witnesses": [w.to_jsonable() for w in self.witnesses],
-            "failures": [v.to_jsonable() for v in self.failures],
-            "warning": self.warning,
-        }
 
 
 def coarse_density_report(T: ShiftOperator, x: SeqVector, d, C: OpenCone,
