@@ -3,8 +3,9 @@
 Vectors live over N or Z and are stored sparsely with non-zero entries
 only, so shift dynamics stay exact.  A cone is the set of positive
 multiples of an open ball B(c, r) with ||c|| > r; membership admits a
-closed form for the euclidean norm and a one-dimensional convex search
-for the others.
+closed form for the euclidean norm and, for real vectors, one breakpoint
+of a convex piecewise linear function for p1 and pinf; complex entries
+there keep a one-dimensional float search.
 """
 
 from __future__ import annotations
@@ -390,25 +391,69 @@ def _contains_p2_closed_form(C: OpenCone, x: SeqVector) -> bool:
     return strict_gt(ip * ip, x2 * (c2 - r * r), mode)
 
 
+def _p1_scale(xs: dict, cs: dict, r):
+    # the minimiser of g(lam) = ||x - lam c||_1 - lam r over lam > 0, or None
+    # when g rises from g(0) = ||x|| > 0.  g's slope just after 0 gains
+    # 2|c_i| at each positive x_i / c_i; the first breakpoint where it turns
+    # >= 0 is the minimiser (a weighted median), and the last slope is
+    # ||c|| - r > 0, so one is reached
+    slope, knots = -r, []
+    for i, b in cs.items():
+        k = xs.get(i, 0) / b
+        if k > 0:
+            slope -= abs(b)
+            knots.append((k, abs(b)))
+        else:
+            slope += abs(b)
+    if slope >= 0:
+        return None
+    for k, w in sorted(knots):
+        slope += 2 * w
+        if slope >= 0:
+            return k
+
+
+def _pinf_scale(xs: dict, cs: dict, r):
+    # the middle of the open interval of lam > 0 where ||x - lam c||_inf <
+    # lam r, or None when it is empty.  Row by row: lam (c_i + r) > x_i and
+    # lam (r - c_i) > -x_i, each an open half-line of lam, or all or none;
+    # the interval is bounded, as some |c_i| > r
+    lo, hi = 0, math.inf
+    for i in xs.keys() | cs.keys():
+        a, b = xs.get(i, 0), cs.get(i, 0)
+        for s, t in ((b + r, a), (r - b, -a)):  # lam * s > t
+            if s > 0:
+                lo = max(lo, t / s)
+            elif s < 0:
+                hi = min(hi, t / s)
+            elif t >= 0:
+                return None
+    return (lo + hi) / 2 if lo < hi else None
+
+
 _MINIMIZATION_LEVELS = 48  # refinement rounds of the float scale search
 
 
 def _contains_by_minimization(C: OpenCone, x: SeqVector) -> bool:
     # minimize g(lam) = ||x - lam c|| - lam r over lam > 0; member iff min < 0.
-    # Float evaluations guide the search; the verdict is an exact strict
-    # check of ||x - lam c|| < lam r at the best dyadic candidates.
-    if x.is_zero:
-        return False
+    # g is a float screen over the entries converted once; the verdict is an
+    # exact strict check of ||x - lam c|| < lam r at the best candidates.
     p = C.norm
     c = C.center
+    pairs = [(make_scalar(x.entry(i), Mode.FLOAT64), make_scalar(c.entry(i), Mode.FLOAT64))
+             for i in x._entries.keys() | c._entries.keys()]
+
+    def size(terms: list[float]) -> float:
+        if p is NormTag.P1:
+            return sum(terms)
+        return max(terms) if p is NormTag.PINF else math.hypot(*terms)
+
     r_f = to_float(C.radius_value())
-    x_f = to_float(norm(x, p))
-    c_f = to_float(norm(c, p))
-    hi = x_f / (c_f - r_f) + 1.0
+    hi = size([abs(a) for a, _ in pairs]) / (size([abs(b) for _, b in pairs]) - r_f) + 1.0
     lo = 0.0
 
     def g(lam: float) -> float:
-        return to_float(dist(x, c.scale(lam), p)) - lam * r_f
+        return size([abs(a - lam * b) for a, b in pairs]) - lam * r_f
 
     for _ in range(_MINIMIZATION_LEVELS):
         step = (hi - lo) / 8.0
@@ -433,10 +478,19 @@ def _contains_by_minimization(C: OpenCone, x: SeqVector) -> bool:
 
 
 def cone_contains(C: OpenCone, x: SeqVector, method: str = "auto") -> bool:
-    """Membership of x in the ball-generated open cone C, exact for the
-    euclidean closed form.  The p1/pinf search checks True exactly, but its
-    False is one-sided: a member within ~1e-12 (relative) of the boundary
-    may be reported as outside."""
+    """Membership of x in the ball-generated open cone C.
+
+    The euclidean closed form is exact.  For real x and center under p1 or
+    pinf, g(lam) = ||x - lam c|| - lam r is convex and piecewise linear,
+    and membership is decided by one strict test at one scale: the
+    breakpoint where g is least (p1) or the middle of the interval where
+    every entry's inequality holds (pinf).  That verdict is exact in both
+    directions in exact mode and follows the float strictness policy in
+    float mode.  Only a complex entry keeps the float scale search, whose
+    True is checked exactly but whose False is one-sided: a member within
+    ~1e-12 (relative) of the boundary may be reported as outside.
+    method="minimize" runs that search for p2.
+    """
     if x.index_set is not C.center.index_set:
         raise IndexSetMismatch("cone and vector index sets differ")
     if x._entries and x.mode is not C.mode:
@@ -449,7 +503,14 @@ def cone_contains(C: OpenCone, x: SeqVector, method: str = "auto") -> bool:
         return _contains_p2_closed_form(C, x)
     if method not in ("auto", "minimize"):
         raise OrbitscopeError(f"unknown membership method {method!r}")
-    return _contains_by_minimization(C, x)
+    c = C.center
+    if C.norm is NormTag.P2 or any(v.imag for v in (*x._entries.values(), *c._entries.values())):
+        return _contains_by_minimization(C, x)
+    xs = {i: v.real for i, v in x._entries.items()}
+    cs = {i: v.real for i, v in c._entries.items()}
+    r = C.radius_value()
+    lam = (_p1_scale if C.norm is NormTag.P1 else _pinf_scale)(xs, cs, r)
+    return lam is not None and dist_lt(x, c.scale(lam), C.norm, lam * r)
 
 
 _SAMPLE_SCALES, _SAMPLE_PAD, _SAMPLE_INTERIOR = (0.125, 8.0), 2, 0.9

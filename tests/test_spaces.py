@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from orbitscope import (
     IndexSet,
@@ -16,6 +16,7 @@ from orbitscope import (
     norm_gt,
     norm_lt,
 )
+from orbitscope import spaces
 from orbitscope.errors import IndexSetMismatch, ModeMismatch, OrbitscopeError
 from orbitscope.numeric import Mode, abs2, exact_sqrt, make_scalar, sum_sqrt_cmp, to_float
 from orbitscope.spaces import dist, dist_and_lt, dist_lt
@@ -156,6 +157,112 @@ class TestConeSample:
         a = cone_sample(C, 5, seed=1)
         b = cone_sample(C, 5, seed=2)
         assert [v.key() for v in a] != [v.key() for v in b]
+
+
+def _real_norm(v: dict, p: NormTag) -> Fraction:
+    return sum(map(abs, v.values())) if p is NormTag.P1 else max(map(abs, v.values()))
+
+
+def _seeded_cone_cases(p: NormTag, count: int, seed: int, delta_exps: tuple[int, int]):
+    """(center, radius, member, negated-center and disjoint-support non-members),
+    built as perfbench/stream.py's orbit-cone requests are: the member is
+    lam (c + u) with ||u|| = r (1 - delta), delta = 10^-k for k in delta_exps."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        c = {i: Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), 10)
+             for i in rng.sample(range(-4, 5), rng.randint(2, 4))}
+        cn = _real_norm(c, p)
+        r = Fraction(rng.randint(20, 90), 100) * max(map(abs, c.values()))
+        g = {i: Fraction(rng.randint(-100, 100), 100) for i in range(min(c) - 1, max(c) + 2)}
+        g = {i: v for i, v in g.items() if v} or {min(c): Fraction(1)}
+        delta = Fraction(1, 10 ** rng.randint(*delta_exps))
+        lam = Fraction(rng.randint(1, 40), rng.randint(1, 20))
+        t = r * (1 - delta) / _real_norm(g, p)
+        member = {i: lam * (c.get(i, 0) + g.get(i, 0) * t) for i in c.keys() | g.keys()}
+        # -(c + v) with ||v|| <= ||c||: ||(1 + lam) c + v|| >= lam ||c|| > lam r
+        t = rng.randint(1, 10) * cn / 10 / _real_norm(g, p)
+        s = Fraction(rng.randint(1, 40), rng.randint(1, 20))
+        negated = {i: -s * (c.get(i, 0) + g.get(i, 0) * t) for i in c.keys() | g.keys()}
+        # off c's support: ||x - lam c|| >= lam ||c|| > lam r
+        disjoint = {i: Fraction(rng.randint(1, 50), 10) for i in range(max(c) + 1, max(c) + 4)}
+        yield c, r, member, negated, disjoint
+
+
+@pytest.mark.parametrize("p", [NormTag.P1, NormTag.PINF])
+def test_members_a_hair_inside_the_boundary_are_members(p):
+    # the float scale search reported some of these as outside
+    # (1 in 500 under p1, 4 in 500 under pinf at this seed)
+    def vec(entries):
+        return SeqVector.from_entries(IndexSet.INTEGERS, entries)
+
+    for c, r, member, negated, disjoint in _seeded_cone_cases(p, 500, 2026, (15, 30)):
+        C = OpenCone(vec(c), r, p)
+        assert cone_contains(C, vec(member))
+        assert not cone_contains(C, vec(negated))
+        assert not cone_contains(C, vec(disjoint))
+
+
+@pytest.mark.parametrize("p", [NormTag.P1, NormTag.PINF])
+def test_float_cone_membership_follows_the_float_policy(p):
+    # binary64 roundings of exact inputs whose margins dwarf TOL_EQ
+    def vec(entries):
+        return SeqVector.from_entries(IndexSet.INTEGERS, entries, Mode.FLOAT64)
+
+    for c, r, member, negated, disjoint in _seeded_cone_cases(p, 200, 77, (1, 4)):
+        C = OpenCone(vec(c), r, p)
+        assert cone_contains(C, vec(member))
+        assert not cone_contains(C, vec(negated))
+        assert not cone_contains(C, vec(disjoint))
+
+
+def _min_gap_over_breakpoints(x: dict, c: dict, r: Fraction, p: NormTag):
+    """min of ||x - lam c|| - lam r over the positive breakpoints, or None.
+
+    g is convex and piecewise linear, its last slope ||c|| - r is positive
+    and g(0+) = ||x|| > 0, so x is a member iff this minimum is negative.
+    The breakpoints are each x_i / c_i and, under pinf, each crossing of two
+    pieces +-(x_i - lam c_i), +-(x_j - lam c_j)."""
+    rows = x.keys() | c.keys()
+    pieces = [(s * x.get(i, 0), s * c.get(i, 0)) for i in rows for s in (1, -1)]
+    lams = {x.get(i, 0) / c[i] for i in c}
+    if p is NormTag.PINF:
+        lams |= {(a1 - a2) / (b1 - b2) for a1, b1 in pieces for a2, b2 in pieces if b1 != b2}
+    gaps = [_real_norm({i: x.get(i, 0) - lam * c.get(i, 0) for i in rows}, p) - lam * r
+            for lam in lams if lam > 0]
+    return min(gaps, default=None)
+
+
+_small_rationals = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 3), _small_rationals, min_size=1),
+       st.dictionaries(st.integers(0, 3), _small_rationals, min_size=1),
+       st.integers(0, 3), st.integers(1, 19), st.sampled_from([NormTag.P1, NormTag.PINF]))
+def test_exact_real_cone_membership_matches_the_breakpoint_oracle(c, w, shift, share, p):
+    x = {i: shift * c.get(i, 0) + w.get(i, 0) for i in c.keys() | w.keys()}
+    x = {i: v for i, v in x.items() if v}
+    assume(x)
+    r = _real_norm(c, p) * Fraction(share, 20)
+    C = OpenCone(SeqVector.from_entries(IndexSet.NATURALS, c), r, p)
+    gap = _min_gap_over_breakpoints(x, c, r, p)
+    member = gap is not None and gap < 0
+    assert cone_contains(C, SeqVector.from_entries(IndexSet.NATURALS, x)) is member
+
+
+@pytest.mark.parametrize("p", [NormTag.P1, NormTag.PINF])
+def test_complex_entry_keeps_the_scale_search(p, monkeypatch):
+    searched = []
+    search = spaces._contains_by_minimization
+    monkeypatch.setattr(spaces, "_contains_by_minimization",
+                        lambda C, x: searched.append(x) or search(C, x))
+    C = OpenCone(e(0, 2) + e(1, 1), 1, p)
+    real = e(0, 2) + e(1, Fraction(9, 10))
+    assert cone_contains(C, real)
+    assert searched == []
+    twisted = SeqVector.from_entries(IndexSet.NATURALS, {0: (2, Fraction(1, 10)), 1: 1})
+    assert cone_contains(C, twisted)
+    assert searched == [twisted]
 
 
 class TestVector:
