@@ -49,7 +49,9 @@ class WeightRule:
     stores their log2 magnitudes and phases in attributes that take no
     part in equality, hashing or repr.  ``_index_at(j)`` names the weight
     index j uses and ``_counts(lo, hi)`` how often each weight occurs over
-    [lo, hi]; every value, product and bound below is read off those two.
+    [lo, hi]; every value, product, bound and spectral radius is read off
+    those two.  An end of [lo, hi] may be -math.inf or math.inf, and a
+    weight that occurs infinitely often then counts math.inf.
     """
 
     kind = "abstract"
@@ -144,10 +146,7 @@ class PiecewiseTwoSided(WeightRule):
         return 0 if j >= 1 else 1
 
     def _counts(self, lo: int, hi: int):
-        if hi < lo:
-            return 0, 0
-        pos = max(0, hi - max(lo, 1) + 1)
-        return pos, hi - lo + 1 - pos
+        return max(0, hi - max(lo, 1) + 1), max(0, min(hi, 0) - lo + 1)
 
     def to_jsonable(self):
         return {"kind": "piecewise_two_sided",
@@ -172,6 +171,8 @@ class Periodic(WeightRule):
 
     def _counts(self, lo: int, hi: int):
         p = len(self.values)
+        if hi - lo == math.inf:
+            return [math.inf] * p
         cycles, rest = divmod(max(0, hi - lo + 1), p)
         counts = [cycles] * p
         for j in range(lo, lo + rest):
@@ -628,26 +629,30 @@ class RieszSplit:
     estimates: tuple[tuple[str, float], ...]
 
 
-_HALF_WIDTH = 256  # estimation window on an unbounded side of a band
-_RIESZ_MARGIN, _RIESZ_STEPS = 0.05, 64
+def _block_radius(kind: str, rule: WeightRule, band: Band) -> tuple[int, float]:
+    """Exact sign of r - 1, and r as a float, for the block's spectral radius r.
 
-
-def _block_window(band: Band) -> tuple[int, int]:
-    if band.lo is not None and band.hi is not None:
-        return band.lo, band.hi
-    if band.lo is not None:
-        return band.lo, band.lo + _HALF_WIDTH
-    if band.hi is not None:
-        return band.hi - _HALF_WIDTH, band.hi
-    return -_HALF_WIDTH, _HALF_WIDTH
+    A diagonal's r is its largest |w| over the band; a shift's is 0 on a finite
+    band, else the largest over its open ends of r_end, where r_end^(2q) is the
+    product of |w|^2 over one period q of the weights recurring toward that end.
+    """
+    lo = -math.inf if band.lo is None else band.lo
+    hi = math.inf if band.hi is None else band.hi
+    if kind == "diagonal":
+        periods = [[i] for i, c in enumerate(rule._counts(lo, hi)) if c]
+    else:
+        ends = [(0, hi)] * (band.hi is None) + [(lo, 0)] * (band.lo is None)
+        periods = [[i for i, c in enumerate(rule._counts(*e)) if c == math.inf] for e in ends]
+    powers = [math.prod(rule._weights[i].abs2() for i in q) for q in periods]
+    return max((((p > 1) - (p < 1), 2.0 ** (sum(rule._log2[i] for i in q) / len(q)))
+                for p, q in zip(powers, periods)), default=(-1, 0.0))
 
 
 def riesz_blocks(T: ShiftOperator) -> RieszSplit:
-    """Partition a block direct sum by per-block spectral radius (<1 vs >1),
-    each estimated over 64 steps.
+    """Partition a block direct sum by each block's exact spectral radius,
+    r < 1 contracting and r > 1 expanding (Shields 1974; `_block_radius`).
 
-    Raises IndecisiveSpectrum when any block's estimate lands within 0.05
-    of 1: the split hypothesis cannot be certified numerically.
+    Raises IndecisiveSpectrum when some block's radius is exactly 1.
     """
     if T.shape is not Shape.BLOCK_DIRECT_SUM:
         raise OrbitscopeError("riesz_blocks applies to block direct sums only")
@@ -655,17 +660,12 @@ def riesz_blocks(T: ShiftOperator) -> RieszSplit:
     expanding = []
     estimates = []
     for block in T.blocks:
-        sub = ShiftOperator(Shape.BLOCK_DIRECT_SUM, T.index_set, blocks=(block,))
-        est = spectral_radius_estimate(sub, _RIESZ_STEPS,
-                                       _block_window(block.band)).estimate
-        estimates.append((f"band[{block.band.lo},{block.band.hi}]", est))
-        if est < 1.0 - _RIESZ_MARGIN:
-            contracting.append(block)
-        elif est > 1.0 + _RIESZ_MARGIN:
-            expanding.append(block)
-        else:
-            raise IndecisiveSpectrum(
-                f"block radius estimate {est:.4f} within {_RIESZ_MARGIN} of 1")
+        sign, r = _block_radius(block.kind, block.weights, block.band)
+        name = f"band[{block.band.lo},{block.band.hi}]"
+        estimates.append((name, r))
+        if sign == 0:
+            raise IndecisiveSpectrum(f"block {name} has spectral radius exactly 1")
+        (contracting if sign < 0 else expanding).append(block)
     t1 = ShiftOperator(Shape.BLOCK_DIRECT_SUM, T.index_set, blocks=tuple(contracting),
                        label=T.label + ":contracting" if T.label else "contracting")
     t2 = ShiftOperator(Shape.BLOCK_DIRECT_SUM, T.index_set, blocks=tuple(expanding),

@@ -341,11 +341,104 @@ class TestBlocks:
         with pytest.raises(IndecisiveSpectrum):
             riesz_blocks(T)
 
+    @pytest.mark.parametrize("override", [10 ** 6, 10 ** 20, 10 ** 30])
+    def test_table_override_never_moves_the_radius(self, override):
+        # only finitely many weights differ from 1/2, so the radius is 1/2
+        # however large the one override is
+        T = ShiftOperator(
+            Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS,
+            blocks=(Block(Band(0, None), "backward", Table({5: override}, Fraction(1, 2))),
+                    Block(Band(None, -1), "backward", Constant(2))))
+        rs = riesz_blocks(T)
+        assert [b.band for b in rs.contracting.blocks] == [Band(0, None)]
+        assert [b.band for b in rs.expanding.blocks] == [Band(None, -1)]
+        assert rs.estimates == (("band[0,None]", 0.5), ("band[None,-1]", 2.0))
+
     def test_band_overlap_rejected(self):
         with pytest.raises(ConfigError):
             ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS,
                           blocks=(Block(Band(0, None), "backward", Constant(2)),
                                   Block(Band(-5, 5), "backward", Constant(3))))
+
+
+# weights whose |w|^2 multiply to exactly 1 in many ways: 2 and 1/2, 1+i
+# and (1+i)/2, units on the axes and off them
+RADIUS_WEIGHTS = [1, -1, 2, Fraction(1, 2), -3, Fraction(1, 3), (0, 1),
+                  (Fraction(3, 5), Fraction(4, 5)), (1, 1), (Fraction(1, 2), Fraction(1, 2))]
+OVERRIDES = RADIUS_WEIGHTS + [10 ** 30, Fraction(1, 10 ** 30), -10 ** 20, (10 ** 30, 1)]
+
+
+@st.composite
+def radius_cases(draw):
+    """(rule, period, far, band, kind): every weight at |j| >= far repeats
+    with the period, and the band is finite, one-sided or two-sided."""
+    w = st.sampled_from(RADIUS_WEIGHTS)
+    kind = draw(st.sampled_from(["constant", "piecewise", "periodic", "table"]))
+    if kind == "constant":
+        rule, period, far = Constant(draw(w)), 1, 0
+    elif kind == "piecewise":
+        rule, period, far = PiecewiseTwoSided(draw(w), draw(w)), 1, 1
+    elif kind == "periodic":
+        values = tuple(draw(st.lists(w, min_size=1, max_size=4)))
+        rule, period, far = Periodic(values), len(values), 0
+    else:
+        entries = draw(st.dictionaries(st.integers(-12, 12), st.sampled_from(OVERRIDES),
+                                       max_size=4))
+        rule, period = Table(entries, draw(w)), 1
+        far = max(map(abs, entries), default=-1) + 1
+    lo = draw(st.none() | st.integers(-15, 15))
+    hi = draw(st.none() | st.integers(-15 if lo is None else lo, 20))
+    return rule, period, far, Band(lo, hi), draw(st.sampled_from(["backward", "forward",
+                                                                  "diagonal"]))
+
+
+def _log2_fraction(q):
+    return math.log2(q.numerator) - math.log2(q.denominator)
+
+
+def _radius_oracle(rule, period, far, band, kind, m):
+    """(sign of r - 1, r) from weight_at alone, in the test's own Fractions."""
+    def a2(j):
+        return rule.weight_at(j).abs2()
+
+    if kind == "diagonal":
+        # every distinct weight the band meets lies within one period past far
+        lo = band.lo if band.lo is not None else \
+            min(-far, band.hi if band.hi is not None else -far) - period
+        hi = band.hi if band.hi is not None else max(far, lo) + period
+        top = max(a2(j) for j in range(lo, hi + 1))
+        return (top > 1) - (top < 1), math.sqrt(top)
+    ends = []
+    if band.hi is None:  # m whole periods past every override toward +inf
+        start = far if band.lo is None else max(far, band.lo)
+        ends.append(range(start, start + m * period))
+    if band.lo is None:
+        stop = -far if band.hi is None else min(-far, band.hi)
+        ends.append(range(stop - m * period + 1, stop + 1))
+    if not ends:
+        return -1, 0.0  # a shift on a finite band is nilpotent
+    products = [math.prod(a2(j) for j in js) for js in ends]
+    return (max((p > 1) - (p < 1) for p in products),
+            max(2.0 ** (_log2_fraction(p) / (2 * m * period)) for p in products))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=radius_cases(), m=st.integers(1, 3))
+def test_block_radius_matches_the_weight_oracle(case, m):
+    rule, period, far, band, kind = case
+    sign, r = _radius_oracle(rule, period, far, band, kind, m)
+    block = Block(band, kind, rule)
+    T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(block,))
+    if sign == 0:
+        with pytest.raises(IndecisiveSpectrum):
+            riesz_blocks(T)
+        return
+    rs = riesz_blocks(T)
+    assert (rs.contracting if sign < 0 else rs.expanding).blocks == (block,)
+    assert (rs.expanding if sign < 0 else rs.contracting).blocks == ()
+    (name, estimate), = rs.estimates
+    assert name == f"band[{band.lo},{band.hi}]"
+    assert math.isclose(estimate, r, rel_tol=1e-9)
 
 
 # every rule kind, with negative and complex weights
@@ -437,6 +530,33 @@ class TestStoredWeights:
         assert T.components() is T.components()
         assert T.components() == (("backward", RULES[name](), Band(0, None)),
                                   ("forward", Constant(2), Band(None, -1)))
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("constant", {(0, INF): [INF], (-INF, 0): [INF], (-INF, INF): [INF]}),
+    ("piecewise", {(0, INF): [INF, 1], (-INF, 0): [0, INF], (5, INF): [INF, 0],
+                   (-INF, -3): [0, INF], (-INF, INF): [INF, INF]}),
+    ("periodic", {(0, INF): [INF] * 3, (-INF, 0): [INF] * 3, (-INF, INF): [INF] * 3}),
+    ("table", {(0, INF): [0, 1, 1, INF], (-INF, 0): [1, 0, 0, INF],
+               (4, INF): [0, 0, 1, INF], (-INF, INF): [1, 1, 1, INF]}),
+])
+def test_infinite_count_ends(name, expected):
+    # overrides at -2, 3 and 4 count once; a weight that recurs toward an
+    # open end counts math.inf exactly
+    rule = RULES[name]()
+    for (lo, hi), counts in expected.items():
+        assert list(rule._counts(lo, hi)) == counts
+        assert all(c == INF or type(c) is int for c in rule._counts(lo, hi))
+    # finite ends still count each index once, empty intervals included
+    for lo in range(-7, 8):
+        for hi in range(lo - 2, 9):
+            seen = [0] * len(rule.weight_values())
+            for j in range(lo, hi + 1):
+                seen[rule._index_at(j)] += 1
+            assert list(rule._counts(lo, hi)) == seen
 
 
 def test_stored_fields_leave_repr_and_json_unchanged():

@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 
 from orbitscope import (
+    Band,
+    Block,
     Constant,
     EpsSchedule,
     IndexSet,
@@ -24,6 +26,7 @@ from orbitscope import (
     prop22_amplify,
     prop32_operator,
     rescale_j_witness_family,
+    riesz_blocks,
     search_j_witness,
     spectral_radius_estimate,
 )
@@ -465,3 +468,12 @@ def test_search_diagnostics_pinned(search):
     message, diagnostics = DIAGNOSTICS[search]
     assert str(info.value) == message
     assert info.value.diagnostics() == diagnostics
+
+
+def test_riesz_estimates_pinned():
+    # riesz-blocks reports these floats for its default two-band operator
+    two_band = ShiftOperator(
+        Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS,
+        blocks=(Block(Band(0, None), "backward", Constant(Fraction(1, 2))),
+                Block(Band(None, -1), "backward", Constant(2))))
+    assert riesz_blocks(two_band).estimates == (("band[0,None]", 0.5), ("band[None,-1]", 2.0))
