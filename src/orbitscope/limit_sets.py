@@ -877,11 +877,11 @@ def derive_remark32_bounds(w: SeqVector, family: list[tuple[SeqVector, int]],
     _, k1 = family[n1]
     coord = -k1
     val = w.entry(coord)
-    val_f = complex(to_float(val.real), to_float(val.imag))
-    near_one = abs(val_f - 1) < 0.5
-    near_zero = abs(val_f) < 0.5
-    return ContradictionReport(n0, n1, k0, k1, coord,
-                               [val_f.real, val_f.imag], near_one, near_zero)
+    quarter = Fraction(1, 4)  # |v - 1| < 1/2 and |v| < 1/2, decided on |.|^2
+    near_one = abs2(val - make_scalar(1, w.mode)) < quarter
+    near_zero = abs2(val) < quarter
+    return ContradictionReport(n0, n1, k0, k1, coord, [to_float(val.real), to_float(val.imag)],
+                               near_one, near_zero)
 
 
 def remark32_contradiction_check(T: ShiftOperator, candidate_w: SeqVector,

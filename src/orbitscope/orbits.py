@@ -114,13 +114,21 @@ def make_coarse_witness(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
 
 def coarse_orbit_contains(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
                           K: int, norm_tag: NormTag = NormTag.P2) -> CoarseWitness | None:
-    """First n <= K with ||T^n x - y|| < d, or None (meaning only: none up to K)."""
+    """First n <= K with ||T^n x - y|| < d, or None (meaning only: none up to K).
+
+    The scan tests the iterated point and make_coarse_witness the direct
+    power; in float mode the two may disagree near the bound, and the scan
+    then goes on past that time instead of raising.
+    """
     if to_float(d) <= 0:
         raise OrbitscopeError("d must be positive")
     v = x
     for n in range(K + 1):
         if dist_lt(v, y, norm_tag, d):
-            return make_coarse_witness(T, x, d, y, n, norm_tag)
+            try:
+                return make_coarse_witness(T, x, d, y, n, norm_tag)
+            except VerificationFailed:
+                pass
         if n < K:
             v = apply(T, v)
     return None

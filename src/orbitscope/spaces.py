@@ -24,6 +24,7 @@ from .numeric import (
     exact_sqrt,
     is_zero_scalar,
     jsonable,
+    log2_abs,
     make_scalar,
     mode_of_scalar,
     real_value,
@@ -437,18 +438,27 @@ _MINIMIZATION_LEVELS = 48  # refinement rounds of the float scale search
 def _contains_by_minimization(C: OpenCone, x: SeqVector) -> bool:
     # minimize g(lam) = ||x - lam c|| - lam r over lam > 0; member iff min < 0.
     # g is a float screen over the entries converted once; the verdict is an
-    # exact strict check of ||x - lam c|| < lam r at the best candidates.
+    # exact strict check of ||x - lam c|| < lam r at the best candidates.  The
+    # cone is the same for 2^-ex x and for 2^-ec (c, r), so both are brought
+    # near 1 before the conversion, and each lam maps back by 2^(ex - ec)
     p = C.norm
     c = C.center
-    pairs = [(make_scalar(x.entry(i), Mode.FLOAT64), make_scalar(c.entry(i), Mode.FLOAT64))
-             for i in x._entries.keys() | c._entries.keys()]
+    keys = x._entries.keys() | c._entries.keys()
+
+    def near_one(v: SeqVector):
+        e = round(max(map(log2_abs, v._entries.values())))
+        unit = QC(Fraction(2) ** -e)
+        return e, [(make_scalar(v.entry(i), Mode.EXACT) * unit).to_complex() for i in keys]
+
+    (ex, xs), (ec, cs) = near_one(x), near_one(c)
+    pairs = list(zip(xs, cs))
 
     def size(terms: list[float]) -> float:
         if p is NormTag.P1:
             return sum(terms)
         return max(terms) if p is NormTag.PINF else math.hypot(*terms)
 
-    r_f = to_float(C.radius_value())
+    r_f = to_float(Fraction(C.radius_value()) * Fraction(2) ** -ec)
     hi = size([abs(a) for a, _ in pairs]) / (size([abs(b) for _, b in pairs]) - r_f) + 1.0
     lo = 0.0
 
@@ -471,7 +481,7 @@ def _contains_by_minimization(C: OpenCone, x: SeqVector) -> bool:
     for lam in sorted(candidates):
         if lam <= 0:
             continue
-        lam_s = real_value(lam, mode)
+        lam_s = real_value(Fraction(lam) * Fraction(2) ** (ex - ec), mode)
         if dist_lt(x, c.scale(lam_s), p, lam_s * C.radius_value()):
             return True
     return False

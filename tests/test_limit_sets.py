@@ -736,6 +736,18 @@ class TestRemark32:
         assert not (report.bound_near_one_holds and report.bound_near_zero_holds)
 
 
+    @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT64])
+    def test_bounds_decided_exactly_a_hair_past_one_half(self, mode):
+        # exactly, |w - 1| = 1/2 - 10^-20 < 1/2; as a float, w is 0.5 itself,
+        # on both boundaries
+        w = SeqVector.from_entries(IndexSet.INTEGERS,
+                                   {-2: Fraction(1, 2) + Fraction(1, 10 ** 20)}, mode)
+        report = derive_remark32_bounds(w, [(ei(0), 1), (ei(0), 2)])
+        assert report.coordinate == -2
+        assert report.w_value == [0.5, 0.0]
+        assert report.bound_near_one_holds is (mode is Mode.EXACT)
+        assert report.bound_near_zero_holds is False
+
 class TestWitnessIntegrity:
     def test_tampered_witness_fails_verification(self):
         T = prop32_operator()

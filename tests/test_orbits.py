@@ -4,13 +4,17 @@ from fractions import Fraction
 import pytest
 
 from orbitscope import (
+    Band,
+    Block,
     Constant,
     IndexSet,
     NormTag,
     OpenCone,
+    Periodic,
     SeqVector,
     Shape,
     ShiftOperator,
+    Table,
     apply_power,
     coarse_density_report,
     coarse_orbit_contains,
@@ -113,6 +117,24 @@ class TestCoarseOrbit:
     def test_rejects_nonpositive_d(self):
         with pytest.raises(OrbitscopeError):
             coarse_orbit_contains(prop32_operator(), ei(0), 0, ei(0), 3)
+
+    def test_float_query_answers_where_the_witness_check_disagrees(self):
+        # near the bound at n = 35 the float scan (iterated point) accepts
+        # and the float witness check (direct power) rejects; the query
+        # answers instead of raising, and exact mode finds the witness
+        T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
+            Block(Band(None, -1), "diagonal",
+                  Table({2: Fraction(1, 2), -5: (1, 1), 4: Fraction(3, 2)}, 3)),
+            Block(Band(0, None), "backward", Periodic((2, Fraction(5, 7), (1, 1))))))
+        found = {}
+        for mode in (Mode.FLOAT64, Mode.EXACT):
+            x = SeqVector.from_entries(IndexSet.INTEGERS, {-8: -1}, mode)
+            y = SeqVector.from_entries(IndexSet.INTEGERS, {
+                -8: Fraction(-50031545098999706163, 1000), 2: Fraction(-477, 1000)}, mode)
+            found[mode] = coarse_orbit_contains(T, x, 2, y, 52, NormTag.P1)
+        assert found[Mode.FLOAT64] is None
+        assert found[Mode.EXACT].time == 35
+        assert found[Mode.EXACT].achieved_distance == Fraction(1314, 1000)
 
     def test_witness_reverifies(self):
         w = make_coarse_witness(prop32_operator(), ei(0), 1, ei(-2), 2,

@@ -265,6 +265,30 @@ def test_complex_entry_keeps_the_scale_search(p, monkeypatch):
     assert searched == [twisted]
 
 
+@pytest.mark.parametrize("p", [NormTag.P1, NormTag.PINF])
+def test_scale_search_answers_beyond_double_range(p):
+    # the float scale search sees x and (c, r) scaled near 1, so entries past
+    # double range answer; 10^400 + i sits on the boundary ray to 1e-400
+    huge = 10 ** 400
+    C = OpenCone(SeqVector.from_entries(IndexSet.INTEGERS, {0: (2, 1)}), 1, p)
+
+    def x(re, im):
+        return SeqVector.from_entries(IndexSet.INTEGERS, {0: (re, im)})
+
+    assert isinstance(cone_contains(C, x(huge, 1)), bool)
+    assert cone_contains(C, x(2 * huge, huge)) is True
+    assert cone_contains(C, x(-2 * huge, -huge)) is False
+    tiny = Fraction(1, huge)
+    assert cone_contains(C, x(2 * tiny, tiny)) is True
+    assert cone_contains(C, x(-2 * tiny, -tiny)) is False
+
+
+def test_minimize_answers_beyond_double_range():
+    C = OpenCone(e(0, 2), 1, NormTag.P2)
+    assert cone_contains(C, e(0, 10 ** 400), method="minimize") is True
+    assert cone_contains(C, e(0, -10 ** 400), method="minimize") is False
+
+
 class TestVector:
     def test_canonical_sparse_form(self):
         v = SeqVector.from_entries(IndexSet.INTEGERS, {0: 1, 5: 0})
