@@ -116,9 +116,8 @@ def coarse_orbit_contains(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
                           K: int, norm_tag: NormTag = NormTag.P2) -> CoarseWitness | None:
     """First n <= K with ||T^n x - y|| < d, or None (meaning only: none up to K).
 
-    The scan tests the iterated point and make_coarse_witness the direct
-    power; in float mode the two may disagree near the bound, and the scan
-    then goes on past that time instead of raising.
+    A time the scan accepts but make_coarse_witness rejects (float mode, near
+    the bound) is passed over: the query answers and never raises.
     """
     if to_float(d) <= 0:
         raise OrbitscopeError("d must be positive")
