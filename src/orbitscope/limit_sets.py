@@ -35,7 +35,7 @@ from .errors import (
     SearchFailed,
     VerificationFailed,
 )
-from .numeric import FieldsJSON, Mode, QC, abs2, exact_sqrt, is_zero_scalar, \
+from .numeric import FieldsJSON, Mode, QC, abs2, exact_sqrt, \
     jsonable, log2_abs, make_scalar, real_value, scalar_zero, sqrt_bounds, \
     strict_gt, to_float
 from .operators import ShiftOperator, apply_power, path_source, weight_product
@@ -227,9 +227,10 @@ def _correction_rows(T: ShiftOperator, k: int, coords, y: SeqVector,
     rows = []
     zero = scalar_zero(image0.mode)
     for j in sorted(coords):
-        mismatch = y._entries.get(j, zero) - image0._entries.get(j, zero)
-        if is_zero_scalar(mismatch):
+        target, image = y._entries.get(j, zero), image0._entries.get(j, zero)
+        if target == image:
             continue
+        mismatch = target - image
         s = path_source(T, j, k)
         wp = weight_product(T, j, k, image0.mode) if s is not None else None
         if wp is None or wp.is_zero:
@@ -329,7 +330,13 @@ def _div_by_product(mismatch, wp, mode: Mode):
 def _magnitude(v):
     """|v|: an exact Fraction for a real exact scalar, a float otherwise."""
     if isinstance(v, QC):
-        return abs(v.re) if not v.im else math.sqrt(to_float(v.abs2()))
+        a, b, d = v._a, v._b, v._d
+        if not b:
+            return Fraction(abs(a), d)
+        try:  # int / int rounds as float(v.abs2()) does
+            return math.sqrt((a * a + b * b) / (d * d))
+        except OverflowError:
+            return math.inf
     return abs(v)
 
 
@@ -358,13 +365,13 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
         # nothing when |m| < d, else t at the midpoint of
         # (1 - d/|m|, eps/|u|); a row with no source needs |m| < d
         for _, mismatch, s, wp in rows:
-            m_abs = _magnitude(mismatch)
             if s is not None:
                 u = _div_by_product(mismatch, wp, mode)
                 u_abs = _magnitude(u)
                 if strict_gt(eps, u_abs, mode):
                     delta_entries[s] = u
                     continue
+            m_abs = _magnitude(mismatch)
             if strict_gt(d_val, m_abs, mode):
                 uncorrected.append(to_float(m_abs))
                 continue

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, fields
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 TOL_EQ = 1e-9
 
@@ -36,85 +36,148 @@ class Mode(Enum):
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True, slots=True)
 class QC:
-    """Complex number with exact rational components.
+    """Complex number with exact rational components, stored as three ints:
+    the value (a + bi)/d with d > 0 and gcd(a, b, d) = 1, so each value has
+    one form and each result is reduced by one gcd.
 
-    When both operands are real (zero imaginary parts) the arithmetic
-    does the real operation only; the result is the same value the
-    general complex formula gives, with ``im`` the shared zero.
+    ``re`` and ``im`` (also ``real`` and ``imag``) read the parts as
+    Fractions; ``im`` of a real value is the shared zero.  Instances are
+    immutable and compare and hash as the pair (re, im).
     """
 
-    re: Fraction
-    im: Fraction = _ZERO
+    __slots__ = ("_a", "_b", "_d")
+
+    def __new__(cls, re, im=_ZERO):
+        re, im = Fraction(re), Fraction(im)
+        rd, id_ = re.denominator, im.denominator
+        return _reduced(re.numerator * id_, im.numerator * rd, rd * id_)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return QC, (self.re, self.im)
+
+    def __eq__(self, other):
+        if other.__class__ is not QC:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"QC(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, other: "QC") -> "QC":
-        if not self.im and not other.im:
-            return QC(self.re + other.re, _ZERO)
-        return QC(self.re + other.re, self.im + other.im)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     def __sub__(self, other: "QC") -> "QC":
-        if not self.im and not other.im:
-            return QC(self.re - other.re, _ZERO)
-        return QC(self.re - other.re, self.im - other.im)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __neg__(self) -> "QC":
-        return QC(-self.re, -self.im)
+        return _qc(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "QC") -> "QC":
-        if not self.im and not other.im:
-            return QC(self.re * other.re, _ZERO)
-        return QC(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if b or e:
+            a, b = a * c - b * e, a * e + b * c
+        else:
+            a *= c
+        return _reduced(a, b, self._d * other._d)
 
     def __truediv__(self, other: "QC") -> "QC":
-        if not self.im and not other.im:
-            if not other.re:
-                raise ZeroDivisionError("division by zero QC")
-            return QC(self.re / other.re, _ZERO)
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if e:
+            a, b, d = (a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e)
+        elif c > 0:
+            a, b, d = a * f, b * f, d * c
+        elif c:
+            a, b, d = -a * f, -b * f, -d * c
+        else:
             raise ZeroDivisionError("division by zero QC")
-        return QC((self.re * other.re + self.im * other.im) / den,
-                  (self.im * other.re - self.re * other.im) / den)
+        return _reduced(a, b, d)
 
     def __pow__(self, n: int) -> "QC":
-        if n < 0:
-            return QC(Fraction(1)) / self.__pow__(-n)
-        if self.im == 0:
-            return QC(self.re ** n)
-        result = QC(Fraction(1))
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        a, b = self._a, self._b
+        m = -n if n < 0 else n
+        d = self._d ** m
+        if b:
+            # (a + bi)^m by repeated squaring in the Gaussian integers
+            ra, rb = 1, 0
+            while m:
+                if m & 1:
+                    ra, rb = ra * a - rb * b, ra * b + rb * a
+                m >>= 1
+                if m:
+                    a, b = a * a - b * b, 2 * a * b
+            if n >= 0:
+                return _reduced(ra, rb, d)
+            return _reduced(d * ra, -d * rb, ra * ra + rb * rb)
+        # a power of a coprime pair is coprime
+        a **= m
+        if n >= 0:
+            return _qc(a, 0, d)
+        if not a:
+            raise ZeroDivisionError("division by zero QC")
+        return _qc(d, 0, a) if a > 0 else _qc(-d, 0, -a)
 
     @property
-    def real(self) -> Fraction:
-        return self.re
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
 
     @property
-    def imag(self) -> Fraction:
-        return self.im
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d) if self._b else _ZERO
+
+    real, imag = re, im
 
     def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)
+        return _qc(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
-        if not self.im:
-            return self.re * self.re
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self._a / self._d, self._b / self._d)
+
+
+_new_qc = object.__new__
+_set_a, _set_b, _set_d = QC._a.__set__, QC._b.__set__, QC._d.__set__
+
+
+def _qc(a: int, b: int, d: int) -> QC:
+    """The QC (a + bi)/d, for d > 0 and gcd(a, b, d) = 1."""
+    q = _new_qc(QC)
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_d(q, d)
+    return q
+
+
+def _reduced(a: int, b: int, d: int) -> QC:
+    """The QC (a + bi)/d in lowest terms, for d > 0: one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _qc(a, b, d)
 
 
 # A Scalar is QC in EXACT mode, python complex in FLOAT64 mode.
@@ -179,7 +242,7 @@ def jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, QC):
-        return str(value.re) if value.im == 0 else [str(value.re), str(value.im)]
+        return str(value.re) if not value._b else [str(value.re), str(value.im)]
     if isinstance(value, tuple):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -209,7 +272,7 @@ def to_float(value) -> float:
         except OverflowError:
             return math.inf if value > 0 else -math.inf
     if isinstance(value, QC):
-        if value.im == 0:
+        if not value._b:
             return to_float(value.re)
         return 2.0 ** log2_abs(value)
     return float(value)
@@ -289,10 +352,15 @@ def sum_sqrt_cmp(terms: list[Fraction], bound: Fraction) -> int:
 def log2_abs(value) -> float:
     """log2 of |value| for magnitude bookkeeping; -inf for zero."""
     if isinstance(value, QC):
-        a2 = value.abs2()
-        if a2 == 0:
+        # |value|^2 = n / d^2, in lowest terms as the Fraction abs2() gives
+        a, b, d = value._a, value._b, value._d
+        n, d2 = a * a + b * b, d * d
+        if not n:
             return float("-inf")
-        return 0.5 * (math.log2(a2.numerator) - math.log2(a2.denominator))
+        if b:  # a real value's n and d^2 are already coprime
+            g = gcd(n, d2)
+            n, d2 = n // g, d2 // g
+        return 0.5 * (math.log2(n) - math.log2(d2))
     if isinstance(value, Fraction):
         if value == 0:
             return float("-inf")
@@ -304,7 +372,18 @@ def log2_abs(value) -> float:
 def phase_of(value) -> complex:
     """value / |value| as a unit complex number (1.0 for zero)."""
     if isinstance(value, QC):
-        value = value.to_complex()
+        a, b, d = value._a, value._b, value._d
+        if not b:
+            return complex(1.0 if a >= 0 else -1.0, 0.0)
+        try:
+            value = complex(a / d, b / d)
+        except OverflowError:
+            value = 0j
+        if not value:
+            # past double range: a + bi has the phase of (a + bi)/d, and
+            # shifting both right by one number of bits keeps their ratio
+            s = max(a.bit_length(), b.bit_length()) - 64
+            value = complex(a >> s, b >> s) if s > 0 else complex(a, b)
     if isinstance(value, Fraction):
         return complex(1.0 if value >= 0 else -1.0, 0.0)
     m = abs(value)

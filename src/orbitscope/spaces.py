@@ -214,8 +214,9 @@ class SeqVector:
 def _real_dist(a: SeqVector, b: SeqVector, p: NormTag, bound=None) -> Fraction | list:
     """The one walk behind every distance ||a - b||_p; raises what a - b does.
 
-    Exact real entries under P1/PINF give the value itself, max (PINF) or
-    sum (P1) of |a_j - b_j| in integers num/den; with a bound it stops once
+    Exact entries under P1/PINF whose imaginary parts agree (real ones
+    among them) give the value itself, max (PINF) or sum (P1) of
+    |a_j - b_j| in integers num/den; with a bound it stops once
     the partial value, hence the full one, reaches it, which answers a
     strict < test only.  Every other case gives |a_j - b_j|^2 for each j in
     the union of both supports, in index order."""
@@ -229,11 +230,11 @@ def _real_dist(a: SeqVector, b: SeqVector, p: NormTag, bound=None) -> Fraction |
         bn, bd = (1, 0) if bound is None else real_value(bound, mode).as_integer_ratio()
         for j in ea.keys() | eb.keys():
             u, v = ea.get(j, zero), eb.get(j, zero)
-            if u.im is not v.im and u.im != v.im:
+            ud, vd = u._d, v._d
+            if u._b * vd != v._b * ud:  # unequal imaginary parts
                 break
-            ur, vr = u.re, v.re
-            n = abs(ur.numerator * vr.denominator - vr.numerator * ur.denominator)
-            d = ur.denominator * vr.denominator
+            n = abs(u._a * vd - v._a * ud)
+            d = ud * vd
             if not sup:
                 num, den = num * d + n * den, den * d
                 g = math.gcd(num, den)
