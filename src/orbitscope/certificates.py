@@ -427,7 +427,7 @@ def cert_prop36_expansion(p, seed, mode):
         # start where every coordinate back-solves in full, so the
         # residual is exactly zero rather than parked under the bound
         y_sup = to_float(norm(y, NormTag.PINF))
-        lw = math.log(float(w_abs))
+        lw = math.log(to_float(w_abs))  # inf past double range: start at n0 = 1
         n0 = 1
         for i in range(p["mix_length"]):
             need = math.log(y_sup * (i + 1) / 0.9) / lw - i
@@ -502,7 +502,8 @@ def cert_riesz_blocks(p, seed, mode):
     T1, T2 = split.contracting, split.expanding
     subs.append(SubCheck("block-classification", PASS,
                          note="per-block radius bounded away from 1",
-                         details={"estimates": [[n, e] for n, e in split.estimates]}))
+                         details={"estimates": [[n, e if math.isfinite(e) else None]
+                                                for n, e in split.estimates]}))
 
     d_val = p["d"]
     x = SeqVector.basis(IndexSet.INTEGERS, 0, mode=mode)

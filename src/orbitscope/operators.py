@@ -482,7 +482,10 @@ def apply(T: ShiftOperator, v: SeqVector) -> SeqVector:
         if t is None:
             continue
         w = weights.weight_at(s)
-        coeff = w if v.mode is Mode.EXACT else w.to_complex()
+        try:
+            coeff = w if v.mode is Mode.EXACT else w.to_complex()
+        except OverflowError:  # a weight past double range
+            raise NumericOverflow("single-step application overflowed") from None
         out = coeff * val
         if v.mode is Mode.FLOAT64 and out != 0 and not (
                 math.isfinite(out.real) and math.isfinite(out.imag)):
@@ -635,6 +638,7 @@ def _block_radius(kind: str, rule: WeightRule, band: Band) -> tuple[int, float]:
     A diagonal's r is its largest |w| over the band; a shift's is 0 on a finite
     band, else the largest over its open ends of r_end, where r_end^(2q) is the
     product of |w|^2 over one period q of the weights recurring toward that end.
+    The float saturates at math.inf past double range.
     """
     lo = -math.inf if band.lo is None else band.lo
     hi = math.inf if band.hi is None else band.hi
@@ -644,8 +648,9 @@ def _block_radius(kind: str, rule: WeightRule, band: Band) -> tuple[int, float]:
         ends = [(0, hi)] * (band.hi is None) + [(lo, 0)] * (band.lo is None)
         periods = [[i for i, c in enumerate(rule._counts(*e)) if c == math.inf] for e in ends]
     powers = [math.prod(rule._weights[i].abs2() for i in q) for q in periods]
-    return max((((p > 1) - (p < 1), 2.0 ** (sum(rule._log2[i] for i in q) / len(q)))
-                for p, q in zip(powers, periods)), default=(-1, 0.0))
+    logs = [sum(rule._log2[i] for i in q) / len(q) for q in periods]
+    return max((((p > 1) - (p < 1), 2.0 ** lg if lg < 1024 else math.inf)
+                for p, lg in zip(powers, logs)), default=(-1, 0.0))
 
 
 def riesz_blocks(T: ShiftOperator) -> RieszSplit:

@@ -189,6 +189,24 @@ class TestCertify:
                          "prop36-contraction", "--out", str(tmp_path / "b"))
         assert code == 4
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_weight_past_double_range_answers(self, capsys, tmp_path, mode):
+        # 10^400 is exact in exact mode; the float carrier refuses each
+        # power of it past 2^900, and answers as it does for 2^950
+        codes, estimates = [], []
+        for weight in ("1" + "0" * 400, str(2 ** 950)):
+            cfg = self.write_config(tmp_path, {"certificates": {"riesz-blocks": {
+                "expand_weight": weight, "sample_count": 1}}})
+            out = tmp_path / f"b{len(codes)}"
+            code, _, _ = run(capsys, "--config", str(cfg), "--mode", mode, "certify",
+                             "riesz-blocks", "--out", str(out))
+            report = json.loads((out / "riesz-blocks.json").read_text(),
+                                parse_constant=reject_constant)
+            codes.append(code)
+            estimates.append(report["sub_checks"][0]["details"]["estimates"][1][1])
+        assert codes == ([0, 0] if mode == "exact" else [5, 5])
+        assert estimates == [None, 2.0 ** 950]  # the radius 10^400 is past a double
+
     def test_unknown_name(self, capsys, tmp_path):
         code, _, err = run(capsys, "certify", "prop99",
                            "--out", str(tmp_path / "b"))

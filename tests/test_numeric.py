@@ -159,3 +159,60 @@ def test_scalar_zero_is_one_shared_immutable_zero(mode):
     if mode is Mode.EXACT:
         with pytest.raises(FrozenInstanceError):
             z.re = Fraction(1)
+
+
+# -- the stored form: (a + bi)/d with d > 0 and gcd(a, b, d) = 1 --------------
+
+
+def assert_lowest_terms(q):
+    assert q._d > 0 and math.gcd(q._a, q._b, q._d) == 1
+    assert (Fraction(q._a, q._d), Fraction(q._b, q._d)) == (q.re, q.im)
+
+
+@pytest.mark.parametrize("kinds", KINDS, ids=["-".join(k) for k in KINDS])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), negative=st.booleans(),
+       n=st.integers(-40, 40) | st.sampled_from([-301, 256, 1000]))
+def test_every_result_is_in_lowest_terms(kinds, data, negative, n):
+    a = qc_of(data, draw_pair(data, kinds[0]))
+    re, im = draw_pair(data, kinds[1], nonzero=True)
+    b = qc_of(data, (-abs(re) if negative and not im else re, im))  # a negative real divisor
+    for out in (a + b, a - b, a * b, a / b, -a, a.conjugate(), b ** n, a ** abs(n)):
+        assert_lowest_terms(out)
+    assert b ** n * b ** -n == QC(Fraction(1))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), k=st.integers(1, 10**12))
+def test_equal_values_compare_and_hash_as_the_pair(kind, data, k):
+    re, im = draw_pair(data, kind)
+    q = qc_of(data, (re, im))
+    scale = QC(Fraction(k), Fraction(k))  # the same value reached through a common factor
+    other = q * scale / scale
+    assert other == q and hash(other) == hash(q) == hash((re, im))
+    assert q != q + QC(Fraction(1, k)) and q != q + QC(Fraction(0), Fraction(1, k))
+
+
+def near(e):
+    """Signed rationals within about 2^-92..2^72 of 2^e, mostly not dyadic."""
+    return st.builds(lambda m, k, s, sign: sign * Fraction(m, k) * Fraction(2) ** (e + s),
+                     st.integers(1, 2**64), st.integers(1, 10**6), st.integers(-72, 8),
+                     st.sampled_from([1, -1]))
+
+
+@pytest.mark.parametrize("e", [-1074, -1022, 1023])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_to_complex_rounds_each_part_as_float_does(e, data):
+    re = data.draw(near(e))
+    im = data.draw(near(e) | st.just(Fraction(0)) | near(0))
+    q = QC(re, im)
+    try:
+        expected = complex(float(re), float(im))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            q.to_complex()
+        return
+    got = q.to_complex()
+    assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())

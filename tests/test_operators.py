@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -573,6 +574,49 @@ def test_stored_fields_leave_repr_and_json_unchanged():
     assert repr(prop32_operator()).startswith(
         "ShiftOperator(shape=<Shape.BILATERAL_BACKWARD: 'bilateral_backward'>")
     assert repr(prop32_operator()).endswith(", blocks=(), label='paper-prop32')")
+
+
+HUGE = 10 ** 400  # past double range: 2^1328.8
+
+
+class TestWeightsPastDoubleRange:
+    """A weight is exact at any size; only its float shadow is limited."""
+
+    @pytest.mark.parametrize("w, phase", [
+        (HUGE, 1), (-HUGE, -1), (Fraction(-1, HUGE), -1),
+        ((HUGE, HUGE), cmath.exp(1j * math.pi / 4)),
+        ((Fraction(1, HUGE), Fraction(-1, HUGE)), cmath.exp(-1j * math.pi / 4)),
+        ((3, 4 * HUGE), cmath.exp(1j * math.pi / 2)),
+    ], ids=["huge", "huge-negative", "tiny-negative", "huge-complex",
+            "tiny-complex", "huge-imaginary"])
+    def test_constant_builds_with_exact_products(self, w, phase):
+        rule = Constant(w)
+        (ph,) = rule._phase
+        assert abs(ph - phase) < 1e-15 and abs(abs(ph) - 1) < 1e-15
+        T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, rule)
+        wp = weight_product(T, 0, 3)
+        re, im = (Fraction(w), Fraction(0)) if not isinstance(w, tuple) else map(Fraction, w)
+        assert wp.exact_value == QC(re, im) * QC(re, im) * QC(re, im)
+        a2 = re * re + im * im  # |w|^2; log2 of big ints needs no float
+        lg = 1.5 * (math.log2(a2.numerator) - math.log2(a2.denominator))
+        assert math.isclose(wp.log2_magnitude, lg, rel_tol=1e-12)
+        assert abs(wp.phase - phase ** 3) < 1e-14
+
+    def test_riesz_radius_saturates_at_infinity(self):
+        T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
+            Block(Band(0, None), "backward", Constant(Fraction(1, 2))),
+            Block(Band(None, -1), "backward", Constant(HUGE))))
+        split = riesz_blocks(T)
+        assert split.estimates == (("band[0,None]", 0.5), ("band[None,-1]", math.inf))
+        assert [b.band for b in split.expanding.blocks] == [Band(None, -1)]
+
+    def test_float_steps_raise_the_overflow_policy(self):
+        T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, Constant(HUGE))
+        v = SeqVector.basis(IndexSet.INTEGERS, 1, mode=Mode.FLOAT64)
+        for step in (lambda: apply(T, v), lambda: apply_power(T, 1, v)):
+            with pytest.raises(NumericOverflow):
+                step()
+        assert apply(T, ei(1)) == ei(0, HUGE)
 
 
 @pytest.mark.parametrize("lo, hi", [("a", 3), (0.5, None), (True, None),

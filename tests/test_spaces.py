@@ -507,6 +507,29 @@ def test_distance_kernel_raises_what_the_difference_raises(a_mode, b_mode):
                 fn()
 
 
+@pytest.mark.parametrize("p", [NormTag.P1, NormTag.PINF])
+def test_equal_imaginary_parts_take_the_integer_walk(p):
+    # the walk compares imaginary parts as b/d across two denominators
+    u, v = make_scalar((Fraction(1, 2), Fraction(1, 3)), Mode.EXACT), \
+        make_scalar((Fraction(1, 4), Fraction(1, 3)), Mode.EXACT)
+    assert u._d != v._d and u.im == v.im
+    a, b = (SeqVector(IndexSet.INTEGERS, {0: w}) for w in (u, v))
+    assert spaces._real_dist(a, b, p) == Fraction(1, 4)
+    assert type(spaces._real_dist(a, b, p)) is Fraction
+    assert dist(a, b, p) == Fraction(1, 4) and dist_lt(a, b, p, Fraction(1, 3))
+    assert not dist_lt(a, b, p, Fraction(1, 4))
+
+
+@pytest.mark.parametrize("p", [NormTag.P1, NormTag.PINF])
+def test_unequal_imaginary_parts_take_the_squares_path(p):
+    a = SeqVector.from_entries(IndexSet.INTEGERS, {0: "1/2", 1: ("1/2", "1/3"), 3: ("2", "-1/6")})
+    b = SeqVector.from_entries(IndexSet.INTEGERS, {0: "1/2", 1: ("1/4", "2/3"), 2: "5/7"})
+    squares = spaces._real_dist(a, b, p)
+    diff = a - b
+    assert squares == [abs2(diff.entry(j)) for j in range(4)]
+    assert dist(a, b, p) == norm(diff, p) and norm(diff, p) != 0
+
+
 def _float_pair(pair):
     a, b = pair
     return a.mode is b.mode is Mode.FLOAT64 and a.index_set is b.index_set
