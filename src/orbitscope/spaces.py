@@ -277,8 +277,9 @@ def _walk_cmp(r, p: NormTag, mode: Mode, bound) -> int:
         v, b = _walk_value(r, p, mode), to_float(bound)
         return (v > b + TOL_EQ) - (v < b - TOL_EQ)
     b = real_value(bound, mode)
-    if not isinstance(r, list):
-        return (r > b) - (r < b)
+    if not isinstance(r, list):  # two rationals, compared by cross-multiplication
+        x, y = r.numerator * b.denominator, b.numerator * r.denominator
+        return (x > y) - (x < y)
     if b < 0:
         return 1
     if p is NormTag.P1:
