@@ -330,13 +330,7 @@ def _div_by_product(mismatch, wp, mode: Mode):
 def _magnitude(v):
     """|v|: an exact Fraction for a real exact scalar, a float otherwise."""
     if isinstance(v, QC):
-        a, b, d = v._a, v._b, v._d
-        if not b:
-            return Fraction(abs(a), d)
-        try:  # int / int rounds as float(v.abs2()) does
-            return math.sqrt((a * a + b * b) / (d * d))
-        except OverflowError:
-            return math.inf
+        return Fraction(abs(v._a), v._d) if not v._b else math.sqrt(to_float(v.abs2()))
     return abs(v)
 
 

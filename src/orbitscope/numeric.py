@@ -49,7 +49,12 @@ class QC:
     __slots__ = ("_a", "_b", "_d")
 
     def __new__(cls, re, im=_ZERO):
-        re, im = Fraction(re), Fraction(im)
+        if type(re) is not Fraction:
+            re = Fraction(re)
+        if type(im) is not Fraction:
+            im = Fraction(im)
+        if not im:  # a Fraction is already in lowest terms
+            return _qc(re.numerator, 0, re.denominator)
         rd, id_ = re.denominator, im.denominator
         return _reduced(re.numerator * id_, im.numerator * rd, rd * id_)
 
