@@ -40,15 +40,13 @@ from .operators import (
     PRESETS,
     Shape,
     ShiftOperator,
-    SpectralTrace,
     Table,
-    WeightProduct,
     apply,
     apply_power,
     prop32_operator,
     riesz_blocks,
     shift_from_jsonable,
-    spectral_radius_estimate,
+    spectral_radius,
     weight_product,
 )
 from .orbits import (

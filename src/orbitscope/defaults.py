@@ -32,9 +32,6 @@ PROP36_CONTRACTION = {
     "inside_margin": Fraction(99, 100),
     "outside_margin": Fraction(101, 100),
     "outside_budget": 100_000,
-    "gelfand_n": 64,
-    "gelfand_window": (0, 128),
-    "gelfand_rel_tol": 0.01,
     "schedule_length": 5,
 }
 
@@ -113,17 +110,17 @@ def _is_list_of(item):
 KINDS = {
     "an integer": (is_integer, """sample_count support_bound orbit_check_horizon
         forced_sample_count forced_budget schedule_length target_count outside_count
-        outside_budget gelfand_n mix_length mix_budget nonzero_budget stagnation_window
+        outside_budget mix_length mix_budget nonzero_budget stagnation_window
         search_budget orbit_horizon steps drift_target_scale_log2 drift_target_index
         drift_time diagonal_target_log2""".split()),
-    "a rational": (is_number, """norm_bound weight gelfand_rel_tol contract_weight
+    "a rational": (is_number, """norm_bound weight contract_weight
         expand_weight band_a_scale ratio_factor noise_scale lambda""".split()),
     "a positive rational": (lambda v: is_number(v) and v > 0, """d forced_tolerance
         target_eps inside_margin outside_margin""".split()),
     "a non-empty list of integers": (_is_list_of(is_integer), """lambda_ladder_exponents
         scale_exponents visit_times count_ladder""".split()),
     "a pair of integers lo <= hi": (lambda v: _is_pair(v) and v[0] <= v[1],
-                                    ["gelfand_window", "band_b_window"]),
+                                    ["band_b_window"]),
     "a non-empty list of integer pairs with non-zero second entries": (
         _is_list_of(lambda v: _is_pair(v) and v[1] != 0), ["m_ladder_num_den"]),
 }

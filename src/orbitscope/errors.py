@@ -24,7 +24,7 @@ class NumericOverflow(OrbitscopeError):
 
 
 class IndecisiveSpectrum(OrbitscopeError):
-    """A block's spectral radius estimate is too close to 1 to classify."""
+    """A block's spectral radius is r = 1 exactly, neither contracting nor expanding."""
 
 
 class VerificationFailed(OrbitscopeError):

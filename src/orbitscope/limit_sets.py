@@ -19,7 +19,8 @@ strategy", never non-membership.
 
 Each function that returns a witness checks it once; consumers never
 check it again.  prop31_rescale, rescale_j_witness_family and
-prop22_amplify also check the witnesses they are given.
+prop22_amplify take the witnesses they are given as checked, and check
+only the certificate they return.
 """
 
 from __future__ import annotations
@@ -212,7 +213,6 @@ def prop31_rescale(T: ShiftOperator, w: JWitness, N) -> JWitness:
     n = Fraction(N)
     if n <= 0:
         raise OrbitscopeError("N must be positive")
-    w.verify(T)
     return scale_j_witness(T, w, Fraction(1) / n)
 
 
@@ -232,11 +232,7 @@ def _correction_rows(T: ShiftOperator, k: int, coords, y: SeqVector,
             continue
         mismatch = target - image
         s = path_source(T, j, k)
-        wp = weight_product(T, j, k, image0.mode) if s is not None else None
-        if wp is None or wp.is_zero:
-            rows.append((j, mismatch, None, None))
-        else:
-            rows.append((j, mismatch, s, wp))
+        rows.append((j, mismatch, s, None if s is None else weight_product(T, j, k)))
     return rows
 
 
@@ -315,16 +311,20 @@ class _SearchLog:
 _THETA = 0.9
 
 
-def _div_by_product(mismatch, wp, mode: Mode):
-    """mismatch / weight-product, robust to float-mode magnitude extremes."""
+def _div_by_product(mismatch, wp: QC, mode: Mode):
+    """mismatch / weight-product; in float mode by the product rounded once,
+    robust to magnitude extremes."""
     if mode is Mode.EXACT:
-        return mismatch / wp.exact_value
-    lg = wp.log2_magnitude
+        return mismatch / wp
+    lg = log2_abs(wp)
     if log2_abs(mismatch) - lg < -1040:
         return complex(0.0, 0.0)  # below float resolution; no-op correction
     if lg < -1000:
         return complex(math.inf, 0.0)  # past float range; no radius holds it
-    return mismatch / wp.phase * (2.0 ** (-lg))
+    try:
+        return mismatch / wp.to_complex()
+    except OverflowError:  # a product past double range: divide exactly, round once
+        return (make_scalar(mismatch, Mode.EXACT) / wp).to_complex()
 
 
 def _magnitude(v):
@@ -554,7 +554,7 @@ class _StructuralStops:
             t = s + step * k
             if y_min is not None and (t >= y_min if step < 0 else t <= y_max):
                 continue
-            b = weight_product(self.T, t, k).exact_value.abs2()
+            b = weight_product(self.T, t, k).abs2()
             # sqrt(a) >= eps + d/sqrt(b), squared twice: with
             # p = a b - eps^2 b - d^2, p >= 0 and p^2 >= 4 eps^2 d^2 b
             p = a * b - eps2 * b - d2
@@ -712,8 +712,7 @@ def rescale_j_witness_family(T: ShiftOperator,
     eps_frac = Fraction(target_eps)
     base = witnesses[0].base.scale(real_value(Fraction(1) / scales[0], mode))
     target = witnesses[0].target.scale(real_value(Fraction(1) / scales[0], mode))
-    for t, w in family:
-        w.verify(T)
+    for w in witnesses:
         if w.bound != d_val:
             raise OrbitscopeError("family members must share the bound d")
     m_index = None
@@ -806,7 +805,6 @@ def prop22_amplify(T: ShiftOperator, x: SeqVector, y: SeqVector, d, lam,
     d_val = real_value(d, mode)
     out = []
     for n, w in enumerate(coarse_witnesses, start=1):
-        w.verify(T)
         if w.base != x:
             raise OrbitscopeError(f"witness {n} has a different base point")
         if w.bound != d_val:

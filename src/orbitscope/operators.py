@@ -6,14 +6,15 @@ a_n * e_{n+1}, a diagonal operator sends e_n to a_n * e_n.  Powers are
 computed from closed-form weight products along paths, never by n-fold
 matrix application, so they are exact and O(support) per power.
 
-Float64-mode magnitudes are tracked in log2 and error out past 2^900
-instead of silently overflowing.
+``weight_product`` is the exact path product.  Float64-mode
+``apply_power`` tracks its products in log2 magnitude and phase and errors
+out past 2^900 instead of silently overflowing.  Spectral radii are read
+off each weight rule's structure, exactly (``spectral_radius``).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -27,13 +28,13 @@ from .errors import (
 )
 from .numeric import (
     QC,
-    FieldsJSON,
     Mode,
     OVERFLOW_LOG2,
     jsonable,
     log2_abs,
     make_scalar,
     phase_of,
+    scalar_zero,
     unit_power,
 )
 from .spaces import IndexSet, SeqVector
@@ -73,9 +74,6 @@ class WeightRule:
 
     def weight_at(self, j: int) -> QC:
         return self._weights[self._index_at(j)]
-
-    def log2_abs_at(self, j: int) -> float:
-        return self._log2[self._index_at(j)]
 
     def weight_values(self) -> tuple[QC, ...]:
         """Every weight the rule takes, exact."""
@@ -242,27 +240,6 @@ def weight_rule_from_jsonable(obj: dict) -> WeightRule:
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad weight rule: {exc}") from exc
     raise ConfigError(f"unknown weight rule kind {kind!r}")
-
-
-# -- weight products -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeightProduct:
-    """Scalar multiplying the surviving coordinate of a power of a shift."""
-
-    log2_magnitude: float
-    phase: complex
-    exact_value: QC | None
-    is_zero: bool = False
-
-    @classmethod
-    def zero(cls) -> "WeightProduct":
-        return cls(float("-inf"), _UNIT, QC(Fraction(0)), True)
-
-    @classmethod
-    def one(cls) -> "WeightProduct":
-        return cls(0.0, _UNIT, _ONE)
 
 
 # -- operators -----------------------------------------------------------------
@@ -447,25 +424,21 @@ def path_source(T: ShiftOperator, j: int, n: int) -> int | None:
     return s
 
 
-def weight_product(T: ShiftOperator, target_index: int, n: int,
-                   mode: Mode = Mode.EXACT) -> WeightProduct:
-    """Product of the n weights along the path landing at target_index.
+def weight_product(T: ShiftOperator, target_index: int, n: int) -> QC:
+    """Exact product of the n weights along the path landing at target_index.
 
-    Returns the exact zero product when no source reaches the target
-    (e.g. a unilateral path would have to exit N).  A FLOAT64 path
-    product carries its log2 magnitude and phase but no exact value.
+    Zero when no source reaches the target (e.g. a unilateral path would
+    have to exit N).
     """
     if n < 0:
         raise OrbitscopeError("power must be non-negative")
     if n == 0:
-        return WeightProduct.one()
+        return _ONE
     s = path_source(T, target_index, n)
     if s is None:
-        return WeightProduct.zero()
+        return scalar_zero(Mode.EXACT)
     kind, weights, _ = T.component_for(target_index)
-    lg, ph = _path_log2(kind, weights, s, target_index, n)
-    exact = _path_exact(kind, weights, s, target_index, n) if mode is Mode.EXACT else None
-    return WeightProduct(lg, ph, exact)
+    return _path_exact(kind, weights, s, target_index, n)
 
 
 def apply(T: ShiftOperator, v: SeqVector) -> SeqVector:
@@ -533,74 +506,7 @@ def apply_power(T: ShiftOperator, n: int, v: SeqVector) -> SeqVector:
     return SeqVector(v.index_set, entries, v.mode)
 
 
-# -- spectral radius ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectralTrace(FieldsJSON):
-    """Gelfand quotients ||T^n||^{1/n} over a window, plus the point estimate.
-
-    For shifts and diagonals the n-th quotient is the exact supremum of
-    n-step geometric means of weight magnitudes over the window.
-    """
-
-    quotients: tuple[float, ...]
-    estimate: float
-    n_max: int
-    window: tuple[int, int]
-
-
-def spectral_radius_estimate(T: ShiftOperator, n_max: int,
-                             window: tuple[int, int]) -> SpectralTrace:
-    if n_max < 1:
-        raise OrbitscopeError("n_max must be >= 1")
-    win_lo, win_hi = window
-    if win_hi < win_lo:
-        raise OrbitscopeError("empty window")
-    quotients = []
-    comp_data = []
-    for kind, weights, band in T.components():
-        lo = win_lo
-        hi = win_hi
-        if band.lo is not None:
-            lo = max(lo, band.lo)
-        if band.hi is not None:
-            hi = min(hi, band.hi)
-        if hi < lo:
-            continue
-        if kind == "backward":
-            a, b = lo - n_max, hi
-        elif kind == "forward":
-            a, b = lo, hi + n_max - 1
-        else:
-            a, b = lo, hi
-        prefix = [0.0]
-        for j in range(a, b + 1):
-            prefix.append(prefix[-1] + weights.log2_abs_at(j))
-        comp_data.append((kind, band, lo, hi, a, prefix))
-    for n in range(1, n_max + 1):
-        best = None
-        for kind, band, lo, hi, a, prefix in comp_data:
-            # one max of the window's n-step log2 sums (one weight on a diagonal),
-            # divided once: x / n rounds monotonically, so it is the largest quotient
-            if kind == "diagonal":
-                top, low, count, steps = lo - a + 1, lo - a, hi - lo + 1, 1
-            elif kind == "backward":
-                # over N every band starts at >= 0, so the end s - n stays in N
-                first = lo if band.lo is None else max(lo, band.lo + n)
-                top, low, count, steps = first - a + 1, first - n - a + 1, hi - first + 1, n
-            else:  # forward
-                last = hi if band.hi is None else min(hi, band.hi - n)
-                top, low, count, steps = lo + n - a, lo - a, last - lo + 1, n
-            cand = max(map(operator.sub, prefix[top:top + count],
-                           prefix[low:low + count])) / steps if count > 0 else None
-            if cand is not None:
-                best = cand if best is None else max(best, cand)
-        quotients.append(2.0 ** best if best is not None else 0.0)
-    return SpectralTrace(tuple(quotients), quotients[-1], n_max, (win_lo, win_hi))
-
-
-# -- Riesz-style block decomposition ---------------------------------------------
+# -- spectral radius and Riesz-style block decomposition -------------------------
 
 
 @dataclass(frozen=True)
@@ -651,6 +557,12 @@ def _block_radius(kind: str, rule: WeightRule, band: Band) -> tuple[int, float]:
     logs = [sum(rule._log2[i] for i in q) / len(q) for q in periods]
     return max((((p > 1) - (p < 1), 2.0 ** lg if lg < 1024 else math.inf)
                 for p, lg in zip(powers, logs)), default=(-1, 0.0))
+
+
+def spectral_radius(T: ShiftOperator) -> tuple[int, float]:
+    """Exact sign of r - 1, and r as a float, for T's spectral radius r:
+    the largest ``_block_radius`` over T's components."""
+    return max((_block_radius(*comp) for comp in T.components()), default=(-1, 0.0))
 
 
 def riesz_blocks(T: ShiftOperator) -> RieszSplit:

@@ -189,6 +189,21 @@ class TestCertify:
                          "prop36-contraction", "--out", str(tmp_path / "b"))
         assert code == 4
 
+    @pytest.mark.parametrize("params", [{"contract_weight": 3}, {"expand_weight": "1/3"}],
+                             ids=["no-contracting-block", "no-expanding-block"])
+    def test_riesz_without_both_kinds_of_block_is_indecisive(self, capsys, tmp_path,
+                                                             params):
+        # both blocks expand, or both contract: there is nothing to split, as
+        # prop36 has no contraction when |weight| >= 1
+        cfg = self.write_config(tmp_path, {"certificates": {"riesz-blocks": dict(
+            params, sample_count=1)}})
+        code, _, _ = run(capsys, "--config", str(cfg), "certify", "riesz-blocks",
+                         "--out", str(tmp_path / "b"))
+        assert code == 4
+        report = json.loads((tmp_path / "b" / "riesz-blocks.json").read_text())
+        assert [(s["name"], s["status"]) for s in report["sub_checks"]] == \
+            [("block-classification", "INDECISIVE")]
+
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_weight_past_double_range_answers(self, capsys, tmp_path, mode):
         # 10^400 is exact in exact mode; the float carrier refuses each
@@ -232,6 +247,8 @@ class TestCertify:
         ({"certificates": {"prop32": {"d": True}}}, ("certify", "prop32")),
         ({"certificates": {"prop36-contraction": {"weight": "abc"}}},
          ("certify", "prop36-contraction")),
+        ({"certificates": {"riesz-blocks": {"band_b_window": [1]}}},
+         ("certify", "riesz-blocks")),
         ({"certificates": {"prop36-contraction": {"gelfand_window": [1]}}},
          ("certify", "prop36-contraction")),
         ({"certificates": {"prop15": {"target_eps": [1]}}}, ("certify", "prop15")),
@@ -257,8 +274,8 @@ class TestCertify:
             "certificates-not-object", "out-dir-not-string", "parameter-not-number",
             "parameter-not-list", "parameter-item-not-number", "horizon-bool",
             "count-string", "count-float", "rational-bool", "rational-bad-string",
-            "pair-too-short", "rational-list", "count-numeric-string", "d-zero",
-            "d-negative", "positive-rational-negative-string", "window-reversed",
+            "pair-too-short", "unknown-parameter", "rational-list",
+            "count-numeric-string", "d-zero", "d-negative", "positive-rational-negative-string", "window-reversed",
             "ratio-zero-denominator", "table-entries-list", "weight-bool",
             "weight-zero-denominator"])
     def test_unknown_config_key(self, capsys, tmp_path, config, command):
@@ -287,8 +304,8 @@ class TestCertify:
     @pytest.mark.parametrize("name, params", [
         ("prop36-contraction", {"d": "1/2"}),
         ("prop21", {"d": "1/2"}),
-        ("prop36-contraction", {"gelfand_rel_tol": "1/100"}),
-    ], ids=["prop36-contraction-d", "prop21-d", "prop36-contraction-rel-tol"])
+        ("prop36-contraction", {"inside_margin": "99/100"}),
+    ], ids=["prop36-contraction-d", "prop21-d", "prop36-contraction-inside-margin"])
     def test_rational_string_parameter(self, capsys, tmp_path, name, params):
         cfg = self.write_config(
             tmp_path, {"certificates": {name: dict(FAST_CERTS[name], **params)}})

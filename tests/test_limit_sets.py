@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitscope import (
+    CoarseWitness,
     Constant,
+    DWitness,
     EpsSchedule,
     IndexSet,
     JWitness,
@@ -58,6 +61,18 @@ def doubling():
 def halving():
     return ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS,
                          Constant(Fraction(1, 2)))
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """The witnesses whose verify runs, in call order."""
+    calls = []
+    for cls in (JWitness, DWitness, CoarseWitness):
+        def verify(self, T, _check=cls.verify):
+            calls.append(self)
+            return _check(self, T)
+        monkeypatch.setattr(cls, "verify", verify)
+    return calls
 
 
 class TestSchedule:
@@ -181,6 +196,17 @@ class TestSearch:
                              k_min=1100)
         assert w.times == (1100, 1101)
         assert all(t.perturbed == x for t in w.triples)
+
+    def test_float_products_past_double_range(self):
+        # at k >= 1100 the doubling product 2^k is past every double: the
+        # correction 2^70 / 2^k is divided exactly and rounded once, and each
+        # perturbed power then passes the 2^900 policy, so the budget runs out
+        x = SeqVector.basis(IndexSet.NATURALS, 0, mode=Mode.FLOAT64)
+        y = SeqVector.basis(IndexSet.NATURALS, 0, 2.0 ** 70, mode=Mode.FLOAT64)
+        with pytest.raises(SearchFailed) as info:
+            search_j_witness(doubling(), x, y, 1, EpsSchedule.reciprocal(2), 10,
+                             k_min=1100)
+        assert info.value.reason == "budget"
 
     @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT64])
     @pytest.mark.parametrize("norm_tag", list(NormTag))
@@ -560,6 +586,12 @@ class TestScaling:
         assert rw.target == en(0)
         assert all(t.dist == 0 for t in rw.triples)
 
+    def test_prop31_checks_only_its_result(self, verify_calls):
+        T, w = self.make_witness()
+        verify_calls.clear()  # the search checked w
+        out = prop31_rescale(T, w, 10)
+        assert verify_calls == [out]
+
     def test_prop31_chained_powers(self):
         T = doubling()
         w = search_j_witness(T, SeqVector.zero(IndexSet.NATURALS),
@@ -596,6 +628,23 @@ class TestFamilyRescale:
         out.verify(T)
         assert out.mix_flag
 
+    def test_checks_only_the_witness_it_returns(self, verify_calls):
+        T, family = self.build_family(range(1, 13))
+        verify_calls.clear()  # jmix_witness checked each member
+        result = rescale_j_witness_family(T, family, Fraction(1, 1000))
+        assert verify_calls == [result.witness]
+
+    def test_tampered_member_reaching_the_output_is_rejected(self):
+        # the members from 2^10 on reach the output at tolerance 1/1000; an
+        # unperturbed zero base has image 0, far from 2^12 e_0
+        T, family = self.build_family(range(1, 13))
+        t, w = family[-1]
+        zero = SeqVector.zero(IndexSet.NATURALS)
+        bad = dataclasses.replace(w, triples=(
+            dataclasses.replace(w.triples[0], perturbed=zero),) + w.triples[1:])
+        with pytest.raises(VerificationFailed):
+            rescale_j_witness_family(T, family[:-1] + [(t, bad)], Fraction(1, 1000))
+
     def test_minimal_family_when_tolerance_loose(self):
         T, family = self.build_family([1])
         result = rescale_j_witness_family(T, family, 1)
@@ -628,6 +677,15 @@ class TestProp22:
             # exact linearity: distance is lam^n times the original gap
             assert pt.distance == (Fraction(1) - Fraction(2) ** (pt.n - 15)) \
                 * Fraction(1, 2) ** pt.n
+
+    def test_takes_its_witnesses_as_checked(self, verify_calls):
+        T = prop32_operator()
+        y = ei(-20, Fraction(1, 2 ** 15))
+        cws = [make_coarse_witness(T, ei(0), 1, y.scale(Fraction(2) ** n), 20,
+                                   NormTag.PINF) for n in range(1, 11)]
+        amp = prop22_amplify(T, ei(0), y, 1, Fraction(1, 2), cws)
+        assert len(amp.points) == 10
+        assert verify_calls == []
 
     def test_recurrent_diagonal_instance(self):
         T = ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS, Constant(Fraction(1, 2)))

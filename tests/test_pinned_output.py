@@ -1,7 +1,7 @@
 """JSON forms and search diagnostics pinned to literal values.
 
 Seed-0 bundles never carry some of these (a ContradictionReport, a
-CoarseDensityReport, a SpectralTrace, a FamilyRescaleResult), so the
+CoarseDensityReport, a FamilyRescaleResult), so the
 bundle digests cannot guard them; these literals do.
 """
 
@@ -28,7 +28,6 @@ from orbitscope import (
     rescale_j_witness_family,
     riesz_blocks,
     search_j_witness,
-    spectral_radius_estimate,
 )
 from orbitscope.certificates import SubCheck
 from orbitscope.errors import SearchFailed
@@ -98,10 +97,6 @@ def contradiction(mode):
     return derive_remark32_bounds(w, family)
 
 
-def spectral_trace(mode):
-    return spectral_radius_estimate(prop32_operator(), 3, (-2, 2))
-
-
 def density_report(mode):
     hit = make_coarse_witness(prop32_operator(), ei(0, 1, mode), 1,
                               ei(-2, Fraction(3, 2), mode), 2, NormTag.PINF)
@@ -117,7 +112,6 @@ BUILDERS = {
     "FamilyRescaleResult": family_rescale,
     "AmplifiedPoint": amplified_point,
     "ContradictionReport": contradiction,
-    "SpectralTrace": spectral_trace,
     "CoarseDensityReport": density_report,
 }
 
@@ -346,12 +340,6 @@ EXPECTED = {
         "bound_near_one_holds": True,
         "bound_near_zero_holds": False,
     },
-    ("SpectralTrace", None): {
-        "quotients": [2.0, 2.0, 1.5874010519681994],
-        "estimate": 1.5874010519681994,
-        "n_max": 3,
-        "window": [-2, 2],
-    },
     ("CoarseDensityReport", "exact"): {
         "verdict": "FAIL",
         "hit_ratio": 0.5,
@@ -399,10 +387,9 @@ EXPECTED = {
 }
 
 
-@pytest.mark.parametrize("name, mode", list(EXPECTED),
-                         ids=lambda v: v if v else "any")
+@pytest.mark.parametrize("name, mode", list(EXPECTED))
 def test_to_jsonable_pinned(name, mode):
-    built = BUILDERS[name](Mode(mode) if mode else None)
+    built = BUILDERS[name](Mode(mode))
     assert built.to_jsonable() == EXPECTED[name, mode]
 
 
