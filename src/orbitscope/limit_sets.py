@@ -10,8 +10,12 @@ One search serves every operator.  Each power T^k is monomial: source
 s feeds target j with weight product W, so the search back-solves
 coordinate by coordinate.  In the sup norm a time k admits a witness
 exactly when every mismatch m = y_j - W x_s has |m| < d + |W| eps (|m| < d
-on a row with no source), decided exactly for real exact entries; p1
-and p2 share a greedy budget between the rows.  The search is budgeted
+on a row with no source).  For real exact entries and weights this is
+decided by integer cross-multiplication from one table of rows, each
+with its source, product and mismatch formed once, and the perturbed
+image is read off the same rows; complex entries and float mode keep
+the row rule as a screen, followed by the final checks.  p1 and p2
+share a greedy budget between the rows.  The search is budgeted
 in power applications; its failures are labelled reasons.  Three of them,
 decay-bound, collapse-bound and tail-bound, are exact proofs that y is not
 in J(x, T, d); every other reason means "not found within this budget and
@@ -39,7 +43,8 @@ from .errors import (
 from .numeric import FieldsJSON, Mode, QC, abs2, exact_sqrt, \
     jsonable, log2_abs, make_scalar, real_value, scalar_zero, sqrt_bounds, \
     strict_gt, to_float
-from .operators import ShiftOperator, apply_power, path_source, weight_product
+from .operators import ShiftOperator, apply_power, path_source, power_paths, \
+    weight_product
 from .orbits import CoarseWitness, coarse_orbit_contains
 from .spaces import IndexSet, NormTag, SeqVector, dist, dist_and_lt, dist_lt
 
@@ -280,6 +285,11 @@ class _SearchLog:
             raise OrbitscopeError("d must be positive")
         self.budget = Budget(budget)
         self.stops = _StructuralStops(T, x, y, self.d_val, eps_last, norm_tag)
+        # real exact vectors and weights in the sup norm: decided in integers
+        self.real_sup = norm_tag is NormTag.PINF and x.mode is y.mode is Mode.EXACT \
+            and x.index_set is y.index_set is T.index_set \
+            and not any(v._b for v in (*x._entries.values(), *y._entries.values())) \
+            and not any(w._b for _, rule, _ in T.components() for w in rule.weight_values())
         self.attempts = 0
         self.k_last = 0
         self.reset_best()
@@ -288,8 +298,12 @@ class _SearchLog:
         self.best_res = self.best_delta = math.inf
 
     def attempt(self, eps, k: int) -> _Attempt | None:
-        att = _greedy_attempt(self.T, self.x, self.y, self.d_val, eps, k,
-                              self.norm_tag, self.budget, self.mode)
+        if self.real_sup:
+            att = _real_sup_attempt(self.T, self.x, self.y, self.d_val, eps, k,
+                                    self.budget)
+        else:
+            att = _greedy_attempt(self.T, self.x, self.y, self.d_val, eps, k,
+                                  self.norm_tag, self.budget, self.mode)
         if att is not None:
             self.attempts += 1
             self.k_last = k
@@ -340,7 +354,9 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
     """One back-solve attempt at time k; None when the budget ran out.
 
     In the sup norm the attempt is decided row by row, exactly for real
-    exact entries and as a screen otherwise; the final checks decide."""
+    exact entries and as a screen otherwise; the final checks decide.  A
+    search over real exact vectors and weights runs _real_sup_attempt in
+    its place."""
     if not budget.try_spend(1):
         return None
     try:
@@ -421,6 +437,100 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
     r, ok = dist_and_lt(image, y, norm_tag, d_val)
     return _Attempt(ok, perturbed if ok else None, r if ok else None, delta_norm,
                     to_float(r))
+
+
+_NO_PATH = scalar_zero(Mode.EXACT)  # the product on a row no path reaches
+
+
+def _as_float(num: int, den: int) -> float:
+    """num/den correctly rounded, as to_float rounds a Fraction; inf past
+    double range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
+def _real_sup_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val: Fraction,
+                      eps: Fraction, k: int, budget: Budget) -> _Attempt | None:
+    """_greedy_attempt's sup-norm attempt for real exact x, y and weights,
+    with the same result, decided in integers from one row table.
+
+    Each row j of supp y and T^k(supp x) gets its source s, product
+    W = wa/wd and mismatch m = y_j - W x_s = p/q once.  The row rule is
+    decided by cross-multiplication, and the distance of the perturbed
+    image, max_j |y_j - W z_s|, is read off the same rows."""
+    if not budget.try_spend(1):
+        return None
+    ys = y._entries
+    rows = {}  # j -> (s, wa, wd, p, q) with q > 0; s is None when no path reaches j
+    for s, v, j, w in power_paths(T, k, x):
+        wa, wd = w._a, w._d
+        ia, iq = wa * v._a, wd * v._d
+        yj = ys.get(j)
+        rows[j] = (s, wa, wd, -ia, iq) if yj is None else \
+            (s, wa, wd, yj._a * iq - ia * yj._d, yj._d * iq)
+    for j, yj in ys.items():
+        if j not in rows:
+            s = path_source(T, j, k)
+            w = _NO_PATH if s is None else weight_product(T, j, k)
+            rows[j] = (s, w._a, w._d, yj._a, yj._d)
+    en, ed = eps.numerator, eps.denominator
+    dn, dd = d_val.numerator, d_val.denominator
+    deltas = {}  # s -> (num, den), delta_s = num/den with den > 0
+    big_n, big_d = 0, 1  # the largest |delta_s|
+    residual = 0.0
+    feasible = True
+    for s, wa, wd, p, q in rows.values():
+        if not p:
+            continue
+        ap, aw = abs(p), abs(wa)
+        if s is not None and ap * wd * ed < en * q * aw:  # |u| < eps for u = m/W
+            num, den = ap * wd, q * aw
+        elif ap * dd < dn * q:  # |m| < d
+            continue
+        else:
+            # lo < hi for lo = 1 - d/|m| and hi = eps/|u|, times |m| dd ed wd;
+            # t = (lo + hi)/2 gives delta_s = t u
+            a, b = (ap * dd - dn * q) * ed * wd, en * q * aw * dd
+            if s is None or not a < b:
+                # an infeasible attempt reports the largest residual left,
+                # this |m| >= d or another's: a row left alone or partly
+                # corrected keeps its residual below d
+                feasible = False
+                residual = max(residual, _as_float(ap, q))
+                continue
+            num, den = a + b, 2 * q * aw * dd * ed
+        deltas[s] = (num if (p > 0) is (wa > 0) else -num, den)  # the sign of m/W
+        if num * big_d > big_n * den:
+            big_n, big_d = num, den
+    delta_norm = _as_float(big_n, big_d)
+    if not feasible:
+        return _Attempt(False, None, None, delta_norm, residual)
+    if not budget.try_spend(1):
+        return None
+    entries = dict(x._entries)
+    for s, (num, den) in deltas.items():
+        v = entries.get(s)
+        if v is not None:
+            num, den = num * v._d + v._a * den, den * v._d
+        if num:
+            entries[s] = QC(Fraction(num, den))
+        else:
+            del entries[s]
+    rn, rd = 0, 1  # r = max_j |y_j - W z_s|
+    for j, (s, wa, wd, p, q) in rows.items():
+        if s in deltas:
+            z, yj = entries.get(s), ys.get(j)
+            za, zd = (0, 1) if z is None else (z._a, z._d)
+            ya, yd = (0, 1) if yj is None else (yj._a, yj._d)
+            p, q = ya * wd * zd - wa * za * yd, yd * wd * zd
+        if abs(p) * rd > rn * q:
+            rn, rd = abs(p), q
+    r = Fraction(rn, rd)
+    ok = rn * dd < dn * rd
+    return _Attempt(ok, SeqVector(x.index_set, entries, x.mode) if ok else None,
+                    r if ok else None, delta_norm, to_float(r))
 
 
 def _exact_abs2(v) -> Fraction:

@@ -470,6 +470,24 @@ def apply(T: ShiftOperator, v: SeqVector) -> SeqVector:
     return SeqVector(v.index_set, entries, v.mode)
 
 
+def power_paths(T: ShiftOperator, n: int, v: SeqVector) -> list[tuple]:
+    """(s, v_s, t, W) for each source s of v, in index order, whose n-step
+    path (n >= 1) lands at t, with W the exact path product: T^n v is the
+    sum of the W v_s e_t.  It raises what apply_power raises."""
+    if v.index_set is not T.index_set:
+        raise IndexSetMismatch("operator and vector index sets differ")
+    out = []
+    for s, val in v.items():
+        comp = T.component_for(s)
+        if comp is None:
+            raise IndexSetMismatch(f"vector support index {s} lies in no band")
+        kind, weights, band = comp
+        t = _step(kind, band, s, n)
+        if t is not None:
+            out.append((s, val, t, _path_exact(kind, weights, s, t, n)))
+    return out
+
+
 def apply_power(T: ShiftOperator, n: int, v: SeqVector) -> SeqVector:
     """T^n v via exact weight products along length-n paths."""
     if n < 0:

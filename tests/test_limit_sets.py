@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -34,14 +35,31 @@ from orbitscope import (
     with_bound,
 )
 from orbitscope.errors import (
+    IndexSetMismatch,
     InputNotAWitnessFamily,
     OrbitscopeError,
     SearchFailed,
     VerificationFailed,
 )
-from orbitscope import limit_sets
-from orbitscope.limit_sets import Budget, _Attempt, _StructuralStops, _greedy_attempt
+from orbitscope import limit_sets, operators
+from orbitscope.limit_sets import (
+    Budget,
+    _Attempt,
+    _StructuralStops,
+    _greedy_attempt,
+    _real_sup_attempt,
+)
 from orbitscope.numeric import QC, Mode, real_value, to_float
+from orbitscope.operators import (
+    Band,
+    Block,
+    Periodic,
+    Table,
+    WeightRule,
+    path_source,
+    weight_product,
+)
+from orbitscope.spaces import dist_and_lt
 
 from conftest import random_shift, random_vector, sup_projection_feasible, vector_for
 
@@ -232,9 +250,10 @@ class TestSearch:
 
 
 def sup_attempt(T, x, y, d, eps, k):
-    """One exact sup-norm attempt at time k; its witness, when it finds
-    one, must pass verify."""
+    """One exact sup-norm attempt at time k, the same from both attempt
+    functions; its witness, when it finds one, must pass verify."""
     att = _greedy_attempt(T, x, y, d, eps, k, NormTag.PINF, Budget(2), Mode.EXACT)
+    assert _real_sup_attempt(T, x, y, d, eps, k, Budget(2)) == att
     if att.ok:
         JWitness(x, y, d, NormTag.PINF, EpsSchedule((eps,)),
                  (JWitnessTriple(att.perturbed, k, att.dist),)).verify(T)
@@ -277,6 +296,244 @@ class TestSupAttempt:
         d, eps = Fraction(10, 9), Fraction(16, 9)
         assert sup_projection_feasible(T, x, y, d, eps, 1)
         assert sup_attempt(T, x, y, d, eps, 1)
+
+
+def reference_sup_attempt(T, x, y, d_val, eps, k, budget):
+    """_greedy_attempt's sup-norm branch for real exact entries as it stood
+    before the integer row table: QC and Fraction arithmetic, products
+    formed by apply_power and weight_product, and the final check through
+    apply_power and the distance walk."""
+    if not budget.try_spend(1):
+        return None
+    image0 = apply_power(T, k, x)
+    delta_entries, uncorrected, feasible = {}, [], True
+    for j in sorted(set(y.support) | set(image0.support)):
+        target, image = y.entry(j), image0.entry(j)
+        if target == image:
+            continue
+        m = target - image
+        m_abs = abs(m.re)
+        s = path_source(T, j, k)
+        if s is not None:
+            u = m / weight_product(T, j, k)
+            u_abs = abs(u.re)
+            if eps > u_abs:
+                delta_entries[s] = u
+                continue
+        if d_val > m_abs:
+            uncorrected.append(to_float(m_abs))
+            continue
+        if s is not None:
+            lo, hi = 1 - d_val / m_abs, eps / u_abs
+            if lo < hi:
+                t = (lo + hi) / 2
+                delta_entries[s] = u * QC(t)
+                uncorrected.append(to_float((1 - t) * m_abs))
+                continue
+        feasible = False
+        uncorrected.append(to_float(m_abs))
+    delta = SeqVector(x.index_set, delta_entries, Mode.EXACT)
+    delta_r, delta_ok = dist_and_lt(delta, SeqVector.zero(x.index_set), NormTag.PINF, eps)
+    delta_norm = to_float(delta_r)
+    residual_est = max(uncorrected, default=0.0)
+    if not feasible or not delta_ok:
+        return _Attempt(False, None, None, delta_norm, residual_est)
+    if not budget.try_spend(1):
+        return None
+    perturbed = x + delta
+    r, ok = dist_and_lt(apply_power(T, k, perturbed), y, NormTag.PINF, d_val)
+    return _Attempt(ok, perturbed if ok else None, r if ok else None, delta_norm,
+                    to_float(r))
+
+
+def outcome(attempt, T, x, y, d, eps, k, budget_limit):
+    """(every _Attempt field, the budget used), or the error raised."""
+    budget = Budget(budget_limit)
+    try:
+        att = attempt(T, x, y, d, eps, k, budget)
+    except IndexSetMismatch as exc:
+        return "IndexSetMismatch", str(exc), budget.used
+    if att is None:
+        return None, budget.used
+    assert att.dist is None or type(att.dist) is Fraction
+    assert type(att.delta_norm) is float and type(att.residual) is float
+    return (att.ok, att.perturbed, att.dist, att.delta_norm, att.residual), budget.used
+
+
+def random_rule(rng):
+    def w():
+        return Fraction(rng.choice([1, 2, 3, 5, 7]), rng.choice([1, 2, 3, 4])) \
+            * rng.choice([1, -1])
+    kind = rng.choice(["constant", "piecewise", "periodic", "table"])
+    if kind == "constant":
+        return Constant(w())
+    if kind == "piecewise":
+        return PiecewiseTwoSided(w(), w())
+    if kind == "periodic":
+        return Periodic(tuple(w() for _ in range(rng.randint(1, 3))))
+    return Table({rng.randint(-6, 6): w(), rng.randint(-6, 6): w()}, w())
+
+
+def random_operator(rng):
+    """Unilateral, bilateral or forward shifts, or a block sum with a
+    diagonal block whose bands leave -3 and 4 uncovered."""
+    shape = rng.choice(["unilateral", "bilateral", "forward", "blocks"])
+    if shape == "unilateral":
+        return ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS, random_rule(rng))
+    if shape == "bilateral":
+        return ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, random_rule(rng))
+    if shape == "forward":
+        return ShiftOperator(Shape.BILATERAL_FORWARD, IndexSet.INTEGERS, random_rule(rng))
+    kinds = ["backward", "forward", "diagonal"]
+    rng.shuffle(kinds)
+    return ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=tuple(
+        Block(band, kind, random_rule(rng))
+        for band, kind in zip((Band(None, -4), Band(-2, 3), Band(5, None)), kinds)))
+
+
+def pinned_witness(entries, bound, triples):
+    """A prop32 witness from e_0 at schedule 1, 1/2, 1/3, in JSON form."""
+    one = "1" if isinstance(bound, str) else 1.0
+    zero = "0" if isinstance(bound, str) else 0.0
+    return {"base": {"index_set": "Z", "entries": [[0, one, zero]]},
+            "target": {"index_set": "Z", "entries": entries}, "bound": bound,
+            "norm": "pinf", "schedule": ["1", "1/2", "1/3"],
+            "triples": [{"perturbed": {"index_set": "Z", "entries": [[0, one, zero], *p]},
+                         "time": k, "dist": r} for k, p, r in triples],
+            "mix": False, "operator": "paper-prop32"}
+
+
+# the witnesses _greedy_attempt gave before the integer row table
+COMPLEX_WITNESS = pinned_witness(
+    [[-7, "4", "0"], [-2, "3", "1"], [6, "-3", "0"]], "2",
+    [(9, [[2, "3/4", "0"], [7, "3/128", "1/128"], [15, "-3/512", "0"]], "1"),
+     (10, [[3, "3/8", "0"], [8, "3/256", "1/256"], [16, "-3/1024", "0"]], "1"),
+     (11, [[4, "1/4", "0"], [9, "3/512", "1/512"], [17, "-3/2048", "0"]], "1")])
+FLOAT_WITNESS = pinned_witness(
+    [[-7, 4.0, 0.0], [0, 2.5, 0.0], [6, -3.0, 0.0]], 2.0,
+    [(9, [[2, 0.75, 0.0], [9, 0.0048828125, 0.0], [15, -0.005859375, 0.0]], 1.0),
+     (10, [[3, 0.375, 0.0], [10, 0.00244140625, 0.0], [16, -0.0029296875, 0.0]], 1.0),
+     (11, [[4, 0.25, 0.0], [11, 0.001220703125, 0.0], [17, -0.00146484375, 0.0]], 1.0)])
+
+
+class TestRealSupAttempt:
+    """The integer row table gives the attempt that Fractions gave."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 5),
+           near=st.sampled_from([None, 0, Fraction(1, 4), 1]),
+           tie=st.sampled_from([None, "d", "eps", "d+eps"]), d=radii, eps=radii,
+           budget=st.sampled_from([0, 1, 2]))
+    def test_matches_the_fraction_attempt(self, seed, k, near, tie, d, eps, budget):
+        rng = random.Random(seed)
+        T = random_operator(rng)
+        x = vector_for(rng, T, -9, 9)
+        y = vector_for(rng, T, -9, 9)
+        try:
+            image = apply_power(T, k, x)
+        except IndexSetMismatch:  # a source of x in no band
+            image = None
+        if near is not None and image is not None:
+            # rows where the target equals the image, and rows near it
+            y = image + y.scale(near) if near else image
+        rows = [] if image is None else \
+            [j for j in sorted(set(y.support) | set(image.support)) if y.entry(j) != image.entry(j)]
+        if tie and rows:
+            # a row on a boundary of the rule: |m| = d, |m| = d + |W| eps, or
+            # |u| = eps, which takes a partial correction whenever |m| >= d
+            j = rng.choice(rows)
+            m = abs((y.entry(j) - image.entry(j)).re)
+            w = abs(weight_product(T, j, k).re)
+            if tie == "d":
+                d = m
+            elif tie == "d+eps" and m > w * eps:
+                d = m - w * eps
+            elif tie == "eps" and w:
+                eps = m / w
+        assert outcome(_real_sup_attempt, T, x, y, d, eps, k, budget) == \
+            outcome(reference_sup_attempt, T, x, y, d, eps, k, budget)
+
+    @pytest.mark.parametrize("budget", [0, 1, 2])
+    def test_doubles_past_range(self, budget):
+        # |delta_0| = 10^600 and the infeasible row 1 has |m| = 10^1200:
+        # both floats are inf, as to_float gives them
+        T = ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS,
+                          Constant(10 ** 400))
+        y = SeqVector.from_entries(IndexSet.NATURALS, {0: 10 ** 1000, 1: 10 ** 1200})
+        args = (T, SeqVector.zero(IndexSet.NATURALS), y, Fraction(1), Fraction(10 ** 700),
+                1, budget)
+        out = outcome(_real_sup_attempt, *args)
+        assert out == outcome(reference_sup_attempt, *args)
+        if budget:
+            assert out == ((False, None, None, math.inf, math.inf), 1)
+
+    def test_source_in_no_band(self):
+        # -3 lies between the bands: both raise apply_power's error
+        T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
+            Block(Band(None, -4), "backward", Constant(2)),
+            Block(Band(-2, 3), "diagonal", Constant(Fraction(1, 2)))))
+        args = (T, ei(-3) + ei(1), ei(0), Fraction(1), Fraction(1, 2), 1, 2)
+        out = outcome(_real_sup_attempt, *args)
+        assert out == outcome(reference_sup_attempt, *args)
+        assert out == ("IndexSetMismatch", "vector support index -3 lies in no band", 1)
+
+    def test_search_decides_the_path_once(self, monkeypatch):
+        # a complex entry of y, and float mode, keep _greedy_attempt
+        def forbidden(*args):
+            raise AssertionError("real sup attempt on complex or float input")
+        monkeypatch.setattr(limit_sets, "_real_sup_attempt", forbidden)
+        T = prop32_operator()
+        y = SeqVector.from_entries(IndexSet.INTEGERS, {-7: 4, -2: (3, 1), 6: -3})
+        assert search_j_witness(T, ei(0), y, 2, EpsSchedule.reciprocal(3),
+                                10_000).to_jsonable() == COMPLEX_WITNESS
+        y = SeqVector.from_entries(IndexSet.INTEGERS, {-7: 4, 0: Fraction(5, 2), 6: -3},
+                                   Mode.FLOAT64)
+        assert search_j_witness(T, ei(0, mode=Mode.FLOAT64), y, 2,
+                                EpsSchedule.reciprocal(3), 10_000).to_jsonable() == \
+            FLOAT_WITNESS
+
+    def test_attempts_form_each_product_once(self, monkeypatch):
+        # a riesz-blocks style search: attempts apply no power, and form
+        # each row's product at most once; verify applies one per triple
+        T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
+            Block(Band(0, None), "backward", Constant(Fraction(1, 2))),
+            Block(Band(None, -1), "backward", Constant(2))))
+        x = ei(0) + ei(4, Fraction(1, 3))
+        y = SeqVector.from_entries(IndexSet.INTEGERS, {
+            2: Fraction(1, 4), 5: Fraction(-1, 3), -50: 7, -43: -3})
+        counts = dict.fromkeys(["apply_power", "weight_product", "product_exact"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name, fn in (("apply_power", operators.apply_power),
+                         ("weight_product", operators.weight_product)):
+            for module in (operators, limit_sets):
+                monkeypatch.setattr(module, name, counted(name, fn))
+        monkeypatch.setattr(WeightRule, "product_exact",
+                            counted("product_exact", WeightRule.product_exact))
+        attempts = []
+
+        def attempt(*args, _attempt=_real_sup_attempt):
+            before = dict(counts)
+            out = _attempt(*args)
+            attempts.append((args[5], {n: counts[n] - before[n] for n in counts}))
+            return out
+
+        monkeypatch.setattr(limit_sets, "_real_sup_attempt", attempt)
+        w = search_j_witness(T, x, y, 1, EpsSchedule.reciprocal(5), 20_000)
+        assert counts["apply_power"] == len(w.triples)
+        monkeypatch.undo()
+        assert len(attempts) > len(w.triples)
+        for k, used in attempts:
+            rows = set(y.support) | set(apply_power(T, k, x).support)
+            sourced = sum(path_source(T, j, k) is not None for j in rows)
+            assert used["apply_power"] == 0
+            assert used["product_exact"] <= sourced
+            assert used["weight_product"] <= sourced
 
 
 def tail_proof(T, x, y, d, eps, k):
@@ -821,10 +1078,12 @@ class TestWitnessIntegrity:
     @pytest.mark.parametrize("search", ["search", "jmix"])
     def test_producer_check_is_live(self, monkeypatch, search):
         # an attempt that claims success with a perturbation outside eps
-        # must not leave the function that builds the witness
-        def claim(T, x, y, d_val, eps, k, norm_tag, budget, mode):
+        # must not leave the function that builds the witness, whichever
+        # attempt the search runs
+        def claim(T, x, *args):
             return _Attempt(True, x + SeqVector.basis(x.index_set, 7, 2), 0, 0.0, 0.0)
         monkeypatch.setattr(limit_sets, "_greedy_attempt", claim)
+        monkeypatch.setattr(limit_sets, "_real_sup_attempt", claim)
         T = doubling()
         with pytest.raises(VerificationFailed, match="perturbation"):
             if search == "search":
