@@ -43,6 +43,7 @@ from .operators import (
     Table,
     apply,
     apply_power,
+    iterate,
     prop32_operator,
     riesz_blocks,
     shift_from_jsonable,

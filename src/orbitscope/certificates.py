@@ -52,8 +52,8 @@ from .operators import (
     Constant,
     Shape,
     ShiftOperator,
-    apply,
     apply_power,
+    iterate,
     prop32_operator,
     riesz_blocks,
     spectral_radius,
@@ -206,13 +206,7 @@ def cert_prop32(p, seed, mode):
 
     # (a) the base point's orbit is sup-norm flat: ||T^n e_0|| = 1 exactly
     horizon = p["orbit_check_horizon"]
-    flat = True
-    v = e0
-    for n in range(1, horizon + 1):
-        v = apply(T, v)
-        if norm(v, NormTag.PINF) != 1:
-            flat = False
-            break
+    flat = all(norm(v, NormTag.PINF) == 1 for v in iterate(T, e0, horizon))
     for n in (1, horizon // 3, horizon):
         if norm(apply_power(T, n, e0), NormTag.PINF) != 1:
             flat = False
@@ -544,11 +538,7 @@ def cert_riesz_blocks(p, seed, mode):
         details={"targets": p["sample_count"], "decomposed": decomposed,
                  "failures": decompose_failures[:10]}))
 
-    sup_orbit = 0.0
-    v = x1
-    for n in range(64):
-        sup_orbit = max(sup_orbit, to_float(norm(v, NormTag.PINF)))
-        v = apply(T1, v) if not v.is_zero else v
+    sup_orbit = max(to_float(norm(v, NormTag.PINF)) for v in iterate(T1, x1, 63))
     bound = sup_orbit + float(d_val)
     bound_ok = all(a <= bound for a in a_norms)
     subs.append(SubCheck(

@@ -4,7 +4,9 @@ Action convention (fixed): a backward shift sends e_n to a_n * e_{n-1}
 (e_0 to 0 in the unilateral case), a forward shift sends e_n to
 a_n * e_{n+1}, a diagonal operator sends e_n to a_n * e_n.  Powers are
 computed from closed-form weight products along paths, never by n-fold
-matrix application, so they are exact and O(support) per power.
+matrix application, so they are exact and O(support) per power.  Orbit
+scans (``iterate``) step each source once per step, along the band it
+starts in, with one weight multiply.
 
 ``weight_product`` is the exact path product.  Float64-mode
 ``apply_power`` tracks its products in log2 magnitude and phase and errors
@@ -373,15 +375,13 @@ class ShiftOperator:
         return out
 
 
+_OFFSET = {"backward": -1, "forward": 1, "diagonal": 0}  # index change of one step
+
+
 def _step(kind: str, band: Band, s: int, n: int):
     """Landing index of an n-step path from s, or None when annihilated."""
-    if kind == "backward":
-        t = s - n
-        return t if band.contains(t) else None
-    if kind == "forward":
-        t = s + n
-        return t if band.contains(t) else None
-    return s
+    t = s + _OFFSET[kind] * n
+    return t if band.contains(t) else None
 
 
 def _path_span(kind: str, s: int, t: int) -> tuple[int, int]:
@@ -411,12 +411,7 @@ def path_source(T: ShiftOperator, j: int, n: int) -> int | None:
     if comp is None:
         return None
     kind, _, band = comp
-    if kind == "backward":
-        s = j + n
-    elif kind == "forward":
-        s = j - n
-    else:
-        s = j
+    s = j - _OFFSET[kind] * n
     if not band.contains(s):
         return None
     if not T.index_set.contains(s):
@@ -441,33 +436,58 @@ def weight_product(T: ShiftOperator, target_index: int, n: int) -> QC:
     return _path_exact(kind, weights, s, target_index, n)
 
 
-def apply(T: ShiftOperator, v: SeqVector) -> SeqVector:
-    """Single application of T; exact in both numeric modes."""
-    if v.index_set is not T.index_set:
+def iterate(T: ShiftOperator, v: SeqVector, K: int):
+    """Yield v, Tv, ..., T^K v (nothing when K < 0).
+
+    T sends each source along its own band to one row, and no two sources
+    share a row, so each live source keeps the component it was given on
+    the first step, and a step is one weight multiply per live source.
+    Errors are apply's, raised at the step that meets them:
+    IndexSetMismatch on the first, NumericOverflow past double range in
+    float mode, where an entry that underflows to zero is dropped.
+    """
+    if K < 0:
+        return
+    yield v
+    if K and v.index_set is not T.index_set:
         raise IndexSetMismatch("operator and vector index sets differ")
-    entries: dict = {}
-    for s, val in v.items():
-        comp = T.component_for(s)
-        if comp is None:
-            raise IndexSetMismatch(f"vector support index {s} lies in no band")
-        kind, weights, band = comp
-        t = _step(kind, band, s, 1)
-        if t is None:
-            continue
-        w = weights.weight_at(s)
-        try:
-            coeff = w if v.mode is Mode.EXACT else w.to_complex()
-        except OverflowError:  # a weight past double range
-            raise NumericOverflow("single-step application overflowed") from None
-        out = coeff * val
-        if v.mode is Mode.FLOAT64 and out != 0 and not (
-                math.isfinite(out.real) and math.isfinite(out.imag)):
-            raise NumericOverflow("single-step application overflowed")
-        if t in entries:
-            entries[t] = entries[t] + out
-        else:
+    index_set, mode, exact = v.index_set, v.mode, v.mode is Mode.EXACT
+    rows = [(s, val, None) for s, val in v.items()]
+    for _ in range(K):
+        entries, live = {}, []
+        for s, val, lane in rows:
+            if lane is None:
+                comp = T.component_for(s)
+                if comp is None:
+                    raise IndexSetMismatch(f"vector support index {s} lies in no band")
+                kind, weights, band = comp
+                lane = (_OFFSET[kind], weights.weight_at, band.contains)
+            step, weight_at, contains = lane
+            t = s + step
+            if not contains(t):
+                continue
+            if exact:
+                out = weight_at(s) * val
+            else:
+                try:
+                    coeff = weight_at(s).to_complex()
+                except OverflowError:  # a weight past double range
+                    raise NumericOverflow("single-step application overflowed") from None
+                out = coeff * val
+                if out == 0:
+                    continue
+                if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+                    raise NumericOverflow("single-step application overflowed")
             entries[t] = out
-    return SeqVector(v.index_set, entries, v.mode)
+            live.append((t, out, lane))
+        rows = live
+        yield SeqVector._trusted(index_set, entries, mode)
+
+
+def apply(T: ShiftOperator, v: SeqVector) -> SeqVector:
+    """Single application of T: the one step of ``iterate(T, v, 1)``."""
+    _, out = iterate(T, v, 1)
+    return out
 
 
 def power_paths(T: ShiftOperator, n: int, v: SeqVector) -> list[tuple]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import OrbitscopeError, VerificationFailed
 from .numeric import TOL_EQ, FieldsJSON, Mode, jsonable, real_value, to_float
-from .operators import ShiftOperator, apply, apply_power
+from .operators import ShiftOperator, apply_power, iterate
 from .spaces import NormTag, OpenCone, SeqVector, cone_sample, dist_and_lt, dist_lt, norm
 
 
@@ -52,11 +52,7 @@ def orbit(T: ShiftOperator, x: SeqVector, K: int,
     """
     if K < 0:
         raise OrbitscopeError("horizon must be >= 0")
-    points = [x]
-    v = x
-    for _ in range(K):
-        v = apply(T, v)
-        points.append(v)
+    points = list(iterate(T, x, K))
     rng = random.Random(seed)
     for _ in range(min(spot_checks, K)):
         n = rng.randint(0, K)
@@ -121,15 +117,12 @@ def coarse_orbit_contains(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
     """
     if to_float(d) <= 0:
         raise OrbitscopeError("d must be positive")
-    v = x
-    for n in range(K + 1):
+    for n, v in enumerate(iterate(T, x, K)):
         if dist_lt(v, y, norm_tag, d):
             try:
                 return make_coarse_witness(T, x, d, y, n, norm_tag)
             except VerificationFailed:
                 pass
-        if n < K:
-            v = apply(T, v)
     return None
 
 
@@ -209,10 +202,7 @@ def ball_counts(T: ShiftOperator, x: SeqVector, y: SeqVector, radius,
     """orbit_points_in_ball at each horizon K in horizons (0 for K < 0),
     from one orbit pass of max(horizons) steps."""
     seen, counts = set(), []  # counts[n]: distinct points in the ball up to n
-    v = x
-    for n in range(max(horizons, default=-1) + 1):
-        if n:
-            v = apply(T, v)
+    for v in iterate(T, x, max(horizons, default=-1)):
         if dist_lt(v, y, norm_tag, radius):
             seen.add(v.key())
         counts.append(len(seen))

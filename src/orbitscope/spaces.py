@@ -92,6 +92,14 @@ class SeqVector:
         return cls(index_set, {i: make_scalar(v, mode) for i, v in raw.items()}, mode)
 
     @classmethod
+    def _trusted(cls, index_set: IndexSet, entries: dict, mode: Mode) -> "SeqVector":
+        """A vector over entries already valid for index_set, non-zero and
+        of mode, taken as they are."""
+        out = object.__new__(cls)
+        out.index_set, out._entries, out._mode = index_set, entries, mode
+        return out
+
+    @classmethod
     def basis(cls, index_set: IndexSet, i: int, coeff=1, mode: Mode = Mode.EXACT) -> "SeqVector":
         return cls.from_entries(index_set, {i: coeff}, mode)
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from orbitscope import (
@@ -7,15 +8,44 @@ from orbitscope import (
     SeqVector,
     Shape,
     ShiftOperator,
-    apply,
     norm_lt,
 )
+from orbitscope.errors import IndexSetMismatch, NumericOverflow
+from orbitscope.numeric import Mode
+
+
+def reference_apply(T, v):
+    """Reference single step of T, written apart from operators.iterate:
+    each source's band is looked up afresh, landings that collide are
+    summed, and the result is a validated SeqVector."""
+    if v.index_set is not T.index_set:
+        raise IndexSetMismatch("operator and vector index sets differ")
+    entries = {}
+    for s, val in v.items():
+        comp = T.component_for(s)
+        if comp is None:
+            raise IndexSetMismatch(f"vector support index {s} lies in no band")
+        kind, weights, band = comp
+        t = {"backward": s - 1, "forward": s + 1, "diagonal": s}[kind]
+        if not band.contains(t):
+            continue
+        w = weights.weight_at(s)
+        try:
+            coeff = w if v.mode is Mode.EXACT else w.to_complex()
+        except OverflowError:
+            raise NumericOverflow("single-step application overflowed") from None
+        out = coeff * val
+        if v.mode is Mode.FLOAT64 and out != 0 and not (
+                math.isfinite(out.real) and math.isfinite(out.imag)):
+            raise NumericOverflow("single-step application overflowed")
+        entries[t] = entries[t] + out if t in entries else out
+    return SeqVector(v.index_set, entries, v.mode)
 
 
 def nfold_apply(T, n, v):
-    """Independent oracle: n successive single-step applications."""
+    """Independent oracle: n successive reference single steps."""
     for _ in range(n):
-        v = apply(T, v)
+        v = reference_apply(T, v)
     return v
 
 
@@ -95,5 +125,5 @@ def points_in_ball_scan(T, x, y, radius, K, p):
         if norm_lt(v - y, p, radius):
             seen.add(v.key())
         if n < K:
-            v = apply(T, v)
+            v = reference_apply(T, v)
     return len(seen)

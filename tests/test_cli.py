@@ -402,3 +402,13 @@ def test_unwritable_out_is_a_config_error(capsys, tmp_path, command):
     code, _, err = run(capsys, *command, "--out", str(out))
     assert code == 2
     assert "cannot write" in err
+
+
+def test_package_runs_as_a_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "orbitscope", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: orbitscope")

@@ -20,6 +20,7 @@ from orbitscope import (
     Table,
     apply,
     apply_power,
+    iterate,
     norm,
     prop32_operator,
     riesz_blocks,
@@ -35,7 +36,7 @@ from orbitscope.errors import (
 )
 from orbitscope.numeric import QC, Mode, log2_abs, phase_of
 
-from conftest import nfold_apply, random_shift, vector_for
+from conftest import nfold_apply, random_shift, reference_apply, vector_for
 
 
 def ei(i, c=1):
@@ -80,6 +81,110 @@ class TestApply:
             lhs = apply(T, u.scale(a) + v.scale(b))
             rhs = apply(T, u).scale(a) + apply(T, v).scale(b)
             assert lhs == rhs
+
+
+# real and complex weights, plus one past double range (its float shadow
+# overflows), one whose float products overflow and one whose underflow
+STEP_WEIGHTS = [2, Fraction(1, 3), Fraction(-7, 5), (1, 1), (0, Fraction(1, 2)),
+                (Fraction(3, 4), -2), 2 ** 1100, 2 ** 700, Fraction(1, 2 ** 600),
+                (0, Fraction(-1, 2 ** 600))]
+STEP_ENTRIES = [1, Fraction(-5, 3), Fraction(7, 2), (2, -1), (0, Fraction(1, 3)),
+                10 ** 300, Fraction(1, 10 ** 300)]
+# block sums with annihilating band edges; over Z, index 7 lies in no band
+STEP_BANDS = {IndexSet.INTEGERS: [Band(None, -4), Band(-3, 2), Band(3, 6), Band(8, None)],
+              IndexSet.NATURALS: [Band(0, 4), Band(5, 9), Band(11, None)]}
+
+
+@st.composite
+def step_rules(draw):
+    w = st.sampled_from(STEP_WEIGHTS)
+    kind = draw(st.sampled_from(["constant", "piecewise", "periodic", "table"]))
+    if kind == "constant":
+        return Constant(draw(w))
+    if kind == "piecewise":
+        return PiecewiseTwoSided(draw(w), draw(w))
+    if kind == "periodic":
+        return Periodic(tuple(draw(st.lists(w, min_size=1, max_size=3))))
+    return Table(draw(st.dictionaries(st.integers(-6, 12), w, max_size=3)), draw(w))
+
+
+@st.composite
+def step_cases(draw):
+    """(T, x, K): every shape, x over T's index set or the other one."""
+    shape = draw(st.sampled_from(list(Shape)))
+    if shape is Shape.BLOCK_DIRECT_SUM:
+        index_set = draw(st.sampled_from(list(IndexSet)))
+        blocks = tuple(Block(band, draw(st.sampled_from(["backward", "forward", "diagonal"])),
+                             draw(step_rules()))
+                       for band in STEP_BANDS[index_set])
+        T = ShiftOperator(shape, index_set, blocks=blocks)
+    else:
+        index_set = IndexSet.NATURALS if shape is Shape.UNILATERAL_BACKWARD \
+            else IndexSet.INTEGERS
+        T = ShiftOperator(shape, index_set, draw(step_rules()))
+    if draw(st.integers(0, 9)) == 0:  # a mismatched index set
+        index_set = IndexSet.NATURALS if index_set is IndexSet.INTEGERS else IndexSet.INTEGERS
+    lo = 0 if index_set is IndexSet.NATURALS else -8
+    raw = draw(st.dictionaries(st.integers(lo, 13), st.sampled_from(STEP_ENTRIES), max_size=5))
+    x = SeqVector.from_entries(index_set, raw, draw(st.sampled_from(list(Mode))))
+    return T, x, draw(st.integers(-1, 12))
+
+
+def _orbit_run(points):
+    """The points a scan reads, and the error type that ends it early."""
+    out = []
+    try:
+        for v in points:
+            out.append(v)
+    except (IndexSetMismatch, NumericOverflow) as exc:
+        return out, type(exc)
+    return out, None
+
+
+def _reference_orbit(T, x, K):
+    if K >= 0:
+        yield x
+    for _ in range(K):
+        x = reference_apply(T, x)
+        yield x
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=step_cases())
+def test_iterate_matches_reference_steps(case):
+    T, x, K = case
+    got, got_error = _orbit_run(iterate(T, x, K))
+    want, want_error = _orbit_run(_reference_orbit(T, x, K))
+    assert got_error is want_error
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a == b
+        assert a.mode is b.mode and a.index_set is b.index_set
+        assert [(i, repr(v)) for i, v in a.items()] == [(i, repr(v)) for i, v in b.items()]
+
+
+@pytest.mark.parametrize("T, x, error", [
+    (prop32_operator(), en(0), IndexSetMismatch),
+    (ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS,
+                   blocks=(Block(Band(0, 3), "backward", Constant(2)),)), ei(1) + ei(5),
+     IndexSetMismatch),
+    (ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, Constant(2 ** 1100)),
+     SeqVector.basis(IndexSet.INTEGERS, 0, mode=Mode.FLOAT64), NumericOverflow),
+], ids=["index-set", "no-band", "weight-past-double-range"])
+def test_iterate_raises_on_the_first_step(T, x, error):
+    points = iterate(T, x, 3)
+    assert next(points) is x
+    with pytest.raises(error):
+        next(points)
+    assert list(iterate(T, x, 0)) == [x]
+
+
+def test_iterate_drops_float_underflow():
+    T = ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS, Table({0: Fraction(1, 2 ** 600)}, 1))
+    x = SeqVector.from_entries(IndexSet.INTEGERS, {0: Fraction(1, 10 ** 300), 1: 1},
+                               Mode.FLOAT64)
+    _, step = iterate(T, x, 1)
+    assert step.support == [1] and step.mode is Mode.FLOAT64
 
 
 class TestApplyPower:

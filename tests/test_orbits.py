@@ -15,6 +15,7 @@ from orbitscope import (
     Shape,
     ShiftOperator,
     Table,
+    apply,
     apply_power,
     coarse_density_report,
     coarse_orbit_contains,
@@ -27,6 +28,7 @@ from orbitscope import (
     rescale_coarse_witness,
 )
 from orbitscope import orbits
+from orbitscope.certificates import _prop21_instance
 from orbitscope.errors import OrbitscopeError, VerificationFailed
 from orbitscope.numeric import Mode
 from orbitscope.orbits import ball_counts
@@ -70,8 +72,13 @@ class TestOrbit:
         (Mode.EXACT, 1 + Fraction(1, 10 ** 30)),
     ], ids=["float-off-by-1e-6", "exact-off-by-1e-30"])
     def test_spot_check_rejects_a_wrong_step(self, monkeypatch, mode, factor):
-        step = orbits.apply
-        monkeypatch.setattr(orbits, "apply", lambda T, v: step(T, v).scale(factor))
+        def wrong_iterate(T, v, K):  # each step's point scaled by factor
+            yield v
+            for _ in range(K):
+                v = apply(T, v).scale(factor)
+                yield v
+
+        monkeypatch.setattr(orbits, "iterate", wrong_iterate)
         T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, Constant(3))
         with pytest.raises(VerificationFailed):
             orbit(T, SeqVector.basis(IndexSet.INTEGERS, 0, mode=mode), 8, spot_checks=8)
@@ -257,3 +264,19 @@ class TestPointCounting:
             assert [orbit_points_in_ball(T, x, y, radius, K, p)
                     for K in horizons] == expected
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_scan_looks_up_each_source_once(self, monkeypatch, mode):
+        # the benchmark's prop21 instance: visit times and ladder up to 1000
+        T, x, y = _prop21_instance({"visit_times": (30, 300, 1000)}, mode)
+        lookups = []
+        component_for = ShiftOperator.component_for
+        monkeypatch.setattr(ShiftOperator, "component_for",
+                            lambda self, i: lookups.append(i) or component_for(self, i))
+        builds = []
+        init = SeqVector.__init__
+        monkeypatch.setattr(SeqVector, "__init__",
+                            lambda self, *a, **k: builds.append(a) or init(self, *a, **k))
+        counts = ball_counts(T, x, y, Fraction(3, 2), [100, 300, 1000], NormTag.PINF)
+        assert counts == [1, 2, 3]
+        assert len(lookups) <= len(x)
+        assert builds == []
