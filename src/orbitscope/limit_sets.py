@@ -43,7 +43,7 @@ from .errors import (
 from .numeric import FieldsJSON, Mode, QC, abs2, exact_sqrt, \
     jsonable, log2_abs, make_scalar, real_value, scalar_zero, sqrt_bounds, \
     strict_gt, to_float
-from .operators import ShiftOperator, apply_power, path_source, power_paths, \
+from .operators import _OFFSET, ShiftOperator, apply_power, path_source, power_paths, \
     weight_product
 from .orbits import CoarseWitness, coarse_orbit_contains
 from .spaces import IndexSet, NormTag, SeqVector, dist, dist_and_lt, dist_lt
@@ -642,7 +642,7 @@ class _StructuralStops:
                 continue
             a = _exact_abs2(v)
             if a > eps * eps:
-                self.tails.append((s, -1 if kind == "backward" else 1, a))
+                self.tails.append((s, _OFFSET[kind], a))
 
     def _record(self, reason: str, k0: int | None, inequality: str) -> None:
         if k0 is not None:

@@ -319,36 +319,37 @@ def sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def sum_sqrt_cmp(terms: list[Fraction], bound: Fraction) -> int:
-    """Compare sum_i sqrt(terms[i]) against bound exactly; returns -1/0/+1.
+def sum_sqrt_cmp(rows: list[tuple[int, int]], bound: Fraction) -> int:
+    """Compare the sum of sqrt(n) / d over the int pairs (n, d), n >= 0 < d,
+    against bound exactly; returns -1/0/+1.
 
-    Terminates because a sum of square roots of rationals with at least one
-    irrational term is itself irrational, so it can never equal the rational
-    bound: the interval refinement must separate them.
+    Over L, the lcm of every d and of bound's denominator, the sum is that
+    of sqrt(n (L/d)^2) and the bound an integer, so each irrational root is
+    bracketed by isqrt in integers at 32, 64, 128, ... bits.  Terminates
+    because a sum of square roots of rationals with at least one
+    irrational term is itself irrational, so it can never equal the
+    rational bound: the refinement must separate them.
     """
-    rational_part = Fraction(0)
-    irrational: list[Fraction] = []
-    for t in terms:
-        r = exact_sqrt(t)
-        if r is None:
-            irrational.append(t)
+    bn, bd = bound.numerator, bound.denominator
+    lcm = math.lcm(bd, *(d for _, d in rows))
+    rational, irrational = 0, []
+    for n, d in rows:
+        s, f = isqrt(n), lcm // d
+        if s * s == n:
+            rational += s * f
         else:
-            rational_part += r
+            irrational.append(n * f * f)
+    target = bn * (lcm // bd)
     if not irrational:
-        if rational_part < bound:
-            return -1
-        return 0 if rational_part == bound else 1
+        return (rational > target) - (rational < target)
     bits = 32
     while bits <= (1 << 20):
-        lo = rational_part
-        hi = rational_part
-        for t in irrational:
-            l, h = sqrt_bounds(t, bits)
-            lo += l
-            hi += h
-        if hi < bound:
+        # each isqrt(m 4^bits) lies strictly below sqrt(m) 2^bits, within 1
+        lo = (rational << bits) + sum(isqrt(m << 2 * bits) for m in irrational)
+        t = target << bits
+        if lo + len(irrational) <= t:
             return -1
-        if lo > bound:
+        if lo >= t:
             return 1
         bits *= 2
     raise ArithmeticError("sum-of-sqrt comparison failed to converge")

@@ -10,6 +10,7 @@ there keep a one-dimensional float search.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -21,7 +22,6 @@ from .numeric import (
     QC,
     Mode,
     abs2,
-    exact_sqrt,
     is_zero_scalar,
     jsonable,
     log2_abs,
@@ -219,6 +219,9 @@ class SeqVector:
 # -- norms ------------------------------------------------------------------
 
 
+_QC_ZERO = QC(0)  # the exact zero every walk reads a missing entry as, shared
+
+
 def _real_dist(a: SeqVector, b: SeqVector, p: NormTag, bound=None) -> Fraction | list:
     """The one walk behind every distance ||a - b||_p; raises what a - b does.
 
@@ -226,33 +229,47 @@ def _real_dist(a: SeqVector, b: SeqVector, p: NormTag, bound=None) -> Fraction |
     among them) give the value itself, max (PINF) or sum (P1) of
     |a_j - b_j| in integers num/den; with a bound it stops once
     the partial value, hence the full one, reaches it, which answers a
-    strict < test only.  Every other case gives |a_j - b_j|^2 for each j in
-    the union of both supports, in index order."""
+    strict < test only.  Every other case gives one row per j in the
+    union of both supports, in index order: in exact mode the int pair
+    (n, d) with |a_j - b_j|^2 = n / d^2, read off the entries' ints with
+    no difference or square built, and in float mode |a_j - b_j|^2."""
     a._check(b)
     ea, eb, mode = a._entries, b._entries, a._mode
     if eb and b._mode is not mode:  # a - b would re-declare b's entries in a's mode
         raise ModeMismatch("declared mode disagrees with entry scalars")
-    if mode is Mode.EXACT and p is not NormTag.P2:
-        sup, num, den, zero = p is NormTag.PINF, 0, 1, scalar_zero(mode)
-        # a missing bound is 1/0, infinity: num * 0 >= 1 * den never holds
-        bn, bd = (1, 0) if bound is None else real_value(bound, mode).as_integer_ratio()
-        for j in ea.keys() | eb.keys():
+    if mode is Mode.EXACT:
+        zero = _QC_ZERO
+        if p is not NormTag.P2:
+            sup, num, den = p is NormTag.PINF, 0, 1
+            # a missing bound is 1/0, infinity: num * 0 >= 1 * den never holds
+            bn, bd = (1, 0) if bound is None else real_value(bound, mode).as_integer_ratio()
+            for j in ea.keys() | eb.keys():
+                u, v = ea.get(j, zero), eb.get(j, zero)
+                ud, vd = u._d, v._d
+                if u._b * vd != v._b * ud:  # unequal imaginary parts
+                    break
+                n = abs(u._a * vd - v._a * ud)
+                d = ud * vd
+                if not sup:
+                    num, den = num * d + n * den, den * d
+                    g = math.gcd(num, den)
+                    num, den = num // g, den // g
+                elif n * den > num * d:
+                    num, den = n, d
+                if num * bd >= bn * den:
+                    return Fraction(num, den)
+            else:
+                return Fraction(num, den)
+        if not eb:  # a norm: the row of (u_a + u_b i)/u_d is (u_a^2 + u_b^2, u_d)
+            return [(u._a * u._a + u._b * u._b, u._d) for _, u in sorted(ea.items())]
+        rows = []
+        for j in sorted(ea.keys() | eb.keys()):
+            # (u_a + u_b i)/u_d - (v_a + v_b i)/v_d over the denominator u_d v_d
             u, v = ea.get(j, zero), eb.get(j, zero)
             ud, vd = u._d, v._d
-            if u._b * vd != v._b * ud:  # unequal imaginary parts
-                break
-            n = abs(u._a * vd - v._a * ud)
-            d = ud * vd
-            if not sup:
-                num, den = num * d + n * den, den * d
-                g = math.gcd(num, den)
-                num, den = num // g, den // g
-            elif n * den > num * d:
-                num, den = n, d
-            if num * bd >= bn * den:
-                return Fraction(num, den)
-        else:
-            return Fraction(num, den)
+            da, db = u._a * vd - v._a * ud, u._b * vd - v._b * ud
+            rows.append((da * da + db * db, ud * vd))
+        return rows
     squares = []
     for j in sorted(ea.keys() | eb.keys()):
         u, v = ea.get(j), eb.get(j)
@@ -260,8 +277,48 @@ def _real_dist(a: SeqVector, b: SeqVector, p: NormTag, bound=None) -> Fraction |
     return squares
 
 
+def _over_lcm(pairs, power: int) -> tuple[int, int]:
+    """(num, den) with the sum of n / d^power over the int pairs (n, d)
+    equal to num / den^power, den the lcm of the d: no gcd where the
+    denominators match."""
+    num, den = 0, 1
+    for n, d in pairs:
+        if d != den:
+            g = math.gcd(den, d)
+            if g != d:  # den grows to lcm(den, d)
+                m = d // g
+                num, den = num * m ** power, den * m
+            n *= (den // d) ** power
+        num += n
+    return num, den
+
+
+def _largest_row(rows) -> tuple[int, int]:
+    """The row (n, d) with the largest n / d^2, (0, 1) for no rows."""
+    best_n, best_d = 0, 1
+    for n, d in rows:
+        if n * best_d * best_d > best_n * d * d:
+            best_n, best_d = n, d
+    return best_n, best_d
+
+
+def _ratio_float(n: int, d: int) -> float:
+    """n / d for ints n >= 0 and d > 0, rounded once as float(Fraction(n, d))
+    is; inf past double range."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf
+
+
 def _walk_value(r, p: NormTag, mode: Mode):
-    """The distance a walk gave: exact where it is rational, a float otherwise."""
+    """The distance a walk gave: exact where it is rational, a float otherwise.
+
+    An exact row (n, d) has the root sqrt(n) / d, rational exactly when n
+    is a square.  P2 sums the rows over the lcm of their d and PINF takes
+    the largest by cross-multiplication, so the value is one such root.
+    An irrational value is math.sqrt of the double nearest its square, inf
+    past double range; under P1 that of each row, summed in index order."""
     if not isinstance(r, list):
         return r
     if mode is Mode.FLOAT64:
@@ -269,18 +326,23 @@ def _walk_value(r, p: NormTag, mode: Mode):
             return sum(map(math.sqrt, r), 0.0)
         return math.sqrt(sum(r, 0.0) if p is NormTag.P2 else max(r, default=0.0))
     if p is NormTag.P1:
-        parts = [exact_sqrt(t) for t in r]
-        if None not in parts:
-            return sum(parts, Fraction(0))
-        return sum(math.sqrt(to_float(t)) for t in r)
-    s = sum(r, Fraction(0)) if p is NormTag.P2 else max(r, default=Fraction(0))
-    root = exact_sqrt(s)
-    return root if root is not None else math.sqrt(to_float(s))
+        roots = []
+        for n, d in r:
+            s = math.isqrt(n)
+            if s * s != n:
+                return sum(math.sqrt(_ratio_float(n, d * d)) for n, d in r)
+            roots.append((s, d))
+        return Fraction(*_over_lcm(roots, 1))
+    n, d = _over_lcm(r, 2) if p is NormTag.P2 else _largest_row(r)
+    s = math.isqrt(n)
+    return Fraction(s, d) if s * s == n else math.sqrt(_ratio_float(n, d * d))
 
 
 def _walk_cmp(r, p: NormTag, mode: Mode, bound) -> int:
     """Three-way comparison of a walk's distance with bound: exact in exact
-    mode; in float mode a gap of at most TOL_EQ either way counts as equal."""
+    mode, in integers, where P2 and PINF compare n / d^2 with the squared
+    bound by cross-multiplication and P1 refines the rows' roots; in float
+    mode a gap of at most TOL_EQ either way counts as equal."""
     if mode is Mode.FLOAT64:
         v, b = _walk_value(r, p, mode), to_float(bound)
         return (v > b + TOL_EQ) - (v < b - TOL_EQ)
@@ -292,8 +354,9 @@ def _walk_cmp(r, p: NormTag, mode: Mode, bound) -> int:
         return 1
     if p is NormTag.P1:
         return sum_sqrt_cmp(r, b)
-    s = sum(r, Fraction(0)) if p is NormTag.P2 else max(r, default=Fraction(0))
-    return (s > b * b) - (s < b * b)
+    n, d = _over_lcm(r, 2) if p is NormTag.P2 else _largest_row(r)
+    x, y = n * b.denominator ** 2, b.numerator ** 2 * d * d
+    return (x > y) - (x < y)
 
 
 def dist(a: SeqVector, b: SeqVector, p: NormTag):
@@ -390,56 +453,120 @@ class OpenCone:
 
 
 def _contains_p2_closed_form(C: OpenCone, x: SeqVector) -> bool:
-    # x in cone(B(c,r))  iff  <x,c> > 0 and <x,c>^2 > ||x||^2 (||c||^2 - r^2)
+    # x in cone(B(c,r))  iff  <x,c> > 0 and <x,c>^2 > ||x||^2 (||c||^2 - r^2);
+    # exactly, <x,c> = ip/l, ||x||^2 = x2/lx^2 and ||c||^2 = c2/lc^2 over the
+    # lcm of the denominators, and the test is cross-multiplied in integers
     mode = x.mode
-    ip = inner_real(x, C.center)
-    zero = real_value(0, mode)
-    if not strict_gt(ip, zero, mode):
+    if mode is Mode.FLOAT64:
+        ip = inner_real(x, C.center)
+        zero = real_value(0, mode)
+        if not strict_gt(ip, zero, mode):
+            return False
+        r = C.radius_value()
+        x2 = sum((abs2(v) for _, v in x.items()), zero)
+        c2 = sum((abs2(v) for _, v in C.center.items()), zero)
+        return strict_gt(ip * ip, x2 * (c2 - r * r), mode)
+    xs, cs = x._entries, C.center._entries
+    ip, l = _over_lcm(((u._a * v._a + u._b * v._b, u._d * v._d)
+                       for i, u in xs.items() if (v := cs.get(i)) is not None), 1)
+    if ip <= 0:
         return False
-    r = C.radius_value()
-    x2 = sum((abs2(v) for _, v in x.items()), zero)
-    c2 = sum((abs2(v) for _, v in C.center.items()), zero)
-    return strict_gt(ip * ip, x2 * (c2 - r * r), mode)
+    x2, lx = _over_lcm(((u._a * u._a + u._b * u._b, u._d) for u in xs.values()), 2)
+    c2, lc = _over_lcm(((v._a * v._a + v._b * v._b, v._d) for v in cs.values()), 2)
+    rn, rd = C.radius_value().as_integer_ratio()
+    return (ip * lx * lc * rd) ** 2 > x2 * l * l * (c2 * rd * rd - rn * rn * lc * lc)
 
 
-def _p1_scale(xs: dict, cs: dict, r):
+def _p1_scale(xs: dict, cs: dict, r, mode: Mode):
     # the minimiser of g(lam) = ||x - lam c||_1 - lam r over lam > 0, or None
     # when g rises from g(0) = ||x|| > 0.  g's slope just after 0 gains
     # 2|c_i| at each positive x_i / c_i; the first breakpoint where it turns
     # >= 0 is the minimiser (a weighted median), and the last slope is
-    # ||c|| - r > 0, so one is reached
-    slope, knots = -r, []
-    for i, b in cs.items():
-        k = xs.get(i, 0) / b
-        if k > 0:
-            slope -= abs(b)
-            knots.append((k, abs(b)))
+    # ||c|| - r > 0, so one is reached.  xs and cs map indices to the real
+    # entries; exactly, the slope is kept times the lcm of r's and c's
+    # denominators, and each breakpoint as an int pair
+    if mode is Mode.FLOAT64:
+        xs, cs = ({i: v.real for i, v in e.items()} for e in (xs, cs))
+        slope, knots = -r, []
+        for i, b in cs.items():
+            k = xs.get(i, 0) / b
+            if k > 0:
+                slope -= abs(b)
+                knots.append((k, abs(b)))
+            else:
+                slope += abs(b)
+        if slope >= 0:
+            return None
+        for k, w in sorted(knots):
+            slope += 2 * w
+            if slope >= 0:
+                return k
+        return None
+    rn, rd = r.as_integer_ratio()
+    lcm = math.lcm(rd, *(v._d for v in cs.values()))
+    slope, knots = -rn * (lcm // rd), []
+    for i, v in cs.items():
+        w = abs(v._a) * (lcm // v._d)
+        u = xs.get(i)
+        if u is not None and (u._a > 0) is (v._a > 0):  # x_i / c_i > 0
+            slope -= w
+            # x_i / c_i = kn / kd with kd > 0
+            kn, kd = u._a * v._d, u._d * v._a
+            knots.append((kn, kd, w) if kd > 0 else (-kn, -kd, w))
         else:
-            slope += abs(b)
+            slope += w
     if slope >= 0:
         return None
-    for k, w in sorted(knots):
+    knots.sort(key=_KNOT_ORDER)
+    for kn, kd, w in knots:
         slope += 2 * w
         if slope >= 0:
-            return k
+            return Fraction(kn, kd)
 
 
-def _pinf_scale(xs: dict, cs: dict, r):
+# knots (kn, kd, w) in the order of kn / kd, by cross-multiplication
+_KNOT_ORDER = functools.cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1])
+
+
+def _pinf_scale(xs: dict, cs: dict, r, mode: Mode):
     # the middle of the open interval of lam > 0 where ||x - lam c||_inf <
     # lam r, or None when it is empty.  Row by row: lam (c_i + r) > x_i and
     # lam (r - c_i) > -x_i, each an open half-line of lam, or all or none;
-    # the interval is bounded, as some |c_i| > r
-    lo, hi = 0, math.inf
+    # the interval is bounded, as some |c_i| > r.  xs and cs map indices to
+    # the real entries; exactly, each row is multiplied through by its
+    # denominators and each end is an int pair
+    if mode is Mode.FLOAT64:
+        xs, cs = ({i: v.real for i, v in e.items()} for e in (xs, cs))
+        lo, hi = 0, math.inf
+        for i in xs.keys() | cs.keys():
+            a, b = xs.get(i, 0), cs.get(i, 0)
+            for s, t in ((b + r, a), (r - b, -a)):  # lam * s > t
+                if s > 0:
+                    lo = max(lo, t / s)
+                elif s < 0:
+                    hi = min(hi, t / s)
+                elif t >= 0:
+                    return None
+        return (lo + hi) / 2 if lo < hi else None
+    rn, rd = r.as_integer_ratio()
+    lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0  # hi = 1/0, infinity, until a row bounds it
     for i in xs.keys() | cs.keys():
-        a, b = xs.get(i, 0), cs.get(i, 0)
-        for s, t in ((b + r, a), (r - b, -a)):  # lam * s > t
+        u, v = xs.get(i, _QC_ZERO), cs.get(i, _QC_ZERO)
+        # times u_d v_d rd: lam (v_a rd + rn v_d) u_d > u_a v_d rd and
+        # lam (rn v_d - v_a rd) u_d > -u_a v_d rd
+        p, q, a = rn * v._d, v._a * rd, u._a * v._d * rd
+        for s, t in (((p + q) * u._d, a), ((p - q) * u._d, -a)):  # lam * s > t
             if s > 0:
-                lo = max(lo, t / s)
+                if t * lo_d > lo_n * s:
+                    lo_n, lo_d = t, s
             elif s < 0:
-                hi = min(hi, t / s)
+                if t * hi_d > hi_n * s:  # t/s < hi, with s < 0
+                    hi_n, hi_d = -t, -s
             elif t >= 0:
                 return None
-    return (lo + hi) / 2 if lo < hi else None
+    if lo_n * hi_d < hi_n * lo_d:
+        return Fraction(lo_n * hi_d + hi_n * lo_d, 2 * lo_d * hi_d)
+    return None
 
 
 _MINIMIZATION_LEVELS = 48  # refinement rounds of the float scale search
@@ -506,9 +633,12 @@ def cone_contains(C: OpenCone, x: SeqVector, method: str = "auto") -> bool:
     breakpoint where g is least (p1) or the middle of the interval where
     every entry's inequality holds (pinf).  That verdict is exact in both
     directions in exact mode and follows the float strictness policy in
-    float mode.  Only a complex entry keeps the float scale search, whose
-    True is checked exactly but whose False is one-sided: a member within
-    ~1e-12 (relative) of the boundary may be reported as outside.
+    float mode.  In exact mode the closed form and both scales are worked
+    out in integers, cross-multiplying each entry's numerators and
+    denominator; the scale is the one Fraction built.  Only a complex
+    entry keeps the float scale search, whose True is checked exactly but
+    whose False is one-sided: a member within ~1e-12 (relative) of the
+    boundary may be reported as outside.
     method="minimize" runs that search for p2.
     """
     if x.index_set is not C.center.index_set:
@@ -526,10 +656,8 @@ def cone_contains(C: OpenCone, x: SeqVector, method: str = "auto") -> bool:
     c = C.center
     if C.norm is NormTag.P2 or any(v.imag for v in (*x._entries.values(), *c._entries.values())):
         return _contains_by_minimization(C, x)
-    xs = {i: v.real for i, v in x._entries.items()}
-    cs = {i: v.real for i, v in c._entries.items()}
     r = C.radius_value()
-    lam = (_p1_scale if C.norm is NormTag.P1 else _pinf_scale)(xs, cs, r)
+    lam = (_p1_scale if C.norm is NormTag.P1 else _pinf_scale)(x._entries, c._entries, r, x.mode)
     return lam is not None and dist_lt(x, c.scale(lam), C.norm, lam * r)
 
 

@@ -18,7 +18,7 @@ from orbitscope import (
 )
 from orbitscope import spaces
 from orbitscope.errors import IndexSetMismatch, ModeMismatch, OrbitscopeError
-from orbitscope.numeric import Mode, abs2, exact_sqrt, make_scalar, sum_sqrt_cmp, to_float
+from orbitscope.numeric import Mode, abs2, make_scalar, to_float
 from orbitscope.spaces import dist, dist_and_lt, dist_lt
 
 
@@ -330,38 +330,86 @@ class TestFloatPolicy:
         assert not norm_lt(v, NormTag.PINF, 1.0 + 1e-10)
 
 
-# -- the real p1/pinf path against the squares path ------------------------------
+# -- the integer walk against a Fraction copy of the squares walk ----------------
 
 SMALL = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
 
+def _ref_float(q: Fraction) -> float:
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf
+
+
+def _ref_exact_sqrt(q: Fraction) -> Fraction | None:
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
+
+
+def _ref_sum_sqrt_cmp(terms: list[Fraction], bound: Fraction) -> int:
+    """sum_i sqrt(terms[i]) against bound, refining Fraction brackets."""
+    rational, irrational = Fraction(0), []
+    for t in terms:
+        r = _ref_exact_sqrt(t)
+        if r is None:
+            irrational.append(t)
+        else:
+            rational += r
+    if not irrational:
+        return (rational > bound) - (rational < bound)
+    bits = 32
+    while True:
+        lo = hi = rational
+        for t in irrational:
+            shift = 1 << bits
+            s = math.isqrt(t.numerator * t.denominator * shift * shift)
+            lo += Fraction(s, t.denominator * shift)
+            hi += Fraction(s + 1, t.denominator * shift)
+        if hi < bound:
+            return -1
+        if lo > bound:
+            return 1
+        bits *= 2
+
+
+def reference_squares(a, b=None):
+    """|a_j - b_j|^2 as Fractions in index order, from each entry's parts."""
+    b = b if b is not None else SeqVector.zero(a.index_set)
+    squares = []
+    for j in sorted(set(a.support) | set(b.support)):
+        re, im = a.entry(j).re - b.entry(j).re, a.entry(j).im - b.entry(j).im
+        squares.append(re * re + im * im)
+    return squares
+
+
+def reference_value(squares, p):
+    """The squares walk: exact square roots where rational, else floats."""
+    if p is NormTag.P1:
+        parts = [_ref_exact_sqrt(t) for t in squares]
+        if None not in parts:
+            return sum(parts, Fraction(0))
+        return sum(math.sqrt(_ref_float(t)) for t in squares)
+    s = sum(squares, Fraction(0)) if p is NormTag.P2 else max(squares, default=Fraction(0))
+    r = _ref_exact_sqrt(s)
+    return r if r is not None else math.sqrt(_ref_float(s))
+
+
+def reference_squares_cmp(squares, p, bound) -> int:
+    if bound < 0:
+        return 1
+    if p is NormTag.P1:
+        return _ref_sum_sqrt_cmp(squares, bound)
+    s = sum(squares, Fraction(0)) if p is NormTag.P2 else max(squares, default=Fraction(0))
+    return (s > bound * bound) - (s < bound * bound)
+
+
 def reference_norm(v, p):
-    """The squares path: |v_i|^2, then exact square roots where rational."""
-    terms = [abs2(val) for _, val in v.items()]
-    if not terms:
-        return Fraction(0)
-    if p is NormTag.P2:
-        s = sum(terms)
-        r = exact_sqrt(s)
-        return r if r is not None else math.sqrt(to_float(s))
-    if p is NormTag.PINF:
-        r = exact_sqrt(max(terms))
-        return r if r is not None else math.sqrt(to_float(max(terms)))
-    parts = [exact_sqrt(t) for t in terms]
-    if all(x is not None for x in parts):
-        return sum(parts, Fraction(0))
-    return sum(math.sqrt(to_float(t)) for t in terms)
+    return reference_value(reference_squares(v), p)
 
 
 def reference_cmp(v, p, bound):
-    terms = [abs2(val) for _, val in v.items()]
-    if not terms:
-        return -1 if bound > 0 else 0
-    if p is NormTag.P1:
-        return sum_sqrt_cmp(terms, bound)
-    lhs = sum(terms) if p is NormTag.P2 else max(terms)
-    b2 = bound * bound
-    return -1 if lhs < b2 else (0 if lhs == b2 else 1)
+    return reference_squares_cmp(reference_squares(v), p, bound)
 
 
 @st.composite
@@ -522,12 +570,158 @@ def test_equal_imaginary_parts_take_the_integer_walk(p):
 
 @pytest.mark.parametrize("p", [NormTag.P1, NormTag.PINF])
 def test_unequal_imaginary_parts_take_the_squares_path(p):
+    # each row is the int pair (n, d) with |a_j - b_j|^2 = n / d^2
     a = SeqVector.from_entries(IndexSet.INTEGERS, {0: "1/2", 1: ("1/2", "1/3"), 3: ("2", "-1/6")})
     b = SeqVector.from_entries(IndexSet.INTEGERS, {0: "1/2", 1: ("1/4", "2/3"), 2: "5/7"})
-    squares = spaces._real_dist(a, b, p)
+    rows = spaces._real_dist(a, b, p)
     diff = a - b
-    assert squares == [abs2(diff.entry(j)) for j in range(4)]
+    assert all(type(n) is int and type(d) is int for n, d in rows)
+    assert [Fraction(n, d * d) for n, d in rows] == [abs2(diff.entry(j)) for j in range(4)]
     assert dist(a, b, p) == norm(diff, p) and norm(diff, p) != 0
+
+
+@st.composite
+def exact_pairs(draw):
+    """(a, b) over Z with real, complex or mixed entries: b keeps, moves the
+    real part of, replaces or drops each entry of a, and adds its own, so
+    rows cancel, share imaginary parts or differ in both parts, over equal
+    and unequal denominators."""
+    def entry():
+        return draw(SMALL), draw(SMALL) if draw(st.booleans()) else 0
+
+    a = {i: entry() for i in draw(st.sets(st.integers(-3, 3), max_size=5))}
+    b = {}
+    for i, (re, im) in a.items():
+        choice = draw(st.sampled_from(["keep", "real", "both", "drop"]))
+        if choice != "drop":
+            b[i] = (re, im) if choice == "keep" else (draw(SMALL), im) if choice == "real" \
+                else entry()
+    for i in draw(st.sets(st.integers(-3, 3), max_size=3)) - a.keys():
+        b[i] = entry()
+    return tuple(SeqVector.from_entries(IndexSet.INTEGERS, v) for v in (a, b))
+
+
+@settings(max_examples=500, deadline=None)
+@given(exact_pairs(), st.sampled_from(list(NormTag)),
+       st.fractions(min_value=-1, max_value=200, max_denominator=60))
+@example((SeqVector.from_entries(IndexSet.INTEGERS, {0: ("1/3", "1/2"), 1: "2/7"}),
+          SeqVector.from_entries(IndexSet.INTEGERS, {0: ("1/5", "1/4"), 2: ("3/4", 1)})),
+         NormTag.P1, Fraction(1))
+def test_distances_match_a_fraction_copy_of_the_squares_walk(pair, p, drawn):
+    a, b = pair
+    squares = reference_squares(a, b)
+    ref = reference_value(squares, p)
+    got = dist(a, b, p)
+    assert type(got) is type(ref) and got == ref
+    # the drawn bound, zero, and the value itself or the double nearest it
+    bounds = [drawn, Fraction(0), Fraction(ref)]
+    for bound in bounds:
+        c = reference_squares_cmp(squares, p, bound)
+        assert dist_lt(a, b, p, bound) is (c < 0)
+        assert dist_and_lt(a, b, p, bound) == (ref, c < 0)
+        assert norm_gt(a - b, p, bound) is (c > 0)
+    if isinstance(ref, Fraction):
+        assert not dist_lt(a, b, p, ref) and not norm_gt(a - b, p, ref)
+
+
+def test_distances_past_double_range_and_tiny_irrational_ones():
+    # a squared sum past double range reads as inf, not OverflowError; a
+    # tiny irrational distance is the root of the double nearest its square
+    huge, tiny = 10 ** 200, Fraction(1, 10 ** 100)
+    zero = SeqVector.zero(IndexSet.INTEGERS)
+
+    def vec(entries):
+        return SeqVector.from_entries(IndexSet.INTEGERS, entries)
+
+    assert dist(vec({0: huge, 3: huge}), zero, NormTag.P2) == math.inf
+    assert dist(vec({0: (huge, huge)}), zero, NormTag.P1) == math.inf
+    assert dist(vec({0: (huge, huge)}), vec({0: (0, -huge)}), NormTag.P2) == math.inf
+    assert dist_lt(vec({0: huge, 3: huge}), zero, NormTag.P2, 2 * huge)
+    assert norm_gt(vec({0: (huge, huge)}), NormTag.P1, huge)
+    root = math.sqrt(float(2 * tiny * tiny))
+    assert dist(vec({0: tiny, 3: tiny}), zero, NormTag.P2) == root
+    for p in NormTag:
+        assert dist(vec({0: (tiny, tiny)}), zero, p) == root
+        assert dist(vec({0: (tiny, tiny)}), vec({0: (2 * tiny, 0)}), p) == root
+
+
+# -- the exact cone helpers against Fraction copies of their bodies --------------
+
+
+def _ref_p1_scale(xs: dict, cs: dict, r: Fraction):
+    slope, knots = -r, []
+    for i, b in cs.items():
+        k = xs.get(i, 0) / b
+        if k > 0:
+            slope -= abs(b)
+            knots.append((k, abs(b)))
+        else:
+            slope += abs(b)
+    if slope >= 0:
+        return None
+    for k, w in sorted(knots):
+        slope += 2 * w
+        if slope >= 0:
+            return k
+
+
+def _ref_pinf_scale(xs: dict, cs: dict, r: Fraction):
+    lo, hi = 0, math.inf
+    for i in xs.keys() | cs.keys():
+        a, b = xs.get(i, 0), cs.get(i, 0)
+        for s, t in ((b + r, a), (r - b, -a)):
+            if s > 0:
+                lo = max(lo, t / s)
+            elif s < 0:
+                hi = min(hi, t / s)
+            elif t >= 0:
+                return None
+    return (lo + hi) / 2 if lo < hi else None
+
+
+def _ref_p2_closed_form(x: SeqVector, c: SeqVector, r: Fraction) -> bool:
+    ip = sum((u.re * c.entry(i).re + u.im * c.entry(i).im for i, u in x.items()), Fraction(0))
+    x2 = sum(reference_squares(x), Fraction(0))
+    c2 = sum(reference_squares(c), Fraction(0))
+    return ip > 0 and ip * ip > x2 * (c2 - r * r)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.dictionaries(st.integers(-3, 3), SMALL.filter(bool), min_size=1, max_size=4),
+       st.dictionaries(st.integers(-3, 3), SMALL, max_size=5),
+       st.fractions(min_value=-3, max_value=3, max_denominator=7),
+       st.integers(1, 19), st.sampled_from([NormTag.P1, NormTag.PINF]))
+def test_exact_scales_match_fraction_copies_of_their_bodies(c, w, shift, share, p):
+    x = {i: shift * c.get(i, 0) + w.get(i, 0) for i in c.keys() | w.keys()}
+    x = {i: v for i, v in x.items() if v}
+    assume(x)
+    r = _real_norm(c, p) * Fraction(share, 20)
+    C = OpenCone(SeqVector.from_entries(IndexSet.INTEGERS, c), r, p)
+    xv = SeqVector.from_entries(IndexSet.INTEGERS, x)
+    ref = (_ref_p1_scale if p is NormTag.P1 else _ref_pinf_scale)(x, c, r)
+    lam = (spaces._p1_scale if p is NormTag.P1 else spaces._pinf_scale)(
+        xv._entries, C.center._entries, r, Mode.EXACT)
+    assert lam == ref and type(lam) is type(ref)
+    member = ref is not None and reference_value(
+        reference_squares(xv, C.center.scale(ref)), p) < ref * r
+    assert cone_contains(C, xv) is member
+
+
+@settings(max_examples=400, deadline=None)
+@given(exact_vectors().filter(lambda v: not v.is_zero), exact_vectors(),
+       st.integers(1, 19), st.fractions(min_value=-3, max_value=3, max_denominator=7))
+@example(SeqVector.from_entries(IndexSet.INTEGERS, {0: 1}), SeqVector.zero(IndexSet.INTEGERS),
+         12, Fraction(0))  # r = 3/5: x = (4, 3) lies on the boundary
+def test_exact_p2_closed_form_matches_a_fraction_copy(c, w, share, shift):
+    r = math.sqrt(to_float(sum(reference_squares(c), Fraction(0))))
+    r = Fraction(r * share / 20).limit_denominator(1000)
+    assume(r > 0 and norm_gt(c, NormTag.P2, r))
+    C = OpenCone(c, r, NormTag.P2)
+    x = c.scale(shift) + w
+    if share == 12 and c == SeqVector.from_entries(IndexSet.INTEGERS, {0: 1}):
+        x = SeqVector.from_entries(IndexSet.INTEGERS, {0: 4, 1: 3})
+    assume(not x.is_zero)
+    assert cone_contains(C, x) is _ref_p2_closed_form(x, c, r)
 
 
 def _float_pair(pair):
