@@ -320,8 +320,8 @@ def sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 
 
 def sum_sqrt_cmp(rows: list[tuple[int, int]], bound: Fraction) -> int:
-    """Compare the sum of sqrt(n) / d over the int pairs (n, d), n >= 0 < d,
-    against bound exactly; returns -1/0/+1.
+    """Compare the sum of sqrt(n) / d over the int pairs (n, d), n >= 0 and
+    d > 0, against bound exactly; returns -1/0/+1.
 
     Over L, the lcm of every d and of bound's denominator, the sum is that
     of sqrt(n (L/d)^2) and the bound an integer, so each irrational root is

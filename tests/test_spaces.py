@@ -601,7 +601,7 @@ def exact_pairs(draw):
     return tuple(SeqVector.from_entries(IndexSet.INTEGERS, v) for v in (a, b))
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(exact_pairs(), st.sampled_from(list(NormTag)),
        st.fractions(min_value=-1, max_value=200, max_denominator=60))
 @example((SeqVector.from_entries(IndexSet.INTEGERS, {0: ("1/3", "1/2"), 1: "2/7"}),
@@ -622,6 +622,24 @@ def test_distances_match_a_fraction_copy_of_the_squares_walk(pair, p, drawn):
         assert norm_gt(a - b, p, bound) is (c > 0)
     if isinstance(ref, Fraction):
         assert not dist_lt(a, b, p, ref) and not norm_gt(a - b, p, ref)
+
+
+@pytest.mark.parametrize("entries", [{0: (1, 1)}, {0: ("1/3", "1/3")},
+                                     {0: (1, 1), 1: (1, "1/2"), 2: "3/7", 4: ("2/5", "-1/5")}])
+def test_p1_comparison_separates_bounds_a_hair_from_the_norm(entries):
+    # a best rational approximation p/q of an irrational 1-norm lies about
+    # 1/q^2 from it, far inside the first 32-bit brackets of the roots
+    v = SeqVector.from_entries(IndexSet.INTEGERS, entries)
+    squares = reference_squares(v)
+    scale = 10 ** 80
+    near = sum((Fraction(math.isqrt(t.numerator * t.denominator * scale * scale),
+                         t.denominator * scale) for t in squares), Fraction(0))
+    for q_max in (10 ** 6, 10 ** 12, 10 ** 18, 10 ** 24, 10 ** 30):
+        bound = near.limit_denominator(q_max)
+        c = reference_squares_cmp(squares, NormTag.P1, bound)
+        assert c != 0
+        assert norm_lt(v, NormTag.P1, bound) is (c < 0)
+        assert norm_gt(v, NormTag.P1, bound) is (c > 0)
 
 
 def test_distances_past_double_range_and_tiny_irrational_ones():
@@ -686,7 +704,7 @@ def _ref_p2_closed_form(x: SeqVector, c: SeqVector, r: Fraction) -> bool:
     return ip > 0 and ip * ip > x2 * (c2 - r * r)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.dictionaries(st.integers(-3, 3), SMALL.filter(bool), min_size=1, max_size=4),
        st.dictionaries(st.integers(-3, 3), SMALL, max_size=5),
        st.fractions(min_value=-3, max_value=3, max_denominator=7),
@@ -707,10 +725,11 @@ def test_exact_scales_match_fraction_copies_of_their_bodies(c, w, shift, share, 
     assert cone_contains(C, xv) is member
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(exact_vectors().filter(lambda v: not v.is_zero), exact_vectors(),
        st.integers(1, 19), st.fractions(min_value=-3, max_value=3, max_denominator=7))
-@example(SeqVector.from_entries(IndexSet.INTEGERS, {0: 1}), SeqVector.zero(IndexSet.INTEGERS),
+@example(SeqVector.from_entries(IndexSet.INTEGERS, {0: 1}),
+         SeqVector.from_entries(IndexSet.INTEGERS, {0: 4, 1: 3}),
          12, Fraction(0))  # r = 3/5: x = (4, 3) lies on the boundary
 def test_exact_p2_closed_form_matches_a_fraction_copy(c, w, share, shift):
     r = math.sqrt(to_float(sum(reference_squares(c), Fraction(0))))
@@ -718,8 +737,6 @@ def test_exact_p2_closed_form_matches_a_fraction_copy(c, w, share, shift):
     assume(r > 0 and norm_gt(c, NormTag.P2, r))
     C = OpenCone(c, r, NormTag.P2)
     x = c.scale(shift) + w
-    if share == 12 and c == SeqVector.from_entries(IndexSet.INTEGERS, {0: 1}):
-        x = SeqVector.from_entries(IndexSet.INTEGERS, {0: 4, 1: 3})
     assume(not x.is_zero)
     assert cone_contains(C, x) is _ref_p2_closed_form(x, c, r)
 
