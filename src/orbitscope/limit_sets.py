@@ -290,6 +290,7 @@ class _SearchLog:
             and x.index_set is y.index_set is T.index_set \
             and not any(v._b for v in (*x._entries.values(), *y._entries.values())) \
             and not any(w._b for _, rule, _ in T.components() for w in rule.weight_values())
+        self.targets = _TargetRows(T, y) if self.real_sup else None
         self.attempts = 0
         self.k_last = 0
         self.reset_best()
@@ -300,7 +301,7 @@ class _SearchLog:
     def attempt(self, eps, k: int) -> _Attempt | None:
         if self.real_sup:
             att = _real_sup_attempt(self.T, self.x, self.y, self.d_val, eps, k,
-                                    self.budget)
+                                    self.budget, self.targets)
         else:
             att = _greedy_attempt(self.T, self.x, self.y, self.d_val, eps, k,
                                   self.norm_tag, self.budget, self.mode)
@@ -439,7 +440,40 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
                     to_float(r))
 
 
-_NO_PATH = scalar_zero(Mode.EXACT)  # the product on a row no path reaches
+_UNREACHED = (None, scalar_zero(Mode.EXACT), None)  # a row no path reaches
+
+
+class _TargetRows:
+    """(s, W, lane) for each row j of supp y at the last time k asked: the
+    source and exact product of the k-step path landing at j, and the lane
+    (offset, weight_at, contains) of j's band; else _UNREACHED.  At k + 1
+    each source moves one index away from j and W takes its weight, reduced,
+    so a row stays (path_source, weight_product) exactly; a source that
+    leaves its band, an interval, never returns.  Other times form afresh."""
+
+    def __init__(self, T: ShiftOperator, y: SeqVector):
+        self.T, self.k, self.rows = T, None, dict.fromkeys(y._entries)
+
+    def at(self, k: int) -> dict:
+        rows = self.rows
+        if k - 1 != self.k:
+            for j in rows:
+                rows[j] = self._formed(j, k)
+        else:
+            for j, (s, w, lane) in rows.items():
+                if lane is not None:
+                    step, weight_at, contains = lane
+                    s -= step
+                    rows[j] = (s, w * weight_at(s), lane) if contains(s) else _UNREACHED
+        self.k = k
+        return rows
+
+    def _formed(self, j: int, k: int) -> tuple:
+        s = path_source(self.T, j, k)
+        if s is None:
+            return _UNREACHED
+        kind, weights, band = self.T.component_for(j)
+        return s, weight_product(self.T, j, k), (_OFFSET[kind], weights.weight_at, band.contains)
 
 
 def _as_float(num: int, den: int) -> float:
@@ -452,17 +486,20 @@ def _as_float(num: int, den: int) -> float:
 
 
 def _real_sup_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val: Fraction,
-                      eps: Fraction, k: int, budget: Budget) -> _Attempt | None:
+                      eps: Fraction, k: int, budget: Budget,
+                      targets: _TargetRows | None = None) -> _Attempt | None:
     """_greedy_attempt's sup-norm attempt for real exact x, y and weights,
     with the same result, decided in integers from one row table.
 
     Each row j of supp y and T^k(supp x) gets its source s, product
-    W = wa/wd and mismatch m = y_j - W x_s = p/q once.  The row rule is
-    decided by cross-multiplication, and the distance of the perturbed
-    image, max_j |y_j - W z_s|, is read off the same rows."""
+    W = wa/wd (from power_paths, else from the search's targets) and
+    mismatch m = y_j - W x_s = p/q once.  The row rule is decided by
+    cross-multiplication, and the distance of the perturbed image,
+    max_j |y_j - W z_s|, is read off the same rows."""
     if not budget.try_spend(1):
         return None
     ys = y._entries
+    paths = (targets or _TargetRows(T, y)).at(k)
     rows = {}  # j -> (s, wa, wd, p, q) with q > 0; s is None when no path reaches j
     for s, v, j, w in power_paths(T, k, x):
         wa, wd = w._a, w._d
@@ -472,8 +509,7 @@ def _real_sup_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val: Fract
             (s, wa, wd, yj._a * iq - ia * yj._d, yj._d * iq)
     for j, yj in ys.items():
         if j not in rows:
-            s = path_source(T, j, k)
-            w = _NO_PATH if s is None else weight_product(T, j, k)
+            s, w, _ = paths[j]
             rows[j] = (s, w._a, w._d, yj._a, yj._d)
     en, ed = eps.numerator, eps.denominator
     dn, dd = d_val.numerator, d_val.denominator
@@ -607,6 +643,7 @@ class _StructuralStops:
         self.T = T
         self.eps = eps = eps_last
         self.d = d = Fraction(d_val)
+        self.eps2, self.d2 = eps * eps, d * d
         self.y_span = (y.support_min, y.support_max)
         weights = [w.abs2() for _, rule, _ in T.components()
                    for w in rule.weight_values()]
@@ -641,7 +678,7 @@ class _StructuralStops:
             if any(w.abs2() < 1 for w in rule.weight_values()):
                 continue
             a = _exact_abs2(v)
-            if a > eps * eps:
+            if a > self.eps2:
                 self.tails.append((s, _OFFSET[kind], a))
 
     def _record(self, reason: str, k0: int | None, inequality: str) -> None:
@@ -658,8 +695,9 @@ class _StructuralStops:
         return ("tail-bound", proof) if proof is not None else None
 
     def _tail_proof(self, k: int) -> dict | None:
-        y_min, y_max = self.y_span
-        eps2, d2 = self.eps * self.eps, self.d * self.d
+        if not self.tails:
+            return None
+        (y_min, y_max), eps2, d2 = self.y_span, self.eps2, self.d2
         for s, step, a in self.tails:
             t = s + step * k
             if y_min is not None and (t >= y_min if step < 0 else t <= y_max):

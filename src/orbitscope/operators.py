@@ -378,12 +378,6 @@ class ShiftOperator:
 _OFFSET = {"backward": -1, "forward": 1, "diagonal": 0}  # index change of one step
 
 
-def _step(kind: str, band: Band, s: int, n: int):
-    """Landing index of an n-step path from s, or None when annihilated."""
-    t = s + _OFFSET[kind] * n
-    return t if band.contains(t) else None
-
-
 def _path_span(kind: str, s: int, t: int) -> tuple[int, int]:
     """Indices lo..hi of the weights along a shift path from s to t."""
     return (t + 1, s) if kind == "backward" else (s, t - 1)
@@ -490,22 +484,27 @@ def apply(T: ShiftOperator, v: SeqVector) -> SeqVector:
     return out
 
 
-def power_paths(T: ShiftOperator, n: int, v: SeqVector) -> list[tuple]:
-    """(s, v_s, t, W) for each source s of v, in index order, whose n-step
-    path (n >= 1) lands at t, with W the exact path product: T^n v is the
-    sum of the W v_s e_t.  It raises what apply_power raises."""
+def _landings(T: ShiftOperator, n: int, v: SeqVector):
+    """(s, v_s, t, kind, weights) for each source s of v, in index order,
+    whose n-step path lands at t inside its band; no two share a t."""
     if v.index_set is not T.index_set:
         raise IndexSetMismatch("operator and vector index sets differ")
-    out = []
     for s, val in v.items():
         comp = T.component_for(s)
         if comp is None:
             raise IndexSetMismatch(f"vector support index {s} lies in no band")
         kind, weights, band = comp
-        t = _step(kind, band, s, n)
-        if t is not None:
-            out.append((s, val, t, _path_exact(kind, weights, s, t, n)))
-    return out
+        t = s + _OFFSET[kind] * n
+        if band.contains(t):
+            yield s, val, t, kind, weights
+
+
+def power_paths(T: ShiftOperator, n: int, v: SeqVector) -> list[tuple]:
+    """(s, v_s, t, W) for each source s of v, in index order, whose n-step
+    path (n >= 1) lands at t, with W the exact path product: T^n v is the
+    sum of the W v_s e_t.  It raises what apply_power raises."""
+    return [(s, val, t, _path_exact(kind, weights, s, t, n))
+            for s, val, t, kind, weights in _landings(T, n, v)]
 
 
 def apply_power(T: ShiftOperator, n: int, v: SeqVector) -> SeqVector:
@@ -516,31 +515,18 @@ def apply_power(T: ShiftOperator, n: int, v: SeqVector) -> SeqVector:
         raise IndexSetMismatch("operator and vector index sets differ")
     if n == 0:
         return v
-    entries: dict = {}
-    exact = v.mode is Mode.EXACT
-    for s, val in v.items():
-        comp = T.component_for(s)
-        if comp is None:
-            raise IndexSetMismatch(f"vector support index {s} lies in no band")
-        kind, weights, band = comp
-        t = _step(kind, band, s, n)
-        if t is None:
-            continue
-        if exact:
-            coeff = _path_exact(kind, weights, s, t, n)
-        else:
-            lg, ph = _path_log2(kind, weights, s, t, n)
-            if lg + log2_abs(val) > OVERFLOW_LOG2:
-                raise NumericOverflow(
-                    f"T^{n} entry at {t} has magnitude past 2^{OVERFLOW_LOG2:.0f}")
-            if lg > OVERFLOW_LOG2:
-                raise NumericOverflow(f"weight product magnitude 2^{lg:.1f} exceeds policy")
-            coeff = ph * 2.0 ** lg
-        out = coeff * val
-        if t in entries:
-            entries[t] = entries[t] + out
-        else:
-            entries[t] = out
+    if v.mode is Mode.EXACT:
+        return SeqVector(v.index_set, {t: w * val for _, val, t, w in power_paths(T, n, v)},
+                         v.mode)
+    entries = {}
+    for s, val, t, kind, weights in _landings(T, n, v):
+        lg, ph = _path_log2(kind, weights, s, t, n)
+        if lg + log2_abs(val) > OVERFLOW_LOG2:
+            raise NumericOverflow(
+                f"T^{n} entry at {t} has magnitude past 2^{OVERFLOW_LOG2:.0f}")
+        if lg > OVERFLOW_LOG2:
+            raise NumericOverflow(f"weight product magnitude 2^{lg:.1f} exceeds policy")
+        entries[t] = ph * 2.0 ** lg * val
     return SeqVector(v.index_set, entries, v.mode)
 
 

@@ -113,7 +113,8 @@ def coarse_orbit_contains(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
     """First n <= K with ||T^n x - y|| < d, or None (meaning only: none up to K).
 
     A time the scan accepts but make_coarse_witness rejects (float mode, near
-    the bound) is passed over: the query answers and never raises.
+    the bound) is passed over: the query answers and never raises.  T^n 0 = 0,
+    so the scan ends at the first zero point outside the ball.
     """
     if to_float(d) <= 0:
         raise OrbitscopeError("d must be positive")
@@ -123,6 +124,8 @@ def coarse_orbit_contains(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
                 return make_coarse_witness(T, x, d, y, n, norm_tag)
             except VerificationFailed:
                 pass
+        elif v.is_zero:
+            break
     return None
 
 

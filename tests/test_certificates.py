@@ -1,11 +1,22 @@
 import hashlib
 import inspect
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
-from orbitscope import NormTag, defaults
+from orbitscope import (
+    EpsSchedule,
+    IndexSet,
+    NormTag,
+    Shape,
+    ShiftOperator,
+    apply_power,
+    d_witness,
+    defaults,
+)
 from orbitscope.certificates import (
     CERTIFICATES,
     _params,
@@ -22,13 +33,15 @@ from orbitscope.certificates import (
     run_all,
     write_bundle,
 )
-from orbitscope.errors import ConfigError
+from orbitscope.errors import ConfigError, SearchFailed
 from orbitscope.limit_sets import DWitness, JWitness
 from orbitscope.numeric import Mode
+from orbitscope.operators import Band, Block
 from orbitscope.orbits import CoarseWitness
 
-from conftest import points_in_ball_scan
+from conftest import points_in_ball_scan, random_vector
 from test_cli import reject_constant
+from test_limit_sets import random_rule
 
 
 SMALL_PROP32 = dict(sample_count=8, orbit_check_horizon=200,
@@ -137,6 +150,74 @@ class TestRiesz:
     def test_unit_weight_block_indecisive(self):
         r = cert_riesz_blocks(seed=0, contract_weight=1, sample_count=1)
         assert r.verdict == "INDECISIVE"
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), norm_tag=st.sampled_from(list(NormTag)))
+    def test_witnesses_decompose_by_band(self, seed, norm_tag):
+        # the lemma behind witness-band-decomposition, in Fractions of the
+        # test's own: each band's part of a d_witness witness for a random
+        # two-block sum is a witness for that band's block
+        rng = random.Random(seed)
+        bands = (Band(rng.choice([None, -6]), -1), Band(0, rng.choice([None, 6])))
+        blocks = tuple(Block(band, rng.choice(["backward", "forward", "diagonal"]),
+                             random_rule(rng)) for band in bands)
+        T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=blocks)
+        x = random_vector(rng, IndexSet.INTEGERS, -6, 6, bound=3, max_entries=3)
+        noise = random_vector(rng, IndexSet.INTEGERS, -6, 6, bound=3, max_entries=3)
+        y = apply_power(T, rng.randint(1, 5), x) + \
+            noise.scale(Fraction(rng.choice([0, 1, 10]), 10))
+        d = Fraction(rng.randint(1, 20), 10)
+        try:
+            dw = d_witness(T, x, y, d, rng.randint(0, 2), EpsSchedule.reciprocal(3), 600,
+                           norm_tag=norm_tag)
+        except SearchFailed:
+            dw = None
+        assume(dw is not None)
+        event(dw.kind)
+        if dw.kind == "orbit":
+            triples = [(None, x, dw.coarse.time)]
+        else:
+            triples = [(eps, t.perturbed, t.time)
+                       for eps, t in zip(dw.jwitness.schedule, dw.jwitness.triples)]
+        for block in blocks:
+            x_b, y_b = band_part(block.band, x), band_part(block.band, y)
+            for eps, z, k in triples:
+                z_b = band_part(block.band, z)
+                if eps is not None:
+                    assert norm_below(difference(z_b, x_b), norm_tag, eps)
+                assert norm_below(difference(block_power(block, k, z_b), y_b),
+                                  norm_tag, d)
+
+
+def band_part(band, v):
+    """The entries of exact real v inside band, as Fractions."""
+    return {j: a.re for j, a in v.items()
+            if (band.lo is None or band.lo <= j) and (band.hi is None or j <= band.hi)}
+
+
+def block_power(block, k, z):
+    """k single steps of one block on z, annihilating at the band's edge."""
+    step = {"backward": -1, "forward": 1, "diagonal": 0}[block.kind]
+    for _ in range(k):
+        z = {j + step: block.weights.weight_at(j).re * a for j, a in z.items()}
+        z = {j: a for j, a in z.items()
+             if (block.band.lo is None or block.band.lo <= j)
+             and (block.band.hi is None or j <= block.band.hi)}
+    return z
+
+
+def difference(a, b):
+    return {j: a.get(j, 0) - b.get(j, 0) for j in a.keys() | b.keys()}
+
+
+def norm_below(v, norm_tag, bound):
+    """||v|| < bound for a dict of Fractions, decided exactly."""
+    sizes = [abs(a) for a in v.values()]
+    if norm_tag is NormTag.P1:
+        return sum(sizes) < bound
+    if norm_tag is NormTag.P2:
+        return sum(a * a for a in sizes) < bound * bound
+    return max(sizes, default=0) < bound
 
 
 class TestProp15:

@@ -46,6 +46,7 @@ from orbitscope.limit_sets import (
     Budget,
     _Attempt,
     _StructuralStops,
+    _TargetRows,
     _greedy_attempt,
     _real_sup_attempt,
 )
@@ -57,6 +58,7 @@ from orbitscope.operators import (
     Table,
     WeightRule,
     path_source,
+    power_paths,
     weight_product,
 )
 from orbitscope.spaces import dist_and_lt
@@ -492,9 +494,28 @@ class TestRealSupAttempt:
                                 EpsSchedule.reciprocal(3), 10_000).to_jsonable() == \
             FLOAT_WITNESS
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), restart=st.integers(1, 40))
+    def test_stepped_rows_match_formed_rows(self, seed, restart):
+        # rows of supp y stepped through k = 1..40, then formed afresh at a
+        # time that is not the next one and stepped again: each row is its
+        # (path_source, weight_product), past band exits (the blocks' bands
+        # end at -4, -2, 3 and 5) and the unilateral floor
+        rng = random.Random(seed)
+        T = random_operator(rng)
+        y = vector_for(rng, T, -12, 12)
+        rows = _TargetRows(T, y)
+        for k in [*range(1, 41), *range(restart, 41)]:
+            at = rows.at(k)
+            assert sorted(at) == list(y.support)
+            for j, (s, w, _) in at.items():
+                assert (s, w) == (path_source(T, j, k), weight_product(T, j, k))
+
     def test_attempts_form_each_product_once(self, monkeypatch):
-        # a riesz-blocks style search: attempts apply no power, and form
-        # each row's product at most once; verify applies one per triple
+        # a riesz-blocks style search: attempts apply no power; the first
+        # forms each row's product at most once, and every later one forms
+        # only the products of the paths from supp x, stepping the rows of
+        # supp y; verify applies one power per triple
         T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
             Block(Band(0, None), "backward", Constant(Fraction(1, 2))),
             Block(Band(None, -1), "backward", Constant(2))))
@@ -528,12 +549,17 @@ class TestRealSupAttempt:
         assert counts["apply_power"] == len(w.triples)
         monkeypatch.undo()
         assert len(attempts) > len(w.triples)
-        for k, used in attempts:
-            rows = set(y.support) | set(apply_power(T, k, x).support)
-            sourced = sum(path_source(T, j, k) is not None for j in rows)
-            assert used["apply_power"] == 0
-            assert used["product_exact"] <= sourced
-            assert used["weight_product"] <= sourced
+        (k, used), *later = attempts
+        rows = set(y.support) | set(apply_power(T, k, x).support)
+        sourced = sum(path_source(T, j, k) is not None for j in rows)
+        assert used["apply_power"] == 0
+        assert used["product_exact"] <= sourced
+        assert used["weight_product"] <= sourced
+        assert [k for k, _ in later] == list(range(k + 1, k + 1 + len(later)))
+        assert any(power_paths(T, k, x) for k, _ in later)
+        for k, used in later:
+            assert used == {"apply_power": 0, "weight_product": 0,
+                            "product_exact": len(power_paths(T, k, x))}
 
 
 def tail_proof(T, x, y, d, eps, k):

@@ -32,8 +32,10 @@ from orbitscope.certificates import _prop21_instance
 from orbitscope.errors import OrbitscopeError, VerificationFailed
 from orbitscope.numeric import Mode
 from orbitscope.orbits import ball_counts
+from orbitscope.spaces import dist_lt
 
-from conftest import nfold_apply, points_in_ball_scan, random_shift, vector_for
+from conftest import nfold_apply, points_in_ball_scan, random_shift, reference_apply, \
+    vector_for
 
 
 def ei(i, c=1):
@@ -143,6 +145,30 @@ class TestCoarseOrbit:
         assert found[Mode.EXACT].time == 35
         assert found[Mode.EXACT].achieved_distance == Fraction(1314, 1000)
 
+    def test_scan_ends_once_the_orbit_is_zero(self, monkeypatch):
+        # e_0 dies at the first step, and 5 e_0 is outside the ball around
+        # 0: two distance checks answer a horizon of 10^7
+        checks = []
+
+        def counted(*args):
+            checks.append(args)
+            assert len(checks) <= 2, "the scan went on past the zero point"
+            return dist_lt(*args)
+
+        monkeypatch.setattr(orbits, "dist_lt", counted)
+        assert coarse_orbit_contains(doubling(), en(0), 1, en(0, 5), 10 ** 7,
+                                     NormTag.PINF) is None
+        assert len(checks) == 2
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("norm_tag", list(NormTag))
+    @pytest.mark.parametrize("case", ["far", "near-zero", "zero-base", "forward-edge",
+                                      "one-band-dies", "never-zero"])
+    def test_scan_agrees_with_a_full_scan(self, case, norm_tag, mode):
+        T, x, y, d = coarse_case(case, mode)
+        assert coarse_orbit_contains(T, x, d, y, 30, norm_tag) == \
+            full_coarse_scan(T, x, d, y, 30, norm_tag)
+
     def test_witness_reverifies(self):
         w = make_coarse_witness(prop32_operator(), ei(0), 1, ei(-2), 2,
                                 NormTag.PINF)
@@ -150,6 +176,46 @@ class TestCoarseOrbit:
         with pytest.raises(VerificationFailed):
             make_coarse_witness(prop32_operator(), ei(0), Fraction(1, 2),
                                 ei(0, 5), 1, NormTag.PINF)
+
+
+def coarse_case(case, mode):
+    """(T, x, y, d) for a coarse scan whose orbit dies, or never does."""
+    def vec(index_set, entries):
+        return SeqVector.from_entries(index_set, entries, mode)
+    if case == "far":  # zero from n = 3 on, outside the ball
+        return doubling(), vec(IndexSet.NATURALS, {2: 1}), \
+            vec(IndexSet.NATURALS, {0: 5}), 1
+    if case == "near-zero":  # zero from n = 3 on, inside the ball
+        return doubling(), vec(IndexSet.NATURALS, {2: 3}), \
+            vec(IndexSet.NATURALS, {1: Fraction(1, 2)}), 1
+    if case == "zero-base":
+        return doubling(), vec(IndexSet.NATURALS, {}), vec(IndexSet.NATURALS, {4: 2}), 1
+    blocks = (Block(Band(None, -1), "forward", Constant(3)),
+              Block(Band(0, 4), "backward", Periodic((2, Fraction(1, 3)))),
+              Block(Band(5, None), "diagonal", Constant(Fraction(-1, 2))))
+    T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=blocks)
+    if case == "forward-edge":  # both bands' edges annihilate: zero from n = 4 on
+        return T, vec(IndexSet.INTEGERS, {-4: 1, 3: 1}), \
+            vec(IndexSet.INTEGERS, {-1: 81, 2: 3}), Fraction(1, 2)
+    if case == "one-band-dies":  # a diagonal source lives on
+        return T, vec(IndexSet.INTEGERS, {1: 2, 6: 1}), \
+            vec(IndexSet.INTEGERS, {6: Fraction(1, 64)}), Fraction(1, 100)
+    return T, vec(IndexSet.INTEGERS, {7: 3}), vec(IndexSet.INTEGERS, {7: 1}), \
+        Fraction(1, 3)
+
+
+def full_coarse_scan(T, x, d, y, K, norm_tag):
+    """Reference: every n <= K in turn, the point stepped by reference
+    single steps, with the witness check's pass-over rule."""
+    v = x
+    for n in range(K + 1):
+        if dist_lt(v, y, norm_tag, d):
+            try:
+                return make_coarse_witness(T, x, d, y, n, norm_tag)
+            except VerificationFailed:
+                pass
+        v = reference_apply(T, v)
+    return None
 
 
 def synth_orbit_instance(targets, times):
