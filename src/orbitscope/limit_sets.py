@@ -449,10 +449,24 @@ class _TargetRows:
     (offset, weight_at, contains) of j's band; else _UNREACHED.  At k + 1
     each source moves one index away from j and W takes its weight, reduced,
     so a row stays (path_source, weight_product) exactly; a source that
-    leaves its band, an interval, never returns.  Other times form afresh."""
+    leaves its band, an interval, never returns.  Other times form afresh.
+
+    It also keeps the first time at which the search's x had no path left:
+    by the same interval argument none comes back, so power_paths is not
+    called again from that time on."""
 
     def __init__(self, T: ShiftOperator, y: SeqVector):
         self.T, self.k, self.rows = T, None, dict.fromkeys(y._entries)
+        self.dead_from = math.inf
+
+    def landed(self, x: SeqVector, k: int) -> list[tuple]:
+        """power_paths(T, k, x) for the search's x, [] once it came back empty."""
+        if k >= self.dead_from:
+            return []
+        out = power_paths(self.T, k, x)
+        if not out:
+            self.dead_from = k
+        return out
 
     def at(self, k: int) -> dict:
         rows = self.rows
@@ -499,9 +513,10 @@ def _real_sup_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val: Fract
     if not budget.try_spend(1):
         return None
     ys = y._entries
-    paths = (targets or _TargetRows(T, y)).at(k)
+    targets = targets or _TargetRows(T, y)
+    paths = targets.at(k)
     rows = {}  # j -> (s, wa, wd, p, q) with q > 0; s is None when no path reaches j
-    for s, v, j, w in power_paths(T, k, x):
+    for s, v, j, w in targets.landed(x, k):
         wa, wd = w._a, w._d
         ia, iq = wa * v._a, wd * v._d
         yj = ys.get(j)

@@ -6,7 +6,8 @@ a_n * e_{n+1}, a diagonal operator sends e_n to a_n * e_n.  Powers are
 computed from closed-form weight products along paths, never by n-fold
 matrix application, so they are exact and O(support) per power.  Orbit
 scans (``iterate``) step each source once per step, along the band it
-starts in, with one weight multiply.
+starts in, with one weight multiply; ``meetings`` builds only the points
+whose support meets a given set of rows.
 
 ``weight_product`` is the exact path product.  Float64-mode
 ``apply_power`` tracks its products in log2 magnitude and phase and errors
@@ -384,7 +385,7 @@ def _path_span(kind: str, s: int, t: int) -> tuple[int, int]:
 
 
 def _path_exact(kind: str, weights: WeightRule, s: int, t: int, n: int) -> QC:
-    """Exact product of the weights along the n-step path from s to t (n >= 1)."""
+    """Exact product of the weights along the n-step path from s to t (1 for n = 0)."""
     if kind == "diagonal":
         return weights.product_exact(s, s) ** n
     return weights.product_exact(*_path_span(kind, s, t))
@@ -430,15 +431,28 @@ def weight_product(T: ShiftOperator, target_index: int, n: int) -> QC:
     return _path_exact(kind, weights, s, target_index, n)
 
 
+def _float_weights(rule: WeightRule) -> tuple:
+    """rule's weights as complex, each rounded once; None for one past
+    double range, which raises only at a step that meets it."""
+    out = []
+    for w in rule._weights:
+        try:
+            out.append(w.to_complex())
+        except OverflowError:
+            out.append(None)
+    return tuple(out)
+
+
 def iterate(T: ShiftOperator, v: SeqVector, K: int):
     """Yield v, Tv, ..., T^K v (nothing when K < 0).
 
     T sends each source along its own band to one row, and no two sources
     share a row, so each live source keeps the component it was given on
-    the first step, and a step is one weight multiply per live source.
-    Errors are apply's, raised at the step that meets them:
-    IndexSetMismatch on the first, NumericOverflow past double range in
-    float mode, where an entry that underflows to zero is dropped.
+    the first step, and a step is one weight multiply per live source.  In
+    float mode each rule's weights are rounded once per scan.  Errors are
+    apply's, raised at the step that meets them: IndexSetMismatch on the
+    first, NumericOverflow past double range in float mode, where an entry
+    that underflows to zero is dropped.
     """
     if K < 0:
         return
@@ -447,6 +461,7 @@ def iterate(T: ShiftOperator, v: SeqVector, K: int):
         raise IndexSetMismatch("operator and vector index sets differ")
     index_set, mode, exact = v.index_set, v.mode, v.mode is Mode.EXACT
     rows = [(s, val, None) for s, val in v.items()]
+    rounded = {}  # float mode: id(rule) -> _float_weights(rule)
     for _ in range(K):
         entries, live = {}, []
         for s, val, lane in rows:
@@ -454,20 +469,25 @@ def iterate(T: ShiftOperator, v: SeqVector, K: int):
                 comp = T.component_for(s)
                 if comp is None:
                     raise IndexSetMismatch(f"vector support index {s} lies in no band")
-                kind, weights, band = comp
-                lane = (_OFFSET[kind], weights.weight_at, band.contains)
-            step, weight_at, contains = lane
+                kind, rule, band = comp
+                if exact:
+                    weights = rule._weights
+                else:
+                    weights = rounded.get(id(rule))
+                    if weights is None:
+                        weights = rounded[id(rule)] = _float_weights(rule)
+                lane = (_OFFSET[kind], rule._index_at, weights, band.contains)
+            step, index_at, weights, contains = lane
             t = s + step
             if not contains(t):
                 continue
+            w = weights[index_at(s)]
             if exact:
-                out = weight_at(s) * val
+                out = w * val
             else:
-                try:
-                    coeff = weight_at(s).to_complex()
-                except OverflowError:  # a weight past double range
-                    raise NumericOverflow("single-step application overflowed") from None
-                out = coeff * val
+                if w is None:  # a weight past double range
+                    raise NumericOverflow("single-step application overflowed")
+                out = w * val
                 if out == 0:
                     continue
                 if not (math.isfinite(out.real) and math.isfinite(out.imag)):
@@ -476,6 +496,45 @@ def iterate(T: ShiftOperator, v: SeqVector, K: int):
             live.append((t, out, lane))
         rows = live
         yield SeqVector._trusted(index_set, entries, mode)
+
+
+def meetings(T: ShiftOperator, v: SeqVector, rows, K: int):
+    """(n, T^n v) for each n <= K at which supp T^n v meets rows, in order,
+    for exact v; each point is built in closed form from path products.
+
+    Source s sits at s + n * offset while its band, an interval, holds it,
+    so it meets row j at most once, at n = (j - s) * offset: the times are
+    listed from positions alone, in O(|supp v| |rows|).  None when they
+    cannot be: v and T on different index sets, a source in no band, or a
+    diagonal source on a row (it is there at every n)."""
+    if v.index_set is not T.index_set:
+        return None
+    lanes, times = [], set()
+    for s, val in v._entries.items():
+        comp = T.component_for(s)
+        if comp is None:
+            return None
+        kind, rule, band = comp
+        step = _OFFSET[kind]
+        if step:
+            for j in rows:
+                n = (j - s) * step
+                if 0 <= n <= K and band.contains(j):
+                    times.add(n)
+        elif s in rows:
+            return None
+        lanes.append((s, val, kind, rule, step, band.contains))
+
+    def points():
+        for n in sorted(times):
+            entries = {}
+            for s, val, kind, rule, step, contains in lanes:
+                t = s + step * n
+                if contains(t):
+                    entries[t] = _path_exact(kind, rule, s, t, n) * val
+            yield n, SeqVector._trusted(v.index_set, entries, v.mode)
+
+    return points()
 
 
 def apply(T: ShiftOperator, v: SeqVector) -> SeqVector:

@@ -11,12 +11,14 @@ import csv
 import io
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import OrbitscopeError, VerificationFailed
 from .numeric import TOL_EQ, FieldsJSON, Mode, jsonable, real_value, to_float
-from .operators import ShiftOperator, apply_power, iterate
-from .spaces import NormTag, OpenCone, SeqVector, cone_sample, dist_and_lt, dist_lt, norm
+from .operators import ShiftOperator, apply_power, iterate, meetings
+from .spaces import NormTag, OpenCone, SeqVector, cone_sample, dist_and_lt, dist_lt, norm, \
+    norm_lt
 
 
 @dataclass(frozen=True)
@@ -108,17 +110,35 @@ def make_coarse_witness(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
     return CoarseWitness(n, r, y, x, bound, norm_tag, T.label)
 
 
+def _visits(T: ShiftOperator, x: SeqVector, y: SeqVector, d, K: int,
+            norm_tag: NormTag):
+    """(n, T^n x) for each n <= K that a scan for points of B(y, d) must
+    measure, in order: when ||y|| >= d exactly, an exact scan takes only
+    the times at which supp T^n x meets supp y (operators.meetings), and
+    every other scan steps through all n <= K."""
+    if K >= 0 and x.mode is y.mode is Mode.EXACT and x.index_set is y.index_set \
+            and not norm_lt(y, norm_tag, d):
+        points = meetings(T, x, y._entries, K)
+        if points is not None:
+            return points
+    return enumerate(iterate(T, x, K))
+
+
 def coarse_orbit_contains(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
                           K: int, norm_tag: NormTag = NormTag.P2) -> CoarseWitness | None:
     """First n <= K with ||T^n x - y|| < d, or None (meaning only: none up to K).
 
-    A time the scan accepts but make_coarse_witness rejects (float mode, near
-    the bound) is passed over: the query answers and never raises.  T^n 0 = 0,
-    so the scan ends at the first zero point outside the ball.
+    Restriction to supp y never raises a p-norm, so a point whose support
+    misses supp y lies at distance >= ||y|| from y: when ||y|| >= d an
+    exact scan measures only the times at which supp T^n x meets supp y,
+    at most |supp x| |supp y| of them.  A time the scan accepts but
+    make_coarse_witness rejects (float mode, near the bound) is passed
+    over: the query answers and never raises.  T^n 0 = 0, so the scan ends
+    at the first zero point outside the ball.
     """
     if to_float(d) <= 0:
         raise OrbitscopeError("d must be positive")
-    for n, v in enumerate(iterate(T, x, K)):
+    for n, v in _visits(T, x, y, d, K, norm_tag):
         if dist_lt(v, y, norm_tag, d):
             try:
                 return make_coarse_witness(T, x, d, y, n, norm_tag)
@@ -203,10 +223,15 @@ def orbit_points_in_ball(T: ShiftOperator, x: SeqVector, y: SeqVector,
 def ball_counts(T: ShiftOperator, x: SeqVector, y: SeqVector, radius,
                 horizons, norm_tag: NormTag) -> list[int]:
     """orbit_points_in_ball at each horizon K in horizons (0 for K < 0),
-    from one orbit pass of max(horizons) steps."""
-    seen, counts = set(), []  # counts[n]: distinct points in the ball up to n
-    for v in iterate(T, x, max(horizons, default=-1)):
+    from one scan to max(horizons).
+
+    Restriction to supp y never raises a p-norm, so a point whose support
+    misses supp y lies at distance >= ||y|| from y: when ||y|| >= radius
+    an exact scan measures only the times at which supp T^n x meets
+    supp y, at most |supp x| |supp y| of them."""
+    first = {}  # each distinct point in the ball -> the time it is first met
+    for n, v in _visits(T, x, y, radius, max(horizons, default=-1), norm_tag):
         if dist_lt(v, y, norm_tag, radius):
-            seen.add(v.key())
-        counts.append(len(seen))
-    return [counts[K] if K >= 0 else 0 for K in horizons]
+            first.setdefault(v.key(), n)
+    times = list(first.values())  # ascending
+    return [bisect_right(times, K) for K in horizons]

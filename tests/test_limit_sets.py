@@ -561,6 +561,34 @@ class TestRealSupAttempt:
             assert used == {"apply_power": 0, "weight_product": 0,
                             "product_exact": len(power_paths(T, k, x))}
 
+    @pytest.mark.parametrize("x, dies_at", [(ei(0), 1), (ei(0) + ei(4, Fraction(1, 3)), 5)],
+                             ids=["dies-at-once", "dies-at-5"])
+    def test_paths_from_x_stop_once_none_is_left(self, monkeypatch, x, dies_at):
+        # riesz-blocks' operator: a backward source at s leaves its band
+        # [0, inf) after s + 1 steps, and power_paths is asked no more
+        T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
+            Block(Band(0, None), "backward", Constant(Fraction(1, 2))),
+            Block(Band(None, -1), "backward", Constant(2))))
+        y = SeqVector.from_entries(IndexSet.INTEGERS, {
+            2: Fraction(1, 4), -50: 7, -43: -3})
+        asked, attempts = [], []
+
+        def counted(T, k, v):
+            asked.append(k)
+            return power_paths(T, k, v)
+
+        def attempt(*args, _attempt=_real_sup_attempt):
+            attempts.append(args[5])
+            return _attempt(*args)
+
+        monkeypatch.setattr(limit_sets, "power_paths", counted)
+        monkeypatch.setattr(limit_sets, "_real_sup_attempt", attempt)
+        search_j_witness(T, x, y, 1, EpsSchedule.reciprocal(5), 20_000)
+        assert attempts == list(range(1, len(attempts) + 1))
+        assert len(attempts) > dies_at
+        assert asked == list(range(1, dies_at + 1))
+        assert power_paths(T, dies_at, x) == [] and power_paths(T, dies_at - 1, x)
+
 
 def tail_proof(T, x, y, d, eps, k):
     return _StructuralStops(T, x, y, d, eps, NormTag.PINF)._tail_proof(k)

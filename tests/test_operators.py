@@ -179,6 +179,33 @@ def test_iterate_raises_on_the_first_step(T, x, error):
     assert list(iterate(T, x, 0)) == [x]
 
 
+def test_float_iterate_rounds_each_weight_once(monkeypatch):
+    # two blocks with three weights between them, six sources, 200 steps
+    T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
+        Block(Band(None, -1), "forward", Constant(Fraction(1, 3))),
+        Block(Band(0, None), "backward", Periodic((2, Fraction(-5, 7))))))
+    x = SeqVector.from_entries(IndexSet.INTEGERS, {i: 1 for i in (-300, -9, -1, 0, 4, 250)},
+                               Mode.FLOAT64)
+    rounded = []
+    to_complex = QC.to_complex
+    monkeypatch.setattr(QC, "to_complex", lambda self: rounded.append(self) or to_complex(self))
+    points = list(iterate(T, x, 200))
+    assert len(rounded) == 3
+    monkeypatch.undo()
+    assert points == list(_reference_orbit(T, x, 200))
+
+
+def test_float_weight_past_double_range_raises_where_it_is_met():
+    # the weight at 5 is met by the source at 9 on its fifth step
+    T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
+                      Table({5: 2 ** 1100}, Fraction(1, 2)))
+    x = SeqVector.basis(IndexSet.INTEGERS, 9, mode=Mode.FLOAT64)
+    got, error = _orbit_run(iterate(T, x, 12))
+    assert error is NumericOverflow
+    assert [v.support for v in got] == [[9], [8], [7], [6], [5]]
+    assert (got, error) == _orbit_run(_reference_orbit(T, x, 12))
+
+
 def test_iterate_drops_float_underflow():
     T = ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS, Table({0: Fraction(1, 2 ** 600)}, 1))
     x = SeqVector.from_entries(IndexSet.INTEGERS, {0: Fraction(1, 10 ** 300), 1: 1},

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitscope import (
     Band,
@@ -11,6 +12,7 @@ from orbitscope import (
     NormTag,
     OpenCone,
     Periodic,
+    PiecewiseTwoSided,
     SeqVector,
     Shape,
     ShiftOperator,
@@ -29,8 +31,8 @@ from orbitscope import (
 )
 from orbitscope import orbits
 from orbitscope.certificates import _prop21_instance
-from orbitscope.errors import OrbitscopeError, VerificationFailed
-from orbitscope.numeric import Mode
+from orbitscope.errors import IndexSetMismatch, OrbitscopeError, VerificationFailed
+from orbitscope.numeric import Mode, real_value
 from orbitscope.orbits import ball_counts
 from orbitscope.spaces import dist_lt
 
@@ -145,9 +147,11 @@ class TestCoarseOrbit:
         assert found[Mode.EXACT].time == 35
         assert found[Mode.EXACT].achieved_distance == Fraction(1314, 1000)
 
-    def test_scan_ends_once_the_orbit_is_zero(self, monkeypatch):
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_scan_ends_once_the_orbit_is_zero(self, monkeypatch, mode):
         # e_0 dies at the first step, and 5 e_0 is outside the ball around
-        # 0: two distance checks answer a horizon of 10^7
+        # 0: two distance checks answer a horizon of 10^7 in the stepped
+        # float scan, and one in the exact scan, whose supports meet at n = 0 only
         checks = []
 
         def counted(*args):
@@ -156,9 +160,9 @@ class TestCoarseOrbit:
             return dist_lt(*args)
 
         monkeypatch.setattr(orbits, "dist_lt", counted)
-        assert coarse_orbit_contains(doubling(), en(0), 1, en(0, 5), 10 ** 7,
-                                     NormTag.PINF) is None
-        assert len(checks) == 2
+        x, y = (SeqVector.basis(IndexSet.NATURALS, 0, c, mode) for c in (1, 5))
+        assert coarse_orbit_contains(doubling(), x, 1, y, 10 ** 7, NormTag.PINF) is None
+        assert len(checks) == (1 if mode is Mode.EXACT else 2)
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("norm_tag", list(NormTag))
@@ -206,7 +210,8 @@ def coarse_case(case, mode):
 
 def full_coarse_scan(T, x, d, y, K, norm_tag):
     """Reference: every n <= K in turn, the point stepped by reference
-    single steps, with the witness check's pass-over rule."""
+    single steps, with the witness check's pass-over rule; T^n 0 = 0, so
+    it ends at the first zero point outside the ball."""
     v = x
     for n in range(K + 1):
         if dist_lt(v, y, norm_tag, d):
@@ -214,8 +219,146 @@ def full_coarse_scan(T, x, d, y, K, norm_tag):
                 return make_coarse_witness(T, x, d, y, n, norm_tag)
             except VerificationFailed:
                 pass
-        v = reference_apply(T, v)
+        elif v.is_zero:
+            break
+        if n < K:
+            v = reference_apply(T, v)
     return None
+
+
+SCAN_WEIGHTS = [2, Fraction(1, 2), Fraction(-3, 2), 1, Fraction(2, 3), (0, 1), (1, -1)]
+SCAN_ENTRIES = [1, -2, Fraction(1, 3), Fraction(-5, 4), (0, 1), (2, Fraction(1, 2))]
+# block sums: over Z index 7 lies in no band, over N index 10
+SCAN_BANDS = {IndexSet.INTEGERS: [Band(None, -4), Band(-3, 2), Band(3, 6), Band(8, None)],
+              IndexSet.NATURALS: [Band(0, 4), Band(5, 9), Band(11, None)]}
+
+
+@st.composite
+def scan_rules(draw):
+    w = st.sampled_from(SCAN_WEIGHTS)
+    kind = draw(st.sampled_from(["constant", "piecewise", "periodic", "table"]))
+    if kind == "constant":
+        return Constant(draw(w))
+    if kind == "piecewise":
+        return PiecewiseTwoSided(draw(w), draw(w))
+    if kind == "periodic":
+        return Periodic(tuple(draw(st.lists(w, min_size=1, max_size=3))))
+    return Table(draw(st.dictionaries(st.integers(-6, 12), w, max_size=3)), draw(w))
+
+
+@st.composite
+def scan_cases(draw):
+    """(T, x, y, d, K, p): every shape, block sums with diagonal blocks and
+    uncovered indices, the N floor; y near an orbit point, far, or zero;
+    d at ||y|| exactly, below it or above it; x or y now and then over the
+    other index set."""
+    shape = draw(st.sampled_from(list(Shape)))
+    if shape is Shape.BLOCK_DIRECT_SUM:
+        index_set = draw(st.sampled_from(list(IndexSet)))
+        T = ShiftOperator(shape, index_set, blocks=tuple(
+            Block(band, draw(st.sampled_from(["backward", "forward", "diagonal"])),
+                  draw(scan_rules()))
+            for band in SCAN_BANDS[index_set]))
+    else:
+        index_set = IndexSet.NATURALS if shape is Shape.UNILATERAL_BACKWARD \
+            else IndexSet.INTEGERS
+        T = ShiftOperator(shape, index_set, draw(scan_rules()))
+    mode = draw(st.sampled_from([Mode.EXACT, Mode.EXACT, Mode.EXACT, Mode.FLOAT64]))
+    other = IndexSet.NATURALS if index_set is IndexSet.INTEGERS else IndexSet.INTEGERS
+
+    def vector(index_set):
+        lo = 0 if index_set is IndexSet.NATURALS else -8
+        raw = draw(st.dictionaries(st.integers(lo, 13), st.sampled_from(SCAN_ENTRIES),
+                                   max_size=4))
+        return SeqVector.from_entries(index_set, raw, mode)
+
+    x = vector(other if draw(st.integers(0, 19)) == 0 else index_set)
+    target = draw(st.sampled_from(["near", "near", "far", "zero"]))
+    y = vector(other if draw(st.integers(0, 19)) == 0 else index_set)
+    if target == "zero":
+        y = SeqVector.zero(y.index_set, mode)
+    elif target == "near" and x.index_set is y.index_set is index_set:
+        try:
+            y = apply_power(T, draw(st.integers(0, 12)), x) + y.scale(Fraction(1, 8))
+        except IndexSetMismatch:  # a source of x in no band
+            pass
+    p = draw(st.sampled_from(list(NormTag)))
+    size = norm(y, p)
+    if not isinstance(size, Fraction) or not size:  # an irrational or zero norm
+        size = Fraction(1, 3) if not size else real_value(size, Mode.EXACT)
+    d = size * draw(st.sampled_from([1, 1, Fraction(1, 2), Fraction(1, 10), 2]))
+    return T, x, y, d, draw(st.integers(0, 25)), p
+
+
+def outcome(scan):
+    """What a scan returns, or the type of the error that ends it."""
+    try:
+        return scan()
+    except OrbitscopeError as exc:
+        return type(exc)
+
+
+class TestScreenedScans:
+    """Exact scans with ||y|| >= d measure only the times at which
+    supp T^n x meets supp y; every answer stays the full scan's."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=scan_cases())
+    def test_scans_match_the_full_scans(self, case):
+        T, x, y, d, K, p = case
+        assert outcome(lambda: coarse_orbit_contains(T, x, d, y, K, p)) == \
+            outcome(lambda: full_coarse_scan(T, x, d, y, K, p))
+        horizons = [K, K // 2, 0, -1]
+        assert outcome(lambda: ball_counts(T, x, y, d, horizons, p)) == \
+            outcome(lambda: [points_in_ball_scan(T, x, y, d, h, p) for h in horizons])
+
+    @pytest.mark.parametrize("p", list(NormTag))
+    def test_norm_equal_to_d_is_screened(self, monkeypatch, p):
+        # d = ||y|| for y = 3 e_5 and for y = 8 e_5: the doubling orbit of
+        # e_8 meets supp y at n = 3 only, in 8 e_5, outside the first ball
+        # and at the center of the second
+        measured = []
+        monkeypatch.setattr(orbits, "dist_lt",
+                            lambda v, *args: measured.append(v) or dist_lt(v, *args))
+        x = en(8)
+        assert coarse_orbit_contains(doubling(), x, 3, en(5, 3), 40, p) is None
+        assert ball_counts(doubling(), x, en(5, 3), 3, [40], p) == [0]
+        assert coarse_orbit_contains(doubling(), x, 8, en(5, 8), 40, p).time == 3
+        assert measured == [en(5, 8)] * 3
+
+    def test_a_diagonal_source_on_a_row_takes_the_stepped_scan(self, monkeypatch):
+        # the diagonal block keeps the source at 6 on supp y at every n
+        T, x, _, _ = coarse_case("one-band-dies", Mode.EXACT)
+        y = SeqVector.from_entries(IndexSet.INTEGERS, {6: 5})
+        measured = []
+        monkeypatch.setattr(orbits, "dist_lt",
+                            lambda *args: measured.append(args) or dist_lt(*args))
+        assert ball_counts(T, x, y, 1, [20], NormTag.PINF) == \
+            [points_in_ball_scan(T, x, y, 1, 20, NormTag.PINF)]
+        assert len(measured) == 21
+
+    def test_a_source_past_its_band_edge_is_not_measured(self, monkeypatch):
+        # riesz-blocks' bands: the source at 4 stays in [0, inf) and meets
+        # row 2 at n = 2; no source reaches row -50 across the band edge
+        T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
+            Block(Band(0, None), "backward", Constant(Fraction(1, 2))),
+            Block(Band(None, -1), "backward", Constant(2))))
+        measured = []
+        monkeypatch.setattr(orbits, "dist_lt",
+                            lambda v, *args: measured.append(v) or dist_lt(v, *args))
+        y = ei(-50, 7) + ei(2)
+        assert ball_counts(T, ei(0) + ei(4), y, 1, [100], NormTag.PINF) == [0]
+        assert measured == [ei(2, Fraction(1, 4))]
+
+    def test_prop21_measures_eight_points(self, monkeypatch):
+        # sources at 32, 35, 302, 305, 1002 and 1005 meet the rows 2 and 5
+        # at n = 27, 30, 33, 297, 300, 303, 997 and 1000 up to the ladder's 1000
+        T, x, y = _prop21_instance({"visit_times": (30, 300, 1000)}, Mode.EXACT)
+        measured = []
+        monkeypatch.setattr(orbits, "dist_lt",
+                            lambda *args: measured.append(args) or dist_lt(*args))
+        assert ball_counts(T, x, y, Fraction(3, 2), [100, 300, 1000], NormTag.PINF) == [1, 2, 3]
+        assert len(measured) <= 8
 
 
 def synth_orbit_instance(targets, times):
