@@ -1,13 +1,19 @@
 import math
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from orbitscope import (
+    Band,
+    Block,
     Constant,
     IndexSet,
+    Periodic,
     PiecewiseTwoSided,
     SeqVector,
     Shape,
     ShiftOperator,
+    Table,
     norm_lt,
 )
 from orbitscope.errors import IndexSetMismatch, NumericOverflow
@@ -79,6 +85,41 @@ def random_shift(rng):
         return ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
                              PiecewiseTwoSided(w(), w()))
     return ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS, Constant(w()))
+
+
+# block sums with annihilating band edges; over Z index 7 lies in no
+# band, over N index 10
+BLOCK_BANDS = {IndexSet.INTEGERS: [Band(None, -4), Band(-3, 2), Band(3, 6), Band(8, None)],
+               IndexSet.NATURALS: [Band(0, 4), Band(5, 9), Band(11, None)]}
+
+
+@st.composite
+def weight_rules(draw, weights):
+    """A weight rule of any kind over the given weights."""
+    w = st.sampled_from(weights)
+    kind = draw(st.sampled_from(["constant", "piecewise", "periodic", "table"]))
+    if kind == "constant":
+        return Constant(draw(w))
+    if kind == "piecewise":
+        return PiecewiseTwoSided(draw(w), draw(w))
+    if kind == "periodic":
+        return Periodic(tuple(draw(st.lists(w, min_size=1, max_size=3))))
+    return Table(draw(st.dictionaries(st.integers(-6, 12), w, max_size=3)), draw(w))
+
+
+@st.composite
+def shift_operators(draw, weights):
+    """An operator of any shape over the given weights; a block sum takes
+    a kind for each band of BLOCK_BANDS."""
+    shape = draw(st.sampled_from(list(Shape)))
+    if shape is Shape.BLOCK_DIRECT_SUM:
+        index_set = draw(st.sampled_from(list(IndexSet)))
+        return ShiftOperator(shape, index_set, blocks=tuple(
+            Block(band, draw(st.sampled_from(["backward", "forward", "diagonal"])),
+                  draw(weight_rules(weights)))
+            for band in BLOCK_BANDS[index_set]))
+    index_set = IndexSet.NATURALS if shape is Shape.UNILATERAL_BACKWARD else IndexSet.INTEGERS
+    return ShiftOperator(shape, index_set, draw(weight_rules(weights)))
 
 
 def vector_for(rng, T, lo=-8, hi=8):

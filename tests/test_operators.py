@@ -36,7 +36,7 @@ from orbitscope.errors import (
 )
 from orbitscope.numeric import QC, Mode, log2_abs, phase_of
 
-from conftest import nfold_apply, random_shift, reference_apply, vector_for
+from conftest import nfold_apply, random_shift, reference_apply, shift_operators, vector_for
 
 
 def ei(i, c=1):
@@ -90,38 +90,13 @@ STEP_WEIGHTS = [2, Fraction(1, 3), Fraction(-7, 5), (1, 1), (0, Fraction(1, 2)),
                 (0, Fraction(-1, 2 ** 600))]
 STEP_ENTRIES = [1, Fraction(-5, 3), Fraction(7, 2), (2, -1), (0, Fraction(1, 3)),
                 10 ** 300, Fraction(1, 10 ** 300)]
-# block sums with annihilating band edges; over Z, index 7 lies in no band
-STEP_BANDS = {IndexSet.INTEGERS: [Band(None, -4), Band(-3, 2), Band(3, 6), Band(8, None)],
-              IndexSet.NATURALS: [Band(0, 4), Band(5, 9), Band(11, None)]}
-
-
-@st.composite
-def step_rules(draw):
-    w = st.sampled_from(STEP_WEIGHTS)
-    kind = draw(st.sampled_from(["constant", "piecewise", "periodic", "table"]))
-    if kind == "constant":
-        return Constant(draw(w))
-    if kind == "piecewise":
-        return PiecewiseTwoSided(draw(w), draw(w))
-    if kind == "periodic":
-        return Periodic(tuple(draw(st.lists(w, min_size=1, max_size=3))))
-    return Table(draw(st.dictionaries(st.integers(-6, 12), w, max_size=3)), draw(w))
 
 
 @st.composite
 def step_cases(draw):
     """(T, x, K): every shape, x over T's index set or the other one."""
-    shape = draw(st.sampled_from(list(Shape)))
-    if shape is Shape.BLOCK_DIRECT_SUM:
-        index_set = draw(st.sampled_from(list(IndexSet)))
-        blocks = tuple(Block(band, draw(st.sampled_from(["backward", "forward", "diagonal"])),
-                             draw(step_rules()))
-                       for band in STEP_BANDS[index_set])
-        T = ShiftOperator(shape, index_set, blocks=blocks)
-    else:
-        index_set = IndexSet.NATURALS if shape is Shape.UNILATERAL_BACKWARD \
-            else IndexSet.INTEGERS
-        T = ShiftOperator(shape, index_set, draw(step_rules()))
+    T = draw(shift_operators(STEP_WEIGHTS))
+    index_set = T.index_set
     if draw(st.integers(0, 9)) == 0:  # a mismatched index set
         index_set = IndexSet.NATURALS if index_set is IndexSet.INTEGERS else IndexSet.INTEGERS
     lo = 0 if index_set is IndexSet.NATURALS else -8

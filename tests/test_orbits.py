@@ -12,7 +12,6 @@ from orbitscope import (
     NormTag,
     OpenCone,
     Periodic,
-    PiecewiseTwoSided,
     SeqVector,
     Shape,
     ShiftOperator,
@@ -37,7 +36,7 @@ from orbitscope.orbits import ball_counts
 from orbitscope.spaces import dist_lt
 
 from conftest import nfold_apply, points_in_ball_scan, random_shift, reference_apply, \
-    vector_for
+    shift_operators, vector_for
 
 
 def ei(i, c=1):
@@ -228,22 +227,6 @@ def full_coarse_scan(T, x, d, y, K, norm_tag):
 
 SCAN_WEIGHTS = [2, Fraction(1, 2), Fraction(-3, 2), 1, Fraction(2, 3), (0, 1), (1, -1)]
 SCAN_ENTRIES = [1, -2, Fraction(1, 3), Fraction(-5, 4), (0, 1), (2, Fraction(1, 2))]
-# block sums: over Z index 7 lies in no band, over N index 10
-SCAN_BANDS = {IndexSet.INTEGERS: [Band(None, -4), Band(-3, 2), Band(3, 6), Band(8, None)],
-              IndexSet.NATURALS: [Band(0, 4), Band(5, 9), Band(11, None)]}
-
-
-@st.composite
-def scan_rules(draw):
-    w = st.sampled_from(SCAN_WEIGHTS)
-    kind = draw(st.sampled_from(["constant", "piecewise", "periodic", "table"]))
-    if kind == "constant":
-        return Constant(draw(w))
-    if kind == "piecewise":
-        return PiecewiseTwoSided(draw(w), draw(w))
-    if kind == "periodic":
-        return Periodic(tuple(draw(st.lists(w, min_size=1, max_size=3))))
-    return Table(draw(st.dictionaries(st.integers(-6, 12), w, max_size=3)), draw(w))
 
 
 @st.composite
@@ -252,17 +235,8 @@ def scan_cases(draw):
     uncovered indices, the N floor; y near an orbit point, far, or zero;
     d at ||y|| exactly, below it or above it; x or y now and then over the
     other index set."""
-    shape = draw(st.sampled_from(list(Shape)))
-    if shape is Shape.BLOCK_DIRECT_SUM:
-        index_set = draw(st.sampled_from(list(IndexSet)))
-        T = ShiftOperator(shape, index_set, blocks=tuple(
-            Block(band, draw(st.sampled_from(["backward", "forward", "diagonal"])),
-                  draw(scan_rules()))
-            for band in SCAN_BANDS[index_set]))
-    else:
-        index_set = IndexSet.NATURALS if shape is Shape.UNILATERAL_BACKWARD \
-            else IndexSet.INTEGERS
-        T = ShiftOperator(shape, index_set, draw(scan_rules()))
+    T = draw(shift_operators(SCAN_WEIGHTS))
+    index_set = T.index_set
     mode = draw(st.sampled_from([Mode.EXACT, Mode.EXACT, Mode.EXACT, Mode.FLOAT64]))
     other = IndexSet.NATURALS if index_set is IndexSet.INTEGERS else IndexSet.INTEGERS
 
