@@ -7,16 +7,16 @@ reported as "certified to depth m at schedule eps", never as membership
 in the infinite-time set itself.
 
 One search serves every operator.  Each power T^k is monomial: source
-s feeds target j with weight product W, so the search back-solves
-coordinate by coordinate.  In the sup norm a time k admits a witness
-exactly when every mismatch m = y_j - W x_s has |m| < d + |W| eps (|m| < d
-on a row with no source).  For real exact entries and weights this is
-decided by integer cross-multiplication from one table of rows, each
-with its source, product and mismatch formed once, and the perturbed
-image is read off the same rows; complex entries and float mode keep
-the row rule as a screen, followed by the final checks.  p1 and p2
-share a greedy budget between the rows.  The search is budgeted
-in power applications; its failures are labelled reasons.  Three of them,
+s feeds target j with weight product W, read off one row table per
+search that steps each row of y from one time to the next, so the search
+back-solves coordinate by coordinate.  In the sup norm a time k admits a
+witness exactly when every mismatch m = y_j - W x_s has |m| < d + |W| eps
+(|m| < d on a row with no source).  For real exact entries and weights
+this is decided by integer cross-multiplication, and the perturbed image
+is read off the same rows; complex entries and float mode keep the row
+rule as a screen, followed by the final checks.  p1 and p2 share a
+greedy budget between the rows.  The search is budgeted in power
+applications; its failures are labelled reasons.  Three of them,
 decay-bound, collapse-bound and tail-bound, are exact proofs that y is not
 in J(x, T, d); every other reason means "not found within this budget and
 strategy", never non-membership.
@@ -41,10 +41,10 @@ from .errors import (
     VerificationFailed,
 )
 from .numeric import FieldsJSON, Mode, QC, abs2, exact_sqrt, \
-    jsonable, log2_abs, make_scalar, real_value, scalar_zero, sqrt_bounds, \
-    strict_gt, to_float
-from .operators import _OFFSET, ShiftOperator, apply_power, path_source, power_paths, \
-    weight_product
+    jsonable, log2_abs, make_scalar, positive_value, real_value, scalar_zero, \
+    sqrt_bounds, strict_gt, to_float
+from .operators import _OFFSET, ShiftOperator, _path_exact, _path_into, apply_power, \
+    power_paths, weight_product
 from .orbits import CoarseWitness, coarse_orbit_contains
 from .spaces import IndexSet, NormTag, SeqVector, dist, dist_and_lt, dist_lt
 
@@ -224,21 +224,57 @@ def prop31_rescale(T: ShiftOperator, w: JWitness, N) -> JWitness:
 # -- budgeted search ----------------------------------------------------------------
 
 
-def _correction_rows(T: ShiftOperator, k: int, coords, y: SeqVector,
-                     image0: SeqVector):
-    """(j, mismatch, source, weight product) at time k for each coordinate
-    where the image misses y; source and product are None when no path
-    reaches j."""
-    rows = []
-    zero = scalar_zero(image0.mode)
-    for j in sorted(coords):
-        target, image = y._entries.get(j, zero), image0._entries.get(j, zero)
-        if target == image:
-            continue
-        mismatch = target - image
-        s = path_source(T, j, k)
-        rows.append((j, mismatch, s, None if s is None else weight_product(T, j, k)))
-    return rows
+_UNREACHED = (None, scalar_zero(Mode.EXACT), None)  # a row no path reaches
+
+
+class _TargetRows:
+    """One search's rows, from which each of its attempts reads every row's
+    source s and exact path product W: power_paths gives the rows of
+    T^k(supp x) (``landed``), and ``at`` keeps (s, W, lane) for each row j
+    of supp y at the last time k asked, with the lane (offset, weight_at,
+    contains) of j's band, else _UNREACHED.  At k + 1 each source moves one
+    index away from j and W takes its weight, reduced, so a row stays
+    (path_source, weight_product) exactly; a source that leaves its band,
+    an interval, never returns.  Other times form afresh.
+
+    It also keeps the first time at which the search's x had no path left:
+    by the same interval argument none comes back, so power_paths is not
+    called again from that time on."""
+
+    def __init__(self, T: ShiftOperator, y: SeqVector):
+        self.T, self.k, self.rows = T, None, dict.fromkeys(y._entries)
+        self.dead_from = math.inf
+
+    def landed(self, x: SeqVector, k: int) -> list[tuple]:
+        """power_paths(T, k, x) for the search's x, [] once it came back empty."""
+        if k >= self.dead_from:
+            return []
+        out = power_paths(self.T, k, x)
+        if not out:
+            self.dead_from = k
+        return out
+
+    def at(self, k: int) -> dict:
+        rows = self.rows
+        if k - 1 != self.k:
+            for j in rows:
+                rows[j] = self._formed(j, k)
+        else:
+            for j, (s, w, lane) in rows.items():
+                if lane is not None:
+                    step, weight_at, contains = lane
+                    s -= step
+                    rows[j] = (s, w * weight_at(s), lane) if contains(s) else _UNREACHED
+        self.k = k
+        return rows
+
+    def _formed(self, j: int, k: int) -> tuple:
+        path = _path_into(self.T, j, k)
+        if path is None:
+            return _UNREACHED
+        s, kind, weights, band = path
+        return s, _path_exact(kind, weights, s, j, k), \
+            (_OFFSET[kind], weights.weight_at, band.contains)
 
 
 _K_CAP = 10_000  # largest time tried, and largest mix-block start
@@ -280,9 +316,7 @@ class _SearchLog:
                  eps_last: Fraction, budget: int, norm_tag: NormTag):
         self.T, self.x, self.y, self.norm_tag = T, x, y, norm_tag
         self.mode = x.mode if not x.is_zero else y.mode
-        self.d_val = real_value(d, self.mode)
-        if to_float(self.d_val) <= 0:
-            raise OrbitscopeError("d must be positive")
+        self.d_val = positive_value(d, self.mode, "d")
         self.budget = Budget(budget)
         self.stops = _StructuralStops(T, x, y, self.d_val, eps_last, norm_tag)
         # real exact vectors and weights in the sup norm: decided in integers
@@ -290,7 +324,7 @@ class _SearchLog:
             and x.index_set is y.index_set is T.index_set \
             and not any(v._b for v in (*x._entries.values(), *y._entries.values())) \
             and not any(w._b for _, rule, _ in T.components() for w in rule.weight_values())
-        self.targets = _TargetRows(T, y) if self.real_sup else None
+        self.targets = _TargetRows(T, y)
         self.attempts = 0
         self.k_last = 0
         self.reset_best()
@@ -304,7 +338,7 @@ class _SearchLog:
                                     self.budget, self.targets)
         else:
             att = _greedy_attempt(self.T, self.x, self.y, self.d_val, eps, k,
-                                  self.norm_tag, self.budget, self.mode)
+                                  self.norm_tag, self.budget, self.mode, self.targets)
         if att is not None:
             self.attempts += 1
             self.k_last = k
@@ -350,22 +384,28 @@ def _magnitude(v):
 
 
 def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
-                    k: int, norm_tag: NormTag, budget: Budget,
-                    mode: Mode) -> _Attempt | None:
+                    k: int, norm_tag: NormTag, budget: Budget, mode: Mode,
+                    targets: _TargetRows) -> _Attempt | None:
     """One back-solve attempt at time k; None when the budget ran out.
 
-    In the sup norm the attempt is decided row by row, exactly for real
-    exact entries and as a screen otherwise; the final checks decide.  A
-    search over real exact vectors and weights runs _real_sup_attempt in
-    its place."""
+    Each row where T^k x misses y reads its source and product from
+    targets.  In the sup norm the attempt is decided row by row, exactly for
+    real exact entries and as a screen otherwise; the final checks decide.
+    A search over real exact vectors and weights runs _real_sup_attempt."""
     if not budget.try_spend(1):
         return None
     try:
         image0 = apply_power(T, k, x)
     except NumericOverflow:
         return _Attempt(False, None, None, math.inf, math.inf)
-    coords = set(y.support) | set(image0.support)
-    rows = _correction_rows(T, k, coords, y, image0)
+    paths = {j: (s, w) for j, (s, w, _) in targets.at(k).items()}
+    paths.update((t, (s, w)) for s, _, t, w in targets.landed(x, k))
+    zero = scalar_zero(image0.mode)
+    rows = []  # (j, mismatch, s, W); s is None when no path reaches j
+    for j in sorted(paths):
+        target, image = y._entries.get(j, zero), image0._entries.get(j, zero)
+        if target != image:
+            rows.append((j, target - image, *paths[j]))
     delta_entries = {}
     uncorrected = []
     feasible = True
@@ -440,56 +480,6 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
                     to_float(r))
 
 
-_UNREACHED = (None, scalar_zero(Mode.EXACT), None)  # a row no path reaches
-
-
-class _TargetRows:
-    """(s, W, lane) for each row j of supp y at the last time k asked: the
-    source and exact product of the k-step path landing at j, and the lane
-    (offset, weight_at, contains) of j's band; else _UNREACHED.  At k + 1
-    each source moves one index away from j and W takes its weight, reduced,
-    so a row stays (path_source, weight_product) exactly; a source that
-    leaves its band, an interval, never returns.  Other times form afresh.
-
-    It also keeps the first time at which the search's x had no path left:
-    by the same interval argument none comes back, so power_paths is not
-    called again from that time on."""
-
-    def __init__(self, T: ShiftOperator, y: SeqVector):
-        self.T, self.k, self.rows = T, None, dict.fromkeys(y._entries)
-        self.dead_from = math.inf
-
-    def landed(self, x: SeqVector, k: int) -> list[tuple]:
-        """power_paths(T, k, x) for the search's x, [] once it came back empty."""
-        if k >= self.dead_from:
-            return []
-        out = power_paths(self.T, k, x)
-        if not out:
-            self.dead_from = k
-        return out
-
-    def at(self, k: int) -> dict:
-        rows = self.rows
-        if k - 1 != self.k:
-            for j in rows:
-                rows[j] = self._formed(j, k)
-        else:
-            for j, (s, w, lane) in rows.items():
-                if lane is not None:
-                    step, weight_at, contains = lane
-                    s -= step
-                    rows[j] = (s, w * weight_at(s), lane) if contains(s) else _UNREACHED
-        self.k = k
-        return rows
-
-    def _formed(self, j: int, k: int) -> tuple:
-        s = path_source(self.T, j, k)
-        if s is None:
-            return _UNREACHED
-        kind, weights, band = self.T.component_for(j)
-        return s, weight_product(self.T, j, k), (_OFFSET[kind], weights.weight_at, band.contains)
-
-
 def _as_float(num: int, den: int) -> float:
     """num/den correctly rounded, as to_float rounds a Fraction; inf past
     double range."""
@@ -501,19 +491,18 @@ def _as_float(num: int, den: int) -> float:
 
 def _real_sup_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val: Fraction,
                       eps: Fraction, k: int, budget: Budget,
-                      targets: _TargetRows | None = None) -> _Attempt | None:
+                      targets: _TargetRows) -> _Attempt | None:
     """_greedy_attempt's sup-norm attempt for real exact x, y and weights,
-    with the same result, decided in integers from one row table.
+    with the same result, decided in integers from the same row table.
 
-    Each row j of supp y and T^k(supp x) gets its source s, product
-    W = wa/wd (from power_paths, else from the search's targets) and
-    mismatch m = y_j - W x_s = p/q once.  The row rule is decided by
-    cross-multiplication, and the distance of the perturbed image,
-    max_j |y_j - W z_s|, is read off the same rows."""
+    Each row j of supp y and T^k(supp x) gets its source s and product
+    W = wa/wd from the search's targets, and its mismatch
+    m = y_j - W x_s = p/q, once; no power is applied.  The row rule is
+    decided by cross-multiplication, and the distance of the perturbed
+    image, max_j |y_j - W z_s|, is read off the same rows."""
     if not budget.try_spend(1):
         return None
     ys = y._entries
-    targets = targets or _TargetRows(T, y)
     paths = targets.at(k)
     rows = {}  # j -> (s, wa, wd, p, q) with q > 0; s is None when no path reaches j
     for s, v, j, w in targets.landed(x, k):

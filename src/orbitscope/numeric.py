@@ -21,6 +21,8 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .errors import OrbitscopeError
+
 TOL_EQ = 1e-9
 
 # float64-mode magnitudes past 2^900 are an error, not an infinity
@@ -268,6 +270,15 @@ def real_value(value, mode: Mode):
     """Coerce a real quantity (bound, radius, weight) to the mode's carrier."""
     f = _as_fraction(value) if not isinstance(value, Fraction) else value
     return f if mode is Mode.EXACT else float(f)
+
+
+def positive_value(value, mode: Mode, name: str):
+    """real_value(value, mode) if it is positive there: decided exactly on a
+    Fraction, however small; a float that rounds to 0.0 is refused."""
+    v = real_value(value, mode)
+    if not v > 0:
+        raise OrbitscopeError(f"{name} must be positive")
+    return v
 
 
 def to_float(value) -> float:

@@ -400,18 +400,22 @@ def _path_log2(kind: str, weights: WeightRule, s: int, t: int,
     return weights.product_log2(*_path_span(kind, s, t))
 
 
-def path_source(T: ShiftOperator, j: int, n: int) -> int | None:
-    """Source index whose mass lands at j after n steps, if any."""
+def _path_into(T: ShiftOperator, j: int, n: int) -> tuple | None:
+    """(s, kind, weights, band) for the n-step path landing at j: its source
+    s and the component of j it runs in; None when no source reaches j."""
     comp = T.component_for(j)
     if comp is None:
         return None
-    kind, _, band = comp
-    s = j - _OFFSET[kind] * n
-    if not band.contains(s):
+    s = j - _OFFSET[comp[0]] * n
+    if not comp[2].contains(s) or not T.index_set.contains(s):
         return None
-    if not T.index_set.contains(s):
-        return None
-    return s
+    return (s, *comp)
+
+
+def path_source(T: ShiftOperator, j: int, n: int) -> int | None:
+    """Source index whose mass lands at j after n steps, if any."""
+    path = _path_into(T, j, n)
+    return None if path is None else path[0]
 
 
 def weight_product(T: ShiftOperator, target_index: int, n: int) -> QC:
@@ -424,10 +428,10 @@ def weight_product(T: ShiftOperator, target_index: int, n: int) -> QC:
         raise OrbitscopeError("power must be non-negative")
     if n == 0:
         return _ONE
-    s = path_source(T, target_index, n)
-    if s is None:
+    path = _path_into(T, target_index, n)
+    if path is None:
         return scalar_zero(Mode.EXACT)
-    kind, weights, _ = T.component_for(target_index)
+    s, kind, weights, _ = path
     return _path_exact(kind, weights, s, target_index, n)
 
 

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import OrbitscopeError, VerificationFailed
-from .numeric import TOL_EQ, FieldsJSON, Mode, jsonable, real_value, to_float
+from .numeric import TOL_EQ, FieldsJSON, Mode, jsonable, positive_value, real_value, to_float
 from .operators import ShiftOperator, apply_power, iterate, meetings
 from .spaces import NormTag, OpenCone, SeqVector, cone_sample, dist_and_lt, dist_lt, norm, \
     norm_lt
@@ -136,8 +136,7 @@ def coarse_orbit_contains(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
     over: the query answers and never raises.  T^n 0 = 0, so the scan ends
     at the first zero point outside the ball.
     """
-    if to_float(d) <= 0:
-        raise OrbitscopeError("d must be positive")
+    d = positive_value(d, x.mode if not x.is_zero else y.mode, "d")
     for n, v in _visits(T, x, y, d, K, norm_tag):
         if dist_lt(v, y, norm_tag, d):
             try:
@@ -168,8 +167,7 @@ class CoarseDensityReport(FieldsJSON):
 def coarse_density_report(T: ShiftOperator, x: SeqVector, d, C: OpenCone,
                           sample_count: int, K: int, seed: int) -> CoarseDensityReport:
     """Check sampled cone members for coarse-orbit witnesses up to horizon K."""
-    if to_float(d) <= 0:
-        raise OrbitscopeError("d must be positive")
+    d = positive_value(d, C.mode, "d")
     samples = cone_sample(C, sample_count, seed)
     witnesses = []
     failures = []
@@ -189,7 +187,7 @@ def coarse_density_report(T: ShiftOperator, x: SeqVector, d, C: OpenCone,
         hit_ratio=hits / sample_count if sample_count else 1.0,
         sample_count=sample_count,
         horizon=K,
-        bound=real_value(d, C.mode),
+        bound=d,
         seed=seed,
         max_first_time=max((w.time for w in witnesses), default=None),
         witnesses=tuple(witnesses),
@@ -206,9 +204,7 @@ def rescale_coarse_witness(T: ShiftOperator, w: CoarseWitness, M) -> CoarseWitne
     bug, not a dynamics fact.
     """
     mode = w.base.mode if not w.base.is_zero else w.target.mode
-    m_val = real_value(M, mode)
-    if to_float(m_val) <= 0:
-        raise OrbitscopeError("M must be positive")
+    m_val = positive_value(M, mode, "M")
     factor = m_val / w.bound
     return make_coarse_witness(T, w.base.scale(factor), m_val,
                                w.target.scale(factor), w.time, w.norm_tag)

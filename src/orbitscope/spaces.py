@@ -27,6 +27,7 @@ from .numeric import (
     log2_abs,
     make_scalar,
     mode_of_scalar,
+    positive_value,
     real_value,
     scalar_zero,
     strict_gt,
@@ -430,9 +431,7 @@ class OpenCone:
     _radius_value: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = real_value(self.radius, self.center.mode)
-        if not (to_float(r) > 0):
-            raise OrbitscopeError("cone radius must be positive")
+        r = positive_value(self.radius, self.center.mode, "cone radius")
         if not norm_gt(self.center, self.norm, r):
             raise OrbitscopeError("cone requires ||center|| > radius")
         object.__setattr__(self, "_radius_value", r)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import random
@@ -37,6 +38,7 @@ from orbitscope import (
 from orbitscope.errors import (
     IndexSetMismatch,
     InputNotAWitnessFamily,
+    NumericOverflow,
     OrbitscopeError,
     SearchFailed,
     VerificationFailed,
@@ -50,7 +52,8 @@ from orbitscope.limit_sets import (
     _greedy_attempt,
     _real_sup_attempt,
 )
-from orbitscope.numeric import QC, Mode, real_value, to_float
+from orbitscope.numeric import QC, Mode, abs2, make_scalar, real_value, scalar_zero, \
+    strict_gt, to_float
 from orbitscope.operators import (
     Band,
     Block,
@@ -240,6 +243,21 @@ class TestSearch:
         assert w.times == (1100, 1101)
         assert all(t.perturbed == x for t in w.triples)
 
+    @pytest.mark.parametrize("search", ["j", "jmix"])
+    def test_positive_d_below_double_range(self, search):
+        # 10^-400 is positive, yet rounds to the double 0.0: the identity
+        # keeps x at x, at distance 0, in exact mode, and float mode refuses
+        T = ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS, Constant(1))
+        d = Fraction(1, 10 ** 400)
+        for mode in Mode:
+            x = ei(0, 3, mode) + ei(2, -1, mode)
+            with pytest.raises(OrbitscopeError, match="d must be positive") \
+                    if mode is Mode.FLOAT64 else contextlib.nullcontext():
+                w = search_j_witness(T, x, x, d, EpsSchedule.reciprocal(3), 100) \
+                    if search == "j" else jmix_witness(T, x, x, d, 3, 1, 100)
+                assert w.times == (1, 2, 3) and w.bound == d
+                assert all(t.perturbed == x and t.dist == 0 for t in w.triples)
+
     def test_budget_exhaustion_reported(self):
         # the weight 1/2 on the non-positive side rules out every structural stop
         T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
@@ -254,8 +272,9 @@ class TestSearch:
 def sup_attempt(T, x, y, d, eps, k):
     """One exact sup-norm attempt at time k, the same from both attempt
     functions; its witness, when it finds one, must pass verify."""
-    att = _greedy_attempt(T, x, y, d, eps, k, NormTag.PINF, Budget(2), Mode.EXACT)
-    assert _real_sup_attempt(T, x, y, d, eps, k, Budget(2)) == att
+    att = _greedy_attempt(T, x, y, d, eps, k, NormTag.PINF, Budget(2), Mode.EXACT,
+                          _TargetRows(T, y))
+    assert _real_sup_attempt(T, x, y, d, eps, k, Budget(2), _TargetRows(T, y)) == att
     if att.ok:
         JWitness(x, y, d, NormTag.PINF, EpsSchedule((eps,)),
                  (JWitnessTriple(att.perturbed, k, att.dist),)).verify(T)
@@ -346,6 +365,11 @@ def reference_sup_attempt(T, x, y, d_val, eps, k, budget):
     r, ok = dist_and_lt(apply_power(T, k, perturbed), y, NormTag.PINF, d_val)
     return _Attempt(ok, perturbed if ok else None, r if ok else None, delta_norm,
                     to_float(r))
+
+
+def real_sup_attempt(T, x, y, d_val, eps, k, budget):
+    """_real_sup_attempt with a row table of its own."""
+    return _real_sup_attempt(T, x, y, d_val, eps, k, budget, _TargetRows(T, y))
 
 
 def outcome(attempt, T, x, y, d, eps, k, budget_limit):
@@ -452,7 +476,7 @@ class TestRealSupAttempt:
                 d = m - w * eps
             elif tie == "eps" and w:
                 eps = m / w
-        assert outcome(_real_sup_attempt, T, x, y, d, eps, k, budget) == \
+        assert outcome(real_sup_attempt, T, x, y, d, eps, k, budget) == \
             outcome(reference_sup_attempt, T, x, y, d, eps, k, budget)
 
     @pytest.mark.parametrize("budget", [0, 1, 2])
@@ -464,7 +488,7 @@ class TestRealSupAttempt:
         y = SeqVector.from_entries(IndexSet.NATURALS, {0: 10 ** 1000, 1: 10 ** 1200})
         args = (T, SeqVector.zero(IndexSet.NATURALS), y, Fraction(1), Fraction(10 ** 700),
                 1, budget)
-        out = outcome(_real_sup_attempt, *args)
+        out = outcome(real_sup_attempt, *args)
         assert out == outcome(reference_sup_attempt, *args)
         if budget:
             assert out == ((False, None, None, math.inf, math.inf), 1)
@@ -475,7 +499,7 @@ class TestRealSupAttempt:
             Block(Band(None, -4), "backward", Constant(2)),
             Block(Band(-2, 3), "diagonal", Constant(Fraction(1, 2)))))
         args = (T, ei(-3) + ei(1), ei(0), Fraction(1), Fraction(1, 2), 1, 2)
-        out = outcome(_real_sup_attempt, *args)
+        out = outcome(real_sup_attempt, *args)
         assert out == outcome(reference_sup_attempt, *args)
         assert out == ("IndexSetMismatch", "vector support index -3 lies in no band", 1)
 
@@ -588,6 +612,231 @@ class TestRealSupAttempt:
         assert len(attempts) > dies_at
         assert asked == list(range(1, dies_at + 1))
         assert power_paths(T, dies_at, x) == [] and power_paths(T, dies_at - 1, x)
+
+
+def reference_greedy_attempt(T, x, y, d_val, eps, k, norm_tag, budget, mode):
+    """_greedy_attempt as it stood before the search's row table: every
+    row where the image misses y forms its source and product afresh with
+    path_source and weight_product; the row rule is the same."""
+    if not budget.try_spend(1):
+        return None
+    try:
+        image0 = apply_power(T, k, x)
+    except NumericOverflow:
+        return _Attempt(False, None, None, math.inf, math.inf)
+    rows = []
+    zero = scalar_zero(image0.mode)
+    for j in sorted(set(y.support) | set(image0.support)):
+        target, image = y._entries.get(j, zero), image0._entries.get(j, zero)
+        if target == image:
+            continue
+        s = path_source(T, j, k)
+        rows.append((j, target - image, s, None if s is None else weight_product(T, j, k)))
+    delta_entries, uncorrected, feasible = {}, [], True
+    if norm_tag is NormTag.PINF:
+        for _, m, s, wp in rows:
+            if s is not None:
+                u = limit_sets._div_by_product(m, wp, mode)
+                u_abs = limit_sets._magnitude(u)
+                if strict_gt(eps, u_abs, mode):
+                    delta_entries[s] = u
+                    continue
+            m_abs = limit_sets._magnitude(m)
+            if strict_gt(d_val, m_abs, mode):
+                uncorrected.append(to_float(m_abs))
+                continue
+            if s is not None:
+                lo, hi = 1 - d_val / m_abs, eps / u_abs
+                if lo < hi:
+                    t = (lo + hi) / 2
+                    delta_entries[s] = u * make_scalar(t, mode)
+                    uncorrected.append(to_float((1 - t) * m_abs))
+                    continue
+            feasible = False
+            uncorrected.append(to_float(m_abs))
+    else:
+        fixable = []
+        for j, m, s, wp in rows:
+            m_f = math.sqrt(to_float(abs2(m)))
+            if s is None:
+                uncorrected.append(m_f)
+                continue
+            u = limit_sets._div_by_product(m, wp, mode)
+            fixable.append((to_float(limit_sets._magnitude(u)), m_f, j, u, s))
+        fixable.sort(key=lambda r: (r[0], r[2]))
+        eps_f, p2 = to_float(eps), norm_tag is NormTag.P2
+        budget_total = (eps_f * limit_sets._THETA) ** 2 if p2 else eps_f * limit_sets._THETA
+        spent = 0.0
+        for cost, m_f, _, u, s in fixable:
+            add = cost * cost if p2 else cost
+            if spent + add <= budget_total:
+                delta_entries[s] = u
+                spent += add
+            else:
+                uncorrected.append(m_f)
+    delta = SeqVector(x.index_set, delta_entries, mode)
+    delta_r, delta_ok = dist_and_lt(delta, SeqVector.zero(x.index_set, mode), norm_tag, eps)
+    delta_norm = to_float(delta_r)
+    if norm_tag is NormTag.PINF:
+        residual_est = max(uncorrected, default=0.0)
+    elif norm_tag is NormTag.P2:
+        residual_est = math.sqrt(sum(t * t for t in uncorrected))
+    else:
+        residual_est = sum(uncorrected)
+    if not feasible or not delta_ok:
+        return _Attempt(False, None, None, delta_norm, residual_est)
+    if not budget.try_spend(1):
+        return None
+    perturbed = x + delta
+    try:
+        image = apply_power(T, k, perturbed)
+    except NumericOverflow:
+        return _Attempt(False, None, None, delta_norm, math.inf)
+    r, ok = dist_and_lt(image, y, norm_tag, d_val)
+    return _Attempt(ok, perturbed if ok else None, r if ok else None, delta_norm,
+                    to_float(r))
+
+
+def greedy_outcome(attempt, budget, *args):
+    """(the _Attempt, the budget used after it), or the error raised."""
+    try:
+        return attempt(*args[:7], budget, *args[7:]), budget.used
+    except IndexSetMismatch as exc:
+        return "IndexSetMismatch", str(exc), budget.used
+
+
+def compared_attempt(T, x, y, d_val, eps, k, norm_tag, budget, mode, targets):
+    """_greedy_attempt, after checking that it gives what
+    reference_greedy_attempt gives from the same budget state."""
+    ref = Budget(budget.limit)
+    ref.used = budget.used
+    args = (T, x, y, d_val, eps, k, norm_tag)
+    want = greedy_outcome(reference_greedy_attempt, ref, *args, mode)
+    got = greedy_outcome(_greedy_attempt, budget, *args, mode, targets)
+    assert got == want
+    if got[0] == "IndexSetMismatch":
+        raise IndexSetMismatch(got[1])
+    return got[0]
+
+
+def in_mode(v, mode, turn=None):
+    """v in mode, with the entry at index turn (if any) times 1 + i."""
+    return SeqVector.from_entries(v.index_set, {
+        i: u * QC(1, 1) if i == turn else u for i, u in v.items()}, mode)
+
+
+def riesz_operator():
+    """riesz-blocks' shape: sources above 0 die at the band's floor."""
+    return ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
+        Block(Band(0, None), "backward", Constant(Fraction(1, 2))),
+        Block(Band(None, -1), "backward", Constant(2))))
+
+
+class TestGreedyAttempt:
+    """Every attempt reads its rows from the search's one row table and
+    gives the attempt that rows formed afresh at each time gave."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), norm_tag=st.sampled_from(list(NormTag)),
+           mode=st.sampled_from(list(Mode)), turn=st.booleans(),
+           near=st.sampled_from([None, 0, Fraction(1, 8), Fraction(1, 2)]),
+           start=st.integers(1, 6), m=st.integers(1, 5), d=radii, eps=radii,
+           budget=st.sampled_from([0, 1, 2, 2, 2, 2]))
+    def test_matches_rows_formed_afresh(self, seed, norm_tag, mode, turn, near, start, m,
+                                        d, eps, budget):
+        # times start..start+m-1, then a jmix restart at start + 1, a time
+        # that is not the next one; the operators' sources leave their
+        # bands, and -3 and 4 lie in no band
+        rng = random.Random(seed)
+        T = random_operator(rng)
+        x, y = vector_for(rng, T, -9, 9), vector_for(rng, T, -9, 9)
+        if near is not None:
+            try:
+                y = apply_power(T, start, x) + y.scale(near)
+            except IndexSetMismatch:
+                pass
+        x = in_mode(x, mode)
+        y = in_mode(y, mode, rng.choice(y.support) if turn and not y.is_zero else None)
+        d_val, eps_val = real_value(d, mode), real_value(eps, mode)
+        targets = _TargetRows(T, y)
+        for k in [*range(start, start + m), *range(start + 1, start + 1 + m)]:
+            try:
+                compared_attempt(T, x, y, d_val, eps_val, k, norm_tag, Budget(budget),
+                                 mode, targets)
+            except IndexSetMismatch:
+                pass
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("norm_tag", list(NormTag), ids=lambda n: n.value)
+    def test_searches_match_rows_formed_afresh(self, monkeypatch, mode, norm_tag):
+        # a search on riesz-blocks' shape, from an x whose sources die after
+        # 1 and 5 steps, to a target with one complex entry
+        times = []
+
+        def attempt(*args):
+            times.append(args[5])
+            return compared_attempt(*args)
+
+        monkeypatch.setattr(limit_sets, "_greedy_attempt", attempt)
+        T = riesz_operator()
+        x = in_mode(ei(0) + ei(4, Fraction(1, 3)), mode)
+        y = in_mode(SeqVector.from_entries(IndexSet.INTEGERS, {
+            2: Fraction(1, 4), 5: Fraction(-1, 3), -50: 7, -43: -3}), mode, -43)
+        w = search_j_witness(T, x, y, 1, EpsSchedule.reciprocal(5), 20_000,
+                             norm_tag=norm_tag)
+        assert times[-1] == w.times[-1] and len(times) > 6
+        # jmix from 0 under the unweighted shift: the row 0 of y, with
+        # |y_0| = 4/5 at d = 1/2, is fixed at eps = 1 in every norm, but not
+        # at eps = 1/2 (p1, p2) or 1/4 (p∞), so every block fails part way
+        # and the next starts at a time already tried
+        times.clear()
+        T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, Constant(1))
+        y = in_mode(ei(0, Fraction(4, 5)) + ei(3, Fraction(1, 20)), mode, 3)
+        with pytest.raises(SearchFailed):
+            jmix_witness(T, SeqVector.zero(IndexSet.INTEGERS, mode), y, Fraction(1, 2),
+                         4, 1, 100, norm_tag=norm_tag)
+        assert any(b <= a for a, b in zip(times, times[1:]))
+
+    def test_next_time_forms_no_row_of_y(self, monkeypatch):
+        # a float search: after its first attempt, the attempt at the next
+        # time calls weight_product for no row and forms only the products
+        # of the paths from supp x; the rows of supp y are stepped
+        T = riesz_operator()
+        x = in_mode(ei(0) + ei(4, Fraction(1, 3)), Mode.FLOAT64)
+        y = SeqVector.from_entries(IndexSet.INTEGERS, {
+            2: Fraction(1, 4), 5: Fraction(-1, 3), -50: 7, -43: -3}, Mode.FLOAT64)
+        counts = dict.fromkeys(["weight_product", "product_exact"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for module in (operators, limit_sets):
+            monkeypatch.setattr(module, "weight_product",
+                                counted("weight_product", operators.weight_product))
+        monkeypatch.setattr(WeightRule, "product_exact",
+                            counted("product_exact", WeightRule.product_exact))
+        attempts = []
+
+        def attempt(*args, _attempt=_greedy_attempt):
+            before = dict(counts)
+            out = _attempt(*args)
+            attempts.append((args[5], {n: counts[n] - before[n] for n in counts}))
+            return out
+
+        monkeypatch.setattr(limit_sets, "_greedy_attempt", attempt)
+        w = search_j_witness(T, x, y, 1, EpsSchedule.reciprocal(5), 20_000)
+        monkeypatch.undo()
+        assert len(attempts) > len(w.triples)
+        (k, used), (k_next, used_next), *_ = attempts
+        assert k_next == k + 1
+        assert used["product_exact"] <= len(y.support) + len(power_paths(T, k, x))
+        assert used_next == {"weight_product": 0,
+                             "product_exact": len(power_paths(T, k_next, x))}
+        for _, used in attempts:
+            assert used["weight_product"] == 0
 
 
 def tail_proof(T, x, y, d, eps, k):

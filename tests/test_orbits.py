@@ -39,8 +39,13 @@ from conftest import nfold_apply, points_in_ball_scan, random_shift, reference_a
     shift_operators, vector_for
 
 
-def ei(i, c=1):
-    return SeqVector.basis(IndexSet.INTEGERS, i, c)
+def ei(i, c=1, mode=Mode.EXACT):
+    return SeqVector.basis(IndexSet.INTEGERS, i, c, mode)
+
+
+# positive, yet below the smallest double: exact mode takes it as it is, and
+# float mode refuses it, since it rounds to 0.0
+TINY = Fraction(1, 10 ** 400)
 
 
 def en(i, c=1):
@@ -127,6 +132,13 @@ class TestCoarseOrbit:
     def test_rejects_nonpositive_d(self):
         with pytest.raises(OrbitscopeError):
             coarse_orbit_contains(prop32_operator(), ei(0), 0, ei(0), 3)
+
+    def test_positive_d_below_double_range(self):
+        w = coarse_orbit_contains(prop32_operator(), ei(0), TINY, ei(-3), 10, NormTag.PINF)
+        assert (w.time, w.achieved_distance, w.bound) == (3, 0, TINY)
+        with pytest.raises(OrbitscopeError, match="d must be positive"):
+            coarse_orbit_contains(prop32_operator(), ei(0, mode=Mode.FLOAT64), TINY,
+                                  ei(-3, mode=Mode.FLOAT64), 10, NormTag.PINF)
 
     def test_float_query_answers_where_the_witness_check_disagrees(self):
         # near the bound at n = 35 the float scan (iterated point) accepts
@@ -369,6 +381,15 @@ class TestCoarseDensity:
         assert report.verdict == "FAIL"
         assert report.hit_ratio == 0.0
 
+    def test_positive_d_below_double_range(self):
+        C = OpenCone(ei(0, 5), Fraction(1, 2), NormTag.PINF)
+        report = coarse_density_report(prop32_operator(), ei(0), TINY, C, 2, 10, seed=3)
+        assert (report.verdict, report.bound) == ("FAIL", TINY)
+        C = OpenCone(ei(0, 5, Mode.FLOAT64), Fraction(1, 2), NormTag.PINF)
+        with pytest.raises(OrbitscopeError, match="d must be positive"):
+            coarse_density_report(prop32_operator(), ei(0, mode=Mode.FLOAT64), TINY, C,
+                                  2, 10, seed=3)
+
     def test_empty_sample_vacuous_pass(self):
         C = OpenCone(ei(0, 5), Fraction(1, 2), NormTag.PINF)
         report = coarse_density_report(prop32_operator(), ei(0), 1, C, 0, 10,
@@ -403,6 +424,16 @@ class TestRescale:
         assert back.target == w.target
         assert back.base == w.base
         assert back.achieved_distance == w.achieved_distance
+
+    def test_positive_M_below_double_range(self):
+        w = self.witness()
+        rw = rescale_coarse_witness(prop32_operator(), w, TINY)
+        assert rw.bound == TINY
+        assert rw.target == w.target.scale(TINY / 2)
+        w = make_coarse_witness(prop32_operator(), ei(0, mode=Mode.FLOAT64), 2,
+                                ei(-4, mode=Mode.FLOAT64), 4, NormTag.PINF)
+        with pytest.raises(OrbitscopeError, match="M must be positive"):
+            rescale_coarse_witness(prop32_operator(), w, TINY)
 
     def test_degenerate_zero_pair(self):
         z = SeqVector.zero(IndexSet.INTEGERS)

@@ -96,6 +96,15 @@ class TestCone:
         assert lhs > rhs
         assert cone_contains(self.C, x)
 
+    def test_positive_radius_below_double_range(self):
+        # 10^-400 is positive, yet rounds to the double 0.0
+        tiny = Fraction(1, 10 ** 400)
+        C = OpenCone(self.c, tiny, NormTag.P2)
+        assert C.radius_value() == tiny
+        assert cone_contains(C, self.c.scale(3))
+        with pytest.raises(OrbitscopeError, match="cone radius must be positive"):
+            OpenCone(SeqVector.basis(IndexSet.NATURALS, 0, 2, Mode.FLOAT64), tiny, NormTag.P2)
+
     def test_zero_vector_never_member(self):
         assert not cone_contains(self.C, SeqVector.zero(IndexSet.NATURALS))
         Cinf = OpenCone(self.c, 1, NormTag.PINF)
