@@ -697,10 +697,10 @@ def reference_greedy_attempt(T, x, y, d_val, eps, k, norm_tag, budget, mode):
                     to_float(r))
 
 
-def greedy_outcome(attempt, budget, *args):
-    """(the _Attempt, the budget used after it), or the error raised."""
+def result_and_budget(call, budget):
+    """(call(), the budget used after it), or the error raised."""
     try:
-        return attempt(*args[:7], budget, *args[7:]), budget.used
+        return call(), budget.used
     except IndexSetMismatch as exc:
         return "IndexSetMismatch", str(exc), budget.used
 
@@ -711,8 +711,8 @@ def compared_attempt(T, x, y, d_val, eps, k, norm_tag, budget, mode, targets):
     ref = Budget(budget.limit)
     ref.used = budget.used
     args = (T, x, y, d_val, eps, k, norm_tag)
-    want = greedy_outcome(reference_greedy_attempt, ref, *args, mode)
-    got = greedy_outcome(_greedy_attempt, budget, *args, mode, targets)
+    want = result_and_budget(lambda: reference_greedy_attempt(*args, ref, mode), ref)
+    got = result_and_budget(lambda: _greedy_attempt(*args, budget, mode, targets), budget)
     assert got == want
     if got[0] == "IndexSetMismatch":
         raise IndexSetMismatch(got[1])
