@@ -233,13 +233,14 @@ class _TargetRows:
     T^k(supp x) (``landed``), and ``at`` keeps (s, W, lane) for each row j
     of supp y at the last time k asked, with the lane (offset, weight_at,
     contains) of j's band, else _UNREACHED.  At k + 1 each source moves one
-    index away from j and W takes its weight, reduced, so a row stays
-    (path_source, weight_product) exactly; a source that leaves its band,
-    an interval, never returns.  Other times form afresh.
+    index away from j and W takes its weight, reduced, so a row stays the
+    source and weight_product of the path landing at j exactly; a source
+    that leaves its band, an interval, never returns.  Other times form
+    afresh.
 
     It also keeps the first time at which the search's x had no path left:
     by the same interval argument none comes back, so power_paths is not
-    called again from that time on."""
+    called again from that time on, and no attempt applies a power to x."""
 
     def __init__(self, T: ShiftOperator, y: SeqVector):
         self.T, self.k, self.rows = T, None, dict.fromkeys(y._entries)
@@ -394,12 +395,13 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
     A search over real exact vectors and weights runs _real_sup_attempt."""
     if not budget.try_spend(1):
         return None
-    try:
-        image0 = apply_power(T, k, x)
+    landed = targets.landed(x, k)
+    try:  # no path left from x: T^k x is the zero apply_power would build
+        image0 = apply_power(T, k, x) if landed else SeqVector.zero(x.index_set, x.mode)
     except NumericOverflow:
         return _Attempt(False, None, None, math.inf, math.inf)
     paths = {j: (s, w) for j, (s, w, _) in targets.at(k).items()}
-    paths.update((t, (s, w)) for s, _, t, w in targets.landed(x, k))
+    paths.update((t, (s, w)) for s, _, t, w in landed)
     zero = scalar_zero(image0.mode)
     rows = []  # (j, mismatch, s, W); s is None when no path reaches j
     for j in sorted(paths):

@@ -412,12 +412,6 @@ def _path_into(T: ShiftOperator, j: int, n: int) -> tuple | None:
     return (s, *comp)
 
 
-def path_source(T: ShiftOperator, j: int, n: int) -> int | None:
-    """Source index whose mass lands at j after n steps, if any."""
-    path = _path_into(T, j, n)
-    return None if path is None else path[0]
-
-
 def weight_product(T: ShiftOperator, target_index: int, n: int) -> QC:
     """Exact product of the n weights along the path landing at target_index.
 

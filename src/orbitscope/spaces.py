@@ -568,6 +568,24 @@ def _pinf_scale(xs: dict, cs: dict, r, mode: Mode):
     return None
 
 
+def _lt_at_scale(xs: dict, cs: dict, lam: Fraction, r: Fraction, sup: bool) -> bool:
+    # ||x - lam c|| < lam r under pinf (sup) or p1, for the exact real entries
+    # xs and cs, in integers.  With lam = N/D, r = rn/rd and each entry a/d,
+    # row j times D is |D x_a c_d - N c_a x_d| / (x_d c_d) and the bound
+    # times D is N rn / rd: pinf cross-multiplies row by row and stops at the
+    # first that fails, p1 sums the rows over the lcm of their denominators
+    # and cross-multiplies once
+    big_n, big_d = lam.numerator, lam.denominator
+    rn, rd = r.as_integer_ratio()
+    bn, zero = big_n * rn, _QC_ZERO
+    rows = ((abs(big_d * u._a * v._d - big_n * v._a * u._d), u._d * v._d)
+            for u, v in ((xs.get(j, zero), cs.get(j, zero)) for j in xs.keys() | cs.keys()))
+    if sup:
+        return all(n * rd < bn * d for n, d in rows)
+    num, den = _over_lcm(rows, 1)
+    return num * rd < bn * den
+
+
 _MINIMIZATION_LEVELS = 48  # refinement rounds of the float scale search
 
 
@@ -634,7 +652,9 @@ def cone_contains(C: OpenCone, x: SeqVector, method: str = "auto") -> bool:
     directions in exact mode and follows the float strictness policy in
     float mode.  In exact mode the closed form and both scales are worked
     out in integers, cross-multiplying each entry's numerators and
-    denominator; the scale is the one Fraction built.  Only a complex
+    denominator, and so is the strict test at the scale: one pass over
+    supp x and supp c compares each row (pinf) or their sum (p1) with
+    lam r, with no scaled center or distance walk.  Only a complex
     entry keeps the float scale search, whose True is checked exactly but
     whose False is one-sided: a member within ~1e-12 (relative) of the
     boundary may be reported as outside.
@@ -652,12 +672,18 @@ def cone_contains(C: OpenCone, x: SeqVector, method: str = "auto") -> bool:
         return _contains_p2_closed_form(C, x)
     if method not in ("auto", "minimize"):
         raise OrbitscopeError(f"unknown membership method {method!r}")
-    c = C.center
-    if C.norm is NormTag.P2 or any(v.imag for v in (*x._entries.values(), *c._entries.values())):
+    c, xs, cs = C.center, x._entries, C.center._entries
+    exact = x.mode is Mode.EXACT
+    entries = (*xs.values(), *cs.values())
+    if C.norm is NormTag.P2 or any(v._b if exact else v.imag for v in entries):
         return _contains_by_minimization(C, x)
-    r = C.radius_value()
-    lam = (_p1_scale if C.norm is NormTag.P1 else _pinf_scale)(x._entries, c._entries, r, x.mode)
-    return lam is not None and dist_lt(x, c.scale(lam), C.norm, lam * r)
+    r, sup = C.radius_value(), C.norm is NormTag.PINF
+    lam = (_pinf_scale if sup else _p1_scale)(xs, cs, r, x.mode)
+    if lam is None:
+        return False
+    if exact:
+        return _lt_at_scale(xs, cs, lam, r, sup)
+    return dist_lt(x, c.scale(lam), C.norm, lam * r)
 
 
 _SAMPLE_SCALES, _SAMPLE_PAD, _SAMPLE_INTERIOR = (0.125, 8.0), 2, 0.9

@@ -20,6 +20,34 @@ from orbitscope.errors import IndexSetMismatch, NumericOverflow
 from orbitscope.numeric import Mode
 
 
+def reference_target(T, s):
+    """(t, weights) for one step of T from the source s, its band looked up
+    afresh: t is where the step lands, None when it leaves the band."""
+    comp = T.component_for(s)
+    if comp is None:
+        raise IndexSetMismatch(f"vector support index {s} lies in no band")
+    kind, weights, band = comp
+    t = {"backward": s - 1, "forward": s + 1, "diagonal": s}[kind]
+    return (t if band.contains(t) else None), weights
+
+
+def reference_path_source(T, j, n):
+    """Independent oracle for the source whose mass lands at j after n
+    steps, None when no source does: each candidate j + n, j - n and j is
+    stepped n times with reference_target."""
+    for s in dict.fromkeys((j + n, j - n, j)):
+        if not T.index_set.contains(s) or T.component_for(s) is None:
+            continue
+        t = s
+        for _ in range(n):
+            t, _ = reference_target(T, t)
+            if t is None:
+                break
+        if t == j:
+            return s
+    return None
+
+
 def reference_apply(T, v):
     """Reference single step of T, written apart from operators.iterate:
     each source's band is looked up afresh, landings that collide are
@@ -28,12 +56,8 @@ def reference_apply(T, v):
         raise IndexSetMismatch("operator and vector index sets differ")
     entries = {}
     for s, val in v.items():
-        comp = T.component_for(s)
-        if comp is None:
-            raise IndexSetMismatch(f"vector support index {s} lies in no band")
-        kind, weights, band = comp
-        t = {"backward": s - 1, "forward": s + 1, "diagonal": s}[kind]
-        if not band.contains(t):
+        t, weights = reference_target(T, s)
+        if t is None:
             continue
         w = weights.weight_at(s)
         try:

@@ -60,13 +60,13 @@ from orbitscope.operators import (
     Periodic,
     Table,
     WeightRule,
-    path_source,
     power_paths,
     weight_product,
 )
 from orbitscope.spaces import dist_and_lt
 
-from conftest import random_shift, random_vector, sup_projection_feasible, vector_for
+from conftest import random_shift, random_vector, reference_path_source, \
+    sup_projection_feasible, vector_for
 
 
 def ei(i, c=1, mode=Mode.EXACT):
@@ -334,7 +334,7 @@ def reference_sup_attempt(T, x, y, d_val, eps, k, budget):
             continue
         m = target - image
         m_abs = abs(m.re)
-        s = path_source(T, j, k)
+        s = reference_path_source(T, j, k)
         if s is not None:
             u = m / weight_product(T, j, k)
             u_abs = abs(u.re)
@@ -523,8 +523,8 @@ class TestRealSupAttempt:
     def test_stepped_rows_match_formed_rows(self, seed, restart):
         # rows of supp y stepped through k = 1..40, then formed afresh at a
         # time that is not the next one and stepped again: each row is its
-        # (path_source, weight_product), past band exits (the blocks' bands
-        # end at -4, -2, 3 and 5) and the unilateral floor
+        # (reference_path_source, weight_product), past band exits (the
+        # blocks' bands end at -4, -2, 3 and 5) and the unilateral floor
         rng = random.Random(seed)
         T = random_operator(rng)
         y = vector_for(rng, T, -12, 12)
@@ -533,7 +533,7 @@ class TestRealSupAttempt:
             at = rows.at(k)
             assert sorted(at) == list(y.support)
             for j, (s, w, _) in at.items():
-                assert (s, w) == (path_source(T, j, k), weight_product(T, j, k))
+                assert (s, w) == (reference_path_source(T, j, k), weight_product(T, j, k))
 
     def test_attempts_form_each_product_once(self, monkeypatch):
         # a riesz-blocks style search: attempts apply no power; the first
@@ -575,7 +575,7 @@ class TestRealSupAttempt:
         assert len(attempts) > len(w.triples)
         (k, used), *later = attempts
         rows = set(y.support) | set(apply_power(T, k, x).support)
-        sourced = sum(path_source(T, j, k) is not None for j in rows)
+        sourced = sum(reference_path_source(T, j, k) is not None for j in rows)
         assert used["apply_power"] == 0
         assert used["product_exact"] <= sourced
         assert used["weight_product"] <= sourced
@@ -617,7 +617,7 @@ class TestRealSupAttempt:
 def reference_greedy_attempt(T, x, y, d_val, eps, k, norm_tag, budget, mode):
     """_greedy_attempt as it stood before the search's row table: every
     row where the image misses y forms its source and product afresh with
-    path_source and weight_product; the row rule is the same."""
+    reference_path_source and weight_product; the row rule is the same."""
     if not budget.try_spend(1):
         return None
     try:
@@ -630,7 +630,7 @@ def reference_greedy_attempt(T, x, y, d_val, eps, k, norm_tag, budget, mode):
         target, image = y._entries.get(j, zero), image0._entries.get(j, zero)
         if target == image:
             continue
-        s = path_source(T, j, k)
+        s = reference_path_source(T, j, k)
         rows.append((j, target - image, s, None if s is None else weight_product(T, j, k)))
     delta_entries, uncorrected, feasible = {}, [], True
     if norm_tag is NormTag.PINF:
@@ -796,6 +796,33 @@ class TestGreedyAttempt:
             jmix_witness(T, SeqVector.zero(IndexSet.INTEGERS, mode), y, Fraction(1, 2),
                          4, 1, 100, norm_tag=norm_tag)
         assert any(b <= a for a, b in zip(times, times[1:]))
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("norm_tag", list(NormTag), ids=lambda n: n.value)
+    def test_dead_x_applies_no_power_for_its_image(self, monkeypatch, mode, norm_tag):
+        # e_0 has no path left from k = 1 on under riesz-blocks' operator, so
+        # an attempt applies a power only to its perturbed point, and every
+        # field is what the composition with apply_power for T^k x gives
+        T = riesz_operator()
+        x = in_mode(ei(0), mode)
+        y = in_mode(SeqVector.from_entries(IndexSet.INTEGERS, {
+            3: Fraction(1, 4), 6: Fraction(-1, 8), -50: 7}), mode, 6)
+        d_val, eps_val = real_value(Fraction(1, 2), mode), real_value(1, mode)
+        applied = []
+        monkeypatch.setattr(limit_sets, "apply_power",
+                            lambda T, k, v: applied.append(v) or apply_power(T, k, v))
+        targets, checked = _TargetRows(T, y), 0
+        for k in range(1, 9):
+            applied.clear()
+            budget = Budget(2)
+            got = _greedy_attempt(T, x, y, d_val, eps_val, k, norm_tag, budget, mode, targets)
+            want = reference_greedy_attempt(T, x, y, d_val, eps_val, k, norm_tag, Budget(2),
+                                            mode)
+            assert [getattr(got, f.name) for f in dataclasses.fields(_Attempt)] == \
+                [getattr(want, f.name) for f in dataclasses.fields(_Attempt)]
+            assert len(applied) == budget.used - 1 and x not in applied
+            checked += len(applied)
+        assert checked
 
     def test_next_time_forms_no_row_of_y(self, monkeypatch):
         # a float search: after its first attempt, the attempt at the next

@@ -750,6 +750,86 @@ def test_exact_p2_closed_form_matches_a_fraction_copy(c, w, share, shift):
     assert cone_contains(C, x) is _ref_p2_closed_form(x, c, r)
 
 
+# -- the exact check at the scale against the composition it replaced ------------
+
+
+def _lt_by_walk(x: SeqVector, c: SeqVector, lam: Fraction, r: Fraction, p: NormTag) -> bool:
+    """||x - lam c|| < lam r as it was decided before the integer check: a
+    scaled center, a Fraction bound and the distance walk."""
+    return dist_lt(x, c.scale(lam), p, lam * r)
+
+
+def _scale_of(x: SeqVector, C: OpenCone):
+    scale = spaces._p1_scale if C.norm is NormTag.P1 else spaces._pinf_scale
+    return scale(x._entries, C.center._entries, C.radius_value(), Mode.EXACT)
+
+
+# small rationals and entries past double range either way
+_WIDE = st.one_of(
+    _small_rationals,
+    st.builds(lambda s, t: s * Fraction(10) ** t, _small_rationals, st.sampled_from([400, -400])))
+_ROWS = st.dictionaries(st.integers(0, 5), _WIDE, min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROWS, _ROWS, _WIDE, st.integers(1, 19), st.sampled_from([NormTag.P1, NormTag.PINF]),
+       st.sampled_from(list(IndexSet)), st.sampled_from(["boundary", "free"]))
+@example({0: Fraction(2)}, {1: Fraction(1)}, Fraction(1), 10, NormTag.P1,
+         IndexSet.NATURALS, "boundary")  # x = (2, 1) on the boundary at lam = 1
+@example({0: Fraction(3), 1: Fraction(-1)}, {4: Fraction(5)}, Fraction(1), 5, NormTag.PINF,
+         IndexSet.INTEGERS, "free")  # x and c share no row
+def test_exact_check_at_the_scale_matches_the_distance_walk(c, u, lam, share, p, index_set,
+                                                           kind):
+    # x = lam (c + u') with ||u'|| = r is on the boundary at lam, where the
+    # strict test must fail; otherwise x = u and lam is any positive scale.
+    # Under Z the rows run from -2, so both signs of index are met
+    lam, first = abs(lam), -2 if index_set is IndexSet.INTEGERS else 0
+    c = {i + first: v for i, v in c.items()}
+    u = {i + first: v for i, v in u.items()}
+    r = _real_norm(c, p) * Fraction(share, 20)
+    if kind == "boundary":
+        unit = r / _real_norm(u, p)
+        x = {i: lam * (c.get(i, 0) + unit * u.get(i, 0)) for i in c.keys() | u.keys()}
+        x = {i: v for i, v in x.items() if v}
+        assume(x)
+    else:
+        x = u
+    cv, xv = (SeqVector.from_entries(index_set, v) for v in (c, x))
+    C = OpenCone(cv, r, p)
+    got = spaces._lt_at_scale(xv._entries, cv._entries, lam, r, p is NormTag.PINF)
+    assert got is _lt_by_walk(xv, cv, lam, r, p)
+    if kind == "boundary":
+        assert got is False
+    scale = _scale_of(xv, C)
+    assert cone_contains(C, xv) is (scale is not None and _lt_by_walk(xv, cv, scale, r, p))
+
+
+@pytest.mark.parametrize("p", [NormTag.P1, NormTag.PINF])
+def test_exact_real_cone_query_builds_no_vector_and_walks_no_distance(p, monkeypatch):
+    # members, a boundary point and a non-member; a float query still walks
+    C = OpenCone(SeqVector.from_entries(IndexSet.INTEGERS, {0: 2, 1: Fraction(1, 3)}), 1, p)
+    # on the boundary: ||x - lam c|| = lam r at lam = 1 (p1) or 3 (pinf), and > elsewhere
+    boundary = {0: 2, 1: Fraction(4, 3)} if p is NormTag.P1 else {0: 3, 1: -2}
+    queries = [(SeqVector.from_entries(IndexSet.INTEGERS, entries), want) for entries, want in (
+        ({0: 4, 1: Fraction(2, 3)}, True),
+        ({0: 2, 1: Fraction(1, 3), 5: Fraction(1, 2)}, True),
+        (boundary, False),
+        ({0: -2, 1: Fraction(1, 3)}, False))]
+    floats = OpenCone(SeqVector.from_entries(IndexSet.INTEGERS, {0: 2}, Mode.FLOAT64), 1, p)
+    x_float = SeqVector.from_entries(IndexSet.INTEGERS, {0: 3}, Mode.FLOAT64)
+    built, walked = [], []
+    init, trusted, walk = SeqVector.__init__, SeqVector._trusted.__func__, spaces.dist_lt
+    monkeypatch.setattr(SeqVector, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    monkeypatch.setattr(SeqVector, "_trusted",
+                        classmethod(lambda cls, *a: built.append(a) or trusted(cls, *a)))
+    monkeypatch.setattr(spaces, "dist_lt", lambda *a: walked.append(a) or walk(*a))
+    assert [cone_contains(C, x) for x, _ in queries] == [want for _, want in queries]
+    assert built == [] and walked == []
+    assert cone_contains(floats, x_float)
+    assert len(built) == len(walked) == 1
+
+
 def _float_pair(pair):
     a, b = pair
     return a.mode is b.mode is Mode.FLOAT64 and a.index_set is b.index_set
