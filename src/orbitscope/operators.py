@@ -5,9 +5,11 @@ Action convention (fixed): a backward shift sends e_n to a_n * e_{n-1}
 a_n * e_{n+1}, a diagonal operator sends e_n to a_n * e_n.  Powers are
 computed from closed-form weight products along paths, never by n-fold
 matrix application, so they are exact and O(support) per power.  Orbit
-scans (``iterate``) step each source once per step, along the band it
-starts in, with one weight multiply; ``meetings`` builds only the points
-whose support meets a given set of rows.
+scans (``iterate``) list each source's rows, weights and lifetime in its
+band once and step it with one weight multiply, in exact mode on the
+entry's three ints; once every source has died, the rest of the scan is
+one shared zero vector.  ``meetings`` builds only the points whose
+support meets a given set of rows.
 
 ``weight_product`` is the exact path product.  Float64-mode
 ``apply_power`` tracks its products in log2 magnitude and phase and errors
@@ -21,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     ConfigError,
@@ -33,6 +36,7 @@ from .numeric import (
     QC,
     Mode,
     OVERFLOW_LOG2,
+    _qc,
     jsonable,
     log2_abs,
     make_scalar,
@@ -165,13 +169,13 @@ class Periodic(WeightRule):
         vals = tuple(_coerce_weight(v) for v in self.values)
         if not vals:
             raise ConfigError("periodic rule needs at least one weight")
-        self._store(vals, values=vals)
+        self._store(vals, values=vals, _period=len(vals))
 
     def _index_at(self, j: int) -> int:
-        return j % len(self.values)
+        return j % self._period
 
     def _counts(self, lo: int, hi: int):
-        p = len(self.values)
+        p = self._period
         if hi - lo == math.inf:
             return [math.inf] * p
         cycles, rest = divmod(max(0, hi - lo + 1), p)
@@ -200,13 +204,11 @@ class Table(WeightRule):
             items = self.entries
         clean = tuple(sorted((int(i), _coerce_weight(v)) for i, v in items))
         default = _coerce_weight(self.default)
-        self._store(tuple(v for _, v in clean) + (default,), entries=clean, default=default)
+        self._store(tuple(v for _, v in clean) + (default,), entries=clean, default=default,
+                    _slot={i: k for k, (i, _) in enumerate(clean)}, _default_slot=len(clean))
 
     def _index_at(self, j: int) -> int:
-        for k, (i, _) in enumerate(self.entries):
-            if i == j:
-                return k
-        return len(self.entries)
+        return self._slot.get(j, self._default_slot)
 
     def _counts(self, lo: int, hi: int):
         hits = [1 if lo <= i <= hi else 0 for i, _ in self.entries]
@@ -429,9 +431,12 @@ def weight_product(T: ShiftOperator, target_index: int, n: int) -> QC:
     return _path_exact(kind, weights, s, target_index, n)
 
 
-def _float_weights(rule: WeightRule) -> tuple:
-    """rule's weights as complex, each rounded once; None for one past
-    double range, which raises only at a step that meets it."""
+def _step_weights(rule: WeightRule, exact: bool) -> tuple:
+    """rule's weights as a step multiplies by them: in exact mode each QC
+    as its ints (a, b, d); in float mode each rounded once to complex, None
+    for one past double range, which raises only at a step that meets it."""
+    if exact:
+        return tuple((w._a, w._b, w._d) for w in rule._weights)
     out = []
     for w in rule._weights:
         try:
@@ -441,59 +446,92 @@ def _float_weights(rule: WeightRule) -> tuple:
     return tuple(out)
 
 
+def _path(kind: str, rule: WeightRule, band: Band, s: int, K: int, weights) -> list:
+    """(t, w) for each of the first K steps that the source s survives in
+    its band: t the row the step lands on, w = weights[rule's index at the
+    row it leaves].  Its lifetime is read off the band's end once."""
+    step, index_at = _OFFSET[kind], rule._index_at
+    if not step:
+        return [(s, weights[index_at(s)])] * K
+    end = band.lo if step < 0 else band.hi
+    life = K if end is None else min(K, (end - s) * step)
+    return [(j + step, weights[index_at(j)]) for j in range(s, s + step * life, step)]
+
+
 def iterate(T: ShiftOperator, v: SeqVector, K: int):
-    """Yield v, Tv, ..., T^K v (nothing when K < 0).
+    """Yield v, Tv, ..., T^K v (nothing when K < 0), lazily.
 
     T sends each source along its own band to one row, and no two sources
-    share a row, so each live source keeps the component it was given on
-    the first step, and a step is one weight multiply per live source.  In
-    float mode each rule's weights are rounded once per scan.  Errors are
-    apply's, raised at the step that meets them: IndexSetMismatch on the
-    first, NumericOverflow past double range in float mode, where an entry
-    that underflows to zero is dropped.
+    share a row, so each source's rows, weights and lifetime are listed
+    once, from its component (``_path``), and a step is one weight multiply
+    per live source.  In exact mode a live source is the three ints
+    (a, b, d) of its entry (a + bi)/d, multiplied as ``QC`` multiplies and
+    reduced by one gcd; a real weight c/f on a real entry cancels across
+    instead, by gcd(a, f) and gcd(c, d), which are small.  In float mode
+    each rule's weights are rounded once per scan.  Once no source is left,
+    every remaining point is one shared zero vector, built with no step.
+    Errors are apply's, raised at the step that meets them:
+    IndexSetMismatch on the first, NumericOverflow past double range in
+    float mode, where an entry that underflows to zero is dropped.
     """
     if K < 0:
         return
     yield v
-    if K and v.index_set is not T.index_set:
+    if not K:
+        return
+    if v.index_set is not T.index_set:
         raise IndexSetMismatch("operator and vector index sets differ")
     index_set, mode, exact = v.index_set, v.mode, v.mode is Mode.EXACT
-    rows = [(s, val, None) for s, val in v.items()]
-    rounded = {}  # float mode: id(rule) -> _float_weights(rule)
-    for _ in range(K):
+    rows, missing, cache = [], None, {}  # id(rule) -> _step_weights(rule, exact)
+    for s, val in v.items():
+        comp = T.component_for(s)
+        if comp is None:  # raised at the first step, after the sources below s
+            missing = IndexSetMismatch(f"vector support index {s} lies in no band")
+            break
+        kind, rule, band = comp
+        weights = cache.get(id(rule))
+        if weights is None:
+            weights = cache[id(rule)] = _step_weights(rule, exact)
+        path = _path(kind, rule, band, s, K, weights)
+        if path:
+            rows.append((path, val._a, val._b, val._d) if exact else (path, val))
+    n = 0
+    while rows or missing:
         entries, live = {}, []
-        for s, val, lane in rows:
-            if lane is None:
-                comp = T.component_for(s)
-                if comp is None:
-                    raise IndexSetMismatch(f"vector support index {s} lies in no band")
-                kind, rule, band = comp
-                if exact:
-                    weights = rule._weights
-                else:
-                    weights = rounded.get(id(rule))
-                    if weights is None:
-                        weights = rounded[id(rule)] = _float_weights(rule)
-                lane = (_OFFSET[kind], rule._index_at, weights, band.contains)
-            step, index_at, weights, contains = lane
-            t = s + step
-            if not contains(t):
-                continue
-            w = weights[index_at(s)]
-            if exact:
-                out = w * val
-            else:
+        if exact:
+            for path, a, b, d in rows:
+                t, (c, e, f) = path[n]
+                if b or e:
+                    a, b, d = a * c - b * e, a * e + b * c, d * f
+                    g = gcd(a, b, d)
+                    if g != 1:
+                        a, b, d = a // g, b // g, d // g
+                else:  # a/d and c/f are in lowest terms: cancel across
+                    g, h = gcd(a, f), gcd(c, d)
+                    a, d = a // g * (c // h), d // h * (f // g)
+                entries[t] = _qc(a, b, d)
+                if n + 1 < len(path):
+                    live.append((path, a, b, d))
+        else:
+            for path, val in rows:
+                t, w = path[n]
                 if w is None:  # a weight past double range
                     raise NumericOverflow("single-step application overflowed")
-                out = w * val
-                if out == 0:
+                val = w * val
+                if val == 0:
                     continue
-                if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+                if not (math.isfinite(val.real) and math.isfinite(val.imag)):
                     raise NumericOverflow("single-step application overflowed")
-            entries[t] = out
-            live.append((t, out, lane))
-        rows = live
+                entries[t] = val
+                if n + 1 < len(path):
+                    live.append((path, val))
+        if missing:
+            raise missing
+        rows, n = live, n + 1
         yield SeqVector._trusted(index_set, entries, mode)
+    zero = SeqVector._trusted(index_set, {}, mode)
+    for _ in range(n, K):
+        yield zero
 
 
 def meetings(T: ShiftOperator, v: SeqVector, rows, K: int):

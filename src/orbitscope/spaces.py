@@ -294,11 +294,11 @@ def _over_lcm(pairs, power: int) -> tuple[int, int]:
     return num, den
 
 
-def _largest_row(rows) -> tuple[int, int]:
-    """The row (n, d) with the largest n / d^2, (0, 1) for no rows."""
+def _largest_row(rows, power: int = 2) -> tuple[int, int]:
+    """The row (n, d) with the largest n / d^power, (0, 1) for no rows."""
     best_n, best_d = 0, 1
     for n, d in rows:
-        if n * best_d * best_d > best_n * d * d:
+        if n * best_d ** power > best_n * d ** power:
             best_n, best_d = n, d
     return best_n, best_d
 
@@ -382,13 +382,40 @@ def dist_and_lt(a: SeqVector, b: SeqVector, p: NormTag, bound) -> tuple[object, 
     return _walk_value(r, p, a._mode), _walk_cmp(r, p, a._mode, bound) < 0
 
 
-# the origin every norm is measured from, shared: it is never modified
+# the origin every norm comparison is measured from, shared: it is never modified
 _ORIGIN = {s: SeqVector.zero(s) for s in IndexSet}
+_EXACT_ZERO = Fraction(0)  # the exact norm of the zero vector, shared
 
 
 def norm(v: SeqVector, p: NormTag):
-    """p-norm of the finite support, as dist(v, 0, p)."""
-    return dist(v, _ORIGIN[v.index_set], p)
+    """p-norm of the finite support: dist(v, 0, p), read off v's own entries.
+
+    The zero vector gives the mode's zero.  One entry gives its modulus
+    under every p, as the walk does: |a|/d for an exact real a/d,
+    sqrt(a^2 + b^2)/d for an exact complex (a + bi)/d (a Fraction when
+    a^2 + b^2 is a square) and math.sqrt(re^2 + im^2) for a float.  Several
+    entries give the walk's rows in index order, whatever the order of v's
+    dict, since float sums depend on it; exact real ones under P1 and PINF
+    give the sum or the largest of the |a|/d."""
+    entries = v._entries
+    if v._mode is Mode.FLOAT64:
+        rows = [u.real * u.real + u.imag * u.imag for _, u in sorted(entries.items())]
+        return math.sqrt(rows[0]) if len(rows) == 1 else _walk_value(rows, p, v._mode)
+    if not entries:
+        return _EXACT_ZERO
+    if len(entries) == 1:
+        (u,) = entries.values()
+        a, b, d = u._a, u._b, u._d
+        if not b:
+            return Fraction(abs(a), d)
+        n = a * a + b * b
+        s = math.isqrt(n)
+        return Fraction(s, d) if s * s == n else math.sqrt(_ratio_float(n, d * d))
+    if p is not NormTag.P2 and not any(u._b for u in entries.values()):
+        pick = _over_lcm if p is NormTag.P1 else _largest_row
+        return Fraction(*pick(((abs(u._a), u._d) for u in entries.values()), 1))
+    return _walk_value([(u._a * u._a + u._b * u._b, u._d)
+                        for _, u in sorted(entries.items())], p, v._mode)
 
 
 def norm_lt(v: SeqVector, p: NormTag, bound) -> bool:

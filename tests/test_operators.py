@@ -34,6 +34,7 @@ from orbitscope.errors import (
     IndexSetMismatch,
     NumericOverflow,
 )
+from orbitscope import operators
 from orbitscope.numeric import QC, Mode, log2_abs, phase_of
 
 from conftest import nfold_apply, random_shift, reference_apply, shift_operators, vector_for
@@ -187,6 +188,42 @@ def test_iterate_drops_float_underflow():
                                Mode.FLOAT64)
     _, step = iterate(T, x, 1)
     assert step.support == [1] and step.mode is Mode.FLOAT64
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_dead_orbit_is_not_stepped(monkeypatch, mode):
+    # e_3 under a unilateral backward shift reaches e_0 at n = 3 and has
+    # left N at n = 4; every later point is one shared zero vector, built
+    # with no weight multiply and no weight lookup
+    T = ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS,
+                      Table({1: Fraction(3, 5), 2: (1, 1)}, Fraction(7, 5)))
+    x = SeqVector.basis(IndexSet.NATURALS, 3, mode=mode)
+    want = list(_reference_orbit(T, x, 40))
+    work = {"lookups": 0, "multiplies": 0}
+
+    def count(key, result):
+        work[key] += 1
+        return result
+
+    class CountedWeight(complex):
+        def __mul__(self, other):
+            return count("multiplies", complex.__mul__(self, other))
+
+    index_at, built, to_complex = Table._index_at, operators._qc, QC.to_complex
+    monkeypatch.setattr(Table, "_index_at", lambda self, j: count("lookups", index_at(self, j)))
+    # an exact multiply builds one QC from its ints; a float one is made
+    # by a weight rounded with to_complex
+    monkeypatch.setattr(operators, "_qc", lambda a, b, d: count("multiplies", built(a, b, d)))
+    monkeypatch.setattr(QC, "to_complex", lambda self: CountedWeight(to_complex(self)))
+    points = iterate(T, x, 40)
+    head = [next(points) for _ in range(5)]
+    assert [v.support for v in head] == [[3], [2], [1], [0], []]
+    assert work == {"lookups": 3, "multiplies": 3}
+    tail = list(points)
+    assert work == {"lookups": 3, "multiplies": 3}
+    assert len(tail) == 36 and all(v is head[4] for v in tail)
+    monkeypatch.undo()
+    assert head + tail == want
 
 
 class TestApplyPower:

@@ -33,7 +33,7 @@ from orbitscope.certificates import _prop21_instance
 from orbitscope.errors import IndexSetMismatch, OrbitscopeError, VerificationFailed
 from orbitscope.numeric import Mode, real_value
 from orbitscope.orbits import ball_counts
-from orbitscope.spaces import dist_lt
+from orbitscope.spaces import dist, dist_lt
 
 from conftest import nfold_apply, points_in_ball_scan, random_shift, reference_apply, \
     shift_operators, vector_for
@@ -97,6 +97,40 @@ class TestOrbit:
         assert lines[0] == "n,norm,support_min,support_max,entries_json"
         assert len(lines) == 5
         assert lines[1].startswith("0,1.0,0,0")
+
+
+TRACE_WEIGHTS = [2, Fraction(1, 3), Fraction(-7, 5), (1, 1), (0, Fraction(1, 2)),
+                 (Fraction(3, 5), Fraction(4, 5))]
+TRACE_ENTRIES = [1, Fraction(-5, 3), Fraction(7, 2), (2, -1), (0, Fraction(1, 3)), (3, 4)]
+
+
+@st.composite
+def trace_cases(draw):
+    """(T, x, K, p): every shape and weight rule, x in either mode with
+    every source in some band, possibly zero, and a horizon past which
+    sources at band edges have died."""
+    T = draw(shift_operators(TRACE_WEIGHTS))
+    lo = 0 if T.index_set is IndexSet.NATURALS else -8
+    rows = [i for i in range(lo, 14) if T.component_for(i) is not None]
+    raw = draw(st.dictionaries(st.sampled_from(rows), st.sampled_from(TRACE_ENTRIES),
+                               max_size=4))
+    x = SeqVector.from_entries(T.index_set, raw, draw(st.sampled_from(list(Mode))))
+    return T, x, draw(st.integers(0, 16)), draw(st.sampled_from(list(NormTag)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace_cases())
+def test_trace_points_are_single_steps_and_norms_the_walks(case):
+    T, x, K, p = case
+    trace = orbit(T, x, K, p)
+    assert len(trace.points) == len(trace.norms) == K + 1
+    for n, (point, value) in enumerate(zip(trace.points, trace.norms)):
+        ref = nfold_apply(T, n, x)
+        assert point == ref and point.mode is ref.mode
+        assert [(i, repr(v)) for i, v in point.items()] == [(i, repr(v)) for i, v in ref.items()]
+        # the oracle is the distance walk against the origin
+        want = dist(point, SeqVector.zero(point.index_set, point.mode), p)
+        assert type(value) is type(want) and repr(value) == repr(want)
 
 
 class TestCoarseOrbit:

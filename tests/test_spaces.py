@@ -861,3 +861,67 @@ def test_float_distances_match_a_reference_built_entry_by_entry(pair, p, drawn, 
     assert dist_lt(a, b, p, bound) is lt
     assert dist_and_lt(a, b, p, bound) == (ref, lt)
     assert norm_lt(a - b, p, bound) is lt and norm_gt(a - b, p, bound) is gt
+
+
+# -- norm read off a vector's own entries ------------------------------------------
+
+
+def _walk_norm(v, p):
+    """The oracle: the distance walk against the origin, as norm ran it
+    before it read the entries itself."""
+    return dist(v, SeqVector.zero(v.index_set, v.mode), p)
+
+
+def _assert_norm_is_the_walks(v):
+    for p in NormTag:
+        got, ref = norm(v, p), _walk_norm(v, p)
+        assert type(got) is type(ref) and repr(got) == repr(ref), (v, p)
+
+
+# the float sum of squares of the "out-of-index-order" entries rounds
+# differently in any order but index order
+NORM_CASES = {
+    "zero": {},
+    "one-real": {3: Fraction(-5, 7)},
+    "one-square-modulus": {2: (3, 4)},
+    "one-irrational-modulus": {0: (1, 1)},
+    "out-of-index-order": {5: Fraction(-673, 20), 1: Fraction(122, 49), 3: Fraction(1048, 39)},
+    "complex-out-of-index-order": {6: (1, 1), 0: (Fraction(-2, 3), Fraction(1, 5)), 2: 2},
+    "past-double-range": {4: 10 ** 400, 1: (10 ** 400, 1), 0: Fraction(1, 10 ** 400)},
+}
+
+
+@pytest.mark.parametrize("case, mode", [
+    (case, mode) for case in sorted(NORM_CASES) for mode in Mode
+    if case != "past-double-range" or mode is Mode.EXACT])  # a double cannot hold those
+def test_norm_of_each_kind_of_vector_is_the_walks(case, mode):
+    for index_set in IndexSet:
+        raw = NORM_CASES[case]
+        v = SeqVector(index_set, {i: make_scalar(x, mode) for i, x in raw.items()}, mode)
+        assert list(v._entries) == list(raw)  # the dict keeps the order written
+        _assert_norm_is_the_walks(v)
+
+
+NORM_ENTRIES = [3, Fraction(-5, 7), (3, 4), (1, 1), (Fraction(-2, 3), Fraction(1, 5)),
+                Fraction(122, 49), Fraction(1048, 39), Fraction(-673, 20), 10 ** 200,
+                Fraction(1, 10 ** 200)]
+EXACT_ONLY_ENTRIES = [10 ** 400, (10 ** 400, 1), Fraction(1, 10 ** 400)]
+
+
+@st.composite
+def vectors_in_any_order(draw):
+    """A vector of either mode over either index set whose dict holds its
+    entries in a drawn order rather than index order."""
+    mode = draw(st.sampled_from(list(Mode)))
+    index_set = draw(st.sampled_from(list(IndexSet)))
+    lo = 0 if index_set is IndexSet.NATURALS else -6
+    pool = NORM_ENTRIES + (EXACT_ONLY_ENTRIES if mode is Mode.EXACT else [])
+    indices = draw(st.lists(st.integers(lo, 6), unique=True, max_size=5))
+    return SeqVector(index_set, {i: make_scalar(draw(st.sampled_from(pool)), mode)
+                                 for i in indices}, mode)
+
+
+@settings(max_examples=400, deadline=None)
+@given(vectors_in_any_order())
+def test_norm_matches_the_walk_against_the_origin(v):
+    _assert_norm_is_the_walks(v)
