@@ -466,10 +466,11 @@ def iterate(T: ShiftOperator, v: SeqVector, K: int):
     once, from its component (``_path``), and a step is one weight multiply
     per live source.  In exact mode a live source is the three ints
     (a, b, d) of its entry (a + bi)/d, multiplied as ``QC`` multiplies and
-    reduced by one gcd; a real weight c/f on a real entry cancels across
-    instead, by gcd(a, f) and gcd(c, d), which are small.  In float mode
-    each rule's weights are rounded once per scan.  Once no source is left,
-    every remaining point is one shared zero vector, built with no step.
+    reduced by one gcd of its big ints; a real weight c/f cancels across
+    instead, by gcd(f, a, b) and gcd(c, d), each started from a small int.
+    In float mode each rule's weights are rounded once per scan.  Once no
+    source is left, every remaining point is one shared zero vector, built
+    with no step.
     Errors are apply's, raised at the step that meets them:
     IndexSetMismatch on the first, NumericOverflow past double range in
     float mode, where an entry that underflows to zero is dropped.
@@ -501,14 +502,15 @@ def iterate(T: ShiftOperator, v: SeqVector, K: int):
         if exact:
             for path, a, b, d in rows:
                 t, (c, e, f) = path[n]
-                if b or e:
+                if e:
                     a, b, d = a * c - b * e, a * e + b * c, d * f
                     g = gcd(a, b, d)
                     if g != 1:
                         a, b, d = a // g, b // g, d // g
-                else:  # a/d and c/f are in lowest terms: cancel across
-                    g, h = gcd(a, f), gcd(c, d)
-                    a, d = a // g * (c // h), d // h * (f // g)
+                else:  # (a + bi)/d and c/f are in lowest terms: cancel across
+                    g, h = gcd(f, a, b), gcd(c, d)
+                    c //= h
+                    a, b, d = a // g * c, b // g * c, d // h * (f // g)
                 entries[t] = _qc(a, b, d)
                 if n + 1 < len(path):
                     live.append((path, a, b, d))

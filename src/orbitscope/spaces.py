@@ -312,6 +312,24 @@ def _ratio_float(n: int, d: int) -> float:
         return math.inf
 
 
+_SQUARES_MOD_64 = frozenset(i * i % 64 for i in range(64))
+
+
+def _square_root(n: int) -> int | None:
+    """The int root of an int n >= 0 that is a square, else None; most
+    others show it by their residue mod 64, with no isqrt."""
+    if n & 63 not in _SQUARES_MOD_64:
+        return None
+    s = math.isqrt(n)
+    return s if s * s == n else None
+
+
+def _root_sum(rows) -> float:
+    """The sum of the rows' roots sqrt(n) / d, each rounded as
+    math.sqrt(float(n / d^2)), in the rows' order; inf past double range."""
+    return sum(math.sqrt(_ratio_float(n, d * d)) for n, d in rows)
+
+
 def _walk_value(r, p: NormTag, mode: Mode):
     """The distance a walk gave: exact where it is rational, a float otherwise.
 
@@ -329,14 +347,14 @@ def _walk_value(r, p: NormTag, mode: Mode):
     if p is NormTag.P1:
         roots = []
         for n, d in r:
-            s = math.isqrt(n)
-            if s * s != n:
-                return sum(math.sqrt(_ratio_float(n, d * d)) for n, d in r)
+            s = _square_root(n)
+            if s is None:
+                return _root_sum(r)
             roots.append((s, d))
         return Fraction(*_over_lcm(roots, 1))
     n, d = _over_lcm(r, 2) if p is NormTag.P2 else _largest_row(r)
-    s = math.isqrt(n)
-    return Fraction(s, d) if s * s == n else math.sqrt(_ratio_float(n, d * d))
+    s = _square_root(n)
+    return math.sqrt(_ratio_float(n, d * d)) if s is None else Fraction(s, d)
 
 
 def _walk_cmp(r, p: NormTag, mode: Mode, bound) -> int:
@@ -395,8 +413,9 @@ def norm(v: SeqVector, p: NormTag):
     sqrt(a^2 + b^2)/d for an exact complex (a + bi)/d (a Fraction when
     a^2 + b^2 is a square) and math.sqrt(re^2 + im^2) for a float.  Several
     entries give the walk's rows in index order, whatever the order of v's
-    dict, since float sums depend on it; exact real ones under P1 and PINF
-    give the sum or the largest of the |a|/d."""
+    dict, since float sums depend on it; exact ones under P1 give the sum
+    of their roots when each is rational, and exact real ones under PINF
+    the largest |a|/d."""
     entries = v._entries
     if v._mode is Mode.FLOAT64:
         rows = [u.real * u.real + u.imag * u.imag for _, u in sorted(entries.items())]
@@ -409,11 +428,19 @@ def norm(v: SeqVector, p: NormTag):
         if not b:
             return Fraction(abs(a), d)
         n = a * a + b * b
-        s = math.isqrt(n)
-        return Fraction(s, d) if s * s == n else math.sqrt(_ratio_float(n, d * d))
-    if p is not NormTag.P2 and not any(u._b for u in entries.values()):
-        pick = _over_lcm if p is NormTag.P1 else _largest_row
-        return Fraction(*pick(((abs(u._a), u._d) for u in entries.values()), 1))
+        s = _square_root(n)
+        return math.sqrt(_ratio_float(n, d * d)) if s is None else Fraction(s, d)
+    if p is NormTag.P1:  # a real entry's root is |a|/d; a complex one's may be irrational
+        roots = []
+        for u in entries.values():
+            s = _square_root(u._a * u._a + u._b * u._b) if u._b else abs(u._a)
+            if s is None:
+                return _root_sum((w._a * w._a + w._b * w._b, w._d)
+                                 for _, w in sorted(entries.items()))
+            roots.append((s, u._d))
+        return Fraction(*_over_lcm(roots, 1))
+    if p is NormTag.PINF and not any(u._b for u in entries.values()):
+        return Fraction(*_largest_row(((abs(u._a), u._d) for u in entries.values()), 1))
     return _walk_value([(u._a * u._a + u._b * u._b, u._d)
                         for _, u in sorted(entries.items())], p, v._mode)
 
