@@ -108,15 +108,18 @@ def _is_list_of(item):
 
 # kind -> (test of a value, names of the parameters of that kind)
 KINDS = {
-    "an integer": (is_integer, """sample_count support_bound orbit_check_horizon
+    "an integer": (is_integer, """sample_count orbit_check_horizon
         forced_sample_count forced_budget schedule_length target_count outside_count
         outside_budget mix_length mix_budget nonzero_budget stagnation_window
         search_budget orbit_horizon steps drift_target_scale_log2 drift_target_index
         drift_time diagonal_target_log2""".split()),
+    "a non-negative integer": (lambda v: is_integer(v) and v >= 0, ["support_bound"]),
     "a rational": (is_number, """norm_bound weight contract_weight
-        expand_weight band_a_scale ratio_factor noise_scale lambda""".split()),
+        expand_weight ratio_factor noise_scale""".split()),
     "a positive rational": (lambda v: is_number(v) and v > 0, """d forced_tolerance
-        target_eps inside_margin outside_margin""".split()),
+        target_eps inside_margin outside_margin band_a_scale""".split()),
+    "a rational with 0 < |lambda| < 1": (lambda v: is_number(v) and 0 < abs(v) < 1,
+                                         ["lambda"]),
     "a non-empty list of integers": (_is_list_of(is_integer), """lambda_ladder_exponents
         scale_exponents visit_times count_ladder""".split()),
     "a pair of integers lo <= hi": (lambda v: _is_pair(v) and v[0] <= v[1],
@@ -132,7 +135,7 @@ def parse(name: str, value):
     string such as "1/2" becomes a Fraction; every other value is kept
     as given."""
     kind = _KIND_OF[name]
-    if kind in ("a rational", "a positive rational") and isinstance(value, str):
+    if "rational" in kind and isinstance(value, str):
         try:
             value = Fraction(value)
         except (ValueError, ZeroDivisionError):

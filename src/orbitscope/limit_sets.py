@@ -40,9 +40,8 @@ from .errors import (
     SearchFailed,
     VerificationFailed,
 )
-from .numeric import FieldsJSON, Mode, QC, abs2, exact_sqrt, \
-    jsonable, log2_abs, make_scalar, positive_value, real_value, scalar_zero, \
-    sqrt_bounds, strict_gt, to_float
+from .numeric import FieldsJSON, Mode, QC, abs2, jsonable, log2_abs, make_scalar, \
+    positive_value, ratio_float, real_value, scalar_zero, sqrt_bounds, strict_gt, to_float
 from .operators import _OFFSET, ShiftOperator, _path_exact, _path_into, apply_power, \
     power_paths, weight_product
 from .orbits import CoarseWitness, coarse_orbit_contains
@@ -68,9 +67,8 @@ class EpsSchedule:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def reciprocal(cls, m: int, scale=1) -> "EpsSchedule":
-        s = Fraction(scale)
-        return cls(tuple(s / i for i in range(1, m + 1)))
+    def reciprocal(cls, m: int) -> "EpsSchedule":
+        return cls(tuple(Fraction(1, i) for i in range(1, m + 1)))
 
     def __len__(self):
         return len(self.values)
@@ -482,15 +480,6 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
                     to_float(r))
 
 
-def _as_float(num: int, den: int) -> float:
-    """num/den correctly rounded, as to_float rounds a Fraction; inf past
-    double range."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf
-
-
 def _real_sup_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val: Fraction,
                       eps: Fraction, k: int, budget: Budget,
                       targets: _TargetRows) -> _Attempt | None:
@@ -540,13 +529,13 @@ def _real_sup_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val: Fract
                 # this |m| >= d or another's: a row left alone or partly
                 # corrected keeps its residual below d
                 feasible = False
-                residual = max(residual, _as_float(ap, q))
+                residual = max(residual, ratio_float(ap, q))
                 continue
             num, den = a + b, 2 * q * aw * dd * ed
         deltas[s] = (num if (p > 0) is (wa > 0) else -num, den)  # the sign of m/W
         if num * big_d > big_n * den:
             big_n, big_d = num, den
-    delta_norm = _as_float(big_n, big_d)
+    delta_norm = ratio_float(big_n, big_d)
     if not feasible:
         return _Attempt(False, None, None, delta_norm, residual)
     if not budget.try_spend(1):
@@ -581,21 +570,15 @@ def _exact_abs2(v) -> Fraction:
     return re * re + im * im
 
 
-def _root_bounds(q: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(q) <= hi, both exact when sqrt(q) is rational."""
-    r = exact_sqrt(q)
-    return (r, r) if r is not None else sqrt_bounds(q, 64)
-
-
 def _norm_bounds(v: SeqVector, norm_tag: NormTag) -> tuple[Fraction, Fraction]:
     """Rational lo <= ||v|| <= hi, from the exact |v_j|^2 of each entry."""
     squares = [_exact_abs2(u) for _, u in v.items()]
     if norm_tag is NormTag.P1:
-        bounds = [_root_bounds(a) for a in squares]
+        bounds = [sqrt_bounds(a, 64) for a in squares]
         return (sum((lo for lo, _ in bounds), Fraction(0)),
                 sum((hi for _, hi in bounds), Fraction(0)))
-    return _root_bounds(sum(squares, Fraction(0)) if norm_tag is NormTag.P2
-                        else max(squares, default=Fraction(0)))
+    return sqrt_bounds(sum(squares, Fraction(0)) if norm_tag is NormTag.P2
+                       else max(squares, default=Fraction(0)), 64)
 
 
 def _first_power_at_most(b: Fraction, r: Fraction) -> int | None:

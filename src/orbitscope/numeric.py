@@ -10,6 +10,9 @@ Two per-run modes:
 
 There is no global switch: every value carries its mode, and every
 function that builds a scalar is told the mode to build it in.
+
+The module owns the exact rules every layer shares: ``square_root`` is the
+one square test and ``ratio_float`` the one rounding of an int ratio.
 """
 
 from __future__ import annotations
@@ -287,10 +290,6 @@ def to_float(value) -> float:
             return float(value)
         except OverflowError:
             return math.inf if value > 0 else -math.inf
-    if isinstance(value, QC):
-        if not value._b:
-            return to_float(value.re)
-        return 2.0 ** log2_abs(value)
     return float(value)
 
 
@@ -300,34 +299,41 @@ def strict_gt(a, b, mode: Mode) -> bool:
     return to_float(a) > to_float(b) + TOL_EQ
 
 
-# -- exact square-root comparison machinery ---------------------------------
+# -- exact square roots and int ratios -----------------------------------------
 
 
-def exact_sqrt(q: Fraction) -> Fraction | None:
-    """Exact rational square root of q >= 0, or None if irrational."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    if q == 0:
-        return Fraction(0)
-    num, den = q.numerator, q.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+_SQUARES_MOD_64 = frozenset(i * i % 64 for i in range(64))
+
+
+def square_root(n: int) -> int | None:
+    """The int root of an int n >= 0 that is a square, else None; most
+    others show it by their residue mod 64, with no isqrt."""
+    if n & 63 not in _SQUARES_MOD_64:
+        return None
+    s = isqrt(n)
+    return s if s * s == n else None
+
+
+def ratio_float(n: int, d: int) -> float:
+    """n / d for ints n >= 0 and d > 0, rounded once as to_float(Fraction(n, d))
+    is; inf past double range."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf
 
 
 def sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(q) <= hi with hi - lo <= 2^-bits * small factor."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    if q == 0:
-        return Fraction(0), Fraction(0)
+    """Rational lo <= sqrt(q) <= hi: both sqrt(q) when q >= 0 is the square
+    of a rational, else hi - lo = 2^-bits / den(q); ValueError for q < 0."""
     num, den = q.numerator, q.denominator
+    rn, rd = square_root(num), square_root(den)
+    if rn is not None and rd is not None:
+        r = Fraction(rn, rd)
+        return r, r
     shift = 1 << bits
     s = isqrt(num * den * shift * shift)
-    lo = Fraction(s, den * shift)
-    hi = Fraction(s + 1, den * shift)
-    return lo, hi
+    return Fraction(s, den * shift), Fraction(s + 1, den * shift)
 
 
 def sum_sqrt_cmp(rows: list[tuple[int, int]], bound: Fraction) -> int:
@@ -345,11 +351,11 @@ def sum_sqrt_cmp(rows: list[tuple[int, int]], bound: Fraction) -> int:
     lcm = math.lcm(bd, *(d for _, d in rows))
     rational, irrational = 0, []
     for n, d in rows:
-        s, f = isqrt(n), lcm // d
-        if s * s == n:
-            rational += s * f
-        else:
+        s, f = square_root(n), lcm // d
+        if s is None:
             irrational.append(n * f * f)
+        else:
+            rational += s * f
     target = bn * (lcm // bd)
     if not irrational:
         return (rational > target) - (rational < target)
@@ -378,16 +384,12 @@ def log2_abs(value) -> float:
             g = gcd(n, d2)
             n, d2 = n // g, d2 // g
         return 0.5 * (math.log2(n) - math.log2(d2))
-    if isinstance(value, Fraction):
-        if value == 0:
-            return float("-inf")
-        return math.log2(abs(value.numerator)) - math.log2(value.denominator)
     m = abs(value)
     return math.log2(m) if m else float("-inf")
 
 
 def phase_of(value) -> complex:
-    """value / |value| as a unit complex number (1.0 for zero)."""
+    """value / |value| as a unit complex number, for a non-zero value."""
     if isinstance(value, QC):
         a, b, d = value._a, value._b, value._d
         if not b:
@@ -401,12 +403,7 @@ def phase_of(value) -> complex:
             # shifting both right by one number of bits keeps their ratio
             s = max(a.bit_length(), b.bit_length()) - 64
             value = complex(a >> s, b >> s) if s > 0 else complex(a, b)
-    if isinstance(value, Fraction):
-        return complex(1.0 if value >= 0 else -1.0, 0.0)
-    m = abs(value)
-    if m == 0:
-        return complex(1.0, 0.0)
-    return value / m
+    return value / abs(value)
 
 
 def unit_power(phase: complex, n: int) -> complex:

@@ -62,8 +62,6 @@ class WeightRule:
     weight that occurs infinitely often then counts math.inf.
     """
 
-    kind = "abstract"
-
     def _index_at(self, j: int) -> int:
         raise NotImplementedError
 
@@ -118,8 +116,6 @@ def _coerce_weight(value) -> QC:
 class Constant(WeightRule):
     value: QC
 
-    kind = "constant"
-
     def __post_init__(self):
         value = _coerce_weight(self.value)
         self._store((value,), value=value)
@@ -141,8 +137,6 @@ class PiecewiseTwoSided(WeightRule):
     positive: QC
     nonpositive: QC
 
-    kind = "piecewise_two_sided"
-
     def __post_init__(self):
         pos, nonpos = _coerce_weight(self.positive), _coerce_weight(self.nonpositive)
         self._store((pos, nonpos), positive=pos, nonpositive=nonpos)
@@ -162,8 +156,6 @@ class PiecewiseTwoSided(WeightRule):
 @dataclass(frozen=True)
 class Periodic(WeightRule):
     values: tuple
-
-    kind = "periodic"
 
     def __post_init__(self):
         vals = tuple(_coerce_weight(v) for v in self.values)
@@ -194,8 +186,6 @@ class Table(WeightRule):
 
     entries: tuple
     default: QC
-
-    kind = "table"
 
     def __post_init__(self):
         if isinstance(self.entries, dict):
@@ -409,7 +399,7 @@ def _path_into(T: ShiftOperator, j: int, n: int) -> tuple | None:
     if comp is None:
         return None
     s = j - _OFFSET[comp[0]] * n
-    if not comp[2].contains(s) or not T.index_set.contains(s):
+    if not comp[2].contains(s):
         return None
     return (s, *comp)
 

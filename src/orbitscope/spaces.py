@@ -28,8 +28,10 @@ from .numeric import (
     make_scalar,
     mode_of_scalar,
     positive_value,
+    ratio_float,
     real_value,
     scalar_zero,
+    square_root,
     strict_gt,
     sum_sqrt_cmp,
     to_float,
@@ -261,8 +263,6 @@ def _real_dist(a: SeqVector, b: SeqVector, p: NormTag, bound=None) -> Fraction |
                     return Fraction(num, den)
             else:
                 return Fraction(num, den)
-        if not eb:  # a norm: the row of (u_a + u_b i)/u_d is (u_a^2 + u_b^2, u_d)
-            return [(u._a * u._a + u._b * u._b, u._d) for _, u in sorted(ea.items())]
         rows = []
         for j in sorted(ea.keys() | eb.keys()):
             # (u_a + u_b i)/u_d - (v_a + v_b i)/v_d over the denominator u_d v_d
@@ -303,31 +303,10 @@ def _largest_row(rows, power: int = 2) -> tuple[int, int]:
     return best_n, best_d
 
 
-def _ratio_float(n: int, d: int) -> float:
-    """n / d for ints n >= 0 and d > 0, rounded once as float(Fraction(n, d))
-    is; inf past double range."""
-    try:
-        return n / d
-    except OverflowError:
-        return math.inf
-
-
-_SQUARES_MOD_64 = frozenset(i * i % 64 for i in range(64))
-
-
-def _square_root(n: int) -> int | None:
-    """The int root of an int n >= 0 that is a square, else None; most
-    others show it by their residue mod 64, with no isqrt."""
-    if n & 63 not in _SQUARES_MOD_64:
-        return None
-    s = math.isqrt(n)
-    return s if s * s == n else None
-
-
 def _root_sum(rows) -> float:
     """The sum of the rows' roots sqrt(n) / d, each rounded as
     math.sqrt(float(n / d^2)), in the rows' order; inf past double range."""
-    return sum(math.sqrt(_ratio_float(n, d * d)) for n, d in rows)
+    return sum(math.sqrt(ratio_float(n, d * d)) for n, d in rows)
 
 
 def _walk_value(r, p: NormTag, mode: Mode):
@@ -347,14 +326,14 @@ def _walk_value(r, p: NormTag, mode: Mode):
     if p is NormTag.P1:
         roots = []
         for n, d in r:
-            s = _square_root(n)
+            s = square_root(n)
             if s is None:
                 return _root_sum(r)
             roots.append((s, d))
         return Fraction(*_over_lcm(roots, 1))
     n, d = _over_lcm(r, 2) if p is NormTag.P2 else _largest_row(r)
-    s = _square_root(n)
-    return math.sqrt(_ratio_float(n, d * d)) if s is None else Fraction(s, d)
+    s = square_root(n)
+    return math.sqrt(ratio_float(n, d * d)) if s is None else Fraction(s, d)
 
 
 def _walk_cmp(r, p: NormTag, mode: Mode, bound) -> int:
@@ -428,12 +407,12 @@ def norm(v: SeqVector, p: NormTag):
         if not b:
             return Fraction(abs(a), d)
         n = a * a + b * b
-        s = _square_root(n)
-        return math.sqrt(_ratio_float(n, d * d)) if s is None else Fraction(s, d)
+        s = square_root(n)
+        return math.sqrt(ratio_float(n, d * d)) if s is None else Fraction(s, d)
     if p is NormTag.P1:  # a real entry's root is |a|/d; a complex one's may be irrational
         roots = []
         for u in entries.values():
-            s = _square_root(u._a * u._a + u._b * u._b) if u._b else abs(u._a)
+            s = square_root(u._a * u._a + u._b * u._b) if u._b else abs(u._a)
             if s is None:
                 return _root_sum((w._a * w._a + w._b * w._b, w._d)
                                  for _, w in sorted(entries.items()))

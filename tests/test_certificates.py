@@ -330,6 +330,8 @@ class TestParameters:
         ("target_eps", "0"), ("inside_margin", -1), ("outside_margin", 0),
         ("band_b_window", [-40, -80]), ("band_b_window", (5, 4)),
         ("m_ladder_num_den", [[1, 0]]), ("m_ladder_num_den", [[1, 10], [3, 0]]),
+        ("support_bound", -3), ("band_a_scale", 0), ("band_a_scale", "-1/2"),
+        ("lambda", 0), ("lambda", 1), ("lambda", "-3/2"),
     ])
     def test_value_out_of_range_rejected(self, name, value):
         # checked before a suite runs: d <= 0 made prop36-contraction loop
@@ -341,6 +343,7 @@ class TestParameters:
         ("d", "1/2", Fraction(1, 2)), ("d", 1e-9, 1e-9),
         ("band_b_window", [-40, -40], [-40, -40]),
         ("m_ladder_num_den", [[0, 1], [-1, -3]], [[0, 1], [-1, -3]]),
+        ("support_bound", 0, 0), ("lambda", "-1/2", Fraction(-1, 2)),
     ])
     def test_edge_values_accepted(self, name, value, parsed):
         assert defaults.parse(name, value) == parsed

@@ -270,6 +270,10 @@ class TestCertify:
             "kind": "constant", "value": True}}}, WITNESS),
         ({"operator": {"shape": "bilateral_backward", "index_set": "Z", "weights": {
             "kind": "constant", "value": "1/0"}}}, WITNESS),
+        ({"certificates": {"prop32": {"support_bound": -3}}}, ("certify", "prop32")),
+        ({"certificates": {"riesz-blocks": {"band_a_scale": 0}}},
+         ("certify", "riesz-blocks")),
+        ({"certificates": {"prop22": {"lambda": 0}}}, ("certify", "prop22")),
     ], ids=["unknown-key", "block-without-band", "horizon-not-int",
             "certificates-not-object", "out-dir-not-string", "parameter-not-number",
             "parameter-not-list", "parameter-item-not-number", "horizon-bool",
@@ -277,7 +281,8 @@ class TestCertify:
             "pair-too-short", "unknown-parameter", "rational-list",
             "count-numeric-string", "d-zero", "d-negative", "positive-rational-negative-string", "window-reversed",
             "ratio-zero-denominator", "table-entries-list", "weight-bool",
-            "weight-zero-denominator"])
+            "weight-zero-denominator", "support-bound-negative", "band-a-scale-zero",
+            "lambda-zero"])
     def test_unknown_config_key(self, capsys, tmp_path, config, command):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))

@@ -6,14 +6,16 @@ zero as its imaginary part.
 """
 
 import math
+import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitscope import IndexSet, SeqVector
-from orbitscope.numeric import QC, Mode, is_zero_scalar, jsonable, log2_abs, scalar_zero
+from orbitscope.numeric import QC, Mode, is_zero_scalar, jsonable, log2_abs, ratio_float, \
+    scalar_zero, sqrt_bounds, square_root, to_float
 
 RATIONALS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
 KINDS = [("real", "real"), ("real", "complex"), ("complex", "real"),
@@ -189,8 +191,9 @@ def test_equal_values_compare_and_hash_as_the_pair(kind, data, k):
     re, im = draw_pair(data, kind)
     q = qc_of(data, (re, im))
     scale = QC(Fraction(k), Fraction(k))  # the same value reached through a common factor
-    other = q * scale / scale
-    assert other == q and hash(other) == hash(q) == hash((re, im))
+    for other in (q * scale / scale, pickle.loads(pickle.dumps(q))):
+        assert type(other) is QC
+        assert other == q and hash(other) == hash(q) == hash((re, im))
     assert q != q + QC(Fraction(1, k)) and q != q + QC(Fraction(0), Fraction(1, k))
 
 
@@ -216,3 +219,46 @@ def test_to_complex_rounds_each_part_as_float_does(e, data):
         return
     got = q.to_complex()
     assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
+
+
+# -- the square test, root bounds and int-ratio rounding -----------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**40) | st.integers(2**200, 2**260), st.integers(-2, 2))
+@example(17, 0)  # residues of squares mod 64 that are not squares
+@example(33, 0)
+@example(2**201, 0)
+def test_square_root_agrees_with_isqrt(m, k):
+    for n in (m, m * m, max(m * m + k, 0)):
+        s = math.isqrt(n)
+        assert square_root(n) == (s if s * s == n else None)
+
+
+@pytest.mark.parametrize("q, root", [
+    (Fraction(4, 9), Fraction(2, 3)), (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)),
+    (Fraction(10**60, 49), Fraction(10**30, 7)), (Fraction(1, 2**400), Fraction(1, 2**200)),
+])
+def test_sqrt_bounds_is_exact_on_squares(q, root):
+    assert sqrt_bounds(q, 64) == (root, root)
+
+
+@pytest.mark.parametrize("q", [
+    Fraction(2), Fraction(17), Fraction(33, 64), Fraction(4, 17), Fraction(17, 4),
+    Fraction(10**60 + 1, 49),
+])
+@pytest.mark.parametrize("bits", [8, 64])
+def test_sqrt_bounds_brackets_non_squares(q, bits):
+    lo, hi = sqrt_bounds(q, bits)
+    assert lo * lo < q < hi * hi
+    assert hi - lo == Fraction(1, q.denominator << bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**1100), st.integers(1, 2**1100))
+@example(10**400, 3)
+@example(0, 7)
+def test_ratio_float_rounds_as_to_float(n, d):
+    assert ratio_float(n, d) == to_float(Fraction(n, d))
+    if Fraction(n, d) > 2**1024:
+        assert ratio_float(n, d) == math.inf

@@ -32,6 +32,7 @@ from orbitscope import orbits
 from orbitscope.certificates import _prop21_instance
 from orbitscope.errors import IndexSetMismatch, OrbitscopeError, VerificationFailed
 from orbitscope.numeric import Mode, real_value
+from orbitscope.operators import meetings
 from orbitscope.orbits import ball_counts
 from orbitscope.spaces import dist, dist_lt
 
@@ -369,6 +370,24 @@ class TestScreenedScans:
         y = ei(-50, 7) + ei(2)
         assert ball_counts(T, ei(0) + ei(4), y, 1, [100], NormTag.PINF) == [0]
         assert measured == [ei(2, Fraction(1, 4))]
+
+    @pytest.mark.parametrize("case", ["other-index-set", "source-in-no-band"])
+    def test_unlisted_times_fall_back_to_the_stepped_scans_error(self, monkeypatch, case):
+        # meetings lists no times for x on another index set than T, or for
+        # a source in no band: the scan steps, and raises where apply does
+        if case == "other-index-set":
+            T, x = doubling(), ei(3)
+        else:
+            T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
+                Block(Band(0, 10), "backward", Constant(2)),))
+            x = ei(3) + ei(20)
+        listed = []
+        monkeypatch.setattr(orbits, "meetings",
+                            lambda *args: listed.append(meetings(*args)) or listed[-1])
+        y = ei(0, 5)
+        assert outcome(lambda: coarse_orbit_contains(T, x, 1, y, 10, NormTag.PINF)) is \
+            outcome(lambda: full_coarse_scan(T, x, 1, y, 10, NormTag.PINF)) is IndexSetMismatch
+        assert listed == [None]
 
     def test_prop21_measures_eight_points(self, monkeypatch):
         # sources at 32, 35, 302, 305, 1002 and 1005 meet the rows 2 and 5

@@ -154,12 +154,13 @@ class TestCone:
 
 class TestConeSample:
     def test_samples_are_members_and_deterministic(self):
-        C = OpenCone(e(0, 2) + e(2, 1), Fraction(1, 2), NormTag.P2)
-        first = cone_sample(C, 30, seed=11)
-        second = cone_sample(C, 30, seed=11)
-        assert len(first) == 30
-        assert all(cone_contains(C, v) for v in first)
-        assert [v.key() for v in first] == [v.key() for v in second]
+        for p in (NormTag.P2, NormTag.P1):
+            C = OpenCone(e(0, 2) + e(2, 1), Fraction(1, 2), p)
+            first = cone_sample(C, 30, seed=11)
+            second = cone_sample(C, 30, seed=11)
+            assert len(first) == 30
+            assert all(cone_contains(C, v) for v in first)
+            assert [v.key() for v in first] == [v.key() for v in second]
 
     def test_different_seed_differs(self):
         C = OpenCone(e(0, 2), 1, NormTag.PINF)
@@ -704,6 +705,25 @@ def _ref_pinf_scale(xs: dict, cs: dict, r: Fraction):
             elif t >= 0:
                 return None
     return (lo + hi) / 2 if lo < hi else None
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("c1", [1, -1])
+@pytest.mark.parametrize("x1, member", [(1, True), (-1, False), (0, False)])
+def test_pinf_scale_rows_with_zero_slope(mode, c1, x1, member):
+    # c_1 = +-r, so one of row 1's inequalities, lam (r -+ c_1) > -+x_1,
+    # has slope 0: it holds for every lam when x_1 has c_1's sign, else for none
+    c, r = {0: 2, 1: c1}, Fraction(1)
+    x = {0: 3, 1: x1 * c1}
+    cv, xv = (SeqVector.from_entries(IndexSet.INTEGERS, v, mode) for v in (c, x))
+    C = OpenCone(cv, r, NormTag.PINF)
+    carrier = Fraction if mode is Mode.EXACT else float
+    ref = _ref_pinf_scale({i: carrier(v) for i, v in x.items() if v},
+                          {i: carrier(v) for i, v in c.items()}, carrier(r))
+    lam = spaces._pinf_scale(xv._entries, cv._entries, C.radius_value(), mode)
+    assert lam == ref and type(lam) is type(ref)
+    assert (lam is not None) is member
+    assert cone_contains(C, xv) is member
 
 
 def _ref_p2_closed_form(x: SeqVector, c: SeqVector, r: Fraction) -> bool:
