@@ -64,7 +64,7 @@ from .orbits import (
     make_coarse_witness,
     rescale_coarse_witness,
 )
-from .spaces import IndexSet, NormTag, SeqVector, dist, norm
+from .spaces import IndexSet, NormTag, SeqVector, dist, dist_lt, norm
 
 
 PASS = "PASS"
@@ -162,6 +162,19 @@ def _params(base: dict, given: dict) -> dict:
     return p
 
 
+def _double(p: dict, name: str) -> float:
+    """The parameter as a double; one past double range is a config error."""
+    try:
+        return float(p[name])
+    except OverflowError:
+        raise ConfigError(f"parameter {name!r} is past double range") from None
+
+
+def _sampled(note: str, count: int) -> str:
+    """A sub-check's note, labelled vacuous when its sample is empty."""
+    return note if count else note + "; vacuous: empty sample"
+
+
 CERTIFICATES = {}  # name -> cert(seed=0, mode=Mode.EXACT, **params), in run order
 
 
@@ -218,7 +231,7 @@ def cert_prop32(p, seed, mode):
     # (b) J-certificates at the coarse bound for seeded targets
     schedule = EpsSchedule.reciprocal(p["schedule_length"])
     rng = _rng(seed, "prop32-targets")
-    sb, nb = p["support_bound"], p["norm_bound"]
+    sb, nb = p["support_bound"], _double(p, "norm_bound")
     failures = []
     for idx in range(p["sample_count"]):
         y = _random_sparse(rng, IndexSet.INTEGERS, -sb, sb, nb, mode)
@@ -229,17 +242,13 @@ def cert_prop32(p, seed, mode):
             witnesses.append(w.to_jsonable() if idx < 25 else _witness_digest(w))
         except SearchFailed as exc:
             failures.append({"index": idx, **exc.diagnostics()})
-    note = "sampled surrogate for a statement over the whole space"
-    if p["sample_count"] == 0:
-        subs.append(SubCheck("synthesis-at-bound", PASS,
-                             note=note + "; vacuous: empty sample",
-                             details={"sampled": 0}))
-    else:
-        subs.append(SubCheck(
-            "synthesis-at-bound", PASS if not failures else FAIL, note=note,
-            details={"sampled": p["sample_count"],
-                     "succeeded": p["sample_count"] - len(failures),
-                     "failures": failures}))
+    subs.append(SubCheck(
+        "synthesis-at-bound", PASS if not failures else FAIL,
+        note=_sampled("sampled surrogate for a statement over the whole space",
+                      p["sample_count"]),
+        details={"sampled": p["sample_count"],
+                 "succeeded": p["sample_count"] - len(failures),
+                 "failures": failures}))
 
     # (c) forcing the quarter-tolerance search must fail or self-contradict
     rng_forced = _rng(seed, "prop32-forced")
@@ -274,9 +283,9 @@ def cert_prop32(p, seed, mode):
     proved = sum(r.get("proof") is not None for r in forced_results)
     subs.append(SubCheck(
         "quarter-tolerance-obstruction", status,
-        note=(f"{proved} of {p['forced_sample_count']} targets proved outside "
-              "J(e_0, T, d) by tail-bound; any other failure is within "
-              "budget, never non-membership"),
+        note=_sampled(f"{proved} of {p['forced_sample_count']} targets proved "
+                      "outside J(e_0, T, d) by tail-bound; any other failure is "
+                      "within budget, never non-membership", p["forced_sample_count"]),
         details={"targets": p["forced_sample_count"],
                  "results": forced_results,
                  "checker_rejects_bogus_family": checker_rejects,
@@ -311,13 +320,14 @@ def cert_prop36_contraction(p, seed, mode):
                          details={"estimate": r}))
 
     d_val = p["d"]
+    d_f, inside_f, outside_f = (_double(p, k) for k in ("d", "inside_margin", "outside_margin"))
     x = SeqVector.basis(IndexSet.NATURALS, 1, mode=mode)
     schedule = EpsSchedule.reciprocal(p["schedule_length"])
     rng = _rng(seed, "prop36i-inside")
     inside_failures = 0
     witnessed_norms = []
     for _ in range(p["target_count"]):
-        y = _ball_target(rng, mode, float(d_val) * float(p["inside_margin"]) * 0.995)
+        y = _ball_target(rng, mode, d_f * inside_f * 0.995)
         try:
             w = search_j_witness(T, x, y, d_val, schedule, 10_000,
                                  norm_tag=NormTag.P2)
@@ -327,7 +337,7 @@ def cert_prop36_contraction(p, seed, mode):
             inside_failures += 1
     subs.append(SubCheck(
         "open-ball-witnessed", PASS if inside_failures == 0 else FAIL,
-        note="finite surrogate of the open-ball inclusion",
+        note=_sampled("finite surrogate of the open-ball inclusion", p["target_count"]),
         details={"targets": p["target_count"], "failures": inside_failures}))
 
     rng_out = _rng(seed, "prop36i-outside")
@@ -335,8 +345,7 @@ def cert_prop36_contraction(p, seed, mode):
     reasons = []
     proved = 0
     for _ in range(p["outside_count"]):
-        y = _ball_target(rng_out, mode, 1.9 * float(d_val),
-                         min_norm=float(d_val) * float(p["outside_margin"]) * 1.005)
+        y = _ball_target(rng_out, mode, 1.9 * d_f, min_norm=d_f * outside_f * 1.005)
         try:
             w = search_j_witness(T, x, y, d_val, schedule, p["outside_budget"],
                                  norm_tag=NormTag.P2)
@@ -347,16 +356,16 @@ def cert_prop36_contraction(p, seed, mode):
     subs.append(SubCheck(
         "closure-bound-respected",
         _proof_status(bool(found_outside), proved, p["outside_count"]),
-        note=(f"{proved} of {p['outside_count']} targets outside the closed "
-              "ball proved outside J(e_1, T, d); any other failure is within "
-              "budget, never non-membership"),
+        note=_sampled(f"{proved} of {p['outside_count']} targets outside the "
+                      "closed ball proved outside J(e_1, T, d); any other failure "
+                      "is within budget, never non-membership", p["outside_count"]),
         details={"targets": p["outside_count"], "proved": proved,
                  "witnessed": found_outside,
                  "failure_reasons": sorted(set(reasons))}))
-    bound_ok = all(n <= float(d_val) * 1.01 for n in witnessed_norms)
+    bound_ok = all(n <= d_f * 1.01 for n in witnessed_norms)
     subs.append(SubCheck(
         "witnessed-targets-bounded", PASS if bound_ok else FAIL,
-        note="every witnessed target lies within d(1+tol)",
+        note=_sampled("every witnessed target lies within d(1+tol)", p["target_count"]),
         details={"max_witnessed_norm": max(witnessed_norms, default=None)}))
     summary = {"witnessed": len(witnessed_norms), "spectral_radius": r}
     return T, subs, witnesses, summary
@@ -434,7 +443,8 @@ def cert_prop36_expansion(p, seed, mode):
     zero_ok = not zero_failures and exact_hits == p["target_count"]
     subs.append(SubCheck(
         "mix-from-zero-exact", PASS if zero_ok else FAIL,
-        note="back-solved perturbations give residual exactly 0",
+        note=_sampled("back-solved perturbations give residual exactly 0",
+                      p["target_count"]),
         details={"targets": p["target_count"], "exact_hits": exact_hits,
                  "failures": zero_failures}))
 
@@ -514,7 +524,8 @@ def cert_riesz_blocks(p, seed, mode):
     schedule = EpsSchedule.reciprocal(p["schedule_length"])
     rng = _rng(seed, "riesz-targets")
     blo, bhi = p["band_b_window"]
-    a_cap = float(d_val) * float(p["band_a_scale"])
+    d_f = _double(p, "d")
+    a_cap = d_f * _double(p, "band_a_scale")
     decomposed = 0
     decompose_failures = []
     a_norms = []
@@ -536,16 +547,18 @@ def cert_riesz_blocks(p, seed, mode):
     subs.append(SubCheck(
         "witness-band-decomposition",
         PASS if decomposed == p["sample_count"] else FAIL,
-        note="each certificate splits into valid per-band certificates",
+        note=_sampled("each certificate splits into valid per-band certificates",
+                      p["sample_count"]),
         details={"targets": p["sample_count"], "decomposed": decomposed,
                  "failures": decompose_failures[:10]}))
 
     sup_orbit = max(to_float(norm(v, NormTag.PINF)) for v in iterate(T1, x1, 63))
-    bound = sup_orbit + float(d_val)
+    bound = sup_orbit + d_f
     bound_ok = all(a <= bound for a in a_norms)
     subs.append(SubCheck(
         "contracting-band-bounded", PASS if bound_ok else FAIL,
-        note="witnessed contracting components sit under sup ||T1^n x1|| + d",
+        note=_sampled("witnessed contracting components sit under sup ||T1^n x1|| + d",
+                      p["sample_count"]),
         details={"bound": bound, "max_component": max(a_norms, default=None)}))
 
     c_b = SeqVector.from_entries(IndexSet.INTEGERS,
@@ -593,7 +606,7 @@ def cert_prop15(p, seed, mode):
     witnesses = []
     zero = SeqVector.zero(IndexSet.NATURALS, mode)
     y = SeqVector.basis(IndexSet.NATURALS, 0, mode=mode)
-    d_val = p["d"]
+    d_val, eps_f = p["d"], _double(p, "target_eps")
     family = []
     next_start = 1
     contiguous = True
@@ -615,11 +628,9 @@ def cert_prop15(p, seed, mode):
         result = rescale_j_witness_family(T, family, p["target_eps"])
         out = result.witness
         d_over_tm = Fraction(d_val) / (Fraction(2) ** result.scale_index)
-        dist_ok = all(
-            (t.dist < d_over_tm if isinstance(t.dist, Fraction)
-             else to_float(t.dist) < float(d_over_tm)) for t in out.triples)
-        radii_ok = all(to_float(dist(t.perturbed, out.base, out.norm_tag))
-                       < float(p["target_eps"]) for t in out.triples)
+        dist_ok = all(t.dist < real_value(d_over_tm, mode) for t in out.triples)
+        radii_ok = all(to_float(dist(t.perturbed, out.base, out.norm_tag)) < eps_f
+                       for t in out.triples)
         subs.append(SubCheck(
             "rescaled-certificate", PASS if dist_ok and radii_ok else FAIL,
             note="distances below d/t_m, radii below the target tolerance",
@@ -657,34 +668,27 @@ def _prop21_instance(p, mode):
 def cert_prop21(p, seed, mode):
     T, x, y_star = _prop21_instance(p, mode)
     subs = []
-    witnesses = []
     d_val = p["d"]
+    noise_bound = _double(p, "d") * _double(p, "noise_scale") * 0.9
     rng = _rng(seed, "prop21-targets")
     found = []
     for _ in range(p["sample_count"]):
-        noise = _random_sparse(rng, IndexSet.NATURALS, 0, 7,
-                               float(d_val) * p["noise_scale"] * 0.9, mode,
+        noise = _random_sparse(rng, IndexSet.NATURALS, 0, 7, noise_bound, mode,
                                max_entries=3)
         z = y_star + noise
         w = coarse_orbit_contains(T, x, d_val, z, p["count_ladder"][0],
                                   NormTag.PINF)
-        if w is None:
-            found.append(None)
-        else:
+        if w is not None:
             found.append(w)
-            witnesses.append(w.to_jsonable())
-    all_found = all(w is not None for w in found)
     subs.append(SubCheck(
-        "sampled-targets-witnessed", PASS if all_found else FAIL,
-        note="perturbed copies of the planted target are coarsely reached",
-        details={"sampled": p["sample_count"],
-                 "first_times": [w.time for w in found if w is not None]}))
+        "sampled-targets-witnessed", PASS if len(found) == p["sample_count"] else FAIL,
+        note=_sampled("perturbed copies of the planted target are coarsely reached",
+                      p["sample_count"]),
+        details={"sampled": p["sample_count"], "first_times": [w.time for w in found]}))
 
     rescale_ok = True
     rescale_details = []
     for w in found:
-        if w is None:
-            continue
         for num, den in p["m_ladder_num_den"]:
             M = Fraction(d_val) * Fraction(num, den)
             try:
@@ -694,7 +698,8 @@ def cert_prop21(p, seed, mode):
                 rescale_details.append(str(exc))
     subs.append(SubCheck(
         "witness-rescaling", PASS if rescale_ok else FAIL,
-        note="witnesses transport across every bound in the ladder by linearity",
+        note=_sampled("witnesses transport across every bound in the ladder by "
+                      "linearity", p["sample_count"]),
         details={"ladder": [str(Fraction(d_val) * Fraction(n, dd))
                             for n, dd in p["m_ladder_num_den"]],
                  "failures": rescale_details}))
@@ -709,10 +714,28 @@ def cert_prop21(p, seed, mode):
               "NOT_APPLICABLE marks a plateau, not a refutation"),
         details={"ladder": list(p["count_ladder"]), "counts": counts}))
     summary = {"counts": counts}
-    return T, subs, witnesses, summary
+    return T, subs, [w.to_jsonable() for w in found], summary
 
 
 # -- prop22: geometric amplification of coarse hits ---------------------------------
+
+
+def _prop22_inputs(p, lam: Fraction, D: ShiftOperator, T: ShiftOperator) -> None:
+    """Refuse the parameters under which the suite's own recurrence D x = lam x,
+    diagonal witness times or drift witnesses fail, checked exactly."""
+    x = SeqVector.basis(IndexSet.INTEGERS, 0)
+    if apply_power(D, 1, x) != x.scale(lam):
+        raise ConfigError(f"parameter 'lambda' must be 1/2, the weight of the "
+                          f"halving diagonal, for its recurrence, not {lam}")
+    if p["steps"] > -p["diagonal_target_log2"]:
+        raise ConfigError("parameter 'steps' must be at most -diagonal_target_log2, "
+                          "or a diagonal witness time is negative")
+    point, y = apply_power(T, p["drift_time"], x), SeqVector.basis(
+        IndexSet.INTEGERS, p["drift_target_index"], Fraction(2) ** p["drift_target_scale_log2"])
+    if not all(dist_lt(point, y.scale(1 / lam ** n), NormTag.PINF, p["d"])
+               for n in range(1, p["steps"] + 1)):
+        raise ConfigError("parameters 'drift_time', 'drift_target_index', "
+                          "'drift_target_scale_log2' and 'd' miss a drift witness's bound")
 
 
 @_suite("prop22", defaults.PROP22,
@@ -721,13 +744,14 @@ def cert_prop21(p, seed, mode):
 def cert_prop22(p, seed, mode):
     subs = []
     witnesses = []
-    lam = Fraction(p["lambda"])
+    lam, d_f = Fraction(p["lambda"]), _double(p, "d")
     # instance (a): contracting diagonal with an exactly recurrent base
     D = ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS,
                       Constant(Fraction(1, 2)), label="halving-diagonal")
     # instance (b): drifting two-sided shift with non-trivial gaps
     T = prop32_operator()
-    for run_mode in (Mode.EXACT, Mode.FLOAT64):  # both, whatever `mode` is
+    _prop22_inputs(p, lam, D, T)
+    for run_mode in Mode:  # both, whatever `mode` is
         tag = run_mode.value
         x = SeqVector.basis(IndexSet.INTEGERS, 0, mode=run_mode)
         y = SeqVector.basis(
@@ -744,7 +768,8 @@ def cert_prop22(p, seed, mode):
             exact_zero = all(to_float(pt.distance) == 0.0 for pt in amp.points)
             subs.append(SubCheck(
                 f"diagonal-recurrent-{tag}", PASS if exact_zero else FAIL,
-                note="exactly recurrent base: amplified hits are exact",
+                note=_sampled("exactly recurrent base: amplified hits are exact",
+                              p["steps"]),
                 details={"points": len(amp.points)}))
             if run_mode is Mode.EXACT:
                 witnesses.append(amp.to_jsonable())
@@ -762,13 +787,14 @@ def cert_prop22(p, seed, mode):
             amp_b = prop22_amplify(T, x, yb, p["d"], lam, cwb,
                                    norm_tag=NormTag.PINF)
             bounds_ok = all(
-                to_float(pt.distance) <= float(lam) ** pt.n * float(p["d"])
+                to_float(pt.distance) <= float(lam) ** pt.n * d_f
                 for pt in amp_b.points)
             nontrivial = all(to_float(pt.distance) > 0 for pt in amp_b.points)
             subs.append(SubCheck(
                 f"drift-amplification-{tag}",
                 PASS if bounds_ok and nontrivial else FAIL,
-                note="distances scale geometrically under the bound lam^n d",
+                note=_sampled("distances scale geometrically under the bound lam^n d",
+                              p["steps"]),
                 details={"distances": [to_float(pt.distance)
                                        for pt in amp_b.points]}))
             if run_mode is Mode.EXACT:

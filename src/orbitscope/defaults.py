@@ -108,16 +108,18 @@ def _is_list_of(item):
 
 # kind -> (test of a value, names of the parameters of that kind)
 KINDS = {
-    "an integer": (is_integer, """sample_count orbit_check_horizon
-        forced_sample_count forced_budget schedule_length target_count outside_count
-        outside_budget mix_length mix_budget nonzero_budget stagnation_window
-        search_budget orbit_horizon steps drift_target_scale_log2 drift_target_index
-        drift_time diagonal_target_log2""".split()),
-    "a non-negative integer": (lambda v: is_integer(v) and v >= 0, ["support_bound"]),
-    "a rational": (is_number, """norm_bound weight contract_weight
-        expand_weight ratio_factor noise_scale""".split()),
+    "an integer": (is_integer, """drift_target_scale_log2 drift_target_index
+        diagonal_target_log2""".split()),
+    # counts, horizons, lengths and budgets; a zero count labels its sub-checks vacuous
+    "a non-negative integer": (lambda v: is_integer(v) and v >= 0, """support_bound
+        sample_count orbit_check_horizon forced_sample_count forced_budget
+        schedule_length target_count outside_count outside_budget mix_length
+        mix_budget nonzero_budget stagnation_window search_budget orbit_horizon
+        steps drift_time""".split()),
+    "a rational": (is_number, "weight contract_weight expand_weight noise_scale".split()),
     "a positive rational": (lambda v: is_number(v) and v > 0, """d forced_tolerance
-        target_eps inside_margin outside_margin band_a_scale""".split()),
+        target_eps inside_margin outside_margin band_a_scale norm_bound
+        ratio_factor""".split()),
     "a rational with 0 < |lambda| < 1": (lambda v: is_number(v) and 0 < abs(v) < 1,
                                          ["lambda"]),
     "a non-empty list of integers": (_is_list_of(is_integer), """lambda_ladder_exponents

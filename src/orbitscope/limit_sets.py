@@ -873,10 +873,9 @@ def rescale_j_witness_family(T: ShiftOperator,
                 raise OrbitscopeError(
                     "family witness times must increase across members")
             prev_time = triple.time
-            scaled_dist = triple.dist * (Fraction(1) / t) \
-                if isinstance(triple.dist, Fraction) else to_float(triple.dist) / to_float(t)
             out_triples.append(JWitnessTriple(
-                triple.perturbed.scale(inv), triple.time, scaled_dist))
+                triple.perturbed.scale(inv), triple.time,
+                triple.dist / real_value(t, mode)))
             radius_bounds.append(eps / t)
     # strictly decreasing majorant of the per-triple radius bounds
     suffix_max = list(radius_bounds)

@@ -199,14 +199,8 @@ def mode_of_scalar(s) -> Mode:
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)  # exact binary expansion
-    if isinstance(value, str):
-        return Fraction(value)
+    if isinstance(value, (Fraction, int, float, str)):
+        return Fraction(value)  # a float's exact binary expansion
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
@@ -270,9 +264,14 @@ class FieldsJSON:
 
 
 def real_value(value, mode: Mode):
-    """Coerce a real quantity (bound, radius, weight) to the mode's carrier."""
+    """Coerce a real quantity (bound, radius, weight) to the mode's carrier;
+    in float mode a value past double range is an OrbitscopeError."""
     f = _as_fraction(value) if not isinstance(value, Fraction) else value
-    return f if mode is Mode.EXACT else float(f)
+    try:
+        return f if mode is Mode.EXACT else float(f)
+    except OverflowError:
+        e = abs(f.numerator).bit_length() - f.denominator.bit_length()
+        raise OrbitscopeError(f"a value near 2^{e} is past double range") from None
 
 
 def positive_value(value, mode: Mode, name: str):

@@ -423,8 +423,8 @@ def weight_product(T: ShiftOperator, target_index: int, n: int) -> QC:
 
 def _step_weights(rule: WeightRule, exact: bool) -> tuple:
     """rule's weights as a step multiplies by them: in exact mode each QC
-    as its ints (a, b, d); in float mode each rounded once to complex, None
-    for one past double range, which raises only at a step that meets it."""
+    as its ints (a, b, d); in float mode each rounded once to complex, an
+    infinite one past double range, so only a step that meets it overflows."""
     if exact:
         return tuple((w._a, w._b, w._d) for w in rule._weights)
     out = []
@@ -432,7 +432,7 @@ def _step_weights(rule: WeightRule, exact: bool) -> tuple:
         try:
             out.append(w.to_complex())
         except OverflowError:
-            out.append(None)
+            out.append(complex(math.inf))
     return tuple(out)
 
 
@@ -507,8 +507,6 @@ def iterate(T: ShiftOperator, v: SeqVector, K: int):
         else:
             for path, val in rows:
                 t, w = path[n]
-                if w is None:  # a weight past double range
-                    raise NumericOverflow("single-step application overflowed")
                 val = w * val
                 if val == 0:
                     continue

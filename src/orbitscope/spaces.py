@@ -316,14 +316,15 @@ def _walk_value(r, p: NormTag, mode: Mode):
     is a square.  P2 sums the rows over the lcm of their d and PINF takes
     the largest by cross-multiplication, so the value is one such root.
     An irrational value is math.sqrt of the double nearest its square, inf
-    past double range; under P1 that of each row, summed in index order."""
+    past double range; under P1 that of each row, summed in index order.
+    One row is its own root under every p."""
     if not isinstance(r, list):
         return r
     if mode is Mode.FLOAT64:
         if p is NormTag.P1:
             return sum(map(math.sqrt, r), 0.0)
         return math.sqrt(sum(r, 0.0) if p is NormTag.P2 else max(r, default=0.0))
-    if p is NormTag.P1:
+    if p is NormTag.P1 and len(r) > 1:
         roots = []
         for n, d in r:
             s = square_root(n)
@@ -331,7 +332,7 @@ def _walk_value(r, p: NormTag, mode: Mode):
                 return _root_sum(r)
             roots.append((s, d))
         return Fraction(*_over_lcm(roots, 1))
-    n, d = _over_lcm(r, 2) if p is NormTag.P2 else _largest_row(r)
+    n, d = r[0] if len(r) == 1 else _over_lcm(r, 2) if p is NormTag.P2 else _largest_row(r)
     s = square_root(n)
     return math.sqrt(ratio_float(n, d * d)) if s is None else Fraction(s, d)
 
@@ -379,72 +380,43 @@ def dist_and_lt(a: SeqVector, b: SeqVector, p: NormTag, bound) -> tuple[object, 
     return _walk_value(r, p, a._mode), _walk_cmp(r, p, a._mode, bound) < 0
 
 
-# the origin every norm comparison is measured from, shared: it is never modified
-_ORIGIN = {s: SeqVector.zero(s) for s in IndexSet}
 _EXACT_ZERO = Fraction(0)  # the exact norm of the zero vector, shared
 
 
-def norm(v: SeqVector, p: NormTag):
-    """p-norm of the finite support: dist(v, 0, p), read off v's own entries.
-
-    The zero vector gives the mode's zero.  One entry gives its modulus
-    under every p, as the walk does: |a|/d for an exact real a/d,
-    sqrt(a^2 + b^2)/d for an exact complex (a + bi)/d (a Fraction when
-    a^2 + b^2 is a square) and math.sqrt(re^2 + im^2) for a float.  Several
-    entries give the walk's rows in index order, whatever the order of v's
-    dict, since float sums depend on it; exact ones under P1 give the sum
-    of their roots when each is rational, and exact real ones under PINF
-    the largest |a|/d."""
+def _norm_read(v: SeqVector, p: NormTag):
+    """What the walk of v against the origin gives, read off v's own entries:
+    the norm itself where no reduction is needed (zero, one exact real entry,
+    the P1 sum or PINF maximum of exact real entries, one float entry), else
+    the walk's rows in index order, whatever the order of v's dict:
+    (a^2 + b^2, d) for each exact (a + bi)/d, re^2 + im^2 for each float."""
     entries = v._entries
     if v._mode is Mode.FLOAT64:
         rows = [u.real * u.real + u.imag * u.imag for _, u in sorted(entries.items())]
-        return math.sqrt(rows[0]) if len(rows) == 1 else _walk_value(rows, p, v._mode)
+        return math.sqrt(rows[0]) if len(rows) == 1 else rows
     if not entries:
         return _EXACT_ZERO
     if len(entries) == 1:
         (u,) = entries.values()
-        a, b, d = u._a, u._b, u._d
-        if not b:
-            return Fraction(abs(a), d)
-        n = a * a + b * b
-        s = square_root(n)
-        return math.sqrt(ratio_float(n, d * d)) if s is None else Fraction(s, d)
-    if p is NormTag.P1:  # a real entry's root is |a|/d; a complex one's may be irrational
-        roots = []
-        for u in entries.values():
-            s = square_root(u._a * u._a + u._b * u._b) if u._b else abs(u._a)
-            if s is None:
-                return _root_sum((w._a * w._a + w._b * w._b, w._d)
-                                 for _, w in sorted(entries.items()))
-            roots.append((s, u._d))
-        return Fraction(*_over_lcm(roots, 1))
-    if p is NormTag.PINF and not any(u._b for u in entries.values()):
-        return Fraction(*_largest_row(((abs(u._a), u._d) for u in entries.values()), 1))
-    return _walk_value([(u._a * u._a + u._b * u._b, u._d)
-                        for _, u in sorted(entries.items())], p, v._mode)
+        return Fraction(abs(u._a), u._d) if not u._b else [(u._a * u._a + u._b * u._b, u._d)]
+    if p is not NormTag.P2 and not any(u._b for u in entries.values()):  # each root is |a|/d
+        rows = ((abs(u._a), u._d) for u in entries.values())
+        return Fraction(*(_over_lcm(rows, 1) if p is NormTag.P1 else _largest_row(rows, 1)))
+    return [(u._a * u._a + u._b * u._b, u._d) for _, u in sorted(entries.items())]
+
+
+def norm(v: SeqVector, p: NormTag):
+    """p-norm of the finite support, dist(v, 0, p) read off v's own entries."""
+    return _walk_value(_norm_read(v, p), p, v._mode)
 
 
 def norm_lt(v: SeqVector, p: NormTag, bound) -> bool:
-    """Strict ||v||_p < bound under the mode's strictness policy."""
-    return dist_lt(v, _ORIGIN[v.index_set], p, bound)
+    """Strict ||v||_p < bound under the mode's strictness policy, read as norm reads v."""
+    return _walk_cmp(_norm_read(v, p), p, v._mode, bound) < 0
 
 
 def norm_gt(v: SeqVector, p: NormTag, bound) -> bool:
-    """Strict ||v||_p > bound under the mode's strictness policy."""
-    return _walk_cmp(_real_dist(v, _ORIGIN[v.index_set], p), p, v._mode, bound) > 0
-
-
-def inner_real(x: SeqVector, c: SeqVector):
-    """Real part of the l2 inner product <x, c>."""
-    x._check(c)
-    total = None
-    for i, xv in x._entries.items():
-        cv = c._entries.get(i)
-        if cv is None:
-            continue
-        term = xv * cv.conjugate()
-        total = term if total is None else total + term
-    return real_value(0, x.mode) if total is None else total.real
+    """Strict ||v||_p > bound under the mode's strictness policy, read as norm reads v."""
+    return _walk_cmp(_norm_read(v, p), p, v._mode, bound) > 0
 
 
 # -- cones -------------------------------------------------------------------
@@ -488,17 +460,16 @@ def _contains_p2_closed_form(C: OpenCone, x: SeqVector) -> bool:
     # x in cone(B(c,r))  iff  <x,c> > 0 and <x,c>^2 > ||x||^2 (||c||^2 - r^2);
     # exactly, <x,c> = ip/l, ||x||^2 = x2/lx^2 and ||c||^2 = c2/lc^2 over the
     # lcm of the denominators, and the test is cross-multiplied in integers
-    mode = x.mode
-    if mode is Mode.FLOAT64:
-        ip = inner_real(x, C.center)
-        zero = real_value(0, mode)
-        if not strict_gt(ip, zero, mode):
+    mode, xs, cs = x.mode, x._entries, C.center._entries
+    if mode is Mode.FLOAT64:  # Re <x, c> summed in the order of x's dict
+        ip = sum(((u * v.conjugate()).real for i, u in xs.items()
+                  if (v := cs.get(i)) is not None), 0.0)
+        if not strict_gt(ip, 0.0, mode):
             return False
         r = C.radius_value()
-        x2 = sum((abs2(v) for _, v in x.items()), zero)
-        c2 = sum((abs2(v) for _, v in C.center.items()), zero)
+        x2 = sum((abs2(v) for _, v in x.items()), 0.0)
+        c2 = sum((abs2(v) for _, v in C.center.items()), 0.0)
         return strict_gt(ip * ip, x2 * (c2 - r * r), mode)
-    xs, cs = x._entries, C.center._entries
     ip, l = _over_lcm(((u._a * v._a + u._b * v._b, u._d * v._d)
                        for i, u in xs.items() if (v := cs.get(i)) is not None), 1)
     if ip <= 0:

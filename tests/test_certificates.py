@@ -280,14 +280,32 @@ class TestProp22:
         assert "drift-amplification-float" in names
 
     def test_witness_construction_failure_is_a_failed_sub_check(self):
-        # at d = 1/2 the drifting instance's claimed coarse hits miss the
-        # bound; each amplification sub-check reports it instead of raising
-        r = cert_prop22(seed=0, d="1/2")
+        # the farthest drift hit, 1 - 2^-14, lies 2^-40 below this d: exactly
+        # a witness, so the inputs are accepted, but the float strictness
+        # policy refuses it; that sub-check reports it instead of raising
+        r = cert_prop22(seed=0, d=1 - Fraction(1, 2 ** 14) + Fraction(1, 2 ** 40))
         assert r.verdict == "FAIL"
         failed = [s for s in r.sub_checks if s.status == "FAIL"]
-        assert {s.name for s in failed} >= {"drift-amplification-exact",
-                                            "drift-amplification-float"}
-        assert all("does not satisfy the bound" in s.note for s in failed)
+        assert [s.name for s in failed] == ["drift-amplification-float"]
+        assert "does not satisfy the bound" in failed[0].note
+
+    @pytest.mark.parametrize("params, name", [
+        ({"lambda": "-1/2"}, "lambda"), ({"lambda": "1/4"}, "lambda"),
+        ({"lambda": "3/4"}, "lambda"), ({"steps": 13}, "steps"),
+        ({"drift_time": 5}, "drift_time"), ({"d": "1/4"}, "'d'"),
+        ({"d": "1/2"}, "'d'"), ({"drift_target_scale_log2": 0}, "drift_target_scale_log2"),
+    ])
+    def test_inputs_its_instances_cannot_support_are_refused(self, params, name):
+        # the suite's own recurrence and input witnesses are checked exactly
+        # before amplifying; they failed as sub-checks before
+        with pytest.raises(ConfigError, match=name):
+            cert_prop22(seed=0, **params)
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_no_steps_is_a_vacuous_pass(self, mode):
+        r = cert_prop22(seed=0, mode=mode, steps=0)
+        assert r.verdict == "PASS" and len(r.sub_checks) == 4
+        assert all("vacuous" in s.note for s in r.sub_checks)
 
 
 class TestParameters:

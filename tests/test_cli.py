@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from orbitscope import defaults
 from orbitscope.certificates import bundle_digest
 from orbitscope.cli import main
 
@@ -417,3 +418,127 @@ def test_package_runs_as_a_module():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: orbitscope")
+
+
+def certify_with(capsys, tmp_path, name, params, mode="exact"):
+    """(exit code, stderr, report or None) of `certify name` with params."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"certificates": {name: params}}))
+    out = tmp_path / "b"
+    code, _, err = run(capsys, "--config", str(cfg), "--mode", mode, "certify", name,
+                       "--out", str(out))
+    report = json.loads((out / f"{name}.json").read_text()) if code != 2 else None
+    return code, err, report
+
+
+class TestRefusedParameters:
+    @pytest.mark.parametrize("name, params, named", [
+        ("prop22", {"lambda": "-1/2"}, "'lambda'"),
+        ("prop22", {"lambda": "1/4"}, "'lambda'"),
+        ("prop22", {"lambda": "3/4"}, "'lambda'"),
+        ("prop22", {"steps": 13}, "'steps'"),
+        ("prop22", {"drift_time": 5}, "'drift_time'"),
+        ("prop22", {"d": "1/4"}, "'d'"),
+        ("prop22", {"drift_target_scale_log2": 0}, "'drift_target_scale_log2'"),
+        ("prop21", {"sample_count": -1}, "'sample_count'"),
+        ("riesz-blocks", {"orbit_horizon": -1, "sample_count": 5}, "'orbit_horizon'"),
+        ("prop36-contraction", {"target_count": -3, "outside_count": -1},
+         "'target_count'"),
+    ], ids=["prop22-lambda-negative", "prop22-lambda-quarter", "prop22-lambda-3/4",
+            "prop22-steps-13", "prop22-drift-time-5", "prop22-d-quarter",
+            "prop22-drift-scale-0", "prop21-sample-count", "riesz-orbit-horizon",
+            "prop36-contraction-counts"])
+    def test_config_error_names_the_parameter(self, capsys, tmp_path, name, params,
+                                              named):
+        # each exited 5 (prop22) or 0/4 with a vacuous sub-check before
+        code, err, _ = certify_with(capsys, tmp_path, name, params)
+        assert code == 2
+        assert "config error:" in err and named in err
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("name", ["prop36-contraction", "prop21", "riesz-blocks"])
+    def test_d_past_double_range_is_a_config_error(self, capsys, tmp_path, name, mode):
+        # each sampling window converts d to a double: it raised OverflowError
+        code, err, _ = certify_with(capsys, tmp_path, name, {"d": "1e400"}, mode)
+        assert code == 2
+        assert "config error: parameter 'd' is past double range" in err
+
+    @pytest.mark.parametrize("kind", ["coarse", "j"])
+    def test_float_witness_bound_past_double_range(self, capsys, kind):
+        code, _, err = run(capsys, "--mode", "float", "witness", "--kind", kind,
+                           "--x", E0, "--y", E0, "--d", "1e400")
+        assert code == 2
+        assert err.startswith("error:") and "past double range" in err
+
+    def test_no_prop22_steps_is_labelled_vacuous(self, capsys, tmp_path):
+        code, _, report = certify_with(capsys, tmp_path, "prop22", {"steps": 0})
+        assert code == 0
+        assert all("vacuous" in s["note"] for s in report["sub_checks"])
+
+
+# the sweep's sizes: each certificate runs in a fraction of a second
+SWEEP_SIZES = {
+    "prop32": {"sample_count": 2, "orbit_check_horizon": 20, "forced_sample_count": 1,
+               "forced_budget": 2000},
+    "prop36-contraction": {"target_count": 3, "outside_count": 2, "outside_budget": 2000},
+    "prop36-expansion": {"target_count": 1, "mix_budget": 300, "nonzero_budget": 300,
+                         "stagnation_window": 50},
+    "riesz-blocks": {"sample_count": 3, "lambda_ladder_exponents": [1, 2],
+                     "search_budget": 2000},
+    "prop15": {},
+    "prop21": {"sample_count": 2, "visit_times": [30, 300], "count_ladder": [100]},
+    "prop22": {},
+}
+# the sub-checks that a zero count leaves with nothing to check
+VACUOUS = {
+    ("prop32", "sample_count"): ["synthesis-at-bound"],
+    ("prop32", "forced_sample_count"): ["quarter-tolerance-obstruction"],
+    ("prop36-contraction", "target_count"): ["open-ball-witnessed",
+                                             "witnessed-targets-bounded"],
+    ("prop36-contraction", "outside_count"): ["closure-bound-respected"],
+    ("prop36-expansion", "target_count"): ["mix-from-zero-exact"],
+    ("riesz-blocks", "sample_count"): ["witness-band-decomposition",
+                                       "contracting-band-bounded"],
+    ("prop21", "sample_count"): ["sampled-targets-witnessed", "witness-rescaling"],
+    ("prop22", "steps"): ["diagonal-recurrent-exact", "drift-amplification-exact",
+                          "diagonal-recurrent-float", "drift-amplification-float"],
+}
+# parameters that a suite samples or compares with as a double
+DOUBLES = {("prop32", "norm_bound"), ("prop36-contraction", "d"),
+           ("prop36-contraction", "inside_margin"), ("prop36-contraction", "outside_margin"),
+           ("riesz-blocks", "d"), ("riesz-blocks", "band_a_scale"),
+           ("prop15", "target_eps"), ("prop21", "d"), ("prop21", "noise_scale"),
+           ("prop22", "d")}
+
+
+SWEEP = [
+    (name, key, value, mode)
+    for name, base in [("prop32", defaults.PROP32),
+                       ("prop36-contraction", defaults.PROP36_CONTRACTION),
+                       ("prop36-expansion", defaults.PROP36_EXPANSION),
+                       ("riesz-blocks", defaults.RIESZ), ("prop15", defaults.PROP15),
+                       ("prop21", defaults.PROP21), ("prop22", defaults.PROP22)]
+    for key in base
+    for value in ((-1, 0, "1e400") if "rational" in defaults._KIND_OF[key] else (-1, 0))
+    for mode in (("exact", "float") if value == "1e400" else ("exact",))]
+
+
+@pytest.mark.parametrize("name, key, value, mode", SWEEP,
+                         ids=[f"{n}-{k}={v}-{m}" for n, k, v, m in SWEEP])
+def test_parameter_sweep_never_crashes(capsys, tmp_path, name, key, value, mode):
+    # -1, 0 and a value past double range for every parameter: each answers
+    # (an exception escaping main fails the test); -1 for a count, horizon,
+    # length or budget and a double past range are config errors; a zero
+    # count labels the sub-checks it empties vacuous
+    code, err, report = certify_with(capsys, tmp_path, name,
+                                     dict(SWEEP_SIZES[name], **{key: value}), mode)
+    assert code in (0, 2, 4, 5)
+    if code == 2:
+        assert "error:" in err
+    if value == -1 and defaults._KIND_OF[key] == "a non-negative integer" \
+            or value == "1e400" and (name, key) in DOUBLES:
+        assert code == 2 and "config error:" in err
+    if value == 0 and (name, key) in VACUOUS:
+        notes = {s["name"]: s["note"] for s in report["sub_checks"]}
+        assert code == 0
+        assert all("vacuous" in notes[n] for n in VACUOUS[name, key])

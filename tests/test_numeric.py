@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orbitscope import IndexSet, SeqVector
-from orbitscope.numeric import QC, Mode, is_zero_scalar, jsonable, log2_abs, ratio_float, \
-    scalar_zero, sqrt_bounds, square_root, to_float
+from orbitscope.errors import OrbitscopeError
+from orbitscope.numeric import QC, Mode, is_zero_scalar, jsonable, log2_abs, positive_value, \
+    ratio_float, real_value, scalar_zero, sqrt_bounds, square_root, to_float
 
 RATIONALS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
 KINDS = [("real", "real"), ("real", "complex"), ("complex", "real"),
@@ -262,3 +263,14 @@ def test_ratio_float_rounds_as_to_float(n, d):
     assert ratio_float(n, d) == to_float(Fraction(n, d))
     if Fraction(n, d) > 2**1024:
         assert ratio_float(n, d) == math.inf
+
+
+@pytest.mark.parametrize("value", ["1e400", 10**400, Fraction(-(10**400), 3), 2**1024],
+                         ids=["string", "int", "negative-fraction", "2^1024"])
+def test_float_real_value_past_double_range_is_an_error(value):
+    # float() raised OverflowError, a traceback at the command line
+    with pytest.raises(OrbitscopeError, match="past double range"):
+        real_value(value, Mode.FLOAT64)
+    with pytest.raises(OrbitscopeError, match="past double range"):
+        positive_value(value, Mode.FLOAT64, "d")
+    assert real_value(value, Mode.EXACT) == Fraction(value)

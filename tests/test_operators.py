@@ -182,6 +182,22 @@ def test_float_weight_past_double_range_raises_where_it_is_met():
     assert (got, error) == _orbit_run(_reference_orbit(T, x, 12))
 
 
+@pytest.mark.parametrize("weight", [2 ** 1100, (2 ** 1100, 1), (-1, -(2 ** 1100))],
+                         ids=["real", "complex", "imaginary-part"])
+@pytest.mark.parametrize("coeff", [1, (0, 1), (-2, 3)], ids=["real", "imaginary", "complex"])
+def test_float_weight_past_double_range_overflows_whatever_the_phases(weight, coeff):
+    # such a weight steps as an infinite one: its product with any non-zero
+    # entry is not finite, so the one finiteness check raises, at that step
+    T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
+                      Table({5: weight}, Fraction(1, 2)))
+    x = SeqVector.basis(IndexSet.INTEGERS, 9, coeff, mode=Mode.FLOAT64)
+    got, error = _orbit_run(iterate(T, x, 12))
+    assert [v.support for v in got] == [[9], [8], [7], [6], [5]]
+    assert (got, error) == _orbit_run(_reference_orbit(T, x, 12))
+    with pytest.raises(NumericOverflow, match="^single-step application overflowed$"):
+        list(iterate(T, x, 12))
+
+
 def test_iterate_drops_float_underflow():
     T = ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS, Table({0: Fraction(1, 2 ** 600)}, 1))
     x = SeqVector.from_entries(IndexSet.INTEGERS, {0: Fraction(1, 10 ** 300), 1: 1},

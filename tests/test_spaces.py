@@ -18,7 +18,7 @@ from orbitscope import (
 )
 from orbitscope import spaces
 from orbitscope.errors import IndexSetMismatch, ModeMismatch, OrbitscopeError
-from orbitscope.numeric import Mode, abs2, make_scalar, to_float
+from orbitscope.numeric import TOL_EQ, Mode, abs2, make_scalar, to_float
 from orbitscope.spaces import dist, dist_and_lt, dist_lt
 
 
@@ -892,10 +892,32 @@ def _walk_norm(v, p):
     return dist(v, SeqVector.zero(v.index_set, v.mode), p)
 
 
+def _walk_cmps(v, p, bound):
+    """The oracle: (norm_lt, norm_gt) as they were composed before they read
+    the entries too, from the distance walk against the origin."""
+    zero = SeqVector.zero(v.index_set, v.mode)
+    gt = spaces._walk_cmp(spaces._real_dist(v, zero, p), p, v.mode, bound) > 0
+    return dist_lt(v, zero, p, bound), gt
+
+
+def _bounds_at(value, mode):
+    """value, and bounds just below and just above it, in the mode's carrier:
+    the next doubles and a 2 TOL_EQ gap in float mode, 10^-40 in exact mode."""
+    if mode is Mode.FLOAT64:
+        return [value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf),
+                value - 2 * TOL_EQ, value + 2 * TOL_EQ]
+    q, tiny = Fraction(value), Fraction(1, 10 ** 40)
+    return [value, q - tiny, q + tiny]
+
+
 def _assert_norm_is_the_walks(v):
     for p in NormTag:
         got, ref = norm(v, p), _walk_norm(v, p)
         assert type(got) is type(ref) and repr(got) == repr(ref), (v, p)
+        if got == math.inf:  # an irrational norm past double range: no bound holds it
+            continue
+        for b in _bounds_at(got, v.mode):
+            assert (norm_lt(v, p, b), norm_gt(v, p, b)) == _walk_cmps(v, p, b), (v, p, b)
 
 
 # the float sum of squares of the "out-of-index-order" entries, and the
