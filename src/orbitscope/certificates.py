@@ -243,7 +243,9 @@ def cert_prop32(p, seed, mode):
         except SearchFailed as exc:
             failures.append({"index": idx, **exc.diagnostics()})
     subs.append(SubCheck(
-        "synthesis-at-bound", PASS if not failures else FAIL,
+        "synthesis-at-bound", _claim_status(
+            any(f["proof"] for f in failures), p["sample_count"] - len(failures),
+            p["sample_count"]),
         note=_sampled("sampled surrogate for a statement over the whole space",
                       p["sample_count"]),
         details={"sampled": p["sample_count"],
@@ -324,7 +326,7 @@ def cert_prop36_contraction(p, seed, mode):
     x = SeqVector.basis(IndexSet.NATURALS, 1, mode=mode)
     schedule = EpsSchedule.reciprocal(p["schedule_length"])
     rng = _rng(seed, "prop36i-inside")
-    inside_failures = 0
+    inside_failures = inside_proved = 0
     witnessed_norms = []
     for _ in range(p["target_count"]):
         y = _ball_target(rng, mode, d_f * inside_f * 0.995)
@@ -333,10 +335,12 @@ def cert_prop36_contraction(p, seed, mode):
                                  norm_tag=NormTag.P2)
             witnessed_norms.append(to_float(norm(y, NormTag.P2)))
             witnesses.append(_witness_digest(w))
-        except SearchFailed:
+        except SearchFailed as exc:
             inside_failures += 1
+            inside_proved += exc.proof is not None
     subs.append(SubCheck(
-        "open-ball-witnessed", PASS if inside_failures == 0 else FAIL,
+        "open-ball-witnessed", _claim_status(
+            inside_proved > 0, p["target_count"] - inside_failures, p["target_count"]),
         note=_sampled("finite surrogate of the open-ball inclusion", p["target_count"]),
         details={"targets": p["target_count"], "failures": inside_failures}))
 
@@ -355,7 +359,7 @@ def cert_prop36_contraction(p, seed, mode):
             proved += exc.proof is not None
     subs.append(SubCheck(
         "closure-bound-respected",
-        _proof_status(bool(found_outside), proved, p["outside_count"]),
+        _claim_status(bool(found_outside), proved, p["outside_count"]),
         note=_sampled(f"{proved} of {p['outside_count']} targets outside the "
                       "closed ball proved outside J(e_1, T, d); any other failure "
                       "is within budget, never non-membership", p["outside_count"]),
@@ -371,10 +375,12 @@ def cert_prop36_contraction(p, seed, mode):
     return T, subs, witnesses, summary
 
 
-def _proof_status(witnessed: bool, proved: int, targets: int) -> str:
-    """For targets claimed outside J: FAIL on a witness, PASS only when every
-    target is proved outside, else INDECISIVE; a budget stop refutes nothing."""
-    return FAIL if witnessed else PASS if proved == targets else INDECISIVE
+def _claim_status(refuted: bool, settled: int, targets: int) -> str:
+    """A sampled claim's status: FAIL when some target refutes it, PASS only
+    when every target settles it, else INDECISIVE.  A witness refutes a
+    target claimed outside J, and a failed search's proof one claimed
+    inside; a budget stop refutes nothing."""
+    return FAIL if refuted else PASS if settled == targets else INDECISIVE
 
 
 _BALL_SPAN = 5  # most entries of a _ball_target vector
@@ -421,7 +427,7 @@ def cert_prop36_expansion(p, seed, mode):
     zero = SeqVector.zero(IndexSet.INTEGERS, mode)
     rng = _rng(seed, "prop36ii-zero")
     zero_failures = []
-    exact_hits = 0
+    exact_hits = zero_proved = 0
     for idx in range(p["target_count"]):
         y = _random_sparse(rng, IndexSet.INTEGERS, -10, 10, 10.0, mode)
         # start where every coordinate back-solves in full, so the
@@ -440,9 +446,12 @@ def cert_prop36_expansion(p, seed, mode):
             witnesses.append(w.to_jsonable() if idx < 25 else _witness_digest(w))
         except SearchFailed as exc:
             zero_failures.append({"index": idx, "reason": exc.reason})
-    zero_ok = not zero_failures and exact_hits == p["target_count"]
+            zero_proved += exc.proof is not None
+    # a witness whose residual is not exactly 0 refutes the claim too
+    inexact = p["target_count"] - len(zero_failures) - exact_hits
     subs.append(SubCheck(
-        "mix-from-zero-exact", PASS if zero_ok else FAIL,
+        "mix-from-zero-exact",
+        _claim_status(zero_proved + inexact > 0, exact_hits, p["target_count"]),
         note=_sampled("back-solved perturbations give residual exactly 0",
                       p["target_count"]),
         details={"targets": p["target_count"], "exact_hits": exact_hits,
@@ -467,7 +476,7 @@ def cert_prop36_expansion(p, seed, mode):
     proved = sum(r.get("proof") is not None for r in results)
     witnessed = any(r["outcome"] == "witness-found" for r in results)
     subs.append(SubCheck(
-        "no-certificate-from-nonzero", _proof_status(witnessed, proved, len(targets)),
+        "no-certificate-from-nonzero", _claim_status(witnessed, proved, len(targets)),
         note=(f"{proved} of {len(targets)} targets proved outside J(e_1, T, d) "
               "by a structural stop; any other failure is within budget, "
               "never non-membership"),
@@ -526,7 +535,7 @@ def cert_riesz_blocks(p, seed, mode):
     blo, bhi = p["band_b_window"]
     d_f = _double(p, "d")
     a_cap = d_f * _double(p, "band_a_scale")
-    decomposed = 0
+    decomposed = decompose_proved = 0
     decompose_failures = []
     a_norms = []
     for idx in range(p["sample_count"]):
@@ -544,9 +553,10 @@ def cert_riesz_blocks(p, seed, mode):
                 witnesses.append(dw.to_jsonable())
         except SearchFailed as exc:
             decompose_failures.append({"index": idx, "error": str(exc)})
+            decompose_proved += exc.proof is not None
     subs.append(SubCheck(
         "witness-band-decomposition",
-        PASS if decomposed == p["sample_count"] else FAIL,
+        _claim_status(decompose_proved > 0, decomposed, p["sample_count"]),
         note=_sampled("each certificate splits into valid per-band certificates",
                       p["sample_count"]),
         details={"targets": p["sample_count"], "decomposed": decomposed,
@@ -567,15 +577,15 @@ def cert_riesz_blocks(p, seed, mode):
                           real_value(Fraction(p["band_a_scale"]) * Fraction(d_val),
                                      mode), mode)
     ratios = []
-    ladder_ok = True
+    ladder_proved = False
     for j in p["lambda_ladder_exponents"]:
         lam = Fraction(2) ** j
         v_j = c_b.scale(real_value(lam, mode)) + u_a
         try:
             dw = d_witness(T, x, v_j, d_val, p["orbit_horizon"], schedule,
                            p["search_budget"], norm_tag=NormTag.PINF)
-        except SearchFailed:
-            ladder_ok = False
+        except SearchFailed as exc:
+            ladder_proved = exc.proof is not None
             break
         va, _ = split.splitter.split(v_j)
         ratios.append(to_float(norm(va, NormTag.PINF))
@@ -584,7 +594,8 @@ def cert_riesz_blocks(p, seed, mode):
         if len(ratios) > 1 else []
     monotone = all(f >= p["ratio_factor"] for f in factors)
     subs.append(SubCheck(
-        "lambda-ladder-ratio", PASS if ladder_ok and monotone else FAIL,
+        "lambda-ladder-ratio", _claim_status(ladder_proved or not monotone, len(ratios),
+                                             len(p["lambda_ladder_exponents"])),
         note=("witnessable directions lose their contracting component "
               "as the scale grows"),
         details={"ratios": ratios, "min_factor": min(factors, default=None)}))
@@ -607,6 +618,9 @@ def cert_prop15(p, seed, mode):
     zero = SeqVector.zero(IndexSet.NATURALS, mode)
     y = SeqVector.basis(IndexSet.NATURALS, 0, mode=mode)
     d_val, eps_f = p["d"], _double(p, "target_eps")
+    if Fraction(d_val) / Fraction(2) ** max(p["scale_exponents"]) >= p["target_eps"]:
+        raise ConfigError("parameters 'd' and 'target_eps' need d / 2^max(scale_exponents) "
+                          "below target_eps, or no scale reaches the target tolerance")
     family = []
     next_start = 1
     contiguous = True

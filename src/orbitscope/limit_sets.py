@@ -42,8 +42,7 @@ from .errors import (
 )
 from .numeric import FieldsJSON, Mode, QC, abs2, jsonable, log2_abs, make_scalar, \
     positive_value, ratio_float, real_value, scalar_zero, sqrt_bounds, strict_gt, to_float
-from .operators import _OFFSET, ShiftOperator, _path_exact, _path_into, apply_power, \
-    power_paths, weight_product
+from .operators import ShiftOperator, _lane, _lane_into, apply_power, power_paths
 from .orbits import CoarseWitness, coarse_orbit_contains
 from .spaces import IndexSet, NormTag, SeqVector, dist, dist_and_lt, dist_lt
 
@@ -229,12 +228,12 @@ class _TargetRows:
     """One search's rows, from which each of its attempts reads every row's
     source s and exact path product W: power_paths gives the rows of
     T^k(supp x) (``landed``), and ``at`` keeps (s, W, lane) for each row j
-    of supp y at the last time k asked, with the lane (offset, weight_at,
-    contains) of j's band, else _UNREACHED.  At k + 1 each source moves one
-    index away from j and W takes its weight, reduced, so a row stays the
-    source and weight_product of the path landing at j exactly; a source
-    that leaves its band, an interval, never returns.  Other times form
-    afresh.
+    of supp y at the last time k asked, with lane the (step, weight_at,
+    contains) of the lane into j (``_lane_into``), else _UNREACHED.  At
+    k + 1 each source moves one index away from j and W takes its weight,
+    reduced, so a row stays the source and product of the lane into j
+    exactly; a source that leaves its band, an interval, never returns.
+    Other times form afresh.
 
     It also keeps the first time at which the search's x had no path left:
     by the same interval argument none comes back, so power_paths is not
@@ -268,12 +267,10 @@ class _TargetRows:
         return rows
 
     def _formed(self, j: int, k: int) -> tuple:
-        path = _path_into(self.T, j, k)
-        if path is None:
+        lane = _lane_into(self.T, j, k)
+        if lane is None:
             return _UNREACHED
-        s, kind, weights, band = path
-        return s, _path_exact(kind, weights, s, j, k), \
-            (_OFFSET[kind], weights.weight_at, band.contains)
+        return lane.s, lane.product(k), (lane.step, lane.rule.weight_at, lane.band.contains)
 
 
 _K_CAP = 10_000  # largest time tried, and largest mix-block start
@@ -653,22 +650,17 @@ class _StructuralStops:
                     1 / i2, ((x_lo - eps) / (y_hi + d)) ** 2),
                     f"I^k*(||x|| - eps) >= ||y|| + d with I^2 = {i2}, "
                     f"||x|| >= {x_lo}, ||y|| <= {y_hi}, d = {d}")
-        # (s, step, |x_s|^2) for each source that may carry a tail proof;
-        # one with |x_s| <= eps never does
+        # (lane, |x_s|^2) for each source s on a shift lane with no band end
+        # ahead that may carry a tail proof; one with |x_s| <= eps never does
         self.tails = []
         for s, v in x.items():
-            comp = T.component_for(s)
-            if comp is None:
-                continue
-            kind, rule, band = comp
-            if not ((kind == "backward" and band.lo is None)
-                    or (kind == "forward" and band.hi is None)):
-                continue
-            if any(w.abs2() < 1 for w in rule.weight_values()):
+            lane = _lane(T, s)
+            if lane is None or not lane.step or lane.life != math.inf \
+                    or any(w.abs2() < 1 for w in lane.rule.weight_values()):
                 continue
             a = _exact_abs2(v)
             if a > self.eps2:
-                self.tails.append((s, _OFFSET[kind], a))
+                self.tails.append((lane, a))
 
     def _record(self, reason: str, k0: int | None, inequality: str) -> None:
         if k0 is not None:
@@ -687,11 +679,12 @@ class _StructuralStops:
         if not self.tails:
             return None
         (y_min, y_max), eps2, d2 = self.y_span, self.eps2, self.d2
-        for s, step, a in self.tails:
+        for lane, a in self.tails:
+            s, step = lane.s, lane.step
             t = s + step * k
             if y_min is not None and (t >= y_min if step < 0 else t <= y_max):
                 continue
-            b = weight_product(self.T, t, k).abs2()
+            b = lane.product(k).abs2()
             # sqrt(a) >= eps + d/sqrt(b), squared twice: with
             # p = a b - eps^2 b - d^2, p >= 0 and p^2 >= 4 eps^2 d^2 b
             p = a * b - eps2 * b - d2

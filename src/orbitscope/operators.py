@@ -2,14 +2,16 @@
 
 Action convention (fixed): a backward shift sends e_n to a_n * e_{n-1}
 (e_0 to 0 in the unilateral case), a forward shift sends e_n to
-a_n * e_{n+1}, a diagonal operator sends e_n to a_n * e_n.  Powers are
-computed from closed-form weight products along paths, never by n-fold
-matrix application, so they are exact and O(support) per power.  Orbit
-scans (``iterate``) list each source's rows, weights and lifetime in its
-band once and step it with one weight multiply, in exact mode on the
-entry's three ints; once every source has died, the rest of the scan is
-one shared zero vector.  ``meetings`` builds only the points whose
-support meets a given set of rows.
+a_n * e_{n+1}, a diagonal operator sends e_n to a_n * e_n.
+
+Every path is read off one model, the lane (``_Lane``): T^n sends a
+source s to the one row s + step n, times the product of the weights its
+steps leave, while s stays in its band.  Powers are closed-form lane
+products, never n-fold matrix application, so they are exact and
+O(support) per power.  Orbit scans (``iterate``) step each source along
+its lane with one weight lookup and one multiply, in exact mode on the
+entry's three ints, and end in one shared zero vector once every lane
+has.  ``meetings`` builds only the points whose support meets given rows.
 
 ``weight_product`` is the exact path product.  Float64-mode
 ``apply_power`` tracks its products in log2 magnitude and phase and errors
@@ -371,37 +373,74 @@ class ShiftOperator:
 _OFFSET = {"backward": -1, "forward": 1, "diagonal": 0}  # index change of one step
 
 
-def _path_span(kind: str, s: int, t: int) -> tuple[int, int]:
-    """Indices lo..hi of the weights along a shift path from s to t."""
-    return (t + 1, s) if kind == "backward" else (s, t - 1)
+class _Lane:
+    """One source s and the component (kind, rule, band) it runs in: T^n
+    sends e_s to product(n) e_{s + step n} up to life, the last time s is
+    in its band (math.inf for a diagonal or with no band end ahead), and
+    to 0 after.  Built by ``_lanes``, ``_lane`` and ``_lane_into`` only."""
+
+    __slots__ = ("s", "rule", "band", "step", "life")
+
+    def __init__(self, s: int, comp: tuple[str, WeightRule, Band]):
+        kind, self.rule, band = comp
+        self.s, self.band = s, band
+        self.step = step = _OFFSET[kind]
+        end = band.lo if step < 0 else band.hi
+        self.life = math.inf if not step or end is None else (end - s) * step
+
+    def meets(self, j: int) -> int | None:
+        """The one n >= 0 at which a shift source sits on row j, else None
+        (also for a diagonal, whose source sits on its row at every n)."""
+        n = (j - self.s) * self.step
+        return n if self.step and 0 <= n <= self.life else None
+
+    def _span(self, n: int) -> tuple[int, int]:
+        """Indices lo..hi of the weights a shift source's n steps leave."""
+        s = self.s
+        return (s - n + 1, s) if self.step < 0 else (s, s + n - 1)
+
+    def product(self, n: int) -> QC:
+        """Exact product of the weights over steps 1..n (1 for n = 0)."""
+        if not self.step:
+            return self.rule.product_exact(self.s, self.s) ** n
+        return self.rule.product_exact(*self._span(n))
+
+    def product_log2(self, n: int) -> tuple[float, complex]:
+        """log2 magnitude and unit phase of the same product."""
+        if not self.step:
+            lg, ph = self.rule.product_log2(self.s, self.s)
+            return lg * n, unit_power(ph, n)
+        return self.rule.product_log2(*self._span(n))
 
 
-def _path_exact(kind: str, weights: WeightRule, s: int, t: int, n: int) -> QC:
-    """Exact product of the weights along the n-step path from s to t (1 for n = 0)."""
-    if kind == "diagonal":
-        return weights.product_exact(s, s) ** n
-    return weights.product_exact(*_path_span(kind, s, t))
+def _lanes(T: ShiftOperator, v: SeqVector):
+    """(lane, v_s) for each source s of v, in index order; IndexSetMismatch
+    as apply raises it, on v and T over different index sets or at the
+    first source in no band."""
+    if v.index_set is not T.index_set:
+        raise IndexSetMismatch("operator and vector index sets differ")
+    component_for = T.component_for
+    for s, val in v.items():
+        comp = component_for(s)
+        if comp is None:
+            raise IndexSetMismatch(f"vector support index {s} lies in no band")
+        yield _Lane(s, comp), val
 
 
-def _path_log2(kind: str, weights: WeightRule, s: int, t: int,
-               n: int) -> tuple[float, complex]:
-    """log2 magnitude and unit phase of the same product."""
-    if kind == "diagonal":
-        lg, ph = weights.product_log2(s, s)
-        return lg * n, unit_power(ph, n)
-    return weights.product_log2(*_path_span(kind, s, t))
+def _lane(T: ShiftOperator, s: int) -> _Lane | None:
+    """The lane of the source s, None when s lies in no band."""
+    comp = T.component_for(s)
+    return None if comp is None else _Lane(s, comp)
 
 
-def _path_into(T: ShiftOperator, j: int, n: int) -> tuple | None:
-    """(s, kind, weights, band) for the n-step path landing at j: its source
-    s and the component of j it runs in; None when no source reaches j."""
+def _lane_into(T: ShiftOperator, j: int, n: int) -> _Lane | None:
+    """The lane whose source sits on row j at time n, run in j's component;
+    None when no source does."""
     comp = T.component_for(j)
     if comp is None:
         return None
     s = j - _OFFSET[comp[0]] * n
-    if not comp[2].contains(s):
-        return None
-    return (s, *comp)
+    return _Lane(s, comp) if comp[2].contains(s) else None
 
 
 def weight_product(T: ShiftOperator, target_index: int, n: int) -> QC:
@@ -414,11 +453,8 @@ def weight_product(T: ShiftOperator, target_index: int, n: int) -> QC:
         raise OrbitscopeError("power must be non-negative")
     if n == 0:
         return _ONE
-    path = _path_into(T, target_index, n)
-    if path is None:
-        return scalar_zero(Mode.EXACT)
-    s, kind, weights, _ = path
-    return _path_exact(kind, weights, s, target_index, n)
+    lane = _lane_into(T, target_index, n)
+    return scalar_zero(Mode.EXACT) if lane is None else lane.product(n)
 
 
 def _step_weights(rule: WeightRule, exact: bool) -> tuple:
@@ -436,31 +472,19 @@ def _step_weights(rule: WeightRule, exact: bool) -> tuple:
     return tuple(out)
 
 
-def _path(kind: str, rule: WeightRule, band: Band, s: int, K: int, weights) -> list:
-    """(t, w) for each of the first K steps that the source s survives in
-    its band: t the row the step lands on, w = weights[rule's index at the
-    row it leaves].  Its lifetime is read off the band's end once."""
-    step, index_at = _OFFSET[kind], rule._index_at
-    if not step:
-        return [(s, weights[index_at(s)])] * K
-    end = band.lo if step < 0 else band.hi
-    life = K if end is None else min(K, (end - s) * step)
-    return [(j + step, weights[index_at(j)]) for j in range(s, s + step * life, step)]
-
-
 def iterate(T: ShiftOperator, v: SeqVector, K: int):
     """Yield v, Tv, ..., T^K v (nothing when K < 0), lazily.
 
     T sends each source along its own band to one row, and no two sources
-    share a row, so each source's rows, weights and lifetime are listed
-    once, from its component (``_path``), and a step is one weight multiply
-    per live source.  In exact mode a live source is the three ints
-    (a, b, d) of its entry (a + bi)/d, multiplied as ``QC`` multiplies and
-    reduced by one gcd of its big ints; a real weight c/f cancels across
-    instead, by gcd(f, a, b) and gcd(c, d), each started from a small int.
-    In float mode each rule's weights are rounded once per scan.  Once no
-    source is left, every remaining point is one shared zero vector, built
-    with no step.
+    share a row, so each source is stepped along its lane (``_lanes``): a
+    step looks up the weight of the row t it leaves, moves to t + step,
+    and is one weight multiply, until the lane's life ends.  In exact mode
+    a live source is the three ints (a, b, d) of its entry (a + bi)/d,
+    multiplied as ``QC`` multiplies and reduced by one gcd of its big ints;
+    a real weight c/f cancels across instead, by gcd(f, a, b) and
+    gcd(c, d), each started from a small int.  In float mode each rule's
+    weights are rounded once per scan.  Once no source is left, every
+    remaining point is one shared zero vector, built with no step.
     Errors are apply's, raised at the step that meets them:
     IndexSetMismatch on the first, NumericOverflow past double range in
     float mode, where an entry that underflows to zero is dropped.
@@ -470,28 +494,28 @@ def iterate(T: ShiftOperator, v: SeqVector, K: int):
     yield v
     if not K:
         return
-    if v.index_set is not T.index_set:
-        raise IndexSetMismatch("operator and vector index sets differ")
     index_set, mode, exact = v.index_set, v.mode, v.mode is Mode.EXACT
     rows, missing, cache = [], None, {}  # id(rule) -> _step_weights(rule, exact)
-    for s, val in v.items():
-        comp = T.component_for(s)
-        if comp is None:  # raised at the first step, after the sources below s
-            missing = IndexSetMismatch(f"vector support index {s} lies in no band")
-            break
-        kind, rule, band = comp
-        weights = cache.get(id(rule))
-        if weights is None:
-            weights = cache[id(rule)] = _step_weights(rule, exact)
-        path = _path(kind, rule, band, s, K, weights)
-        if path:
-            rows.append((path, val._a, val._b, val._d) if exact else (path, val))
+    try:
+        for lane, val in _lanes(T, v):
+            if not lane.life:
+                continue
+            rule = lane.rule
+            weights = cache.get(id(rule))
+            if weights is None:
+                weights = cache[id(rule)] = _step_weights(rule, exact)
+            head = (lane.s, lane.step, rule._index_at, weights, lane.life)
+            rows.append((*head, val._a, val._b, val._d) if exact else (*head, val))
+    except IndexSetMismatch as exc:  # raised at the first step, after the sources below
+        missing = exc
     n = 0
-    while rows or missing:
+    while (rows or missing) and n < K:
         entries, live = {}, []
+        n += 1
         if exact:
-            for path, a, b, d in rows:
-                t, (c, e, f) = path[n]
+            for t, step, index_at, weights, life, a, b, d in rows:
+                c, e, f = weights[index_at(t)]
+                t += step
                 if e:
                     a, b, d = a * c - b * e, a * e + b * c, d * f
                     g = gcd(a, b, d)
@@ -502,22 +526,22 @@ def iterate(T: ShiftOperator, v: SeqVector, K: int):
                     c //= h
                     a, b, d = a // g * c, b // g * c, d // h * (f // g)
                 entries[t] = _qc(a, b, d)
-                if n + 1 < len(path):
-                    live.append((path, a, b, d))
+                if n < life:
+                    live.append((t, step, index_at, weights, life, a, b, d))
         else:
-            for path, val in rows:
-                t, w = path[n]
-                val = w * val
+            for t, step, index_at, weights, life, val in rows:
+                val = weights[index_at(t)] * val
+                t += step
                 if val == 0:
                     continue
                 if not (math.isfinite(val.real) and math.isfinite(val.imag)):
                     raise NumericOverflow("single-step application overflowed")
                 entries[t] = val
-                if n + 1 < len(path):
-                    live.append((path, val))
+                if n < life:
+                    live.append((t, step, index_at, weights, life, val))
         if missing:
             raise missing
-        rows, n = live, n + 1
+        rows = live
         yield SeqVector._trusted(index_set, entries, mode)
     zero = SeqVector._trusted(index_set, {}, mode)
     for _ in range(n, K):
@@ -526,39 +550,31 @@ def iterate(T: ShiftOperator, v: SeqVector, K: int):
 
 def meetings(T: ShiftOperator, v: SeqVector, rows, K: int):
     """(n, T^n v) for each n <= K at which supp T^n v meets rows, in order,
-    for exact v; each point is built in closed form from path products.
+    for exact v; each point is built in closed form from its lanes'
+    products.
 
-    Source s sits at s + n * offset while its band, an interval, holds it,
-    so it meets row j at most once, at n = (j - s) * offset: the times are
-    listed from positions alone, in O(|supp v| |rows|).  None when they
-    cannot be: v and T on different index sets, a source in no band, or a
-    diagonal source on a row (it is there at every n)."""
-    if v.index_set is not T.index_set:
+    Each source's lane meets row j at most once (``_Lane.meets``), so the
+    times are listed from positions alone, in O(|supp v| |rows|).  None
+    when they cannot be: v and T on different index sets, a source in no
+    band, or a diagonal source on a row (it is there at every n)."""
+    try:
+        lanes = list(_lanes(T, v))
+    except IndexSetMismatch:
         return None
-    lanes, times = [], set()
-    for s, val in v._entries.items():
-        comp = T.component_for(s)
-        if comp is None:
+    times = set()
+    for lane, _ in lanes:
+        if not lane.step and lane.s in rows:
             return None
-        kind, rule, band = comp
-        step = _OFFSET[kind]
-        if step:
-            for j in rows:
-                n = (j - s) * step
-                if 0 <= n <= K and band.contains(j):
-                    times.add(n)
-        elif s in rows:
-            return None
-        lanes.append((s, val, kind, rule, step, band.contains))
+        for j in rows:
+            n = lane.meets(j)
+            if n is not None and n <= K:
+                times.add(n)
 
     def points():
         for n in sorted(times):
-            entries = {}
-            for s, val, kind, rule, step, contains in lanes:
-                t = s + step * n
-                if contains(t):
-                    entries[t] = _path_exact(kind, rule, s, t, n) * val
-            yield n, SeqVector._trusted(v.index_set, entries, v.mode)
+            yield n, SeqVector._trusted(v.index_set, {
+                lane.s + lane.step * n: lane.product(n) * val
+                for lane, val in lanes if n <= lane.life}, v.mode)
 
     return points()
 
@@ -569,27 +585,12 @@ def apply(T: ShiftOperator, v: SeqVector) -> SeqVector:
     return out
 
 
-def _landings(T: ShiftOperator, n: int, v: SeqVector):
-    """(s, v_s, t, kind, weights) for each source s of v, in index order,
-    whose n-step path lands at t inside its band; no two share a t."""
-    if v.index_set is not T.index_set:
-        raise IndexSetMismatch("operator and vector index sets differ")
-    for s, val in v.items():
-        comp = T.component_for(s)
-        if comp is None:
-            raise IndexSetMismatch(f"vector support index {s} lies in no band")
-        kind, weights, band = comp
-        t = s + _OFFSET[kind] * n
-        if band.contains(t):
-            yield s, val, t, kind, weights
-
-
 def power_paths(T: ShiftOperator, n: int, v: SeqVector) -> list[tuple]:
     """(s, v_s, t, W) for each source s of v, in index order, whose n-step
     path (n >= 1) lands at t, with W the exact path product: T^n v is the
     sum of the W v_s e_t.  It raises what apply_power raises."""
-    return [(s, val, t, _path_exact(kind, weights, s, t, n))
-            for s, val, t, kind, weights in _landings(T, n, v)]
+    return [(lane.s, val, lane.s + lane.step * n, lane.product(n))
+            for lane, val in _lanes(T, v) if n <= lane.life]
 
 
 def apply_power(T: ShiftOperator, n: int, v: SeqVector) -> SeqVector:
@@ -604,8 +605,11 @@ def apply_power(T: ShiftOperator, n: int, v: SeqVector) -> SeqVector:
         return SeqVector(v.index_set, {t: w * val for _, val, t, w in power_paths(T, n, v)},
                          v.mode)
     entries = {}
-    for s, val, t, kind, weights in _landings(T, n, v):
-        lg, ph = _path_log2(kind, weights, s, t, n)
+    for lane, val in _lanes(T, v):
+        if n > lane.life:
+            continue
+        t = lane.s + lane.step * n
+        lg, ph = lane.product_log2(n)
         if lg + log2_abs(val) > OVERFLOW_LOG2:
             raise NumericOverflow(
                 f"T^{n} entry at {t} has magnitude past 2^{OVERFLOW_LOG2:.0f}")

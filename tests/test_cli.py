@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from orbitscope import defaults
+from orbitscope import certificates, defaults
 from orbitscope.certificates import bundle_digest
+from orbitscope.errors import SearchFailed
 from orbitscope.cli import main
 
 
@@ -208,7 +210,8 @@ class TestCertify:
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_weight_past_double_range_answers(self, capsys, tmp_path, mode):
         # 10^400 is exact in exact mode; the float carrier refuses each
-        # power of it past 2^900, and answers as it does for 2^950
+        # power of it past 2^900, and answers as it does for 2^950: its
+        # searches stop without a proof, which refutes nothing
         codes, estimates = [], []
         for weight in ("1" + "0" * 400, str(2 ** 950)):
             cfg = self.write_config(tmp_path, {"certificates": {"riesz-blocks": {
@@ -220,7 +223,7 @@ class TestCertify:
                                 parse_constant=reject_constant)
             codes.append(code)
             estimates.append(report["sub_checks"][0]["details"]["estimates"][1][1])
-        assert codes == ([0, 0] if mode == "exact" else [5, 5])
+        assert codes == ([0, 0] if mode == "exact" else [4, 4])
         assert estimates == [None, 2.0 ** 950]  # the radius 10^400 is past a double
 
     def test_unknown_name(self, capsys, tmp_path):
@@ -463,6 +466,13 @@ class TestRefusedParameters:
         assert code == 2
         assert "config error: parameter 'd' is past double range" in err
 
+    def test_d_that_no_scale_reaches_is_a_config_error(self, capsys, tmp_path):
+        # d / 2^12 never falls below target_eps: prop15 exited 5 with
+        # rescaled-certificate FAIL, "family too short"
+        code, err, _ = certify_with(capsys, tmp_path, "prop15", {"d": "1e400"})
+        assert code == 2
+        assert "config error:" in err and "'d'" in err and "'target_eps'" in err
+
     @pytest.mark.parametrize("kind", ["coarse", "j"])
     def test_float_witness_bound_past_double_range(self, capsys, kind):
         code, _, err = run(capsys, "--mode", "float", "witness", "--kind", kind,
@@ -542,3 +552,40 @@ def test_parameter_sweep_never_crashes(capsys, tmp_path, name, key, value, mode)
         notes = {s["name"]: s["note"] for s in report["sub_checks"]}
         assert code == 0
         assert all("vacuous" in notes[n] for n in VACUOUS[name, key])
+
+
+class TestSearchFailures:
+    """A sampled claim's failed searches: a budget stop refutes nothing and
+    reads INDECISIVE; a failure that carries a proof reads FAIL."""
+
+    @pytest.mark.parametrize("name, params, stopped", [
+        ("prop36-expansion", {"mix_budget": 0}, ["mix-from-zero-exact"]),
+        ("riesz-blocks", {"search_budget": 0},
+         ["witness-band-decomposition", "lambda-ladder-ratio"]),
+    ], ids=["prop36-expansion-mix-budget-0", "riesz-blocks-search-budget-0"])
+    def test_budget_stop_is_indecisive(self, capsys, tmp_path, name, params, stopped):
+        # each exited 5, with these sub-checks FAIL
+        code, _, report = certify_with(capsys, tmp_path, name, params)
+        assert code == 4
+        statuses = {s["name"]: s["status"] for s in report["sub_checks"]}
+        assert [n for n, st in statuses.items() if st != "PASS"] == stopped
+        assert all(statuses[n] == "INDECISIVE" for n in stopped)
+
+    @pytest.mark.parametrize("name, search, refuted", [
+        ("prop32", "search_j_witness", ["synthesis-at-bound"]),
+        ("prop36-contraction", "search_j_witness", ["open-ball-witnessed"]),
+        ("prop36-expansion", "jmix_witness", ["mix-from-zero-exact"]),
+        ("riesz-blocks", "d_witness", ["witness-band-decomposition", "lambda-ladder-ratio"]),
+    ])
+    def test_a_proof_of_non_membership_fails(self, capsys, tmp_path, monkeypatch, name,
+                                             search, refuted):
+        def proved(*args, **kwargs):
+            raise SearchFailed("proved outside", reason="tail-bound", triple_index=0,
+                               best_residual=math.inf, best_delta_norm=math.inf,
+                               attempts=1, budget_used=1, k_last=1,
+                               proof={"k0": 1, "eps": "1", "inequality": "stub"})
+
+        monkeypatch.setattr(certificates, search, proved)
+        code, _, report = certify_with(capsys, tmp_path, name, SWEEP_SIZES[name])
+        assert code == 5
+        assert [s["name"] for s in report["sub_checks"] if s["status"] == "FAIL"] == refuted

@@ -554,10 +554,11 @@ class TestRealSupAttempt:
                 return fn(*args)
             return wrapper
 
-        for name, fn in (("apply_power", operators.apply_power),
-                         ("weight_product", operators.weight_product)):
-            for module in (operators, limit_sets):
-                monkeypatch.setattr(module, name, counted(name, fn))
+        applied = counted("apply_power", operators.apply_power)
+        for module in (operators, limit_sets):
+            monkeypatch.setattr(module, "apply_power", applied)
+        monkeypatch.setattr(operators, "weight_product",
+                            counted("weight_product", operators.weight_product))
         monkeypatch.setattr(WeightRule, "product_exact",
                             counted("product_exact", WeightRule.product_exact))
         attempts = []
@@ -840,9 +841,8 @@ class TestGreedyAttempt:
                 return fn(*args)
             return wrapper
 
-        for module in (operators, limit_sets):
-            monkeypatch.setattr(module, "weight_product",
-                                counted("weight_product", operators.weight_product))
+        monkeypatch.setattr(operators, "weight_product",
+                            counted("weight_product", operators.weight_product))
         monkeypatch.setattr(WeightRule, "product_exact",
                             counted("product_exact", WeightRule.product_exact))
         attempts = []

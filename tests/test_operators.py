@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +38,8 @@ from orbitscope.errors import (
 from orbitscope import operators
 from orbitscope.numeric import QC, Mode, log2_abs, phase_of
 
-from conftest import nfold_apply, random_shift, reference_apply, shift_operators, vector_for
+from conftest import nfold_apply, random_shift, reference_apply, reference_path_source, \
+    reference_target, shift_operators, vector_for
 
 
 def ei(i, c=1):
@@ -240,6 +242,58 @@ def test_a_dead_orbit_is_not_stepped(monkeypatch, mode):
     assert len(tail) == 36 and all(v is head[4] for v in tail)
     monkeypatch.undo()
     assert head + tail == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(T=shift_operators([2, Fraction(1, 3), Fraction(-7, 5), (1, 1), (0, Fraction(1, 2))]),
+       s=st.integers(-12, 16))
+def test_a_lane_follows_reference_steps(T, s):
+    # s ranges over every band of every shape, the gaps between block
+    # bands and, over N, indices outside it; each finite life ends within
+    # 30 steps there, so a source that survives 30 steps never leaves
+    lane = operators._lane(T, s)
+    comp = T.component_for(s)
+    if comp is None:
+        assert lane is None
+        return
+    step = {"backward": -1, "forward": 1, "diagonal": 0}[comp[0]]
+    assert (lane.s, lane.step) == (s, step)
+    path, products = [s], [QC(1)]  # the row and the product at each time
+    while len(path) <= 30:
+        t, rule = reference_target(T, path[-1])
+        if t is None:
+            break
+        products.append(products[-1] * rule.weight_at(path[-1]))
+        path.append(t)
+    survived = len(path) - 1
+    assert lane.life == (survived if survived < 30 else math.inf)
+    for j in range(s - 30, s + 31):  # rows met, rows behind s and rows past the band
+        assert lane.meets(j) == (path.index(j) if step and j in path else None)
+    for n, w in enumerate(products):
+        assert lane.product(n) == w
+        lg, ph = lane.product_log2(n)
+        assert math.isclose(lg, log2_abs(w), abs_tol=1e-9)
+        assert cmath.isclose(ph, phase_of(w), abs_tol=1e-9)
+    for n in range(31):  # s as a row: the lane whose source sits there at n
+        into = operators._lane_into(T, s, n)
+        assert (None if into is None else into.s) == reference_path_source(T, s, n)
+        if into is not None:
+            assert into.life >= n and into.s + into.step * n == s
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_scan_looks_up_only_the_weights_it_steps_over(monkeypatch, mode):
+    # prop21's instance, scanned to 1000 but read for 30 steps: each of its
+    # six sources looks up one weight per step taken, not its whole path
+    from orbitscope.certificates import _prop21_instance
+    T, x, _ = _prop21_instance({"visit_times": (30, 300, 1000)}, mode)
+    lookups = []
+    index_at = Constant._index_at
+    monkeypatch.setattr(Constant, "_index_at",
+                        lambda self, j: lookups.append(j) or index_at(self, j))
+    points = list(islice(iterate(T, x, 1000), 31))
+    assert len(points) == 31 and len(x) == 6
+    assert len(lookups) <= 30 * len(x)
 
 
 class TestApplyPower:
