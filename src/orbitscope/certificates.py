@@ -618,9 +618,12 @@ def cert_prop15(p, seed, mode):
     zero = SeqVector.zero(IndexSet.NATURALS, mode)
     y = SeqVector.basis(IndexSet.NATURALS, 0, mode=mode)
     d_val, eps_f = p["d"], _double(p, "target_eps")
-    if Fraction(d_val) / Fraction(2) ** max(p["scale_exponents"]) >= p["target_eps"]:
-        raise ConfigError("parameters 'd' and 'target_eps' need d / 2^max(scale_exponents) "
-                          "below target_eps, or no scale reaches the target tolerance")
+    # the rescaled certificate needs one scale t_m with d / t_m and the mix
+    # schedule's radius bound 1 / t_m both below target_eps
+    if max(Fraction(d_val), 1) / Fraction(2) ** max(p["scale_exponents"]) >= p["target_eps"]:
+        raise ConfigError("parameters 'd', 'scale_exponents' and 'target_eps' need "
+                          "max(d, 1) / 2^max(scale_exponents) below target_eps, or no "
+                          "scale reaches the target tolerance")
     family = []
     next_start = 1
     contiguous = True

@@ -478,13 +478,15 @@ def iterate(T: ShiftOperator, v: SeqVector, K: int):
     T sends each source along its own band to one row, and no two sources
     share a row, so each source is stepped along its lane (``_lanes``): a
     step looks up the weight of the row t it leaves, moves to t + step,
-    and is one weight multiply, until the lane's life ends.  In exact mode
-    a live source is the three ints (a, b, d) of its entry (a + bi)/d,
-    multiplied as ``QC`` multiplies and reduced by one gcd of its big ints;
-    a real weight c/f cancels across instead, by gcd(f, a, b) and
-    gcd(c, d), each started from a small int.  In float mode each rule's
-    weights are rounded once per scan.  Once no source is left, every
-    remaining point is one shared zero vector, built with no step.
+    and is one weight multiply, until the lane's life ends.  A diagonal
+    lane never leaves its row, so its one weight is looked up once.
+    In exact mode a live source is the three ints (a, b, d) of its entry
+    (a + bi)/d, multiplied as ``QC`` multiplies and reduced by one gcd of
+    its big ints; a real weight c/f cancels across instead, by
+    gcd(f, a, b) and gcd(c, d), each started from a small int.  In float
+    mode each rule's weights are rounded once per scan.  Once no source is
+    left, every remaining point is one shared zero vector, built with no
+    step.
     Errors are apply's, raised at the step that meets them:
     IndexSetMismatch on the first, NumericOverflow past double range in
     float mode, where an entry that underflows to zero is dropped.
@@ -504,7 +506,12 @@ def iterate(T: ShiftOperator, v: SeqVector, K: int):
             weights = cache.get(id(rule))
             if weights is None:
                 weights = cache[id(rule)] = _step_weights(rule, exact)
-            head = (lane.s, lane.step, rule._index_at, weights, lane.life)
+            if not lane.step:  # a diagonal lane keeps its one weight, looked up here
+                weights = weights[rule._index_at(lane.s)]
+            # the steps the lane takes in this scan, an int, so no step
+            # compares n with an infinite life
+            life = K if lane.life > K else lane.life
+            head = (lane.s, lane.step, rule._index_at, weights, life)
             rows.append((*head, val._a, val._b, val._d) if exact else (*head, val))
     except IndexSetMismatch as exc:  # raised at the first step, after the sources below
         missing = exc
@@ -514,7 +521,7 @@ def iterate(T: ShiftOperator, v: SeqVector, K: int):
         n += 1
         if exact:
             for t, step, index_at, weights, life, a, b, d in rows:
-                c, e, f = weights[index_at(t)]
+                c, e, f = weights[index_at(t)] if step else weights
                 t += step
                 if e:
                     a, b, d = a * c - b * e, a * e + b * c, d * f
@@ -530,7 +537,7 @@ def iterate(T: ShiftOperator, v: SeqVector, K: int):
                     live.append((t, step, index_at, weights, life, a, b, d))
         else:
             for t, step, index_at, weights, life, val in rows:
-                val = weights[index_at(t)] * val
+                val = (weights[index_at(t)] if step else weights) * val
                 t += step
                 if val == 0:
                     continue

@@ -480,19 +480,47 @@ def _contains_p2_closed_form(C: OpenCone, x: SeqVector) -> bool:
     return (ip * lx * lc * rd) ** 2 > x2 * l * l * (c2 * rd * rd - rn * rn * lc * lc)
 
 
-def _p1_scale(xs: dict, cs: dict, r, mode: Mode):
+def _exact_rows(xs: dict, cs: dict) -> list | None:
+    # one row (x_a, x_d, c_a, c_d) per index of supp x | supp c, with each
+    # exact entry a/d and a missing one 0/1, or None at the first complex
+    # entry; every entry is read once
+    rows, zero = [], _QC_ZERO
+    for j in xs.keys() | cs.keys():
+        u, v = xs.get(j, zero), cs.get(j, zero)
+        if u._b or v._b:
+            return None
+        rows.append((u._a, u._d, v._a, v._d))
+    return rows
+
+
+def _float_rows(xs: dict, cs: dict) -> list | None:
+    # one row (x_j.real, c_j.real) per index of supp x | supp c in index
+    # order, the distance walk's, with a missing entry 0.0, or None at the
+    # first complex entry; every entry is read once
+    rows, zero = [], 0j
+    for j in sorted(xs.keys() | cs.keys()):
+        u, v = xs.get(j, zero), cs.get(j, zero)
+        if u.imag or v.imag:
+            return None
+        rows.append((u.real, v.real))
+    return rows
+
+
+def _p1_scale(rows: list, r, mode: Mode):
     # the minimiser of g(lam) = ||x - lam c||_1 - lam r over lam > 0, or None
     # when g rises from g(0) = ||x|| > 0.  g's slope just after 0 gains
     # 2|c_i| at each positive x_i / c_i; the first breakpoint where it turns
     # >= 0 is the minimiser (a weighted median), and the last slope is
-    # ||c|| - r > 0, so one is reached.  xs and cs map indices to the real
-    # entries; exactly, the slope is kept times the lcm of r's and c's
-    # denominators, and each breakpoint as an int pair
+    # ||c|| - r > 0, so one is reached.  rows is the mode's row table;
+    # exactly, the slope is kept times the lcm of r's and c's denominators,
+    # and each breakpoint, the scale returned too, as an int pair (n, d),
+    # d > 0, not reduced
     if mode is Mode.FLOAT64:
-        xs, cs = ({i: v.real for i, v in e.items()} for e in (xs, cs))
         slope, knots = -r, []
-        for i, b in cs.items():
-            k = xs.get(i, 0) / b
+        for a, b in rows:
+            if not b:
+                continue
+            k = a / b
             if k > 0:
                 slope -= abs(b)
                 knots.append((k, abs(b)))
@@ -506,15 +534,16 @@ def _p1_scale(xs: dict, cs: dict, r, mode: Mode):
                 return k
         return None
     rn, rd = r.as_integer_ratio()
-    lcm = math.lcm(rd, *(v._d for v in cs.values()))
+    lcm = math.lcm(rd, *(cd for _, _, _, cd in rows))  # a missing c_i has cd = 1
     slope, knots = -rn * (lcm // rd), []
-    for i, v in cs.items():
-        w = abs(v._a) * (lcm // v._d)
-        u = xs.get(i)
-        if u is not None and (u._a > 0) is (v._a > 0):  # x_i / c_i > 0
+    for xa, xd, ca, cd in rows:
+        if not ca:
+            continue
+        w = abs(ca) * (lcm // cd)
+        if xa and (xa > 0) is (ca > 0):  # x_i / c_i > 0
             slope -= w
             # x_i / c_i = kn / kd with kd > 0
-            kn, kd = u._a * v._d, u._d * v._a
+            kn, kd = xa * cd, xd * ca
             knots.append((kn, kd, w) if kd > 0 else (-kn, -kd, w))
         else:
             slope += w
@@ -524,25 +553,24 @@ def _p1_scale(xs: dict, cs: dict, r, mode: Mode):
     for kn, kd, w in knots:
         slope += 2 * w
         if slope >= 0:
-            return Fraction(kn, kd)
+            return kn, kd
 
 
 # knots (kn, kd, w) in the order of kn / kd, by cross-multiplication
 _KNOT_ORDER = functools.cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1])
 
 
-def _pinf_scale(xs: dict, cs: dict, r, mode: Mode):
+def _pinf_scale(rows: list, r, mode: Mode):
     # the middle of the open interval of lam > 0 where ||x - lam c||_inf <
     # lam r, or None when it is empty.  Row by row: lam (c_i + r) > x_i and
     # lam (r - c_i) > -x_i, each an open half-line of lam, or all or none;
-    # the interval is bounded, as some |c_i| > r.  xs and cs map indices to
-    # the real entries; exactly, each row is multiplied through by its
-    # denominators and each end is an int pair
+    # the interval is bounded, as some |c_i| > r.  rows is the mode's row
+    # table; exactly, each row is multiplied through by its denominators,
+    # and each end, the middle returned too, is an int pair (n, d), d > 0,
+    # not reduced
     if mode is Mode.FLOAT64:
-        xs, cs = ({i: v.real for i, v in e.items()} for e in (xs, cs))
         lo, hi = 0, math.inf
-        for i in xs.keys() | cs.keys():
-            a, b = xs.get(i, 0), cs.get(i, 0)
+        for a, b in rows:
             for s, t in ((b + r, a), (r - b, -a)):  # lam * s > t
                 if s > 0:
                     lo = max(lo, t / s)
@@ -553,12 +581,11 @@ def _pinf_scale(xs: dict, cs: dict, r, mode: Mode):
         return (lo + hi) / 2 if lo < hi else None
     rn, rd = r.as_integer_ratio()
     lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0  # hi = 1/0, infinity, until a row bounds it
-    for i in xs.keys() | cs.keys():
-        u, v = xs.get(i, _QC_ZERO), cs.get(i, _QC_ZERO)
-        # times u_d v_d rd: lam (v_a rd + rn v_d) u_d > u_a v_d rd and
-        # lam (rn v_d - v_a rd) u_d > -u_a v_d rd
-        p, q, a = rn * v._d, v._a * rd, u._a * v._d * rd
-        for s, t in (((p + q) * u._d, a), ((p - q) * u._d, -a)):  # lam * s > t
+    for xa, xd, ca, cd in rows:
+        # times x_d c_d rd: lam (c_a rd + rn c_d) x_d > x_a c_d rd and
+        # lam (rn c_d - c_a rd) x_d > -x_a c_d rd
+        p, q, a = rn * cd, ca * rd, xa * cd * rd
+        for s, t in (((p + q) * xd, a), ((p - q) * xd, -a)):  # lam * s > t
             if s > 0:
                 if t * lo_d > lo_n * s:
                     lo_n, lo_d = t, s
@@ -568,26 +595,41 @@ def _pinf_scale(xs: dict, cs: dict, r, mode: Mode):
             elif t >= 0:
                 return None
     if lo_n * hi_d < hi_n * lo_d:
-        return Fraction(lo_n * hi_d + hi_n * lo_d, 2 * lo_d * hi_d)
+        return lo_n * hi_d + hi_n * lo_d, 2 * lo_d * hi_d
     return None
 
 
-def _lt_at_scale(xs: dict, cs: dict, lam: Fraction, r: Fraction, sup: bool) -> bool:
-    # ||x - lam c|| < lam r under pinf (sup) or p1, for the exact real entries
-    # xs and cs, in integers.  With lam = N/D, r = rn/rd and each entry a/d,
-    # row j times D is |D x_a c_d - N c_a x_d| / (x_d c_d) and the bound
-    # times D is N rn / rd: pinf cross-multiplies row by row and stops at the
-    # first that fails, p1 sums the rows over the lcm of their denominators
-    # and cross-multiplies once
-    big_n, big_d = lam.numerator, lam.denominator
+def _lt_at_scale(rows: list, lam: tuple[int, int], r: Fraction, sup: bool) -> bool:
+    # ||x - lam c|| < lam r under pinf (sup) or p1, for the exact row table,
+    # in integers.  With lam = N/D, r = rn/rd and each entry a/d, row j times
+    # D is |D x_a c_d - N c_a x_d| / (x_d c_d) and the bound times D is
+    # N rn / rd: pinf cross-multiplies row by row and stops at the first that
+    # fails, p1 sums the rows over the lcm of their denominators and
+    # cross-multiplies once.  Both sides scale with lam's pair, so it need
+    # not be reduced
+    big_n, big_d = lam
     rn, rd = r.as_integer_ratio()
-    bn, zero = big_n * rn, _QC_ZERO
-    rows = ((abs(big_d * u._a * v._d - big_n * v._a * u._d), u._d * v._d)
-            for u, v in ((xs.get(j, zero), cs.get(j, zero)) for j in xs.keys() | cs.keys()))
+    bn = big_n * rn
     if sup:
-        return all(n * rd < bn * d for n, d in rows)
-    num, den = _over_lcm(rows, 1)
+        for xa, xd, ca, cd in rows:
+            if abs(big_d * xa * cd - big_n * ca * xd) * rd >= bn * xd * cd:
+                return False
+        return True
+    num, den = _over_lcm(((abs(big_d * xa * cd - big_n * ca * xd), xd * cd)
+                          for xa, xd, ca, cd in rows), 1)
     return num * rd < bn * den
+
+
+def _squares_at_scale(rows: list, lam: float) -> list[float]:
+    # the squares |x_j - lam c_j|^2 of the float row table, as the distance
+    # walk of x against c.scale(lam) reads them: lam c_j is the product
+    # scale rounds, and a row where it is 0 and x_j is missing adds 0, as
+    # the walk's missing row does
+    squares = []
+    for a, b in rows:
+        d = a - b * lam
+        squares.append(d * d)
+    return squares
 
 
 _MINIMIZATION_LEVELS = 48  # refinement rounds of the float scale search
@@ -654,14 +696,20 @@ def cone_contains(C: OpenCone, x: SeqVector, method: str = "auto") -> bool:
     breakpoint where g is least (p1) or the middle of the interval where
     every entry's inequality holds (pinf).  That verdict is exact in both
     directions in exact mode and follows the float strictness policy in
-    float mode.  In exact mode the closed form and both scales are worked
-    out in integers, cross-multiplying each entry's numerators and
-    denominator, and so is the strict test at the scale: one pass over
-    supp x and supp c compares each row (pinf) or their sum (p1) with
-    lam r, with no scaled center or distance walk.  Only a complex
-    entry keeps the float scale search, whose True is checked exactly but
-    whose False is one-sided: a member within ~1e-12 (relative) of the
-    boundary may be reported as outside.
+    float mode.  The entries of x and c are read once, into one table
+    with a row per index of supp x and supp c, and both the scale and
+    the strict test at the scale read that table, with no scaled center
+    or distance walk.  In exact mode the rows are each entry's ints, and
+    the closed form, both scales and the strict test are worked out in
+    integers: each row (pinf) or their sum over one denominator (p1) is
+    cross-multiplied with lam r.  In float mode the rows are the real
+    parts in index order, and the test computes the floats the distance
+    walk of x against c.scale(lam) would: each lam c_j as scale rounds
+    it, the squares maxed (pinf) or their roots summed (p1), and
+    ||x - lam c|| < lam r - TOL_EQ.  Only a complex entry keeps the float
+    scale search, whose True is checked exactly but whose False is
+    one-sided: a member within ~1e-12 (relative) of the boundary may be
+    reported as outside.
     method="minimize" runs that search for p2.
     """
     if x.index_set is not C.center.index_set:
@@ -676,18 +724,19 @@ def cone_contains(C: OpenCone, x: SeqVector, method: str = "auto") -> bool:
         return _contains_p2_closed_form(C, x)
     if method not in ("auto", "minimize"):
         raise OrbitscopeError(f"unknown membership method {method!r}")
-    c, xs, cs = C.center, x._entries, C.center._entries
+    if C.norm is NormTag.P2:
+        return _contains_by_minimization(C, x)
     exact = x.mode is Mode.EXACT
-    entries = (*xs.values(), *cs.values())
-    if C.norm is NormTag.P2 or any(v._b if exact else v.imag for v in entries):
+    rows = (_exact_rows if exact else _float_rows)(x._entries, C.center._entries)
+    if rows is None:  # a complex entry
         return _contains_by_minimization(C, x)
     r, sup = C.radius_value(), C.norm is NormTag.PINF
-    lam = (_pinf_scale if sup else _p1_scale)(xs, cs, r, x.mode)
+    lam = (_pinf_scale if sup else _p1_scale)(rows, r, x.mode)
     if lam is None:
         return False
     if exact:
-        return _lt_at_scale(xs, cs, lam, r, sup)
-    return dist_lt(x, c.scale(lam), C.norm, lam * r)
+        return _lt_at_scale(rows, lam, r, sup)
+    return _walk_cmp(_squares_at_scale(rows, lam), C.norm, x.mode, lam * r) < 0
 
 
 _SAMPLE_SCALES, _SAMPLE_PAD, _SAMPLE_INTERIOR = (0.125, 8.0), 2, 0.9

@@ -473,6 +473,20 @@ class TestRefusedParameters:
         assert code == 2
         assert "config error:" in err and "'d'" in err and "'target_eps'" in err
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_scales_too_small_for_the_radii_are_a_config_error(self, capsys, tmp_path, mode):
+        # d / 2^3 is below target_eps but the mix radius bound 1 / 2^3 is not:
+        # prop15 exited 5 with rescaled-certificate FAIL, "family too short"
+        params = {"d": "1/1000000", "scale_exponents": [1, 2, 3]}
+        code, err, _ = certify_with(capsys, tmp_path, "prop15", params, mode)
+        assert code == 2
+        assert "config error:" in err
+        assert all(name in err for name in ("'d'", "'scale_exponents'", "'target_eps'"))
+        # max(d, 1) / 2^10 is below target_eps = 1/1000: the family reaches it
+        params = {"d": "1/2", "scale_exponents": list(range(1, 11))}
+        code, _, report = certify_with(capsys, tmp_path, "prop15", params, mode)
+        assert code == 0 and report["verdict"] == "PASS"
+
     @pytest.mark.parametrize("kind", ["coarse", "j"])
     def test_float_witness_bound_past_double_range(self, capsys, kind):
         code, _, err = run(capsys, "--mode", "float", "witness", "--kind", kind,

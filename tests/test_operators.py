@@ -296,6 +296,23 @@ def test_a_scan_looks_up_only_the_weights_it_steps_over(monkeypatch, mode):
     assert len(lookups) <= 30 * len(x)
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_diagonal_lane_looks_up_its_one_weight_once(monkeypatch, mode):
+    # a diagonal source never leaves its row: three sources stepped 60
+    # times look up three weights, and the points are the reference steps
+    T = ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS,
+                      Periodic([Fraction(3, 2), (0, Fraction(2, 3)), Fraction(-5, 4)]))
+    x = SeqVector.from_entries(IndexSet.INTEGERS, {-3: Fraction(3, 7), 0: (1, -2), 4: 5}, mode)
+    lookups = []
+    index_at = Periodic._index_at
+    monkeypatch.setattr(Periodic, "_index_at",
+                        lambda self, j: lookups.append(j) or index_at(self, j))
+    points = list(iterate(T, x, 60))
+    assert sorted(lookups) == [-3, 0, 4]
+    monkeypatch.undo()
+    assert points == list(_reference_orbit(T, x, 60))
+
+
 class TestApplyPower:
     def test_identity_power(self):
         v = ei(2, 5) + ei(-1, 3)

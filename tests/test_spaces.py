@@ -676,6 +676,17 @@ def test_distances_past_double_range_and_tiny_irrational_ones():
 # -- the exact cone helpers against Fraction copies of their bodies --------------
 
 
+def _rows(x: SeqVector, c: SeqVector) -> list:
+    """The row table a real p1/pinf cone query reads, in x's mode."""
+    table = spaces._exact_rows if x.mode is Mode.EXACT else spaces._float_rows
+    return table(x._entries, c._entries)
+
+
+def _scale_value(lam):
+    """A scale as a number: an exact scale's int pair (n, d) as n/d."""
+    return Fraction(*lam) if isinstance(lam, tuple) else lam
+
+
 def _ref_p1_scale(xs: dict, cs: dict, r: Fraction):
     slope, knots = -r, []
     for i, b in cs.items():
@@ -720,7 +731,7 @@ def test_pinf_scale_rows_with_zero_slope(mode, c1, x1, member):
     carrier = Fraction if mode is Mode.EXACT else float
     ref = _ref_pinf_scale({i: carrier(v) for i, v in x.items() if v},
                           {i: carrier(v) for i, v in c.items()}, carrier(r))
-    lam = spaces._pinf_scale(xv._entries, cv._entries, C.radius_value(), mode)
+    lam = _scale_value(spaces._pinf_scale(_rows(xv, cv), C.radius_value(), mode))
     assert lam == ref and type(lam) is type(ref)
     assert (lam is not None) is member
     assert cone_contains(C, xv) is member
@@ -746,8 +757,8 @@ def test_exact_scales_match_fraction_copies_of_their_bodies(c, w, shift, share, 
     C = OpenCone(SeqVector.from_entries(IndexSet.INTEGERS, c), r, p)
     xv = SeqVector.from_entries(IndexSet.INTEGERS, x)
     ref = (_ref_p1_scale if p is NormTag.P1 else _ref_pinf_scale)(x, c, r)
-    lam = (spaces._p1_scale if p is NormTag.P1 else spaces._pinf_scale)(
-        xv._entries, C.center._entries, r, Mode.EXACT)
+    lam = _scale_value((spaces._p1_scale if p is NormTag.P1 else spaces._pinf_scale)(
+        _rows(xv, C.center), r, Mode.EXACT))
     assert lam == ref and type(lam) is type(ref)
     member = ref is not None and reference_value(
         reference_squares(xv, C.center.scale(ref)), p) < ref * r
@@ -781,7 +792,7 @@ def _lt_by_walk(x: SeqVector, c: SeqVector, lam: Fraction, r: Fraction, p: NormT
 
 def _scale_of(x: SeqVector, C: OpenCone):
     scale = spaces._p1_scale if C.norm is NormTag.P1 else spaces._pinf_scale
-    return scale(x._entries, C.center._entries, C.radius_value(), Mode.EXACT)
+    return _scale_value(scale(_rows(x, C.center), C.radius_value(), Mode.EXACT))
 
 
 # small rationals and entries past double range either way
@@ -816,7 +827,7 @@ def test_exact_check_at_the_scale_matches_the_distance_walk(c, u, lam, share, p,
         x = u
     cv, xv = (SeqVector.from_entries(index_set, v) for v in (c, x))
     C = OpenCone(cv, r, p)
-    got = spaces._lt_at_scale(xv._entries, cv._entries, lam, r, p is NormTag.PINF)
+    got = spaces._lt_at_scale(_rows(xv, cv), lam.as_integer_ratio(), r, p is NormTag.PINF)
     assert got is _lt_by_walk(xv, cv, lam, r, p)
     if kind == "boundary":
         assert got is False
@@ -826,7 +837,8 @@ def test_exact_check_at_the_scale_matches_the_distance_walk(c, u, lam, share, p,
 
 @pytest.mark.parametrize("p", [NormTag.P1, NormTag.PINF])
 def test_exact_real_cone_query_builds_no_vector_and_walks_no_distance(p, monkeypatch):
-    # members, a boundary point and a non-member; a float query still walks
+    # members, a boundary point and a non-member, in both modes: neither
+    # builds lam c nor walks a distance
     C = OpenCone(SeqVector.from_entries(IndexSet.INTEGERS, {0: 2, 1: Fraction(1, 3)}), 1, p)
     # on the boundary: ||x - lam c|| = lam r at lam = 1 (p1) or 3 (pinf), and > elsewhere
     boundary = {0: 2, 1: Fraction(4, 3)} if p is NormTag.P1 else {0: 3, 1: -2}
@@ -836,18 +848,91 @@ def test_exact_real_cone_query_builds_no_vector_and_walks_no_distance(p, monkeyp
         (boundary, False),
         ({0: -2, 1: Fraction(1, 3)}, False))]
     floats = OpenCone(SeqVector.from_entries(IndexSet.INTEGERS, {0: 2}, Mode.FLOAT64), 1, p)
-    x_float = SeqVector.from_entries(IndexSet.INTEGERS, {0: 3}, Mode.FLOAT64)
+    float_queries = [(SeqVector.from_entries(IndexSet.INTEGERS, entries, Mode.FLOAT64), want)
+                     for entries, want in (({0: 3}, True), ({0: 2, 4: 3}, False),
+                                           ({0: -2}, False))]
     built, walked = [], []
-    init, trusted, walk = SeqVector.__init__, SeqVector._trusted.__func__, spaces.dist_lt
+    init, trusted = SeqVector.__init__, SeqVector._trusted.__func__
+    walk, real_dist = spaces.dist_lt, spaces._real_dist
     monkeypatch.setattr(SeqVector, "__init__",
                         lambda self, *a, **k: built.append(a) or init(self, *a, **k))
     monkeypatch.setattr(SeqVector, "_trusted",
                         classmethod(lambda cls, *a: built.append(a) or trusted(cls, *a)))
     monkeypatch.setattr(spaces, "dist_lt", lambda *a: walked.append(a) or walk(*a))
+    monkeypatch.setattr(spaces, "_real_dist", lambda *a: walked.append(a) or real_dist(*a))
     assert [cone_contains(C, x) for x, _ in queries] == [want for _, want in queries]
     assert built == [] and walked == []
-    assert cone_contains(floats, x_float)
-    assert len(built) == len(walked) == 1
+    assert ([cone_contains(floats, x) for x, _ in float_queries]
+            == [want for _, want in float_queries])
+    assert built == [] and walked == []
+
+
+# float entries either side of 1, subnormal ones whose products with a scale
+# below 1 round to 0, and large ones
+_FLOAT_ENTRIES = st.one_of(
+    st.floats(min_value=-40, max_value=40).filter(lambda v: abs(v) > 1e-3),
+    st.sampled_from([5e-324, -1e-310, 3e-200, -2e150]))
+_FLOAT_ROWS = st.dictionaries(st.integers(0, 5), _FLOAT_ENTRIES, min_size=1, max_size=4)
+
+
+def _float_cone_query(c: dict, u: dict, share: int, p: NormTag, kind: str, lam0: float,
+                      offset: float):
+    """(C, x) for the float check at the scale: x = u ("free"), x on the
+    boundary, lam0 (c + u') with ||u'|| = r ("boundary"), or x with a gap
+    at the scale a few TOL_EQ or less from the bound ("near").  Under p1
+    "near" adds a row of x off both supports, which leaves the scale as it
+    is, and sets the gap there to offset; under pinf every row of u' is
+    +-r (1 - delta) with lam0 r delta = -offset, so the interval of scales
+    is a few offsets wide."""
+    def vec(entries):
+        return SeqVector.from_entries(IndexSet.INTEGERS, entries, Mode.FLOAT64)
+
+    def size(v: dict) -> float:
+        return sum(map(abs, v.values())) if p is NormTag.P1 else max(map(abs, v.values()))
+
+    r = size(c) * share / 20
+    assume(r > 0 and norm_gt(vec(c), p, r))
+    C = OpenCone(vec(c), r, p)
+    if kind == "boundary" or (kind == "near" and p is NormTag.PINF):
+        rho = r if kind == "boundary" else r + offset / lam0
+        if kind == "near":
+            u = {i: math.copysign(1.0, v) for i, v in u.items()}
+        unit = rho / size(u)
+        x = {i: lam0 * (c.get(i, 0.0) + unit * u.get(i, 0.0)) for i in c.keys() | u.keys()}
+    else:
+        x = dict(u)
+    x = {i: v for i, v in x.items() if v}
+    assume(x and all(map(math.isfinite, x.values())))
+    if kind == "near" and p is NormTag.P1:
+        lam = spaces._p1_scale(_rows(vec(x), C.center), r, Mode.FLOAT64)
+        assume(lam is not None)
+        extra = lam * r - dist(vec(x), C.center.scale(lam), p) + offset
+        assume(extra > 0)
+        x[9] = extra
+    return C, vec(x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FLOAT_ROWS, _FLOAT_ROWS, st.integers(1, 19), st.sampled_from([NormTag.P1, NormTag.PINF]),
+       st.sampled_from(["free", "boundary", "near"]), st.floats(min_value=0.01, max_value=50),
+       st.sampled_from([5e-10, -5e-10, 2e-9, -2e-9, 0.0]))
+@example({0: 2.0, 1: 5e-324}, {0: 0.5}, 10, NormTag.P1, "free", 1.0, 0.0)  # c_1 lam rounds to 0
+@example({0: 2.0, 1: 5e-324}, {0: 0.5, 1: 0.3}, 10, NormTag.PINF, "free", 1.0, 0.0)
+@example({3: -1.5}, {3: -2.0}, 10, NormTag.P1, "free", 1.0, 0.0)  # one row
+@example({3: -1.5}, {3: 2.0}, 10, NormTag.PINF, "boundary", 0.75, 0.0)
+@example({0: 2.0, 1: 1.0}, {4: 1.0, 5: -2.0}, 10, NormTag.P1, "free", 1.0, 0.0)  # disjoint
+@example({0: 2.0, 1: 1.0}, {4: 1.0}, 2, NormTag.PINF, "free", 1.0, 0.0)
+@example({0: 2.0, 1: 1.0}, {0: 1.0, 1: -1.0}, 10, NormTag.P1, "near", 1.0, -5e-10)
+@example({0: 2.0, 1: 1.0}, {0: 1.0, 1: -1.0}, 10, NormTag.P1, "near", 1.0, -2e-9)
+def test_float_cone_check_at_the_scale_matches_the_distance_walk(c, u, share, p, kind, lam0,
+                                                                 offset):
+    # the reference is the check the row pass replaced: lam c built by
+    # scale and the distance walk, at the scale the search returns
+    C, xv = _float_cone_query(c, u, share, p, kind, lam0, offset)
+    scale = spaces._p1_scale if p is NormTag.P1 else spaces._pinf_scale
+    lam = scale(_rows(xv, C.center), C.radius_value(), Mode.FLOAT64)
+    want = lam is not None and dist_lt(xv, C.center.scale(lam), p, lam * C.radius_value())
+    assert cone_contains(C, xv) is want
 
 
 def _float_pair(pair):
