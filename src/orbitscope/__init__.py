@@ -13,7 +13,6 @@ from .errors import (
     IndexSetMismatch,
     InputNotAWitnessFamily,
     ModeMismatch,
-    NormMismatch,
     NumericOverflow,
     OrbitscopeError,
     SearchFailed,

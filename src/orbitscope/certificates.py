@@ -41,11 +41,13 @@ from .limit_sets import (
     d_witness,
     jmix_witness,
     prop22_amplify,
+    reaching_scale,
     remark32_contradiction_check,
     rescale_j_witness_family,
     search_j_witness,
 )
-from .numeric import FieldsJSON, Mode, jsonable, make_scalar, real_value, to_float
+from .numeric import FieldsJSON, Mode, jsonable, make_scalar, real_value, strict_gt, \
+    to_float
 from .operators import (
     Band,
     Block,
@@ -618,17 +620,18 @@ def cert_prop15(p, seed, mode):
     zero = SeqVector.zero(IndexSet.NATURALS, mode)
     y = SeqVector.basis(IndexSet.NATURALS, 0, mode=mode)
     d_val, eps_f = p["d"], _double(p, "target_eps")
-    # the rescaled certificate needs one scale t_m with d / t_m and the mix
-    # schedule's radius bound 1 / t_m both below target_eps
-    if max(Fraction(d_val), 1) / Fraction(2) ** max(p["scale_exponents"]) >= p["target_eps"]:
-        raise ConfigError("parameters 'd', 'scale_exponents' and 'target_eps' need "
-                          "max(d, 1) / 2^max(scale_exponents) below target_eps, or no "
-                          "scale reaches the target tolerance")
+    scales = [Fraction(2) ** k for k in p["scale_exponents"]]
+    # the rescaled certificate needs a scale t_m reaching target_eps with the
+    # mix schedule's radius 1, and d / t_m a bound the mode certifies under
+    m = reaching_scale(((t, 1) for t in scales), d_val, p["target_eps"])
+    if m is None or not strict_gt(Fraction(d_val) / scales[m], 0, mode):
+        raise ConfigError("parameters 'd', 'scale_exponents' and 'target_eps' need a "
+                          "scale t = 2^k with d/t and 1/t below target_eps, and d/t "
+                          "above TOL_EQ in float mode")
     family = []
     next_start = 1
     contiguous = True
-    for k in p["scale_exponents"]:
-        t_k = Fraction(2) ** k
+    for t_k in scales:
         target_k = y.scale(real_value(t_k, mode))
         w = jmix_witness(T, zero, target_k, d_val, p["mix_length"], next_start,
                          p["mix_budget"], norm_tag=NormTag.PINF)

@@ -11,10 +11,6 @@ class IndexSetMismatch(OrbitscopeError):
     """Vectors or operators over N were combined with ones over Z."""
 
 
-class NormMismatch(OrbitscopeError):
-    """Two objects carrying different norm tags were combined."""
-
-
 class ModeMismatch(OrbitscopeError):
     """Exact-rational and float64 values were mixed in one computation."""
 

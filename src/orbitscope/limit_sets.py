@@ -42,7 +42,7 @@ from .errors import (
 )
 from .numeric import FieldsJSON, Mode, QC, abs2, jsonable, log2_abs, make_scalar, \
     positive_value, ratio_float, real_value, scalar_zero, sqrt_bounds, strict_gt, to_float
-from .operators import ShiftOperator, _lane, _lane_into, apply_power, power_paths
+from .operators import ShiftOperator, _lane, _lane_into, _lanes, apply_power
 from .orbits import CoarseWitness, coarse_orbit_contains
 from .spaces import IndexSet, NormTag, SeqVector, dist, dist_and_lt, dist_lt
 
@@ -226,31 +226,30 @@ _UNREACHED = (None, scalar_zero(Mode.EXACT), None)  # a row no path reaches
 
 class _TargetRows:
     """One search's rows, from which each of its attempts reads every row's
-    source s and exact path product W: power_paths gives the rows of
-    T^k(supp x) (``landed``), and ``at`` keeps (s, W, lane) for each row j
-    of supp y at the last time k asked, with lane the (step, weight_at,
-    contains) of the lane into j (``_lane_into``), else _UNREACHED.  At
-    k + 1 each source moves one index away from j and W takes its weight,
-    reduced, so a row stays the source and product of the lane into j
-    exactly; a source that leaves its band, an interval, never returns.
-    Other times form afresh.
+    source s and exact path product W.  ``landed`` gives the rows of
+    T^k(supp x) for the search's x, read off x's lanes, which it lists once,
+    at its first call.  ``at`` keeps (s, W, lane) for each row j of supp y
+    at the last time k asked, with lane the (step, weight_at, contains) of
+    the lane into j (``_lane_into``), else _UNREACHED.  At k + 1 each
+    source moves one index away from j and W takes its weight, reduced, so
+    a row stays the source and product of the lane into j exactly; a
+    source that leaves its band, an interval, never returns.  Other times
+    form afresh."""
 
-    It also keeps the first time at which the search's x had no path left:
-    by the same interval argument none comes back, so power_paths is not
-    called again from that time on, and no attempt applies a power to x."""
+    def __init__(self, T: ShiftOperator, x: SeqVector, y: SeqVector):
+        self.T, self.x, self.lanes = T, x, None
+        self.k, self.rows = None, dict.fromkeys(y._entries)
 
-    def __init__(self, T: ShiftOperator, y: SeqVector):
-        self.T, self.k, self.rows = T, None, dict.fromkeys(y._entries)
-        self.dead_from = math.inf
-
-    def landed(self, x: SeqVector, k: int) -> list[tuple]:
-        """power_paths(T, k, x) for the search's x, [] once it came back empty."""
-        if k >= self.dead_from:
-            return []
-        out = power_paths(self.T, k, x)
-        if not out:
-            self.dead_from = k
-        return out
+    def landed(self, k: int) -> list[tuple]:
+        """(s, x_s, t, W, e) for each source s of x, in index order, whose
+        lane lives to k, landing at t with W its exact product and e the
+        entry of T^k x at t (``_Lane.entry``).  It raises IndexSetMismatch
+        at each call while x's lanes cannot be listed, and NumericOverflow
+        as apply_power does."""
+        if self.lanes is None:
+            self.lanes = list(_lanes(self.T, self.x))
+        return [(lane.s, val, lane.s + lane.step * k, (w := lane.product(k)),
+                 lane.entry(k, val, w)) for lane, val in self.lanes if k <= lane.life]
 
     def at(self, k: int) -> dict:
         rows = self.rows
@@ -320,7 +319,7 @@ class _SearchLog:
             and x.index_set is y.index_set is T.index_set \
             and not any(v._b for v in (*x._entries.values(), *y._entries.values())) \
             and not any(w._b for _, rule, _ in T.components() for w in rule.weight_values())
-        self.targets = _TargetRows(T, y)
+        self.targets = _TargetRows(T, x, y)
         self.attempts = 0
         self.k_last = 0
         self.reset_best()
@@ -384,25 +383,27 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
                     targets: _TargetRows) -> _Attempt | None:
     """One back-solve attempt at time k; None when the budget ran out.
 
-    Each row where T^k x misses y reads its source and product from
-    targets.  In the sup norm the attempt is decided row by row, exactly for
-    real exact entries and as a screen otherwise; the final checks decide.
-    A search over real exact vectors and weights runs _real_sup_attempt."""
+    T^k x and each row's source and product are read off targets: the rows
+    x lands on (``landed``), then the rows of y, so no power is applied to
+    x.  In the sup norm the attempt is decided row by row, exactly for real
+    exact entries and as a screen otherwise; the final checks decide.  A
+    search over real exact vectors and weights runs _real_sup_attempt."""
     if not budget.try_spend(1):
         return None
-    landed = targets.landed(x, k)
-    try:  # no path left from x: T^k x is the zero apply_power would build
-        image0 = apply_power(T, k, x) if landed else SeqVector.zero(x.index_set, x.mode)
+    try:
+        landed = targets.landed(k)
     except NumericOverflow:
         return _Attempt(False, None, None, math.inf, math.inf)
-    paths = {j: (s, w) for j, (s, w, _) in targets.at(k).items()}
-    paths.update((t, (s, w)) for s, _, t, w in landed)
-    zero = scalar_zero(image0.mode)
+    zero = scalar_zero(x.mode)
+    paths = {j: (s, w, zero) for j, (s, w, _) in targets.at(k).items()}
+    # an entry that underflowed is the zero apply_power drops
+    paths.update((t, (s, w, e or zero)) for s, _, t, w, e in landed)
     rows = []  # (j, mismatch, s, W); s is None when no path reaches j
     for j in sorted(paths):
-        target, image = y._entries.get(j, zero), image0._entries.get(j, zero)
+        s, w, image = paths[j]
+        target = y._entries.get(j, zero)
         if target != image:
-            rows.append((j, target - image, *paths[j]))
+            rows.append((j, target - image, s, w))
     delta_entries = {}
     uncorrected = []
     feasible = True
@@ -483,8 +484,8 @@ def _real_sup_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val: Fract
     """_greedy_attempt's sup-norm attempt for real exact x, y and weights,
     with the same result, decided in integers from the same row table.
 
-    Each row j of supp y and T^k(supp x) gets its source s and product
-    W = wa/wd from the search's targets, and its mismatch
+    Each row j of supp y and T^k(supp x) gets its source s, product
+    W = wa/wd and entry W x_s from the search's targets, and its mismatch
     m = y_j - W x_s = p/q, once; no power is applied.  The row rule is
     decided by cross-multiplication, and the distance of the perturbed
     image, max_j |y_j - W z_s|, is read off the same rows."""
@@ -493,10 +494,8 @@ def _real_sup_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val: Fract
     ys = y._entries
     paths = targets.at(k)
     rows = {}  # j -> (s, wa, wd, p, q) with q > 0; s is None when no path reaches j
-    for s, v, j, w in targets.landed(x, k):
-        wa, wd = w._a, w._d
-        ia, iq = wa * v._a, wd * v._d
-        yj = ys.get(j)
+    for s, _, j, w, e in targets.landed(k):
+        wa, wd, ia, iq, yj = w._a, w._d, e._a, e._d, ys.get(j)
         rows[j] = (s, wa, wd, -ia, iq) if yj is None else \
             (s, wa, wd, yj._a * iq - ia * yj._d, yj._d * iq)
     for j, yj in ys.items():
@@ -817,6 +816,14 @@ class FamilyRescaleResult(FieldsJSON):
     scales_used: tuple[Fraction, ...]
 
 
+def reaching_scale(members, d, target_eps) -> int | None:
+    """The index m of the first (t, radius) of members, t a scale and radius
+    its witness's largest, with d/t and radius/t below target_eps; else None."""
+    d, eps = Fraction(d), Fraction(target_eps)
+    return next((m for m, (t, radius) in enumerate(members)
+                 if d / t < eps and radius / t < eps), None)
+
+
 def rescale_j_witness_family(T: ShiftOperator,
                              family: list[tuple[object, JWitness]],
                              target_eps) -> FamilyRescaleResult:
@@ -845,12 +852,8 @@ def rescale_j_witness_family(T: ShiftOperator,
     for w in witnesses:
         if w.bound != d_val:
             raise OrbitscopeError("family members must share the bound d")
-    m_index = None
-    for idx, t in enumerate(scales):
-        radius_bound = max(witnesses[idx].schedule.values) / t
-        if d_frac / t < eps_frac and radius_bound < eps_frac:
-            m_index = idx
-            break
+    m_index = reaching_scale(zip(scales, (max(w.schedule.values) for w in witnesses)),
+                             d_frac, eps_frac)
     if m_index is None:
         raise OrbitscopeError(
             f"family too short: need d/t_m < {eps_frac} with radii to match")

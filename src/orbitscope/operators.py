@@ -13,10 +13,13 @@ its lane with one weight lookup and one multiply, in exact mode on the
 entry's three ints, and end in one shared zero vector once every lane
 has.  ``meetings`` builds only the points whose support meets given rows.
 
-``weight_product`` is the exact path product.  Float64-mode
-``apply_power`` tracks its products in log2 magnitude and phase and errors
-out past 2^900 instead of silently overflowing.  Spectral radii are read
-off each weight rule's structure, exactly (``spectral_radius``).
+``weight_product`` is the exact path product.  A lane's ``entry`` is the
+one closed-form landing: the entry T^n sends val e_s to, the exact
+product times val in exact mode, and in float64 mode the product's log2
+magnitude and phase times val, an error past 2^900 instead of a silent
+overflow.  ``apply_power``, ``meetings`` and the J searches' row tables
+read it.  Spectral radii are read off each weight rule's structure,
+exactly (``spectral_radius``).
 """
 
 from __future__ import annotations
@@ -412,6 +415,23 @@ class _Lane:
             return lg * n, unit_power(ph, n)
         return self.rule.product_log2(*self._span(n))
 
+    def entry(self, n: int, val, w: QC | None = None):
+        """The entry T^n sends val e_s to, at row s + step n, for n <= life:
+        val at n = 0; in exact mode W val, with W the product(n) the caller
+        holds as w or formed here; in float mode the log2 magnitude and
+        phase of W times val, and NumericOverflow past 2^OVERFLOW_LOG2."""
+        if not n:
+            return val
+        if isinstance(val, QC):
+            return (self.product(n) if w is None else w) * val
+        lg, ph = self.product_log2(n)
+        if lg + log2_abs(val) > OVERFLOW_LOG2:
+            raise NumericOverflow(f"T^{n} entry at {self.s + self.step * n} has "
+                                  f"magnitude past 2^{OVERFLOW_LOG2:.0f}")
+        if lg > OVERFLOW_LOG2:
+            raise NumericOverflow(f"weight product magnitude 2^{lg:.1f} exceeds policy")
+        return ph * 2.0 ** lg * val
+
 
 def _lanes(T: ShiftOperator, v: SeqVector):
     """(lane, v_s) for each source s of v, in index order; IndexSetMismatch
@@ -580,7 +600,7 @@ def meetings(T: ShiftOperator, v: SeqVector, rows, K: int):
     def points():
         for n in sorted(times):
             yield n, SeqVector._trusted(v.index_set, {
-                lane.s + lane.step * n: lane.product(n) * val
+                lane.s + lane.step * n: lane.entry(n, val)
                 for lane, val in lanes if n <= lane.life}, v.mode)
 
     return points()
@@ -592,38 +612,16 @@ def apply(T: ShiftOperator, v: SeqVector) -> SeqVector:
     return out
 
 
-def power_paths(T: ShiftOperator, n: int, v: SeqVector) -> list[tuple]:
-    """(s, v_s, t, W) for each source s of v, in index order, whose n-step
-    path (n >= 1) lands at t, with W the exact path product: T^n v is the
-    sum of the W v_s e_t.  It raises what apply_power raises."""
-    return [(lane.s, val, lane.s + lane.step * n, lane.product(n))
-            for lane, val in _lanes(T, v) if n <= lane.life]
-
-
 def apply_power(T: ShiftOperator, n: int, v: SeqVector) -> SeqVector:
-    """T^n v via exact weight products along length-n paths."""
+    """T^n v, each source's entry landed in closed form (``_Lane.entry``)."""
     if n < 0:
         raise OrbitscopeError("power must be non-negative")
     if v.index_set is not T.index_set:
         raise IndexSetMismatch("operator and vector index sets differ")
     if n == 0:
         return v
-    if v.mode is Mode.EXACT:
-        return SeqVector(v.index_set, {t: w * val for _, val, t, w in power_paths(T, n, v)},
-                         v.mode)
-    entries = {}
-    for lane, val in _lanes(T, v):
-        if n > lane.life:
-            continue
-        t = lane.s + lane.step * n
-        lg, ph = lane.product_log2(n)
-        if lg + log2_abs(val) > OVERFLOW_LOG2:
-            raise NumericOverflow(
-                f"T^{n} entry at {t} has magnitude past 2^{OVERFLOW_LOG2:.0f}")
-        if lg > OVERFLOW_LOG2:
-            raise NumericOverflow(f"weight product magnitude 2^{lg:.1f} exceeds policy")
-        entries[t] = ph * 2.0 ** lg * val
-    return SeqVector(v.index_set, entries, v.mode)
+    return SeqVector(v.index_set, {lane.s + lane.step * n: lane.entry(n, val)
+                                   for lane, val in _lanes(T, v) if n <= lane.life}, v.mode)
 
 
 # -- spectral radius and Riesz-style block decomposition -------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import IndexSetMismatch, ModeMismatch, NormMismatch, OrbitscopeError
+from .errors import IndexSetMismatch, ModeMismatch, OrbitscopeError
 from .numeric import (
     QC,
     Mode,
@@ -687,7 +687,7 @@ def _contains_by_minimization(C: OpenCone, x: SeqVector) -> bool:
     return False
 
 
-def cone_contains(C: OpenCone, x: SeqVector, method: str = "auto") -> bool:
+def cone_contains(C: OpenCone, x: SeqVector) -> bool:
     """Membership of x in the ball-generated open cone C.
 
     The euclidean closed form is exact.  For real x and center under p1 or
@@ -710,7 +710,6 @@ def cone_contains(C: OpenCone, x: SeqVector, method: str = "auto") -> bool:
     scale search, whose True is checked exactly but whose False is
     one-sided: a member within ~1e-12 (relative) of the boundary may be
     reported as outside.
-    method="minimize" runs that search for p2.
     """
     if x.index_set is not C.center.index_set:
         raise IndexSetMismatch("cone and vector index sets differ")
@@ -718,14 +717,8 @@ def cone_contains(C: OpenCone, x: SeqVector, method: str = "auto") -> bool:
         raise ModeMismatch("cone and vector numeric modes differ")
     if x.is_zero:
         return False
-    if method == "closed-form" or (method == "auto" and C.norm is NormTag.P2):
-        if C.norm is not NormTag.P2:
-            raise NormMismatch("closed form applies to the euclidean norm only")
-        return _contains_p2_closed_form(C, x)
-    if method not in ("auto", "minimize"):
-        raise OrbitscopeError(f"unknown membership method {method!r}")
     if C.norm is NormTag.P2:
-        return _contains_by_minimization(C, x)
+        return _contains_p2_closed_form(C, x)
     exact = x.mode is Mode.EXACT
     rows = (_exact_rows if exact else _float_rows)(x._entries, C.center._entries)
     if rows is None:  # a complex entry

@@ -20,7 +20,6 @@ from orbitscope import (
     Shape,
     ShiftOperator,
     apply_power,
-    cone_contains,
     jmix_witness,
     make_coarse_witness,
     norm,
@@ -28,6 +27,7 @@ from orbitscope import (
     prop32_operator,
     rescale_j_witness_family,
     search_j_witness,
+    spaces,
 )
 from orbitscope.certificates import (
     _random_sparse,
@@ -254,8 +254,7 @@ def test_criterion_8_oracle_equivalences():
         if x.is_zero:
             continue
         trials += 1
-        if cone_contains(C, x, method="closed-form") == \
-                cone_contains(C, x, method="minimize"):
+        if spaces._contains_p2_closed_form(C, x) == spaces._contains_by_minimization(C, x):
             cone_ok += 1
 
     ok = power_ok == 500 and agree == 100 and cone_ok == 1000

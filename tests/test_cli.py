@@ -487,6 +487,19 @@ class TestRefusedParameters:
         code, _, report = certify_with(capsys, tmp_path, "prop15", params, mode)
         assert code == 0 and report["verdict"] == "PASS"
 
+    def test_float_bound_at_or_below_tol_eq_is_a_config_error(self, capsys, tmp_path):
+        # the first scale reaching target_eps is 2^10, and d / 2^10 lies below
+        # TOL_EQ, which the float strictness policy certifies no distance
+        # under: float prop15 exited 5 with rescaled-certificate FAIL, "image
+        # at time 28 not within bound 9.765625e-10"; exact mode passes
+        params = {"d": "1/1000000", "scale_exponents": list(range(1, 11))}
+        code, err, _ = certify_with(capsys, tmp_path, "prop15", params, "float")
+        assert code == 2
+        assert "config error:" in err
+        assert all(name in err for name in ("'d'", "'scale_exponents'", "'target_eps'"))
+        code, _, report = certify_with(capsys, tmp_path, "prop15", params, "exact")
+        assert code == 0 and report["verdict"] == "PASS"
+
     @pytest.mark.parametrize("kind", ["coarse", "j"])
     def test_float_witness_bound_past_double_range(self, capsys, kind):
         code, _, err = run(capsys, "--mode", "float", "witness", "--kind", kind,

@@ -51,6 +51,7 @@ from orbitscope.limit_sets import (
     _TargetRows,
     _greedy_attempt,
     _real_sup_attempt,
+    reaching_scale,
 )
 from orbitscope.numeric import QC, Mode, abs2, make_scalar, real_value, scalar_zero, \
     strict_gt, to_float
@@ -60,13 +61,12 @@ from orbitscope.operators import (
     Periodic,
     Table,
     WeightRule,
-    power_paths,
     weight_product,
 )
 from orbitscope.spaces import dist_and_lt
 
-from conftest import random_shift, random_vector, reference_path_source, \
-    sup_projection_feasible, vector_for
+from conftest import nfold_apply, random_shift, random_vector, reference_path_source, \
+    shift_operators, sup_projection_feasible, vector_for
 
 
 def ei(i, c=1, mode=Mode.EXACT):
@@ -273,8 +273,8 @@ def sup_attempt(T, x, y, d, eps, k):
     """One exact sup-norm attempt at time k, the same from both attempt
     functions; its witness, when it finds one, must pass verify."""
     att = _greedy_attempt(T, x, y, d, eps, k, NormTag.PINF, Budget(2), Mode.EXACT,
-                          _TargetRows(T, y))
-    assert _real_sup_attempt(T, x, y, d, eps, k, Budget(2), _TargetRows(T, y)) == att
+                          _TargetRows(T, x, y))
+    assert _real_sup_attempt(T, x, y, d, eps, k, Budget(2), _TargetRows(T, x, y)) == att
     if att.ok:
         JWitness(x, y, d, NormTag.PINF, EpsSchedule((eps,)),
                  (JWitnessTriple(att.perturbed, k, att.dist),)).verify(T)
@@ -369,7 +369,7 @@ def reference_sup_attempt(T, x, y, d_val, eps, k, budget):
 
 def real_sup_attempt(T, x, y, d_val, eps, k, budget):
     """_real_sup_attempt with a row table of its own."""
-    return _real_sup_attempt(T, x, y, d_val, eps, k, budget, _TargetRows(T, y))
+    return _real_sup_attempt(T, x, y, d_val, eps, k, budget, _TargetRows(T, x, y))
 
 
 def outcome(attempt, T, x, y, d, eps, k, budget_limit):
@@ -528,7 +528,7 @@ class TestRealSupAttempt:
         rng = random.Random(seed)
         T = random_operator(rng)
         y = vector_for(rng, T, -12, 12)
-        rows = _TargetRows(T, y)
+        rows = _TargetRows(T, SeqVector.zero(y.index_set), y)
         for k in [*range(1, 41), *range(restart, 41)]:
             at = rows.at(k)
             assert sorted(at) == list(y.support)
@@ -581,38 +581,58 @@ class TestRealSupAttempt:
         assert used["product_exact"] <= sourced
         assert used["weight_product"] <= sourced
         assert [k for k, _ in later] == list(range(k + 1, k + 1 + len(later)))
-        assert any(power_paths(T, k, x) for k, _ in later)
+        assert any(landings(T, k, x) for k, _ in later)
         for k, used in later:
             assert used == {"apply_power": 0, "weight_product": 0,
-                            "product_exact": len(power_paths(T, k, x))}
+                            "product_exact": landings(T, k, x)}
 
     @pytest.mark.parametrize("x, dies_at", [(ei(0), 1), (ei(0) + ei(4, Fraction(1, 3)), 5)],
                              ids=["dies-at-once", "dies-at-5"])
     def test_paths_from_x_stop_once_none_is_left(self, monkeypatch, x, dies_at):
         # riesz-blocks' operator: a backward source at s leaves its band
-        # [0, inf) after s + 1 steps, and power_paths is asked no more
+        # [0, inf) after s + 1 steps; each attempt lands x's live lanes
+        # only, so from dies_at on it lands none and forms no product
         T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
             Block(Band(0, None), "backward", Constant(Fraction(1, 2))),
             Block(Band(None, -1), "backward", Constant(2))))
         y = SeqVector.from_entries(IndexSet.INTEGERS, {
             2: Fraction(1, 4), -50: 7, -43: -3})
-        asked, attempts = [], []
+        counts = dict.fromkeys(["entry", "product_exact"], 0)
 
-        def counted(T, k, v):
-            asked.append(k)
-            return power_paths(T, k, v)
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(operators._Lane, "entry", counted("entry", operators._Lane.entry))
+        monkeypatch.setattr(WeightRule, "product_exact",
+                            counted("product_exact", WeightRule.product_exact))
+        attempts = []
 
         def attempt(*args, _attempt=_real_sup_attempt):
-            attempts.append(args[5])
-            return _attempt(*args)
+            before = dict(counts)
+            out = _attempt(*args)
+            attempts.append((args[5], {n: counts[n] - before[n] for n in counts}))
+            return out
 
-        monkeypatch.setattr(limit_sets, "power_paths", counted)
         monkeypatch.setattr(limit_sets, "_real_sup_attempt", attempt)
         search_j_witness(T, x, y, 1, EpsSchedule.reciprocal(5), 20_000)
-        assert attempts == list(range(1, len(attempts) + 1))
+        monkeypatch.undo()
+        assert [k for k, _ in attempts] == list(range(1, len(attempts) + 1))
         assert len(attempts) > dies_at
-        assert asked == list(range(1, dies_at + 1))
-        assert power_paths(T, dies_at, x) == [] and power_paths(T, dies_at - 1, x)
+        assert [used["entry"] for _, used in attempts] == \
+            [landings(T, k, x) for k, _ in attempts]
+        for k, used in attempts[1:]:
+            assert used["product_exact"] == landings(T, k, x)
+        assert all(used == {"entry": 0, "product_exact": 0}
+                   for k, used in attempts[1:] if k >= dies_at)
+        assert landings(T, dies_at, x) == 0 and landings(T, dies_at - 1, x)
+
+
+def landings(T, k, x):
+    """How many sources of x land at time k, by the n-fold oracle."""
+    return len(nfold_apply(T, k, x).support)
 
 
 def reference_greedy_attempt(T, x, y, d_val, eps, k, norm_tag, budget, mode):
@@ -759,7 +779,7 @@ class TestGreedyAttempt:
         x = in_mode(x, mode)
         y = in_mode(y, mode, rng.choice(y.support) if turn and not y.is_zero else None)
         d_val, eps_val = real_value(d, mode), real_value(eps, mode)
-        targets = _TargetRows(T, y)
+        targets = _TargetRows(T, x, y)
         for k in [*range(start, start + m), *range(start + 1, start + 1 + m)]:
             try:
                 compared_attempt(T, x, y, d_val, eps_val, k, norm_tag, Budget(budget),
@@ -812,7 +832,7 @@ class TestGreedyAttempt:
         applied = []
         monkeypatch.setattr(limit_sets, "apply_power",
                             lambda T, k, v: applied.append(v) or apply_power(T, k, v))
-        targets, checked = _TargetRows(T, y), 0
+        targets, checked = _TargetRows(T, x, y), 0
         for k in range(1, 9):
             applied.clear()
             budget = Budget(2)
@@ -859,11 +879,133 @@ class TestGreedyAttempt:
         assert len(attempts) > len(w.triples)
         (k, used), (k_next, used_next), *_ = attempts
         assert k_next == k + 1
-        assert used["product_exact"] <= len(y.support) + len(power_paths(T, k, x))
+        x_exact = in_mode(x, Mode.EXACT)
+        assert used["product_exact"] <= len(y.support) + landings(T, k, x_exact)
         assert used_next == {"weight_product": 0,
-                             "product_exact": len(power_paths(T, k_next, x))}
+                             "product_exact": landings(T, k_next, x_exact)}
         for _, used in attempts:
             assert used["weight_product"] == 0
+
+    def test_attempts_land_x_once_and_apply_no_power_to_it(self, monkeypatch):
+        # an exact p1 search: each attempt forms at most one product per row
+        # x lands on, besides the rows of y it forms afresh and the power of
+        # x + delta, and reads T^k x off those rows; attempts that applied a
+        # power to x formed each landed product twice (33 apply_power calls
+        # from limit_sets and 102 products for these 14 attempts)
+        T = prop32_operator()
+        x = ei(0)
+        y = SeqVector.from_entries(IndexSet.INTEGERS, {-7: 4, 0: Fraction(5, 2), 6: -3})
+        counts = dict.fromkeys(["product_exact", "formed", "landed", "in_powers"], 0)
+        applied = []
+
+        def power(T, k, v):  # the products a power forms are counted apart
+            applied.append(v)
+            before = counts["product_exact"]
+            out = apply_power(T, k, v)
+            counts["in_powers"] += counts["product_exact"] - before
+            return out
+
+        def counted(name, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                counts[name] += len(out) if name == "landed" else \
+                    out[0] is not None if name == "formed" else 1
+                return out
+            return wrapper
+
+        monkeypatch.setattr(WeightRule, "product_exact",
+                            counted("product_exact", WeightRule.product_exact))
+        monkeypatch.setattr(_TargetRows, "_formed", counted("formed", _TargetRows._formed))
+        monkeypatch.setattr(_TargetRows, "landed", counted("landed", _TargetRows.landed))
+        monkeypatch.setattr(limit_sets, "apply_power", power)
+        attempts = []
+
+        def attempt(*args, _attempt=_greedy_attempt):
+            before = dict(counts)
+            out = _attempt(*args)
+            attempts.append({n: counts[n] - before[n] for n in counts})
+            return out
+
+        monkeypatch.setattr(limit_sets, "_greedy_attempt", attempt)
+        w = search_j_witness(T, x, y, 2, EpsSchedule.reciprocal(5), 10_000,
+                             norm_tag=NormTag.P1)
+        monkeypatch.undo()
+        assert w.times == (10, 11, 12, 13, 14) and len(attempts) == 14
+        # verify's one power per triple, and each attempt's of x + delta
+        assert all(v is not x for v in applied) and len(applied) <= 14 + len(w.triples)
+        for used in attempts:
+            assert used["landed"] == 1
+            assert used["product_exact"] - used["in_powers"] <= \
+                used["landed"] + used["formed"]
+
+
+LANDING_WEIGHTS = [2, Fraction(1, 3), Fraction(-7, 5), (1, 1), (0, Fraction(1, 2)),
+                   2 ** 700, Fraction(1, 2 ** 600)]
+LANDING_ENTRIES = [1, Fraction(-5, 3), (2, -1), (0, Fraction(1, 3)), 10 ** 300,
+                   Fraction(1, 10 ** 300)]
+
+
+def landing_or_error(call):
+    """call()'s entries by row, a float one as the exact bits of its parts,
+    or the type and message of the error it raised."""
+    try:
+        return {t: (e.real.hex(), e.imag.hex()) if isinstance(e, complex) else e
+                for t, e in call().items()}
+    except (IndexSetMismatch, NumericOverflow) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(T=shift_operators(LANDING_WEIGHTS), mode=st.sampled_from(list(Mode)),
+       other_set=st.integers(0, 9), k=st.integers(1, 40),
+       raw=st.dictionaries(st.integers(0, 13), st.sampled_from(LANDING_ENTRIES), max_size=5))
+def test_landed_rows_are_apply_powers_entries(T, mode, other_set, k, raw):
+    # every shape, band exits and gaps, float products past 2^900 and below
+    # double range, and now and then x over the other index set: the rows
+    # give T^k x entry for entry, the same double in float mode (an entry
+    # that underflowed to zero is one apply_power drops), each with its
+    # source and exact product, or the same error (at k = 0 apply_power
+    # takes x as it is, with no band looked up)
+    index_set = T.index_set
+    if other_set == 0:
+        index_set = IndexSet.NATURALS if index_set is IndexSet.INTEGERS else IndexSet.INTEGERS
+    x = SeqVector.from_entries(index_set, raw, mode)
+    rows = _TargetRows(T, x, SeqVector.zero(T.index_set, mode))
+
+    def landed():
+        out = {}
+        for s, v, t, w, e in rows.landed(k):
+            assert v == x._entries[s] and w == weight_product(T, t, k)
+            assert s == reference_path_source(T, t, k)
+            if e:
+                out[t] = e
+        return out
+
+    want = landing_or_error(lambda: apply_power(T, k, x)._entries)
+    for _ in range(2):  # the lanes listed once give it again
+        got = landing_or_error(landed)
+        if got != want:
+            # landed lists every lane before it lands one, so a source in no
+            # band is met before an overflow that apply_power meets first
+            assert isinstance(want, tuple) and want[0] is NumericOverflow
+            assert isinstance(got, tuple) and got[0] is IndexSetMismatch
+
+
+def test_float_landing_past_policy_overflows_both_ways():
+    # 2^500 e_0 under the doubling shift passes 2^900 at k = 401
+    T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, Constant(2))
+    x = ei(0, 2 ** 500, Mode.FLOAT64)
+    y = ei(-401, 1, Mode.FLOAT64)
+    rows = _TargetRows(T, x, y)
+    assert rows.landed(400)[0][4] == apply_power(T, 400, x).entry(-400)
+    message = r"^T\^401 entry at -401 has magnitude past 2\^900$"
+    with pytest.raises(NumericOverflow, match=message):
+        apply_power(T, 401, x)
+    with pytest.raises(NumericOverflow, match=message):
+        rows.landed(401)
+    att = _greedy_attempt(T, x, y, 1.0, 1.0, 401, NormTag.PINF, Budget(2), Mode.FLOAT64,
+                          rows)
+    assert att == _Attempt(False, None, None, math.inf, math.inf)
 
 
 def tail_proof(T, x, y, d, eps, k):
@@ -1231,6 +1373,16 @@ class TestFamilyRescale:
             dataclasses.replace(w.triples[0], perturbed=zero),) + w.triples[1:])
         with pytest.raises(VerificationFailed):
             rescale_j_witness_family(T, family[:-1] + [(t, bad)], Fraction(1, 1000))
+
+    def test_reaching_scale_is_the_first_strictly_below(self):
+        # d/t and radius/t must both fall strictly below target_eps; prop15
+        # checks its parameters with the same rule
+        eps = Fraction(1, 4)
+        assert reaching_scale([(2, 1), (4, 1), (8, 1)], 1, eps) == 2
+        assert reaching_scale([(2, 1), (4, 1), (8, 1)], Fraction(1, 8), eps) == 2
+        assert reaching_scale([(2, Fraction(1, 4)), (8, 1)], Fraction(1, 4), eps) == 0
+        assert reaching_scale([(2, 1), (4, 1)], 1, eps) is None
+        assert reaching_scale([(8, 1)], 2, eps) is None
 
     def test_minimal_family_when_tolerance_loose(self):
         T, family = self.build_family([1])

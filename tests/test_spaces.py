@@ -145,8 +145,8 @@ class TestCone:
                 {i: Fraction(rng.randint(-40, 40), 10) for i in range(3)})
             if x.is_zero:
                 continue
-            a = cone_contains(self.C, x, method="closed-form")
-            b = cone_contains(self.C, x, method="minimize")
+            a = spaces._contains_p2_closed_form(self.C, x)
+            b = spaces._contains_by_minimization(self.C, x)
             assert a == b
             agree += 1
         assert agree > 250
@@ -295,8 +295,8 @@ def test_scale_search_answers_beyond_double_range(p):
 
 def test_minimize_answers_beyond_double_range():
     C = OpenCone(e(0, 2), 1, NormTag.P2)
-    assert cone_contains(C, e(0, 10 ** 400), method="minimize") is True
-    assert cone_contains(C, e(0, -10 ** 400), method="minimize") is False
+    assert spaces._contains_by_minimization(C, e(0, 10 ** 400)) is True
+    assert spaces._contains_by_minimization(C, e(0, -10 ** 400)) is False
 
 
 class TestVector:
