@@ -225,31 +225,30 @@ _UNREACHED = (None, scalar_zero(Mode.EXACT), None)  # a row no path reaches
 
 
 class _TargetRows:
-    """One search's rows, from which each of its attempts reads every row's
-    source s and exact path product W.  ``landed`` gives the rows of
-    T^k(supp x) for the search's x, read off x's lanes, which it lists once,
-    at its first call.  ``at`` keeps (s, W, lane) for each row j of supp y
-    at the last time k asked, with lane the (step, weight_at, contains) of
-    the lane into j (``_lane_into``), else _UNREACHED.  At k + 1 each
-    source moves one index away from j and W takes its weight, reduced, so
-    a row stays the source and product of the lane into j exactly; a
-    source that leaves its band, an interval, never returns.  Other times
-    form afresh."""
+    """One search's T, x and y, and its rows, from which each of its
+    attempts reads every row's source s and exact path product W.
+    ``landed`` gives the rows of T^k(supp x), read off x's lanes, which it
+    lists once, at its first call.  ``at`` keeps (s, W, lane) for each row
+    j of supp y at the last time k asked, with lane the (step, weight_at,
+    contains) of the lane into j (``_lane_into``), else _UNREACHED.  At
+    k + 1 each source moves one index away from j and W takes its weight,
+    reduced, so a row stays the source and product of the lane into j
+    exactly; a source that leaves its band, an interval, never returns.
+    Other times form afresh."""
 
     def __init__(self, T: ShiftOperator, x: SeqVector, y: SeqVector):
-        self.T, self.x, self.lanes = T, x, None
+        self.T, self.x, self.y, self.lanes = T, x, y, None
         self.k, self.rows = None, dict.fromkeys(y._entries)
 
     def landed(self, k: int) -> list[tuple]:
-        """(s, x_s, t, W, e) for each source s of x, in index order, whose
-        lane lives to k, landing at t with W its exact product and e the
-        entry of T^k x at t (``_Lane.entry``).  It raises IndexSetMismatch
-        at each call while x's lanes cannot be listed, and NumericOverflow
-        as apply_power does."""
+        """(s, x_s, t, W, lane) for each source s of x, in index order, whose
+        lane lives to k, landing at t with W its exact product; the entry of
+        T^k x at t is lane.entry(k, x_s, W).  It raises IndexSetMismatch at
+        each call while x's lanes cannot be listed."""
         if self.lanes is None:
             self.lanes = list(_lanes(self.T, self.x))
-        return [(lane.s, val, lane.s + lane.step * k, (w := lane.product(k)),
-                 lane.entry(k, val, w)) for lane, val in self.lanes if k <= lane.life]
+        return [(lane.s, val, lane.s + lane.step * k, lane.product(k), lane)
+                for lane, val in self.lanes if k <= lane.life]
 
     def at(self, k: int) -> dict:
         rows = self.rows
@@ -329,11 +328,10 @@ class _SearchLog:
 
     def attempt(self, eps, k: int) -> _Attempt | None:
         if self.real_sup:
-            att = _real_sup_attempt(self.T, self.x, self.y, self.d_val, eps, k,
-                                    self.budget, self.targets)
+            att = _real_sup_attempt(self.targets, self.d_val, eps, k, self.budget)
         else:
-            att = _greedy_attempt(self.T, self.x, self.y, self.d_val, eps, k,
-                                  self.norm_tag, self.budget, self.mode, self.targets)
+            att = _greedy_attempt(self.targets, self.d_val, eps, k, self.norm_tag,
+                                  self.budget, self.mode)
         if att is not None:
             self.attempts += 1
             self.k_last = k
@@ -378,26 +376,28 @@ def _magnitude(v):
     return abs(v)
 
 
-def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
-                    k: int, norm_tag: NormTag, budget: Budget, mode: Mode,
-                    targets: _TargetRows) -> _Attempt | None:
-    """One back-solve attempt at time k; None when the budget ran out.
+def _greedy_attempt(targets: _TargetRows, d_val, eps, k: int, norm_tag: NormTag,
+                    budget: Budget, mode: Mode) -> _Attempt | None:
+    """One back-solve attempt at time k for the search of targets; None
+    when the budget ran out.
 
     T^k x and each row's source and product are read off targets: the rows
-    x lands on (``landed``), then the rows of y, so no power is applied to
-    x.  In the sup norm the attempt is decided row by row, exactly for real
-    exact entries and as a screen otherwise; the final checks decide.  A
-    search over real exact vectors and weights runs _real_sup_attempt."""
+    x lands on (``landed``), each entry landed by its lane, then the rows
+    of y, so no power is applied to x.  In the sup norm the attempt is
+    decided row by row, exactly for real exact entries and as a screen
+    otherwise; the final checks decide.  A search over real exact vectors
+    and weights runs _real_sup_attempt."""
     if not budget.try_spend(1):
         return None
-    try:
-        landed = targets.landed(k)
-    except NumericOverflow:
-        return _Attempt(False, None, None, math.inf, math.inf)
+    T, x, y = targets.T, targets.x, targets.y
+    landed = targets.landed(k)
     zero = scalar_zero(x.mode)
     paths = {j: (s, w, zero) for j, (s, w, _) in targets.at(k).items()}
-    # an entry that underflowed is the zero apply_power drops
-    paths.update((t, (s, w, e or zero)) for s, _, t, w, e in landed)
+    try:  # an entry that underflowed is the zero apply_power drops
+        paths.update((t, (s, w, lane.entry(k, v, w) or zero))
+                     for s, v, t, w, lane in landed)
+    except NumericOverflow:
+        return _Attempt(False, None, None, math.inf, math.inf)
     rows = []  # (j, mismatch, s, W); s is None when no path reaches j
     for j in sorted(paths):
         s, w, image = paths[j]
@@ -478,24 +478,24 @@ def _greedy_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val, eps,
                     to_float(r))
 
 
-def _real_sup_attempt(T: ShiftOperator, x: SeqVector, y: SeqVector, d_val: Fraction,
-                      eps: Fraction, k: int, budget: Budget,
-                      targets: _TargetRows) -> _Attempt | None:
+def _real_sup_attempt(targets: _TargetRows, d_val: Fraction, eps: Fraction, k: int,
+                      budget: Budget) -> _Attempt | None:
     """_greedy_attempt's sup-norm attempt for real exact x, y and weights,
     with the same result, decided in integers from the same row table.
 
-    Each row j of supp y and T^k(supp x) gets its source s, product
-    W = wa/wd and entry W x_s from the search's targets, and its mismatch
+    Each row j of supp y and T^k(supp x) gets its source s and product
+    W = wa/wd from the search's targets, and its mismatch
     m = y_j - W x_s = p/q, once; no power is applied.  The row rule is
     decided by cross-multiplication, and the distance of the perturbed
     image, max_j |y_j - W z_s|, is read off the same rows."""
     if not budget.try_spend(1):
         return None
-    ys = y._entries
+    x, ys = targets.x, targets.y._entries
     paths = targets.at(k)
     rows = {}  # j -> (s, wa, wd, p, q) with q > 0; s is None when no path reaches j
-    for s, _, j, w, e in targets.landed(k):
-        wa, wd, ia, iq, yj = w._a, w._d, e._a, e._d, ys.get(j)
+    for s, v, j, w, _ in targets.landed(k):
+        wa, wd, yj = w._a, w._d, ys.get(j)
+        ia, iq = wa * v._a, wd * v._d
         rows[j] = (s, wa, wd, -ia, iq) if yj is None else \
             (s, wa, wd, yj._a * iq - ia * yj._d, yj._d * iq)
     for j, yj in ys.items():

@@ -17,7 +17,7 @@ has.  ``meetings`` builds only the points whose support meets given rows.
 one closed-form landing: the entry T^n sends val e_s to, the exact
 product times val in exact mode, and in float64 mode the product's log2
 magnitude and phase times val, an error past 2^900 instead of a silent
-overflow.  ``apply_power``, ``meetings`` and the J searches' row tables
+overflow.  ``apply_power``, ``meetings`` and the J searches' attempts
 read it.  Spectral radii are read off each weight rule's structure,
 exactly (``spectral_radius``).
 """

@@ -272,9 +272,9 @@ class TestSearch:
 def sup_attempt(T, x, y, d, eps, k):
     """One exact sup-norm attempt at time k, the same from both attempt
     functions; its witness, when it finds one, must pass verify."""
-    att = _greedy_attempt(T, x, y, d, eps, k, NormTag.PINF, Budget(2), Mode.EXACT,
-                          _TargetRows(T, x, y))
-    assert _real_sup_attempt(T, x, y, d, eps, k, Budget(2), _TargetRows(T, x, y)) == att
+    att = _greedy_attempt(_TargetRows(T, x, y), d, eps, k, NormTag.PINF, Budget(2),
+                          Mode.EXACT)
+    assert _real_sup_attempt(_TargetRows(T, x, y), d, eps, k, Budget(2)) == att
     if att.ok:
         JWitness(x, y, d, NormTag.PINF, EpsSchedule((eps,)),
                  (JWitnessTriple(att.perturbed, k, att.dist),)).verify(T)
@@ -369,7 +369,7 @@ def reference_sup_attempt(T, x, y, d_val, eps, k, budget):
 
 def real_sup_attempt(T, x, y, d_val, eps, k, budget):
     """_real_sup_attempt with a row table of its own."""
-    return _real_sup_attempt(T, x, y, d_val, eps, k, budget, _TargetRows(T, x, y))
+    return _real_sup_attempt(_TargetRows(T, x, y), d_val, eps, k, budget)
 
 
 def outcome(attempt, T, x, y, d, eps, k, budget_limit):
@@ -566,7 +566,7 @@ class TestRealSupAttempt:
         def attempt(*args, _attempt=_real_sup_attempt):
             before = dict(counts)
             out = _attempt(*args)
-            attempts.append((args[5], {n: counts[n] - before[n] for n in counts}))
+            attempts.append((args[3], {n: counts[n] - before[n] for n in counts}))
             return out
 
         monkeypatch.setattr(limit_sets, "_real_sup_attempt", attempt)
@@ -597,15 +597,16 @@ class TestRealSupAttempt:
             Block(Band(None, -1), "backward", Constant(2))))
         y = SeqVector.from_entries(IndexSet.INTEGERS, {
             2: Fraction(1, 4), -50: 7, -43: -3})
-        counts = dict.fromkeys(["entry", "product_exact"], 0)
+        counts = dict.fromkeys(["landed", "product_exact"], 0)
 
         def counted(name, fn):
             def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
+                out = fn(*args)
+                counts[name] += len(out) if name == "landed" else 1
+                return out
             return wrapper
 
-        monkeypatch.setattr(operators._Lane, "entry", counted("entry", operators._Lane.entry))
+        monkeypatch.setattr(_TargetRows, "landed", counted("landed", _TargetRows.landed))
         monkeypatch.setattr(WeightRule, "product_exact",
                             counted("product_exact", WeightRule.product_exact))
         attempts = []
@@ -613,7 +614,7 @@ class TestRealSupAttempt:
         def attempt(*args, _attempt=_real_sup_attempt):
             before = dict(counts)
             out = _attempt(*args)
-            attempts.append((args[5], {n: counts[n] - before[n] for n in counts}))
+            attempts.append((args[3], {n: counts[n] - before[n] for n in counts}))
             return out
 
         monkeypatch.setattr(limit_sets, "_real_sup_attempt", attempt)
@@ -621,11 +622,11 @@ class TestRealSupAttempt:
         monkeypatch.undo()
         assert [k for k, _ in attempts] == list(range(1, len(attempts) + 1))
         assert len(attempts) > dies_at
-        assert [used["entry"] for _, used in attempts] == \
+        assert [used["landed"] for _, used in attempts] == \
             [landings(T, k, x) for k, _ in attempts]
         for k, used in attempts[1:]:
             assert used["product_exact"] == landings(T, k, x)
-        assert all(used == {"entry": 0, "product_exact": 0}
+        assert all(used == {"landed": 0, "product_exact": 0}
                    for k, used in attempts[1:] if k >= dies_at)
         assert landings(T, dies_at, x) == 0 and landings(T, dies_at - 1, x)
 
@@ -726,14 +727,15 @@ def result_and_budget(call, budget):
         return "IndexSetMismatch", str(exc), budget.used
 
 
-def compared_attempt(T, x, y, d_val, eps, k, norm_tag, budget, mode, targets):
+def compared_attempt(targets, d_val, eps, k, norm_tag, budget, mode):
     """_greedy_attempt, after checking that it gives what
     reference_greedy_attempt gives from the same budget state."""
     ref = Budget(budget.limit)
     ref.used = budget.used
-    args = (T, x, y, d_val, eps, k, norm_tag)
+    args = (targets.T, targets.x, targets.y, d_val, eps, k, norm_tag)
     want = result_and_budget(lambda: reference_greedy_attempt(*args, ref, mode), ref)
-    got = result_and_budget(lambda: _greedy_attempt(*args, budget, mode, targets), budget)
+    got = result_and_budget(
+        lambda: _greedy_attempt(targets, d_val, eps, k, norm_tag, budget, mode), budget)
     assert got == want
     if got[0] == "IndexSetMismatch":
         raise IndexSetMismatch(got[1])
@@ -782,8 +784,7 @@ class TestGreedyAttempt:
         targets = _TargetRows(T, x, y)
         for k in [*range(start, start + m), *range(start + 1, start + 1 + m)]:
             try:
-                compared_attempt(T, x, y, d_val, eps_val, k, norm_tag, Budget(budget),
-                                 mode, targets)
+                compared_attempt(targets, d_val, eps_val, k, norm_tag, Budget(budget), mode)
             except IndexSetMismatch:
                 pass
 
@@ -795,7 +796,7 @@ class TestGreedyAttempt:
         times = []
 
         def attempt(*args):
-            times.append(args[5])
+            times.append(args[3])
             return compared_attempt(*args)
 
         monkeypatch.setattr(limit_sets, "_greedy_attempt", attempt)
@@ -836,7 +837,7 @@ class TestGreedyAttempt:
         for k in range(1, 9):
             applied.clear()
             budget = Budget(2)
-            got = _greedy_attempt(T, x, y, d_val, eps_val, k, norm_tag, budget, mode, targets)
+            got = _greedy_attempt(targets, d_val, eps_val, k, norm_tag, budget, mode)
             want = reference_greedy_attempt(T, x, y, d_val, eps_val, k, norm_tag, Budget(2),
                                             mode)
             assert [getattr(got, f.name) for f in dataclasses.fields(_Attempt)] == \
@@ -870,7 +871,7 @@ class TestGreedyAttempt:
         def attempt(*args, _attempt=_greedy_attempt):
             before = dict(counts)
             out = _attempt(*args)
-            attempts.append((args[5], {n: counts[n] - before[n] for n in counts}))
+            attempts.append((args[3], {n: counts[n] - before[n] for n in counts}))
             return out
 
         monkeypatch.setattr(limit_sets, "_greedy_attempt", attempt)
@@ -961,8 +962,8 @@ def landing_or_error(call):
        raw=st.dictionaries(st.integers(0, 13), st.sampled_from(LANDING_ENTRIES), max_size=5))
 def test_landed_rows_are_apply_powers_entries(T, mode, other_set, k, raw):
     # every shape, band exits and gaps, float products past 2^900 and below
-    # double range, and now and then x over the other index set: the rows
-    # give T^k x entry for entry, the same double in float mode (an entry
+    # double range, and now and then x over the other index set: the rows'
+    # lanes land T^k x entry for entry, the same double in float mode (an entry
     # that underflowed to zero is one apply_power drops), each with its
     # source and exact product, or the same error (at k = 0 apply_power
     # takes x as it is, with no band looked up)
@@ -974,10 +975,10 @@ def test_landed_rows_are_apply_powers_entries(T, mode, other_set, k, raw):
 
     def landed():
         out = {}
-        for s, v, t, w, e in rows.landed(k):
+        for s, v, t, w, lane in rows.landed(k):
             assert v == x._entries[s] and w == weight_product(T, t, k)
             assert s == reference_path_source(T, t, k)
-            if e:
+            if e := lane.entry(k, v, w):
                 out[t] = e
         return out
 
@@ -997,14 +998,15 @@ def test_float_landing_past_policy_overflows_both_ways():
     x = ei(0, 2 ** 500, Mode.FLOAT64)
     y = ei(-401, 1, Mode.FLOAT64)
     rows = _TargetRows(T, x, y)
-    assert rows.landed(400)[0][4] == apply_power(T, 400, x).entry(-400)
+    (_, v, _, w, lane), = rows.landed(400)
+    assert lane.entry(400, v, w) == apply_power(T, 400, x).entry(-400)
     message = r"^T\^401 entry at -401 has magnitude past 2\^900$"
     with pytest.raises(NumericOverflow, match=message):
         apply_power(T, 401, x)
+    (_, v, _, w, lane), = rows.landed(401)
     with pytest.raises(NumericOverflow, match=message):
-        rows.landed(401)
-    att = _greedy_attempt(T, x, y, 1.0, 1.0, 401, NormTag.PINF, Budget(2), Mode.FLOAT64,
-                          rows)
+        lane.entry(401, v, w)
+    att = _greedy_attempt(rows, 1.0, 1.0, 401, NormTag.PINF, Budget(2), Mode.FLOAT64)
     assert att == _Attempt(False, None, None, math.inf, math.inf)
 
 
@@ -1562,7 +1564,8 @@ class TestWitnessIntegrity:
         # an attempt that claims success with a perturbation outside eps
         # must not leave the function that builds the witness, whichever
         # attempt the search runs
-        def claim(T, x, *args):
+        def claim(targets, *args):
+            x = targets.x
             return _Attempt(True, x + SeqVector.basis(x.index_set, 7, 2), 0, 0.0, 0.0)
         monkeypatch.setattr(limit_sets, "_greedy_attempt", claim)
         monkeypatch.setattr(limit_sets, "_real_sup_attempt", claim)

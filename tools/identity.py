@@ -2,11 +2,11 @@
 bundle digests, the src/ size and mode-branch counts, and a hash over
 every answer of perfbench's orbit-cone stream.
 
-    python3 tools/identity.py [--root DIR] [--seed S ...] [--blocks N]
+    python3 tools/identity.py [--root DIR] [--seed S ...]
 
-It imports orbitscope from DIR/src and the request stream from
-DIR/perfbench/stream.py (read, never written), DIR being this checkout by
-default, so two checkouts compare by running the tool once on each.  The
+It imports orbitscope from DIR/src and the orbit-cone workload from
+DIR/perfbench/workloads.py (read, never written), DIR being this checkout
+by default, so two checkouts compare by running the tool once on each.  The
 output is one JSON object:
 
 * ``bundle``: for each mode, the sha256 of ``bundle_digest`` of
@@ -14,11 +14,13 @@ output is one JSON object:
 * ``src_lines``: ``wc -l src/orbitscope/*.py``.
 * ``mode_branch_lines``: lines of src/orbitscope/*.py that test the numeric
   mode or a scalar's type (ROADMAP item 5's count).
-* ``orbit_cone``: for each ``--seed``, one sha256 over every answer of the
-  stream's first N blocks (180 by default, twelve requests each): each
-  orbit point's sorted entries and each norm's type and repr, each coarse
-  witness's time, distance type and repr and bound, each cone verdict, or
-  the type and message of the error raised.
+* ``orbit_cone``: for each ``--seed``, one sha256 over every answer of
+  perfbench's orbit-cone workload at the benchmark's run length
+  (BENCHMARK.json's ``run_seconds``), its calls built and run by the
+  workload itself.  An answer is hashed as each orbit point's sorted
+  entries and each norm's type and repr, each coarse witness's time,
+  distance type and repr and bound, each cone verdict, or the type and
+  message of the error raised.
 
 Standard library only.
 """
@@ -68,40 +70,18 @@ def _answer(kind: str, out) -> str:
     return repr(out)
 
 
-def orbit_cone(seed: int, blocks: int) -> dict:
-    """The sha256 of one line per answer of the stream's first blocks, each
-    request made as perfbench's orbit-cone workload makes it."""
-    import stream
-    from orbitscope import orbits, spaces
-    from orbitscope.numeric import Mode
-    from orbitscope.operators import shift_from_jsonable
-    from orbitscope.spaces import IndexSet, NormTag, OpenCone, SeqVector
+def orbit_cone(root: Path, seed: int) -> dict:
+    """The sha256 of one line per answer of perfbench's orbit-cone workload
+    at the benchmark's run length, its calls made by the workload itself."""
+    import workloads
 
-    digest, count = hashlib.sha256(), 0
-    for req in stream.requests(seed, blocks):
-        mode = Mode.EXACT if req["mode"] == "exact" else Mode.FLOAT64
-        index_set, norm = IndexSet(req["index_set"]), NormTag(req["norm"])
-
-        def vec(entries):
-            return SeqVector.from_entries(index_set, entries, mode)
-
-        kind = req["kind"]
-        try:
-            if kind == "cone":
-                out = spaces.cone_contains(OpenCone(vec(req["center"]), req["radius"], norm),
-                                           vec(req["x"]))
-            elif kind == "orbit":
-                out = orbits.orbit(shift_from_jsonable(req["op"]), vec(req["x"]),
-                                   req["horizon"], norm, spot_checks=3, seed=req["spot_seed"])
-            else:
-                out = orbits.coarse_orbit_contains(shift_from_jsonable(req["op"]),
-                                                   vec(req["x"]), req["d"], vec(req["y"]),
-                                                   req["horizon"], norm)
-        except Exception as exc:  # every raised error is an answer
-            out = exc
+    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
+    work = workloads.OrbitCone(seed, seconds)
+    answers = work.run(workloads.Clock(None))["answers"]
+    digest = hashlib.sha256()
+    for count, ((kind, _), out) in enumerate(zip(work.calls, answers)):
         digest.update(f"{count} {kind} {_answer(kind, out)}\n".encode())
-        count += 1
-    return {"sha256": digest.hexdigest(), "requests": count}
+    return {"sha256": digest.hexdigest(), "requests": len(answers)}
 
 
 def main(argv=None) -> int:
@@ -110,8 +90,6 @@ def main(argv=None) -> int:
                         help="checkout to read (default: this one)")
     parser.add_argument("--seed", type=int, action="append", default=[],
                         help="orbit-cone stream seed (repeatable)")
-    parser.add_argument("--blocks", type=int, default=180,
-                        help="orbit-cone blocks per seed (default 180)")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.set_int_max_str_digits(0)  # exact entries may be long
@@ -119,7 +97,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     out = {"bundle": {mode: bundle(mode) for mode in ("exact", "float")},
            **source_counts(root)}
-    out["orbit_cone"] = {str(s): orbit_cone(s, args.blocks) for s in args.seed}
+    out["orbit_cone"] = {str(s): orbit_cone(root, s) for s in args.seed}
     print(json.dumps(out, indent=2))
     return 0
 
