@@ -696,10 +696,10 @@ class _StructuralStops:
 
 def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
                      schedule: EpsSchedule, budget: int, *,
-                     norm_tag: NormTag = NormTag.PINF, k_min: int = 1,
+                     norm_tag: NormTag = NormTag.PINF,
                      stagnation_window: int = 400) -> JWitness:
     """Per-time back-solve search with structural pruning, at times from
-    k_min to 10000.
+    1 to 10000.
 
     Raises SearchFailed with labelled diagnostics.  A structural stop,
     decay-bound, collapse-bound or tail-bound, carries its proof that y is
@@ -709,7 +709,7 @@ def search_j_witness(T: ShiftOperator, x: SeqVector, y: SeqVector, d,
     log = _SearchLog(T, x, y, d, schedule.values[-1], budget, norm_tag)
     d_f = to_float(log.d_val)
     triples = []
-    k_prev = k_min - 1
+    k_prev = 0
 
     def fail(reason: str, i: int, proof: dict | None = None):
         return log.failure(f"triple {i + 1}: {reason}", reason, i, proof)

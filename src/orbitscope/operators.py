@@ -613,15 +613,14 @@ def apply(T: ShiftOperator, v: SeqVector) -> SeqVector:
 
 
 def apply_power(T: ShiftOperator, n: int, v: SeqVector) -> SeqVector:
-    """T^n v, each source's entry landed in closed form (``_Lane.entry``)."""
+    """T^n v, each source's entry landed in closed form (``_Lane.entry``);
+    every lane is listed before any entry lands, so a source in no band
+    raises IndexSetMismatch at every n, before any NumericOverflow."""
     if n < 0:
         raise OrbitscopeError("power must be non-negative")
-    if v.index_set is not T.index_set:
-        raise IndexSetMismatch("operator and vector index sets differ")
-    if n == 0:
-        return v
+    lanes = list(_lanes(T, v))
     return SeqVector(v.index_set, {lane.s + lane.step * n: lane.entry(n, val)
-                                   for lane, val in _lanes(T, v) if n <= lane.life}, v.mode)
+                                   for lane, val in lanes if n <= lane.life}, v.mode)
 
 
 # -- spectral radius and Riesz-style block decomposition -------------------------

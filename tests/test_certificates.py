@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import inspect
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -11,9 +13,11 @@ from orbitscope import (
     EpsSchedule,
     IndexSet,
     NormTag,
+    SeqVector,
     Shape,
     ShiftOperator,
     apply_power,
+    certificates,
     d_witness,
     defaults,
 )
@@ -34,7 +38,7 @@ from orbitscope.certificates import (
     write_bundle,
 )
 from orbitscope.errors import ConfigError, SearchFailed
-from orbitscope.limit_sets import DWitness, JWitness
+from orbitscope.limit_sets import DWitness, FamilyRescaleResult, JWitness, JWitnessTriple
 from orbitscope.numeric import Mode
 from orbitscope.operators import Band, Block
 from orbitscope.orbits import CoarseWitness
@@ -253,8 +257,8 @@ class TestProp21:
     @pytest.mark.parametrize("ladder, counts, status, verdict", [
         ((300, 100, 100, 0, -4), [2, 1, 1, 0, 0], "NOT_APPLICABLE", "PASS"),
         ((1000, 30, 1000, 300), [2, 1, 2, 2], "NOT_APPLICABLE", "PASS"),
-        ((0,), [0], "PASS", "FAIL"),
-        ((-1, 400), [0, 2], "PASS", "FAIL"),
+        ((0,), [0], "PASS", "INDECISIVE"),
+        ((-1, 400), [0, 2], "PASS", "INDECISIVE"),
     ])
     def test_any_integer_ladder(self, mode, ladder, counts, status, verdict):
         # unsorted, repeated, zero and negative horizons, each counted as
@@ -306,6 +310,102 @@ class TestProp22:
         r = cert_prop22(seed=0, mode=mode, steps=0)
         assert r.verdict == "PASS" and len(r.sub_checks) == 4
         assert all("vacuous" in s.note for s in r.sub_checks)
+
+
+TINY = Fraction(1, 10 ** 400)  # positive, and 0.0 as a double
+
+
+def _witness(x, y, dist, m=1):
+    """A consecutive-time witness for y from x with every distance dist,
+    built as a stand-in for a search's result, not checked."""
+    return JWitness(x, y, Fraction(1), NormTag.PINF, EpsSchedule.reciprocal(m),
+                    tuple(JWitnessTriple(x, k, dist) for k in range(1, m + 1)),
+                    mix_flag=True)
+
+
+class TestExactDecisions:
+    """Each sampled sub-check decides on the value its builder returned.  A
+    value TINY past a sub-check's edge rounds onto the edge as a double; in
+    exact mode the status follows the exact value, on either side."""
+
+    @pytest.mark.parametrize("side, status", [(1, "FAIL"), (-1, "PASS")])
+    def test_witnessed_target_norm_against_the_closure(self, monkeypatch, side, status):
+        y = SeqVector.basis(IndexSet.NATURALS, 0, Fraction(101, 100) + side * TINY)
+        monkeypatch.setattr(certificates, "_ball_target", lambda *args, **kwargs: y)
+        monkeypatch.setattr(certificates, "search_j_witness",
+                            lambda T, x, y, *args, **kwargs: _witness(x, y, Fraction(0)))
+        r = cert_prop36_contraction(target_count=1, outside_count=0)
+        sub = {s.name: s for s in r.sub_checks}["witnessed-targets-bounded"]
+        assert sub.status == status and sub.details["max_witnessed_norm"] == 1.01
+
+    @pytest.mark.parametrize("side, status", [(1, "FAIL"), (-1, "PASS")])
+    def test_contracting_component_against_the_orbit_bound(self, monkeypatch, side, status):
+        # sup ||T1^n x1|| + d = 1 + 1
+        y_a = SeqVector.basis(IndexSet.INTEGERS, 3, 2 + side * TINY)
+        y_b = SeqVector.basis(IndexSet.INTEGERS, -50)
+        monkeypatch.setattr(certificates, "_random_sparse",
+                            lambda rng, index_set, lo, *args, **kwargs: y_a if lo == 0 else y_b)
+        monkeypatch.setattr(certificates, "d_witness",
+                            lambda *args, **kwargs: SimpleNamespace(to_jsonable=dict))
+        r = cert_riesz_blocks(sample_count=1, lambda_ladder_exponents=[1])
+        sub = {s.name: s for s in r.sub_checks}["contracting-band-bounded"]
+        assert sub.status == status and sub.details == {"bound": 2.0, "max_component": 2.0}
+
+    @pytest.mark.parametrize("side, status", [(-1, "FAIL"), (1, "PASS")])
+    def test_ladder_factor_against_ratio_factor(self, monkeypatch, side, status):
+        # a contracting component u in (1, 4) gives the ratios 1 at 2^0 and
+        # u/4 at 2^2, so the factor 4/u = 2 + side TINY
+        u = 4 / (2 + side * TINY)
+        monkeypatch.setattr(certificates, "d_witness",
+                            lambda *args, **kwargs: SimpleNamespace(to_jsonable=dict))
+        r = cert_riesz_blocks(sample_count=0, lambda_ladder_exponents=[0, 2],
+                              band_a_scale=u, ratio_factor=2)
+        sub = {s.name: s for s in r.sub_checks}["lambda-ladder-ratio"]
+        assert sub.status == status and sub.details == {"ratios": [1.0, 0.5],
+                                                        "min_factor": 2.0}
+
+    @pytest.mark.parametrize("radius, status", [(Fraction(1, 1000) - TINY, "PASS"),
+                                                (Fraction(1, 1000), "FAIL")])
+    def test_rescaled_radius_against_target_eps(self, monkeypatch, radius, status):
+        def rescaled(T, family, target_eps):
+            base = SeqVector.zero(IndexSet.NATURALS)
+            w = _witness(base, SeqVector.basis(IndexSet.NATURALS, 0), Fraction(0))
+            w = dataclasses.replace(w, triples=(JWitnessTriple(
+                SeqVector.basis(IndexSet.NATURALS, 0, radius), 1, Fraction(0)),))
+            return FamilyRescaleResult(w, 1, ())
+
+        monkeypatch.setattr(certificates, "rescale_j_witness_family", rescaled)
+        r = cert_prop15(target_eps=Fraction(1, 1000))
+        assert {s.name: s.status for s in r.sub_checks}["rescaled-certificate"] == status
+
+    @pytest.mark.parametrize("dist, status", [(TINY, "FAIL"), (Fraction(0), "PASS")])
+    def test_mix_residual_against_zero(self, monkeypatch, dist, status):
+        monkeypatch.setattr(certificates, "jmix_witness",
+                            lambda T, x, y, d, m, *args, **kwargs: _witness(x, y, dist, m))
+        r = cert_prop36_expansion(target_count=1, nonzero_budget=300,
+                                  stagnation_window=50)
+        assert {s.name: s.status for s in r.sub_checks}["mix-from-zero-exact"] == status
+
+    @pytest.mark.parametrize("name, distance, status", [
+        ("diagonal-recurrent", lambda pt: TINY, "FAIL"),
+        ("drift-amplification", lambda pt: pt.bound + TINY, "FAIL"),
+        ("drift-amplification", lambda pt: TINY, "PASS"),
+    ], ids=["diagonal-tiny", "drift-past-bound", "drift-tiny"])
+    def test_amplified_distances(self, monkeypatch, name, distance, status):
+        amplify = certificates.prop22_amplify
+
+        def moved(T, x, *args, **kwargs):
+            amp = amplify(T, x, *args, **kwargs)
+            if x.mode is Mode.EXACT and (T.label == "halving-diagonal") == \
+                    (name == "diagonal-recurrent"):
+                amp = dataclasses.replace(amp, points=tuple(
+                    dataclasses.replace(pt, distance=distance(pt)) for pt in amp.points))
+            return amp
+
+        monkeypatch.setattr(certificates, "prop22_amplify", moved)
+        statuses = {s.name: s.status for s in cert_prop22().sub_checks}
+        assert statuses[f"{name}-exact"] == status
+        assert statuses[f"{name}-float"] == "PASS"
 
 
 class TestParameters:

@@ -434,6 +434,19 @@ def certify_with(capsys, tmp_path, name, params, mode="exact"):
     return code, err, report
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("params, d_over_tm", [
+    ({"scale_exponents": [10, 11, 12]}, "1/1024"),
+    ({"scale_exponents": [0, 1, 2], "target_eps": 2}, "1"),
+], ids=["exponents-from-10", "exponents-from-0"])
+def test_prop15_d_over_tm_reads_the_scale_reached(capsys, tmp_path, params, d_over_tm, mode):
+    # d / 2^scale_index holds only for exponents 1, 2, 3, ...: both read "1/2"
+    code, _, report = certify_with(capsys, tmp_path, "prop15", params, mode)
+    assert code == 0
+    sub = {s["name"]: s for s in report["sub_checks"]}["rescaled-certificate"]
+    assert sub["details"]["scale_index"] == 1 and sub["details"]["d_over_tm"] == d_over_tm
+
+
 class TestRefusedParameters:
     @pytest.mark.parametrize("name, params, named", [
         ("prop22", {"lambda": "-1/2"}, "'lambda'"),
@@ -597,6 +610,16 @@ class TestSearchFailures:
         statuses = {s["name"]: s["status"] for s in report["sub_checks"]}
         assert [n for n, st in statuses.items() if st != "PASS"] == stopped
         assert all(statuses[n] == "INDECISIVE" for n in stopped)
+
+    def test_a_coarse_scan_that_found_nothing_is_indecisive(self, capsys, tmp_path):
+        # a scan to 10 steps reaches no planted copy: it exited 5 with
+        # sampled-targets-witnessed FAIL, yet no time past 10 was scanned
+        code, _, report = certify_with(capsys, tmp_path, "prop21",
+                                       {"count_ladder": [10, 100, 1000], "sample_count": 3})
+        assert code == 4
+        statuses = {s["name"]: s["status"] for s in report["sub_checks"]}
+        assert statuses["sampled-targets-witnessed"] == "INDECISIVE"
+        assert "FAIL" not in statuses.values()
 
     @pytest.mark.parametrize("name, search, refuted", [
         ("prop32", "search_j_witness", ["synthesis-at-bound"]),

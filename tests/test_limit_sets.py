@@ -149,8 +149,7 @@ class TestSearch:
         T = ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS, Constant(1))
         x = ei(0, 3) + ei(2, -1)
         y = apply_power(T, 5, x)
-        w = search_j_witness(T, x, y, 1, EpsSchedule.reciprocal(4), 10_000,
-                             k_min=5)
+        w = jmix_witness(T, x, y, 1, 4, 5, 10_000)
         assert w.times == (5, 6, 7, 8)
         for t in w.triples:
             assert t.perturbed == x
@@ -215,8 +214,7 @@ class TestSearch:
         # row is left alone, since |m| = 1/2 < d
         x = SeqVector.basis(IndexSet.NATURALS, 0, mode=Mode.FLOAT64)
         y = SeqVector.basis(IndexSet.NATURALS, 0, 0.5, mode=Mode.FLOAT64)
-        w = search_j_witness(halving(), x, y, 1, EpsSchedule.reciprocal(2), 10,
-                             k_min=1100)
+        w = jmix_witness(halving(), x, y, 1, 2, 1100, 10)
         assert w.times == (1100, 1101)
         assert all(t.perturbed == x for t in w.triples)
 
@@ -227,8 +225,7 @@ class TestSearch:
         x = SeqVector.basis(IndexSet.NATURALS, 0, mode=Mode.FLOAT64)
         y = SeqVector.basis(IndexSet.NATURALS, 0, 2.0 ** 70, mode=Mode.FLOAT64)
         with pytest.raises(SearchFailed) as info:
-            search_j_witness(doubling(), x, y, 1, EpsSchedule.reciprocal(2), 10,
-                             k_min=1100)
+            jmix_witness(doubling(), x, y, 1, 2, 1100, 10)
         assert info.value.reason == "budget"
 
     @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT64])
@@ -238,8 +235,7 @@ class TestSearch:
         # row at |m/W| = 2^1099, past float range, and leaves it alone
         x = SeqVector.basis(IndexSet.NATURALS, 0, mode=mode)
         y = SeqVector.basis(IndexSet.NATURALS, 0, Fraction(1, 2), mode=mode)
-        w = search_j_witness(halving(), x, y, 1, EpsSchedule.reciprocal(2), 10,
-                             k_min=1100, norm_tag=norm_tag)
+        w = jmix_witness(halving(), x, y, 1, 2, 1100, 10, norm_tag=norm_tag)
         assert w.times == (1100, 1101)
         assert all(t.perturbed == x for t in w.triples)
 

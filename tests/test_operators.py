@@ -318,6 +318,32 @@ class TestApplyPower:
         v = ei(2, 5) + ei(-1, 3)
         assert apply_power(prop32_operator(), 0, v) == v
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_a_source_in_no_band_raises_at_every_power(self, mode, n):
+        # bands [0, 4], [5, 9], [11, inf) of N leave out 10: apply_power
+        # returned x at n = 0, where apply and a search's row table raise
+        T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.NATURALS, blocks=(
+            Block(Band(0, 4), "backward", Constant(2)),
+            Block(Band(5, 9), "forward", Constant(3)),
+            Block(Band(11, None), "diagonal", Constant(Fraction(1, 2)))))
+        x = SeqVector.from_entries(IndexSet.NATURALS, {0: 1, 10: 1}, mode)
+        with pytest.raises(IndexSetMismatch, match="index 10 lies in no band"):
+            apply(T, x)
+        with pytest.raises(IndexSetMismatch, match="index 10 lies in no band"):
+            apply_power(T, n, x)
+
+    def test_a_source_in_no_band_raises_before_an_overflowing_landing(self):
+        # the landing of e_0 overflows in float mode; it raised NumericOverflow
+        # before the source 10 was looked up
+        T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
+            Block(Band(0, 4), "diagonal", Constant(2 ** 1000)),))
+        x = SeqVector.from_entries(IndexSet.INTEGERS, {0: 1, 10: 1}, Mode.FLOAT64)
+        with pytest.raises(NumericOverflow):
+            apply_power(T, 1, SeqVector.basis(IndexSet.INTEGERS, 0, mode=Mode.FLOAT64))
+        with pytest.raises(IndexSetMismatch, match="index 10 lies in no band"):
+            apply_power(T, 1, x)
+
     def test_prop32_base_orbit_is_flat(self):
         T = prop32_operator()
         for n in (1, 5, 50, 500):
