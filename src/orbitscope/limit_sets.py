@@ -7,9 +7,11 @@ reported as "certified to depth m at schedule eps", never as membership
 in the infinite-time set itself.
 
 One search serves every operator.  Each power T^k is monomial: source
-s feeds target j with weight product W, read off one row table per
-search that steps each row of y from one time to the next, so the search
-back-solves coordinate by coordinate.  In the sup norm a time k admits a
+s feeds target j with weight product W, so the search back-solves
+coordinate by coordinate.  Its one row table holds s and W for every row
+of supp y and T^k(supp x), with x's entry where x lands; each row of y is
+stepped from one time to the next by one weight multiply, and a row x
+lands on takes y's W when y holds it.  In the sup norm a time k admits a
 witness exactly when every mismatch m = y_j - W x_s has |m| < d + |W| eps
 (|m| < d on a row with no source).  For real exact entries and weights
 this is decided by integer cross-multiplication, and the perturbed image
@@ -44,7 +46,7 @@ from .numeric import FieldsJSON, Mode, QC, abs2, jsonable, log2_abs, make_scalar
     positive_value, ratio_float, real_value, scalar_zero, sqrt_bounds, strict_gt, to_float
 from .operators import ShiftOperator, _lane, _lane_into, _lanes, apply_power
 from .orbits import CoarseWitness, coarse_orbit_contains
-from .spaces import IndexSet, NormTag, SeqVector, dist, dist_and_lt, dist_lt
+from .spaces import IndexSet, NormTag, SeqVector, common_mode, dist, dist_and_lt, dist_lt
 
 
 @dataclass(frozen=True)
@@ -132,11 +134,14 @@ class JWitness:
             if not ok:
                 raise VerificationFailed(
                     f"image at time {triple.time} not within bound {self.bound}")
-            recomputed = to_float(r)
-            stored = to_float(triple.dist)
-            if abs(recomputed - stored) > 1e-6 * max(1.0, abs(stored)):
+            if isinstance(r, Fraction):  # an exact distance agrees exactly
+                agrees = r == triple.dist
+            else:
+                stored = to_float(triple.dist)
+                agrees = abs(to_float(r) - stored) <= 1e-6 * max(1.0, abs(stored))
+            if not agrees:
                 raise VerificationFailed(
-                    f"stored distance {stored} disagrees with recomputed {recomputed}")
+                    f"stored distance {triple.dist} disagrees with recomputed {r}")
 
     def to_jsonable(self):
         return {
@@ -179,7 +184,7 @@ def scale_j_witness(T: ShiftOperator, w: JWitness, factor) -> JWitness:
     f = Fraction(factor)
     if f <= 0:
         raise OrbitscopeError("scaling factor must be positive")
-    mode = w.base.mode if not w.base.is_zero else w.target.mode
+    mode = common_mode(w.base, w.target)
     fs = real_value(f, mode)
     out = JWitness(
         base=w.base.scale(fs),
@@ -198,7 +203,7 @@ def scale_j_witness(T: ShiftOperator, w: JWitness, factor) -> JWitness:
 
 def with_bound(T: ShiftOperator, w: JWitness, new_bound) -> JWitness:
     """Monotonicity in d: the same triples certify any larger bound."""
-    nb = real_value(new_bound, w.base.mode if not w.base.is_zero else w.target.mode)
+    nb = real_value(new_bound, common_mode(w.base, w.target))
     out = JWitness(w.base, w.target, nb, w.norm_tag, w.schedule, w.triples,
                    w.mix_flag, w.op_label)
     out.verify(T)
@@ -221,56 +226,7 @@ def prop31_rescale(T: ShiftOperator, w: JWitness, N) -> JWitness:
 # -- budgeted search ----------------------------------------------------------------
 
 
-_UNREACHED = (None, scalar_zero(Mode.EXACT), None)  # a row no path reaches
-
-
-class _TargetRows:
-    """One search's T, x and y, and its rows, from which each of its
-    attempts reads every row's source s and exact path product W.
-    ``landed`` gives the rows of T^k(supp x), read off x's lanes, which it
-    lists once, at its first call.  ``at`` keeps (s, W, lane) for each row
-    j of supp y at the last time k asked, with lane the (step, weight_at,
-    contains) of the lane into j (``_lane_into``), else _UNREACHED.  At
-    k + 1 each source moves one index away from j and W takes its weight,
-    reduced, so a row stays the source and product of the lane into j
-    exactly; a source that leaves its band, an interval, never returns.
-    Other times form afresh."""
-
-    def __init__(self, T: ShiftOperator, x: SeqVector, y: SeqVector):
-        self.T, self.x, self.y, self.lanes = T, x, y, None
-        self.k, self.rows = None, dict.fromkeys(y._entries)
-
-    def landed(self, k: int) -> list[tuple]:
-        """(s, x_s, t, W, lane) for each source s of x, in index order, whose
-        lane lives to k, landing at t with W its exact product; the entry of
-        T^k x at t is lane.entry(k, x_s, W).  It raises IndexSetMismatch at
-        each call while x's lanes cannot be listed."""
-        if self.lanes is None:
-            self.lanes = list(_lanes(self.T, self.x))
-        return [(lane.s, val, lane.s + lane.step * k, lane.product(k), lane)
-                for lane, val in self.lanes if k <= lane.life]
-
-    def at(self, k: int) -> dict:
-        rows = self.rows
-        if k - 1 != self.k:
-            for j in rows:
-                rows[j] = self._formed(j, k)
-        else:
-            for j, (s, w, lane) in rows.items():
-                if lane is not None:
-                    step, weight_at, contains = lane
-                    s -= step
-                    rows[j] = (s, w * weight_at(s), lane) if contains(s) else _UNREACHED
-        self.k = k
-        return rows
-
-    def _formed(self, j: int, k: int) -> tuple:
-        lane = _lane_into(self.T, j, k)
-        if lane is None:
-            return _UNREACHED
-        return lane.s, lane.product(k), (lane.step, lane.rule.weight_at, lane.band.contains)
-
-
+_NO_PRODUCT = scalar_zero(Mode.EXACT)  # W of a row no source reaches, as weight_product has it
 _K_CAP = 10_000  # largest time tried, and largest mix-block start
 _MIX_STAGNATION = 200  # mix-block starts without progress
 
@@ -301,15 +257,28 @@ class _Attempt:
 
 
 class _SearchLog:
-    """One search call's set-up and bookkeeping: its mode, bound and
-    structural stops, its budget and attempts, and the best residual and
-    delta norm over failed attempts since the last reset_best; builds its
-    SearchFailed."""
+    """One J search call: its T, x, y, bound d, norm, mode, budget and
+    structural stops, the lanes of x, its row table, and its attempts with
+    the best residual and delta norm over failed ones since the last
+    reset_best; builds its SearchFailed.
+
+    ``table(k)`` maps each row j of supp y and T^k(supp x) to (s, W, lane,
+    x_s): the source s of the path into j at time k and the path's exact
+    product W (None and 0 when no source reaches j), and, on a row x lands
+    on, x's lane and entry, so that T^k x has lane.entry(k, x_s, W) there
+    (None and None elsewhere).  x's lanes are listed once, at the first
+    call; each call raises IndexSetMismatch while they cannot be.  The
+    rows of supp y are kept from call to call: at k + 1 each source moves
+    one index away from j and W takes its weight, reduced, so a row stays
+    the source and product of the lane into j exactly, and a source that
+    leaves its band, an interval, never returns; at any other time they
+    are formed afresh.  A row that x lands on and y holds takes y's W, so
+    no product is formed twice."""
 
     def __init__(self, T: ShiftOperator, x: SeqVector, y: SeqVector, d,
                  eps_last: Fraction, budget: int, norm_tag: NormTag):
         self.T, self.x, self.y, self.norm_tag = T, x, y, norm_tag
-        self.mode = x.mode if not x.is_zero else y.mode
+        self.mode = common_mode(x, y)
         self.d_val = positive_value(d, self.mode, "d")
         self.budget = Budget(budget)
         self.stops = _StructuralStops(T, x, y, self.d_val, eps_last, norm_tag)
@@ -318,7 +287,9 @@ class _SearchLog:
             and x.index_set is y.index_set is T.index_set \
             and not any(v._b for v in (*x._entries.values(), *y._entries.values())) \
             and not any(w._b for _, rule, _ in T.components() for w in rule.weight_values())
-        self.targets = _TargetRows(T, x, y)
+        # j -> (s, W, (step, weight_at, contains) of the lane into j) for
+        # each row of supp y, at time k
+        self.lanes, self.k, self.y_rows = None, None, dict.fromkeys(y._entries)
         self.attempts = 0
         self.k_last = 0
         self.reset_best()
@@ -326,12 +297,33 @@ class _SearchLog:
     def reset_best(self) -> None:
         self.best_res = self.best_delta = math.inf
 
-    def attempt(self, eps, k: int) -> _Attempt | None:
-        if self.real_sup:
-            att = _real_sup_attempt(self.targets, self.d_val, eps, k, self.budget)
+    def table(self, k: int) -> dict:
+        if self.lanes is None:
+            self.lanes = list(_lanes(self.T, self.x))
+        y_rows = self.y_rows
+        if k - 1 != self.k:
+            for j in y_rows:
+                lane = _lane_into(self.T, j, k)
+                y_rows[j] = (None, _NO_PRODUCT, None) if lane is None else \
+                    (lane.s, lane.product(k), (lane.step, lane.rule.weight_at, lane.band.contains))
         else:
-            att = _greedy_attempt(self.targets, self.d_val, eps, k, self.norm_tag,
-                                  self.budget, self.mode)
+            for j, (s, w, path) in y_rows.items():
+                if path is not None:
+                    step, weight_at, contains = path
+                    s -= step
+                    y_rows[j] = (s, w * weight_at(s), path) if contains(s) else \
+                        (None, _NO_PRODUCT, None)
+        self.k = k
+        rows = {j: (s, w, None, None) for j, (s, w, _) in y_rows.items()}
+        for lane, v in self.lanes:
+            if k <= lane.life:
+                s, t = lane.s, lane.s + lane.step * k
+                row = y_rows.get(t)
+                rows[t] = (s, lane.product(k) if row is None else row[1], lane, v)
+        return rows
+
+    def attempt(self, eps, k: int) -> _Attempt | None:
+        att = (_real_sup_attempt if self.real_sup else _greedy_attempt)(self, eps, k)
         if att is not None:
             self.attempts += 1
             self.k_last = k
@@ -376,34 +368,32 @@ def _magnitude(v):
     return abs(v)
 
 
-def _greedy_attempt(targets: _TargetRows, d_val, eps, k: int, norm_tag: NormTag,
-                    budget: Budget, mode: Mode) -> _Attempt | None:
-    """One back-solve attempt at time k for the search of targets; None
-    when the budget ran out.
+def _greedy_attempt(search: _SearchLog, eps, k: int) -> _Attempt | None:
+    """One back-solve attempt at time k for search; None when its budget
+    ran out.
 
-    T^k x and each row's source and product are read off targets: the rows
-    x lands on (``landed``), each entry landed by its lane, then the rows
-    of y, so no power is applied to x.  In the sup norm the attempt is
-    decided row by row, exactly for real exact entries and as a screen
-    otherwise; the final checks decide.  A search over real exact vectors
-    and weights runs _real_sup_attempt."""
+    Each row's source, product and entry of T^k x are read off the
+    search's ``table(k)``, an entry landed by x's lane, so no power is
+    applied to x.  In the sup norm the attempt is decided row by row,
+    exactly for real exact entries and as a screen otherwise; the final
+    checks decide.  A search over real exact vectors and weights runs
+    _real_sup_attempt."""
+    budget, norm_tag, mode, d_val = search.budget, search.norm_tag, search.mode, search.d_val
     if not budget.try_spend(1):
         return None
-    T, x, y = targets.T, targets.x, targets.y
-    landed = targets.landed(k)
+    x, ys = search.x, search.y._entries
+    table = search.table(k)
     zero = scalar_zero(x.mode)
-    paths = {j: (s, w, zero) for j, (s, w, _) in targets.at(k).items()}
+    rows = []  # (j, mismatch, s, W); s is None when no path reaches j
     try:  # an entry that underflowed is the zero apply_power drops
-        paths.update((t, (s, w, lane.entry(k, v, w) or zero))
-                     for s, v, t, w, lane in landed)
+        for j in sorted(table):
+            s, w, lane, v = table[j]
+            image = zero if lane is None else lane.entry(k, v, w) or zero
+            target = ys.get(j, zero)
+            if target != image:
+                rows.append((j, target - image, s, w))
     except NumericOverflow:
         return _Attempt(False, None, None, math.inf, math.inf)
-    rows = []  # (j, mismatch, s, W); s is None when no path reaches j
-    for j in sorted(paths):
-        s, w, image = paths[j]
-        target = y._entries.get(j, zero)
-        if target != image:
-            rows.append((j, target - image, s, w))
     delta_entries = {}
     uncorrected = []
     feasible = True
@@ -470,38 +460,35 @@ def _greedy_attempt(targets: _TargetRows, d_val, eps, k: int, norm_tag: NormTag,
         return None
     perturbed = x + delta
     try:
-        image = apply_power(T, k, perturbed)
+        image = apply_power(search.T, k, perturbed)
     except NumericOverflow:
         return _Attempt(False, None, None, delta_norm, math.inf)
-    r, ok = dist_and_lt(image, y, norm_tag, d_val)
+    r, ok = dist_and_lt(image, search.y, norm_tag, d_val)
     return _Attempt(ok, perturbed if ok else None, r if ok else None, delta_norm,
                     to_float(r))
 
 
-def _real_sup_attempt(targets: _TargetRows, d_val: Fraction, eps: Fraction, k: int,
-                      budget: Budget) -> _Attempt | None:
+def _real_sup_attempt(search: _SearchLog, eps: Fraction, k: int) -> _Attempt | None:
     """_greedy_attempt's sup-norm attempt for real exact x, y and weights,
     with the same result, decided in integers from the same row table.
 
-    Each row j of supp y and T^k(supp x) gets its source s and product
-    W = wa/wd from the search's targets, and its mismatch
-    m = y_j - W x_s = p/q, once; no power is applied.  The row rule is
-    decided by cross-multiplication, and the distance of the perturbed
-    image, max_j |y_j - W z_s|, is read off the same rows."""
-    if not budget.try_spend(1):
+    Each row j of the search's ``table(k)`` gives its source s, its product
+    W = wa/wd and its mismatch m = y_j - W x_s = p/q, once; no power is
+    applied.  The row rule is decided by cross-multiplication, and the
+    distance of the perturbed image, max_j |y_j - W z_s|, is read off the
+    same rows."""
+    if not search.budget.try_spend(1):
         return None
-    x, ys = targets.x, targets.y._entries
-    paths = targets.at(k)
+    x, ys, d_val = search.x, search.y._entries, search.d_val
     rows = {}  # j -> (s, wa, wd, p, q) with q > 0; s is None when no path reaches j
-    for s, v, j, w, _ in targets.landed(k):
+    for j, (s, w, _, v) in search.table(k).items():
         wa, wd, yj = w._a, w._d, ys.get(j)
-        ia, iq = wa * v._a, wd * v._d
-        rows[j] = (s, wa, wd, -ia, iq) if yj is None else \
-            (s, wa, wd, yj._a * iq - ia * yj._d, yj._d * iq)
-    for j, yj in ys.items():
-        if j not in rows:
-            s, w, _ = paths[j]
-            rows[j] = (s, w._a, w._d, yj._a, yj._d)
+        if v is None:
+            rows[j] = (s, wa, wd, yj._a, yj._d)
+        else:
+            ia, iq = wa * v._a, wd * v._d
+            rows[j] = (s, wa, wd, -ia, iq) if yj is None else \
+                (s, wa, wd, yj._a * iq - ia * yj._d, yj._d * iq)
     en, ed = eps.numerator, eps.denominator
     dn, dd = d_val.numerator, d_val.denominator
     deltas = {}  # s -> (num, den), delta_s = num/den with den > 0
@@ -534,7 +521,7 @@ def _real_sup_attempt(targets: _TargetRows, d_val: Fraction, eps: Fraction, k: i
     delta_norm = ratio_float(big_n, big_d)
     if not feasible:
         return _Attempt(False, None, None, delta_norm, residual)
-    if not budget.try_spend(1):
+    if not search.budget.try_spend(1):
         return None
     entries = dict(x._entries)
     for s, (num, den) in deltas.items():
@@ -930,7 +917,7 @@ def prop22_amplify(T: ShiftOperator, x: SeqVector, y: SeqVector, d, lam,
     the original achieved distance, hence below lam^n * d; both facts
     are re-verified numerically.
     """
-    mode = x.mode if not x.is_zero else y.mode
+    mode = common_mode(x, y)
     lam_frac = Fraction(lam)
     if not (0 < abs(lam_frac) < 1):
         raise OrbitscopeError("need 0 < |lambda| < 1")
@@ -1034,7 +1021,7 @@ def remark32_contradiction_check(T: ShiftOperator, candidate_w: SeqVector,
             raise InputNotAWitnessFamily("times must be strictly increasing")
     if times[0] < 1:
         raise InputNotAWitnessFamily("times must be positive integers")
-    mode = candidate_w.mode if not candidate_w.is_zero else family[0][0].mode
+    mode = common_mode(candidate_w, family[0][0])
     e0 = SeqVector.basis(IndexSet.INTEGERS, 0, mode=mode)
     tol_val = real_value(tol, mode)
     failures = []

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .errors import OrbitscopeError, VerificationFailed
 from .numeric import TOL_EQ, FieldsJSON, Mode, jsonable, positive_value, real_value, to_float
 from .operators import ShiftOperator, apply_power, iterate, meetings
-from .spaces import NormTag, OpenCone, SeqVector, cone_sample, dist_and_lt, dist_lt, norm, \
-    norm_lt
+from .spaces import NormTag, OpenCone, SeqVector, common_mode, cone_sample, dist_and_lt, dist_lt, \
+    norm, norm_lt
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class CoarseWitness:
 def make_coarse_witness(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
                         n: int, norm_tag: NormTag) -> CoarseWitness:
     """The witness that ||T^n x - y|| < d, after checking it."""
-    bound = real_value(d, x.mode if not x.is_zero else y.mode)
+    bound = real_value(d, common_mode(x, y))
     r, ok = dist_and_lt(apply_power(T, n, x), y, norm_tag, bound)
     if not ok:
         raise VerificationFailed(f"claimed witness at n={n} does not satisfy the bound")
@@ -136,7 +136,7 @@ def coarse_orbit_contains(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
     over: the query answers and never raises.  T^n 0 = 0, so the scan ends
     at the first zero point outside the ball.
     """
-    d = positive_value(d, x.mode if not x.is_zero else y.mode, "d")
+    d = positive_value(d, common_mode(x, y), "d")
     for n, v in _visits(T, x, y, d, K, norm_tag):
         if dist_lt(v, y, norm_tag, d):
             try:
@@ -203,7 +203,7 @@ def rescale_coarse_witness(T: ShiftOperator, w: CoarseWitness, M) -> CoarseWitne
     make_coarse_witness checks the result; failure signals an arithmetic
     bug, not a dynamics fact.
     """
-    mode = w.base.mode if not w.base.is_zero else w.target.mode
+    mode = common_mode(w.base, w.target)
     m_val = positive_value(M, mode, "M")
     factor = m_val / w.bound
     return make_coarse_witness(T, w.base.scale(factor), m_val,

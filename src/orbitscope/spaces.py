@@ -219,6 +219,12 @@ class SeqVector:
         return cls(index_set, raw, mode)
 
 
+def common_mode(v: SeqVector, w: SeqVector) -> Mode:
+    """The mode a computation on v and w runs in: v's, unless v is zero
+    (a zero vector built without a declared mode is exact), then w's."""
+    return v.mode if not v.is_zero else w.mode
+
+
 # -- norms ------------------------------------------------------------------
 
 

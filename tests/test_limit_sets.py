@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitscope import (
     CoarseWitness,
@@ -47,8 +47,8 @@ from orbitscope import limit_sets, operators
 from orbitscope.limit_sets import (
     Budget,
     _Attempt,
+    _SearchLog,
     _StructuralStops,
-    _TargetRows,
     _greedy_attempt,
     _real_sup_attempt,
     reaching_scale,
@@ -265,12 +265,19 @@ class TestSearch:
         assert info.value.proof is None
 
 
+def search_log(T, x, y, d, eps, budget, norm_tag=NormTag.PINF):
+    """A search for y from x under T at bound d whose budget is the given
+    Budget, with eps as its schedule's smallest radius."""
+    search = _SearchLog(T, x, y, d, Fraction(eps), budget.limit, norm_tag)
+    search.budget = budget
+    return search
+
+
 def sup_attempt(T, x, y, d, eps, k):
     """One exact sup-norm attempt at time k, the same from both attempt
     functions; its witness, when it finds one, must pass verify."""
-    att = _greedy_attempt(_TargetRows(T, x, y), d, eps, k, NormTag.PINF, Budget(2),
-                          Mode.EXACT)
-    assert _real_sup_attempt(_TargetRows(T, x, y), d, eps, k, Budget(2)) == att
+    att = _greedy_attempt(search_log(T, x, y, d, eps, Budget(2)), eps, k)
+    assert _real_sup_attempt(search_log(T, x, y, d, eps, Budget(2)), eps, k) == att
     if att.ok:
         JWitness(x, y, d, NormTag.PINF, EpsSchedule((eps,)),
                  (JWitnessTriple(att.perturbed, k, att.dist),)).verify(T)
@@ -364,8 +371,8 @@ def reference_sup_attempt(T, x, y, d_val, eps, k, budget):
 
 
 def real_sup_attempt(T, x, y, d_val, eps, k, budget):
-    """_real_sup_attempt with a row table of its own."""
-    return _real_sup_attempt(_TargetRows(T, x, y), d_val, eps, k, budget)
+    """_real_sup_attempt in a search of its own."""
+    return _real_sup_attempt(search_log(T, x, y, d_val, eps, budget), eps, k)
 
 
 def outcome(attempt, T, x, y, d, eps, k, budget_limit):
@@ -514,122 +521,11 @@ class TestRealSupAttempt:
                                 EpsSchedule.reciprocal(3), 10_000).to_jsonable() == \
             FLOAT_WITNESS
 
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), restart=st.integers(1, 40))
-    def test_stepped_rows_match_formed_rows(self, seed, restart):
-        # rows of supp y stepped through k = 1..40, then formed afresh at a
-        # time that is not the next one and stepped again: each row is its
-        # (reference_path_source, weight_product), past band exits (the
-        # blocks' bands end at -4, -2, 3 and 5) and the unilateral floor
-        rng = random.Random(seed)
-        T = random_operator(rng)
-        y = vector_for(rng, T, -12, 12)
-        rows = _TargetRows(T, SeqVector.zero(y.index_set), y)
-        for k in [*range(1, 41), *range(restart, 41)]:
-            at = rows.at(k)
-            assert sorted(at) == list(y.support)
-            for j, (s, w, _) in at.items():
-                assert (s, w) == (reference_path_source(T, j, k), weight_product(T, j, k))
 
-    def test_attempts_form_each_product_once(self, monkeypatch):
-        # a riesz-blocks style search: attempts apply no power; the first
-        # forms each row's product at most once, and every later one forms
-        # only the products of the paths from supp x, stepping the rows of
-        # supp y; verify applies one power per triple
-        T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
-            Block(Band(0, None), "backward", Constant(Fraction(1, 2))),
-            Block(Band(None, -1), "backward", Constant(2))))
-        x = ei(0) + ei(4, Fraction(1, 3))
-        y = SeqVector.from_entries(IndexSet.INTEGERS, {
-            2: Fraction(1, 4), 5: Fraction(-1, 3), -50: 7, -43: -3})
-        counts = dict.fromkeys(["apply_power", "weight_product", "product_exact"], 0)
-
-        def counted(name, fn):
-            def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
-            return wrapper
-
-        applied = counted("apply_power", operators.apply_power)
-        for module in (operators, limit_sets):
-            monkeypatch.setattr(module, "apply_power", applied)
-        monkeypatch.setattr(operators, "weight_product",
-                            counted("weight_product", operators.weight_product))
-        monkeypatch.setattr(WeightRule, "product_exact",
-                            counted("product_exact", WeightRule.product_exact))
-        attempts = []
-
-        def attempt(*args, _attempt=_real_sup_attempt):
-            before = dict(counts)
-            out = _attempt(*args)
-            attempts.append((args[3], {n: counts[n] - before[n] for n in counts}))
-            return out
-
-        monkeypatch.setattr(limit_sets, "_real_sup_attempt", attempt)
-        w = search_j_witness(T, x, y, 1, EpsSchedule.reciprocal(5), 20_000)
-        assert counts["apply_power"] == len(w.triples)
-        monkeypatch.undo()
-        assert len(attempts) > len(w.triples)
-        (k, used), *later = attempts
-        rows = set(y.support) | set(apply_power(T, k, x).support)
-        sourced = sum(reference_path_source(T, j, k) is not None for j in rows)
-        assert used["apply_power"] == 0
-        assert used["product_exact"] <= sourced
-        assert used["weight_product"] <= sourced
-        assert [k for k, _ in later] == list(range(k + 1, k + 1 + len(later)))
-        assert any(landings(T, k, x) for k, _ in later)
-        for k, used in later:
-            assert used == {"apply_power": 0, "weight_product": 0,
-                            "product_exact": landings(T, k, x)}
-
-    @pytest.mark.parametrize("x, dies_at", [(ei(0), 1), (ei(0) + ei(4, Fraction(1, 3)), 5)],
-                             ids=["dies-at-once", "dies-at-5"])
-    def test_paths_from_x_stop_once_none_is_left(self, monkeypatch, x, dies_at):
-        # riesz-blocks' operator: a backward source at s leaves its band
-        # [0, inf) after s + 1 steps; each attempt lands x's live lanes
-        # only, so from dies_at on it lands none and forms no product
-        T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
-            Block(Band(0, None), "backward", Constant(Fraction(1, 2))),
-            Block(Band(None, -1), "backward", Constant(2))))
-        y = SeqVector.from_entries(IndexSet.INTEGERS, {
-            2: Fraction(1, 4), -50: 7, -43: -3})
-        counts = dict.fromkeys(["landed", "product_exact"], 0)
-
-        def counted(name, fn):
-            def wrapper(*args):
-                out = fn(*args)
-                counts[name] += len(out) if name == "landed" else 1
-                return out
-            return wrapper
-
-        monkeypatch.setattr(_TargetRows, "landed", counted("landed", _TargetRows.landed))
-        monkeypatch.setattr(WeightRule, "product_exact",
-                            counted("product_exact", WeightRule.product_exact))
-        attempts = []
-
-        def attempt(*args, _attempt=_real_sup_attempt):
-            before = dict(counts)
-            out = _attempt(*args)
-            attempts.append((args[3], {n: counts[n] - before[n] for n in counts}))
-            return out
-
-        monkeypatch.setattr(limit_sets, "_real_sup_attempt", attempt)
-        search_j_witness(T, x, y, 1, EpsSchedule.reciprocal(5), 20_000)
-        monkeypatch.undo()
-        assert [k for k, _ in attempts] == list(range(1, len(attempts) + 1))
-        assert len(attempts) > dies_at
-        assert [used["landed"] for _, used in attempts] == \
-            [landings(T, k, x) for k, _ in attempts]
-        for k, used in attempts[1:]:
-            assert used["product_exact"] == landings(T, k, x)
-        assert all(used == {"landed": 0, "product_exact": 0}
-                   for k, used in attempts[1:] if k >= dies_at)
-        assert landings(T, dies_at, x) == 0 and landings(T, dies_at - 1, x)
-
-
-def landings(T, k, x):
-    """How many sources of x land at time k, by the n-fold oracle."""
-    return len(nfold_apply(T, k, x).support)
+def landed_rows(T, k, x):
+    """The rows the sources of x land on at time k, by the n-fold oracle
+    on x's exact copy."""
+    return set(nfold_apply(T, k, in_mode(x, Mode.EXACT)).support)
 
 
 def reference_greedy_attempt(T, x, y, d_val, eps, k, norm_tag, budget, mode):
@@ -723,15 +619,15 @@ def result_and_budget(call, budget):
         return "IndexSetMismatch", str(exc), budget.used
 
 
-def compared_attempt(targets, d_val, eps, k, norm_tag, budget, mode):
+def compared_attempt(search, eps, k):
     """_greedy_attempt, after checking that it gives what
     reference_greedy_attempt gives from the same budget state."""
+    budget = search.budget
     ref = Budget(budget.limit)
     ref.used = budget.used
-    args = (targets.T, targets.x, targets.y, d_val, eps, k, norm_tag)
-    want = result_and_budget(lambda: reference_greedy_attempt(*args, ref, mode), ref)
-    got = result_and_budget(
-        lambda: _greedy_attempt(targets, d_val, eps, k, norm_tag, budget, mode), budget)
+    args = (search.T, search.x, search.y, search.d_val, eps, k, search.norm_tag)
+    want = result_and_budget(lambda: reference_greedy_attempt(*args, ref, search.mode), ref)
+    got = result_and_budget(lambda: _greedy_attempt(search, eps, k), budget)
     assert got == want
     if got[0] == "IndexSetMismatch":
         raise IndexSetMismatch(got[1])
@@ -777,10 +673,11 @@ class TestGreedyAttempt:
         x = in_mode(x, mode)
         y = in_mode(y, mode, rng.choice(y.support) if turn and not y.is_zero else None)
         d_val, eps_val = real_value(d, mode), real_value(eps, mode)
-        targets = _TargetRows(T, x, y)
+        search = search_log(T, x, y, d_val, eps, Budget(budget), norm_tag)
         for k in [*range(start, start + m), *range(start + 1, start + 1 + m)]:
+            search.budget = Budget(budget)
             try:
-                compared_attempt(targets, d_val, eps_val, k, norm_tag, Budget(budget), mode)
+                compared_attempt(search, eps_val, k)
             except IndexSetMismatch:
                 pass
 
@@ -792,7 +689,7 @@ class TestGreedyAttempt:
         times = []
 
         def attempt(*args):
-            times.append(args[3])
+            times.append(args[2])
             return compared_attempt(*args)
 
         monkeypatch.setattr(limit_sets, "_greedy_attempt", attempt)
@@ -829,11 +726,11 @@ class TestGreedyAttempt:
         applied = []
         monkeypatch.setattr(limit_sets, "apply_power",
                             lambda T, k, v: applied.append(v) or apply_power(T, k, v))
-        targets, checked = _TargetRows(T, x, y), 0
+        search, checked = search_log(T, x, y, d_val, 1, Budget(2), norm_tag), 0
         for k in range(1, 9):
             applied.clear()
-            budget = Budget(2)
-            got = _greedy_attempt(targets, d_val, eps_val, k, norm_tag, budget, mode)
+            search.budget = budget = Budget(2)
+            got = _greedy_attempt(search, eps_val, k)
             want = reference_greedy_attempt(T, x, y, d_val, eps_val, k, norm_tag, Budget(2),
                                             mode)
             assert [getattr(got, f.name) for f in dataclasses.fields(_Attempt)] == \
@@ -841,99 +738,6 @@ class TestGreedyAttempt:
             assert len(applied) == budget.used - 1 and x not in applied
             checked += len(applied)
         assert checked
-
-    def test_next_time_forms_no_row_of_y(self, monkeypatch):
-        # a float search: after its first attempt, the attempt at the next
-        # time calls weight_product for no row and forms only the products
-        # of the paths from supp x; the rows of supp y are stepped
-        T = riesz_operator()
-        x = in_mode(ei(0) + ei(4, Fraction(1, 3)), Mode.FLOAT64)
-        y = SeqVector.from_entries(IndexSet.INTEGERS, {
-            2: Fraction(1, 4), 5: Fraction(-1, 3), -50: 7, -43: -3}, Mode.FLOAT64)
-        counts = dict.fromkeys(["weight_product", "product_exact"], 0)
-
-        def counted(name, fn):
-            def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(operators, "weight_product",
-                            counted("weight_product", operators.weight_product))
-        monkeypatch.setattr(WeightRule, "product_exact",
-                            counted("product_exact", WeightRule.product_exact))
-        attempts = []
-
-        def attempt(*args, _attempt=_greedy_attempt):
-            before = dict(counts)
-            out = _attempt(*args)
-            attempts.append((args[3], {n: counts[n] - before[n] for n in counts}))
-            return out
-
-        monkeypatch.setattr(limit_sets, "_greedy_attempt", attempt)
-        w = search_j_witness(T, x, y, 1, EpsSchedule.reciprocal(5), 20_000)
-        monkeypatch.undo()
-        assert len(attempts) > len(w.triples)
-        (k, used), (k_next, used_next), *_ = attempts
-        assert k_next == k + 1
-        x_exact = in_mode(x, Mode.EXACT)
-        assert used["product_exact"] <= len(y.support) + landings(T, k, x_exact)
-        assert used_next == {"weight_product": 0,
-                             "product_exact": landings(T, k_next, x_exact)}
-        for _, used in attempts:
-            assert used["weight_product"] == 0
-
-    def test_attempts_land_x_once_and_apply_no_power_to_it(self, monkeypatch):
-        # an exact p1 search: each attempt forms at most one product per row
-        # x lands on, besides the rows of y it forms afresh and the power of
-        # x + delta, and reads T^k x off those rows; attempts that applied a
-        # power to x formed each landed product twice (33 apply_power calls
-        # from limit_sets and 102 products for these 14 attempts)
-        T = prop32_operator()
-        x = ei(0)
-        y = SeqVector.from_entries(IndexSet.INTEGERS, {-7: 4, 0: Fraction(5, 2), 6: -3})
-        counts = dict.fromkeys(["product_exact", "formed", "landed", "in_powers"], 0)
-        applied = []
-
-        def power(T, k, v):  # the products a power forms are counted apart
-            applied.append(v)
-            before = counts["product_exact"]
-            out = apply_power(T, k, v)
-            counts["in_powers"] += counts["product_exact"] - before
-            return out
-
-        def counted(name, fn):
-            def wrapper(*args):
-                out = fn(*args)
-                counts[name] += len(out) if name == "landed" else \
-                    out[0] is not None if name == "formed" else 1
-                return out
-            return wrapper
-
-        monkeypatch.setattr(WeightRule, "product_exact",
-                            counted("product_exact", WeightRule.product_exact))
-        monkeypatch.setattr(_TargetRows, "_formed", counted("formed", _TargetRows._formed))
-        monkeypatch.setattr(_TargetRows, "landed", counted("landed", _TargetRows.landed))
-        monkeypatch.setattr(limit_sets, "apply_power", power)
-        attempts = []
-
-        def attempt(*args, _attempt=_greedy_attempt):
-            before = dict(counts)
-            out = _attempt(*args)
-            attempts.append({n: counts[n] - before[n] for n in counts})
-            return out
-
-        monkeypatch.setattr(limit_sets, "_greedy_attempt", attempt)
-        w = search_j_witness(T, x, y, 2, EpsSchedule.reciprocal(5), 10_000,
-                             norm_tag=NormTag.P1)
-        monkeypatch.undo()
-        assert w.times == (10, 11, 12, 13, 14) and len(attempts) == 14
-        # verify's one power per triple, and each attempt's of x + delta
-        assert all(v is not x for v in applied) and len(applied) <= 14 + len(w.triples)
-        for used in attempts:
-            assert used["landed"] == 1
-            assert used["product_exact"] - used["in_powers"] <= \
-                used["landed"] + used["formed"]
 
 
 LANDING_WEIGHTS = [2, Fraction(1, 3), Fraction(-7, 5), (1, 1), (0, Fraction(1, 2)),
@@ -952,58 +756,144 @@ def landing_or_error(call):
         return type(exc), str(exc)
 
 
+def random_operators():
+    """random_operator's shapes, and every shape over LANDING_WEIGHTS, whose
+    float products pass 2^900 and fall below double range."""
+    return st.integers(0, 2 ** 32 - 1).map(lambda seed: random_operator(random.Random(seed))) \
+        | shift_operators(LANDING_WEIGHTS)
+
+
+def entries_over(index_set, raw, mode):
+    return SeqVector.from_entries(
+        index_set, {i: v for i, v in raw.items() if index_set.contains(i)}, mode)
+
+
+def run_times(runs):
+    """Each run (k, n, again) as k, ..., k + n, then k + n again if again."""
+    return [t for k, n, again in runs for t in [*range(k, k + n + 1), *[k + n] * again]]
+
+
+DOUBLING_PAST_POLICY = dict(
+    T=ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, Constant(2)),
+    mode=Mode.FLOAT64, other_set=1, x_raw={0: 2 ** 500}, y_raw={-401: 1},
+    runs=[(400, 1, False)])
+
+
 @settings(max_examples=300, deadline=None)
-@given(T=shift_operators(LANDING_WEIGHTS), mode=st.sampled_from(list(Mode)),
-       other_set=st.integers(0, 9), k=st.integers(1, 40),
-       raw=st.dictionaries(st.integers(0, 13), st.sampled_from(LANDING_ENTRIES), max_size=5))
-def test_landed_rows_are_apply_powers_entries(T, mode, other_set, k, raw):
-    # every shape, band exits and gaps, float products past 2^900 and below
-    # double range, and now and then x over the other index set: the rows'
-    # lanes land T^k x entry for entry, the same double in float mode (an entry
-    # that underflowed to zero is one apply_power drops), each with its
-    # source and exact product, or the same error (at k = 0 apply_power
-    # takes x as it is, with no band looked up)
+@given(T=random_operators(), mode=st.sampled_from(list(Mode)), other_set=st.integers(0, 9),
+       x_raw=st.dictionaries(st.integers(-12, 13), st.sampled_from(LANDING_ENTRIES),
+                             max_size=5),
+       y_raw=st.dictionaries(st.integers(-12, 13), st.sampled_from(LANDING_ENTRIES),
+                             max_size=5),
+       runs=st.lists(st.tuples(st.integers(1, 40), st.integers(0, 6), st.booleans()),
+                     min_size=1, max_size=4))
+@example(**DOUBLING_PAST_POLICY)  # 2^500 e_0 passes 2^900 at k = 401
+def test_table_rows_are_paths_and_landings(T, mode, other_set, x_raw, y_raw, runs):
+    # times that run on (rows of y stepped), repeat and jump back (formed
+    # afresh), past band exits and gaps, and now and then x over the other
+    # index set: every row of supp y and T^k(supp x) is its
+    # (reference_path_source, weight_product), x's lanes are listed once,
+    # and the rows x lands on land T^k x entry for entry, the same double
+    # in float mode (an entry that underflowed to zero is one apply_power
+    # drops), or raise apply_power's error
     index_set = T.index_set
     if other_set == 0:
         index_set = IndexSet.NATURALS if index_set is IndexSet.INTEGERS else IndexSet.INTEGERS
-    x = SeqVector.from_entries(index_set, raw, mode)
-    rows = _TargetRows(T, x, SeqVector.zero(T.index_set, mode))
+    x, y = entries_over(index_set, x_raw, mode), entries_over(T.index_set, y_raw, mode)
+    search, lanes, overflowed = search_log(T, x, y, 1, 1, Budget(2)), None, False
+    for k in run_times(runs):
+        want = landing_or_error(lambda: apply_power(T, k, x)._entries)
+        try:
+            table = search.table(k)
+        except IndexSetMismatch as exc:
+            assert want == (IndexSetMismatch, str(exc))
+            continue
+        lanes = lanes or search.lanes
+        assert search.lanes is lanes
+        landed = landed_rows(T, k, x)
+        assert set(table) == set(y.support) | landed
+        for j, (s, w, lane, v) in table.items():
+            assert (s, w) == (reference_path_source(T, j, k), weight_product(T, j, k))
+            assert (lane is None, v is None) == (j not in landed,) * 2
+            assert lane is None or (lane.s, v) == (s, x._entries[s])
+        # in source order, as apply_power lands them
+        sources = sorted((s, w, lane, v) for s, w, lane, v in table.values() if lane)
+        got = landing_or_error(lambda: {s + lane.step * k: e for s, w, lane, v in sources
+                                        if (e := lane.entry(k, v, w))})
+        assert got == want
+        if isinstance(got, tuple):  # an attempt meets the overflow and gives up at k
+            search.budget = Budget(2)
+            assert _greedy_attempt(search, real_value(1, mode), k) == \
+                _Attempt(False, None, None, math.inf, math.inf)
+            overflowed = True
+    if T is DOUBLING_PAST_POLICY["T"]:
+        assert overflowed
 
-    def landed():
-        out = {}
-        for s, v, t, w, lane in rows.landed(k):
-            assert v == x._entries[s] and w == weight_product(T, t, k)
-            assert s == reference_path_source(T, t, k)
-            if e := lane.entry(k, v, w):
-                out[t] = e
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("norm_tag", list(NormTag), ids=lambda n: n.value)
+def test_a_shared_row_forms_one_product_per_attempt(monkeypatch, mode, norm_tag):
+    # x's diagonal source at 12 lands on y's row 12 at every time, and its
+    # source at 4 on y's row 2 at time 2, then leaves its band [0, 9] after
+    # 4 steps.  The first attempt forms one product per row of y a path
+    # reaches and one per row only x lands on; each later attempt steps the
+    # rows of y and forms one per row only x lands on, none from time 5 on.
+    # A shared row takes y's product.  x's lanes are listed once, no
+    # weight_product is called and no power is applied to x; the integer
+    # attempt applies none at all
+    T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
+        Block(Band(None, -1), "backward", Constant(2)),
+        Block(Band(0, 9), "backward", Constant(Fraction(1, 2))),
+        Block(Band(10, None), "diagonal", Constant(1))))
+    x = in_mode(ei(4, Fraction(1, 3)) + ei(12), mode)
+    y = in_mode(SeqVector.from_entries(IndexSet.INTEGERS, {
+        2: Fraction(1, 4), 12: 1, -50: 7, -43: -3}), mode)
+    counts = dict.fromkeys(["products", "powers", "weight_product", "lanes"], 0)
+    applied = []
+
+    def power(T, k, v):  # the products a power forms are counted apart
+        applied.append(v)
+        before = counts["products"]
+        out = apply_power(T, k, v)
+        counts["products"], counts["powers"] = before, counts["powers"] + 1
         return out
 
-    want = landing_or_error(lambda: apply_power(T, k, x)._entries)
-    for _ in range(2):  # the lanes listed once give it again
-        got = landing_or_error(landed)
-        if got != want:
-            # landed lists every lane before it lands one, so a source in no
-            # band is met before an overflow that apply_power meets first
-            assert isinstance(want, tuple) and want[0] is NumericOverflow
-            assert isinstance(got, tuple) and got[0] is IndexSetMismatch
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
 
+    monkeypatch.setattr(WeightRule, "product_exact",
+                        counted("products", WeightRule.product_exact))
+    monkeypatch.setattr(operators, "weight_product",
+                        counted("weight_product", operators.weight_product))
+    monkeypatch.setattr(limit_sets, "_lanes", counted("lanes", limit_sets._lanes))
+    monkeypatch.setattr(limit_sets, "apply_power", power)
+    attempts = []
 
-def test_float_landing_past_policy_overflows_both_ways():
-    # 2^500 e_0 under the doubling shift passes 2^900 at k = 401
-    T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, Constant(2))
-    x = ei(0, 2 ** 500, Mode.FLOAT64)
-    y = ei(-401, 1, Mode.FLOAT64)
-    rows = _TargetRows(T, x, y)
-    (_, v, _, w, lane), = rows.landed(400)
-    assert lane.entry(400, v, w) == apply_power(T, 400, x).entry(-400)
-    message = r"^T\^401 entry at -401 has magnitude past 2\^900$"
-    with pytest.raises(NumericOverflow, match=message):
-        apply_power(T, 401, x)
-    (_, v, _, w, lane), = rows.landed(401)
-    with pytest.raises(NumericOverflow, match=message):
-        lane.entry(401, v, w)
-    att = _greedy_attempt(rows, 1.0, 1.0, 401, NormTag.PINF, Budget(2), Mode.FLOAT64)
-    assert att == _Attempt(False, None, None, math.inf, math.inf)
+    def attempt(*args, _attempt=limit_sets._SearchLog.attempt):
+        before = dict(counts)
+        out = _attempt(*args)
+        attempts.append((args[2], {n: counts[n] - before[n] for n in counts}))
+        return out
+
+    monkeypatch.setattr(limit_sets._SearchLog, "attempt", attempt)
+    w = search_j_witness(T, x, y, 1, EpsSchedule.reciprocal(5), 20_000, norm_tag=norm_tag)
+    monkeypatch.undo()
+    assert counts["lanes"] == 1 and counts["weight_product"] == 0
+    assert all(v is not x for v in applied)
+    assert [k for k, _ in attempts] == list(range(1, len(attempts) + 1))
+    assert len(attempts) > 5 and w.times[-1] == len(attempts)
+    for k, used in attempts:
+        only_x = landed_rows(T, k, x) - set(y.support)
+        formed = sum(reference_path_source(T, j, k) is not None for j in y.support) \
+            if k == 1 else 0
+        assert used["products"] == formed + len(only_x)
+        assert used["powers"] <= (0 if mode is Mode.EXACT and norm_tag is NormTag.PINF else 1)
+        if k >= 5:
+            assert used["products"] == 0
+    assert landed_rows(T, 2, x) == {2, 12}
 
 
 def tail_proof(T, x, y, d, eps, k):
@@ -1555,13 +1445,36 @@ class TestWitnessIntegrity:
         with pytest.raises(VerificationFailed):
             tampered.verify(T)
 
+    def test_exact_distance_must_match_exactly(self):
+        # an exact distance must be the recomputed one: 3/4 off by one part
+        # in 10^7 is refused
+        T = prop32_operator()
+        y = SeqVector.from_entries(IndexSet.INTEGERS, {-3: Fraction(1, 3), 2: 5})
+        w = search_j_witness(T, ei(0), y, 1, EpsSchedule.reciprocal(2), 10_000)
+        assert [t.dist for t in w.triples] == [0, Fraction(3, 4)]
+        off = dataclasses.replace(w.triples[1], dist=Fraction(3, 4) * (1 + Fraction(1, 10 ** 7)))
+        tampered = dataclasses.replace(w, triples=(w.triples[0], off))
+        with pytest.raises(VerificationFailed, match="stored distance"):
+            tampered.verify(T)
+
+    def test_irrational_exact_distance_keeps_the_float_check(self):
+        # exact p2 distances sqrt(3)/2 and sqrt(5)/4 are stored as floats;
+        # scaled by 7/3 they still agree to 1e-6 relative
+        T = halving()
+        y = SeqVector.from_entries(IndexSet.NATURALS, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+        w = search_j_witness(T, en(3), y, 1, EpsSchedule.reciprocal(2), 10_000,
+                             norm_tag=NormTag.P2)
+        assert all(type(t.dist) is float for t in w.triples)
+        scaled = scale_j_witness(T, w, Fraction(7, 3))  # verifies internally
+        assert scaled.triples[0].dist == w.triples[0].dist * Fraction(7, 3)
+
     @pytest.mark.parametrize("search", ["search", "jmix"])
     def test_producer_check_is_live(self, monkeypatch, search):
         # an attempt that claims success with a perturbation outside eps
         # must not leave the function that builds the witness, whichever
         # attempt the search runs
-        def claim(targets, *args):
-            x = targets.x
+        def claim(search, *args):
+            x = search.x
             return _Attempt(True, x + SeqVector.basis(x.index_set, 7, 2), 0, 0.0, 0.0)
         monkeypatch.setattr(limit_sets, "_greedy_attempt", claim)
         monkeypatch.setattr(limit_sets, "_real_sup_attempt", claim)

@@ -1,10 +1,11 @@
 """Print the evidence that a change keeps orbitscope's answers: the seed-0
-bundle digests, the src/ size and mode-branch counts, and a hash over
-every answer of perfbench's orbit-cone stream.
+bundle digests, the src/ size and mode-branch counts, a hash over every
+answer of perfbench's orbit-cone stream, and the bundle hash of each of
+its certify streams.
 
     python3 tools/identity.py [--root DIR] [--seed S ...]
 
-It imports orbitscope from DIR/src and the orbit-cone workload from
+It imports orbitscope from DIR/src and the workloads from
 DIR/perfbench/workloads.py (read, never written), DIR being this checkout
 by default, so two checkouts compare by running the tool once on each.  The
 output is one JSON object:
@@ -21,6 +22,12 @@ output is one JSON object:
   entries and each norm's type and repr, each coarse witness's time,
   distance type and repr and bound, each cone verdict, or the type and
   message of the error raised.
+* ``certify``: for each ``--seed`` and each of the certify-exact and
+  certify-float workloads, the ``bundle_digest_sha256`` its check gives
+  over the bundles of its command stream at the same run length, without
+  the oracle, how many commands the stream holds, and how many of them
+  failed (a verdict other than PASS, or a non-zero exit).  The bundles are
+  written to a temporary directory.
 
 Standard library only.
 """
@@ -28,7 +35,9 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import re
 import sys
@@ -84,12 +93,28 @@ def orbit_cone(root: Path, seed: int) -> dict:
     return {"sha256": digest.hexdigest(), "requests": len(answers)}
 
 
+def certify(root: Path, seed: int, mode: str) -> dict:
+    """The bundle hash of perfbench's certify stream in mode at the
+    benchmark's run length, its commands built and run by the workload."""
+    import workloads
+
+    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
+    with tempfile.TemporaryDirectory() as tmp:
+        workloads.OUT = Path(tmp)
+        work = workloads.Certify(seed, mode, seconds)
+        with contextlib.redirect_stdout(io.StringIO()):
+            timed = work.run(workloads.Clock(None))
+        checked = work.check(timed, run_oracle=False)
+    return {"sha256": checked["bundle_digest_sha256"], "commands": len(work.argvs),
+            "failures": len(checked["failures"])}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout to read (default: this one)")
     parser.add_argument("--seed", type=int, action="append", default=[],
-                        help="orbit-cone stream seed (repeatable)")
+                        help="orbit-cone and certify stream seed (repeatable)")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.set_int_max_str_digits(0)  # exact entries may be long
@@ -98,6 +123,8 @@ def main(argv=None) -> int:
     out = {"bundle": {mode: bundle(mode) for mode in ("exact", "float")},
            **source_counts(root)}
     out["orbit_cone"] = {str(s): orbit_cone(root, s) for s in args.seed}
+    out["certify"] = {str(s): {f"certify-{mode}": certify(root, s, mode)
+                               for mode in ("exact", "float")} for s in args.seed}
     print(json.dumps(out, indent=2))
     return 0
 
