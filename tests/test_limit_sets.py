@@ -521,6 +521,120 @@ class TestRealSupAttempt:
                                 EpsSchedule.reciprocal(3), 10_000).to_jsonable() == \
             FLOAT_WITNESS
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), restart=st.integers(1, 40))
+    def test_stepped_rows_match_formed_rows(self, seed, restart):
+        # rows of supp y stepped through k = 1..40, then formed afresh at a
+        # time that is not the next one and stepped again: each row is its
+        # (reference_path_source, weight_product), past band exits (the
+        # blocks' bands end at -4, -2, 3 and 5) and the unilateral floor
+        rng = random.Random(seed)
+        T = random_operator(rng)
+        y = vector_for(rng, T, -12, 12)
+        search = search_log(T, SeqVector.zero(y.index_set), y, 1, 1, Budget(2))
+        for k in [*range(1, 41), *range(restart, 41)]:
+            table = search.table(k)
+            assert sorted(table) == list(y.support)
+            for j, (s, w, lane, v) in table.items():
+                assert (s, w) == (reference_path_source(T, j, k), weight_product(T, j, k))
+                assert lane is v is None
+
+    def test_attempts_form_each_product_once(self, monkeypatch):
+        # a riesz-blocks style search: attempts apply no power; the first
+        # forms each row's product at most once, and every later one forms
+        # only the products of the rows x lands on and y does not hold,
+        # stepping the rows of supp y; verify applies one power per triple
+        T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
+            Block(Band(0, None), "backward", Constant(Fraction(1, 2))),
+            Block(Band(None, -1), "backward", Constant(2))))
+        x = ei(0) + ei(4, Fraction(1, 3))
+        y = SeqVector.from_entries(IndexSet.INTEGERS, {
+            2: Fraction(1, 4), 5: Fraction(-1, 3), -50: 7, -43: -3})
+        counts = dict.fromkeys(["apply_power", "weight_product", "product_exact"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        applied = counted("apply_power", operators.apply_power)
+        for module in (operators, limit_sets):
+            monkeypatch.setattr(module, "apply_power", applied)
+        monkeypatch.setattr(operators, "weight_product",
+                            counted("weight_product", operators.weight_product))
+        monkeypatch.setattr(WeightRule, "product_exact",
+                            counted("product_exact", WeightRule.product_exact))
+        attempts = []
+
+        def attempt(*args, _attempt=_real_sup_attempt):
+            before = dict(counts)
+            out = _attempt(*args)
+            attempts.append((args[2], {n: counts[n] - before[n] for n in counts}))
+            return out
+
+        monkeypatch.setattr(limit_sets, "_real_sup_attempt", attempt)
+        w = search_j_witness(T, x, y, 1, EpsSchedule.reciprocal(5), 20_000)
+        assert counts["apply_power"] == len(w.triples)
+        monkeypatch.undo()
+        assert len(attempts) > len(w.triples)
+        (k, used), *later = attempts
+        rows = set(y.support) | set(apply_power(T, k, x).support)
+        sourced = sum(reference_path_source(T, j, k) is not None for j in rows)
+        assert used["apply_power"] == 0
+        assert used["product_exact"] <= sourced
+        assert used["weight_product"] <= sourced
+        assert [k for k, _ in later] == list(range(k + 1, k + 1 + len(later)))
+        assert any(landed_rows(T, k, x) - set(y.support) for k, _ in later)
+        for k, used in later:
+            assert used == {"apply_power": 0, "weight_product": 0,
+                            "product_exact": len(landed_rows(T, k, x) - set(y.support))}
+
+    @pytest.mark.parametrize("x, dies_at", [(ei(0), 1), (ei(0) + ei(4, Fraction(1, 3)), 5)],
+                             ids=["dies-at-once", "dies-at-5"])
+    def test_paths_from_x_stop_once_none_is_left(self, monkeypatch, x, dies_at):
+        # riesz-blocks' operator: a backward source at s leaves its band
+        # [0, inf) after s + 1 steps; each attempt's table lands x's live
+        # lanes only, so from dies_at on it lands none and forms no product
+        T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
+            Block(Band(0, None), "backward", Constant(Fraction(1, 2))),
+            Block(Band(None, -1), "backward", Constant(2))))
+        y = SeqVector.from_entries(IndexSet.INTEGERS, {
+            2: Fraction(1, 4), -50: 7, -43: -3})
+        counts = dict.fromkeys(["landed", "product_exact"], 0)
+
+        def table(self, k, _table=_SearchLog.table):
+            out = _table(self, k)
+            counts["landed"] += sum(lane is not None for _, _, lane, _ in out.values())
+            return out
+
+        def product_exact(*args, _product=WeightRule.product_exact):
+            counts["product_exact"] += 1
+            return _product(*args)
+
+        monkeypatch.setattr(_SearchLog, "table", table)
+        monkeypatch.setattr(WeightRule, "product_exact", product_exact)
+        attempts = []
+
+        def attempt(*args, _attempt=_real_sup_attempt):
+            before = dict(counts)
+            out = _attempt(*args)
+            attempts.append((args[2], {n: counts[n] - before[n] for n in counts}))
+            return out
+
+        monkeypatch.setattr(limit_sets, "_real_sup_attempt", attempt)
+        search_j_witness(T, x, y, 1, EpsSchedule.reciprocal(5), 20_000)
+        monkeypatch.undo()
+        assert [k for k, _ in attempts] == list(range(1, len(attempts) + 1))
+        assert len(attempts) > dies_at
+        assert [used["landed"] for _, used in attempts] == \
+            [len(landed_rows(T, k, x)) for k, _ in attempts]
+        for k, used in attempts[1:]:
+            assert used["product_exact"] == len(landed_rows(T, k, x) - set(y.support))
+        assert all(used == {"landed": 0, "product_exact": 0}
+                   for k, used in attempts[1:] if k >= dies_at)
+        assert not landed_rows(T, dies_at, x) and landed_rows(T, dies_at - 1, x)
+
 
 def landed_rows(T, k, x):
     """The rows the sources of x land on at time k, by the n-fold oracle
@@ -828,6 +942,63 @@ def test_table_rows_are_paths_and_landings(T, mode, other_set, x_raw, y_raw, run
             overflowed = True
     if T is DOUBLING_PAST_POLICY["T"]:
         assert overflowed
+
+
+@settings(max_examples=300, deadline=None)
+@given(T=shift_operators(LANDING_WEIGHTS), mode=st.sampled_from(list(Mode)),
+       other_set=st.integers(0, 9), k=st.integers(1, 40),
+       raw=st.dictionaries(st.integers(0, 13), st.sampled_from(LANDING_ENTRIES), max_size=5))
+def test_landed_rows_are_apply_powers_entries(T, mode, other_set, k, raw):
+    # every shape, band exits and gaps, float products past 2^900 and below
+    # double range, and now and then x over the other index set: the rows
+    # of table(k) x lands on land T^k x entry for entry, the same double in
+    # float mode (an entry that underflowed to zero is one apply_power
+    # drops), each with its source and exact product, or the same error
+    index_set = T.index_set
+    if other_set == 0:
+        index_set = IndexSet.NATURALS if index_set is IndexSet.INTEGERS else IndexSet.INTEGERS
+    x = SeqVector.from_entries(index_set, raw, mode)
+    search = search_log(T, x, SeqVector.zero(T.index_set, mode), 1, 1, Budget(2))
+
+    def landed():
+        out = {}
+        for t, (s, w, lane, v) in sorted(search.table(k).items(), key=lambda r: r[1][0]):
+            assert lane is not None and (lane.s, v) == (s, x._entries[s])
+            assert s == reference_path_source(T, t, k) and w == weight_product(T, t, k)
+            if e := lane.entry(k, v, w):
+                out[t] = e
+        return out
+
+    want = landing_or_error(lambda: apply_power(T, k, x)._entries)
+    for _ in range(2):  # the lanes listed once give it again
+        got = landing_or_error(landed)
+        if got != want:
+            # the table lists every lane before it lands one, so a source in
+            # no band is met before an overflow that apply_power meets first
+            assert isinstance(want, tuple) and want[0] is NumericOverflow
+            assert isinstance(got, tuple) and got[0] is IndexSetMismatch
+
+
+def test_float_landing_past_policy_overflows_both_ways():
+    # 2^500 e_0 under the doubling shift passes 2^900 at k = 401
+    T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, Constant(2))
+    x = ei(0, 2 ** 500, Mode.FLOAT64)
+    y = ei(-401, 1, Mode.FLOAT64)
+    search = search_log(T, x, y, 1, 1, Budget(2))
+
+    def x_row(k):
+        (_, w, lane, v), = (row for row in search.table(k).values() if row[2])
+        return lane, v, w
+
+    lane, v, w = x_row(400)
+    assert lane.entry(400, v, w) == apply_power(T, 400, x).entry(-400)
+    message = r"^T\^401 entry at -401 has magnitude past 2\^900$"
+    with pytest.raises(NumericOverflow, match=message):
+        apply_power(T, 401, x)
+    lane, v, w = x_row(401)
+    with pytest.raises(NumericOverflow, match=message):
+        lane.entry(401, v, w)
+    assert _greedy_attempt(search, 1.0, 401) == _Attempt(False, None, None, math.inf, math.inf)
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
