@@ -50,10 +50,8 @@ from .operators import (
     weight_product,
 )
 from .orbits import (
-    CoarseDensityReport,
     CoarseWitness,
     OrbitTrace,
-    coarse_density_report,
     coarse_orbit_contains,
     make_coarse_witness,
     orbit,

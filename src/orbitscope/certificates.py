@@ -5,9 +5,11 @@ machinery and emits a CertificateReport; the function that built each
 embedded witness checked it once, and no suite checks it again.
 INDECISIVE is a first-class verdict: an exhausted budget, a coarse scan
 that found nothing up to its horizon or an uncertifiable spectral
-hypothesis refutes nothing, so it never reads FAIL.  A sampled status
-comes from _claim_status or one comparison on a builder's own value, in
-the mode's arithmetic; floats appear only in details and in sampling.
+hypothesis refutes nothing, so it never reads FAIL.  A sampled claim's
+status comes from _claim, which runs a builder on each target and reads
+its witnesses, proofs and stops by one rule; any other sampled status is
+one comparison on a builder's own value, in the mode's arithmetic; floats
+appear only in details and in sampling.
 
 Each suite is one body registered by _suite: the certificate takes
 (seed, mode, **params), checks each parameter against its kind in
@@ -179,6 +181,38 @@ def _sampled(note: str, count: int) -> str:
     return note if count else note + "; vacuous: empty sample"
 
 
+def _claim_status(refuted: bool, settled: int, targets: int) -> str:
+    """A sampled claim's status: FAIL when some target refutes it, PASS only
+    when every target settles it, else INDECISIVE."""
+    return FAIL if refuted else PASS if settled == targets else INDECISIVE
+
+
+def _claim(targets, build, inside: bool, agrees=None):
+    """Run the sampled claim that every target lies inside J (or, when not
+    `inside`, outside it): build(y) on each target, catching SearchFailed.
+    A witness settles a claim inside J and refutes one outside, unless
+    agrees(witness) says which; a proof settles a claim outside J and
+    refutes one inside; a budget stop, or None (a scan that found nothing
+    up to its horizon), settles nothing.  Returns the witnesses as (index,
+    target, witness), the failed searches as (index, SearchFailed), the
+    proof count and the status."""
+    found, failed = [], []
+    for idx, y in enumerate(targets):
+        try:
+            w = build(y)
+        except SearchFailed as exc:
+            failed.append((idx, exc))
+            continue
+        if w is not None:
+            found.append((idx, y, w))
+    proofs = sum(exc.proof is not None for _, exc in failed)
+    agreeing = sum(agrees(w) for _, _, w in found) if agrees else len(found) * inside
+    refuting = len(found) - agreeing
+    settled, refuted = (agreeing, proofs + refuting) if inside \
+        else (proofs + agreeing, refuting)
+    return found, failed, proofs, _claim_status(refuted > 0, settled, len(targets))
+
+
 CERTIFICATES = {}  # name -> cert(seed=0, mode=Mode.EXACT, **params), in run order
 
 
@@ -234,49 +268,54 @@ def cert_prop32(p, seed, mode):
 
     # (b) J-certificates at the coarse bound for seeded targets
     schedule = EpsSchedule.reciprocal(p["schedule_length"])
-    rng = _rng(seed, "prop32-targets")
     sb, nb = p["support_bound"], _double(p, "norm_bound")
-    failures = []
-    for idx in range(p["sample_count"]):
-        y = _random_sparse(rng, IndexSet.INTEGERS, -sb, sb, nb, mode)
-        try:
-            w = search_j_witness(T, e0, y, p["d"], schedule, _AT_BOUND_BUDGET,
-                                 norm_tag=NormTag.PINF)
-            residuals.extend(to_float(t.dist) for t in w.triples)
-            witnesses.append(w.to_jsonable() if idx < 25 else _witness_digest(w))
-        except SearchFailed as exc:
-            failures.append({"index": idx, **exc.diagnostics()})
+
+    def targets(tag, count):
+        rng = _rng(seed, tag)
+        return [_random_sparse(rng, IndexSet.INTEGERS, -sb, sb, nb, mode)
+                for _ in range(count)]
+
+    found, failed, _, status = _claim(
+        targets("prop32-targets", p["sample_count"]),
+        lambda y: search_j_witness(T, e0, y, p["d"], schedule, _AT_BOUND_BUDGET,
+                                   norm_tag=NormTag.PINF), inside=True)
+    for idx, _, w in found:
+        residuals.extend(to_float(t.dist) for t in w.triples)
+        witnesses.append(w.to_jsonable() if idx < 25 else _witness_digest(w))
     subs.append(SubCheck(
-        "synthesis-at-bound", _claim_status(
-            any(f["proof"] for f in failures), p["sample_count"] - len(failures),
-            p["sample_count"]),
+        "synthesis-at-bound", status,
         note=_sampled("sampled surrogate for a statement over the whole space",
                       p["sample_count"]),
-        details={"sampled": p["sample_count"],
-                 "succeeded": p["sample_count"] - len(failures),
-                 "failures": failures}))
+        details={"sampled": p["sample_count"], "succeeded": len(found),
+                 "failures": [{"index": idx, **exc.diagnostics()}
+                              for idx, exc in failed]}))
 
-    # (c) forcing the quarter-tolerance search must fail or self-contradict
-    rng_forced = _rng(seed, "prop32-forced")
-    forced_results = []
-    bad_family = None
-    for idx in range(p["forced_sample_count"]):
-        y = _random_sparse(rng_forced, IndexSet.INTEGERS, -sb, sb, nb, mode)
+    # (c) forcing the quarter-tolerance search must fail or self-contradict:
+    # a found family settles its target when the checker contradicts it
+    def forced(y):
+        w = search_j_witness(T, e0, y, p["forced_tolerance"], schedule,
+                             p["forced_budget"], norm_tag=NormTag.PINF)
         try:
-            w = search_j_witness(T, e0, y, p["forced_tolerance"], schedule,
-                                 p["forced_budget"], norm_tag=NormTag.PINF)
-            family = [(t.perturbed, t.time) for t in w.triples]
-            try:
-                report = remark32_contradiction_check(T, y, family)
-                forced_results.append({"index": idx, "outcome": "contradicted",
-                                       "report": report.to_jsonable()})
-            except InputNotAWitnessFamily:
-                bad_family = {"index": idx,
-                              "outcome": "verified-non-contradictory family"}
-        except SearchFailed as exc:
-            forced_results.append({"index": idx, "outcome": "search-failed", **{
-                k: v for k, v in exc.diagnostics().items()
-                if k in ("reason", "budget_used", "best_residual", "proof")}})
+            return remark32_contradiction_check(
+                T, y, [(t.perturbed, t.time) for t in w.triples])
+        except InputNotAWitnessFamily as exc:
+            return exc  # a verified family with no contradiction
+
+    def contradicted(report):
+        return not isinstance(report, InputNotAWitnessFamily)
+
+    found, failed, proved, status = _claim(
+        targets("prop32-forced", p["forced_sample_count"]), forced, inside=False,
+        agrees=contradicted)
+    forced_results = sorted(
+        [{"index": idx, "outcome": "contradicted", "report": r.to_jsonable()}
+         for idx, _, r in found if contradicted(r)]
+        + [{"index": idx, "outcome": "search-failed", **{
+            k: v for k, v in exc.diagnostics().items()
+            if k in ("reason", "budget_used", "best_residual", "proof")}}
+           for idx, exc in failed], key=lambda r: r["index"])
+    bad_family = next(({"index": idx, "outcome": "verified-non-contradictory family"}
+                       for idx, _, r in reversed(found) if not contradicted(r)), None)
     # the checker's rejection path, exercised on a hand-built non-family
     w0 = SeqVector.zero(IndexSet.INTEGERS, mode)
     bogus = [(e0, n) for n in range(1, 4)]
@@ -285,10 +324,8 @@ def cert_prop32(p, seed, mode):
         checker_rejects = False
     except InputNotAWitnessFamily:
         checker_rejects = True
-    status = PASS if bad_family is None and checker_rejects else FAIL
-    proved = sum(r.get("proof") is not None for r in forced_results)
     subs.append(SubCheck(
-        "quarter-tolerance-obstruction", status,
+        "quarter-tolerance-obstruction", status if checker_rejects else FAIL,
         note=_sampled(f"{proved} of {p['forced_sample_count']} targets proved "
                       "outside J(e_0, T, d) by tail-bound; any other failure is "
                       "within budget, never non-membership", p["forced_sample_count"]),
@@ -330,46 +367,32 @@ def cert_prop36_contraction(p, seed, mode):
     x = SeqVector.basis(IndexSet.NATURALS, 1, mode=mode)
     schedule = EpsSchedule.reciprocal(p["schedule_length"])
     rng = _rng(seed, "prop36i-inside")
-    inside_failures = inside_proved = 0
-    witnessed = []
-    for _ in range(p["target_count"]):
-        y = _ball_target(rng, mode, d_f * inside_f * 0.995)
-        try:
-            w = search_j_witness(T, x, y, d_val, schedule, 10_000,
-                                 norm_tag=NormTag.P2)
-            witnessed.append(y)
-            witnesses.append(_witness_digest(w))
-        except SearchFailed as exc:
-            inside_failures += 1
-            inside_proved += exc.proof is not None
+    found, failed, _, status = _claim(
+        [_ball_target(rng, mode, d_f * inside_f * 0.995)
+         for _ in range(p["target_count"])],
+        lambda y: search_j_witness(T, x, y, d_val, schedule, 10_000, norm_tag=NormTag.P2),
+        inside=True)
+    witnessed = [y for _, y, _ in found]
+    witnesses.extend(_witness_digest(w) for _, _, w in found)
     subs.append(SubCheck(
-        "open-ball-witnessed", _claim_status(
-            inside_proved > 0, p["target_count"] - inside_failures, p["target_count"]),
+        "open-ball-witnessed", status,
         note=_sampled("finite surrogate of the open-ball inclusion", p["target_count"]),
-        details={"targets": p["target_count"], "failures": inside_failures}))
+        details={"targets": p["target_count"], "failures": len(failed)}))
 
     rng_out = _rng(seed, "prop36i-outside")
-    found_outside = []
-    reasons = []
-    proved = 0
-    for _ in range(p["outside_count"]):
-        y = _ball_target(rng_out, mode, 1.9 * d_f, min_norm=d_f * outside_f * 1.005)
-        try:
-            w = search_j_witness(T, x, y, d_val, schedule, p["outside_budget"],
-                                 norm_tag=NormTag.P2)
-            found_outside.append(to_float(norm(y, NormTag.P2)))
-        except SearchFailed as exc:
-            reasons.append(exc.reason)
-            proved += exc.proof is not None
+    found, failed, proved, status = _claim(
+        [_ball_target(rng_out, mode, 1.9 * d_f, min_norm=d_f * outside_f * 1.005)
+         for _ in range(p["outside_count"])],
+        lambda y: search_j_witness(T, x, y, d_val, schedule, p["outside_budget"],
+                                   norm_tag=NormTag.P2), inside=False)
     subs.append(SubCheck(
-        "closure-bound-respected",
-        _claim_status(bool(found_outside), proved, p["outside_count"]),
+        "closure-bound-respected", status,
         note=_sampled(f"{proved} of {p['outside_count']} targets outside the "
                       "closed ball proved outside J(e_1, T, d); any other failure "
                       "is within budget, never non-membership", p["outside_count"]),
         details={"targets": p["outside_count"], "proved": proved,
-                 "witnessed": found_outside,
-                 "failure_reasons": sorted(set(reasons))}))
+                 "witnessed": [to_float(norm(y, NormTag.P2)) for _, y, _ in found],
+                 "failure_reasons": sorted({exc.reason for _, exc in failed})}))
     cap = Fraction(101, 100) * Fraction(d_val)
     bound_ok = not any(norm_gt(y, NormTag.P2, cap) for y in witnessed)
     subs.append(SubCheck(
@@ -379,14 +402,6 @@ def cert_prop36_contraction(p, seed, mode):
                                             for y in witnessed), default=None)}))
     summary = {"witnessed": len(witnessed), "spectral_radius": r}
     return T, subs, witnesses, summary
-
-
-def _claim_status(refuted: bool, settled: int, targets: int) -> str:
-    """A sampled claim's status: FAIL when some target refutes it, PASS only
-    when every target settles it, else INDECISIVE.  A witness refutes a
-    target claimed outside J, and a failed search's proof one claimed
-    inside; a budget stop refutes nothing."""
-    return FAIL if refuted else PASS if settled == targets else INDECISIVE
 
 
 _BALL_SPAN = 5  # most entries of a _ball_target vector
@@ -431,37 +446,36 @@ def cert_prop36_expansion(p, seed, mode):
         return T, subs, witnesses, {}
     d_val = p["d"]
     zero = SeqVector.zero(IndexSet.INTEGERS, mode)
-    rng = _rng(seed, "prop36ii-zero")
-    zero_failures = []
-    exact_hits = zero_proved = 0
-    for idx in range(p["target_count"]):
-        y = _random_sparse(rng, IndexSet.INTEGERS, -10, 10, 10.0, mode)
+    lw = math.log(to_float(w_abs))  # inf past double range: start at n0 = 1
+
+    def mix(y):
         # start where every coordinate back-solves in full, so the
         # residual is exactly zero rather than parked under the bound
         y_sup = to_float(norm(y, NormTag.PINF))
-        lw = math.log(to_float(w_abs))  # inf past double range: start at n0 = 1
         n0 = 1
         for i in range(p["mix_length"]):
             need = math.log(y_sup * (i + 1) / 0.9) / lw - i
             n0 = max(n0, math.ceil(need) + 1)
-        try:
-            w = jmix_witness(T, zero, y, d_val, p["mix_length"], n0,
-                             p["mix_budget"], norm_tag=NormTag.PINF)
-            if all(t.dist == 0 for t in w.triples):
-                exact_hits += 1
-            witnesses.append(w.to_jsonable() if idx < 25 else _witness_digest(w))
-        except SearchFailed as exc:
-            zero_failures.append({"index": idx, "reason": exc.reason})
-            zero_proved += exc.proof is not None
-    # a witness whose residual is not exactly 0 refutes the claim too
-    inexact = p["target_count"] - len(zero_failures) - exact_hits
+        return jmix_witness(T, zero, y, d_val, p["mix_length"], n0,
+                            p["mix_budget"], norm_tag=NormTag.PINF)
+
+    def exact(w):  # a witness whose residual is not exactly 0 refutes the claim
+        return all(t.dist == 0 for t in w.triples)
+
+    rng = _rng(seed, "prop36ii-zero")
+    found, failed, _, status = _claim(
+        [_random_sparse(rng, IndexSet.INTEGERS, -10, 10, 10.0, mode)
+         for _ in range(p["target_count"])], mix, inside=True, agrees=exact)
+    exact_hits = sum(exact(w) for _, _, w in found)
+    witnesses.extend(w.to_jsonable() if idx < 25 else _witness_digest(w)
+                     for idx, _, w in found)
     subs.append(SubCheck(
-        "mix-from-zero-exact",
-        _claim_status(zero_proved + inexact > 0, exact_hits, p["target_count"]),
+        "mix-from-zero-exact", status,
         note=_sampled("back-solved perturbations give residual exactly 0",
                       p["target_count"]),
         details={"targets": p["target_count"], "exact_hits": exact_hits,
-                 "failures": zero_failures}))
+                 "failures": [{"index": idx, "reason": exc.reason}
+                              for idx, exc in failed]}))
 
     x = SeqVector.basis(IndexSet.INTEGERS, 1, mode=mode)
     rng2 = _rng(seed, "prop36ii-nonzero")
@@ -469,20 +483,17 @@ def cert_prop36_expansion(p, seed, mode):
                for _ in range(3)]
     schedule = EpsSchedule.reciprocal(p["mix_length"])
     # a proof settles its target at every budget, so one search each
-    results = []
-    for y in targets:
-        try:
-            search_j_witness(T, x, y, d_val, schedule, p["nonzero_budget"],
-                             norm_tag=NormTag.PINF,
-                             stagnation_window=p["stagnation_window"])
-            results.append({"outcome": "witness-found"})
-        except SearchFailed as exc:
-            results.append({"outcome": "failed", "reason": exc.reason,
-                            "budget_used": exc.budget_used, "proof": exc.proof})
-    proved = sum(r.get("proof") is not None for r in results)
-    witnessed = any(r["outcome"] == "witness-found" for r in results)
+    _, failed, proved, status = _claim(
+        targets, lambda y: search_j_witness(T, x, y, d_val, schedule, p["nonzero_budget"],
+                                            norm_tag=NormTag.PINF,
+                                            stagnation_window=p["stagnation_window"]),
+        inside=False)
+    results = [{"outcome": "witness-found"} for _ in targets]
+    for idx, exc in failed:
+        results[idx] = {"outcome": "failed", "reason": exc.reason,
+                        "budget_used": exc.budget_used, "proof": exc.proof}
     subs.append(SubCheck(
-        "no-certificate-from-nonzero", _claim_status(witnessed, proved, len(targets)),
+        "no-certificate-from-nonzero", status,
         note=(f"{proved} of {len(targets)} targets proved outside J(e_1, T, d) "
               "by a structural stop; any other failure is within budget, "
               "never non-membership"),
@@ -540,32 +551,23 @@ def cert_riesz_blocks(p, seed, mode):
     rng = _rng(seed, "riesz-targets")
     blo, bhi = p["band_b_window"]
     a_cap = _double(p, "d") * _double(p, "band_a_scale")
-    decomposed = decompose_proved = 0
-    decompose_failures = []
-    a_norms = []
-    for idx in range(p["sample_count"]):
-        y_a = _random_sparse(rng, IndexSet.INTEGERS, 0, 6, a_cap * 0.9, mode,
-                             max_entries=3)
-        y_b = _random_sparse(rng, IndexSet.INTEGERS, blo, bhi, 10.0, mode,
-                             max_entries=4)
-        y = y_a + y_b
-        try:
-            dw = d_witness(T, x, y, d_val, p["orbit_horizon"], schedule,
-                           p["search_budget"], norm_tag=NormTag.PINF)
-            decomposed += 1
-            a_norms.append(norm(y_a, NormTag.PINF))
-            if idx < 10:
-                witnesses.append(dw.to_jsonable())
-        except SearchFailed as exc:
-            decompose_failures.append({"index": idx, "error": str(exc)})
-            decompose_proved += exc.proof is not None
+    # each target is a pair (y_a, y_b) of band components, searched as y_a + y_b
+    found, failed, _, status = _claim(
+        [(_random_sparse(rng, IndexSet.INTEGERS, 0, 6, a_cap * 0.9, mode, max_entries=3),
+          _random_sparse(rng, IndexSet.INTEGERS, blo, bhi, 10.0, mode, max_entries=4))
+         for _ in range(p["sample_count"])],
+        lambda ab: d_witness(T, x, ab[0] + ab[1], d_val, p["orbit_horizon"], schedule,
+                             p["search_budget"], norm_tag=NormTag.PINF), inside=True)
+    decomposed = len(found)
+    a_norms = [norm(y_a, NormTag.PINF) for _, (y_a, _), _ in found]
+    witnesses.extend(dw.to_jsonable() for idx, _, dw in found if idx < 10)
     subs.append(SubCheck(
-        "witness-band-decomposition",
-        _claim_status(decompose_proved > 0, decomposed, p["sample_count"]),
+        "witness-band-decomposition", status,
         note=_sampled("each certificate splits into valid per-band certificates",
                       p["sample_count"]),
         details={"targets": p["sample_count"], "decomposed": decomposed,
-                 "failures": decompose_failures[:10]}))
+                 "failures": [{"index": idx, "error": str(exc)}
+                              for idx, exc in failed[:10]]}))
 
     bound = max(norm(v, NormTag.PINF) for v in iterate(T1, x1, 63)) \
         + real_value(d_val, mode)
@@ -693,17 +695,14 @@ def cert_prop21(p, seed, mode):
     d_val = p["d"]
     noise_bound = _double(p, "d") * _double(p, "noise_scale") * 0.9
     rng = _rng(seed, "prop21-targets")
-    found = []
-    for _ in range(p["sample_count"]):
-        noise = _random_sparse(rng, IndexSet.NATURALS, 0, 7, noise_bound, mode,
-                               max_entries=3)
-        z = y_star + noise
-        w = coarse_orbit_contains(T, x, d_val, z, p["count_ladder"][0],
-                                  NormTag.PINF)
-        if w is not None:
-            found.append(w)
+    witnessed, _, _, status = _claim(
+        [y_star + _random_sparse(rng, IndexSet.NATURALS, 0, 7, noise_bound, mode,
+                                 max_entries=3) for _ in range(p["sample_count"])],
+        lambda z: coarse_orbit_contains(T, x, d_val, z, p["count_ladder"][0], NormTag.PINF),
+        inside=True)
+    found = [w for _, _, w in witnessed]
     subs.append(SubCheck(
-        "sampled-targets-witnessed", _claim_status(False, len(found), p["sample_count"]),
+        "sampled-targets-witnessed", status,
         note=_sampled("perturbed copies of the planted target are coarsely reached",
                       p["sample_count"]),
         details={"sampled": p["sample_count"], "first_times": [w.time for w in found]}))

@@ -1,4 +1,4 @@
-"""Orbit traces, coarse-orbit membership, and coarse density on cones.
+"""Orbit traces and coarse-orbit membership.
 
 Everything here is horizon-bounded: absence of a witness up to K is
 reported as exactly that, never as non-membership.  Every coarse witness
@@ -15,10 +15,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import OrbitscopeError, VerificationFailed
-from .numeric import TOL_EQ, FieldsJSON, Mode, jsonable, positive_value, real_value, to_float
+from .numeric import TOL_EQ, Mode, jsonable, positive_value, real_value, to_float
 from .operators import ShiftOperator, apply_power, iterate, meetings
-from .spaces import NormTag, OpenCone, SeqVector, common_mode, cone_sample, dist_and_lt, dist_lt, \
-    norm, norm_lt
+from .spaces import NormTag, SeqVector, common_mode, dist_and_lt, dist_lt, norm, norm_lt
 
 
 @dataclass(frozen=True)
@@ -146,54 +145,6 @@ def coarse_orbit_contains(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
         elif v.is_zero:
             break
     return None
-
-
-@dataclass(frozen=True)
-class CoarseDensityReport(FieldsJSON):
-    """Sampled version of C ⊂ O(x,T,d): PASS means no failed sample."""
-
-    verdict: str
-    hit_ratio: float
-    sample_count: int
-    horizon: int
-    bound: object
-    seed: int
-    max_first_time: int | None
-    witnesses: tuple[CoarseWitness, ...]
-    failures: tuple[SeqVector, ...]
-    warning: str = ""
-
-
-def coarse_density_report(T: ShiftOperator, x: SeqVector, d, C: OpenCone,
-                          sample_count: int, K: int, seed: int) -> CoarseDensityReport:
-    """Check sampled cone members for coarse-orbit witnesses up to horizon K."""
-    d = positive_value(d, C.mode, "d")
-    samples = cone_sample(C, sample_count, seed)
-    witnesses = []
-    failures = []
-    for y in samples:
-        w = coarse_orbit_contains(T, x, d, y, K, C.norm)
-        if w is None:
-            failures.append(y)
-        else:
-            witnesses.append(w)
-    hits = len(witnesses)
-    warning = ""
-    if sample_count == 0:
-        warning = "empty sample: PASS is vacuous"
-    verdict = "PASS" if not failures else "FAIL"
-    return CoarseDensityReport(
-        verdict=verdict,
-        hit_ratio=hits / sample_count if sample_count else 1.0,
-        sample_count=sample_count,
-        horizon=K,
-        bound=d,
-        seed=seed,
-        max_first_time=max((w.time for w in witnesses), default=None),
-        witnesses=tuple(witnesses),
-        failures=tuple(failures),
-        warning=warning,
-    )
 
 
 def rescale_coarse_witness(T: ShiftOperator, w: CoarseWitness, M) -> CoarseWitness:

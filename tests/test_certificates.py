@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -406,6 +407,63 @@ class TestExactDecisions:
         statuses = {s.name: s.status for s in cert_prop22().sub_checks}
         assert statuses[f"{name}-exact"] == status
         assert statuses[f"{name}-float"] == "PASS"
+
+
+def _stop(reason, proof=None):
+    """A failed search, stopped for reason, with or without a proof."""
+    return SearchFailed(f"stub {reason}", reason=reason, triple_index=0,
+                        best_residual=math.inf, best_delta_norm=math.inf, attempts=1,
+                        budget_used=1, k_last=1, proof=proof)
+
+
+# what a stub builder returns or raises for a target named by its outcome
+OUTCOMES = {"witness": "w", "proof": _stop("tail-bound", {"k0": 1}),
+            "budget": _stop("budget"), "none": None}
+
+
+def _stub_build(outcome):
+    result = OUTCOMES[outcome]
+    if isinstance(result, SearchFailed):
+        raise result
+    return result
+
+
+CLAIM_CASES = [
+    ("witness", None, True, "PASS", 0),
+    ("witness", None, False, "FAIL", 0),
+    ("witness", True, True, "PASS", 0),
+    ("witness", True, False, "PASS", 0),
+    ("witness", False, True, "FAIL", 0),
+    ("witness", False, False, "FAIL", 0),
+    ("proof", None, True, "FAIL", 1),
+    ("proof", None, False, "PASS", 1),
+    ("budget", None, True, "INDECISIVE", 0),
+    ("budget", None, False, "INDECISIVE", 0),
+    ("none", None, True, "INDECISIVE", 0),
+    ("none", None, False, "INDECISIVE", 0),
+    (None, None, True, "PASS", 0),
+    (None, None, False, "PASS", 0),
+]
+
+
+@pytest.mark.parametrize("outcome, agrees, inside, status, proofs", CLAIM_CASES, ids=[
+    f"{outcome or 'no-target'}{'' if agrees is None else '-agreeing' if agrees else '-disagreeing'}"
+    f"-{'inside' if inside else 'outside'}" for outcome, agrees, inside, _, _ in CLAIM_CASES])
+def test_one_rule_for_every_sampled_claim(outcome, agrees, inside, status, proofs):
+    # a witness settles a claim inside J and refutes one outside, unless
+    # agrees judges it (a residual not exactly 0 refutes, a contradicted
+    # prop32 family settles); a proof settles a claim outside J and refutes
+    # one inside; a budget stop or None settles nothing; no target (outcome
+    # None) is a vacuous PASS
+    targets = [] if outcome is None else [outcome]
+    found, failed, proved, got = certificates._claim(
+        targets, _stub_build, inside,
+        agrees=None if agrees is None else lambda w: agrees)
+    assert (got, proved) == (status, proofs)
+    assert found == ([(0, "witness", "w")] if outcome == "witness" else [])
+    assert [(idx, exc.reason) for idx, exc in failed] == \
+        ([(0, OUTCOMES[outcome].reason)] if outcome in ("proof", "budget") else [])
+    assert ("vacuous" in certificates._sampled("note", len(targets))) == (not targets)
 
 
 class TestParameters:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -594,6 +595,10 @@ def test_parameter_sweep_never_crashes(capsys, tmp_path, name, key, value, mode)
         assert all("vacuous" in notes[n] for n in VACUOUS[name, key])
 
 
+# prop32 with its forced quarter-tolerance searches given no budget
+FORCED_BUDGET_0 = {"forced_budget": 0, "sample_count": 2}
+
+
 class TestSearchFailures:
     """A sampled claim's failed searches: a budget stop refutes nothing and
     reads INDECISIVE; a failure that carries a proof reads FAIL."""
@@ -620,6 +625,26 @@ class TestSearchFailures:
         statuses = {s["name"]: s["status"] for s in report["sub_checks"]}
         assert statuses["sampled-targets-witnessed"] == "INDECISIVE"
         assert "FAIL" not in statuses.values()
+
+    def test_a_forced_budget_stop_is_indecisive(self, capsys, tmp_path):
+        # 45 of the 50 forced quarter-tolerance searches stop on their budget
+        # and 5 are proved outside J: it exited 0 with the sub-check PASS
+        code, _, report = certify_with(capsys, tmp_path, "prop32", FORCED_BUDGET_0)
+        assert code == 4
+        statuses = {s["name"]: s["status"] for s in report["sub_checks"]}
+        assert statuses["quarter-tolerance-obstruction"] == "INDECISIVE"
+        assert "FAIL" not in statuses.values()
+        assert report["sub_checks"][2]["note"].startswith("5 of 50 targets proved")
+
+    def test_a_checker_that_accepts_a_bogus_family_fails(self, capsys, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr(certificates, "remark32_contradiction_check",
+                            lambda *args, **kwargs: SimpleNamespace(to_jsonable=dict))
+        code, _, report = certify_with(capsys, tmp_path, "prop32", FORCED_BUDGET_0)
+        assert code == 5
+        sub = report["sub_checks"][2]
+        assert sub["name"] == "quarter-tolerance-obstruction" and sub["status"] == "FAIL"
+        assert sub["details"]["checker_rejects_bogus_family"] is False
 
     @pytest.mark.parametrize("name, search, refuted", [
         ("prop32", "search_j_witness", ["synthesis-at-bound"]),

@@ -10,7 +10,6 @@ from orbitscope import (
     Constant,
     IndexSet,
     NormTag,
-    OpenCone,
     Periodic,
     SeqVector,
     Shape,
@@ -18,9 +17,7 @@ from orbitscope import (
     Table,
     apply,
     apply_power,
-    coarse_density_report,
     coarse_orbit_contains,
-    cone_sample,
     make_coarse_witness,
     norm,
     orbit,
@@ -408,47 +405,6 @@ def synth_orbit_instance(targets, times):
             entries[n_s + j] = val * SeqVector.basis(
                 IndexSet.NATURALS, 0, Fraction(1, 2 ** n_s)).entry(0)
     return SeqVector(IndexSet.NATURALS, entries)
-
-
-class TestCoarseDensity:
-    def test_dense_on_cone_by_back_solving(self):
-        # sample the cone first, then build the base point that visits
-        # every sample; the report must then witness all of them
-        C = OpenCone(en(1, 2) + en(3, 1), Fraction(1, 2), NormTag.PINF)
-        samples = cone_sample(C, 6, seed=17)
-        times = [20 + 15 * i for i in range(6)]
-        x = synth_orbit_instance(samples, times)
-        T = doubling()
-        for y, n_s in zip(samples, times):
-            diff = apply_power(T, n_s, x) - y
-            assert norm(diff, NormTag.PINF) < Fraction(1, 10)
-        report = coarse_density_report(T, x, Fraction(1, 2), C, 6, 120, seed=17)
-        assert report.verdict == "PASS"
-        assert report.hit_ratio == 1.0
-        assert report.max_first_time <= 95
-
-    def test_ratio_zero_far_from_orbit(self):
-        C = OpenCone(ei(0, 5), Fraction(1, 2), NormTag.PINF)
-        report = coarse_density_report(prop32_operator(), ei(0), Fraction(1, 2),
-                                       C, 5, 50, seed=3)
-        assert report.verdict == "FAIL"
-        assert report.hit_ratio == 0.0
-
-    def test_positive_d_below_double_range(self):
-        C = OpenCone(ei(0, 5), Fraction(1, 2), NormTag.PINF)
-        report = coarse_density_report(prop32_operator(), ei(0), TINY, C, 2, 10, seed=3)
-        assert (report.verdict, report.bound) == ("FAIL", TINY)
-        C = OpenCone(ei(0, 5, Mode.FLOAT64), Fraction(1, 2), NormTag.PINF)
-        with pytest.raises(OrbitscopeError, match="d must be positive"):
-            coarse_density_report(prop32_operator(), ei(0, mode=Mode.FLOAT64), TINY, C,
-                                  2, 10, seed=3)
-
-    def test_empty_sample_vacuous_pass(self):
-        C = OpenCone(ei(0, 5), Fraction(1, 2), NormTag.PINF)
-        report = coarse_density_report(prop32_operator(), ei(0), 1, C, 0, 10,
-                                       seed=0)
-        assert report.verdict == "PASS"
-        assert report.warning
 
 
 class TestRescale:

@@ -1,8 +1,8 @@
 """JSON forms and search diagnostics pinned to literal values.
 
 Seed-0 bundles never carry some of these (a ContradictionReport, a
-CoarseDensityReport, a FamilyRescaleResult), so the
-bundle digests cannot guard them; these literals do.
+FamilyRescaleResult), so the bundle digests cannot guard them; these
+literals do.
 """
 
 from fractions import Fraction
@@ -33,7 +33,6 @@ from orbitscope.certificates import SubCheck
 from orbitscope.errors import SearchFailed
 from orbitscope.limit_sets import JWitnessTriple
 from orbitscope.numeric import QC, Mode, make_scalar, real_value
-from orbitscope.orbits import CoarseDensityReport
 
 def ei(i, c, mode):
     return SeqVector.basis(IndexSet.INTEGERS, i, make_scalar(c, mode), mode)
@@ -97,13 +96,6 @@ def contradiction(mode):
     return derive_remark32_bounds(w, family)
 
 
-def density_report(mode):
-    hit = make_coarse_witness(prop32_operator(), ei(0, 1, mode), 1,
-                              ei(-2, Fraction(3, 2), mode), 2, NormTag.PINF)
-    return CoarseDensityReport("FAIL", 0.5, 2, 4, real_value(2, mode), 3, 2,
-                               (hit,), (ei(5, -1, mode),), warning="pinned")
-
-
 BUILDERS = {
     "SubCheck": sub_check,
     "JWitnessTriple": triple,
@@ -112,7 +104,6 @@ BUILDERS = {
     "FamilyRescaleResult": family_rescale,
     "AmplifiedPoint": amplified_point,
     "ContradictionReport": contradiction,
-    "CoarseDensityReport": density_report,
 }
 
 EXPECTED = {
@@ -339,50 +330,6 @@ EXPECTED = {
         "w_value": [0.75, 0.0],
         "bound_near_one_holds": True,
         "bound_near_zero_holds": False,
-    },
-    ("CoarseDensityReport", "exact"): {
-        "verdict": "FAIL",
-        "hit_ratio": 0.5,
-        "sample_count": 2,
-        "horizon": 4,
-        "bound": "2",
-        "seed": 3,
-        "max_first_time": 2,
-        "witnesses": [
-            {
-                "time": 2,
-                "achieved_distance": "1/2",
-                "target": {"index_set": "Z", "entries": [[-2, "3/2", "0"]]},
-                "base": {"index_set": "Z", "entries": [[0, "1", "0"]]},
-                "bound": "1",
-                "norm": "pinf",
-                "operator": "paper-prop32",
-            },
-        ],
-        "failures": [{"index_set": "Z", "entries": [[5, "-1", "0"]]}],
-        "warning": "pinned",
-    },
-    ("CoarseDensityReport", "float"): {
-        "verdict": "FAIL",
-        "hit_ratio": 0.5,
-        "sample_count": 2,
-        "horizon": 4,
-        "bound": 2.0,
-        "seed": 3,
-        "max_first_time": 2,
-        "witnesses": [
-            {
-                "time": 2,
-                "achieved_distance": 0.5,
-                "target": {"index_set": "Z", "entries": [[-2, 1.5, 0.0]]},
-                "base": {"index_set": "Z", "entries": [[0, 1.0, 0.0]]},
-                "bound": 1.0,
-                "norm": "pinf",
-                "operator": "paper-prop32",
-            },
-        ],
-        "failures": [{"index_set": "Z", "entries": [[5, -1.0, 0.0]]}],
-        "warning": "pinned",
     },
 }
 
