@@ -44,7 +44,7 @@ from .errors import (
 )
 from .numeric import FieldsJSON, Mode, QC, abs2, jsonable, log2_abs, make_scalar, \
     positive_value, ratio_float, real_value, scalar_zero, sqrt_bounds, strict_gt, to_float
-from .operators import ShiftOperator, _lane, _lane_into, _lanes, apply_power
+from .operators import ShiftOperator, _lane_into, _lanes, apply_power
 from .orbits import CoarseWitness, coarse_orbit_contains
 from .spaces import IndexSet, NormTag, SeqVector, common_mode, dist, dist_and_lt, dist_lt
 
@@ -258,38 +258,43 @@ class _Attempt:
 
 class _SearchLog:
     """One J search call: its T, x, y, bound d, norm, mode, budget and
-    structural stops, the lanes of x, its row table, and its attempts with
-    the best residual and delta norm over failed ones since the last
-    reset_best; builds its SearchFailed.
+    structural stops, the lanes of x, T's weights, its row table, and its
+    attempts with the best residual and delta norm over failed ones since
+    the last reset_best; builds its SearchFailed.
+
+    Before any stop or attempt it checks y against x as x - y does and
+    lists x's lanes as apply_power does, so an input outside T's domain
+    raises IndexSetMismatch or ModeMismatch and gets no proof.
 
     ``table(k)`` maps each row j of supp y and T^k(supp x) to (s, W, lane,
     x_s): the source s of the path into j at time k and the path's exact
     product W (None and 0 when no source reaches j), and, on a row x lands
     on, x's lane and entry, so that T^k x has lane.entry(k, x_s, W) there
-    (None and None elsewhere).  x's lanes are listed once, at the first
-    call; each call raises IndexSetMismatch while they cannot be.  The
-    rows of supp y are kept from call to call: at k + 1 each source moves
-    one index away from j and W takes its weight, reduced, so a row stays
-    the source and product of the lane into j exactly, and a source that
-    leaves its band, an interval, never returns; at any other time they
-    are formed afresh.  A row that x lands on and y holds takes y's W, so
-    no product is formed twice."""
+    (None and None elsewhere).  The rows of supp y are kept from call to
+    call: at k + 1 each source moves one index away from j and W takes its
+    weight, reduced, so a row stays the source and product of the lane
+    into j exactly, and a source that leaves its band, an interval, never
+    returns; at any other time they are formed afresh.  A row that x lands
+    on and y holds takes y's W, so no product is formed twice."""
 
     def __init__(self, T: ShiftOperator, x: SeqVector, y: SeqVector, d,
                  eps_last: Fraction, budget: int, norm_tag: NormTag):
+        x._check(y)
+        self.lanes = list(_lanes(T, x))
         self.T, self.x, self.y, self.norm_tag = T, x, y, norm_tag
         self.mode = common_mode(x, y)
         self.d_val = positive_value(d, self.mode, "d")
         self.budget = Budget(budget)
-        self.stops = _StructuralStops(T, x, y, self.d_val, eps_last, norm_tag)
+        self.weights = [(rule, w) for _, rule, _ in T.components()
+                        for w in rule.weight_values()]
         # real exact vectors and weights in the sup norm: decided in integers
         self.real_sup = norm_tag is NormTag.PINF and x.mode is y.mode is Mode.EXACT \
-            and x.index_set is y.index_set is T.index_set \
             and not any(v._b for v in (*x._entries.values(), *y._entries.values())) \
-            and not any(w._b for _, rule, _ in T.components() for w in rule.weight_values())
+            and not any(w._b for _, w in self.weights)
+        self.stops = _StructuralStops(self, eps_last)
         # j -> (s, W, (step, weight_at, contains) of the lane into j) for
         # each row of supp y, at time k
-        self.lanes, self.k, self.y_rows = None, None, dict.fromkeys(y._entries)
+        self.k, self.y_rows = None, dict.fromkeys(y._entries)
         self.attempts = 0
         self.k_last = 0
         self.reset_best()
@@ -298,8 +303,6 @@ class _SearchLog:
         self.best_res = self.best_delta = math.inf
 
     def table(self, k: int) -> dict:
-        if self.lanes is None:
-            self.lanes = list(_lanes(self.T, self.x))
         y_rows = self.y_rows
         if k - 1 != self.k:
             for j in y_rows:
@@ -582,7 +585,8 @@ def _first_power_at_most(b: Fraction, r: Fraction) -> int | None:
 
 
 class _StructuralStops:
-    """Exact proofs that y is not in J(x, T, d), for one search.
+    """Exact proofs that y is not in J(x, T, d), for one search, built
+    from it: its lanes of x and its one scan of T's weights.
 
     Each is decided in Fractions with eps the schedule's smallest radius:
     a certificate needs that radius at a time after every earlier triple,
@@ -610,16 +614,14 @@ class _StructuralStops:
       p1 and p2 balls lie inside the sup balls).
     """
 
-    def __init__(self, T: ShiftOperator, x: SeqVector, y: SeqVector, d_val,
-                 eps_last: Fraction, norm_tag: NormTag):
-        self.T = T
+    def __init__(self, search: _SearchLog, eps_last: Fraction):
+        x, y, norm_tag = search.x, search.y, search.norm_tag
         self.eps = eps = eps_last
-        self.d = d = Fraction(d_val)
+        self.d = d = Fraction(search.d_val)
         self.eps2, self.d2 = eps * eps, d * d
         self.y_span = (y.support_min, y.support_max)
-        weights = [w.abs2() for _, rule, _ in T.components()
-                   for w in rule.weight_values()]
-        s2, i2 = max(weights), min(weights)
+        squares = [(rule, w.abs2()) for rule, w in search.weights]
+        s2, i2 = max(a for _, a in squares), min(a for _, a in squares)
         # (reason, k0, proof) for each stop that holds from some k0 on
         self.proved = []
         if s2 < 1:
@@ -629,7 +631,7 @@ class _StructuralStops:
                     s2, ((y_lo - d) / (x_hi + eps)) ** 2),
                     f"S^k*(||x|| + eps) <= ||y|| - d with S^2 = {s2}, "
                     f"||x|| <= {x_hi}, ||y|| >= {y_lo}, d = {d}")
-        if i2 > 1 and not T.annihilates:
+        if i2 > 1 and not search.T.annihilates:
             x_lo, y_hi = _norm_bounds(x, norm_tag)[0], _norm_bounds(y, norm_tag)[1]
             if x_lo > eps:
                 self._record("collapse-bound", _first_power_at_most(
@@ -638,11 +640,10 @@ class _StructuralStops:
                     f"||x|| >= {x_lo}, ||y|| <= {y_hi}, d = {d}")
         # (lane, |x_s|^2) for each source s on a shift lane with no band end
         # ahead that may carry a tail proof; one with |x_s| <= eps never does
+        shrinking = {id(rule) for rule, a in squares if a < 1}
         self.tails = []
-        for s, v in x.items():
-            lane = _lane(T, s)
-            if lane is None or not lane.step or lane.life != math.inf \
-                    or any(w.abs2() < 1 for w in lane.rule.weight_values()):
+        for lane, v in search.lanes:
+            if not lane.step or lane.life != math.inf or id(lane.rule) in shrinking:
                 continue
             a = _exact_abs2(v)
             if a > self.eps2:

@@ -380,7 +380,7 @@ class _Lane:
     """One source s and the component (kind, rule, band) it runs in: T^n
     sends e_s to product(n) e_{s + step n} up to life, the last time s is
     in its band (math.inf for a diagonal or with no band end ahead), and
-    to 0 after.  Built by ``_lanes``, ``_lane`` and ``_lane_into`` only."""
+    to 0 after.  Built by ``_lanes`` and ``_lane_into`` only."""
 
     __slots__ = ("s", "rule", "band", "step", "life")
 
@@ -447,12 +447,6 @@ def _lanes(T: ShiftOperator, v: SeqVector):
         yield _Lane(s, comp), val
 
 
-def _lane(T: ShiftOperator, s: int) -> _Lane | None:
-    """The lane of the source s, None when s lies in no band."""
-    comp = T.component_for(s)
-    return None if comp is None else _Lane(s, comp)
-
-
 def _lane_into(T: ShiftOperator, j: int, n: int) -> _Lane | None:
     """The lane whose source sits on row j at time n, run in j's component;
     None when no source does."""
@@ -507,36 +501,35 @@ def iterate(T: ShiftOperator, v: SeqVector, K: int):
     mode each rule's weights are rounded once per scan.  Once no source is
     left, every remaining point is one shared zero vector, built with no
     step.
-    Errors are apply's, raised at the step that meets them:
-    IndexSetMismatch on the first, NumericOverflow past double range in
-    float mode, where an entry that underflows to zero is dropped.
+    Every lane is listed before the first point, so v outside T's domain
+    raises IndexSetMismatch before the first point, at every K, as
+    apply_power does at every n; NumericOverflow past double range in float mode is raised at the step
+    that meets it, where an entry that underflows to zero is dropped.
     """
+    lanes = list(_lanes(T, v))
     if K < 0:
         return
     yield v
     if not K:
         return
     index_set, mode, exact = v.index_set, v.mode, v.mode is Mode.EXACT
-    rows, missing, cache = [], None, {}  # id(rule) -> _step_weights(rule, exact)
-    try:
-        for lane, val in _lanes(T, v):
-            if not lane.life:
-                continue
-            rule = lane.rule
-            weights = cache.get(id(rule))
-            if weights is None:
-                weights = cache[id(rule)] = _step_weights(rule, exact)
-            if not lane.step:  # a diagonal lane keeps its one weight, looked up here
-                weights = weights[rule._index_at(lane.s)]
-            # the steps the lane takes in this scan, an int, so no step
-            # compares n with an infinite life
-            life = K if lane.life > K else lane.life
-            head = (lane.s, lane.step, rule._index_at, weights, life)
-            rows.append((*head, val._a, val._b, val._d) if exact else (*head, val))
-    except IndexSetMismatch as exc:  # raised at the first step, after the sources below
-        missing = exc
+    rows, cache = [], {}  # id(rule) -> _step_weights(rule, exact)
+    for lane, val in lanes:
+        if not lane.life:
+            continue
+        rule = lane.rule
+        weights = cache.get(id(rule))
+        if weights is None:
+            weights = cache[id(rule)] = _step_weights(rule, exact)
+        if not lane.step:  # a diagonal lane keeps its one weight, looked up here
+            weights = weights[rule._index_at(lane.s)]
+        # the steps the lane takes in this scan, an int, so no step
+        # compares n with an infinite life
+        life = K if lane.life > K else lane.life
+        head = (lane.s, lane.step, rule._index_at, weights, life)
+        rows.append((*head, val._a, val._b, val._d) if exact else (*head, val))
     n = 0
-    while (rows or missing) and n < K:
+    while rows and n < K:
         entries, live = {}, []
         n += 1
         if exact:
@@ -566,8 +559,6 @@ def iterate(T: ShiftOperator, v: SeqVector, K: int):
                 entries[t] = val
                 if n < life:
                     live.append((t, step, index_at, weights, life, val))
-        if missing:
-            raise missing
         rows = live
         yield SeqVector._trusted(index_set, entries, mode)
     zero = SeqVector._trusted(index_set, {}, mode)
@@ -581,13 +572,11 @@ def meetings(T: ShiftOperator, v: SeqVector, rows, K: int):
     products.
 
     Each source's lane meets row j at most once (``_Lane.meets``), so the
-    times are listed from positions alone, in O(|supp v| |rows|).  None
-    when they cannot be: v and T on different index sets, a source in no
-    band, or a diagonal source on a row (it is there at every n)."""
-    try:
-        lanes = list(_lanes(T, v))
-    except IndexSetMismatch:
-        return None
+    times are listed from positions alone, in O(|supp v| |rows|).  Every
+    lane is listed first, so v outside T's domain raises IndexSetMismatch,
+    as apply_power does, before any time is listed.  None when the times
+    cannot be listed: a diagonal source on a row (it is there at every n)."""
+    lanes = list(_lanes(T, v))
     times = set()
     for lane, _ in lanes:
         if not lane.step and lane.s in rows:

@@ -31,6 +31,20 @@ def reference_target(T, s):
     return (t if band.contains(t) else None), weights
 
 
+def outside_domain(T, v):
+    """Independent oracle: does v leave T's domain?  It does when v and T
+    lie over different index sets, or when reference_target finds some
+    source of v in no band."""
+    if v.index_set is not T.index_set:
+        return True
+    try:
+        for s in v.support:
+            reference_target(T, s)
+    except IndexSetMismatch:
+        return True
+    return False
+
+
 def reference_path_source(T, j, n):
     """Independent oracle for the source whose mass lands at j after n
     steps, None when no source does: each candidate j + n, j - n and j is

@@ -42,6 +42,19 @@ class TestOrbit:
         assert code == 0
         assert len(out.strip().splitlines()) == 2
 
+    def test_zero_horizon_refuses_a_source_in_no_band(self, capsys, tmp_path):
+        # e_7 lies in no band: the one-row trace of x was printed, exit 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"operator": {
+            "shape": "block_direct_sum", "index_set": "Z", "blocks": [
+                {"band": [0, 4], "kind": "backward",
+                 "weights": {"kind": "constant", "value": "2"}}]}}))
+        x = '{"index_set": "Z", "entries": [[1, "1", "0"], [7, "1", "0"]]}'
+        code, out, err = run(capsys, "--config", str(config), "orbit", "--x", x,
+                             "--horizon", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: vector support index 7 lies in no band\n"
+
     @pytest.mark.parametrize("mode, vector", [
         ("exact", '{"index_set": "Z"'),
         ("exact", '{"index_set": "Z", "entries": [[0, "abc", "0"]]}'),
@@ -125,6 +138,14 @@ class TestWitness:
         assert diagnostics["reason"] == "tail-bound"
         assert diagnostics["best_residual"] is None
         assert diagnostics["best_delta_norm"] is None
+
+    def test_y_over_the_other_index_set_is_refused(self, capsys):
+        # the search printed a tail-bound proof at coordinate -1 and exited 3
+        y = '{"index_set": "N", "entries": [[0, "100", "0"]]}'
+        code, out, err = run(capsys, "witness", "--kind", "j", "--x", E0, "--y", y,
+                             "--d", "1/4")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot combine vectors over N and Z\n"
 
     def test_j_not_found_under_halving_shift(self, capsys, tmp_path):
         # a halving shift pulls every image of the unit ball around 0 to 0,

@@ -48,7 +48,6 @@ from orbitscope.limit_sets import (
     Budget,
     _Attempt,
     _SearchLog,
-    _StructuralStops,
     _greedy_attempt,
     _real_sup_attempt,
     reaching_scale,
@@ -65,8 +64,8 @@ from orbitscope.operators import (
 )
 from orbitscope.spaces import dist_and_lt
 
-from conftest import nfold_apply, random_shift, random_vector, reference_path_source, \
-    shift_operators, sup_projection_feasible, vector_for
+from conftest import nfold_apply, outside_domain, random_shift, random_vector, \
+    reference_path_source, shift_operators, sup_projection_feasible, vector_for
 
 
 def ei(i, c=1, mode=Mode.EXACT):
@@ -253,6 +252,27 @@ class TestSearch:
                     if search == "j" else jmix_witness(T, x, x, d, 3, 1, 100)
                 assert w.times == (1, 2, 3) and w.bound == d
                 assert all(t.perturbed == x and t.dist == 0 for t in w.triples)
+
+    @pytest.mark.parametrize("search, message, reason, attempts, k_last", [
+        (lambda *a: jmix_witness(*a, 2, 1, 100_000),
+         "mix search stagnated", "stagnation", 202, 202),
+        (lambda *a: search_j_witness(*a, EpsSchedule.reciprocal(5), 100_000),
+         "triple 1: stagnation", "stagnation", 402, 402),
+        (lambda *a: jmix_witness(*a, 2, 10_000, 100_000),
+         "mix start cap reached", "k-cap", 1, 10_000),
+        (lambda *a: search_j_witness(*a, EpsSchedule.reciprocal(5), 100_000,
+                                     stagnation_window=20_000),
+         "triple 1: k-cap", "k-cap", 10_000, 10_000),
+    ], ids=["jmix-stagnation", "j-stagnation", "jmix-k-cap", "j-k-cap"])
+    def test_not_found_reasons(self, search, message, reason, attempts, k_last):
+        # the unweighted shift from 0 to 5 e_0 at d = 1/2: every time needs
+        # a perturbation of 9/2 or more, and no stop applies, so each search
+        # ends on its own limit, with no proof
+        T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, Constant(1))
+        with pytest.raises(SearchFailed, match=f"^{message}$") as info:
+            search(T, SeqVector.zero(IndexSet.INTEGERS), ei(0, 5), Fraction(1, 2))
+        assert (info.value.reason, info.value.triple_index, info.value.attempts,
+                info.value.k_last, info.value.proof) == (reason, 0, attempts, k_last, None)
 
     def test_budget_exhaustion_reported(self):
         # the weight 1/2 on the non-positive side rules out every structural stop
@@ -460,8 +480,8 @@ class TestRealSupAttempt:
         y = vector_for(rng, T, -9, 9)
         try:
             image = apply_power(T, k, x)
-        except IndexSetMismatch:  # a source of x in no band
-            image = None
+        except IndexSetMismatch as exc:  # a source of x in no band
+            image, refused = None, ("IndexSetMismatch", str(exc), 0)
         if near is not None and image is not None:
             # rows where the target equals the image, and rows near it
             y = image + y.scale(near) if near else image
@@ -479,8 +499,10 @@ class TestRealSupAttempt:
                 d = m - w * eps
             elif tie == "eps" and w:
                 eps = m / w
+        # x outside T's domain is refused before the attempt spends budget
         assert outcome(real_sup_attempt, T, x, y, d, eps, k, budget) == \
-            outcome(reference_sup_attempt, T, x, y, d, eps, k, budget)
+            (refused if image is None else
+             outcome(reference_sup_attempt, T, x, y, d, eps, k, budget))
 
     @pytest.mark.parametrize("budget", [0, 1, 2])
     def test_doubles_past_range(self, budget):
@@ -497,14 +519,15 @@ class TestRealSupAttempt:
             assert out == ((False, None, None, math.inf, math.inf), 1)
 
     def test_source_in_no_band(self):
-        # -3 lies between the bands: both raise apply_power's error
+        # -3 lies between the bands: both raise apply_power's error, the
+        # search before its attempt spends any budget
         T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
             Block(Band(None, -4), "backward", Constant(2)),
             Block(Band(-2, 3), "diagonal", Constant(Fraction(1, 2)))))
         args = (T, ei(-3) + ei(1), ei(0), Fraction(1), Fraction(1, 2), 1, 2)
-        out = outcome(real_sup_attempt, *args)
-        assert out == outcome(reference_sup_attempt, *args)
-        assert out == ("IndexSetMismatch", "vector support index -3 lies in no band", 1)
+        error = ("IndexSetMismatch", "vector support index -3 lies in no band")
+        assert outcome(real_sup_attempt, *args) == (*error, 0)
+        assert outcome(reference_sup_attempt, *args) == (*error, 1)
 
     def test_search_decides_the_path_once(self, monkeypatch):
         # a complex entry of y, and float mode, keep _greedy_attempt
@@ -725,14 +748,6 @@ def reference_greedy_attempt(T, x, y, d_val, eps, k, norm_tag, budget, mode):
                     to_float(r))
 
 
-def result_and_budget(call, budget):
-    """(call(), the budget used after it), or the error raised."""
-    try:
-        return call(), budget.used
-    except IndexSetMismatch as exc:
-        return "IndexSetMismatch", str(exc), budget.used
-
-
 def compared_attempt(search, eps, k):
     """_greedy_attempt, after checking that it gives what
     reference_greedy_attempt gives from the same budget state."""
@@ -740,11 +755,9 @@ def compared_attempt(search, eps, k):
     ref = Budget(budget.limit)
     ref.used = budget.used
     args = (search.T, search.x, search.y, search.d_val, eps, k, search.norm_tag)
-    want = result_and_budget(lambda: reference_greedy_attempt(*args, ref, search.mode), ref)
-    got = result_and_budget(lambda: _greedy_attempt(search, eps, k), budget)
+    want = reference_greedy_attempt(*args, ref, search.mode), ref.used
+    got = _greedy_attempt(search, eps, k), budget.used
     assert got == want
-    if got[0] == "IndexSetMismatch":
-        raise IndexSetMismatch(got[1])
     return got[0]
 
 
@@ -775,7 +788,8 @@ class TestGreedyAttempt:
                                         d, eps, budget):
         # times start..start+m-1, then a jmix restart at start + 1, a time
         # that is not the next one; the operators' sources leave their
-        # bands, and -3 and 4 lie in no band
+        # bands, and -3 and 4 lie in no band, where x is refused before
+        # any attempt
         rng = random.Random(seed)
         T = random_operator(rng)
         x, y = vector_for(rng, T, -9, 9), vector_for(rng, T, -9, 9)
@@ -787,13 +801,14 @@ class TestGreedyAttempt:
         x = in_mode(x, mode)
         y = in_mode(y, mode, rng.choice(y.support) if turn and not y.is_zero else None)
         d_val, eps_val = real_value(d, mode), real_value(eps, mode)
+        if outside_domain(T, x):
+            with pytest.raises(IndexSetMismatch):
+                search_log(T, x, y, d_val, eps, Budget(budget), norm_tag)
+            return
         search = search_log(T, x, y, d_val, eps, Budget(budget), norm_tag)
         for k in [*range(start, start + m), *range(start + 1, start + 1 + m)]:
             search.budget = Budget(budget)
-            try:
-                compared_attempt(search, eps_val, k)
-            except IndexSetMismatch:
-                pass
+            compared_attempt(search, eps_val, k)
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     @pytest.mark.parametrize("norm_tag", list(NormTag), ids=lambda n: n.value)
@@ -862,11 +877,11 @@ LANDING_ENTRIES = [1, Fraction(-5, 3), (2, -1), (0, Fraction(1, 3)), 10 ** 300,
 
 def landing_or_error(call):
     """call()'s entries by row, a float one as the exact bits of its parts,
-    or the type and message of the error it raised."""
+    or the type and message of the NumericOverflow it raised."""
     try:
         return {t: (e.real.hex(), e.imag.hex()) if isinstance(e, complex) else e
                 for t, e in call().items()}
-    except (IndexSetMismatch, NumericOverflow) as exc:
+    except NumericOverflow as exc:
         return type(exc), str(exc)
 
 
@@ -909,20 +924,24 @@ def test_table_rows_are_paths_and_landings(T, mode, other_set, x_raw, y_raw, run
     # (reference_path_source, weight_product), x's lanes are listed once,
     # and the rows x lands on land T^k x entry for entry, the same double
     # in float mode (an entry that underflowed to zero is one apply_power
-    # drops), or raise apply_power's error
+    # drops), or raise apply_power's error.  x outside T's domain is
+    # refused before any row is formed, where apply_power raises
     index_set = T.index_set
     if other_set == 0:
         index_set = IndexSet.NATURALS if index_set is IndexSet.INTEGERS else IndexSet.INTEGERS
     x, y = entries_over(index_set, x_raw, mode), entries_over(T.index_set, y_raw, mode)
-    search, lanes, overflowed = search_log(T, x, y, 1, 1, Budget(2)), None, False
+    if outside_domain(T, x):
+        with pytest.raises(IndexSetMismatch):
+            search_log(T, x, y, 1, 1, Budget(2))
+        for k in run_times(runs):
+            with pytest.raises(IndexSetMismatch):
+                apply_power(T, k, x)
+        return
+    search, overflowed = search_log(T, x, y, 1, 1, Budget(2)), False
+    lanes = search.lanes
     for k in run_times(runs):
         want = landing_or_error(lambda: apply_power(T, k, x)._entries)
-        try:
-            table = search.table(k)
-        except IndexSetMismatch as exc:
-            assert want == (IndexSetMismatch, str(exc))
-            continue
-        lanes = lanes or search.lanes
+        table = search.table(k)
         assert search.lanes is lanes
         landed = landed_rows(T, k, x)
         assert set(table) == set(y.support) | landed
@@ -953,12 +972,20 @@ def test_landed_rows_are_apply_powers_entries(T, mode, other_set, k, raw):
     # double range, and now and then x over the other index set: the rows
     # of table(k) x lands on land T^k x entry for entry, the same double in
     # float mode (an entry that underflowed to zero is one apply_power
-    # drops), each with its source and exact product, or the same error
+    # drops), each with its source and exact product, or the same error;
+    # x outside T's domain is refused before any row, as apply_power
+    # refuses it
     index_set = T.index_set
     if other_set == 0:
         index_set = IndexSet.NATURALS if index_set is IndexSet.INTEGERS else IndexSet.INTEGERS
-    x = SeqVector.from_entries(index_set, raw, mode)
-    search = search_log(T, x, SeqVector.zero(T.index_set, mode), 1, 1, Budget(2))
+    x, y = SeqVector.from_entries(index_set, raw, mode), SeqVector.zero(T.index_set, mode)
+    if outside_domain(T, x):
+        with pytest.raises(IndexSetMismatch):
+            search_log(T, x, y, 1, 1, Budget(2))
+        with pytest.raises(IndexSetMismatch):
+            apply_power(T, k, x)
+        return
+    search = search_log(T, x, y, 1, 1, Budget(2))
 
     def landed():
         out = {}
@@ -971,12 +998,7 @@ def test_landed_rows_are_apply_powers_entries(T, mode, other_set, k, raw):
 
     want = landing_or_error(lambda: apply_power(T, k, x)._entries)
     for _ in range(2):  # the lanes listed once give it again
-        got = landing_or_error(landed)
-        if got != want:
-            # the table lists every lane before it lands one, so a source in
-            # no band is met before an overflow that apply_power meets first
-            assert isinstance(want, tuple) and want[0] is NumericOverflow
-            assert isinstance(got, tuple) and got[0] is IndexSetMismatch
+        assert landing_or_error(landed) == want
 
 
 def test_float_landing_past_policy_overflows_both_ways():
@@ -1068,7 +1090,7 @@ def test_a_shared_row_forms_one_product_per_attempt(monkeypatch, mode, norm_tag)
 
 
 def tail_proof(T, x, y, d, eps, k):
-    return _StructuralStops(T, x, y, d, eps, NormTag.PINF)._tail_proof(k)
+    return search_log(T, x, y, d, eps, Budget(0)).stops._tail_proof(k)
 
 
 weights_at_least_one = st.fractions(min_value=1, max_value=3, max_denominator=4) | \
@@ -1164,7 +1186,7 @@ contractions = st.fractions(min_value=Fraction(1, 4), max_value=Fraction(7, 8),
 
 def decay_or_collapse(T, x, y, d, eps, norm_tag):
     """The (reason, k0, proof) of each decay or collapse stop that holds."""
-    return _StructuralStops(T, x, y, d, eps, norm_tag).proved
+    return search_log(T, x, y, d, eps, Budget(0), norm_tag).stops.proved
 
 
 def stop_operator(shape, expanding, a, b, piecewise, rotate=False):

@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -38,8 +39,8 @@ from orbitscope.errors import (
 from orbitscope import operators
 from orbitscope.numeric import QC, Mode, log2_abs, phase_of
 
-from conftest import nfold_apply, random_shift, reference_apply, reference_path_source, \
-    reference_target, shift_operators, vector_for
+from conftest import nfold_apply, outside_domain, random_shift, reference_apply, \
+    reference_path_source, reference_target, shift_operators, vector_for
 
 
 def ei(i, c=1):
@@ -132,6 +133,9 @@ def _reference_orbit(T, x, K):
 def test_iterate_matches_reference_steps(case):
     T, x, K = case
     got, got_error = _orbit_run(iterate(T, x, K))
+    if outside_domain(T, x):  # refused before the first point, at every K
+        assert (got, got_error) == ([], IndexSetMismatch)
+        return
     want, want_error = _orbit_run(_reference_orbit(T, x, K))
     assert got_error is want_error
     assert len(got) == len(want)
@@ -150,11 +154,16 @@ def test_iterate_matches_reference_steps(case):
      SeqVector.basis(IndexSet.INTEGERS, 0, mode=Mode.FLOAT64), NumericOverflow),
 ], ids=["index-set", "no-band", "weight-past-double-range"])
 def test_iterate_raises_on_the_first_step(T, x, error):
+    # x outside T's domain is refused before the first point, at every
+    # horizon; a weight past double range is met on the first step
+    outside = error is IndexSetMismatch
     points = iterate(T, x, 3)
-    assert next(points) is x
+    if not outside:
+        assert next(points) is x
     with pytest.raises(error):
         next(points)
-    assert list(iterate(T, x, 0)) == [x]
+    with pytest.raises(error) if outside else contextlib.nullcontext():
+        assert list(iterate(T, x, 0)) == [x]
 
 
 def test_float_iterate_rounds_each_weight_once(monkeypatch):
@@ -251,7 +260,7 @@ def test_a_lane_follows_reference_steps(T, s):
     # s ranges over every band of every shape, the gaps between block
     # bands and, over N, indices outside it; each finite life ends within
     # 30 steps there, so a source that survives 30 steps never leaves
-    lane = operators._lane(T, s)
+    lane = operators._lane_into(T, s, 0)
     comp = T.component_for(s)
     if comp is None:
         assert lane is None

@@ -33,8 +33,8 @@ from orbitscope.operators import meetings
 from orbitscope.orbits import ball_counts
 from orbitscope.spaces import dist, dist_lt
 
-from conftest import nfold_apply, points_in_ball_scan, random_shift, reference_apply, \
-    shift_operators, vector_for
+from conftest import nfold_apply, outside_domain, points_in_ball_scan, random_shift, \
+    reference_apply, shift_operators, vector_for
 
 
 def ei(i, c=1, mode=Mode.EXACT):
@@ -324,9 +324,13 @@ class TestScreenedScans:
     @given(case=scan_cases())
     def test_scans_match_the_full_scans(self, case):
         T, x, y, d, K, p = case
+        horizons = [K, K // 2, 0, -1]
+        if outside_domain(T, x):  # refused before any point is measured
+            assert outcome(lambda: coarse_orbit_contains(T, x, d, y, K, p)) is \
+                outcome(lambda: ball_counts(T, x, y, d, horizons, p)) is IndexSetMismatch
+            return
         assert outcome(lambda: coarse_orbit_contains(T, x, d, y, K, p)) == \
             outcome(lambda: full_coarse_scan(T, x, d, y, K, p))
-        horizons = [K, K // 2, 0, -1]
         assert outcome(lambda: ball_counts(T, x, y, d, horizons, p)) == \
             outcome(lambda: [points_in_ball_scan(T, x, y, d, h, p) for h in horizons])
 
@@ -370,21 +374,26 @@ class TestScreenedScans:
 
     @pytest.mark.parametrize("case", ["other-index-set", "source-in-no-band"])
     def test_unlisted_times_fall_back_to_the_stepped_scans_error(self, monkeypatch, case):
-        # meetings lists no times for x on another index set than T, or for
-        # a source in no band: the scan steps, and raises where apply does
+        # x on another index set than T, or a source in no band: meetings
+        # raises apply_power's error before it lists any time, so the scan
+        # raises it before any point is measured, as the stepped scan does
         if case == "other-index-set":
             T, x = doubling(), ei(3)
         else:
             T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
                 Block(Band(0, 10), "backward", Constant(2)),))
             x = ei(3) + ei(20)
-        listed = []
+        listed, measured = [], []
         monkeypatch.setattr(orbits, "meetings",
-                            lambda *args: listed.append(meetings(*args)) or listed[-1])
+                            lambda *args: listed.append(args) or meetings(*args))
+        monkeypatch.setattr(orbits, "dist_lt",
+                            lambda *args: measured.append(args) or dist_lt(*args))
         y = ei(0, 5)
         assert outcome(lambda: coarse_orbit_contains(T, x, 1, y, 10, NormTag.PINF)) is \
             outcome(lambda: full_coarse_scan(T, x, 1, y, 10, NormTag.PINF)) is IndexSetMismatch
-        assert listed == [None]
+        assert len(listed) == 1 and not measured
+        with pytest.raises(IndexSetMismatch):
+            meetings(T, x, y._entries, 10)
 
     def test_prop21_measures_eight_points(self, monkeypatch):
         # sources at 32, 35, 302, 305, 1002 and 1005 meet the rows 2 and 5
