@@ -181,21 +181,17 @@ def _sampled(note: str, count: int) -> str:
     return note if count else note + "; vacuous: empty sample"
 
 
-def _claim_status(refuted: bool, settled: int, targets: int) -> str:
-    """A sampled claim's status: FAIL when some target refutes it, PASS only
-    when every target settles it, else INDECISIVE."""
-    return FAIL if refuted else PASS if settled == targets else INDECISIVE
-
-
 def _claim(targets, build, inside: bool, agrees=None):
     """Run the sampled claim that every target lies inside J (or, when not
-    `inside`, outside it): build(y) on each target, catching SearchFailed.
-    A witness settles a claim inside J and refutes one outside, unless
-    agrees(witness) says which; a proof settles a claim outside J and
-    refutes one inside; a budget stop, or None (a scan that found nothing
-    up to its horizon), settles nothing.  Returns the witnesses as (index,
-    target, witness), the failed searches as (index, SearchFailed), the
-    proof count and the status."""
+    `inside`, outside it): build(y) on each target in order, catching
+    SearchFailed.  Every search a suite runs is such a builder.  A witness
+    settles a claim inside J and refutes one outside, unless agrees(witness)
+    says which; a proof settles a claim outside J and refutes one inside; a
+    budget stop, or None (a scan that found nothing up to its horizon),
+    settles nothing.  Returns the witnesses as (index, target, witness), the
+    failed searches as (index, SearchFailed), the proof count and the
+    status: FAIL when some target refutes the claim, PASS only when every
+    target settles it, else INDECISIVE."""
     found, failed = [], []
     for idx, y in enumerate(targets):
         try:
@@ -210,7 +206,8 @@ def _claim(targets, build, inside: bool, agrees=None):
     refuting = len(found) - agreeing
     settled, refuted = (agreeing, proofs + refuting) if inside \
         else (proofs + agreeing, refuting)
-    return found, failed, proofs, _claim_status(refuted > 0, settled, len(targets))
+    status = FAIL if refuted else PASS if settled == len(targets) else INDECISIVE
+    return found, failed, proofs, status
 
 
 CERTIFICATES = {}  # name -> cert(seed=0, mode=Mode.EXACT, **params), in run order
@@ -584,25 +581,19 @@ def cert_riesz_blocks(p, seed, mode):
                           real_value(Fraction(p["band_a_scale"]) * Fraction(d_val),
                                      mode), mode)
     ratio_factor = real_value(p["ratio_factor"], mode)
-    ratios = []
-    ladder_proved = False
-    for j in p["lambda_ladder_exponents"]:
-        lam = Fraction(2) ** j
-        v_j = c_b.scale(real_value(lam, mode)) + u_a
-        try:
-            dw = d_witness(T, x, v_j, d_val, p["orbit_horizon"], schedule,
-                           p["search_budget"], norm_tag=NormTag.PINF)
-        except SearchFailed as exc:
-            ladder_proved = exc.proof is not None
-            break
-        va, _ = split.splitter.split(v_j)
-        ratios.append(norm(va, NormTag.PINF) / norm(v_j, NormTag.PINF))
+    # the rungs c_b 2^j + u_a; a factor below ratio_factor refutes the claim
+    found, _, _, status = _claim(
+        [c_b.scale(real_value(Fraction(2) ** j, mode)) + u_a
+         for j in p["lambda_ladder_exponents"]],
+        lambda v: d_witness(T, x, v, d_val, p["orbit_horizon"], schedule,
+                            p["search_budget"], norm_tag=NormTag.PINF), inside=True)
+    ratios = [norm(split.splitter.split(v)[0], NormTag.PINF) / norm(v, NormTag.PINF)
+              for _, v, _ in found]
     factors = [a / b for a, b in zip(ratios, ratios[1:])]
     monotone = all(f >= ratio_factor for f in factors)
     min_factor = to_float(min(factors)) if factors else None
     subs.append(SubCheck(
-        "lambda-ladder-ratio", _claim_status(ladder_proved or not monotone, len(ratios),
-                                             len(p["lambda_ladder_exponents"])),
+        "lambda-ladder-ratio", status if monotone else FAIL,
         note=("witnessable directions lose their contracting component "
               "as the scale grows"),
         details={"ratios": [to_float(r) for r in ratios], "min_factor": min_factor}))
@@ -632,23 +623,30 @@ def cert_prop15(p, seed, mode):
         raise ConfigError("parameters 'd', 'scale_exponents' and 'target_eps' need a "
                           "scale t = 2^k with d/t and 1/t below target_eps, and d/t "
                           "above TOL_EQ in float mode")
-    family = []
-    next_start = 1
-    contiguous = True
-    for t_k in scales:
-        target_k = y.scale(real_value(t_k, mode))
-        w = jmix_witness(T, zero, target_k, p["d"], p["mix_length"], next_start,
-                         p["mix_budget"], norm_tag=NormTag.PINF)
-        if family and w.times[0] != next_start:
-            contiguous = False
-        next_start = w.times[-1] + 1
-        family.append((t_k, w))
-        witnesses.append(_witness_digest(w))
-    subs.append(SubCheck("family-constructed", PASS,
+    last = 0  # each mix block starts after the last block found
+
+    def mix(t_k):
+        nonlocal last
+        w = jmix_witness(T, zero, y.scale(real_value(t_k, mode)), p["d"],
+                         p["mix_length"], last + 1, p["mix_budget"],
+                         norm_tag=NormTag.PINF)
+        last = w.times[-1]
+        return w
+
+    found, _, _, status = _claim(scales, mix, inside=True)
+    family = [(t_k, w) for _, t_k, w in found]
+    witnesses.extend(_witness_digest(w) for _, w in family)
+    contiguous = all(b.times[0] == a.times[-1] + 1
+                     for (_, a), (_, b) in zip(family, family[1:]))
+    subs.append(SubCheck("family-constructed", status,
                          note="mix certificates at every scale, contiguous blocks",
                          details={"scales": [str(t) for t, _ in family],
                                   "contiguous": contiguous}))
-    try:
+    if len(family) < len(scales):
+        subs.append(SubCheck("rescaled-certificate", INDECISIVE,
+                             note="no certificate to rescale: the scale family is "
+                                  "incomplete"))
+    else:
         result = rescale_j_witness_family(T, family, p["target_eps"])
         out = result.witness
         d_over_tm = Fraction(p["d"]) / scales[result.scale_index - 1]
@@ -664,8 +662,6 @@ def cert_prop15(p, seed, mode):
                      "mix": out.mix_flag,
                      "triples": len(out.triples)}))
         witnesses.append(out.to_jsonable())
-    except OrbitscopeError as exc:
-        subs.append(SubCheck("rescaled-certificate", FAIL, note=str(exc)))
     summary = {"family_size": len(family)}
     return T, subs, witnesses, summary
 

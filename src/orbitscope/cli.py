@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .certificates import aggregate_exit_status, run_all, write_bundle
-from .defaults import is_integer, is_number
+from .defaults import is_number, parse
 from .errors import (
     ConfigError,
     OrbitscopeError,
@@ -65,8 +65,7 @@ def load_config(path: str | None) -> dict:
     if config["numeric_mode"] not in ("exact", "float"):
         raise ConfigError("numeric_mode must be 'exact' or 'float'")
     for key in ("seed", "horizon", "budget", "schedule_length"):
-        if not is_integer(config[key]):
-            raise ConfigError(f"{key} must be an integer")
+        parse(key, config[key], "an integer" if key == "seed" else "a non-negative integer")
     if not isinstance(config["out_dir"], str):
         raise ConfigError("out_dir must be a string")
     certs = config["certificates"]

@@ -132,11 +132,11 @@ KINDS = {
 _KIND_OF = {name: kind for kind, (_, names) in KINDS.items() for name in names}
 
 
-def parse(name: str, value):
-    """A parameter value checked against its name's kind.  A rational
-    string such as "1/2" becomes a Fraction; every other value is kept
-    as given."""
-    kind = _KIND_OF[name]
+def parse(name: str, value, kind: str | None = None):
+    """A parameter value checked against its kind, by default its name's.
+    A rational string such as "1/2" becomes a Fraction; every other value
+    is kept as given."""
+    kind = kind or _KIND_OF[name]
     if "rational" in kind and isinstance(value, str):
         try:
             value = Fraction(value)

@@ -377,10 +377,10 @@ def _greedy_attempt(search: _SearchLog, eps, k: int) -> _Attempt | None:
 
     Each row's source, product and entry of T^k x are read off the
     search's ``table(k)``, an entry landed by x's lane, so no power is
-    applied to x.  In the sup norm the attempt is decided row by row,
-    exactly for real exact entries and as a screen otherwise; the final
-    checks decide.  A search over real exact vectors and weights runs
-    _real_sup_attempt."""
+    applied to x.  In the sup norm the attempt is decided row by row as a
+    screen, for complex exact entries or float ones; the final checks
+    decide.  A sup-norm search over real exact vectors and weights runs
+    _real_sup_attempt instead, which decides each row exactly."""
     budget, norm_tag, mode, d_val = search.budget, search.norm_tag, search.mode, search.d_val
     if not budget.try_spend(1):
         return None
@@ -568,7 +568,7 @@ def _norm_bounds(v: SeqVector, norm_tag: NormTag) -> tuple[Fraction, Fraction]:
 
 
 def _first_power_at_most(b: Fraction, r: Fraction) -> int | None:
-    """Smallest k >= 1 with b^k <= r, for 0 < b < 1 and r > 0; None past
+    """Smallest k >= 1 with b^k <= r, for 0 <= b < 1 and r > 0; None past
     _K_CAP.  A float estimate picks k and exact powers settle it."""
     if b <= r:
         return 1
@@ -592,7 +592,8 @@ class _StructuralStops:
     a certificate needs that radius at a time after every earlier triple,
     so a time that fails for it stops the search.  Every power of T sends
     each coordinate to its own row, times a product of weights, so with
-    S^2 and I^2 the largest and smallest |w|^2 over T's weights,
+    S^2 and I^2 the largest and smallest |w|^2 over T's weights (0 over
+    none, as for a block sum with no blocks),
     ||T^k z|| <= S^k ||z|| in every norm here, and ||T^k z|| >= I^k ||z||
     when T annihilates nothing.  For every z with ||z - x|| < eps:
 
@@ -621,7 +622,7 @@ class _StructuralStops:
         self.eps2, self.d2 = eps * eps, d * d
         self.y_span = (y.support_min, y.support_max)
         squares = [(rule, w.abs2()) for rule, w in search.weights]
-        s2, i2 = max(a for _, a in squares), min(a for _, a in squares)
+        s2, i2 = (f((a for _, a in squares), default=0) for f in (max, min))
         # (reason, k0, proof) for each stop that holds from some k0 on
         self.proved = []
         if s2 < 1:

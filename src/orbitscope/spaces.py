@@ -158,9 +158,12 @@ class SeqVector:
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other: "SeqVector"):
+        """The pair rule: other combines with self when both lie over one
+        index set and other has no entry in another mode than self's (a
+        zero other combines in any mode, a zero self does not)."""
         if self.index_set is not other.index_set:
             raise IndexSetMismatch("cannot combine vectors over N and Z")
-        if self._entries and other._entries and self._mode is not other._mode:
+        if other._entries and self._mode is not other._mode:
             raise ModeMismatch("cannot combine exact and float vectors")
 
     def _combine(self, other: "SeqVector", subtract: bool) -> "SeqVector":
@@ -244,8 +247,6 @@ def _real_dist(a: SeqVector, b: SeqVector, p: NormTag, bound=None) -> Fraction |
     no difference or square built, and in float mode |a_j - b_j|^2."""
     a._check(b)
     ea, eb, mode = a._entries, b._entries, a._mode
-    if eb and b._mode is not mode:  # a - b would re-declare b's entries in a's mode
-        raise ModeMismatch("declared mode disagrees with entry scalars")
     if mode is Mode.EXACT:
         zero = _QC_ZERO
         if p is not NormTag.P2:
@@ -717,10 +718,7 @@ def cone_contains(C: OpenCone, x: SeqVector) -> bool:
     one-sided: a member within ~1e-12 (relative) of the boundary may be
     reported as outside.
     """
-    if x.index_set is not C.center.index_set:
-        raise IndexSetMismatch("cone and vector index sets differ")
-    if x._entries and x.mode is not C.mode:
-        raise ModeMismatch("cone and vector numeric modes differ")
+    C.center._check(x)
     if x.is_zero:
         return False
     if C.norm is NormTag.P2:

@@ -169,6 +169,33 @@ class TestWitness:
                 "inequality": "S^k*(||x|| + eps) <= ||y|| - d with S^2 = 1/4, "
                               "||x|| <= 0, ||y|| >= 1, d = 1/4"}
 
+    @pytest.mark.parametrize("kind", ["j", "jmix"])
+    def test_a_block_sum_with_no_blocks_proves_a_far_target_out(self, capsys, tmp_path,
+                                                               kind):
+        # both searches raised "ValueError: max() arg is an empty sequence":
+        # S^2 and I^2 over no weights now read 0, so T^k z = 0 stays 5 from y
+        code, out, _ = self.run_on_no_blocks(capsys, tmp_path, kind, "5")
+        assert code == 3
+        assert json.loads(out)["diagnostics"]["reason"] == "decay-bound"
+        assert json.loads(out)["diagnostics"]["proof"]["k0"] == 1
+
+    @pytest.mark.parametrize("kind", ["j", "jmix"])
+    def test_a_block_sum_with_no_blocks_witnesses_a_near_target(self, capsys, tmp_path,
+                                                                kind):
+        # raised the same ValueError; T^k z = 0 lies within 1 of y = e_0 / 2
+        code, out, _ = self.run_on_no_blocks(capsys, tmp_path, kind, "1/2")
+        assert code == 0
+        assert json.loads(out)["found"] is True
+
+    @staticmethod
+    def run_on_no_blocks(capsys, tmp_path, kind, y0):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"operator": {
+            "shape": "block_direct_sum", "index_set": "Z", "blocks": []}}))
+        y = json.dumps({"index_set": "Z", "entries": [[0, y0, "0"]]})
+        return run(capsys, "--config", str(config), "witness", "--kind", kind,
+                   "--x", '{"index_set": "Z", "entries": []}', "--y", y, "--d", "1")
+
 
 FAST_CERTS = {
     "prop32": {"sample_count": 5, "orbit_check_horizon": 100,
@@ -300,6 +327,8 @@ class TestCertify:
         ({"certificates": {"riesz-blocks": {"band_a_scale": 0}}},
          ("certify", "riesz-blocks")),
         ({"certificates": {"prop22": {"lambda": 0}}}, ("certify", "prop22")),
+        ({"horizon": -5}, WITNESS),
+        ({"budget": -1}, ("witness", "--kind", "j", "--x", E0, "--y", E0, "--d", "1")),
     ], ids=["unknown-key", "block-without-band", "horizon-not-int",
             "certificates-not-object", "out-dir-not-string", "parameter-not-number",
             "parameter-not-list", "parameter-item-not-number", "horizon-bool",
@@ -308,7 +337,7 @@ class TestCertify:
             "count-numeric-string", "d-zero", "d-negative", "positive-rational-negative-string", "window-reversed",
             "ratio-zero-denominator", "table-entries-list", "weight-bool",
             "weight-zero-denominator", "support-bound-negative", "band-a-scale-zero",
-            "lambda-zero"])
+            "lambda-zero", "horizon-negative", "budget-negative"])
     def test_unknown_config_key(self, capsys, tmp_path, config, command):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
@@ -581,6 +610,17 @@ DOUBLES = {("prop32", "norm_bound"), ("prop36-contraction", "d"),
            ("riesz-blocks", "d"), ("riesz-blocks", "band_a_scale"),
            ("prop15", "target_eps"), ("prop21", "d"), ("prop21", "noise_scale"),
            ("prop22", "d")}
+# the values that the library, not the config reader, refuses: an empty
+# schedule or mix block, and a double past range where the mode reads one
+REFUSED_INSIDE = {("prop32", "schedule_length", 0, "exact"),
+                  ("prop36-contraction", "schedule_length", 0, "exact"),
+                  ("riesz-blocks", "schedule_length", 0, "exact"),
+                  ("prop36-expansion", "mix_length", 0, "exact"),
+                  ("prop15", "mix_length", 0, "exact"),
+                  ("prop32", "d", "1e400", "float"),
+                  ("prop32", "forced_tolerance", "1e400", "float"),
+                  ("prop36-expansion", "d", "1e400", "float"),
+                  ("riesz-blocks", "ratio_factor", "1e400", "float")}
 
 
 SWEEP = [
@@ -601,12 +641,16 @@ def test_parameter_sweep_never_crashes(capsys, tmp_path, name, key, value, mode)
     # -1, 0 and a value past double range for every parameter: each answers
     # (an exception escaping main fails the test); -1 for a count, horizon,
     # length or budget and a double past range are config errors; a zero
-    # count labels the sub-checks it empties vacuous
+    # count labels the sub-checks it empties vacuous; every other exit 2 is
+    # a config error or one of REFUSED_INSIDE (prop15's mix_budget 0 exited
+    # 2 as "error:", its budget stop escaping the suite)
     code, err, report = certify_with(capsys, tmp_path, name,
                                      dict(SWEEP_SIZES[name], **{key: value}), mode)
     assert code in (0, 2, 4, 5)
-    if code == 2:
-        assert "error:" in err
+    if (name, key, value, mode) in REFUSED_INSIDE:
+        assert code == 2 and err.startswith("error:")
+    elif code == 2:
+        assert "config error:" in err
     if value == -1 and defaults._KIND_OF[key] == "a non-negative integer" \
             or value == "1e400" and (name, key) in DOUBLES:
         assert code == 2 and "config error:" in err
@@ -628,14 +672,31 @@ class TestSearchFailures:
         ("prop36-expansion", {"mix_budget": 0}, ["mix-from-zero-exact"]),
         ("riesz-blocks", {"search_budget": 0},
          ["witness-band-decomposition", "lambda-ladder-ratio"]),
-    ], ids=["prop36-expansion-mix-budget-0", "riesz-blocks-search-budget-0"])
+        ("prop15", {"mix_budget": 0}, ["family-constructed", "rescaled-certificate"]),
+    ], ids=["prop36-expansion-mix-budget-0", "riesz-blocks-search-budget-0",
+            "prop15-mix-budget-0"])
     def test_budget_stop_is_indecisive(self, capsys, tmp_path, name, params, stopped):
-        # each exited 5, with these sub-checks FAIL
+        # the first two exited 5, with these sub-checks FAIL; prop15 exited
+        # 2, "error: mix search budget exhausted", and wrote no report
         code, _, report = certify_with(capsys, tmp_path, name, params)
         assert code == 4
         statuses = {s["name"]: s["status"] for s in report["sub_checks"]}
         assert [n for n, st in statuses.items() if st != "PASS"] == stopped
         assert all(statuses[n] == "INDECISIVE" for n in stopped)
+
+    def test_a_budget_stop_leaves_every_report(self, capsys, tmp_path):
+        # prop15's budget stop escaped run_all: certify all exited 2 and
+        # wrote no report for any suite
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"certificates": dict(
+            SWEEP_SIZES, prop15={"mix_budget": 0})}))
+        out = tmp_path / "b"
+        code, _, _ = run(capsys, "--config", str(cfg), "certify", "all", "--out", str(out))
+        assert code == 4
+        index = json.loads((out / "index.json").read_text())
+        assert sorted(index["verdicts"]) == sorted(certificates.CERTIFICATES)
+        assert {n for n, v in index["verdicts"].items() if v != "PASS"} == {"prop15"}
+        assert all((out / f"{n}.json").exists() for n in certificates.CERTIFICATES)
 
     def test_a_coarse_scan_that_found_nothing_is_indecisive(self, capsys, tmp_path):
         # a scan to 10 steps reaches no planted copy: it exited 5 with
@@ -672,6 +733,7 @@ class TestSearchFailures:
         ("prop36-contraction", "search_j_witness", ["open-ball-witnessed"]),
         ("prop36-expansion", "jmix_witness", ["mix-from-zero-exact"]),
         ("riesz-blocks", "d_witness", ["witness-band-decomposition", "lambda-ladder-ratio"]),
+        ("prop15", "jmix_witness", ["family-constructed"]),
     ])
     def test_a_proof_of_non_membership_fails(self, capsys, tmp_path, monkeypatch, name,
                                              search, refuted):

@@ -88,11 +88,14 @@ def test_y_over_the_other_index_set_gets_no_tail_proof(no_attempt_or_proof, norm
 @pytest.mark.parametrize("d", [Fraction(1, 4), 2])
 @pytest.mark.parametrize("norm_tag", list(NormTag), ids=lambda n: n.value)
 def test_mixed_modes_are_refused(no_attempt_or_proof, norm_tag, d):
-    # at d = 1/4 each search gave a tail-bound proof, at d = 2 a TypeError
-    x, y = SeqVector.basis(Z, 0), SeqVector.basis(Z, 3, 2, Mode.FLOAT64)
-    for search in searches(prop32_operator(), x, y, d, norm_tag):
-        with pytest.raises(ModeMismatch):
-            search()
+    # at d = 1/4 each search gave a tail-bound proof, at d = 2 a TypeError;
+    # from the zero x built with no declared mode (exact), a TypeError at
+    # both bounds, where x - y already raised ModeMismatch
+    y = SeqVector.basis(Z, 3, 2, Mode.FLOAT64)
+    for x in (SeqVector.basis(Z, 0), SeqVector.zero(Z)):
+        for search in searches(prop32_operator(), x, y, d, norm_tag):
+            with pytest.raises(ModeMismatch):
+                search()
 
 
 def test_horizon_zero_refuses_what_every_power_refuses():

@@ -781,6 +781,50 @@ def test_exact_p2_closed_form_matches_a_fraction_copy(c, w, share, shift):
     assert cone_contains(C, x) is _ref_p2_closed_form(x, c, r)
 
 
+@settings(max_examples=150, deadline=None)
+@given(exact_vectors().filter(lambda v: not v.is_zero), exact_vectors(),
+       st.integers(1, 19), st.fractions(min_value=-3, max_value=3, max_denominator=7))
+def test_float_p2_closed_form_matches_a_fraction_copy_clear_of_tol_eq(c, w, share, shift):
+    # the float cone and query against _ref_p2_closed_form on the same
+    # doubles read as Fractions, wherever both exact gaps (<x, c> > 0 and
+    # <x, c>^2 > ||x||^2 (||c||^2 - r^2)) clear TOL_EQ by more than the
+    # rounding of the float sums can move them
+    r = math.sqrt(to_float(sum(reference_squares(c), Fraction(0))))
+    r = Fraction(r * share / 20).limit_denominator(1000)
+    x = c.scale(shift) + w
+    assume(not x.is_zero)
+    cf, xf = (SeqVector.from_entries(IndexSet.INTEGERS, {i: (u.re, u.im) for i, u in v.items()},
+                                     Mode.FLOAT64) for v in (c, x))
+    try:
+        C = OpenCone(cf, r, NormTag.P2)
+    except OrbitscopeError:  # ||c|| <= r under the float policy
+        assume(False)
+    ce, xe = (SeqVector.from_entries(IndexSet.INTEGERS, {
+        i: (Fraction(u.real), Fraction(u.imag)) for i, u in v.items()}) for v in (cf, xf))
+    re = Fraction(C.radius_value())
+    ip = sum((u.re * ce.entry(i).re + u.im * ce.entry(i).im for i, u in xe.items()),
+             Fraction(0))
+    x2, c2 = (sum(reference_squares(v), Fraction(0)) for v in (xe, ce))
+    size = sum((abs(u.re * ce.entry(i).re) + abs(u.im * ce.entry(i).im)
+                for i, u in xe.items()), Fraction(0))
+    rounding = Fraction(1e-12) * (size * size + x2 * (c2 + re * re) + size)
+    assume(abs(ip) > TOL_EQ + rounding)
+    assume(ip < 0 or abs(ip * ip - x2 * (c2 - re * re)) > TOL_EQ + rounding)
+    assert cone_contains(C, xf) is _ref_p2_closed_form(xe, ce, re)
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("x1, member", [(3, False), (Fraction(2999, 1000), True),
+                                        (Fraction(3001, 1000), False)])
+def test_p2_points_at_and_beside_the_boundary(mode, x1, member):
+    # c = e_0 and r = 3/5: x = (4, 3) has <x, c>^2 = 16 = ||x||^2 (||c||^2 - r^2),
+    # and x_1 = 3 -+ 1/1000 moves that right side by about -+0.004
+    C = OpenCone(SeqVector.from_entries(IndexSet.INTEGERS, {0: 1}, mode),
+                 Fraction(3, 5), NormTag.P2)
+    x = SeqVector.from_entries(IndexSet.INTEGERS, {0: 4, 1: x1}, mode)
+    assert cone_contains(C, x) is member
+
+
 # -- the exact check at the scale against the composition it replaced ------------
 
 
