@@ -587,16 +587,18 @@ def cert_riesz_blocks(p, seed, mode):
          for j in p["lambda_ladder_exponents"]],
         lambda v: d_witness(T, x, v, d_val, p["orbit_horizon"], schedule,
                             p["search_budget"], norm_tag=NormTag.PINF), inside=True)
-    ratios = [norm(split.splitter.split(v)[0], NormTag.PINF) / norm(v, NormTag.PINF)
-              for _, v, _ in found]
-    factors = [a / b for a, b in zip(ratios, ratios[1:])]
+    ratios = [None] * len(p["lambda_ladder_exponents"])  # None where a rung stopped
+    for idx, v, _ in found:
+        ratios[idx] = norm(split.splitter.split(v)[0], NormTag.PINF) / norm(v, NormTag.PINF)
+    factors = [a / b for a, b in zip(ratios, ratios[1:]) if None not in (a, b)]
     monotone = all(f >= ratio_factor for f in factors)
     min_factor = to_float(min(factors)) if factors else None
     subs.append(SubCheck(
         "lambda-ladder-ratio", status if monotone else FAIL,
         note=("witnessable directions lose their contracting component "
               "as the scale grows"),
-        details={"ratios": [to_float(r) for r in ratios], "min_factor": min_factor}))
+        details={"ratios": [r if r is None else to_float(r) for r in ratios],
+                 "min_factor": min_factor}))
     summary = {"decomposed": decomposed, "ladder_min_factor": min_factor}
     return T, subs, witnesses, summary
 

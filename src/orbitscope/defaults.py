@@ -123,7 +123,10 @@ KINDS = {
     "a rational with 0 < |lambda| < 1": (lambda v: is_number(v) and 0 < abs(v) < 1,
                                          ["lambda"]),
     "a non-empty list of integers": (_is_list_of(is_integer), """lambda_ladder_exponents
-        scale_exponents visit_times count_ladder""".split()),
+        visit_times count_ladder""".split()),
+    "a non-empty strictly increasing list of integers in [-1023, 1023]": (
+        lambda v: _is_list_of(lambda k: is_integer(k) and abs(k) <= 1023)(v)
+        and list(v) == sorted(set(v)), ["scale_exponents"]),  # 2^k and 1/2^k doubles
     "a pair of integers lo <= hi": (lambda v: _is_pair(v) and v[0] <= v[1],
                                     ["band_b_window"]),
     "a non-empty list of integer pairs with non-zero second entries": (

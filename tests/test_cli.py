@@ -564,6 +564,23 @@ class TestRefusedParameters:
         code, _, report = certify_with(capsys, tmp_path, "prop15", params, "exact")
         assert code == 0 and report["verdict"] == "PASS"
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("exponents", [[11, 10], [11, 11], [10, 12, 11],
+                                           [11, 2000], [-2000, 11]],
+                             ids=["descending", "repeated", "out-of-order",
+                                  "2^2000", "2^-2000"])
+    def test_scale_exponents_the_rescale_cannot_use(self, capsys, tmp_path, exponents,
+                                                    mode):
+        # the first three: the mix searches succeed, and the rescale raised
+        # "scales t_k must be strictly increasing", exit 2 as "error:"; the
+        # last two exited 2 in float mode, "error: a value near 2^2000 is past
+        # double range", and ran in exact mode
+        code, err, _ = certify_with(capsys, tmp_path, "prop15",
+                                    {"scale_exponents": exponents}, mode)
+        assert code == 2
+        assert "config error: parameter 'scale_exponents' must be a non-empty strictly " \
+            "increasing list of integers in [-1023, 1023]" in err
+
     @pytest.mark.parametrize("kind", ["coarse", "j"])
     def test_float_witness_bound_past_double_range(self, capsys, kind):
         code, _, err = run(capsys, "--mode", "float", "witness", "--kind", kind,
@@ -697,6 +714,29 @@ class TestSearchFailures:
         assert sorted(index["verdicts"]) == sorted(certificates.CERTIFICATES)
         assert {n for n, v in index["verdicts"].items() if v != "PASS"} == {"prop15"}
         assert all((out / f"{n}.json").exists() for n in certificates.CERTIFICATES)
+
+    def test_a_stopped_rung_leaves_a_gap_in_the_ladder(self, capsys, tmp_path,
+                                                       monkeypatch):
+        # rungs 2^3, 2^2, 2^1 have ratios 1/16, 1/8, 1/4: each step's factor
+        # 1/2 meets ratio_factor 2/5.  With the middle rung stopped on its
+        # budget, the factor across the gap, 1/4, read FAIL
+        def stop_middle_rung(T, x, y, *args, **kwargs):
+            if y.entry(-50).re == 4:
+                raise SearchFailed("budget", reason="budget", triple_index=0,
+                                   best_residual=math.inf, best_delta_norm=math.inf,
+                                   attempts=1, budget_used=1, k_last=1)
+            return d_witness(T, x, y, *args, **kwargs)
+
+        d_witness = certificates.d_witness
+        monkeypatch.setattr(certificates, "d_witness", stop_middle_rung)
+        code, _, report = certify_with(
+            capsys, tmp_path, "riesz-blocks",
+            dict(SWEEP_SIZES["riesz-blocks"], lambda_ladder_exponents=[3, 2, 1],
+                 ratio_factor="2/5"))
+        assert code == 4
+        sub = {s["name"]: s for s in report["sub_checks"]}["lambda-ladder-ratio"]
+        assert sub["status"] == "INDECISIVE"
+        assert sub["details"] == {"ratios": [0.0625, None, 0.25], "min_factor": None}
 
     def test_a_coarse_scan_that_found_nothing_is_indecisive(self, capsys, tmp_path):
         # a scan to 10 steps reaches no planted copy: it exited 5 with
