@@ -511,13 +511,24 @@ class TestRefusedParameters:
         ("riesz-blocks", {"orbit_horizon": -1, "sample_count": 5}, "'orbit_horizon'"),
         ("prop36-contraction", {"target_count": -3, "outside_count": -1},
          "'target_count'"),
+        ("prop15", {"scale_exponents": [11, 10]}, "'scale_exponents'"),
+        ("prop15", {"scale_exponents": [11, 11]}, "'scale_exponents'"),
+        ("prop15", {"scale_exponents": [10, 12, 11]}, "'scale_exponents'"),
+        ("prop15", {"scale_exponents": [11, 2000]}, "'scale_exponents'"),
+        ("prop15", {"scale_exponents": [-2000, 11]}, "'scale_exponents'"),
     ], ids=["prop22-lambda-negative", "prop22-lambda-quarter", "prop22-lambda-3/4",
             "prop22-steps-13", "prop22-drift-time-5", "prop22-d-quarter",
             "prop22-drift-scale-0", "prop21-sample-count", "riesz-orbit-horizon",
-            "prop36-contraction-counts"])
+            "prop36-contraction-counts", "prop15-scales-descending",
+            "prop15-scales-repeated", "prop15-scales-out-of-order", "prop15-scale-2^2000",
+            "prop15-scale-2^-2000"])
     def test_config_error_names_the_parameter(self, capsys, tmp_path, name, params,
                                               named):
-        # each exited 5 (prop22) or 0/4 with a vacuous sub-check before
+        # each exited 5 (prop22) or 0/4 with a vacuous sub-check before; the
+        # prop15 lists: the first three made the rescale raise "scales t_k
+        # must be strictly increasing" (exit 2, "error:", no report from
+        # certify all), the last two ran in exact mode and exited 2 as
+        # "error:" in float mode, 2^2000 being past double range
         code, err, _ = certify_with(capsys, tmp_path, name, params)
         assert code == 2
         assert "config error:" in err and named in err
@@ -563,23 +574,6 @@ class TestRefusedParameters:
         assert all(name in err for name in ("'d'", "'scale_exponents'", "'target_eps'"))
         code, _, report = certify_with(capsys, tmp_path, "prop15", params, "exact")
         assert code == 0 and report["verdict"] == "PASS"
-
-    @pytest.mark.parametrize("mode", ["exact", "float"])
-    @pytest.mark.parametrize("exponents", [[11, 10], [11, 11], [10, 12, 11],
-                                           [11, 2000], [-2000, 11]],
-                             ids=["descending", "repeated", "out-of-order",
-                                  "2^2000", "2^-2000"])
-    def test_scale_exponents_the_rescale_cannot_use(self, capsys, tmp_path, exponents,
-                                                    mode):
-        # the first three: the mix searches succeed, and the rescale raised
-        # "scales t_k must be strictly increasing", exit 2 as "error:"; the
-        # last two exited 2 in float mode, "error: a value near 2^2000 is past
-        # double range", and ran in exact mode
-        code, err, _ = certify_with(capsys, tmp_path, "prop15",
-                                    {"scale_exponents": exponents}, mode)
-        assert code == 2
-        assert "config error: parameter 'scale_exponents' must be a non-empty strictly " \
-            "increasing list of integers in [-1023, 1023]" in err
 
     @pytest.mark.parametrize("kind", ["coarse", "j"])
     def test_float_witness_bound_past_double_range(self, capsys, kind):
