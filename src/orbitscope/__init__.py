@@ -55,7 +55,6 @@ from .orbits import (
     coarse_orbit_contains,
     make_coarse_witness,
     orbit,
-    orbit_points_in_ball,
     rescale_coarse_witness,
 )
 from .limit_sets import (
@@ -69,12 +68,9 @@ from .limit_sets import (
     derive_remark32_bounds,
     jmix_witness,
     prop22_amplify,
-    prop31_rescale,
     remark32_contradiction_check,
     rescale_j_witness_family,
-    scale_j_witness,
     search_j_witness,
-    with_bound,
 )
 
 __version__ = "0.1.0"

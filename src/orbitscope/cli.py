@@ -1,5 +1,4 @@
-"""Command-line front end: orbit traces, witness runs, certificate suites,
-and the evidence-only exploration drivers.
+"""Command-line front end: orbit traces, witness runs and certificate suites.
 
 Structured-config-first: most parameters live in a single JSON config,
 with --seed / --mode / --out as the only overrides.  Failure payloads
@@ -18,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .certificates import aggregate_exit_status, run_all, write_bundle
-from .defaults import is_number, parse
+from .defaults import parse
 from .errors import (
     ConfigError,
     OrbitscopeError,
@@ -28,7 +27,7 @@ from .limit_sets import EpsSchedule, d_witness, jmix_witness, search_j_witness
 from .numeric import Mode
 from .operators import ShiftOperator, shift_from_jsonable
 from .orbits import coarse_orbit_contains, orbit
-from .spaces import IndexSet, NormTag, SeqVector
+from .spaces import NormTag, SeqVector
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -187,119 +186,6 @@ def cmd_certify(args, config: dict, mode: Mode) -> int:
     return aggregate_exit_status(reports)
 
 
-_EXPLORE_KEYS = {"kind", "positive_range", "nonpositive_range"}
-
-
-def cmd_explore(args, config: dict, mode: Mode) -> int:
-    if args.family:
-        try:
-            family = json.loads(args.family)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed family spec: {exc}") from exc
-    else:
-        family = {"kind": "piecewise_two_sided"}
-    if not isinstance(family, dict):
-        raise ConfigError("family spec must be a JSON object")
-    unknown = set(family) - _EXPLORE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown family keys: {sorted(unknown)}")
-    for key in ("positive_range", "nonpositive_range"):
-        if key in family and not (isinstance(family[key], list) and len(family[key]) == 2
-                                  and all(map(is_number, family[key]))):
-            raise ConfigError(f"{key} must be a pair of numbers")
-    if family.get("kind") != "piecewise_two_sided":
-        raise ConfigError(
-            f"family kind {family.get('kind')!r} is out of scope; "
-            "only piecewise_two_sided shifts are explorable")
-    evidence = _explore_piecewise(family, args.trials, config, mode)
-    _emit(evidence, args.out)
-    return EXIT_OK
-
-
-def _explore_piecewise(family: dict, trials: int, config: dict,
-                       mode: Mode) -> dict:
-    """Randomized scan for anomaly candidates; records evidence only.
-
-    Question 1 driver: instances where a cone is well covered by one
-    coarse orbit while global targets are not.  Question 2 driver:
-    instances rich in D-certificates but poor in J-certificates.  No
-    verdicts are drawn from either statistic.
-    """
-    import random
-
-    from .operators import PiecewiseTwoSided, Shape as _Shape
-    from .spaces import OpenCone, cone_sample
-
-    rng = random.Random(f"{config['seed']}:explore")
-    pos_lo, pos_hi = family.get("positive_range", [1.2, 3.0])
-    non_lo, non_hi = family.get("nonpositive_range", [0.5, 1.5])
-    instances = []
-    for trial in range(trials):
-        w_pos = Fraction(str(round(rng.uniform(pos_lo, pos_hi), 3)))
-        w_non = Fraction(str(round(rng.uniform(non_lo, non_hi), 3)))
-        T = ShiftOperator(_Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
-                          PiecewiseTwoSided(w_pos, w_non),
-                          label=f"explore-{trial}")
-        x = SeqVector.basis(IndexSet.INTEGERS, 0, mode=mode)
-        d = Fraction(2)
-        schedule = EpsSchedule.reciprocal(3)
-        center = SeqVector.basis(IndexSet.INTEGERS, -2, 2, mode)
-        cone = OpenCone(center, 1, NormTag.PINF)
-        cone_targets = cone_sample(cone, 8, seed=rng.randrange(2 ** 30))
-        global_targets = []
-        g_rng = random.Random(rng.randrange(2 ** 30))
-        for _ in range(8):
-            idxs = g_rng.sample(range(-6, 7), 3)
-            global_targets.append(SeqVector.from_entries(
-                IndexSet.INTEGERS,
-                {i: Fraction(str(round(g_rng.uniform(-4, 4), 3))) for i in idxs},
-                mode))
-        outcomes = {"cone": [], "global": [], "d": [], "j": []}
-        for y in cone_targets:
-            w = coarse_orbit_contains(T, x, d, y, 200, NormTag.PINF)
-            outcomes["cone"].append(w.time if w else None)
-        for y in global_targets:
-            w = coarse_orbit_contains(T, x, d, y, 200, NormTag.PINF)
-            outcomes["global"].append(w.time if w else None)
-            try:
-                dw = d_witness(T, x, y, d, 50, schedule, 4000,
-                               norm_tag=NormTag.PINF)
-                outcomes["d"].append(dw.kind)
-            except SearchFailed:
-                outcomes["d"].append(None)
-            try:
-                search_j_witness(T, x, y, d, schedule, 4000,
-                                 norm_tag=NormTag.PINF,
-                                 stagnation_window=100)
-                outcomes["j"].append(True)
-            except SearchFailed:
-                outcomes["j"].append(False)
-        cone_cov = sum(t is not None for t in outcomes["cone"]) / 8
-        global_cov = sum(t is not None for t in outcomes["global"]) / 8
-        d_rate = sum(o is not None for o in outcomes["d"]) / 8
-        j_rate = sum(bool(o) for o in outcomes["j"]) / 8
-        instances.append({
-            "trial": trial,
-            "weights": {"positive": str(w_pos), "nonpositive": str(w_non)},
-            "outcomes": outcomes,
-            "cone_coverage": cone_cov,
-            "global_coverage": global_cov,
-            "d_rate": d_rate,
-            "j_rate": j_rate,
-            "q1_score": cone_cov - global_cov,
-            "q2_score": d_rate - j_rate,
-        })
-    instances.sort(key=lambda r: (-max(r["q1_score"], r["q2_score"]), r["trial"]))
-    return {
-        "driver": "piecewise-two-sided-shift scan",
-        "note": ("evidence only: scores rank instances for further study; "
-                 "no claim is asserted"),
-        "seed": config["seed"],
-        "trials": trials,
-        "instances": instances,
-    }
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitscope",
@@ -331,11 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--out", help="report bundle directory")
     p_cert.set_defaults(func=cmd_certify)
 
-    p_exp = sub.add_parser("explore", help="evidence-only anomaly scans")
-    p_exp.add_argument("--family", help="family spec JSON")
-    p_exp.add_argument("--trials", type=int, default=0)
-    p_exp.add_argument("--out", help="evidence JSON path (default stdout)")
-    p_exp.set_defaults(func=cmd_explore)
     return parser
 
 

@@ -24,9 +24,9 @@ in J(x, T, d); every other reason means "not found within this budget and
 strategy", never non-membership.
 
 Each function that returns a witness checks it once; consumers never
-check it again.  prop31_rescale, rescale_j_witness_family and
-prop22_amplify take the witnesses they are given as checked, and check
-only the certificate they return.
+check it again.  rescale_j_witness_family and prop22_amplify take the
+witnesses they are given as checked, and check only the certificate they
+return.
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ class EpsSchedule:
 
     def __iter__(self):
         return iter(self.values)
-
-    def scale_by(self, factor: Fraction) -> "EpsSchedule":
-        f = Fraction(factor)
-        return EpsSchedule(tuple(v * f for v in self.values))
 
     def to_jsonable(self):
         return [str(v) for v in self.values]
@@ -174,53 +170,6 @@ class DWitness(FieldsJSON):
             self.coarse.verify(T)
         else:
             self.jwitness.verify(T)
-
-
-# -- scaling transforms -----------------------------------------------------------
-
-
-def scale_j_witness(T: ShiftOperator, w: JWitness, factor) -> JWitness:
-    """Linearity: a witness for y in J(x,T,d) scales to f*y in J(f*x,T,f*d)."""
-    f = Fraction(factor)
-    if f <= 0:
-        raise OrbitscopeError("scaling factor must be positive")
-    mode = common_mode(w.base, w.target)
-    fs = real_value(f, mode)
-    out = JWitness(
-        base=w.base.scale(fs),
-        target=w.target.scale(fs),
-        bound=w.bound * fs,
-        norm_tag=w.norm_tag,
-        schedule=w.schedule.scale_by(f),
-        triples=tuple(JWitnessTriple(t.perturbed.scale(fs), t.time, t.dist * fs)
-                      for t in w.triples),
-        mix_flag=w.mix_flag,
-        op_label=w.op_label,
-    )
-    out.verify(T)
-    return out
-
-
-def with_bound(T: ShiftOperator, w: JWitness, new_bound) -> JWitness:
-    """Monotonicity in d: the same triples certify any larger bound."""
-    nb = real_value(new_bound, common_mode(w.base, w.target))
-    out = JWitness(w.base, w.target, nb, w.norm_tag, w.schedule, w.triples,
-                   w.mix_flag, w.op_label)
-    out.verify(T)
-    return out
-
-
-def prop31_rescale(T: ShiftOperator, w: JWitness, N) -> JWitness:
-    """From a witness for N*y in J(x,T,d) to one for y in J(x/N, T, d/N).
-
-    Iterating over growing N shrinks both the perturbation radii and the
-    image distances, the finite-scale content of C being contained in
-    the limit set of 0 for unilateral shifts.
-    """
-    n = Fraction(N)
-    if n <= 0:
-        raise OrbitscopeError("N must be positive")
-    return scale_j_witness(T, w, Fraction(1) / n)
 
 
 # -- budgeted search ----------------------------------------------------------------

@@ -161,16 +161,11 @@ def rescale_coarse_witness(T: ShiftOperator, w: CoarseWitness, M) -> CoarseWitne
                                w.target.scale(factor), w.time, w.norm_tag)
 
 
-def orbit_points_in_ball(T: ShiftOperator, x: SeqVector, y: SeqVector,
-                         radius, K: int, norm_tag: NormTag) -> int:
-    """Number of distinct orbit points T^n x, n <= K, inside B(y, radius)."""
-    return ball_counts(T, x, y, radius, [K], norm_tag)[0]
-
-
 def ball_counts(T: ShiftOperator, x: SeqVector, y: SeqVector, radius,
                 horizons, norm_tag: NormTag) -> list[int]:
-    """orbit_points_in_ball at each horizon K in horizons (0 for K < 0),
-    from one scan to max(horizons).
+    """Number of distinct orbit points T^n x, n <= K, inside B(y, radius)
+    at each horizon K in horizons (0 for K < 0), from one scan to
+    max(horizons).
 
     Restriction to supp y never raises a p-norm, so a point whose support
     misses supp y lies at distance >= ||y|| from y: when ||y|| >= radius

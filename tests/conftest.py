@@ -125,6 +125,24 @@ def random_shift(rng):
     return ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS, Constant(w()))
 
 
+def random_rule(rng):
+    def w():
+        return Fraction(rng.choice([1, 2, 3, 5, 7]), rng.choice([1, 2, 3, 4])) \
+            * rng.choice([1, -1])
+    kind = rng.choice(["constant", "piecewise", "periodic", "table"])
+    if kind == "constant":
+        return Constant(w())
+    if kind == "piecewise":
+        return PiecewiseTwoSided(w(), w())
+    if kind == "periodic":
+        return Periodic(tuple(w() for _ in range(rng.randint(1, 3))))
+    return Table({rng.randint(-6, 6): w(), rng.randint(-6, 6): w()}, w())
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 # block sums with annihilating band edges; over Z index 7 lies in no
 # band, over N index 10
 BLOCK_BANDS = {IndexSet.INTEGERS: [Band(None, -4), Band(-3, 2), Band(3, 6), Band(8, None)],

@@ -44,9 +44,7 @@ from orbitscope.numeric import Mode
 from orbitscope.operators import Band, Block
 from orbitscope.orbits import CoarseWitness
 
-from conftest import points_in_ball_scan, random_vector
-from test_cli import reject_constant
-from test_limit_sets import random_rule
+from conftest import points_in_ball_scan, random_rule, random_vector, reject_constant
 
 
 SMALL_PROP32 = dict(sample_count=8, orbit_check_horizon=200,

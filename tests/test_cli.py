@@ -13,13 +13,11 @@ from orbitscope.certificates import bundle_digest
 from orbitscope.errors import SearchFailed
 from orbitscope.cli import main
 
+from conftest import reject_constant
+
 
 E0 = '{"index_set": "Z", "entries": [[0, "1", "0"]]}'
 E0_N = '{"index_set": "N", "entries": [[0, "1", "0"]]}'
-
-
-def reject_constant(name):
-    raise ValueError(f"{name} is not RFC 8259 JSON")
 
 
 def run(capsys, *argv):
@@ -407,54 +405,19 @@ class TestCertify:
         assert i1 == i2
 
 
-class TestExplore:
-    def test_zero_trials_empty_evidence(self, capsys):
-        code, out, _ = run(capsys, "explore", "--trials", "0")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["instances"] == []
-        assert "no claim" in payload["note"]
-
-    def test_deterministic_under_seed(self, capsys):
-        code1, out1, _ = run(capsys, "--seed", "3", "explore", "--trials", "2")
-        code2, out2, _ = run(capsys, "--seed", "3", "explore", "--trials", "2")
-        assert code1 == code2 == 0
-        assert out1 == out2
-        payload = json.loads(out1)
-        assert len(payload["instances"]) == 2
-        # statistics recompute from the embedded outcomes
-        for inst in payload["instances"]:
-            cone_cov = sum(t is not None for t in inst["outcomes"]["cone"]) / 8
-            assert inst["cone_coverage"] == cone_cov
-            assert inst["q2_score"] == inst["d_rate"] - inst["j_rate"]
-
-    @pytest.mark.parametrize("family", [
-        {"kind": "piecewise_two_sided", "positive_range": "ab"},
-        {"kind": "piecewise_two_sided", "nonpositive_range": [0.5]},
-        {"kind": "piecewise_two_sided", "positive_range": [1, "3"]},
-        5,
-        {"kind": "piecewise_two_sided", "count": 5},
-    ], ids=["range-string", "range-short", "range-item-string", "not-object",
-            "unread-count"])
-    def test_malformed_family(self, capsys, family):
-        code, _, err = run(capsys, "explore", "--trials", "1",
-                           "--family", json.dumps(family))
-        assert code == 2
-        assert "config error:" in err
-
-    def test_out_of_scope_family_kind(self, capsys):
-        code, _, err = run(capsys, "explore", "--trials", "1",
-                           "--family", '{"kind": "full-matrix"}')
-        assert code == 2
-        assert "out of scope" in err
+def test_explore_is_an_unknown_command(capsys):
+    # the evidence-only scan is gone: its flags parse as a usage error
+    code, out, err = run(capsys, "explore", "--trials", "-3")
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'explore'" in err
 
 
 @pytest.mark.parametrize("command", [
     ("orbit", "--x", E0, "--horizon", "1"),
     TestCertify.WITNESS,
-    ("explore", "--trials", "0"),
     ("certify", "prop15"),
-], ids=["orbit", "witness", "explore", "certify"])
+], ids=["orbit", "witness", "certify"])
 def test_unwritable_out_is_a_config_error(capsys, tmp_path, command):
     # a file in a missing directory; certify's bundle directory is a file
     (tmp_path / "file").write_text("")

@@ -27,13 +27,10 @@ from orbitscope import (
     make_coarse_witness,
     norm,
     prop22_amplify,
-    prop31_rescale,
     prop32_operator,
     remark32_contradiction_check,
     rescale_j_witness_family,
-    scale_j_witness,
     search_j_witness,
-    with_bound,
 )
 from orbitscope.errors import (
     IndexSetMismatch,
@@ -57,14 +54,12 @@ from orbitscope.numeric import QC, Mode, abs2, make_scalar, real_value, scalar_z
 from orbitscope.operators import (
     Band,
     Block,
-    Periodic,
-    Table,
     WeightRule,
     weight_product,
 )
 from orbitscope.spaces import dist_and_lt
 
-from conftest import nfold_apply, outside_domain, random_shift, random_vector, \
+from conftest import nfold_apply, outside_domain, random_rule, random_shift, random_vector, \
     reference_path_source, shift_operators, sup_projection_feasible, vector_for
 
 
@@ -407,20 +402,6 @@ def outcome(attempt, T, x, y, d, eps, k, budget_limit):
     assert att.dist is None or type(att.dist) is Fraction
     assert type(att.delta_norm) is float and type(att.residual) is float
     return (att.ok, att.perturbed, att.dist, att.delta_norm, att.residual), budget.used
-
-
-def random_rule(rng):
-    def w():
-        return Fraction(rng.choice([1, 2, 3, 5, 7]), rng.choice([1, 2, 3, 4])) \
-            * rng.choice([1, -1])
-    kind = rng.choice(["constant", "piecewise", "periodic", "table"])
-    if kind == "constant":
-        return Constant(w())
-    if kind == "piecewise":
-        return PiecewiseTwoSided(w(), w())
-    if kind == "periodic":
-        return Periodic(tuple(w() for _ in range(rng.randint(1, 3))))
-    return Table({rng.randint(-6, 6): w(), rng.randint(-6, 6): w()}, w())
 
 
 def random_operator(rng):
@@ -1357,62 +1338,6 @@ class TestDWitness:
                 dw.verify(T)
 
 
-class TestScaling:
-    def make_witness(self):
-        T = prop32_operator()
-        y = SeqVector.from_entries(IndexSet.INTEGERS, {-2: 3, 1: -1})
-        return T, search_j_witness(T, ei(0), y, 2, EpsSchedule.reciprocal(4),
-                                   10_000)
-
-    def test_scaling_invariance_randomized(self):
-        rng = random.Random(77)
-        T, w = self.make_witness()
-        for _ in range(200):
-            lam = Fraction(rng.randint(1, 400), rng.randint(1, 40))
-            sw = scale_j_witness(T, w, lam)  # verifies internally
-            assert sw.base == w.base.scale(lam)
-            assert sw.target == w.target.scale(lam)
-            assert sw.bound == Fraction(2) * lam
-
-    def test_monotone_in_bound(self):
-        T, w = self.make_witness()
-        bigger = with_bound(T, w, 5)
-        assert bigger.bound == 5
-        with pytest.raises(VerificationFailed):
-            with_bound(T, w, Fraction(1, 2))
-
-    def test_prop31_identity(self):
-        T, w = self.make_witness()
-        same = prop31_rescale(T, w, 1)
-        assert same.target == w.target
-        assert same.bound == w.bound
-
-    def test_prop31_shrinks_everything(self):
-        T = doubling()
-        w = search_j_witness(T, SeqVector.zero(IndexSet.NATURALS), en(0, 10), 1,
-                             EpsSchedule.reciprocal(3), 10_000)
-        rw = prop31_rescale(T, w, 10)
-        assert rw.bound == Fraction(1, 10)
-        assert rw.target == en(0)
-        assert all(t.dist == 0 for t in rw.triples)
-
-    def test_prop31_checks_only_its_result(self, verify_calls):
-        T, w = self.make_witness()
-        verify_calls.clear()  # the search checked w
-        out = prop31_rescale(T, w, 10)
-        assert verify_calls == [out]
-
-    def test_prop31_chained_powers(self):
-        T = doubling()
-        w = search_j_witness(T, SeqVector.zero(IndexSet.NATURALS),
-                             en(0, Fraction(1, 1)), 1, EpsSchedule.reciprocal(3),
-                             10_000)
-        current = w
-        for j in range(1, 6):
-            current = prop31_rescale(T, scale_j_witness(T, current, 1), 2)
-            assert current.bound == Fraction(1, 2 ** j)
-
-
 class TestFamilyRescale:
     def build_family(self, exponents, m=3):
         T = doubling()
@@ -1464,6 +1389,18 @@ class TestFamilyRescale:
         assert reaching_scale([(2, Fraction(1, 4)), (8, 1)], Fraction(1, 4), eps) == 0
         assert reaching_scale([(2, 1), (4, 1)], 1, eps) is None
         assert reaching_scale([(8, 1)], 2, eps) is None
+
+    def test_one_member_divides_by_its_scale(self):
+        # a witness for 10 e_0 in J(0, T, 1) becomes one for e_0 at bound
+        # 1/10; the schedule is the majorant of the radii 1, 1/2, 1/3 over 10
+        T = doubling()
+        w = search_j_witness(T, SeqVector.zero(IndexSet.NATURALS), en(0, 10), 1,
+                             EpsSchedule.reciprocal(3), 10_000)
+        out = rescale_j_witness_family(T, [(10, w)], Fraction(1, 9)).witness
+        assert out.bound == Fraction(1, 10)
+        assert out.target == en(0)
+        assert all(t.dist == 0 for t in out.triples)
+        assert out.schedule.values == (Fraction(3, 20), Fraction(1, 15), Fraction(1, 24))
 
     def test_minimal_family_when_tolerance_loose(self):
         T, family = self.build_family([1])
@@ -1542,7 +1479,7 @@ def _family_with_bounds(d0, d1):
     w1 = jmix_witness(T, zero, en(0, 2), 1, 3, 1, 50_000)
     w2 = jmix_witness(T, zero, en(0, 4), 1, 3, w1.times[-1] + 1, 50_000)
     return lambda: rescale_j_witness_family(
-        T, [(2, with_bound(T, w1, d0)), (4, with_bound(T, w2, d1))], 1)
+        T, [(2, dataclasses.replace(w1, bound=d0)), (4, dataclasses.replace(w2, bound=d1))], 1)
 
 
 def _amplification_with_bounds(d0, d1):
@@ -1658,7 +1595,8 @@ class TestWitnessIntegrity:
         w = search_j_witness(T, en(3), y, 1, EpsSchedule.reciprocal(2), 10_000,
                              norm_tag=NormTag.P2)
         assert all(type(t.dist) is float for t in w.triples)
-        scaled = scale_j_witness(T, w, Fraction(7, 3))  # verifies internally
+        # a one-member family at scale 3/7 multiplies by 7/3 and checks the result
+        scaled = rescale_j_witness_family(T, [(Fraction(3, 7), w)], 3).witness
         assert scaled.triples[0].dist == w.triples[0].dist * Fraction(7, 3)
 
     @pytest.mark.parametrize("search", ["search", "jmix"])

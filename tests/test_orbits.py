@@ -21,7 +21,6 @@ from orbitscope import (
     make_coarse_witness,
     norm,
     orbit,
-    orbit_points_in_ball,
     prop32_operator,
     rescale_coarse_witness,
 )
@@ -466,14 +465,14 @@ class TestPointCounting:
         times = (30, 300, 3000)
         x = synth_orbit_instance([y, y, y], times)
         T = doubling()
-        counts = [orbit_points_in_ball(T, x, y, Fraction(3, 2), K, NormTag.PINF)
+        counts = [ball_counts(T, x, y, Fraction(3, 2), [K], NormTag.PINF)[0]
                   for K in (100, 1000, 10000)]
         assert counts == [1, 2, 3]
 
     def test_plateau_on_single_visit(self):
         # the drifting orbit passes a basis target exactly once
-        counts = [orbit_points_in_ball(prop32_operator(), ei(0), ei(-5),
-                                       Fraction(3, 10), K, NormTag.PINF)
+        counts = [ball_counts(prop32_operator(), ei(0), ei(-5),
+                              Fraction(3, 10), [K], NormTag.PINF)[0]
                   for K in (20, 200, 2000)]
         assert counts == [1, 1, 1]
 
@@ -493,7 +492,7 @@ class TestPointCounting:
         for T, x, y, radius, p in cases:
             expected = [points_in_ball_scan(T, x, y, radius, K, p) for K in horizons]
             assert ball_counts(T, x, y, radius, horizons, p) == expected
-            assert [orbit_points_in_ball(T, x, y, radius, K, p)
+            assert [ball_counts(T, x, y, radius, [K], p)[0]
                     for K in horizons] == expected
 
     @pytest.mark.parametrize("mode", list(Mode))
