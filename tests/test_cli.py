@@ -406,7 +406,8 @@ class TestCertify:
 
 
 def test_explore_is_an_unknown_command(capsys):
-    # the evidence-only scan is gone: its flags parse as a usage error
+    # orbit, witness and certify are the only commands; any other is a
+    # usage error, whatever its flags
     code, out, err = run(capsys, "explore", "--trials", "-3")
     assert code == 2
     assert out == ""
