@@ -40,14 +40,12 @@ from .operators import (
     Shape,
     ShiftOperator,
     Table,
-    apply,
     apply_power,
     iterate,
     prop32_operator,
     riesz_blocks,
     shift_from_jsonable,
     spectral_radius,
-    weight_product,
 )
 from .orbits import (
     CoarseWitness,

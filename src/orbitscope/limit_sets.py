@@ -175,9 +175,10 @@ class DWitness(FieldsJSON):
 # -- budgeted search ----------------------------------------------------------------
 
 
-_NO_PRODUCT = scalar_zero(Mode.EXACT)  # W of a row no source reaches, as weight_product has it
+_NO_PRODUCT = scalar_zero(Mode.EXACT)  # W of a row no source reaches; any other's is _Lane.product
 _K_CAP = 10_000  # largest time tried, and largest mix-block start
 _MIX_STAGNATION = 200  # mix-block starts without progress
+_REMARK32_TOL = Fraction(1, 4)  # a Remark 3.2 family's radius; it forces bounds of twice it
 
 
 class Budget:
@@ -189,10 +190,10 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def try_spend(self, n: int = 1) -> bool:
-        if self.used + n > self.limit:
+    def try_spend(self) -> bool:
+        if self.used >= self.limit:
             return False
-        self.used += n
+        self.used += 1
         return True
 
 
@@ -331,7 +332,7 @@ def _greedy_attempt(search: _SearchLog, eps, k: int) -> _Attempt | None:
     decide.  A sup-norm search over real exact vectors and weights runs
     _real_sup_attempt instead, which decides each row exactly."""
     budget, norm_tag, mode, d_val = search.budget, search.norm_tag, search.mode, search.d_val
-    if not budget.try_spend(1):
+    if not budget.try_spend():
         return None
     x, ys = search.x, search.y._entries
     table = search.table(k)
@@ -408,7 +409,7 @@ def _greedy_attempt(search: _SearchLog, eps, k: int) -> _Attempt | None:
         residual_est = sum(uncorrected)
     if not feasible or not delta_ok:
         return _Attempt(False, None, None, delta_norm, residual_est)
-    if not budget.try_spend(1):
+    if not budget.try_spend():
         return None
     perturbed = x + delta
     try:
@@ -429,7 +430,7 @@ def _real_sup_attempt(search: _SearchLog, eps: Fraction, k: int) -> _Attempt | N
     applied.  The row rule is decided by cross-multiplication, and the
     distance of the perturbed image, max_j |y_j - W z_s|, is read off the
     same rows."""
-    if not search.budget.try_spend(1):
+    if not search.budget.try_spend():
         return None
     x, ys, d_val = search.x, search.y._entries, search.d_val
     rows = {}  # j -> (s, wa, wd, p, q) with q > 0; s is None when no path reaches j
@@ -473,7 +474,7 @@ def _real_sup_attempt(search: _SearchLog, eps: Fraction, k: int) -> _Attempt | N
     delta_norm = ratio_float(big_n, big_d)
     if not feasible:
         return _Attempt(False, None, None, delta_norm, residual)
-    if not search.budget.try_spend(1):
+    if not search.budget.try_spend():
         return None
     entries = dict(x._entries)
     for s, (num, den) in deltas.items():
@@ -946,16 +947,15 @@ def derive_remark32_bounds(w: SeqVector, family: list[tuple[SeqVector, int]],
     _, k1 = family[n1]
     coord = -k1
     val = w.entry(coord)
-    quarter = Fraction(1, 4)  # |v - 1| < 1/2 and |v| < 1/2, decided on |.|^2
-    near_one = abs2(val - make_scalar(1, w.mode)) < quarter
-    near_zero = abs2(val) < quarter
+    bound2 = (2 * _REMARK32_TOL) ** 2  # |v - 1| < 1/2 and |v| < 1/2, decided on |.|^2
+    near_one = abs2(val - make_scalar(1, w.mode)) < bound2
+    near_zero = abs2(val) < bound2
     return ContradictionReport(n0, n1, k0, k1, coord, [to_float(val.real), to_float(val.imag)],
                                near_one, near_zero)
 
 
 def remark32_contradiction_check(T: ShiftOperator, candidate_w: SeqVector,
-                                 family: list[tuple[SeqVector, int]], *,
-                                 tol=Fraction(1, 4)) -> ContradictionReport:
+                                 family: list[tuple[SeqVector, int]]) -> ContradictionReport:
     """Reject or contradict a claimed J(e_0, T, 1/4)-style witness family.
 
     The preconditions ||y_n - e_0|| < 1/4 and ||T^{k_n} y_n - w|| < 1/4
@@ -974,7 +974,7 @@ def remark32_contradiction_check(T: ShiftOperator, candidate_w: SeqVector,
         raise InputNotAWitnessFamily("times must be positive integers")
     mode = common_mode(candidate_w, family[0][0])
     e0 = SeqVector.basis(IndexSet.INTEGERS, 0, mode=mode)
-    tol_val = real_value(tol, mode)
+    tol_val = real_value(_REMARK32_TOL, mode)
     failures = []
     for idx, (y_n, k_n) in enumerate(family):
         r, ok = dist_and_lt(y_n, e0, NormTag.PINF, tol_val)

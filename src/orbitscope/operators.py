@@ -13,8 +13,8 @@ its lane with one weight lookup and one multiply, in exact mode on the
 entry's three ints, and end in one shared zero vector once every lane
 has.  ``meetings`` builds only the points whose support meets given rows.
 
-``weight_product`` is the exact path product.  A lane's ``entry`` is the
-one closed-form landing: the entry T^n sends val e_s to, the exact
+``_Lane.product`` is the one exact path product.  A lane's ``entry`` is
+the one closed-form landing: the entry T^n sends val e_s to, the exact
 product times val in exact mode, and in float64 mode the product's log2
 magnitude and phase times val, an error past 2^900 instead of a silent
 overflow.  ``apply_power``, ``meetings`` and the J searches' attempts
@@ -46,7 +46,6 @@ from .numeric import (
     log2_abs,
     make_scalar,
     phase_of,
-    scalar_zero,
     unit_power,
 )
 from .spaces import IndexSet, SeqVector
@@ -435,8 +434,8 @@ class _Lane:
 
 def _lanes(T: ShiftOperator, v: SeqVector):
     """(lane, v_s) for each source s of v, in index order; IndexSetMismatch
-    as apply raises it, on v and T over different index sets or at the
-    first source in no band."""
+    on v and T over different index sets or at the first source in no
+    band."""
     if v.index_set is not T.index_set:
         raise IndexSetMismatch("operator and vector index sets differ")
     component_for = T.component_for
@@ -455,20 +454,6 @@ def _lane_into(T: ShiftOperator, j: int, n: int) -> _Lane | None:
         return None
     s = j - _OFFSET[comp[0]] * n
     return _Lane(s, comp) if comp[2].contains(s) else None
-
-
-def weight_product(T: ShiftOperator, target_index: int, n: int) -> QC:
-    """Exact product of the n weights along the path landing at target_index.
-
-    Zero when no source reaches the target (e.g. a unilateral path would
-    have to exit N).
-    """
-    if n < 0:
-        raise OrbitscopeError("power must be non-negative")
-    if n == 0:
-        return _ONE
-    lane = _lane_into(T, target_index, n)
-    return scalar_zero(Mode.EXACT) if lane is None else lane.product(n)
 
 
 def _step_weights(rule: WeightRule, exact: bool) -> tuple:
@@ -593,12 +578,6 @@ def meetings(T: ShiftOperator, v: SeqVector, rows, K: int):
                 for lane, val in lanes if n <= lane.life}, v.mode)
 
     return points()
-
-
-def apply(T: ShiftOperator, v: SeqVector) -> SeqVector:
-    """Single application of T: the one step of ``iterate(T, v, 1)``."""
-    _, out = iterate(T, v, 1)
-    return out
 
 
 def apply_power(T: ShiftOperator, n: int, v: SeqVector) -> SeqVector:

@@ -17,7 +17,7 @@ from orbitscope import (
     norm_lt,
 )
 from orbitscope.errors import IndexSetMismatch, NumericOverflow
-from orbitscope.numeric import Mode
+from orbitscope.numeric import QC, Mode
 
 
 def reference_target(T, s):
@@ -60,6 +60,23 @@ def reference_path_source(T, j, n):
         if t == j:
             return s
     return None
+
+
+def reference_path_product(T, j, n):
+    """Independent oracle for the exact product W of the n weights along
+    the path landing at j, 0 when no source reaches j: reference_path_source's
+    source is stepped n times with reference_target, and each weight it
+    leaves is multiplied in as a pair of Fractions, one at a time."""
+    s = reference_path_source(T, j, n)
+    if s is None:
+        return QC(0)
+    re, im = Fraction(1), Fraction(0)
+    for _ in range(n):
+        t, weights = reference_target(T, s)
+        w = weights.weight_at(s)
+        re, im = re * w.re - im * w.im, re * w.im + im * w.re
+        s = t
+    return QC(re, im)
 
 
 def reference_apply(T, v):

@@ -5,11 +5,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "orbitscope"
-UNCALLED = {
-    "cone_sample",  # kept for ROADMAP item 25
-    "apply",  # named by the benchmark's per-layer metrics
-    "weight_product",  # named by the benchmark's per-layer metrics
-}
+UNCALLED = {"cone_sample"}  # kept for ROADMAP item 25
 
 
 def exported_names():

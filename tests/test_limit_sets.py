@@ -49,18 +49,18 @@ from orbitscope.limit_sets import (
     _real_sup_attempt,
     reaching_scale,
 )
-from orbitscope.numeric import QC, Mode, abs2, make_scalar, real_value, scalar_zero, \
+from orbitscope.numeric import QC, Mode, TOL_EQ, abs2, make_scalar, real_value, scalar_zero, \
     strict_gt, to_float
 from orbitscope.operators import (
     Band,
     Block,
     WeightRule,
-    weight_product,
 )
 from orbitscope.spaces import dist_and_lt
 
 from conftest import nfold_apply, outside_domain, random_rule, random_shift, random_vector, \
-    reference_path_source, shift_operators, sup_projection_feasible, vector_for
+    reference_path_product, reference_path_source, shift_operators, sup_projection_feasible, \
+    vector_for
 
 
 def ei(i, c=1, mode=Mode.EXACT):
@@ -340,9 +340,9 @@ class TestSupAttempt:
 def reference_sup_attempt(T, x, y, d_val, eps, k, budget):
     """_greedy_attempt's sup-norm branch for real exact entries as it stood
     before the integer row table: QC and Fraction arithmetic, products
-    formed by apply_power and weight_product, and the final check through
-    apply_power and the distance walk."""
-    if not budget.try_spend(1):
+    formed by apply_power and reference_path_product, and the final check
+    through apply_power and the distance walk."""
+    if not budget.try_spend():
         return None
     image0 = apply_power(T, k, x)
     delta_entries, uncorrected, feasible = {}, [], True
@@ -354,7 +354,7 @@ def reference_sup_attempt(T, x, y, d_val, eps, k, budget):
         m_abs = abs(m.re)
         s = reference_path_source(T, j, k)
         if s is not None:
-            u = m / weight_product(T, j, k)
+            u = m / reference_path_product(T, j, k)
             u_abs = abs(u.re)
             if eps > u_abs:
                 delta_entries[s] = u
@@ -377,7 +377,7 @@ def reference_sup_attempt(T, x, y, d_val, eps, k, budget):
     residual_est = max(uncorrected, default=0.0)
     if not feasible or not delta_ok:
         return _Attempt(False, None, None, delta_norm, residual_est)
-    if not budget.try_spend(1):
+    if not budget.try_spend():
         return None
     perturbed = x + delta
     r, ok = dist_and_lt(apply_power(T, k, perturbed), y, NormTag.PINF, d_val)
@@ -473,7 +473,7 @@ class TestRealSupAttempt:
             # |u| = eps, which takes a partial correction whenever |m| >= d
             j = rng.choice(rows)
             m = abs((y.entry(j) - image.entry(j)).re)
-            w = abs(weight_product(T, j, k).re)
+            w = abs(reference_path_product(T, j, k).re)
             if tie == "d":
                 d = m
             elif tie == "d+eps" and m > w * eps:
@@ -530,8 +530,8 @@ class TestRealSupAttempt:
     def test_stepped_rows_match_formed_rows(self, seed, restart):
         # rows of supp y stepped through k = 1..40, then formed afresh at a
         # time that is not the next one and stepped again: each row is its
-        # (reference_path_source, weight_product), past band exits (the
-        # blocks' bands end at -4, -2, 3 and 5) and the unilateral floor
+        # (reference_path_source, reference_path_product), past band exits
+        # (the blocks' bands end at -4, -2, 3 and 5) and the unilateral floor
         rng = random.Random(seed)
         T = random_operator(rng)
         y = vector_for(rng, T, -12, 12)
@@ -540,7 +540,7 @@ class TestRealSupAttempt:
             table = search.table(k)
             assert sorted(table) == list(y.support)
             for j, (s, w, lane, v) in table.items():
-                assert (s, w) == (reference_path_source(T, j, k), weight_product(T, j, k))
+                assert (s, w) == (reference_path_source(T, j, k), reference_path_product(T, j, k))
                 assert lane is v is None
 
     def test_attempts_form_each_product_once(self, monkeypatch):
@@ -554,7 +554,7 @@ class TestRealSupAttempt:
         x = ei(0) + ei(4, Fraction(1, 3))
         y = SeqVector.from_entries(IndexSet.INTEGERS, {
             2: Fraction(1, 4), 5: Fraction(-1, 3), -50: 7, -43: -3})
-        counts = dict.fromkeys(["apply_power", "weight_product", "product_exact"], 0)
+        counts = dict.fromkeys(["apply_power", "product_exact"], 0)
 
         def counted(name, fn):
             def wrapper(*args):
@@ -565,8 +565,6 @@ class TestRealSupAttempt:
         applied = counted("apply_power", operators.apply_power)
         for module in (operators, limit_sets):
             monkeypatch.setattr(module, "apply_power", applied)
-        monkeypatch.setattr(operators, "weight_product",
-                            counted("weight_product", operators.weight_product))
         monkeypatch.setattr(WeightRule, "product_exact",
                             counted("product_exact", WeightRule.product_exact))
         attempts = []
@@ -587,11 +585,10 @@ class TestRealSupAttempt:
         sourced = sum(reference_path_source(T, j, k) is not None for j in rows)
         assert used["apply_power"] == 0
         assert used["product_exact"] <= sourced
-        assert used["weight_product"] <= sourced
         assert [k for k, _ in later] == list(range(k + 1, k + 1 + len(later)))
         assert any(landed_rows(T, k, x) - set(y.support) for k, _ in later)
         for k, used in later:
-            assert used == {"apply_power": 0, "weight_product": 0,
+            assert used == {"apply_power": 0,
                             "product_exact": len(landed_rows(T, k, x) - set(y.support))}
 
     @pytest.mark.parametrize("x, dies_at", [(ei(0), 1), (ei(0) + ei(4, Fraction(1, 3)), 5)],
@@ -649,8 +646,9 @@ def landed_rows(T, k, x):
 def reference_greedy_attempt(T, x, y, d_val, eps, k, norm_tag, budget, mode):
     """_greedy_attempt as it stood before the search's row table: every
     row where the image misses y forms its source and product afresh with
-    reference_path_source and weight_product; the row rule is the same."""
-    if not budget.try_spend(1):
+    reference_path_source and reference_path_product; the row rule is the
+    same."""
+    if not budget.try_spend():
         return None
     try:
         image0 = apply_power(T, k, x)
@@ -663,7 +661,7 @@ def reference_greedy_attempt(T, x, y, d_val, eps, k, norm_tag, budget, mode):
         if target == image:
             continue
         s = reference_path_source(T, j, k)
-        rows.append((j, target - image, s, None if s is None else weight_product(T, j, k)))
+        rows.append((j, target - image, s, None if s is None else reference_path_product(T, j, k)))
     delta_entries, uncorrected, feasible = {}, [], True
     if norm_tag is NormTag.PINF:
         for _, m, s, wp in rows:
@@ -717,7 +715,7 @@ def reference_greedy_attempt(T, x, y, d_val, eps, k, norm_tag, budget, mode):
         residual_est = sum(uncorrected)
     if not feasible or not delta_ok:
         return _Attempt(False, None, None, delta_norm, residual_est)
-    if not budget.try_spend(1):
+    if not budget.try_spend():
         return None
     perturbed = x + delta
     try:
@@ -902,8 +900,8 @@ def test_table_rows_are_paths_and_landings(T, mode, other_set, x_raw, y_raw, run
     # times that run on (rows of y stepped), repeat and jump back (formed
     # afresh), past band exits and gaps, and now and then x over the other
     # index set: every row of supp y and T^k(supp x) is its
-    # (reference_path_source, weight_product), x's lanes are listed once,
-    # and the rows x lands on land T^k x entry for entry, the same double
+    # (reference_path_source, reference_path_product), x's lanes are listed
+    # once, and the rows x lands on land T^k x entry for entry, the same double
     # in float mode (an entry that underflowed to zero is one apply_power
     # drops), or raise apply_power's error.  x outside T's domain is
     # refused before any row is formed, where apply_power raises
@@ -927,7 +925,7 @@ def test_table_rows_are_paths_and_landings(T, mode, other_set, x_raw, y_raw, run
         landed = landed_rows(T, k, x)
         assert set(table) == set(y.support) | landed
         for j, (s, w, lane, v) in table.items():
-            assert (s, w) == (reference_path_source(T, j, k), weight_product(T, j, k))
+            assert (s, w) == (reference_path_source(T, j, k), reference_path_product(T, j, k))
             assert (lane is None, v is None) == (j not in landed,) * 2
             assert lane is None or (lane.s, v) == (s, x._entries[s])
         # in source order, as apply_power lands them
@@ -972,7 +970,7 @@ def test_landed_rows_are_apply_powers_entries(T, mode, other_set, k, raw):
         out = {}
         for t, (s, w, lane, v) in sorted(search.table(k).items(), key=lambda r: r[1][0]):
             assert lane is not None and (lane.s, v) == (s, x._entries[s])
-            assert s == reference_path_source(T, t, k) and w == weight_product(T, t, k)
+            assert s == reference_path_source(T, t, k) and w == reference_path_product(T, t, k)
             if e := lane.entry(k, v, w):
                 out[t] = e
         return out
@@ -1004,6 +1002,23 @@ def test_float_landing_past_policy_overflows_both_ways():
     assert _greedy_attempt(search, 1.0, 401) == _Attempt(False, None, None, math.inf, math.inf)
 
 
+def test_a_partly_corrected_row_sets_the_float_residual():
+    # the bilateral backward Constant(1) in float mode, x = 0,
+    # y = (3/2 - 1e-9) e_0, d = 1, eps = 1/2 and k = 1: the one row has
+    # |m| < d + |W| eps, so it passes the screen and is partly corrected
+    # at the midpoint t, and delta_0 = t m = 1/2 - 5e-10 then fails the
+    # strict float check by less than TOL_EQ.  No row is infeasible, so
+    # the residual the attempt reports, (1 - t) |m|, is that row's
+    T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, Constant(1))
+    x, y = SeqVector.zero(IndexSet.INTEGERS, Mode.FLOAT64), ei(0, 1.5 - 1e-9, Mode.FLOAT64)
+    search = search_log(T, x, y, 1, Fraction(1, 2), Budget(2))
+    got = _greedy_attempt(search, 0.5, 1)
+    assert (got.ok, got.perturbed, got.dist, search.budget.used) == (False, None, None, 1)
+    assert 0.5 - TOL_EQ < got.delta_norm < 0.5
+    assert math.isclose(got.delta_norm, 0.4999999995, rel_tol=1e-12)
+    assert math.isclose(got.residual, 0.9999999995, rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 @pytest.mark.parametrize("norm_tag", list(NormTag), ids=lambda n: n.value)
 def test_a_shared_row_forms_one_product_per_attempt(monkeypatch, mode, norm_tag):
@@ -1012,9 +1027,8 @@ def test_a_shared_row_forms_one_product_per_attempt(monkeypatch, mode, norm_tag)
     # 4 steps.  The first attempt forms one product per row of y a path
     # reaches and one per row only x lands on; each later attempt steps the
     # rows of y and forms one per row only x lands on, none from time 5 on.
-    # A shared row takes y's product.  x's lanes are listed once, no
-    # weight_product is called and no power is applied to x; the integer
-    # attempt applies none at all
+    # A shared row takes y's product.  x's lanes are listed once and no
+    # power is applied to x; the integer attempt applies none at all
     T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.INTEGERS, blocks=(
         Block(Band(None, -1), "backward", Constant(2)),
         Block(Band(0, 9), "backward", Constant(Fraction(1, 2))),
@@ -1022,7 +1036,7 @@ def test_a_shared_row_forms_one_product_per_attempt(monkeypatch, mode, norm_tag)
     x = in_mode(ei(4, Fraction(1, 3)) + ei(12), mode)
     y = in_mode(SeqVector.from_entries(IndexSet.INTEGERS, {
         2: Fraction(1, 4), 12: 1, -50: 7, -43: -3}), mode)
-    counts = dict.fromkeys(["products", "powers", "weight_product", "lanes"], 0)
+    counts = dict.fromkeys(["products", "powers", "lanes"], 0)
     applied = []
 
     def power(T, k, v):  # the products a power forms are counted apart
@@ -1040,8 +1054,6 @@ def test_a_shared_row_forms_one_product_per_attempt(monkeypatch, mode, norm_tag)
 
     monkeypatch.setattr(WeightRule, "product_exact",
                         counted("products", WeightRule.product_exact))
-    monkeypatch.setattr(operators, "weight_product",
-                        counted("weight_product", operators.weight_product))
     monkeypatch.setattr(limit_sets, "_lanes", counted("lanes", limit_sets._lanes))
     monkeypatch.setattr(limit_sets, "apply_power", power)
     attempts = []
@@ -1055,7 +1067,7 @@ def test_a_shared_row_forms_one_product_per_attempt(monkeypatch, mode, norm_tag)
     monkeypatch.setattr(limit_sets._SearchLog, "attempt", attempt)
     w = search_j_witness(T, x, y, 1, EpsSchedule.reciprocal(5), 20_000, norm_tag=norm_tag)
     monkeypatch.undo()
-    assert counts["lanes"] == 1 and counts["weight_product"] == 0
+    assert counts["lanes"] == 1
     assert all(v is not x for v in applied)
     assert [k for k, _ in attempts] == list(range(1, len(attempts) + 1))
     assert len(attempts) > 5 and w.times[-1] == len(attempts)

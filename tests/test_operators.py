@@ -20,7 +20,6 @@ from orbitscope import (
     Shape,
     ShiftOperator,
     Table,
-    apply,
     apply_power,
     iterate,
     norm,
@@ -28,7 +27,6 @@ from orbitscope import (
     riesz_blocks,
     shift_from_jsonable,
     spectral_radius,
-    weight_product,
 )
 from orbitscope.errors import (
     ConfigError,
@@ -40,7 +38,7 @@ from orbitscope import operators
 from orbitscope.numeric import QC, Mode, log2_abs, phase_of
 
 from conftest import nfold_apply, outside_domain, random_shift, reference_apply, \
-    reference_path_source, reference_target, shift_operators, vector_for
+    reference_path_product, reference_path_source, reference_target, shift_operators, vector_for
 
 
 def ei(i, c=1):
@@ -51,29 +49,34 @@ def en(i, c=1):
     return SeqVector.basis(IndexSet.NATURALS, i, c)
 
 
+def one_step(T, v):
+    """The program's own single step of T: the one step of iterate."""
+    return list(iterate(T, v, 1))[1]
+
+
 class TestApply:
     def test_prop32_weight_one_zone(self):
         # weights are 1 at indices <= 0, so e_0 moves to e_{-1} unscaled
-        assert apply(prop32_operator(), ei(0)) == ei(-1)
+        assert one_step(prop32_operator(), ei(0)) == ei(-1)
 
     def test_prop32_weight_two_zone(self):
-        assert apply(prop32_operator(), ei(1)) == ei(0, 2)
+        assert one_step(prop32_operator(), ei(1)) == ei(0, 2)
 
     def test_unilateral_annihilates_bottom(self):
         T = ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS, Constant(5))
-        assert apply(T, en(0)).is_zero
+        assert one_step(T, en(0)).is_zero
 
     def test_forward_shift(self):
         T = ShiftOperator(Shape.BILATERAL_FORWARD, IndexSet.INTEGERS, Constant(3))
-        assert apply(T, ei(2)) == ei(3, 3)
+        assert one_step(T, ei(2)) == ei(3, 3)
 
     def test_diagonal(self):
         T = ShiftOperator(Shape.DIAGONAL, IndexSet.INTEGERS, Table({0: 7}, 2))
-        assert apply(T, ei(0) + ei(1)) == ei(0, 7) + ei(1, 2)
+        assert one_step(T, ei(0) + ei(1)) == ei(0, 7) + ei(1, 2)
 
     def test_index_mismatch(self):
         with pytest.raises(IndexSetMismatch):
-            apply(prop32_operator(), en(0))
+            one_step(prop32_operator(), en(0))
 
     def test_linearity_exact(self):
         rng = random.Random(5)
@@ -82,8 +85,8 @@ class TestApply:
             u = vector_for(rng, T)
             v = vector_for(rng, T)
             a, b = Fraction(3, 7), Fraction(-5, 2)
-            lhs = apply(T, u.scale(a) + v.scale(b))
-            rhs = apply(T, u).scale(a) + apply(T, v).scale(b)
+            lhs = one_step(T, u.scale(a) + v.scale(b))
+            rhs = one_step(T, u).scale(a) + one_step(T, v).scale(b)
             assert lhs == rhs
 
 
@@ -331,14 +334,14 @@ class TestApplyPower:
     @pytest.mark.parametrize("n", [0, 7])
     def test_a_source_in_no_band_raises_at_every_power(self, mode, n):
         # bands [0, 4], [5, 9], [11, inf) of N leave out 10: apply_power
-        # returned x at n = 0, where apply and a search's row table raise
+        # returned x at n = 0, where a step and a search's row table raise
         T = ShiftOperator(Shape.BLOCK_DIRECT_SUM, IndexSet.NATURALS, blocks=(
             Block(Band(0, 4), "backward", Constant(2)),
             Block(Band(5, 9), "forward", Constant(3)),
             Block(Band(11, None), "diagonal", Constant(Fraction(1, 2)))))
         x = SeqVector.from_entries(IndexSet.NATURALS, {0: 1, 10: 1}, mode)
         with pytest.raises(IndexSetMismatch, match="index 10 lies in no band"):
-            apply(T, x)
+            one_step(T, x)
         with pytest.raises(IndexSetMismatch, match="index 10 lies in no band"):
             apply_power(T, n, x)
 
@@ -412,36 +415,45 @@ class TestApplyPower:
 
 
 class TestWeightProduct:
+    # the program's path product is the entry apply_power(T, n, e_s) puts
+    # at row j, read against the independent reference_path_product
     def test_prop32_path_product(self):
-        wp = weight_product(prop32_operator(), 0, 5)
-        assert wp == QC(32)
+        T = prop32_operator()
+        wp = apply_power(T, 5, ei(5)).entry(0)
+        assert wp == reference_path_product(T, 0, 5) == QC(32)
         # oracle: five applications of the operator to e_5
-        assert nfold_apply(prop32_operator(), 5, ei(5)) == ei(0, 32)
+        assert nfold_apply(T, 5, ei(5)) == ei(0, 32)
 
     def test_empty_product(self):
-        wp = weight_product(prop32_operator(), 3, 0)
-        assert wp == QC(1)
+        T = prop32_operator()
+        wp = apply_power(T, 0, ei(3)).entry(3)
+        assert wp == reference_path_product(T, 3, 0) == QC(1)
 
     def test_halving_product_with_oracle(self):
         T = ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS,
                           Constant(Fraction(1, 2)))
-        wp = weight_product(T, 0, 10)
-        assert wp == QC(Fraction(1, 1024))
+        wp = apply_power(T, 10, en(10)).entry(0)
+        assert wp == reference_path_product(T, 0, 10) == QC(Fraction(1, 1024))
         assert nfold_apply(T, 10, en(10)) == en(0, Fraction(1, 1024))
 
     def test_unilateral_exit_gives_zero(self):
+        # e_0's path would have to exit N: no source reaches a row there
         T = ShiftOperator(Shape.UNILATERAL_BACKWARD, IndexSet.NATURALS, Constant(2))
-        assert weight_product(T, -2, 1) == QC(0)
+        assert apply_power(T, 1, en(0)).is_zero
+        assert reference_path_product(T, -1, 1) == QC(0)
 
     def test_log_matches_exact(self):
-        wp = weight_product(prop32_operator(), 0, 12)
+        T = prop32_operator()
+        wp = apply_power(T, 12, ei(12)).entry(0)
+        assert wp == reference_path_product(T, 0, 12)
         assert log2_abs(wp) == 12.0
 
     def test_periodic_product(self):
         T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS,
                           Periodic((2, 3, 5)))
         v = nfold_apply(T, 9, ei(9))
-        wp = weight_product(T, 0, 9)
+        wp = apply_power(T, 9, ei(9)).entry(0)
+        assert wp == reference_path_product(T, 0, 9)
         assert v == ei(0, wp)
 
 
@@ -468,9 +480,9 @@ class TestBlocks:
         split = riesz_blocks(T).splitter
         v = SeqVector.from_entries(IndexSet.INTEGERS, {3: 1, -4: 2, 0: -1})
         v1, v2 = split.split(v)
-        w1, w2 = split.split(apply(T, v))
-        assert apply(T, v1) == w1
-        assert apply(T, v2) == w2
+        w1, w2 = split.split(one_step(T, v))
+        assert one_step(T, v1) == w1
+        assert one_step(T, v2) == w2
 
     def test_riesz_two_band_partition(self):
         rs = riesz_blocks(self.two_band())
@@ -720,9 +732,9 @@ class TestWeightsPastDoubleRange:
         (ph,) = rule._phase
         assert abs(ph - phase) < 1e-15 and abs(abs(ph) - 1) < 1e-15
         T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, rule)
-        wp = weight_product(T, 0, 3)
+        wp = apply_power(T, 3, ei(3)).entry(0)
         re, im = (Fraction(w), Fraction(0)) if not isinstance(w, tuple) else map(Fraction, w)
-        assert wp == QC(re, im) * QC(re, im) * QC(re, im)
+        assert wp == reference_path_product(T, 0, 3) == QC(re, im) * QC(re, im) * QC(re, im)
         a2 = re * re + im * im  # |w|^2; log2 of big ints needs no float
         lg = 1.5 * (math.log2(a2.numerator) - math.log2(a2.denominator))
         assert math.isclose(log2_abs(wp), lg, rel_tol=1e-12)
@@ -739,10 +751,10 @@ class TestWeightsPastDoubleRange:
     def test_float_steps_raise_the_overflow_policy(self):
         T = ShiftOperator(Shape.BILATERAL_BACKWARD, IndexSet.INTEGERS, Constant(HUGE))
         v = SeqVector.basis(IndexSet.INTEGERS, 1, mode=Mode.FLOAT64)
-        for step in (lambda: apply(T, v), lambda: apply_power(T, 1, v)):
+        for step in (lambda: one_step(T, v), lambda: apply_power(T, 1, v)):
             with pytest.raises(NumericOverflow):
                 step()
-        assert apply(T, ei(1)) == ei(0, HUGE)
+        assert one_step(T, ei(1)) == ei(0, HUGE)
 
 
 @pytest.mark.parametrize("lo, hi", [("a", 3), (0.5, None), (True, None),
@@ -756,7 +768,7 @@ class TestConfig:
     def test_preset_prop32(self):
         T = shift_from_jsonable({"preset": "paper-prop32"})
         assert T.label == "paper-prop32"
-        assert apply(T, ei(1)) == ei(0, 2)
+        assert reference_apply(T, ei(1)) == ei(0, 2)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -767,7 +779,7 @@ class TestConfig:
                           PiecewiseTwoSided(2, 1))
         back = shift_from_jsonable(T.to_jsonable())
         assert back.shape is T.shape
-        assert apply(back, ei(1)) == apply(T, ei(1))
+        assert reference_apply(back, ei(1)) == reference_apply(T, ei(1))
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):

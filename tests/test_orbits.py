@@ -15,7 +15,6 @@ from orbitscope import (
     Shape,
     ShiftOperator,
     Table,
-    apply,
     apply_power,
     coarse_orbit_contains,
     make_coarse_witness,
@@ -80,7 +79,7 @@ class TestOrbit:
         def wrong_iterate(T, v, K):  # each step's point scaled by factor
             yield v
             for _ in range(K):
-                v = apply(T, v).scale(factor)
+                v = reference_apply(T, v).scale(factor)
                 yield v
 
         monkeypatch.setattr(orbits, "iterate", wrong_iterate)
