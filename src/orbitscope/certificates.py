@@ -845,17 +845,21 @@ def aggregate_exit_status(reports) -> int:
 
 
 def write_bundle(reports, out_dir) -> Path:
-    """One JSON per certificate plus an index with verdicts."""
+    """One JSON per certificate plus an index with verdicts, each one line
+    of compact JSON with sorted keys (``python3 -m json.tool`` indents it):
+    with no indent, json.dumps runs the standard library's C encoder."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     index = {"defaults_version": defaults.DEFAULTS_VERSION, "verdicts": {},
              "exit_status": aggregate_exit_status(reports)}
+
+    def write(name: str, obj) -> None:
+        (out / f"{name}.json").write_text(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
+
     for r in reports:
-        path = out / f"{r.name}.json"
-        path.write_text(json.dumps(r.to_jsonable(), indent=2, sort_keys=True,
-                                   allow_nan=False) + "\n")
+        write(r.name, r.to_jsonable())
         index["verdicts"][r.name] = r.verdict
-    (out / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
+    write("index", index)
     return out
 
 

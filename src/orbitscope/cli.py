@@ -11,6 +11,7 @@ within budget, 4 indecisive certificates, 5 failed certificates.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -186,7 +187,10 @@ def cmd_certify(args, config: dict, mode: Mode) -> int:
     return aggregate_exit_status(reports)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves
+    it unchanged, so every command reuses it."""
     parser = argparse.ArgumentParser(
         prog="orbitscope",
         description="coarse dynamics laboratory for weighted shift operators")

@@ -46,7 +46,8 @@ from .numeric import FieldsJSON, Mode, QC, abs2, jsonable, log2_abs, make_scalar
     positive_value, ratio_float, real_value, scalar_zero, sqrt_bounds, strict_gt, to_float
 from .operators import ShiftOperator, _lane_into, _lanes, apply_power
 from .orbits import CoarseWitness, coarse_orbit_contains
-from .spaces import IndexSet, NormTag, SeqVector, common_mode, dist, dist_and_lt, dist_lt
+from .spaces import IndexSet, NormTag, SeqVector, common_mode, dist, dist_and_lt, dist_lt, \
+    norm_and_lt
 
 
 @dataclass(frozen=True)
@@ -334,6 +335,7 @@ def _greedy_attempt(search: _SearchLog, eps, k: int) -> _Attempt | None:
     budget, norm_tag, mode, d_val = search.budget, search.norm_tag, search.mode, search.d_val
     if not budget.try_spend():
         return None
+    eps = real_value(eps, mode)
     x, ys = search.x, search.y._entries
     table = search.table(k)
     zero = scalar_zero(x.mode)
@@ -399,7 +401,7 @@ def _greedy_attempt(search: _SearchLog, eps, k: int) -> _Attempt | None:
             else:
                 uncorrected.append(m_f)
     delta = SeqVector(x.index_set, delta_entries, mode)
-    delta_r, delta_ok = dist_and_lt(delta, SeqVector.zero(x.index_set, mode), norm_tag, eps)
+    delta_r, delta_ok = norm_and_lt(delta, norm_tag, eps)
     delta_norm = to_float(delta_r)
     if norm_tag is NormTag.PINF:
         residual_est = max(uncorrected, default=0.0)

@@ -199,7 +199,9 @@ def mode_of_scalar(s) -> Mode:
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, (Fraction, int, float, str)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, float, str)):
         return Fraction(value)  # a float's exact binary expansion
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
@@ -266,7 +268,7 @@ class FieldsJSON:
 def real_value(value, mode: Mode):
     """Coerce a real quantity (bound, radius, weight) to the mode's carrier;
     in float mode a value past double range is an OrbitscopeError."""
-    f = _as_fraction(value) if not isinstance(value, Fraction) else value
+    f = _as_fraction(value)
     try:
         return f if mode is Mode.EXACT else float(f)
     except OverflowError:

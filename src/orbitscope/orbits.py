@@ -112,15 +112,35 @@ def make_coarse_witness(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
 def _visits(T: ShiftOperator, x: SeqVector, y: SeqVector, d, K: int,
             norm_tag: NormTag):
     """(n, T^n x) for each n <= K that a scan for points of B(y, d) must
-    measure, in order: when ||y|| >= d exactly, an exact scan takes only
-    the times at which supp T^n x meets supp y (operators.meetings), and
-    every other scan steps through all n <= K."""
-    if K >= 0 and x.mode is y.mode is Mode.EXACT and x.index_set is y.index_set \
-            and not norm_lt(y, norm_tag, d):
-        points = meetings(T, x, y._entries, K)
-        if points is not None:
-            return points
-    return enumerate(iterate(T, x, K))
+    measure, in order.
+
+    When not norm_lt(y, norm_tag, d), a point whose support misses supp y
+    is outside the ball, so only the times at which supp T^n x meets
+    supp y are given, and none after the first zero point (T^n 0 = 0).
+    An exact scan lists those times from positions alone
+    (operators.meetings).  A float scan steps every point, so each point
+    is the one the stepped scan builds, and gives those whose support
+    meets supp y: a float walk adds its non-negative terms in index order
+    and rounding is monotone, so its distance from y is at least its
+    reading of ||y||, which is not below d - TOL_EQ.  Every other scan
+    gives every n <= K."""
+    points = enumerate(iterate(T, x, K))
+    if K < 0 or x.mode is not y.mode or x.index_set is not y.index_set \
+            or norm_lt(y, norm_tag, d):
+        return points
+    if x.mode is Mode.EXACT:
+        met = meetings(T, x, y._entries, K)
+        return points if met is None else met
+    return _meeting(points, y._entries)
+
+
+def _meeting(points, rows):
+    """The (n, v) of points whose support meets rows, up to the first zero v."""
+    for n, v in points:
+        if not v._entries.keys().isdisjoint(rows):
+            yield n, v
+        elif v.is_zero:
+            return
 
 
 def coarse_orbit_contains(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
@@ -128,12 +148,16 @@ def coarse_orbit_contains(T: ShiftOperator, x: SeqVector, d, y: SeqVector,
     """First n <= K with ||T^n x - y|| < d, or None (meaning only: none up to K).
 
     Restriction to supp y never raises a p-norm, so a point whose support
-    misses supp y lies at distance >= ||y|| from y: when ||y|| >= d an
-    exact scan measures only the times at which supp T^n x meets supp y,
-    at most |supp x| |supp y| of them.  A time the scan accepts but
-    make_coarse_witness rejects (float mode, near the bound) is passed
-    over: the query answers and never raises.  T^n 0 = 0, so the scan ends
-    at the first zero point outside the ball.
+    misses supp y lies at distance >= ||y|| from y: when not
+    norm_lt(y, norm_tag, d), a scan measures only the points whose support
+    meets supp y.  An exact scan builds only those, at most
+    |supp x| |supp y| of them; a float scan steps every point and measures
+    those, since a float walk adds its non-negative terms in index order
+    and rounding is monotone, so a point it skips is at float distance at
+    least the float ||y|| >= d - TOL_EQ (see _visits).  A time the scan
+    accepts but make_coarse_witness rejects (float mode, near the bound)
+    is passed over: the query answers and never raises.  T^n 0 = 0, so
+    the scan ends at the first zero point outside the ball.
     """
     d = positive_value(d, common_mode(x, y), "d")
     for n, v in _visits(T, x, y, d, K, norm_tag):
@@ -168,9 +192,13 @@ def ball_counts(T: ShiftOperator, x: SeqVector, y: SeqVector, radius,
     max(horizons).
 
     Restriction to supp y never raises a p-norm, so a point whose support
-    misses supp y lies at distance >= ||y|| from y: when ||y|| >= radius
-    an exact scan measures only the times at which supp T^n x meets
-    supp y, at most |supp x| |supp y| of them."""
+    misses supp y lies at distance >= ||y|| from y: when not
+    norm_lt(y, norm_tag, radius), a scan measures only the points whose
+    support meets supp y, up to the first zero point (every later point
+    is zero, outside the ball).  An exact scan builds only those, at most
+    |supp x| |supp y| of them; a float scan steps every point and measures
+    those, since a float walk adds its non-negative terms in index order
+    and rounding is monotone (see _visits)."""
     first = {}  # each distinct point in the ball -> the time it is first met
     for n, v in _visits(T, x, y, radius, max(horizons, default=-1), norm_tag):
         if dist_lt(v, y, norm_tag, radius):

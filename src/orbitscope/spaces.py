@@ -421,6 +421,12 @@ def norm_lt(v: SeqVector, p: NormTag, bound) -> bool:
     return _walk_cmp(_norm_read(v, p), p, v._mode, bound) < 0
 
 
+def norm_and_lt(v: SeqVector, p: NormTag, bound) -> tuple[object, bool]:
+    """(norm(v, p), norm_lt(v, p, bound)) from one reading of v's entries."""
+    r = _norm_read(v, p)
+    return _walk_value(r, p, v._mode), _walk_cmp(r, p, v._mode, bound) < 0
+
+
 def norm_gt(v: SeqVector, p: NormTag, bound) -> bool:
     """Strict ||v||_p > bound under the mode's strictness policy, read as norm reads v."""
     return _walk_cmp(_norm_read(v, p), p, v._mode, bound) > 0

@@ -560,6 +560,15 @@ class TestSuite:
         out2 = write_bundle(reports2, tmp_path / "bundle2")
         assert bundle_digest(out2) == d1
 
+    def test_bundle_files_are_one_line_of_json(self, tmp_path):
+        reports = [cert_prop15(seed=0), cert_prop22(seed=0)]
+        out = write_bundle(reports, tmp_path / "bundle")
+        for r in reports:
+            text = (out / f"{r.name}.json").read_text()
+            assert text.endswith("}\n") and text.count("\n") == 1
+            assert json.loads(text) == r.to_jsonable()
+        assert (out / "index.json").read_text().count("\n") == 1
+
 
 # Small sample sizes of a `certify all` run; every certificate and layer runs.
 PINNED_SIZES = {

@@ -11,7 +11,7 @@ import pytest
 from orbitscope import certificates, defaults
 from orbitscope.certificates import bundle_digest
 from orbitscope.errors import SearchFailed
-from orbitscope.cli import main
+from orbitscope.cli import build_parser, main
 
 from conftest import reject_constant
 
@@ -403,6 +403,22 @@ class TestCertify:
         i1 = (tmp_path / "b1" / "index.json").read_bytes()
         i2 = (tmp_path / "b2" / "index.json").read_bytes()
         assert i1 == i2
+
+
+def test_one_parser_serves_every_command(capsys, tmp_path):
+    # the parser is built once per process; a usage error leaves it as it
+    # was, so the next command, another subcommand, parses its own flags
+    assert build_parser() is build_parser()
+    code, out, err = run(capsys, "witness", "--kind", "coarse")
+    assert code == 2 and out == ""
+    assert "the following arguments are required: --x, --y, --d" in err
+    cfg = TestCertify().write_config(tmp_path)
+    code, _, err = run(capsys, "--config", str(cfg), "certify", "prop15",
+                       "--out", str(tmp_path / "b"))
+    assert code == 0
+    assert "prop15: PASS" in err and "prop22" not in err
+    index = json.loads((tmp_path / "b" / "index.json").read_text())
+    assert index["verdicts"] == {"prop15": "PASS"}
 
 
 def test_explore_is_an_unknown_command(capsys):

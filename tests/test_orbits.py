@@ -26,7 +26,7 @@ from orbitscope import (
 from orbitscope import orbits
 from orbitscope.certificates import _prop21_instance
 from orbitscope.errors import IndexSetMismatch, OrbitscopeError, VerificationFailed
-from orbitscope.numeric import Mode, real_value
+from orbitscope.numeric import TOL_EQ, Mode, real_value
 from orbitscope.operators import meetings
 from orbitscope.orbits import ball_counts
 from orbitscope.spaces import dist, dist_lt
@@ -191,8 +191,8 @@ class TestCoarseOrbit:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_scan_ends_once_the_orbit_is_zero(self, monkeypatch, mode):
         # e_0 dies at the first step, and 5 e_0 is outside the ball around
-        # 0: two distance checks answer a horizon of 10^7 in the stepped
-        # float scan, and one in the exact scan, whose supports meet at n = 0 only
+        # 0: one distance check answers a horizon of 10^7 in either mode,
+        # since ||y|| >= d and the supports meet at n = 0 only
         checks = []
 
         def counted(*args):
@@ -203,7 +203,7 @@ class TestCoarseOrbit:
         monkeypatch.setattr(orbits, "dist_lt", counted)
         x, y = (SeqVector.basis(IndexSet.NATURALS, 0, c, mode) for c in (1, 5))
         assert coarse_orbit_contains(doubling(), x, 1, y, 10 ** 7, NormTag.PINF) is None
-        assert len(checks) == (1 if mode is Mode.EXACT else 2)
+        assert len(checks) == 1
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("norm_tag", list(NormTag))
@@ -315,8 +315,9 @@ def outcome(scan):
 
 
 class TestScreenedScans:
-    """Exact scans with ||y|| >= d measure only the times at which
-    supp T^n x meets supp y; every answer stays the full scan's."""
+    """Scans with ||y|| >= d measure only the points whose support meets
+    supp y (exact scans list their times, float scans step and skip);
+    every answer stays the full scan's."""
 
     @settings(max_examples=400, deadline=None)
     @given(case=scan_cases())
@@ -402,6 +403,37 @@ class TestScreenedScans:
                             lambda *args: measured.append(args) or dist_lt(*args))
         assert ball_counts(T, x, y, Fraction(3, 2), [100, 300, 1000], NormTag.PINF) == [1, 2, 3]
         assert len(measured) <= 8
+
+    def test_float_prop21_measures_eight_points(self, monkeypatch):
+        # the float scan steps all 1,001 points but measures only the eight
+        # whose support meets the rows 2 and 5
+        T, x, y = _prop21_instance({"visit_times": (30, 300, 1000)}, Mode.FLOAT64)
+        measured = []
+        monkeypatch.setattr(orbits, "dist_lt",
+                            lambda *args: measured.append(args) or dist_lt(*args))
+        assert ball_counts(T, x, y, 1.5, [100, 300, 1000], NormTag.PINF) == [1, 2, 3]
+        assert len(measured) <= 8
+
+    @pytest.mark.parametrize("p", list(NormTag))
+    @pytest.mark.parametrize("gap", [-TOL_EQ / 2, 0.0, TOL_EQ / 2, 2 * TOL_EQ])
+    def test_float_norm_within_tol_of_d(self, monkeypatch, p, gap):
+        # d = ||y|| + gap in floats: within TOL_EQ of ||y|| the scan is
+        # screened, and the tiny far entry of x keeps every skipped point
+        # at a float distance that rounds to ||y||, on the ball's edge
+        y = SeqVector.from_entries(IndexSet.NATURALS, {5: 3.0, 9: 4.0}, Mode.FLOAT64)
+        x = SeqVector.from_entries(IndexSet.NATURALS, {8: 0.375, 30: 1e-12}, Mode.FLOAT64)
+        d = norm(y, p) + gap
+        measured = []
+        monkeypatch.setattr(orbits, "dist_lt",
+                            lambda v, *args: measured.append(v) or dist_lt(v, *args))
+        horizons = [40, 20, 3, 0]
+        counts = ball_counts(doubling(), x, y, d, horizons, p)
+        assert counts == [points_in_ball_scan(doubling(), x, y, d, h, p) for h in horizons]
+        assert counts[0] >= 1  # T^3 x = 3 e_5 + 8e-12 e_27 is inside
+        # the times 3, 21 and 25 meet supp y; the orbit is zero from n = 31
+        assert len(measured) == (3 if gap < TOL_EQ else 41)
+        assert coarse_orbit_contains(doubling(), x, d, y, 40, p) == \
+            full_coarse_scan(doubling(), x, d, y, 40, p)
 
 
 def synth_orbit_instance(targets, times):

@@ -19,7 +19,7 @@ from orbitscope import (
 from orbitscope import spaces
 from orbitscope.errors import IndexSetMismatch, ModeMismatch, OrbitscopeError
 from orbitscope.numeric import TOL_EQ, Mode, abs2, make_scalar, to_float
-from orbitscope.spaces import dist, dist_and_lt, dist_lt
+from orbitscope.spaces import dist, dist_and_lt, dist_lt, norm_and_lt
 
 
 def e(i, c=1, index_set=IndexSet.NATURALS):
@@ -1046,7 +1046,9 @@ def _assert_norm_is_the_walks(v):
         if got == math.inf:  # an irrational norm past double range: no bound holds it
             continue
         for b in _bounds_at(got, v.mode):
-            assert (norm_lt(v, p, b), norm_gt(v, p, b)) == _walk_cmps(v, p, b), (v, p, b)
+            lt_gt = _walk_cmps(v, p, b)
+            assert (norm_lt(v, p, b), norm_gt(v, p, b)) == lt_gt, (v, p, b)
+            assert norm_and_lt(v, p, b) == (got, lt_gt[0]), (v, p, b)
 
 
 # the float sum of squares of the "out-of-index-order" entries, and the
